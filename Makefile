@@ -24,8 +24,11 @@ lint:
 build:
 	$(GO) build ./...
 
+# internal/study alone runs ~10 minutes under the race detector on two
+# cores — right at go test's default per-package timeout — so the target
+# sets its own.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 30m ./...
 	$(GO) run -race ./cmd/edgereport -groups 8 -days 1 -spw 12 -workers 4 > /dev/null
 
 test:

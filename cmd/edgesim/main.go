@@ -264,9 +264,8 @@ func run(ctx context.Context, w *world.World, bw *bufio.Writer, reg *obs.Registr
 
 	// Parallel mode: workers generate and encode whole groups
 	// concurrently; a single writer stage restores group order so the
-	// output is byte-identical to -workers 1. Each batch filters through
-	// its own collector (WriterSink is single-threaded) and the per-batch
-	// stats merge into the run totals.
+	// output is byte-identical to -workers 1. The fault surfaces are
+	// faults.Guard's; this function only moves bytes.
 	type encBatch struct {
 		group   int
 		data    []byte
@@ -275,19 +274,14 @@ func run(ctx context.Context, w *world.World, bw *bufio.Writer, reg *obs.Registr
 		// writer goroutine, which emits the trace events for it — the
 		// generation callback runs on many workers and may not share a
 		// trace ring.
-		fate     string
-		fateLost int
+		fate faults.BatchFate
 	}
+	guard := faults.NewGuard(inj, failFast)
 	var (
-		mu      sync.Mutex
+		mu      sync.Mutex // guards total (encode workers merge into it)
 		total   collector.Stats
-		cov     faults.Coverage
-		written int
+		written int // owned by the ordered writer
 	)
-	if inj != nil {
-		cov.Spec = inj.Plan().Spec()
-		cov.FailFast = failFast
-	}
 	encSpan := reg.Span(obs.L("edgesim_stage_seconds", "stage", "encode"), "edgesim")
 	writeSpan := reg.Span(obs.L("edgesim_stage_seconds", "stage", "write"), "edgesim")
 
@@ -297,188 +291,63 @@ func run(ctx context.Context, w *world.World, bw *bufio.Writer, reg *obs.Registr
 	enc.Instrument(reg, "write")
 	enc.Observe(rec, "write")
 	tb := rec.Buf() // owned by the ordered writer goroutine below
-	// encode filters and encodes one surviving batch and hands it (plus
-	// its batch-surface fate, if any) to the ordered writer.
-	encode := func(ctx context.Context, group int, samples []sample.Sample, fate string, fateLost int) error {
-		sp := encSpan.Start()
-		var buf bytes.Buffer
-		c := collector.New(collector.WriterSink(sample.NewWriter(&buf)))
-		c.Instrument(reg)
-		for _, s := range samples {
-			c.Offer(s)
-		}
-		sp.End()
-		if err := c.Err(); err != nil {
-			return err
-		}
-		st := c.Stats()
-		mu.Lock()
-		total = total.Merge(st)
-		mu.Unlock()
-		return enc.Send(ctx, encBatch{group: group, data: buf.Bytes(), samples: st.Accepted, fate: fate, fateLost: fateLost})
-	}
 	g.Go(func(ctx context.Context) error {
 		defer enc.Close()
 		return w.GenerateBatchesUnordered(ctx, workers, func(b world.Batch) error {
-			samples := b.Samples
-			if b.Lost > 0 { // PoP outage suppressed windows at the source
-				mu.Lock()
-				cov.SamplesLostOutage += b.Lost
-				mu.Unlock()
+			guard.Outage(b.Lost) // PoP outage suppressed windows at the source
+			fate, err := guard.Batch(b.Group, len(b.Samples))
+			if err != nil {
+				return err
 			}
-			switch f := inj.BatchFault(b.Group); f.Kind {
-			case faults.BatchOK:
-			case faults.BatchTruncate:
-				keep := len(samples) - int(float64(len(samples))*f.Frac)
-				mu.Lock()
-				cov.BatchesTruncated++
-				cov.SamplesLostTruncated += len(samples) - keep
-				mu.Unlock()
-				lost := len(samples) - keep
-				samples = samples[:keep]
-				return encode(ctx, b.Group, samples, f.Kind.String(), lost)
-			default: // corrupt or plan-listed failure: the whole batch is gone
-				if failFast {
-					return fmt.Errorf("group %d batch: %w", b.Group,
-						&faults.FaultError{Surface: faults.SurfaceBatch, Key: fmt.Sprintf("world-group-%d", b.Group)})
-				}
-				mu.Lock()
-				cov.GroupsDropped++
-				cov.SamplesLostDropped += len(samples)
-				cov.Quarantined = append(cov.Quarantined, faults.QuarantinedGroup{
-					Key: fmt.Sprintf("world-group-%04d", b.Group), Reason: f.Kind.String(), SamplesLost: len(samples),
-				})
-				mu.Unlock()
+			if fate.Dropped() {
 				// Reorder needs a gapless group sequence: send a tombstone.
-				return enc.Send(ctx, encBatch{group: b.Group, fate: f.Kind.String(), fateLost: len(samples)})
+				return enc.Send(ctx, encBatch{group: b.Group, fate: fate})
 			}
-			return encode(ctx, b.Group, samples, "", 0)
+			// Filter and encode the surviving prefix through the batch's
+			// own collector (WriterSink is single-threaded).
+			sp := encSpan.Start()
+			var buf bytes.Buffer
+			c := collector.New(collector.WriterSink(sample.NewWriter(&buf)))
+			c.Instrument(reg)
+			for _, s := range b.Samples[:len(b.Samples)-fate.Lost] {
+				c.Offer(s)
+			}
+			sp.End()
+			if err := c.Err(); err != nil {
+				return err
+			}
+			st := c.Stats()
+			mu.Lock()
+			total = total.Merge(st)
+			mu.Unlock()
+			return enc.Send(ctx, encBatch{group: b.Group, data: buf.Bytes(), samples: st.Accepted, fate: fate})
 		})
 	})
 	g.Go(func(ctx context.Context) error {
 		return pipeline.Reorder(ctx, enc, func(b encBatch) int { return b.group }, 0, func(b encBatch) error {
-			track := trace.GroupTrack(b.group)
-			if b.fate != "" && b.fateLost > 0 {
-				tb.Emit(trace.Event{
-					Track: track, Phase: trace.PhaseBatch, Win: -1, Seq: 0,
-					Kind: trace.KFault, Stage: "batch", Value: int64(b.fateLost), Detail: b.fate,
-				})
-				if b.fate == faults.BatchTruncate.String() {
-					tb.Loss(track, trace.PhaseBatch, -1, 0, "batch", trace.LossTruncated, b.fateLost)
-				} else {
-					tb.Emit(trace.Event{
-						Track: track, Phase: trace.PhaseBatch, Win: -1, Seq: 1,
-						Kind: trace.KQuarantine, Stage: "batch", Value: int64(b.fateLost), Detail: b.fate,
-					})
-					tb.Loss(track, trace.PhaseBatch, -1, 0, "batch", trace.LossDropped, b.fateLost)
-				}
-			}
+			b.fate.Emit(tb)
 			if len(b.data) == 0 { // tombstone for a dropped batch
 				return nil
 			}
-			if f := inj.WriteFault(b.group); !f.None() {
-				if f.Permanent {
-					if failFast {
-						return fmt.Errorf("writing group %d batch: %w", b.group,
-							&faults.FaultError{Surface: faults.SurfaceWrite, Key: fmt.Sprintf("world-group-%d", b.group)})
-					}
-					mu.Lock()
-					cov.GroupsDropped++
-					cov.SamplesLostDropped += b.samples
-					cov.Quarantined = append(cov.Quarantined, faults.QuarantinedGroup{
-						Key: fmt.Sprintf("world-group-%04d", b.group), Reason: "permanent write failure", SamplesLost: b.samples,
-					})
-					mu.Unlock()
-					tb.Emit(trace.Event{
-						Track: track, Phase: trace.PhaseCommit, Win: -1, Seq: 0,
-						Kind: trace.KFault, Stage: "write", Value: int64(b.samples), Detail: "write-permanent",
-					})
-					tb.Emit(trace.Event{
-						Track: track, Phase: trace.PhaseCommit, Win: -1, Seq: 1,
-						Kind: trace.KQuarantine, Stage: "write", Value: int64(b.samples), Detail: "permanent write failure",
-					})
-					tb.Loss(track, trace.PhaseCommit, -1, 0, "write", trace.LossDropped, b.samples)
-					return nil
-				}
-				// Transient streak: retry with backoff until the writer
-				// heals, wrapping the real write so its own errors (full
-				// disk) still surface as permanent.
-				rem := f.Transient
-				tb.Emit(trace.Event{
-					Track: track, Phase: trace.PhaseCommit, Win: -1, Seq: 0,
-					Kind: trace.KFault, Stage: "write", Value: int64(rem), Detail: "write-transient",
-				})
-				p := inj.Policy(b.group)
-				p.OnRetry = func(int, error) {
-					mu.Lock()
-					cov.RetriesSpent++
-					mu.Unlock()
-				}
-				p = faults.TracedPolicy(p, tb, track, trace.PhaseCommit, -1, 0, "write")
-				err := faults.Retry(ctx, p, func() error {
-					if rem > 0 {
-						rem--
-						return &faults.FaultError{Surface: faults.SurfaceWrite,
-							Key: fmt.Sprintf("world-group-%d", b.group), Transient: true}
-					}
-					sp := writeSpan.Start()
-					defer sp.End()
-					_, werr := bw.Write(b.data)
-					return werr
-				})
-				if err != nil {
-					if failFast || !faults.IsTransient(err) {
-						return err
-					}
-					mu.Lock()
-					cov.GroupsDropped++
-					cov.SamplesLostDropped += b.samples
-					cov.Quarantined = append(cov.Quarantined, faults.QuarantinedGroup{
-						Key: fmt.Sprintf("world-group-%04d", b.group), Reason: "write retry budget exhausted", SamplesLost: b.samples,
-					})
-					mu.Unlock()
-					tb.Emit(trace.Event{
-						Track: track, Phase: trace.PhaseCommit, Win: -1, Seq: 1,
-						Kind: trace.KQuarantine, Stage: "write", Value: int64(b.samples), Detail: "write retry budget exhausted",
-					})
-					tb.Loss(track, trace.PhaseCommit, -1, 0, "write", trace.LossDropped, b.samples)
-					return nil
-				}
-				mu.Lock()
-				cov.TransientRecovered++
-				mu.Unlock()
-				inj.Recovered()
+			// A group that falls to the write surface simply leaves no
+			// lines behind: JSONL has nowhere to record a tombstone.
+			ok, err := guard.Write(ctx, tb, b.group, b.samples, func() error {
+				sp := writeSpan.Start()
+				defer sp.End()
+				_, werr := bw.Write(b.data)
+				return werr
+			}, nil)
+			if ok {
 				written += b.samples
-				tb.Emit(trace.Event{
-					Track: track, Phase: trace.PhaseCommit, Win: -1, Seq: 2,
-					Kind: trace.KCommit, Stage: "write", Value: int64(b.samples),
-				})
-				return nil
 			}
-			sp := writeSpan.Start()
-			defer sp.End()
-			if _, err := bw.Write(b.data); err != nil {
-				return err
-			}
-			written += b.samples
-			tb.Emit(trace.Event{
-				Track: track, Phase: trace.PhaseCommit, Win: -1, Seq: 2,
-				Kind: trace.KCommit, Stage: "write", Value: int64(b.samples),
-			})
-			return nil
+			return err
 		})
 	})
 	err := g.Wait()
 	mu.Lock()
 	st := total
 	mu.Unlock()
-	if inj == nil {
-		return st, written, nil, err
-	}
-	cov.Finalize()
-	if cov.Degraded() {
-		inj.MarkDegraded()
-	}
+	cov := guard.Coverage()
 	cov.EmitTrace(tb) // writer goroutine has returned; main owns the ring now
-	return st, written, &cov, err
+	return st, written, cov, err
 }

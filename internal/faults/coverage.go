@@ -5,8 +5,9 @@ import "sort"
 // QuarantinedGroup records one isolated user group: the unit the
 // pipeline withdrew from aggregation instead of poisoning the run.
 type QuarantinedGroup struct {
-	// Key identifies the group (sample.GroupKey.String() in the study
-	// pipeline; "group-N" for edgesim's world-group batches).
+	// Key identifies the group: sample.GroupKey.String() for a user
+	// group, "world-group-%04d" for a world group's batch or dataset
+	// segments.
 	Key string
 	// Reason is the fault class that forced the quarantine.
 	Reason string
@@ -19,8 +20,9 @@ type QuarantinedGroup struct {
 // Livingood's rule for speed-measurement pipelines — report coverage
 // alongside results — is enforced by rendering this next to every
 // degraded report, so a reduced sample set is labeled, never silent.
-// Counters partition by cause; Merge folds per-shard ledgers with a
-// deterministic result (sums commute, the quarantine list is sorted).
+// Counters partition by cause. One Guard owns a run's ledger and is
+// its only writer; the sums commute and Finalize sorts the quarantine
+// list, so the result is identical at any worker count.
 type Coverage struct {
 	// Spec is the canonical fault-plan spec that produced this run.
 	Spec string
@@ -64,25 +66,8 @@ func (c *Coverage) Degraded() bool {
 	return c.SamplesLost() > 0 || c.GroupsDropped > 0 || len(c.Quarantined) > 0
 }
 
-// Merge folds o into c — the per-shard ledger reduction. Shards own
-// disjoint group-key spaces, so quarantine entries never collide.
-func (c *Coverage) Merge(o *Coverage) {
-	if o == nil {
-		return
-	}
-	c.SamplesLostOutage += o.SamplesLostOutage
-	c.SamplesLostTruncated += o.SamplesLostTruncated
-	c.SamplesLostDropped += o.SamplesLostDropped
-	c.SamplesLostQuarantined += o.SamplesLostQuarantined
-	c.GroupsDropped += o.GroupsDropped
-	c.BatchesTruncated += o.BatchesTruncated
-	c.RetriesSpent += o.RetriesSpent
-	c.TransientRecovered += o.TransientRecovered
-	c.Quarantined = append(c.Quarantined, o.Quarantined...)
-}
-
-// Finalize sorts the quarantine list so merged ledgers render
-// identically regardless of shard count or merge order.
+// Finalize sorts the quarantine list so ledgers render identically
+// regardless of which goroutine booked which entry first.
 func (c *Coverage) Finalize() {
 	sort.Slice(c.Quarantined, func(i, j int) bool { return c.Quarantined[i].Key < c.Quarantined[j].Key })
 }

@@ -19,10 +19,16 @@
 //   - Coverage: graceful-degradation accounting. A degraded run is
 //     explicitly labeled — groups dropped, samples lost, retries spent,
 //     quarantined groups — never silently wrong.
+//   - Guard: the recovery ladder itself. It turns Injector decisions
+//     into retry, quarantine, tombstone or fail-fast, books the outcome
+//     in Coverage and emits the matching trace events, once, for every
+//     producer. The batch/write/sink decisions are unexported so that
+//     Guard is the only way to reach them.
 //
-// The package is deliberately mechanism-only: it decides and accounts,
-// while the pipeline packages (study, collector, cmd/edgesim) own the
-// recovery policy — retry, quarantine, or fail fast.
+// Producers (study, seggen, studyd, cmd/edgesim) supply only the work
+// and its producer-specific consequence as callbacks. The wire surface
+// (ShipFault, internal/ship) is a transport policy of its own and stays
+// with the shipper.
 package faults
 
 import (

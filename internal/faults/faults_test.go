@@ -79,22 +79,22 @@ func TestInjectorDecisionsArePure(t *testing.T) {
 	}
 	// b sees the same identities in reverse order.
 	for i := range samples {
-		fa := a.SinkFault(samples[i])
-		fb := b.SinkFault(samples[len(samples)-1-i])
-		fa2 := a.SinkFault(samples[i]) // repeatable on the same injector
+		fa := a.sinkFault(samples[i])
+		fb := b.sinkFault(samples[len(samples)-1-i])
+		fa2 := a.sinkFault(samples[i]) // repeatable on the same injector
 		if fa != fa2 {
-			t.Fatalf("SinkFault not repeatable for sample %d: %+v vs %+v", i, fa, fa2)
+			t.Fatalf("sinkFault not repeatable for sample %d: %+v vs %+v", i, fa, fa2)
 		}
 		_ = fb
 	}
 	for i := range samples {
-		if fa, fb := a.SinkFault(samples[i]), b.SinkFault(samples[i]); fa != fb {
-			t.Fatalf("SinkFault differs across call orders for sample %d: %+v vs %+v", i, fa, fb)
+		if fa, fb := a.sinkFault(samples[i]), b.sinkFault(samples[i]); fa != fb {
+			t.Fatalf("sinkFault differs across call orders for sample %d: %+v vs %+v", i, fa, fb)
 		}
 	}
 	for g := 0; g < 200; g++ {
-		if fa, fb := a.BatchFault(g), b.BatchFault(g); fa != fb {
-			t.Fatalf("BatchFault differs for group %d: %+v vs %+v", g, fa, fb)
+		if fa, fb := a.batchFault(g), b.batchFault(g); fa != fb {
+			t.Fatalf("batchFault differs for group %d: %+v vs %+v", g, fa, fb)
 		}
 	}
 	// A different study seed must move the faults.
@@ -102,7 +102,7 @@ func TestInjectorDecisionsArePure(t *testing.T) {
 	same := 0
 	faults := 0
 	for i := range samples {
-		fa, fc := a.SinkFault(samples[i]), c.SinkFault(samples[i])
+		fa, fc := a.sinkFault(samples[i]), c.sinkFault(samples[i])
 		if !fa.None() {
 			faults++
 			if fa == fc {
@@ -120,17 +120,17 @@ func TestInjectorDecisionsArePure(t *testing.T) {
 
 func TestInjectorNilSafety(t *testing.T) {
 	var in *Injector
-	if f := in.SinkFault(sample.Sample{}); !f.None() {
+	if f := in.sinkFault(sample.Sample{}); !f.None() {
 		t.Error("nil injector injected a sink fault")
 	}
-	if f := in.BatchFault(0); f.Kind != BatchOK {
+	if f := in.batchFault(0); f != BatchOK {
 		t.Error("nil injector injected a batch fault")
 	}
 	if in.Outage("gru", 0) || in.ShardDelay(0, 0) != 0 || in.StageBudget() != 0 {
 		t.Error("nil injector injected timing faults")
 	}
 	in.Instrument(nil)
-	in.Recovered()
+	in.recovered()
 	in.MarkDegraded()
 	if NewInjector(nil, 1) != nil {
 		t.Error("NewInjector(nil) != nil")
@@ -139,23 +139,20 @@ func TestInjectorNilSafety(t *testing.T) {
 
 func TestFailGroupsAlwaysFail(t *testing.T) {
 	in := NewInjector(&Plan{FailGroups: []int{4}}, 1)
-	if f := in.BatchFault(4); f.Kind != BatchFail {
-		t.Errorf("fail-group batch fate = %v", f.Kind)
+	if f := in.batchFault(4); f != BatchFail {
+		t.Errorf("fail-group batch fate = %v", f)
 	}
-	if f := in.BatchFault(5); f.Kind != BatchOK {
-		t.Errorf("clean group fate = %v", f.Kind)
+	if f := in.batchFault(5); f != BatchOK {
+		t.Errorf("clean group fate = %v", f)
 	}
 }
 
-func TestCoverageMergeAndFinalize(t *testing.T) {
-	a := Coverage{SamplesLostOutage: 1, RetriesSpent: 2, Quarantined: []QuarantinedGroup{{Key: "z", SamplesLost: 3}}}
-	b := Coverage{SamplesLostQuarantined: 4, GroupsDropped: 1, TransientRecovered: 5,
-		Quarantined: []QuarantinedGroup{{Key: "a", SamplesLost: 1}}}
-	a.Merge(&b)
-	a.Merge(nil)
+func TestCoverageFinalizeAndDegraded(t *testing.T) {
+	a := Coverage{SamplesLostOutage: 1, SamplesLostQuarantined: 4, GroupsDropped: 1,
+		Quarantined: []QuarantinedGroup{{Key: "z", SamplesLost: 3}, {Key: "a", SamplesLost: 1}}}
 	a.Finalize()
-	if a.SamplesLost() != 5 || a.RetriesSpent != 2 || a.TransientRecovered != 5 {
-		t.Errorf("merged ledger wrong: %+v", a)
+	if a.SamplesLost() != 5 {
+		t.Errorf("SamplesLost = %d, want 5: %+v", a.SamplesLost(), a)
 	}
 	if len(a.Quarantined) != 2 || a.Quarantined[0].Key != "a" || a.Quarantined[1].Key != "z" {
 		t.Errorf("finalize did not sort: %+v", a.Quarantined)

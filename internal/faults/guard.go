@@ -1,0 +1,392 @@
+package faults
+
+import (
+	"context"
+	"fmt"
+	"sync"
+	"time"
+
+	"repro/internal/sample"
+	"repro/internal/trace"
+)
+
+// Guard is the pipeline's one recovery ladder. It owns the policy that
+// follows every injected decision — what is lost, retried, quarantined
+// or tombstoned — and the two records of it: the Coverage ledger and
+// the trace events the ledger must reconcile against. Producers
+// (internal/study, internal/seggen, internal/studyd, cmd/edgesim) are
+// thin callers: they supply the work (commit, offer) and the
+// producer-specific consequence (tombstone, quarantine) as callbacks
+// and never touch an Injector decision or a Coverage counter.
+//
+// Three surfaces, each a decision with callbacks: Batch (a world
+// group's generated batch: keep all, keep a prefix, or drop), Write
+// (one group's ordered dataset commit) and Sink (one sample's collector
+// offer). A nil *Guard (no fault plan) is valid everywhere: Batch keeps
+// everything, Write commits, Sink offers, Coverage is nil.
+//
+// Guard is safe for concurrent use; the ledger is locked. Trace buffers
+// are single-owner, so every method that emits takes the calling
+// goroutine's buffer, and BatchFate separates the decision (any
+// goroutine) from its events (the caller's ordered goroutine).
+type Guard struct {
+	inj      *Injector
+	failFast bool
+	sleep    func(time.Duration) // replaces the retry backoff clock (tests); nil is the real one
+
+	mu     sync.Mutex
+	cov    Coverage
+	tracks []string           // tracks[i] is the trace track of cov.Quarantined[i]
+	writes map[int]*writeFate // per-group write fates, drawn once
+}
+
+// NewGuard binds the recovery ladder to an injector; failFast turns
+// every rung after retry into an error. A nil injector yields a nil
+// guard.
+func NewGuard(inj *Injector, failFast bool) *Guard {
+	if inj == nil {
+		return nil
+	}
+	return &Guard{
+		inj:      inj,
+		failFast: failFast,
+		cov:      Coverage{Spec: inj.Plan().Spec(), FailFast: failFast},
+		writes:   make(map[int]*writeFate),
+	}
+}
+
+// Coverage returns the finalized ledger as of now (nil on a nil
+// guard): a copy, so a long-running producer can snapshot mid-run.
+func (g *Guard) Coverage() *Coverage {
+	if g == nil {
+		return nil
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	c := g.cov
+	c.Quarantined = append([]QuarantinedGroup(nil), g.cov.Quarantined...)
+	c.Finalize()
+	return &c
+}
+
+// Outage books sessions a PoP outage suppressed at the source.
+func (g *Guard) Outage(lost int) {
+	if g == nil || lost <= 0 {
+		return
+	}
+	g.mu.Lock()
+	g.cov.SamplesLostOutage += lost
+	g.mu.Unlock()
+	g.inj.MarkDegraded()
+}
+
+// worldGroupKey names a world group in the ledger and in FaultError
+// keys; fixed-width so the sorted quarantine list is in group order.
+func worldGroupKey(group int) string { return fmt.Sprintf("world-group-%04d", group) }
+
+// quarantineLocked appends one ledger entry and returns its handle.
+func (g *Guard) quarantineLocked(key, track, reason string, lost int) int {
+	g.cov.Quarantined = append(g.cov.Quarantined, QuarantinedGroup{Key: key, Reason: reason, SamplesLost: lost})
+	g.tracks = append(g.tracks, track)
+	return len(g.cov.Quarantined) - 1
+}
+
+// site is the logical trace coordinate one surface's events share.
+type site struct {
+	tb    *trace.Buf
+	track string
+	phase uint8
+	stage string
+}
+
+func (s site) emit(kind trace.Kind, seq uint64, value int, detail string) {
+	s.tb.Emit(trace.Event{
+		Track: s.track, Phase: s.phase, Win: -1, Seq: seq,
+		Kind: kind, Stage: s.stage, Value: int64(value), Detail: detail,
+	})
+}
+
+func (s site) loss(seq uint64, cause string, n int) {
+	s.tb.Loss(s.track, s.phase, -1, seq, s.stage, cause, n)
+}
+
+// BatchFate is one world group's batch-surface verdict. It is a plain
+// value so a worker goroutine can decide it and the ordered goroutine
+// that owns the trace buffer can Emit it.
+type BatchFate struct {
+	Group int
+	Kind  BatchFaultKind
+	// Lost counts the samples cut from the tail (BatchTruncate) or
+	// dropped with the whole batch (BatchCorrupt, BatchFail); the
+	// surviving prefix is the batch's first len-Lost samples.
+	Lost int
+}
+
+// Dropped reports whether the whole batch is unusable.
+func (f BatchFate) Dropped() bool { return f.Kind == BatchCorrupt || f.Kind == BatchFail }
+
+// Reason names the fate for ledger entries and tombstones.
+func (f BatchFate) Reason() string { return f.Kind.String() }
+
+// Batch decides and books the fate of group's batch of n samples. Under
+// fail-fast a dropped batch is an error instead.
+func (g *Guard) Batch(group, n int) (BatchFate, error) {
+	f, err := g.DrawBatch(group)
+	if err != nil {
+		return f, err
+	}
+	switch {
+	case f.Dropped():
+		f.Lost = n
+	case f.Kind == BatchTruncate:
+		f.Lost = int(float64(n) * g.inj.plan.TruncateFrac)
+	}
+	g.BookBatch(f)
+	return f, nil
+}
+
+// DrawBatch decides group's batch fate without sizing or booking it —
+// the streaming producer's half of Batch: a daemon learns the group is
+// dropped at its first window, and what that cost only at drain, when
+// it sets Lost and calls BookBatch.
+func (g *Guard) DrawBatch(group int) (BatchFate, error) {
+	f := BatchFate{Group: group}
+	if g == nil {
+		return f, nil
+	}
+	f.Kind = g.inj.batchFault(group)
+	if f.Dropped() && g.failFast {
+		return f, fmt.Errorf("fail-fast: %s: %w", f.Kind, &FaultError{Surface: SurfaceBatch, Key: worldGroupKey(group)})
+	}
+	return f, nil
+}
+
+// BookBatch enters a sized fate into the ledger. A truncation that cut
+// nothing (a batch too small to lose a tail) is not a loss.
+func (g *Guard) BookBatch(f BatchFate) {
+	if g == nil || f.noop() {
+		return
+	}
+	g.mu.Lock()
+	if f.Dropped() {
+		g.cov.GroupsDropped++
+		g.cov.SamplesLostDropped += f.Lost
+		g.quarantineLocked(worldGroupKey(f.Group), trace.GroupTrack(f.Group), f.Reason(), f.Lost)
+	} else {
+		g.cov.BatchesTruncated++
+		g.cov.SamplesLostTruncated += f.Lost
+	}
+	g.mu.Unlock()
+	g.inj.MarkDegraded()
+}
+
+func (f BatchFate) noop() bool {
+	return f.Kind == BatchOK || (f.Kind == BatchTruncate && f.Lost == 0)
+}
+
+// Emit replays the fate as trace events on the group's track; call it
+// from the goroutine that owns tb. Nil-safe on tb.
+func (f BatchFate) Emit(tb *trace.Buf) {
+	if tb == nil || f.noop() {
+		return
+	}
+	at := site{tb, trace.GroupTrack(f.Group), trace.PhaseBatch, "batch"}
+	at.emit(trace.KFault, 0, f.Lost, f.Reason())
+	cause := trace.LossTruncated
+	if f.Dropped() {
+		at.emit(trace.KQuarantine, 1, f.Lost, f.Reason())
+		cause = trace.LossDropped
+	}
+	at.loss(0, cause, f.Lost)
+}
+
+// writeFate is one group's write-surface state. A batch producer makes
+// one Write per group; a streaming producer makes one per chunk, and
+// the fate drawn at the first persists: a transient streak is burned by
+// the first commit, a fatal fate tombstones every later one.
+type writeFate struct {
+	rem    int    // transient failures still to burn
+	reason string // non-empty once fatal
+	entry  int    // ledger entry of the tombstoned group (-1 before the first)
+}
+
+// Write commits n samples of group under the write surface. The
+// group's fate is drawn once: clean runs commit; a transient streak
+// runs commit under the plan's retry policy (commit's own errors are
+// permanent and surface as they are); a permanent fault — or an
+// exhausted retry budget — books the n samples as dropped and calls
+// tombstone(reason) (nil: the producer has nothing to record) instead,
+// as does every later Write of the group. It reports whether commit
+// ran and succeeded. Writes of one group must not overlap; tb is the
+// calling goroutine's buffer.
+func (g *Guard) Write(ctx context.Context, tb *trace.Buf, group, n int, commit func() error, tombstone func(reason string) error) (bool, error) {
+	at := site{tb, trace.GroupTrack(group), trace.PhaseCommit, "write"}
+	if g == nil {
+		if err := commit(); err != nil {
+			return false, err
+		}
+		at.emit(trace.KCommit, 2, n, "")
+		return true, nil
+	}
+
+	g.mu.Lock()
+	wf, drawn := g.writes[group]
+	if !drawn {
+		wf = &writeFate{entry: -1}
+		g.writes[group] = wf
+	}
+	g.mu.Unlock()
+	if !drawn {
+		switch d := g.inj.writeFault(group); {
+		case d.Permanent && g.failFast:
+			return false, fmt.Errorf("fail-fast: write-permanent: %w", &FaultError{Surface: SurfaceWrite, Key: worldGroupKey(group)})
+		case d.Permanent:
+			wf.reason = "permanent write failure"
+			at.emit(trace.KFault, 0, n, "write-permanent")
+		case d.Transient > 0:
+			wf.rem = d.Transient
+			at.emit(trace.KFault, 0, wf.rem, "write-transient")
+		}
+	}
+
+	switch {
+	case wf.reason != "":
+	case wf.rem > 0:
+		ferr := &FaultError{Surface: SurfaceWrite, Key: worldGroupKey(group), Transient: true}
+		exhausted, err := g.retry(ctx, at, 0, group, &wf.rem, ferr, commit)
+		if err != nil {
+			return false, err
+		}
+		if exhausted {
+			wf.reason = "write retry budget exhausted"
+		}
+	default:
+		if err := commit(); err != nil {
+			return false, err
+		}
+	}
+	if wf.reason == "" {
+		at.emit(trace.KCommit, 2, n, "")
+		return true, nil
+	}
+
+	g.mu.Lock()
+	g.cov.SamplesLostDropped += n
+	if wf.entry < 0 {
+		g.cov.GroupsDropped++
+		wf.entry = g.quarantineLocked(worldGroupKey(group), at.track, wf.reason, n)
+	} else {
+		g.cov.Quarantined[wf.entry].SamplesLost += n
+	}
+	g.mu.Unlock()
+	g.inj.MarkDegraded()
+	at.emit(trace.KQuarantine, 1, n, wf.reason)
+	at.loss(0, trace.LossDropped, n)
+	if tombstone == nil {
+		return false, nil
+	}
+	return false, tombstone(wf.reason)
+}
+
+// retry burns a transient streak (*rem injected failures of ferr) and
+// then runs op, under the plan's backoff policy with the spend booked
+// and traced at (at, seq). It reports a nil error when the fault was
+// absorbed, exhausted when the budget ran out and the caller should
+// degrade, and otherwise the error to propagate: fail-fast, op's own
+// (permanent) failure, or a cancellation mid-backoff.
+func (g *Guard) retry(ctx context.Context, at site, seq uint64, policyID int, rem *int, ferr *FaultError, op func() error) (exhausted bool, err error) {
+	p := g.inj.Policy(policyID)
+	p.Sleep = g.sleep
+	p.OnRetry = func(int, error) {
+		g.mu.Lock()
+		g.cov.RetriesSpent++
+		g.mu.Unlock()
+	}
+	p = p.Traced(at.tb, at.track, at.phase, -1, seq, at.stage)
+	err = Retry(ctx, p, func() error {
+		if *rem > 0 {
+			*rem--
+			return ferr
+		}
+		return op()
+	})
+	switch {
+	case err == nil:
+		g.mu.Lock()
+		g.cov.TransientRecovered++
+		g.mu.Unlock()
+		g.inj.recovered()
+		return false, nil
+	case g.failFast || !IsTransient(err):
+		return false, err
+	}
+	return true, nil
+}
+
+// UserGroup, passed as Sink's group, makes the sample's own user group
+// (sample.GroupKey) the quarantine unit — the batch study's choice.
+// Any other value names a world group: the unit a segment spool can
+// tombstone, and therefore the streaming daemon's choice.
+const UserGroup = -1
+
+// Sink offers one sample under the sink surface. A clean sample just
+// runs offer; a transient streak runs it under the plan's retry policy;
+// a permanent fault — or an exhausted budget — quarantines the sample's
+// unit instead: quarantine(reason) withdraws whatever the producer
+// already holds of the unit and returns how many samples that cost
+// (the triggering sample included), and Sink books them and returns the
+// new ledger entry's handle (-1 when nothing was quarantined). The
+// producer refuses the unit's later samples and reports them with
+// Refuse. tb is the calling goroutine's buffer.
+func (g *Guard) Sink(ctx context.Context, tb *trace.Buf, group int, s sample.Sample, offer func() error, quarantine func(reason string) int) (int, error) {
+	if g == nil {
+		return -1, offer()
+	}
+	d := g.inj.sinkFault(s)
+	if d.None() {
+		return -1, offer()
+	}
+	var key, track string
+	if group == UserGroup {
+		key = s.Key().String()
+		track = key
+	} else {
+		key, track = worldGroupKey(group), trace.GroupTrack(group)
+	}
+	at := site{tb, track, trace.PhaseIngest, "sink"}
+	ferr := &FaultError{Surface: SurfaceSink, Key: sinkFaultKey(s), Transient: !d.Permanent}
+	reason := "permanent sink failure"
+	if d.Permanent {
+		if g.failFast {
+			return -1, fmt.Errorf("fail-fast: %w", ferr)
+		}
+		at.emit(trace.KFault, s.SessionID, 1, "sink-permanent")
+	} else {
+		at.emit(trace.KFault, s.SessionID, d.Transient, "sink-transient")
+		exhausted, err := g.retry(ctx, at, s.SessionID, int(s.SessionID), &d.Transient, ferr, offer)
+		if !exhausted {
+			return -1, err
+		}
+		reason = "sink retry budget exhausted"
+	}
+	lost := quarantine(reason)
+	g.mu.Lock()
+	g.cov.SamplesLostQuarantined += lost
+	entry := g.quarantineLocked(key, at.track, reason, lost)
+	g.mu.Unlock()
+	g.inj.MarkDegraded()
+	at.emit(trace.KQuarantine, s.SessionID, lost, reason)
+	at.loss(s.SessionID, trace.LossQuarantined, lost)
+	return entry, nil
+}
+
+// Refuse books n more samples of an already-quarantined unit (entry is
+// the handle Sink returned), filed under stream coordinate seq.
+func (g *Guard) Refuse(tb *trace.Buf, entry int, seq uint64, n int) {
+	g.mu.Lock()
+	g.cov.Quarantined[entry].SamplesLost += n
+	g.cov.SamplesLostQuarantined += n
+	track := g.tracks[entry]
+	g.mu.Unlock()
+	tb.Loss(track, trace.PhaseIngest, -1, seq, "sink", trace.LossQuarantined, n)
+}

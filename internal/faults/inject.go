@@ -91,8 +91,8 @@ func (in *Injector) inject(surface string) {
 	}
 }
 
-// Recovered records one transient fault fully absorbed by retry.
-func (in *Injector) Recovered() {
+// recovered records one transient fault fully absorbed by retry.
+func (in *Injector) recovered() {
 	if in != nil {
 		in.cRecovered.Inc()
 	}
@@ -105,53 +105,45 @@ func (in *Injector) MarkDegraded() {
 	}
 }
 
-// SinkFault is one sample's sink-failure decision: Transient
+// sinkDraw is one sink-or-write failure decision: Transient
 // consecutive failures before success, or Permanent.
-type SinkFault struct {
+type sinkDraw struct {
 	Transient int
 	Permanent bool
 }
 
 // None reports a clean decision.
-func (f SinkFault) None() bool { return f.Transient == 0 && !f.Permanent }
+func (f sinkDraw) None() bool { return f.Transient == 0 && !f.Permanent }
 
-// SinkFault decides the collector-sink outcome for one sample, keyed by
-// its SessionID (stable across sharding and replay).
-func (in *Injector) SinkFault(s sample.Sample) SinkFault {
-	if in == nil || (in.plan.SinkTransientP == 0 && in.plan.SinkPermanentP == 0) {
-		return SinkFault{}
-	}
-	r := rng.ChildAt(in.mix, SurfaceSink, int(s.SessionID))
-	u := r.Float64()
-	switch {
-	case u < in.plan.SinkPermanentP:
-		in.inject(SurfaceSink)
-		return SinkFault{Permanent: true}
-	case u < in.plan.SinkPermanentP+in.plan.SinkTransientP:
-		in.inject(SurfaceSink)
-		return SinkFault{Transient: 1 + r.IntN(in.plan.SinkStreak)}
-	}
-	return SinkFault{}
+// sinkFault decides the collector-sink outcome for one sample, keyed by
+// its SessionID (stable across sharding and replay). Like batchFault
+// and writeFault it is unexported on purpose: producers reach the
+// decisions only through Guard, which owns what follows from them.
+func (in *Injector) sinkFault(s sample.Sample) sinkDraw {
+	return in.drawSink(SurfaceSink, int(s.SessionID))
 }
 
-// WriteFault decides the dataset-writer outcome for one group's encoded
-// batch (cmd/edgesim's write stage), reusing the sink probabilities at
-// batch granularity.
-func (in *Injector) WriteFault(group int) SinkFault {
+// writeFault decides the dataset-writer outcome for one group's encoded
+// batch, reusing the sink probabilities at batch granularity.
+func (in *Injector) writeFault(group int) sinkDraw {
+	return in.drawSink(SurfaceWrite, group)
+}
+
+func (in *Injector) drawSink(surface string, id int) sinkDraw {
 	if in == nil || (in.plan.SinkTransientP == 0 && in.plan.SinkPermanentP == 0) {
-		return SinkFault{}
+		return sinkDraw{}
 	}
-	r := rng.ChildAt(in.mix, SurfaceWrite, group)
+	r := rng.ChildAt(in.mix, surface, id)
 	u := r.Float64()
 	switch {
 	case u < in.plan.SinkPermanentP:
-		in.inject(SurfaceWrite)
-		return SinkFault{Permanent: true}
+		in.inject(surface)
+		return sinkDraw{Permanent: true}
 	case u < in.plan.SinkPermanentP+in.plan.SinkTransientP:
-		in.inject(SurfaceWrite)
-		return SinkFault{Transient: 1 + r.IntN(in.plan.SinkStreak)}
+		in.inject(surface)
+		return sinkDraw{Transient: 1 + r.IntN(in.plan.SinkStreak)}
 	}
-	return SinkFault{}
+	return sinkDraw{}
 }
 
 // BatchFaultKind classifies a group batch's fate.
@@ -178,37 +170,30 @@ func (k BatchFaultKind) String() string {
 	return "ok"
 }
 
-// BatchFault describes one group batch's injected fate.
-type BatchFault struct {
-	Kind BatchFaultKind
-	// Frac is the tail fraction lost when Kind is BatchTruncate.
-	Frac float64
-}
-
-// BatchFault decides a group batch's fate, keyed by group index. A
+// batchFault decides a group batch's fate, keyed by group index. A
 // group draws the same fate every run of the same (plan, study) pair.
-func (in *Injector) BatchFault(group int) BatchFault {
+func (in *Injector) batchFault(group int) BatchFaultKind {
 	if in == nil {
-		return BatchFault{}
+		return BatchOK
 	}
 	if in.fail[group] {
 		in.inject(SurfaceBatch)
-		return BatchFault{Kind: BatchFail}
+		return BatchFail
 	}
 	if in.plan.CorruptP == 0 && in.plan.TruncateP == 0 {
-		return BatchFault{}
+		return BatchOK
 	}
 	r := rng.ChildAt(in.mix, SurfaceBatch, group)
 	u := r.Float64()
 	switch {
 	case u < in.plan.CorruptP:
 		in.inject(SurfaceBatch)
-		return BatchFault{Kind: BatchCorrupt}
+		return BatchCorrupt
 	case u < in.plan.CorruptP+in.plan.TruncateP:
 		in.inject(SurfaceBatch)
-		return BatchFault{Kind: BatchTruncate, Frac: in.plan.TruncateFrac}
+		return BatchTruncate
 	}
-	return BatchFault{}
+	return BatchOK
 }
 
 // Outage reports whether pop is down for window win — the world
@@ -354,7 +339,7 @@ func (in *Injector) Policy(id int) Policy {
 	}
 }
 
-// SinkFaultKey renders a sample's identity for FaultError.Key.
-func SinkFaultKey(s sample.Sample) string {
+// sinkFaultKey renders a sample's identity for FaultError.Key.
+func sinkFaultKey(s sample.Sample) string {
 	return "sample " + strconv.FormatUint(s.SessionID, 10) + " group " + s.Key().String()
 }

@@ -32,10 +32,10 @@ func (c *Coverage) EmitTrace(b *trace.Buf) {
 	}
 }
 
-// TracedPolicy returns p with retry attempts recorded as KRetry events
-// at the given logical coordinates, chained after any existing OnRetry
+// Traced returns p with retry attempts recorded as KRetry events at
+// the given logical coordinates, chained after any existing OnRetry
 // hook. A nil buffer returns p unchanged.
-func TracedPolicy(p Policy, b *trace.Buf, track string, phase uint8, win int32, seq uint64, stage string) Policy {
+func (p Policy) Traced(b *trace.Buf, track string, phase uint8, win int32, seq uint64, stage string) Policy {
 	if b == nil {
 		return p
 	}

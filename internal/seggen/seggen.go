@@ -15,7 +15,6 @@ package seggen
 
 import (
 	"context"
-	"fmt"
 	"hash/fnv"
 	"sync"
 	"time"
@@ -133,17 +132,12 @@ func Run(ctx context.Context, opt Options) (Result, error) {
 	}
 	resumed := len(owned) - len(todo)
 
+	guard := faults.NewGuard(inj, opt.FailFast)
 	var (
-		mu      sync.Mutex
+		mu      sync.Mutex // guards total (encode workers merge into it)
 		total   collector.Stats
-		cov     faults.Coverage
-		written int
+		written int // owned by the ordered tail
 	)
-	if inj != nil {
-		cov.Spec = inj.Plan().Spec()
-		cov.FailFast = opt.FailFast
-	}
-	failFast := opt.FailFast
 	encSpan := reg.Span(obs.L("edgesim_stage_seconds", "stage", "encode"), "edgesim")
 	writeSpan := reg.Span(obs.L("edgesim_stage_seconds", "stage", "write"), "edgesim")
 
@@ -157,14 +151,12 @@ func Run(ctx context.Context, opt Options) (Result, error) {
 		order  int
 		group  int
 		chunks []chunk
-		// quarantine, when non-empty, means the whole group fell to a
-		// batch fault: the tail tombstones every chunk (rawLost[c] raw
-		// samples each) instead of writing.
-		quarantine string
-		rawLost    []int
-		// truncLost carries a truncation's sample loss to the ordered
-		// tail, which owns the trace ring the fate events land in.
-		truncLost int
+		// fate is the batch surface's verdict, carried to the ordered
+		// tail, which owns the trace ring its events land in. A dropped
+		// group tombstones every chunk (rawLost[c] raw samples each)
+		// instead of writing.
+		fate    faults.BatchFate
+		rawLost []int
 	}
 
 	// chunkOf maps a sample to its span chunk, clamped so boundary
@@ -190,40 +182,18 @@ func Run(ctx context.Context, opt Options) (Result, error) {
 	g.Go(func(ctx context.Context) error {
 		defer enc.Close()
 		return w.GenerateSelected(ctx, workers, todo, func(order int, b world.Batch) error {
-			samples := b.Samples
-			truncLost := 0
-			if b.Lost > 0 { // PoP outage suppressed windows at the source
-				mu.Lock()
-				cov.SamplesLostOutage += b.Lost
-				mu.Unlock()
+			guard.Outage(b.Lost) // PoP outage suppressed windows at the source
+			fate, err := guard.Batch(b.Group, len(b.Samples))
+			if err != nil {
+				return err
 			}
-			switch f := inj.BatchFault(b.Group); f.Kind {
-			case faults.BatchOK:
-			case faults.BatchTruncate:
-				keep := len(samples) - int(float64(len(samples))*f.Frac)
-				mu.Lock()
-				cov.BatchesTruncated++
-				cov.SamplesLostTruncated += len(samples) - keep
-				mu.Unlock()
-				truncLost = len(samples) - keep
-				samples = samples[:keep]
-			default: // corrupt or plan-listed failure: the whole batch is gone
-				if failFast {
-					return fmt.Errorf("group %d batch: %w", b.Group,
-						&faults.FaultError{Surface: faults.SurfaceBatch, Key: fmt.Sprintf("world-group-%d", b.Group)})
+			sb := segBatch{order: order, group: b.Group, fate: fate}
+			if fate.Dropped() {
+				sb.rawLost = make([]int, cpg)
+				for i := range b.Samples {
+					sb.rawLost[chunkOf(&b.Samples[i])]++
 				}
-				mu.Lock()
-				cov.GroupsDropped++
-				cov.SamplesLostDropped += len(samples)
-				cov.Quarantined = append(cov.Quarantined, faults.QuarantinedGroup{
-					Key: fmt.Sprintf("world-group-%04d", b.Group), Reason: f.Kind.String(), SamplesLost: len(samples),
-				})
-				mu.Unlock()
-				rawLost := make([]int, cpg)
-				for i := range samples {
-					rawLost[chunkOf(&samples[i])]++
-				}
-				return enc.Send(ctx, segBatch{order: order, group: b.Group, quarantine: f.Kind.String(), rawLost: rawLost})
+				return enc.Send(ctx, sb)
 			}
 
 			// Filter (hosting/VPN) and encode. Samples arrive in window
@@ -232,11 +202,10 @@ func Run(ctx context.Context, opt Options) (Result, error) {
 			var kept []sample.Sample
 			c := collector.New(collector.SliceSink(&kept))
 			c.Instrument(reg)
-			for _, s := range samples {
+			for _, s := range b.Samples[:len(b.Samples)-fate.Lost] {
 				c.Offer(s)
 			}
 			st := c.Stats()
-			sb := segBatch{order: order, group: b.Group}
 			for lo := 0; lo < len(kept); {
 				cid := chunkOf(&kept[lo])
 				hi := lo + 1
@@ -248,7 +217,6 @@ func Run(ctx context.Context, opt Options) (Result, error) {
 				lo = hi
 			}
 			sp.End()
-			sb.truncLost = truncLost
 			mu.Lock()
 			total = total.Merge(st)
 			mu.Unlock()
@@ -257,41 +225,10 @@ func Run(ctx context.Context, opt Options) (Result, error) {
 	})
 	g.Go(func(ctx context.Context) error {
 		return pipeline.Reorder(ctx, enc, func(b segBatch) int { return b.order }, 0, func(b segBatch) error {
-			track := trace.GroupTrack(b.group)
-			if b.quarantine != "" {
-				lost := 0
-				for _, n := range b.rawLost {
-					lost += n
-				}
-				tb.Emit(trace.Event{
-					Track: track, Phase: trace.PhaseBatch, Win: -1, Seq: 0,
-					Kind: trace.KFault, Stage: "batch", Value: int64(lost), Detail: b.quarantine,
-				})
-				tb.Emit(trace.Event{
-					Track: track, Phase: trace.PhaseBatch, Win: -1, Seq: 1,
-					Kind: trace.KQuarantine, Stage: "batch", Value: int64(lost), Detail: b.quarantine,
-				})
-				tb.Loss(track, trace.PhaseBatch, -1, 0, "batch", trace.LossDropped, lost)
+			b.fate.Emit(tb)
+			if b.fate.Dropped() {
 				for c, n := range b.rawLost {
-					sw.Tombstone(b.group*cpg+c, b.quarantine, n)
-				}
-				return sw.Commit()
-			}
-			if b.truncLost > 0 {
-				tb.Emit(trace.Event{
-					Track: track, Phase: trace.PhaseBatch, Win: -1, Seq: 0,
-					Kind: trace.KFault, Stage: "batch", Value: int64(b.truncLost), Detail: faults.BatchTruncate.String(),
-				})
-				tb.Loss(track, trace.PhaseBatch, -1, 0, "batch", trace.LossTruncated, b.truncLost)
-			}
-			commit := func() error {
-				for _, c := range b.chunks {
-					if sw.Committed(c.id) {
-						continue // survived a previous interrupted run
-					}
-					if err := sw.Add(c.id, c.blob, c.meta); err != nil {
-						return err
-					}
+					sw.Tombstone(b.group*cpg+c, b.fate.Reason(), n)
 				}
 				return sw.Commit()
 			}
@@ -299,118 +236,39 @@ func Run(ctx context.Context, opt Options) (Result, error) {
 			for _, c := range b.chunks {
 				accepted += c.samples
 			}
-			if f := inj.WriteFault(b.group); !f.None() {
-				if f.Permanent {
-					if failFast {
-						return fmt.Errorf("writing group %d segments: %w", b.group,
-							&faults.FaultError{Surface: faults.SurfaceWrite, Key: fmt.Sprintf("world-group-%d", b.group)})
-					}
-					mu.Lock()
-					cov.GroupsDropped++
-					cov.SamplesLostDropped += accepted
-					cov.Quarantined = append(cov.Quarantined, faults.QuarantinedGroup{
-						Key: fmt.Sprintf("world-group-%04d", b.group), Reason: "permanent write failure", SamplesLost: accepted,
-					})
-					mu.Unlock()
-					tb.Emit(trace.Event{
-						Track: track, Phase: trace.PhaseCommit, Win: -1, Seq: 0,
-						Kind: trace.KFault, Stage: "write", Value: int64(accepted), Detail: "write-permanent",
-					})
-					tb.Emit(trace.Event{
-						Track: track, Phase: trace.PhaseCommit, Win: -1, Seq: 1,
-						Kind: trace.KQuarantine, Stage: "write", Value: int64(accepted), Detail: "permanent write failure",
-					})
-					tb.Loss(track, trace.PhaseCommit, -1, 0, "write", trace.LossDropped, accepted)
-					for _, c := range b.chunks {
-						sw.Tombstone(c.id, "permanent write failure", c.samples)
-					}
-					return sw.Commit()
-				}
-				// Transient streak: retry with backoff until the writer
-				// heals, wrapping the real commit so its own errors (full
-				// disk) still surface as permanent.
-				rem := f.Transient
-				tb.Emit(trace.Event{
-					Track: track, Phase: trace.PhaseCommit, Win: -1, Seq: 0,
-					Kind: trace.KFault, Stage: "write", Value: int64(rem), Detail: "write-transient",
-				})
-				p := inj.Policy(b.group)
-				p.OnRetry = func(int, error) {
-					mu.Lock()
-					cov.RetriesSpent++
-					mu.Unlock()
-				}
-				p = faults.TracedPolicy(p, tb, track, trace.PhaseCommit, -1, 0, "write")
-				err := faults.Retry(ctx, p, func() error {
-					if rem > 0 {
-						rem--
-						return &faults.FaultError{Surface: faults.SurfaceWrite,
-							Key: fmt.Sprintf("world-group-%d", b.group), Transient: true}
-					}
+			ok, err := guard.Write(ctx, tb, b.group, accepted,
+				func() error {
 					sp := writeSpan.Start()
 					defer sp.End()
-					return commit()
-				})
-				if err != nil {
-					if failFast || !faults.IsTransient(err) {
-						return err
-					}
-					mu.Lock()
-					cov.GroupsDropped++
-					cov.SamplesLostDropped += accepted
-					cov.Quarantined = append(cov.Quarantined, faults.QuarantinedGroup{
-						Key: fmt.Sprintf("world-group-%04d", b.group), Reason: "write retry budget exhausted", SamplesLost: accepted,
-					})
-					mu.Unlock()
-					tb.Emit(trace.Event{
-						Track: track, Phase: trace.PhaseCommit, Win: -1, Seq: 1,
-						Kind: trace.KQuarantine, Stage: "write", Value: int64(accepted), Detail: "write retry budget exhausted",
-					})
-					tb.Loss(track, trace.PhaseCommit, -1, 0, "write", trace.LossDropped, accepted)
 					for _, c := range b.chunks {
-						sw.Tombstone(c.id, "write retry budget exhausted", c.samples)
+						if sw.Committed(c.id) {
+							continue // survived a previous interrupted run
+						}
+						if err := sw.Add(c.id, c.blob, c.meta); err != nil {
+							return err
+						}
 					}
 					return sw.Commit()
-				}
-				mu.Lock()
-				cov.TransientRecovered++
-				mu.Unlock()
-				inj.Recovered()
-				written += accepted
-				tb.Emit(trace.Event{
-					Track: track, Phase: trace.PhaseCommit, Win: -1, Seq: 2,
-					Kind: trace.KCommit, Stage: "write", Value: int64(accepted),
+				},
+				func(reason string) error {
+					for _, c := range b.chunks {
+						sw.Tombstone(c.id, reason, c.samples)
+					}
+					return sw.Commit()
 				})
-				return nil
+			if ok {
+				written += accepted
 			}
-			sp := writeSpan.Start()
-			defer sp.End()
-			if err := commit(); err != nil {
-				return err
-			}
-			written += accepted
-			tb.Emit(trace.Event{
-				Track: track, Phase: trace.PhaseCommit, Win: -1, Seq: 2,
-				Kind: trace.KCommit, Stage: "write", Value: int64(accepted),
-			})
-			return nil
+			return err
 		})
 	})
 	err = g.Wait()
 	mu.Lock()
 	st := total
 	mu.Unlock()
-	res := Result{Stats: st, Written: written, Resumed: resumed}
-	if inj == nil {
-		return res, err
-	}
-	cov.Finalize()
-	if cov.Degraded() {
-		inj.MarkDegraded()
-	}
+	cov := guard.Coverage()
 	cov.EmitTrace(tb) // tail goroutine has returned; the caller owns the ring now
-	res.Coverage = &cov
-	return res, err
+	return Result{Stats: st, Written: written, Resumed: resumed, Coverage: cov}, err
 }
 
 // OwnedGroups partitions the world's group indices across a fleet of

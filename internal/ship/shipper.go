@@ -294,7 +294,7 @@ func (s *shipper) policy(id int) faults.Policy {
 		s.stats.Retries++
 		s.cRetries.Inc()
 	}
-	return faults.TracedPolicy(p, s.tb, trace.TrackRun, trace.PhaseRun, -1, uint64(id), "ship")
+	return p.Traced(s.tb, trace.TrackRun, trace.PhaseRun, -1, uint64(id), "ship")
 }
 
 // connect dials the merger and completes the hello exchange, adopting

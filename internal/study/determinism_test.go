@@ -58,7 +58,7 @@ func TestShardedRunReportByteIdentical(t *testing.T) {
 }
 
 // The dataset-replay path has the same guarantee: FromStream at any
-// worker count must render byte-identically to FromSamples over the
+// worker count must render byte-identically to FromSamplesOpt over the
 // same bytes.
 func TestFromStreamReportByteIdentical(t *testing.T) {
 	// Write a dataset the way cmd/edgesim does: through the collector's
@@ -71,7 +71,7 @@ func TestFromStreamReportByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	seqRes, err := FromSamples(sample.NewReader(bytes.NewReader(data.Bytes())))
+	seqRes, err := FromSamplesOpt(sample.NewReader(bytes.NewReader(data.Bytes())), Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestFromStreamReportByteIdentical(t *testing.T) {
 		}
 		got := renderNormalized(t, res)
 		if !bytes.Equal(got, seq) {
-			t.Fatalf("workers=%d FromStream report differs from FromSamples:\n%s", workers, firstDiff(got, seq))
+			t.Fatalf("workers=%d FromStream report differs from FromSamplesOpt:\n%s", workers, firstDiff(got, seq))
 		}
 	}
 }

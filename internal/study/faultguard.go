@@ -2,145 +2,27 @@ package study
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/agg"
 	"repro/internal/collector"
 	"repro/internal/faults"
 	"repro/internal/sample"
 	"repro/internal/trace"
-	"repro/internal/world"
 )
 
-// runGuard is the pipeline's recovery layer for chaos runs: it applies
-// the fault plan's batch-level fates in the ordered delivery path and
-// owns the run-level degradation ledger. A nil *runGuard (no plan) is
-// valid everywhere and passes batches through untouched.
-//
-// Guard state is single-goroutine by construction — filterBatch runs
-// on the ordered deliver goroutine, each shardGuard on its shard's
-// worker — so the ledgers need no locks and merge deterministically in
-// shard order.
-type runGuard struct {
-	inj      *faults.Injector
-	failFast bool
-	cov      faults.Coverage
-	buf      *trace.Buf
-}
-
-// trace attaches the deliver-goroutine trace buffer; filterBatch then
-// records every batch fate as events. Nil-safe on both sides.
-func (rg *runGuard) trace(b *trace.Buf) {
-	if rg != nil {
-		rg.buf = b
-	}
-}
-
-// newRunGuard binds an injector (nil yields a nil guard).
-func newRunGuard(inj *faults.Injector, failFast bool) *runGuard {
-	if inj == nil {
-		return nil
-	}
-	return &runGuard{
-		inj:      inj,
-		failFast: failFast,
-		cov:      faults.Coverage{Spec: inj.Plan().Spec(), FailFast: failFast},
-	}
-}
-
-// filterBatch applies the batch surface's fate to one generated group
-// batch before it enters ingestion: outage losses are booked, corrupt
-// and plan-failed batches are dropped whole (or abort the run under
-// fail-fast), truncated batches lose their tail. The returned slice is
-// what ingestion may aggregate.
-func (rg *runGuard) filterBatch(b world.Batch) ([]sample.Sample, error) {
-	if rg == nil {
-		return b.Samples, nil
-	}
-	if b.Lost > 0 {
-		rg.cov.SamplesLostOutage += b.Lost
-		rg.inj.MarkDegraded()
-	}
-	f := rg.inj.BatchFault(b.Group)
-	switch f.Kind {
-	case faults.BatchOK:
-		return b.Samples, nil
-	case faults.BatchTruncate:
-		keep := len(b.Samples) - int(float64(len(b.Samples))*f.Frac)
-		if keep < 0 {
-			keep = 0
-		}
-		if lost := len(b.Samples) - keep; lost > 0 {
-			rg.cov.BatchesTruncated++
-			rg.cov.SamplesLostTruncated += lost
-			rg.inj.MarkDegraded()
-			track := trace.GroupTrack(b.Group)
-			rg.buf.Emit(trace.Event{
-				Track: track, Phase: trace.PhaseBatch, Win: -1, Seq: 0,
-				Kind: trace.KFault, Stage: "batch", Value: int64(lost), Detail: f.Kind.String(),
-			})
-			rg.buf.Loss(track, trace.PhaseBatch, -1, 0, "batch", trace.LossTruncated, lost)
-		}
-		return b.Samples[:keep], nil
-	default: // BatchCorrupt, BatchFail: the whole batch is unusable.
-		if rg.failFast {
-			return nil, fmt.Errorf("fail-fast: %s for world group %d: %w", f.Kind, b.Group,
-				&faults.FaultError{Surface: faults.SurfaceBatch, Key: fmt.Sprintf("world-group-%d", b.Group)})
-		}
-		rg.cov.GroupsDropped++
-		rg.cov.SamplesLostDropped += len(b.Samples)
-		rg.cov.Quarantined = append(rg.cov.Quarantined, faults.QuarantinedGroup{
-			Key:         fmt.Sprintf("world-group-%04d", b.Group),
-			Reason:      f.Kind.String(),
-			SamplesLost: len(b.Samples),
-		})
-		rg.inj.MarkDegraded()
-		track := trace.GroupTrack(b.Group)
-		rg.buf.Emit(trace.Event{
-			Track: track, Phase: trace.PhaseBatch, Win: -1, Seq: 0,
-			Kind: trace.KFault, Stage: "batch", Value: int64(len(b.Samples)), Detail: f.Kind.String(),
-		})
-		rg.buf.Emit(trace.Event{
-			Track: track, Phase: trace.PhaseBatch, Win: -1, Seq: 1,
-			Kind: trace.KQuarantine, Stage: "batch", Value: int64(len(b.Samples)), Detail: f.Kind.String(),
-		})
-		rg.buf.Loss(track, trace.PhaseBatch, -1, 0, "batch", trace.LossDropped, len(b.Samples))
-		return nil, nil
-	}
-}
-
-// shardGuard wraps one ingestion shard's collector with the sink fault
-// surface: injected sink failures are retried under the plan's policy;
-// permanent (or retry-exhausted) failures quarantine the sample's user
-// group — the group's series is withdrawn from the shard store and its
-// later samples are refused — instead of poisoning the run. Fault
-// decisions are keyed by SessionID and group key, so the merged
-// outcome is identical at any worker count even though shard
-// membership is not.
+// shardGuard is one ingestion shard's caller of the sink fault surface
+// (faults.Guard.Sink owns the ladder and the ledger). What the study
+// adds is the meaning of "quarantine" here: the sample's user group is
+// withdrawn from the shard store and its later samples are refused.
+// Fault decisions key on SessionID and group key, so the merged outcome
+// is identical at any worker count even though shard membership is not.
+// Single-goroutine: the shard's worker owns it, qidx and buf included.
 type shardGuard struct {
-	inj      *faults.Injector
-	failFast bool
-	col      *collector.Collector
-	store    *agg.Store
-	policy   faults.Policy
-	qidx     map[sample.GroupKey]int
-	cov      faults.Coverage
-	buf      *trace.Buf
-}
-
-// newShardGuard builds the guard for shard i (nil runGuard yields nil).
-func (rg *runGuard) newShardGuard(i int, col *collector.Collector, store *agg.Store) *shardGuard {
-	if rg == nil {
-		return nil
-	}
-	return &shardGuard{
-		inj:      rg.inj,
-		failFast: rg.failFast,
-		col:      col,
-		store:    store,
-		policy:   rg.inj.Policy(i),
-		qidx:     make(map[sample.GroupKey]int),
-	}
+	guard *faults.Guard
+	col   *collector.Collector
+	store *agg.Store
+	qidx  map[sample.GroupKey]int // quarantined user group → its ledger entry
+	buf   *trace.Buf
 }
 
 // offer runs one sample through the guarded sink path.
@@ -152,81 +34,24 @@ func (sg *shardGuard) offer(ctx context.Context, s sample.Sample) error {
 		return sg.col.Err()
 	}
 	key := s.Key()
-	if idx, ok := sg.qidx[key]; ok {
-		sg.cov.Quarantined[idx].SamplesLost++
-		sg.cov.SamplesLostQuarantined++
-		sg.buf.Loss(key.String(), trace.PhaseIngest, -1, s.SessionID, "sink", trace.LossQuarantined, 1)
+	if entry, ok := sg.qidx[key]; ok {
+		sg.guard.Refuse(sg.buf, entry, s.SessionID, 1)
 		return nil
 	}
-	f := sg.inj.SinkFault(s)
-	if f.None() {
-		sg.col.Offer(s)
-		return sg.col.Err()
-	}
-	ferr := &faults.FaultError{Surface: faults.SurfaceSink, Key: faults.SinkFaultKey(s), Transient: !f.Permanent}
-	if f.Permanent {
-		if sg.failFast {
-			return fmt.Errorf("fail-fast: %w", ferr)
-		}
-		sg.buf.Emit(trace.Event{
-			Track: key.String(), Phase: trace.PhaseIngest, Win: -1, Seq: s.SessionID,
-			Kind: trace.KFault, Stage: "sink", Value: 1, Detail: "sink-permanent",
+	entry, err := sg.guard.Sink(ctx, sg.buf, faults.UserGroup, s,
+		func() error {
+			sg.col.Offer(s)
+			return sg.col.Err()
+		},
+		func(string) int {
+			lost := 1 // the triggering sample never reached the store
+			if removed := sg.store.Remove(key); removed != nil {
+				lost += removed.TotalSessions()
+			}
+			return lost
 		})
-		sg.quarantine(key, "permanent sink failure", s.SessionID)
-		return nil
+	if entry >= 0 {
+		sg.qidx[key] = entry
 	}
-	rem := f.Transient
-	sg.buf.Emit(trace.Event{
-		Track: key.String(), Phase: trace.PhaseIngest, Win: -1, Seq: s.SessionID,
-		Kind: trace.KFault, Stage: "sink", Value: int64(rem), Detail: "sink-transient",
-	})
-	p := sg.policy
-	p.OnRetry = func(int, error) { sg.cov.RetriesSpent++ }
-	p = faults.TracedPolicy(p, sg.buf, key.String(), trace.PhaseIngest, -1, s.SessionID, "sink")
-	err := faults.Retry(ctx, p, func() error {
-		if rem > 0 {
-			rem--
-			return ferr
-		}
-		sg.col.Offer(s)
-		return sg.col.Err()
-	})
-	switch {
-	case err == nil:
-		sg.cov.TransientRecovered++
-		sg.inj.Recovered()
-		return nil
-	case sg.failFast || !faults.IsTransient(err):
-		// Fail-fast, a real sink error, or a cancellation mid-backoff:
-		// poison the pipeline with the cause.
-		return err
-	default:
-		sg.quarantine(key, "sink retry budget exhausted", s.SessionID)
-		return nil
-	}
-}
-
-// quarantine isolates one user group: its series leaves the store, its
-// samples count as lost, and later samples of the group are refused at
-// the guard. The run keeps going — degradation is accounted, not fatal.
-// seq is the triggering sample's SessionID — the deterministic stream
-// coordinate the quarantine and loss events are filed under.
-func (sg *shardGuard) quarantine(key sample.GroupKey, reason string, seq uint64) {
-	lost := 1 // the triggering sample never reached the store
-	if removed := sg.store.Remove(key); removed != nil {
-		lost += removed.TotalSessions()
-	}
-	sg.cov.SamplesLostQuarantined += lost
-	sg.qidx[key] = len(sg.cov.Quarantined)
-	sg.cov.Quarantined = append(sg.cov.Quarantined, faults.QuarantinedGroup{
-		Key:         key.String(),
-		Reason:      reason,
-		SamplesLost: lost,
-	})
-	sg.inj.MarkDegraded()
-	sg.buf.Emit(trace.Event{
-		Track: key.String(), Phase: trace.PhaseIngest, Win: -1, Seq: seq,
-		Kind: trace.KQuarantine, Stage: "sink", Value: int64(lost), Detail: reason,
-	})
-	sg.buf.Loss(key.String(), trace.PhaseIngest, -1, seq, "sink", trace.LossQuarantined, lost)
+	return err
 }

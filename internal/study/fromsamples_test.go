@@ -18,7 +18,7 @@ func TestFromSamplesMatchesInProcess(t *testing.T) {
 	// In-process run.
 	direct := Run(cfg)
 
-	// Disk round trip: generate → JSONL → FromSamples. The writer sees
+	// Disk round trip: generate → JSONL → FromSamplesOpt. The writer sees
 	// the raw stream (pre-filter), as cmd/edgesim writes post-filter
 	// samples; replicate edgesim exactly: filter first, then write.
 	var buf bytes.Buffer
@@ -29,7 +29,7 @@ func TestFromSamplesMatchesInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	loaded, err := FromSamples(sample.NewReader(&buf))
+	loaded, err := FromSamplesOpt(sample.NewReader(&buf), Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestFromSamplesMatchesInProcess(t *testing.T) {
 }
 
 func TestFromSamplesEmpty(t *testing.T) {
-	res, err := FromSamples(sample.NewReader(bytes.NewReader(nil)))
+	res, err := FromSamplesOpt(sample.NewReader(bytes.NewReader(nil)), Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestFromSamplesEmpty(t *testing.T) {
 }
 
 func TestFromSamplesBadInput(t *testing.T) {
-	if _, err := FromSamples(sample.NewReader(bytes.NewBufferString("{bad\n"))); err == nil {
+	if _, err := FromSamplesOpt(sample.NewReader(bytes.NewBufferString("{bad\n")), Options{Workers: 1}); err == nil {
 		t.Error("malformed dataset should error")
 	}
 }

@@ -88,7 +88,7 @@ func RunCtx(ctx context.Context, cfg world.Config, opt Options) (*Results, error
 
 	inj := faults.NewInjector(opt.Plan, w.Cfg.Seed)
 	inj.Instrument(reg)
-	rg := newRunGuard(inj, opt.FailFast)
+	guard := faults.NewGuard(inj, opt.FailFast)
 	if inj != nil {
 		w.PoPDown = inj.Outage
 	}
@@ -98,7 +98,7 @@ func RunCtx(ctx context.Context, cfg world.Config, opt Options) (*Results, error
 	// workers=1): the guard and quarantine machinery live there, and the
 	// determinism oracle for such a run is the same flags at another
 	// worker count — including the trace bytes.
-	if workers <= 1 && rg == nil && opt.Trace == nil {
+	if workers <= 1 && guard == nil && opt.Trace == nil {
 		// Sequential oracle: one goroutine end to end.
 		store := agg.NewStore()
 		store.Instrument(reg)
@@ -121,26 +121,30 @@ func RunCtx(ctx context.Context, cfg world.Config, opt Options) (*Results, error
 		return res, nil
 	}
 
-	ing := newIngest(workers, reg, rg, opt.Trace)
-	rg.trace(ing.buf)
+	ing := newIngest(workers, reg, inj, guard, opt.Trace)
 	g := pipeline.NewGroup(ctx)
 	g.Trace(opt.Trace)
 	ing.start(g)
 	g.Go(func(ctx context.Context) error {
 		defer ing.close()
+		// The batch surface, applied on the ordered deliver goroutine
+		// (which owns ing.buf): outage losses are booked, a dropped batch
+		// feeds nothing, a truncated one feeds its surviving prefix.
 		return w.GenerateBatches(ctx, workers, func(b world.Batch) error {
-			samples, err := rg.filterBatch(b)
+			guard.Outage(b.Lost)
+			fate, err := guard.Batch(b.Group, len(b.Samples))
 			if err != nil {
 				return err
 			}
-			return ing.feed(ctx, samples)
+			fate.Emit(ing.buf)
+			return ing.feed(ctx, b.Samples[:len(b.Samples)-fate.Lost])
 		})
 	})
 	if err := g.Wait(); err != nil {
 		return nil, err
 	}
 	store, stats := ing.merge()
-	cov := ing.coverage(rg)
+	cov := guard.Coverage()
 	ing.traceFinish(store, cov)
 	res := &Results{Cfg: w.Cfg, Collector: stats, Overview: ing.overview, Store: store, Coverage: cov}
 	res.analyseConcurrent(ctx, reg, workers)
@@ -152,15 +156,15 @@ func RunCtx(ctx context.Context, cfg world.Config, opt Options) (*Results, error
 // by cmd/edgesim) on the sharded pipeline: a sequential scanner splits
 // lines, a worker pool decodes them, and a reorder stage restores the
 // on-disk order before the same sharded ingestion RunCtx uses — so the
-// report is byte-identical to FromSamples over the same bytes.
+// report is byte-identical to FromSamplesOpt over the same bytes.
 func FromStream(ctx context.Context, r io.Reader, opt Options) (*Results, error) {
 	start := startTimer()
 	reg := opt.Reg
 	workers := opt.workers()
 	inj := faults.NewInjector(opt.Plan, 0)
 	inj.Instrument(reg)
-	rg := newRunGuard(inj, opt.FailFast)
-	if workers <= 1 && rg == nil && opt.Trace == nil {
+	guard := faults.NewGuard(inj, opt.FailFast)
+	if workers <= 1 && guard == nil && opt.Trace == nil {
 		return FromSamplesOpt(sample.NewReader(r), opt)
 	}
 
@@ -184,8 +188,7 @@ func FromStream(ctx context.Context, r io.Reader, opt Options) (*Results, error)
 	// Replayed datasets have no generator, so only the sink surface (and
 	// shard timing chaos) applies: line batches are not group batches,
 	// and batch-level fates would not be comparable across worker counts.
-	ing := newIngest(workers, reg, rg, opt.Trace)
-	rg.trace(ing.buf)
+	ing := newIngest(workers, reg, inj, guard, opt.Trace)
 	g := pipeline.NewGroup(ctx)
 	g.Trace(opt.Trace)
 	lines := pipeline.NewStream[*lineBatch](workers * 2)
@@ -270,7 +273,7 @@ func FromStream(ctx context.Context, r io.Reader, opt Options) (*Results, error)
 		return nil, err
 	}
 	store, stats := ing.merge()
-	cov := ing.coverage(rg)
+	cov := guard.Coverage()
 	ing.traceFinish(store, cov)
 	res := &Results{
 		Cfg:       inferredCfg(store),
@@ -300,6 +303,13 @@ type ingest struct {
 	buf      *trace.Buf // owned by the ordered deliver goroutine
 	feedHist *obs.Histogram
 	feedN    uint64
+	cuts     []shardCut // feedColumns scratch (deliver goroutine)
+}
+
+// shardCut is one batch view bound for one shard.
+type shardCut struct {
+	shard uint32
+	view  *segstore.ColumnBatch
 }
 
 // shardItem is one run of consecutive same-shard samples in either
@@ -322,18 +332,16 @@ type ingestShard struct {
 	rows []sample.Sample
 }
 
-func newIngest(shards int, reg *obs.Registry, rg *runGuard, rec *trace.Recorder) *ingest {
+func newIngest(shards int, reg *obs.Registry, inj *faults.Injector, guard *faults.Guard, rec *trace.Recorder) *ingest {
 	ov := analysis.NewOverview()
 	ov.Instrument(reg)
 	in := &ingest{
 		overview: ov,
 		foldSpan: reg.Span(obs.L("study_stage_seconds", "stage", "overview_fold"), "study"),
+		inj:      inj,
 		rec:      rec,
 		buf:      rec.Buf(),
 		feedHist: reg.Histogram("study_feed_batch_samples", []float64{1, 8, 64, 256, 1024, 4096, 16384}),
-	}
-	if rg != nil {
-		in.inj = rg.inj
 	}
 	for i := 0; i < shards; i++ {
 		st := agg.NewStore()
@@ -346,12 +354,11 @@ func newIngest(shards int, reg *obs.Registry, rg *runGuard, rec *trace.Recorder)
 			col:    col,
 			store:  st,
 			span:   reg.Span(obs.L("study_stage_seconds", "stage", "agg_shard"), "study"),
-			guard:  rg.newShardGuard(i, col, st),
 		}
-		if sh.guard != nil {
+		if guard != nil {
 			// Each shard worker owns its guard, so each guard gets its own
 			// single-owner ring; flush sorts all rings canonically.
-			sh.guard.buf = rec.Buf()
+			sh.guard = &shardGuard{guard: guard, col: col, store: st, qidx: make(map[sample.GroupKey]int), buf: rec.Buf()}
 		}
 		sh.stream.Instrument(reg, fmt.Sprintf("agg_shard_%d", i))
 		sh.stream.Observe(rec, fmt.Sprintf("agg_shard_%d", i))
@@ -514,35 +521,32 @@ func (in *ingest) feedColumns(ctx context.Context, b *segstore.ColumnBatch) erro
 	in.overview.AddColumns(b)
 	sp.End()
 
+	// Every view is cut before any is sent: Slice reads the parent's
+	// RespEnds[lo-1] — the last row of the previous view — and once a
+	// shard worker owns that view, its Compact may rewrite the row.
 	nShards := uint32(len(in.shards))
+	in.cuts = in.cuts[:0]
 	runStart := 0
 	shard := b.KeyAt(0).Hash() % nShards
-	i := b.KeyRunEnd(0)
-	for i < n {
-		next := b.KeyAt(i).Hash() % nShards
-		end := b.KeyRunEnd(i)
-		if next != shard {
-			v := b.Slice(runStart, i)
-			if err := in.shards[shard].stream.Send(ctx, shardItem{cols: v}); err != nil {
-				// The view was cut before Send failed; it holds a retained
-				// reference on b that no shard worker will ever release.
-				//edgelint:allow batchlife: a failed Send means the shard never took ownership
-				v.Release()
-				b.Release()
-				return err
-			}
+	for i := b.KeyRunEnd(0); i < n; i = b.KeyRunEnd(i) {
+		if next := b.KeyAt(i).Hash() % nShards; next != shard {
+			in.cuts = append(in.cuts, shardCut{shard, b.Slice(runStart, i)})
 			runStart, shard = i, next
 		}
-		i = end
 	}
-	v := b.Slice(runStart, n)
-	err := in.shards[shard].stream.Send(ctx, shardItem{cols: v})
-	if err != nil {
-		//edgelint:allow batchlife: a failed Send means the shard never took ownership
-		v.Release()
+	in.cuts = append(in.cuts, shardCut{shard, b.Slice(runStart, n)})
+	b.Release() // the views keep the batch alive
+	for j, c := range in.cuts {
+		if err := in.shards[c.shard].stream.Send(ctx, shardItem{cols: c.view}); err != nil {
+			// This view and the ones behind it hold retained references
+			// on b that no shard worker will ever release.
+			for _, rest := range in.cuts[j:] {
+				rest.view.Release()
+			}
+			return err
+		}
 	}
-	b.Release()
-	return err
+	return nil
 }
 
 // merge reduces the shards: stats sum; stores merge through the agg
@@ -574,26 +578,6 @@ func (in *ingest) traceFinish(store *agg.Store, cov *faults.Coverage) {
 	}
 	cov.EmitTrace(in.buf)
 	in.rec.SampleQueues()
-}
-
-// coverage reduces the degradation ledgers — the batch-level ledger
-// plus every shard's — into one finalized Coverage (nil when the run
-// had no fault plan). Shards own disjoint group-key spaces and the
-// final sort removes merge-order sensitivity, so the result is
-// identical at any worker count.
-func (in *ingest) coverage(rg *runGuard) *faults.Coverage {
-	if rg == nil {
-		return nil
-	}
-	cov := rg.cov
-	cov.Quarantined = append([]faults.QuarantinedGroup(nil), rg.cov.Quarantined...)
-	for _, sh := range in.shards {
-		if sh.guard != nil {
-			cov.Merge(&sh.guard.cov)
-		}
-	}
-	cov.Finalize()
-	return &cov
 }
 
 // analyseConcurrent is analyse with the independent §5/§6 analyses

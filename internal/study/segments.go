@@ -33,7 +33,7 @@ func FromSegments(ctx context.Context, dir string, opt Options) (res *Results, e
 	workers := opt.workers()
 	inj := faults.NewInjector(opt.Plan, 0)
 	inj.Instrument(reg)
-	rg := newRunGuard(inj, opt.FailFast)
+	guard := faults.NewGuard(inj, opt.FailFast)
 
 	r, err := segstore.Open(dir)
 	if err != nil {
@@ -51,7 +51,7 @@ func FromSegments(ctx context.Context, dir string, opt Options) (res *Results, e
 	var overview *analysis.Overview
 	var coverage *faults.Coverage
 
-	if workers <= 1 && rg == nil && opt.Trace == nil {
+	if workers <= 1 && guard == nil && opt.Trace == nil {
 		// Sequential oracle: one goroutine end to end.
 		store = agg.NewStore()
 		store.Instrument(reg)
@@ -84,8 +84,7 @@ func FromSegments(ctx context.Context, dir string, opt Options) (res *Results, e
 		stats = col.Stats()
 	} else {
 		// Sharded path: the scanner's ordered emit is the feed stage.
-		ing := newIngest(workers, reg, rg, opt.Trace)
-		rg.trace(ing.buf)
+		ing := newIngest(workers, reg, inj, guard, opt.Trace)
 		g := pipeline.NewGroup(ctx)
 		g.Trace(opt.Trace)
 		ing.start(g)
@@ -108,7 +107,7 @@ func FromSegments(ctx context.Context, dir string, opt Options) (res *Results, e
 		}
 		store, stats = ing.merge()
 		overview = ing.overview
-		coverage = ing.coverage(rg)
+		coverage = guard.Coverage()
 		ing.traceFinish(store, coverage)
 	}
 

@@ -36,7 +36,7 @@ func writeBothFormats(t *testing.T, cfg world.Config) ([]byte, string) {
 }
 
 // The segment path's core guarantee: FromSegments renders a report
-// byte-identical to FromSamples over the same dataset, at every worker
+// byte-identical to FromSamplesOpt over the same dataset, at every worker
 // count — and with a filter pushed down, byte-identical to the filtered
 // JSONL paths.
 func TestFromSegmentsReportByteIdentical(t *testing.T) {
@@ -68,7 +68,7 @@ func TestFromSegmentsReportByteIdentical(t *testing.T) {
 				t.Errorf("filter=%v workers=%d: collector stats %+v != sequential %+v", f, workers, res.Collector, seqRes.Collector)
 			}
 			if got := renderNormalized(t, res); !bytes.Equal(got, seq) {
-				t.Fatalf("filter=%v workers=%d: FromSegments report differs from FromSamples:\n%s", f, workers, firstDiff(got, seq))
+				t.Fatalf("filter=%v workers=%d: FromSegments report differs from FromSamplesOpt:\n%s", f, workers, firstDiff(got, seq))
 			}
 		}
 
@@ -78,7 +78,58 @@ func TestFromSegmentsReportByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := renderNormalized(t, res); !bytes.Equal(got, seq) {
-			t.Fatalf("filter=%v: filtered FromStream report differs from FromSamples:\n%s", f, firstDiff(got, seq))
+			t.Fatalf("filter=%v: filtered FromStream report differs from FromSamplesOpt:\n%s", f, firstDiff(got, seq))
 		}
+	}
+}
+
+// Regression (run under -race, as `make race` does): a segment that
+// holds user groups of different shards is cut into several views, and
+// cutting view N+1 reads the parent's RespEnds[lo-1] — the last row of
+// view N, which a shard worker may already be compacting. feedColumns
+// therefore cuts every view before it sends any. Converted and natively
+// written datasets hold one user group per segment, so the dataset here
+// is packed by row count instead.
+func TestFromSegmentsMultiGroupSegmentsRaceFree(t *testing.T) {
+	const workers, rowsPerSegment = 2, 4096
+	var kept []sample.Sample
+	col := collector.New(collector.SliceSink(&kept))
+	world.New(detCfg()).Generate(col.Offer)
+
+	dir := filepath.Join(t.TempDir(), "packed.seg")
+	sw, err := segstore.Create(dir, "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	crossShard := 0
+	for id, lo := 0, 0; lo < len(kept); id, lo = id+1, lo+rowsPerSegment {
+		rows := kept[lo:min(lo+rowsPerSegment, len(kept))]
+		for i := 1; i < len(rows); i++ {
+			if rows[i].Key().Hash()%workers != rows[i-1].Key().Hash()%workers {
+				crossShard++
+			}
+		}
+		blob, meta := segstore.EncodeSegment(rows)
+		if err := sw.Add(id, blob, meta); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sw.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if crossShard == 0 {
+		t.Fatal("no segment holds two user groups of different shards; the views this test exists for are never cut")
+	}
+
+	want, err := FromSegments(context.Background(), dir, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := FromSegments(context.Background(), dir, Options{Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := renderNormalized(t, got), renderNormalized(t, want); !bytes.Equal(g, w) {
+		t.Fatalf("workers=%d report differs from the sequential oracle:\n%s", workers, firstDiff(g, w))
 	}
 }

@@ -7,6 +7,7 @@
 package study
 
 import (
+	"context"
 	"errors"
 	"io"
 	"time"
@@ -81,23 +82,14 @@ type Results struct {
 	Elapsed time.Duration
 }
 
-// FromSamples runs every analysis over an existing dataset stream (for
-// example one written by cmd/edgesim) instead of generating one. The
-// dataset's shape — window count, and therefore the day count the
-// temporal classifier needs — is inferred from the samples.
-func FromSamples(r *sample.Reader) (*Results, error) { return FromSamplesObs(r, nil) }
-
-// FromSamplesObs is FromSamples with pipeline metrics registered on reg
-// (which may be nil).
-func FromSamplesObs(r *sample.Reader, reg *obs.Registry) (*Results, error) {
-	return FromSamplesOpt(r, Options{Workers: 1, Reg: reg})
-}
-
-// FromSamplesOpt is the sequential dataset-replay oracle with the full
-// option set: opt.Filter drops rows before they reach the collector —
-// the same row predicate the segment scanner pushes down, which is what
-// keeps a filtered JSONL report byte-identical to the filtered segment
-// report over the same dataset.
+// FromSamplesOpt runs every analysis over an existing dataset stream
+// (for example one written by cmd/edgesim) instead of generating one —
+// the sequential dataset-replay oracle. The dataset's shape — window
+// count, and therefore the day count the temporal classifier needs — is
+// inferred from the samples. opt.Filter drops rows before they reach
+// the collector — the same row predicate the segment scanner pushes
+// down, which is what keeps a filtered JSONL report byte-identical to
+// the filtered segment report over the same dataset.
 func FromSamplesOpt(r *sample.Reader, opt Options) (*Results, error) {
 	start := startTimer()
 	reg := opt.Reg
@@ -185,36 +177,14 @@ func RunDeaggregation(cfg world.Config) (*Results, analysis.DeaggregationResult)
 	return res, analysis.CompareDeaggregation(store, fine)
 }
 
-// Run generates the dataset for cfg and runs every analysis.
-func Run(cfg world.Config) *Results { return RunObs(cfg, nil) }
-
-// RunObs is Run with the whole pipeline instrumented on reg (which may
-// be nil): world generation, collection, aggregation, and per-analysis
-// durations all report through it.
-func RunObs(cfg world.Config, reg *obs.Registry) *Results {
-	start := startTimer()
-	w := world.New(cfg)
-	w.Instrument(reg)
-
-	store := agg.NewStore()
-	store.Instrument(reg)
-	overview := analysis.NewOverview()
-	overview.Instrument(reg)
-	col := collector.New(
-		collector.StoreSink(store),
-		collector.FuncSink(overview.Add),
-	)
-	col.Instrument(reg)
-	w.Generate(col.Offer)
-
-	res := &Results{
-		Cfg:       w.Cfg,
-		Collector: col.Stats(),
-		Overview:  overview,
-		Store:     store,
+// Run generates the dataset for cfg and runs every analysis on the
+// calling goroutine: RunCtx's sequential oracle with nothing attached.
+func Run(cfg world.Config) *Results {
+	res, err := RunCtx(context.Background(), cfg, Options{Workers: 1})
+	if err != nil {
+		// No plan, no cancellation, in-memory sinks: nothing can fail.
+		panic("study.Run: " + err.Error())
 	}
-	res.analyse(reg)
-	res.Elapsed = elapsedSince(start)
 	return res
 }
 

@@ -16,17 +16,22 @@
 // and `make studyd-race` pin that invariant at several worker counts,
 // including under an ingest fault plan.
 //
-// Fault semantics mirror the batch pipeline's (internal/seggen): PoP
-// outages suppress windows at the source, batch faults quarantine
-// whole groups into tombstones, write faults retry with backoff and
-// tombstone on exhaustion, and sink faults retry per sample — chaos
-// degrades coverage instead of killing the daemon. Two deliberate
-// deviations from the batch study, both documented in DESIGN.md §15:
-// batch *truncation* needs the group's total sample count before its
-// first window ships, which a streaming ingest cannot know, so plans
-// with truncate= are refused up front; and a permanent sink fault
-// quarantines the sample's world group at segment granularity (the
-// unit the spool can tombstone) rather than its user group.
+// Faults go through the same faults.Guard the batch producers call
+// (internal/seggen, internal/study): PoP outages suppress windows at
+// the source, batch faults quarantine whole groups into tombstones,
+// write faults retry with backoff and tombstone on exhaustion, and sink
+// faults retry per sample — chaos degrades coverage instead of killing
+// the daemon. What differs is only what streaming forces: fates are
+// drawn lazily (a group's batch fate at its first window, its write
+// fate at its first chunk close), a dropped group's loss is known — and
+// booked — only at drain, and tombstones carry per-chunk raw counts.
+// Two deliberate deviations from the batch study, both documented in
+// DESIGN.md §15: batch *truncation* needs the group's total sample
+// count before its first window ships, which a streaming ingest cannot
+// know, so plans with truncate= are refused up front; and a permanent
+// sink fault quarantines the sample's world group at segment
+// granularity (the unit the spool can tombstone) rather than its user
+// group.
 package studyd
 
 import (
@@ -85,7 +90,7 @@ type windowStat struct {
 
 // groupIngest is one world group's open-window state: the hosting
 // filter, the per-chunk sample buffers awaiting their chunk's seal,
-// and the group's fault fate.
+// and what the group's fault fate means for its remaining chunks.
 type groupIngest struct {
 	col *collector.Collector
 	// buf holds kept (post-filter) samples per chunk; raw counts every
@@ -93,22 +98,17 @@ type groupIngest struct {
 	// tombstones with, matching the batch pipeline exactly.
 	buf [][]sample.Sample
 	raw []int
-	// fateEvaled marks the lazy batch-fate draw; quarantine, when
-	// non-empty, is the reason every remaining chunk tombstones under,
-	// and qLost accumulates the tombstoned raw counts for the ledger.
-	fateEvaled bool
+	// fate is the batch-surface verdict, drawn at the group's first
+	// window; when it drops the group, fate.Lost accumulates the
+	// tombstoned raw counts until Drain books them.
+	fateDrawn bool
+	fate      faults.BatchFate
+	// quarantine, when non-empty, is the reason every remaining chunk
+	// tombstones under: the batch fate's, or a sink quarantine's — then
+	// sinkEntry is the ledger entry the tombstoned counts are refused
+	// against.
 	quarantine string
-	qLost      int
-	// writeEvaled marks the lazy write-fate draw (first non-empty chunk
-	// close); writeRem is the remaining transient streak, writeReason
-	// the tombstone reason once the fate is fatal, writeLost the
-	// accumulated loss for the ledger entry.
-	writeEvaled bool
-	writeRem    int
-	writeReason string
-	writeLost   int
-	dropBooked  bool // GroupsDropped counted once per group
-	accepted    int  // samples committed to the spool
+	sinkEntry  int
 }
 
 // Daemon is the always-on study service. Ingest, Seal, and Drain form
@@ -116,16 +116,15 @@ type groupIngest struct {
 // window order); the HTTP side reads only the on-disk spool and
 // atomic counters, so serving never blocks sealing.
 type Daemon struct {
-	opt Options
-	cpg int
-	sw  *segstore.Writer
-	tb  *trace.Buf
-	inj *faults.Injector
+	opt   Options
+	cpg   int
+	sw    *segstore.Writer
+	tb    *trace.Buf
+	guard *faults.Guard
 
 	groups []*groupIngest
 
-	mu       sync.Mutex // guards cov and winStats (ingest writes, HTTP snapshots)
-	cov      faults.Coverage
+	mu       sync.Mutex // guards winStats (ingest writes, HTTP snapshots)
 	winStats []windowStat
 
 	watermark atomic.Int64
@@ -155,7 +154,7 @@ func New(opt Options) (*Daemon, error) {
 	if p := opt.Injector.Plan(); p != nil && p.TruncateP > 0 {
 		return nil, fmt.Errorf("studyd: fault plans with truncate= are not supported: batch truncation needs the group's total sample count before its first window ships, which a streaming ingest cannot know; drop truncate= from the plan")
 	}
-	d := &Daemon{opt: opt, inj: opt.Injector, tb: opt.Rec.Buf()}
+	d := &Daemon{opt: opt, guard: faults.NewGuard(opt.Injector, opt.FailFast), tb: opt.Rec.Buf()}
 	reg := opt.Reg
 	d.cIngested = reg.Counter("studyd_samples_ingested_total")
 	d.cLate = reg.Counter("studyd_late_samples")
@@ -167,11 +166,7 @@ func New(opt Options) (*Daemon, error) {
 	d.gDrained = reg.Gauge("studyd_drained")
 	d.cache = newSWRCache(opt.CacheEntries, reg)
 
-	if opt.Injector != nil {
-		d.cov.Spec = opt.Injector.Plan().Spec()
-		d.cov.FailFast = opt.FailFast
-		opt.Injector.Instrument(reg)
-	}
+	opt.Injector.Instrument(reg)
 
 	if opt.World == nil {
 		return d, nil // wire mode: the merger owns the writer
@@ -242,16 +237,7 @@ func (d *Daemon) SetDrained() {
 }
 
 // Coverage snapshots the degradation ledger (nil without an injector).
-func (d *Daemon) Coverage() *faults.Coverage {
-	if d.inj == nil {
-		return nil
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	c := d.cov
-	c.Quarantined = append([]faults.QuarantinedGroup(nil), d.cov.Quarantined...)
-	return &c
-}
+func (d *Daemon) Coverage() *faults.Coverage { return d.guard.Coverage() }
 
 // Stats merges the per-group collector totals.
 func (d *Daemon) Stats() collector.Stats {
@@ -277,22 +263,22 @@ func (d *Daemon) Ingest(gi, win int, samples []sample.Sample, lost int) error {
 	mark := int(d.watermark.Load())
 
 	if lost > 0 {
+		d.guard.Outage(lost)
 		d.mu.Lock()
-		d.cov.SamplesLostOutage += lost
 		if win >= 0 && win < len(d.winStats) {
 			d.winStats[win].Lost += lost
 		}
 		d.mu.Unlock()
 	}
 
-	if !g.fateEvaled {
-		g.fateEvaled = true
-		if f := d.inj.BatchFault(gi); f.Kind == faults.BatchCorrupt || f.Kind == faults.BatchFail {
-			if d.opt.FailFast {
-				return fmt.Errorf("group %d batch: %w", gi,
-					&faults.FaultError{Surface: faults.SurfaceBatch, Key: fmt.Sprintf("world-group-%d", gi)})
-			}
-			g.quarantine = f.Kind.String()
+	if !g.fateDrawn {
+		g.fateDrawn = true
+		var err error
+		if g.fate, err = d.guard.DrawBatch(gi); err != nil {
+			return err
+		}
+		if g.fate.Dropped() {
+			g.quarantine = g.fate.Reason()
 		}
 	}
 
@@ -305,11 +291,18 @@ func (d *Daemon) Ingest(gi, win int, samples []sample.Sample, lost int) error {
 		}
 		ingested++
 		g.raw[d.chunkOf(s)]++
-		if g.quarantine != "" {
-			continue
-		}
-		if err := d.offer(gi, g, s); err != nil {
-			return err
+		switch {
+		case g.quarantine != "":
+			// Counted in raw above; tombstoned when its chunk closes.
+		case d.guard == nil || s.HostingProvider:
+			// No plan: the fast path stays a nil check. Hosting: the
+			// filter would reject it before any sink ran, so no fault
+			// surface applies and the collector keeps its count exact.
+			g.col.Offer(*s)
+		default:
+			if err := d.offer(gi, g, *s); err != nil {
+				return err
+			}
 		}
 	}
 	d.cIngested.Add(int64(ingested))
@@ -325,82 +318,31 @@ func (d *Daemon) Ingest(gi, win int, samples []sample.Sample, lost int) error {
 	return nil
 }
 
-// offer runs one sample through the sink-fault surface and the
-// group's hosting filter. A transient fault retries with backoff
-// (recovered faults change nothing, so the spool stays byte-identical
-// to the batch writer's); a permanent fault — or an exhausted retry
-// budget — quarantines the whole world group from this sample on.
-// Chunks already sealed stay committed: a daemon cannot un-commit
-// durable segments, and the coverage ledger accounts the difference.
-func (d *Daemon) offer(gi int, g *groupIngest, s *sample.Sample) error {
-	if s.HostingProvider {
-		// The filter would reject it before any sink ran; no fault
-		// surface applies, and the collector keeps its count exact.
-		g.col.Offer(*s)
-		return nil
-	}
-	f := d.inj.SinkFault(*s)
-	if f.None() {
-		g.col.Offer(*s)
-		return nil
-	}
-	track := trace.GroupTrack(gi)
-	if f.Permanent {
-		if d.opt.FailFast {
-			return fmt.Errorf("fail-fast: %w",
-				&faults.FaultError{Surface: faults.SurfaceSink, Key: faults.SinkFaultKey(*s)})
-		}
-		d.tb.Emit(trace.Event{
-			Track: track, Phase: trace.PhaseIngest, Win: -1, Seq: s.SessionID,
-			Kind: trace.KFault, Stage: "sink", Value: 1, Detail: "sink-permanent",
+// offer runs one sample through the sink-fault surface. A recovered
+// transient changes nothing, so the spool stays byte-identical to the
+// batch writer's; a permanent fault — or an exhausted retry budget —
+// quarantines the whole world group from this sample on (deviation (2),
+// DESIGN.md §15): buffered unsealed samples fall with it and every
+// remaining chunk tombstones with its raw count. Chunks already sealed
+// stay committed: a daemon cannot un-commit durable segments, and the
+// coverage ledger accounts the difference.
+func (d *Daemon) offer(gi int, g *groupIngest, s sample.Sample) error {
+	entry, err := d.guard.Sink(context.TODO(), d.tb, gi, s,
+		func() error {
+			g.col.Offer(s)
+			return g.col.Err()
+		},
+		func(reason string) int {
+			g.quarantine = reason
+			for c := range g.buf {
+				g.buf[c] = nil
+			}
+			return 0 // the loss is booked per chunk, as each tombstones
 		})
-		d.sinkQuarantine(g)
-		return nil
+	if entry >= 0 {
+		g.sinkEntry = entry
 	}
-	rem := f.Transient
-	d.tb.Emit(trace.Event{
-		Track: track, Phase: trace.PhaseIngest, Win: -1, Seq: s.SessionID,
-		Kind: trace.KFault, Stage: "sink", Value: int64(rem), Detail: "sink-transient",
-	})
-	p := d.inj.Policy(gi)
-	p.OnRetry = func(int, error) {
-		d.mu.Lock()
-		d.cov.RetriesSpent++
-		d.mu.Unlock()
-	}
-	p = faults.TracedPolicy(p, d.tb, track, trace.PhaseIngest, -1, s.SessionID, "sink")
-	err := faults.Retry(nil, p, func() error {
-		if rem > 0 {
-			rem--
-			return &faults.FaultError{Surface: faults.SurfaceSink, Key: faults.SinkFaultKey(*s), Transient: true}
-		}
-		g.col.Offer(*s)
-		return g.col.Err()
-	})
-	switch {
-	case err == nil:
-		d.mu.Lock()
-		d.cov.TransientRecovered++
-		d.mu.Unlock()
-		d.inj.Recovered()
-		return nil
-	case d.opt.FailFast || !faults.IsTransient(err):
-		return err
-	default:
-		d.sinkQuarantine(g)
-		return nil
-	}
-}
-
-// sinkQuarantine drops the group from its current sample on: buffered
-// unsealed samples fall with it (their raw counts tombstone at chunk
-// close), sealed chunks are already durable and stay.
-func (d *Daemon) sinkQuarantine(g *groupIngest) {
-	g.quarantine = "sink failure"
-	for c := range g.buf {
-		g.buf[c] = nil
-	}
-	d.inj.MarkDegraded()
+	return err
 }
 
 // Seal advances the logical watermark past win, freezing it forever,
@@ -436,20 +378,42 @@ func (d *Daemon) Seal(win int) error {
 func (d *Daemon) closeChunk(c int) error {
 	for gi, g := range d.groups {
 		id := gi*d.cpg + c
+		kept := g.buf[c]
+		g.buf[c] = nil
 		if g.quarantine != "" {
 			d.sw.Tombstone(id, g.quarantine, g.raw[c])
 			d.cTombs.Inc()
-			g.qLost += g.raw[c]
-			g.buf[c] = nil
+			if g.fate.Dropped() {
+				g.fate.Lost += g.raw[c]
+			} else {
+				d.guard.Refuse(d.tb, g.sinkEntry, uint64(c), g.raw[c])
+			}
 			continue
 		}
-		kept := g.buf[c]
-		g.buf[c] = nil
 		if len(kept) == 0 {
 			continue
 		}
-		if err := d.writeChunk(gi, g, id, kept); err != nil {
+		// The write fate is the group's, drawn by the guard at this — its
+		// first non-empty — chunk close, just as the batch writer draws it
+		// once per group batch.
+		ok, err := d.guard.Write(context.TODO(), d.tb, gi, len(kept),
+			func() error {
+				if d.sw.Committed(id) {
+					return nil // survived a previous interrupted run
+				}
+				blob, meta := segstore.EncodeSegment(kept)
+				return d.sw.Add(id, blob, meta)
+			},
+			func(reason string) error {
+				d.sw.Tombstone(id, reason, len(kept))
+				d.cTombs.Inc()
+				return nil
+			})
+		if err != nil {
 			return err
+		}
+		if ok {
+			d.cSegs.Inc()
 		}
 	}
 	if err := d.sw.Commit(); err != nil {
@@ -459,113 +423,10 @@ func (d *Daemon) closeChunk(c int) error {
 	return nil
 }
 
-// writeChunk commits one group chunk under the write-fault surface.
-// The fate is drawn once per group — at its first non-empty chunk
-// close, just as the batch writer draws it once per group batch: a
-// permanent fault tombstones this and every later chunk of the group;
-// a transient streak retries this chunk's commit with backoff and
-// either recovers (nothing changes) or exhausts the budget and
-// degrades to the same tombstones.
-func (d *Daemon) writeChunk(gi int, g *groupIngest, id int, kept []sample.Sample) error {
-	track := trace.GroupTrack(gi)
-	n := len(kept)
-	if !g.writeEvaled {
-		g.writeEvaled = true
-		if f := d.inj.WriteFault(gi); !f.None() {
-			if f.Permanent {
-				if d.opt.FailFast {
-					return fmt.Errorf("writing group %d segments: %w", gi,
-						&faults.FaultError{Surface: faults.SurfaceWrite, Key: fmt.Sprintf("world-group-%d", gi)})
-				}
-				g.writeReason = "permanent write failure"
-				d.tb.Emit(trace.Event{
-					Track: track, Phase: trace.PhaseCommit, Win: -1, Seq: 0,
-					Kind: trace.KFault, Stage: "write", Value: int64(n), Detail: "write-permanent",
-				})
-			} else {
-				g.writeRem = f.Transient
-				d.tb.Emit(trace.Event{
-					Track: track, Phase: trace.PhaseCommit, Win: -1, Seq: 0,
-					Kind: trace.KFault, Stage: "write", Value: int64(g.writeRem), Detail: "write-transient",
-				})
-			}
-		}
-	}
-	if g.writeReason != "" {
-		d.tombstoneWrite(gi, g, id, n, track)
-		return nil
-	}
-	commit := func() error {
-		if d.sw.Committed(id) {
-			return nil // survived a previous interrupted run
-		}
-		blob, meta := segstore.EncodeSegment(kept)
-		return d.sw.Add(id, blob, meta)
-	}
-	if g.writeRem > 0 {
-		p := d.inj.Policy(gi)
-		p.OnRetry = func(int, error) {
-			d.mu.Lock()
-			d.cov.RetriesSpent++
-			d.mu.Unlock()
-		}
-		p = faults.TracedPolicy(p, d.tb, track, trace.PhaseCommit, -1, 0, "write")
-		err := faults.Retry(nil, p, func() error {
-			if g.writeRem > 0 {
-				g.writeRem--
-				return &faults.FaultError{Surface: faults.SurfaceWrite,
-					Key: fmt.Sprintf("world-group-%d", gi), Transient: true}
-			}
-			return commit()
-		})
-		if err != nil {
-			if d.opt.FailFast || !faults.IsTransient(err) {
-				return err
-			}
-			g.writeReason = "write retry budget exhausted"
-			d.tombstoneWrite(gi, g, id, n, track)
-			return nil
-		}
-		d.mu.Lock()
-		d.cov.TransientRecovered++
-		d.mu.Unlock()
-		d.inj.Recovered()
-	} else if err := commit(); err != nil {
-		return err
-	}
-	g.accepted += n
-	d.cSegs.Inc()
-	d.tb.Emit(trace.Event{
-		Track: track, Phase: trace.PhaseCommit, Win: -1, Seq: 2,
-		Kind: trace.KCommit, Stage: "write", Value: int64(n),
-	})
-	return nil
-}
-
-// tombstoneWrite records one chunk lost to the group's write fate.
-func (d *Daemon) tombstoneWrite(gi int, g *groupIngest, id, n int, track string) {
-	d.sw.Tombstone(id, g.writeReason, n)
-	d.cTombs.Inc()
-	g.writeLost += n
-	d.mu.Lock()
-	d.cov.SamplesLostDropped += n
-	if !g.dropBooked {
-		g.dropBooked = true
-		d.cov.GroupsDropped++
-	}
-	d.mu.Unlock()
-	d.inj.MarkDegraded()
-	d.tb.Emit(trace.Event{
-		Track: track, Phase: trace.PhaseCommit, Win: -1, Seq: 1,
-		Kind: trace.KQuarantine, Stage: "write", Value: int64(n), Detail: g.writeReason,
-	})
-	d.tb.Loss(track, trace.PhaseCommit, -1, 0, "write", trace.LossDropped, n)
-}
-
 // Drain closes the ingest stream: any trailing partial chunk is
-// sealed, quarantined groups book their ledger entries (their totals
-// are only known now), the coverage is finalized, and the daemon
-// flips to drained. After Drain the spool is at rest.
+// sealed, dropped groups book their ledger entries (their totals are
+// only known now), and the daemon flips to drained. After Drain the
+// spool is at rest.
 func (d *Daemon) Drain() error {
 	if d.sw == nil {
 		d.SetDrained()
@@ -577,52 +438,11 @@ func (d *Daemon) Drain() error {
 			return err
 		}
 	}
-	// Quarantined groups tombstone every remaining chunk at close time;
-	// the ledger entry and its trace events carry the group totals.
-	for gi, g := range d.groups {
-		if g.quarantine != "" {
-			track := trace.GroupTrack(gi)
-			d.tb.Emit(trace.Event{
-				Track: track, Phase: trace.PhaseBatch, Win: -1, Seq: 0,
-				Kind: trace.KFault, Stage: "batch", Value: int64(g.qLost), Detail: g.quarantine,
-			})
-			d.tb.Emit(trace.Event{
-				Track: track, Phase: trace.PhaseBatch, Win: -1, Seq: 1,
-				Kind: trace.KQuarantine, Stage: "batch", Value: int64(g.qLost), Detail: g.quarantine,
-			})
-			d.tb.Loss(track, trace.PhaseBatch, -1, 0, "batch", trace.LossDropped, g.qLost)
-			d.mu.Lock()
-			if g.quarantine == "sink failure" {
-				d.cov.SamplesLostQuarantined += g.qLost
-			} else {
-				d.cov.SamplesLostDropped += g.qLost
-				d.cov.GroupsDropped++
-			}
-			d.cov.Quarantined = append(d.cov.Quarantined, faults.QuarantinedGroup{
-				Key: fmt.Sprintf("world-group-%04d", gi), Reason: g.quarantine, SamplesLost: g.qLost,
-			})
-			d.mu.Unlock()
-			d.inj.MarkDegraded()
-		}
-		if g.writeReason != "" && g.writeLost > 0 {
-			d.mu.Lock()
-			d.cov.Quarantined = append(d.cov.Quarantined, faults.QuarantinedGroup{
-				Key: fmt.Sprintf("world-group-%04d", gi), Reason: g.writeReason, SamplesLost: g.writeLost,
-			})
-			d.mu.Unlock()
-		}
+	for _, g := range d.groups {
+		d.guard.BookBatch(g.fate)
+		g.fate.Emit(d.tb)
 	}
-	if d.inj != nil {
-		d.mu.Lock()
-		d.cov.Finalize()
-		degraded := d.cov.Degraded()
-		cov := d.cov
-		d.mu.Unlock()
-		if degraded {
-			d.inj.MarkDegraded()
-		}
-		cov.EmitTrace(d.tb)
-	}
+	d.guard.Coverage().EmitTrace(d.tb)
 	d.SetDrained()
 	return nil
 }

@@ -236,12 +236,8 @@ func (d *Daemon) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if d.Drained() {
 		state = "drained"
 	}
-	degraded := false
-	d.mu.Lock()
-	if d.inj != nil {
-		degraded = d.cov.Degraded()
-	}
-	d.mu.Unlock()
+	cov := d.Coverage()
+	degraded := cov != nil && cov.Degraded()
 	writeJSON(w, map[string]any{
 		"state":     state,
 		"watermark": d.Watermark(),

@@ -3,12 +3,14 @@ package studyd
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http/httptest"
 	"net/url"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,7 +21,9 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sample"
 	"repro/internal/seggen"
+	"repro/internal/segstore"
 	"repro/internal/study"
+	"repro/internal/trace"
 	"repro/internal/world"
 )
 
@@ -34,8 +38,9 @@ func testOrigin(plan *faults.Plan) string {
 }
 
 // goldenDataset writes the batch-pipeline dataset for testCfg under
-// spec — the bytes every daemon run must reproduce.
-func goldenDataset(t testing.TB, dir, spec string) {
+// spec — the bytes every daemon run must reproduce — and returns the
+// batch writer's ledger.
+func goldenDataset(t testing.TB, dir, spec string) *faults.Coverage {
 	t.Helper()
 	plan, err := faults.ParsePlan(spec)
 	if err != nil {
@@ -46,15 +51,23 @@ func goldenDataset(t testing.TB, dir, spec string) {
 	if inj != nil {
 		w.PoPDown = inj.Outage
 	}
-	if _, err := seggen.Run(context.Background(), seggen.Options{
+	res, err := seggen.Run(context.Background(), seggen.Options{
 		World: w, Dir: dir, Origin: testOrigin(inj.Plan()), Injector: inj,
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatalf("golden generate: %v", err)
 	}
+	return res.Coverage
 }
 
 // liveDaemon builds a live-mode daemon over a fresh world for spec.
 func liveDaemon(t testing.TB, dir, spec string) *Daemon {
+	t.Helper()
+	return tracedDaemon(t, dir, spec, nil)
+}
+
+// tracedDaemon is liveDaemon recording its ingest events on rec.
+func tracedDaemon(t testing.TB, dir, spec string, rec *trace.Recorder) *Daemon {
 	t.Helper()
 	plan, err := faults.ParsePlan(spec)
 	if err != nil {
@@ -67,7 +80,7 @@ func liveDaemon(t testing.TB, dir, spec string) *Daemon {
 	}
 	d, err := New(Options{
 		Dir: dir, Origin: testOrigin(inj.Plan()),
-		World: w, Injector: inj, Reg: obs.NewRegistry(),
+		World: w, Injector: inj, Reg: obs.NewRegistry(), Rec: rec,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -133,24 +146,99 @@ func get(t testing.TB, d *Daemon, path string) ([]byte, string) {
 // TestDaemonByteIdenticalToBatch is the keystone invariant: a drained
 // live-mode daemon's spool is byte-identical to the batch dataset for
 // the same flags — and its served /report to the golden batch report —
-// at every worker count, clean and under a chaos plan.
+// at every worker count, clean and under chaos plans. Both producers
+// call the same faults.Guard, so their ledgers must agree too: whatever
+// the batch and write surfaces booked for the batch writer, they booked
+// for the daemon, which differs only by its sink surface — the
+// per-sample retries (read off the daemon's trace) and, in the last
+// row, the documented sink-permanent deviation (DESIGN.md §15 (2)).
 func TestDaemonByteIdenticalToBatch(t *testing.T) {
-	const chaos = "sink-transient=0.01;fail-group=2;outage=fra:10-30;retries=4;retry-base=50us"
-	for _, spec := range []string{"", chaos} {
+	const (
+		chaos = "sink-transient=0.01;fail-group=2;outage=fra:10-30;retries=4;retry-base=50us"
+		// The plan seeds below are picked so that, on testCfg's six groups,
+		// the write surface really fires — one group draws a permanent
+		// write fate, at least one a recovered transient — while no sample
+		// (writeFaults) or one group's day-two samples (sinkPermanent,
+		// group 2, clean write fate) draw a permanent sink fault.
+		writeFaults   = "seed=2713;sink-transient=0.2;sink-permanent=0.0002;fail-group=5;outage=fra:10-30;retries=4;retry-base=1us"
+		sinkPermanent = "seed=33772;sink-transient=0.2;sink-permanent=0.0002;retries=4;retry-base=1us"
+		sinkReason    = "permanent sink failure"
+	)
+	for _, row := range []struct {
+		name, spec string
+		// sinkGroup, when >= 0, is the world group a permanent sink fault
+		// quarantines in the daemon (and only there).
+		sinkGroup int
+	}{
+		{"false", "", -1},
+		{"true", chaos, -1},
+		{"write-faults", writeFaults, -1},
+		{"sink-permanent", sinkPermanent, 2},
+	} {
 		golden := t.TempDir()
-		goldenDataset(t, golden, spec)
-		report := renderGolden(t, golden)
+		goldenCov := goldenDataset(t, golden, row.spec)
+		if row.spec == writeFaults || row.spec == sinkPermanent {
+			reasons := map[string]bool{}
+			for _, q := range goldenCov.Quarantined {
+				reasons[q.Reason] = true
+			}
+			if !reasons["permanent write failure"] || goldenCov.TransientRecovered == 0 {
+				t.Fatalf("plan %q fired no permanent or no recovered write fault in the batch writer: %+v", row.spec, goldenCov)
+			}
+		}
 		for _, workers := range []int{1, 2, 4} {
-			t.Run(fmt.Sprintf("plan=%t/workers=%d", spec != "", workers), func(t *testing.T) {
+			t.Run(fmt.Sprintf("plan=%s/workers=%d", row.name, workers), func(t *testing.T) {
 				dir := t.TempDir()
-				d := liveDaemon(t, dir, spec)
+				rec := trace.New(testCfg.Seed)
+				d := tracedDaemon(t, dir, row.spec, rec)
 				if err := d.RunLive(context.Background(), workers); err != nil {
 					t.Fatalf("RunLive: %v", err)
 				}
 				if !d.Drained() {
 					t.Fatal("daemon not drained after RunLive")
 				}
-				dirsEqual(t, golden, dir)
+
+				want := goldenCov
+				if want != nil {
+					// The dataset writer has no sink surface; the daemon's
+					// share of the retry economy is on its trace.
+					c := *goldenCov
+					faulted := map[uint64]bool{}
+					for _, e := range rec.Events() {
+						if e.Stage != "sink" {
+							continue
+						}
+						switch {
+						case e.Kind == trace.KRetry:
+							c.RetriesSpent++
+						case e.Kind == trace.KFault && e.Detail == "sink-transient":
+							faulted[e.Seq] = true
+						}
+					}
+					c.TransientRecovered += len(faulted)
+					want = &c
+				}
+
+				if row.sinkGroup < 0 {
+					dirsEqual(t, golden, dir)
+				} else {
+					lost := sinkDeviation(t, d, golden, dir, row.sinkGroup, sinkReason)
+					want.SamplesLostQuarantined += lost
+					want.Quarantined = append(append([]faults.QuarantinedGroup(nil), want.Quarantined...),
+						faults.QuarantinedGroup{Key: fmt.Sprintf("world-group-%04d", row.sinkGroup), Reason: sinkReason, SamplesLost: lost})
+					want.Finalize()
+				}
+				if got := d.Coverage(); !reflect.DeepEqual(got, want) {
+					t.Errorf("daemon ledger differs from the batch writer's (+ its own sink surface):\n got %+v\nwant %+v", got, want)
+				}
+
+				// The served report is the golden batch report — or, once
+				// the spools legitimately differ, the batch report over the
+				// daemon's own spool.
+				report := renderGolden(t, dir)
+				if row.sinkGroup < 0 {
+					report = renderGolden(t, golden)
+				}
 				body, _ := get(t, d, "/report")
 				if !bytes.Equal(body, report) {
 					t.Errorf("served /report differs from golden batch report:\n--- golden\n%s\n--- served\n%s", report, body)
@@ -158,6 +246,78 @@ func TestDaemonByteIdenticalToBatch(t *testing.T) {
 			})
 		}
 	}
+}
+
+// sinkDeviation asserts the one documented way a daemon spool may
+// differ from the batch dataset under the same plan: a permanent sink
+// fault quarantines the sample's world group from that sample onward.
+// Every other group's segments and tombstones are identical; the
+// quarantined group's already-sealed chunks stay committed exactly as
+// the batch writer committed them, and each later chunk is a tombstone
+// under the sink reason. It returns the samples those tombstones book.
+func sinkDeviation(t *testing.T, d *Daemon, golden, dir string, group int, reason string) (lost int) {
+	t.Helper()
+	readMan := func(dir string) *segstore.Manifest {
+		data, err := os.ReadFile(filepath.Join(dir, segstore.ManifestName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var man segstore.Manifest
+		if err := json.Unmarshal(data, &man); err != nil {
+			t.Fatal(err)
+		}
+		return &man
+	}
+	gm, dm := readMan(golden), readMan(dir)
+	inGroup := func(id int) bool { return id/d.cpg == group }
+
+	sealed := map[int]bool{} // the group's chunks the daemon committed
+	var rest []segstore.SegmentMeta
+	for _, seg := range dm.Segments {
+		if inGroup(seg.ID) {
+			sealed[seg.ID] = true
+		}
+	}
+	for _, seg := range gm.Segments {
+		if !inGroup(seg.ID) || sealed[seg.ID] {
+			rest = append(rest, seg)
+		}
+	}
+	if !reflect.DeepEqual(dm.Segments, rest) {
+		t.Errorf("segments outside the quarantined tail differ:\n got %+v\nwant %+v", dm.Segments, rest)
+	}
+	for _, seg := range dm.Segments {
+		want, err := os.ReadFile(filepath.Join(golden, seg.File))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, seg.File))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s differs from the batch writer's", seg.File)
+		}
+	}
+
+	var others []segstore.Tombstone
+	for _, ts := range dm.Tombstones {
+		switch {
+		case !inGroup(ts.ID):
+			others = append(others, ts)
+		case ts.Reason != reason || sealed[ts.ID]:
+			t.Errorf("quarantined group's tombstone %+v: want reason %q on an unsealed chunk", ts, reason)
+		default:
+			lost += ts.SamplesLost
+		}
+	}
+	if !reflect.DeepEqual(others, gm.Tombstones) {
+		t.Errorf("tombstones outside the quarantined group differ:\n got %+v\nwant %+v", others, gm.Tombstones)
+	}
+	if len(sealed) == 0 || lost == 0 {
+		t.Errorf("the deviation went unexercised: %d chunks sealed before the quarantine, %d samples tombstoned after", len(sealed), lost)
+	}
+	return lost
 }
 
 // TestDaemonResumesCommittedChunks reruns a drained daemon's flags over
