@@ -6,6 +6,12 @@
 
 GO ?= go
 
+# The fault plans and daemon flags the live gates below run under.
+CHAOS_PLAN   = seed=7;sink-transient=0.01;sink-permanent=0.001;truncate=0.1;corrupt=0.03;fail-group=2;outage=fra:10-30;retries=4;retry-base=50us
+TRACE_PLAN   = seed=7;sink-transient=0.01;truncate=0.1;fail-group=2;outage=fra:10-30;retries=4;retry-base=50us
+STUDYD_FLAGS = -seed 7 -groups 8 -days 2 -spw 10
+STUDYD_PLAN  = seed=7;sink-transient=0.01;fail-group=2;outage=fra:10-30;retries=4;retry-base=50us
+
 .PHONY: check vet lint build race test chaos seg-race trace-race colagg-race pop-race studyd-race fuzz-smoke bench-obs bench-pipeline bench-retry bench bench-segstore bench-trace bench-colagg bench-ship bench-studyd
 
 check: vet lint build race test chaos seg-race trace-race colagg-race pop-race studyd-race
@@ -41,7 +47,7 @@ test:
 # by the chaos tests in internal/study and cmd/edgesim (run by `race`).
 chaos:
 	$(GO) run -race ./cmd/edgereport -groups 8 -days 1 -spw 12 -workers 4 \
-		-fault-plan "seed=7;sink-transient=0.01;sink-permanent=0.001;truncate=0.1;corrupt=0.03;fail-group=2;outage=fra:10-30;retries=4;retry-base=50us" \
+		-fault-plan "$(CHAOS_PLAN)" \
 		> /dev/null
 
 # The seg-format study under the race detector: write a columnar
@@ -61,10 +67,10 @@ trace-race:
 	rm -rf .trace-race
 	mkdir -p .trace-race
 	$(GO) run -race ./cmd/edgereport -groups 8 -days 1 -spw 12 -workers 4 -trace .trace-race/w4.trace \
-		-fault-plan "seed=7;sink-transient=0.01;truncate=0.1;fail-group=2;outage=fra:10-30;retries=4;retry-base=50us" \
+		-fault-plan "$(TRACE_PLAN)" \
 		> /dev/null
 	$(GO) run -race ./cmd/edgereport -groups 8 -days 1 -spw 12 -workers 1 -trace .trace-race/w1.trace \
-		-fault-plan "seed=7;sink-transient=0.01;truncate=0.1;fail-group=2;outage=fra:10-30;retries=4;retry-base=50us" \
+		-fault-plan "$(TRACE_PLAN)" \
 		> /dev/null
 	cmp .trace-race/w1.trace .trace-race/w4.trace
 	$(GO) run ./cmd/edgetrace causes .trace-race/w4.trace > /dev/null
@@ -72,9 +78,11 @@ trace-race:
 
 # The columnar-aggregation identity, live under the race detector: the
 # same seg dataset analysed through the batch hot path (ScanColumns ->
-# AddBatch, 4 shard workers) and through the row oracle (-row-oracle,
-# sequential) must render byte-identical reports. Only the wall-clock
-# line differs between runs, so it is stripped before cmp.
+# AddBatch, 4 shard workers), through the row oracle (-row-oracle,
+# sequential) and — extracted to JSONL by segcat — through the
+# sequential JSONL replay must render byte-identical reports: every
+# replay source and both sinks of the one study loop, crossed. Only the
+# wall-clock line differs between runs, so it is stripped before cmp.
 colagg-race:
 	rm -rf .colagg-race
 	mkdir -p .colagg-race
@@ -82,6 +90,9 @@ colagg-race:
 	$(GO) run -race ./cmd/edgereport -in .colagg-race/ds -workers 4 | grep -v '^Generated and analysed' > .colagg-race/batch.txt
 	$(GO) run -race ./cmd/edgereport -in .colagg-race/ds -row-oracle -workers 1 | grep -v '^Generated and analysed' > .colagg-race/rows.txt
 	cmp .colagg-race/batch.txt .colagg-race/rows.txt
+	$(GO) run -race ./cmd/segcat -in .colagg-race/ds -o .colagg-race/ds.jsonl
+	$(GO) run -race ./cmd/edgereport -in .colagg-race/ds.jsonl -workers 1 | grep -v '^Generated and analysed' > .colagg-race/jsonl.txt
+	cmp .colagg-race/batch.txt .colagg-race/jsonl.txt
 	rm -rf .colagg-race
 
 # The multi-PoP shipping invariant, live under the race detector: two
@@ -121,8 +132,6 @@ pop-race:
 # clean and under a chaos plan. The daemon is polled over its own
 # -fetch client (no curl dependency), interrupted with SIGINT once
 # drained, and must exit the sigctl drain path cleanly.
-STUDYD_FLAGS = -seed 7 -groups 8 -days 2 -spw 10
-STUDYD_PLAN  = seed=7;sink-transient=0.01;fail-group=2;outage=fra:10-30;retries=4;retry-base=50us
 studyd-race:
 	rm -rf .studyd-race
 	mkdir -p .studyd-race

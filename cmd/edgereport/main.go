@@ -11,15 +11,15 @@
 //	           [-from D] [-to D] [-country CC,CC] [-pop POP,POP]
 //	           [-workers N] [-progress] [-metrics-addr host:port]
 //
-// -in accepts either a JSON-lines file from `edgesim` or a columnar
-// segment-store directory from `edgesim -format seg` / `segcat`; the
-// format is auto-detected. -from/-to/-country/-pop restrict the
-// analysis to a slice of the dataset — on a segment store the filter is
-// pushed down to the manifest, so whole segments outside the range are
-// never read (the segstore_bytes_pruned gauge on -metrics-addr shows
-// how much I/O the filter saved); on JSONL every line is still decoded
-// and the same row predicate applied, so both formats render the same
-// report byte for byte.
+// -in accepts either a JSON-lines file from `edgesim` (one record per
+// line) or a columnar segment-store directory from `edgesim -format seg`
+// / `segcat`; the format is auto-detected. -from/-to/-country/-pop
+// restrict the analysis to a slice of the dataset — on a segment store
+// the filter is pushed down to the manifest, so whole segments outside
+// the range are never read (the segstore_bytes_pruned gauge on
+// -metrics-addr shows how much I/O the filter saved); on JSONL every
+// line is still decoded and the same row predicate applied, so both
+// formats render the same report byte for byte.
 //
 // The defaults (120 groups × 5 days) run in a minute or two on a laptop.
 // -workers (default GOMAXPROCS) runs the sharded concurrent pipeline —
@@ -54,11 +54,11 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/report"
-	"repro/internal/sample"
 	"repro/internal/segstore"
 	"repro/internal/sigctl"
 	"repro/internal/study"
@@ -160,29 +160,20 @@ func main() {
 	}
 
 	opt := study.Options{Workers: *workers, Reg: reg, Plan: plan, FailFast: *failFast, Filter: filter, Trace: rec, RowOracle: *rowOracle}
+	cfg := world.Config{Seed: *seed, Groups: *groups, Days: *days, SessionsPerGroupWindow: *spw}
 	var res *study.Results
-	var deagResult *struct {
-		covLoss, varRed float64
-		baseG, fineG    int
-	}
-	if *deagg && *in == "" {
+	var deag *analysis.DeaggregationResult
+	switch {
+	case *deagg && *in == "":
 		// The deaggregation experiment re-buckets the same world two ways;
 		// it stays on the sequential path regardless of -workers.
-		r, d := study.RunDeaggregation(world.Config{
-			Seed: *seed, Groups: *groups, Days: *days, SessionsPerGroupWindow: *spw,
-		})
-		res = r
-		deagResult = &struct {
-			covLoss, varRed float64
-			baseG, fineG    int
-		}{d.CoverageLoss(), d.VariabilityReduction(), d.BaseGroups, d.FineGroups}
-	} else if *in != "" && segstore.IsDataset(*in) {
+		r, d := study.RunDeaggregation(cfg)
+		res, deag = r, &d
+	case *in == "":
+		res, err = study.RunCtx(ctx, cfg, opt)
+	case segstore.IsDataset(*in):
 		res, err = study.FromSegments(ctx, *in, opt)
-		if err != nil {
-			exitIfInterrupted(err)
-			log.Fatalf("edgereport: reading %s: %v", *in, err)
-		}
-	} else if *in != "" {
+	default:
 		f, ferr := os.Open(*in)
 		if ferr != nil {
 			log.Fatalf("edgereport: %v", ferr)
@@ -194,38 +185,21 @@ func main() {
 		if fi, serr := f.Stat(); serr == nil {
 			reg.Gauge("study_read_goal_bytes").Set(float64(fi.Size()))
 		}
-		br := study.ReadCounter(bufio.NewReaderSize(f, 1<<20), reg)
-		// A fault plan or trace forces the streaming path even at
-		// -workers 1: its guard surfaces (sink retry, quarantine) live
-		// there, and one code path per plan keeps the report — and the
-		// trace — worker-count independent.
-		if *workers > 1 || plan != nil || rec != nil {
-			res, err = study.FromStream(ctx, br, opt)
-		} else {
-			res, err = study.FromSamplesOpt(sample.NewReader(br), opt)
-		}
-		if err != nil {
-			exitIfInterrupted(err)
+		res, err = study.FromStream(ctx, study.ReadCounter(bufio.NewReaderSize(f, 1<<20), reg), opt)
+	}
+	if err != nil {
+		exitIfInterrupted(err)
+		if *in != "" {
 			log.Fatalf("edgereport: reading %s: %v", *in, err)
 		}
-	} else {
-		res, err = study.RunCtx(ctx, world.Config{
-			Seed:                   *seed,
-			Groups:                 *groups,
-			Days:                   *days,
-			SessionsPerGroupWindow: *spw,
-		}, opt)
-		if err != nil {
-			exitIfInterrupted(err)
-			log.Fatalf("edgereport: %v", err)
-		}
+		log.Fatalf("edgereport: %v", err)
 	}
 	stopProgress()
 	flushTrace()
 	res.WriteReport(os.Stdout)
-	if deagResult != nil {
+	if deag != nil {
 		fmt.Printf("== §3.3 deaggregation experiment ==\ngroups %d→%d, coverage loss %.0f%%, variability reduction %.0f%% (paper: large loss, minimal reduction)\n\n",
-			deagResult.baseG, deagResult.fineG, deagResult.covLoss*100, deagResult.varRed*100)
+			deag.BaseGroups, deag.FineGroups, deag.CoverageLoss()*100, deag.VariabilityReduction()*100)
 	}
 
 	if *cdf {

@@ -15,10 +15,10 @@ const (
 	ParamNone ParamMode = iota
 	// ParamBorrows: the function uses the batch but never releases it;
 	// the caller keeps ownership (collector.OfferColumns,
-	// agg.Store.AddBatch, Overview.AddColumns).
+	// agg.Store.AddBatch, Overview.AddColumns, study ingest.columns).
 	ParamBorrows
 	// ParamConsumes: the function takes ownership — every path through
-	// it releases the batch or hands it on (study ingest.feedColumns).
+	// it releases the batch or hands it on (a ScanColumns emit callback).
 	// The caller must not touch the batch after the call.
 	ParamConsumes
 )

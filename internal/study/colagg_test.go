@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/rng"
-	"repro/internal/sample"
 	"repro/internal/segstore"
 	"repro/internal/trace"
 	"repro/internal/world"
@@ -38,7 +37,7 @@ func TestColumnarAggregationMatchesRowOracle(t *testing.T) {
 			{Countries: []string{"US", "IN", "BR"}, PoPs: nil},
 		}
 		for fi, f := range filters {
-			want, err := FromSamplesOpt(sample.NewReader(bytes.NewReader(data)), Options{Workers: 1, Filter: f})
+			want, err := FromStream(context.Background(), bytes.NewReader(data), Options{Workers: 1, Filter: f})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,12 +148,12 @@ func TestInferredDaysUnderFromFilter(t *testing.T) {
 	data, dir := writeBothFormats(t, cfg)
 	f := &segstore.Filter{From: 24 * time.Hour}
 
-	seq, err := FromSamplesOpt(sample.NewReader(bytes.NewReader(data)), Options{Workers: 1, Filter: f})
+	seq, err := FromStream(context.Background(), bytes.NewReader(data), Options{Workers: 1, Filter: f})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if seq.Cfg.Days != 1 {
-		t.Fatalf("FromSamplesOpt inferred Days=%d for a one-day slice, want 1", seq.Cfg.Days)
+		t.Fatalf("sequential FromStream inferred Days=%d for a one-day slice, want 1", seq.Cfg.Days)
 	}
 	if seq.Store.FirstWindow() != 96 || seq.Store.TotalWindows != 192 {
 		t.Fatalf("window coverage [%d, %d), want [96, 192)", seq.Store.FirstWindow(), seq.Store.TotalWindows)
@@ -169,7 +168,7 @@ func TestInferredDaysUnderFromFilter(t *testing.T) {
 		t.Fatalf("FromSegments inferred Days=%d, want 1", segRes.Cfg.Days)
 	}
 	if got := renderNormalized(t, segRes); !bytes.Equal(got, want) {
-		t.Fatalf("filtered FromSegments differs from FromSamplesOpt:\n%s", firstDiff(got, want))
+		t.Fatalf("filtered FromSegments differs from the sequential JSONL replay:\n%s", firstDiff(got, want))
 	}
 
 	strRes, err := FromStream(context.Background(), bytes.NewReader(data), Options{Workers: 3, Filter: f})
@@ -180,7 +179,7 @@ func TestInferredDaysUnderFromFilter(t *testing.T) {
 		t.Fatalf("FromStream inferred Days=%d, want 1", strRes.Cfg.Days)
 	}
 	if got := renderNormalized(t, strRes); !bytes.Equal(got, want) {
-		t.Fatalf("filtered FromStream differs from FromSamplesOpt:\n%s", firstDiff(got, want))
+		t.Fatalf("filtered FromStream differs from the sequential JSONL replay:\n%s", firstDiff(got, want))
 	}
 
 	// An unfiltered replay still reports the full two days.

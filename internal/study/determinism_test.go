@@ -58,8 +58,8 @@ func TestShardedRunReportByteIdentical(t *testing.T) {
 }
 
 // The dataset-replay path has the same guarantee: FromStream at any
-// worker count must render byte-identically to FromSamplesOpt over the
-// same bytes.
+// worker count must render byte-identically to FromStream at one worker
+// over the same bytes.
 func TestFromStreamReportByteIdentical(t *testing.T) {
 	// Write a dataset the way cmd/edgesim does: through the collector's
 	// hosting filter, in generation order.
@@ -71,14 +71,22 @@ func TestFromStreamReportByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	seqRes, err := FromSamplesOpt(sample.NewReader(bytes.NewReader(data.Bytes())), Options{Workers: 1})
+	seqRes, err := FromStream(context.Background(), bytes.NewReader(data.Bytes()), Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	seq := renderNormalized(t, seqRes)
 
-	for _, workers := range []int{2, 4} {
-		res, err := FromStream(context.Background(), bytes.NewReader(data.Bytes()), Options{Workers: workers})
+	// Blank lines and CRLF endings are not records; no worker count may
+	// count, reject or misnumber them.
+	spaced := bytes.ReplaceAll(data.Bytes(), []byte("\n"), []byte("\r\n\n"))
+
+	for _, tc := range []struct {
+		workers int
+		data    []byte
+	}{{2, data.Bytes()}, {4, data.Bytes()}, {1, spaced}, {4, spaced}} {
+		workers := tc.workers
+		res, err := FromStream(context.Background(), bytes.NewReader(tc.data), Options{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -87,7 +95,7 @@ func TestFromStreamReportByteIdentical(t *testing.T) {
 		}
 		got := renderNormalized(t, res)
 		if !bytes.Equal(got, seq) {
-			t.Fatalf("workers=%d FromStream report differs from FromSamplesOpt:\n%s", workers, firstDiff(got, seq))
+			t.Fatalf("workers=%d FromStream report differs from the sequential JSONL replay:\n%s", workers, firstDiff(got, seq))
 		}
 	}
 }

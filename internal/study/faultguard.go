@@ -3,55 +3,41 @@ package study
 import (
 	"context"
 
-	"repro/internal/agg"
-	"repro/internal/collector"
 	"repro/internal/faults"
 	"repro/internal/sample"
-	"repro/internal/trace"
 )
 
-// shardGuard is one ingestion shard's caller of the sink fault surface
+// guarded runs one sample through the sink fault surface on its shard
 // (faults.Guard.Sink owns the ladder and the ledger). What the study
 // adds is the meaning of "quarantine" here: the sample's user group is
 // withdrawn from the shard store and its later samples are refused.
 // Fault decisions key on SessionID and group key, so the merged outcome
 // is identical at any worker count even though shard membership is not.
-// Single-goroutine: the shard's worker owns it, qidx and buf included.
-type shardGuard struct {
-	guard *faults.Guard
-	col   *collector.Collector
-	store *agg.Store
-	qidx  map[sample.GroupKey]int // quarantined user group → its ledger entry
-	buf   *trace.Buf
-}
-
-// offer runs one sample through the guarded sink path.
-func (sg *shardGuard) offer(ctx context.Context, s sample.Sample) error {
+func (sh *ingestShard) guarded(ctx context.Context, s sample.Sample) error {
+	offer := func() error {
+		sh.col.Offer(s)
+		return sh.col.Err()
+	}
 	if s.HostingProvider {
-		// The filter would reject it before any sink ran; no fault
+		// The filter will reject it before any sink runs; no fault
 		// surface applies, and the collector keeps its count exact.
-		sg.col.Offer(s)
-		return sg.col.Err()
+		return offer()
 	}
 	key := s.Key()
-	if entry, ok := sg.qidx[key]; ok {
-		sg.guard.Refuse(sg.buf, entry, s.SessionID, 1)
+	if entry, ok := sh.qidx[key]; ok {
+		sh.guard.Refuse(sh.buf, entry, s.SessionID, 1)
 		return nil
 	}
-	entry, err := sg.guard.Sink(ctx, sg.buf, faults.UserGroup, s,
-		func() error {
-			sg.col.Offer(s)
-			return sg.col.Err()
-		},
+	entry, err := sh.guard.Sink(ctx, sh.buf, faults.UserGroup, s, offer,
 		func(string) int {
 			lost := 1 // the triggering sample never reached the store
-			if removed := sg.store.Remove(key); removed != nil {
+			if removed := sh.store.Remove(key); removed != nil {
 				lost += removed.TotalSessions()
 			}
 			return lost
 		})
 	if entry >= 0 {
-		sg.qidx[key] = entry
+		sh.qidx[key] = entry
 	}
 	return err
 }

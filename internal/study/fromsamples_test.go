@@ -2,6 +2,8 @@ package study
 
 import (
 	"bytes"
+	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/collector"
@@ -18,7 +20,7 @@ func TestFromSamplesMatchesInProcess(t *testing.T) {
 	// In-process run.
 	direct := Run(cfg)
 
-	// Disk round trip: generate → JSONL → FromSamplesOpt. The writer sees
+	// Disk round trip: generate → JSONL → FromStream. The writer sees
 	// the raw stream (pre-filter), as cmd/edgesim writes post-filter
 	// samples; replicate edgesim exactly: filter first, then write.
 	var buf bytes.Buffer
@@ -29,7 +31,7 @@ func TestFromSamplesMatchesInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	loaded, err := FromSamplesOpt(sample.NewReader(&buf), Options{Workers: 1})
+	loaded, err := FromStream(context.Background(), &buf, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +59,7 @@ func TestFromSamplesMatchesInProcess(t *testing.T) {
 }
 
 func TestFromSamplesEmpty(t *testing.T) {
-	res, err := FromSamplesOpt(sample.NewReader(bytes.NewReader(nil)), Options{Workers: 1})
+	res, err := FromStream(context.Background(), bytes.NewReader(nil), Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,8 +68,42 @@ func TestFromSamplesEmpty(t *testing.T) {
 	}
 }
 
+// A dataset is one record per line. What is not must be rejected — and
+// named by line number — the same way at every worker count: the
+// sequential replay used to parse with a json.Decoder, which accepted
+// two records on a line and reported no line for a malformed one.
 func TestFromSamplesBadInput(t *testing.T) {
-	if _, err := FromSamplesOpt(sample.NewReader(bytes.NewBufferString("{bad\n")), Options{Workers: 1}); err == nil {
-		t.Error("malformed dataset should error")
+	var good bytes.Buffer
+	col := collector.New(collector.WriterSink(sample.NewWriter(&good)))
+	world.New(world.Config{Seed: 13, Groups: 2, Days: 1, SessionsPerGroupWindow: 2}).Generate(col.Offer)
+	lines := strings.SplitAfter(strings.TrimSuffix(good.String(), "\n"), "\n")
+	if len(lines) < 4 {
+		t.Fatalf("fixture has only %d lines", len(lines))
+	}
+	record := strings.TrimSuffix(lines[0], "\n")
+
+	cases := []struct {
+		name, data, want string
+	}{
+		{"malformed first line", "{bad\n", "decoding dataset line 1: "},
+		{"malformed third line", lines[0] + lines[1] + "{bad\n" + lines[3], "decoding dataset line 3: "},
+		{"two records on one line", record + " " + record + "\n", "decoding dataset line 1: invalid character '{' after top-level value"},
+	}
+	for _, tc := range cases {
+		var seqErr string
+		for _, workers := range []int{1, 4} {
+			res, err := FromStream(context.Background(), strings.NewReader(tc.data), Options{Workers: workers})
+			if err == nil || res != nil {
+				t.Fatalf("%s, workers=%d: got (%v, %v), want an error and no results", tc.name, workers, res, err)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s, workers=%d: error %q does not contain %q", tc.name, workers, err, tc.want)
+			}
+			if workers == 1 {
+				seqErr = err.Error()
+			} else if err.Error() != seqErr {
+				t.Errorf("%s: workers=%d error %q != workers=1 error %q", tc.name, workers, err, seqErr)
+			}
+		}
 	}
 }

@@ -26,9 +26,9 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-// Regression for the feedColumns error paths: a fail-fast fault plan
+// Regression for the ingest.columns error paths: a fail-fast fault plan
 // poisons the sharded columnar pipeline mid-run, which used to strand
-// (1) the view feedColumns had cut just before its shard Send failed —
+// (1) the view ingest.columns had cut just before its shard Send failed —
 // Slice retains the parent, so the root batch leaked with it — and
 // (2) every view buffered in the shard streams and every batch parked
 // in the scanner's reorder window. All of them must be released.

@@ -36,9 +36,9 @@ func writeBothFormats(t *testing.T, cfg world.Config) ([]byte, string) {
 }
 
 // The segment path's core guarantee: FromSegments renders a report
-// byte-identical to FromSamplesOpt over the same dataset, at every worker
-// count — and with a filter pushed down, byte-identical to the filtered
-// JSONL paths.
+// byte-identical to the sequential JSONL replay of the same dataset, at
+// every worker count — and with a filter pushed down, byte-identical to
+// the filtered JSONL paths.
 func TestFromSegmentsReportByteIdentical(t *testing.T) {
 	cfg := detCfg()
 	cfg.Days = 2 // so the time filter crosses a segment-span boundary
@@ -50,7 +50,7 @@ func TestFromSegmentsReportByteIdentical(t *testing.T) {
 		{Countries: []string{"US", "BR"}},
 	}
 	for _, f := range filters {
-		seqRes, err := FromSamplesOpt(sample.NewReader(bytes.NewReader(data)), Options{Workers: 1, Filter: f})
+		seqRes, err := FromStream(context.Background(), bytes.NewReader(data), Options{Workers: 1, Filter: f})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +68,7 @@ func TestFromSegmentsReportByteIdentical(t *testing.T) {
 				t.Errorf("filter=%v workers=%d: collector stats %+v != sequential %+v", f, workers, res.Collector, seqRes.Collector)
 			}
 			if got := renderNormalized(t, res); !bytes.Equal(got, seq) {
-				t.Fatalf("filter=%v workers=%d: FromSegments report differs from FromSamplesOpt:\n%s", f, workers, firstDiff(got, seq))
+				t.Fatalf("filter=%v workers=%d: FromSegments report differs from the sequential JSONL replay:\n%s", f, workers, firstDiff(got, seq))
 			}
 		}
 
@@ -78,7 +78,7 @@ func TestFromSegmentsReportByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := renderNormalized(t, res); !bytes.Equal(got, seq) {
-			t.Fatalf("filter=%v: filtered FromStream report differs from FromSamplesOpt:\n%s", f, firstDiff(got, seq))
+			t.Fatalf("filter=%v: filtered FromStream report differs from the sequential JSONL replay:\n%s", f, firstDiff(got, seq))
 		}
 	}
 }
@@ -86,7 +86,7 @@ func TestFromSegmentsReportByteIdentical(t *testing.T) {
 // Regression (run under -race, as `make race` does): a segment that
 // holds user groups of different shards is cut into several views, and
 // cutting view N+1 reads the parent's RespEnds[lo-1] — the last row of
-// view N, which a shard worker may already be compacting. feedColumns
+// view N, which a shard worker may already be compacting. ingest.columns
 // therefore cuts every view before it sends any. Converted and natively
 // written datasets hold one user group per segment, so the dataset here
 // is packed by row count instead.

@@ -4,11 +4,20 @@
 // producing the data behind Figures 1–3 and 6–10 and Tables 1–2.
 // cmd/edgereport, the examples, and the benchmark harness all drive
 // this package.
+//
+// The study is one loop whatever feeds it. run owns it: the fault
+// injector and guard, the choice between the sequential oracle and the
+// sharded pipeline, merge, coverage, trace finish, the Results and the
+// analyses. A source (source.go: the world generator, a JSONL stream, a
+// segment directory) only delivers its samples in order, as rows or as
+// column batches, to a sink (pipeline.go: the inline collector of the
+// sequential oracle, or the sharded ingest). The exported entry points
+// — Run, RunCtx, FromStream, FromSegments, RunDeaggregation — each pick
+// a source and call run.
 package study
 
 import (
 	"context"
-	"errors"
 	"io"
 	"time"
 
@@ -17,7 +26,9 @@ import (
 	"repro/internal/collector"
 	"repro/internal/faults"
 	"repro/internal/obs"
-	"repro/internal/sample"
+	"repro/internal/pipeline"
+	"repro/internal/segstore"
+	"repro/internal/trace"
 	"repro/internal/world"
 )
 
@@ -82,55 +93,6 @@ type Results struct {
 	Elapsed time.Duration
 }
 
-// FromSamplesOpt runs every analysis over an existing dataset stream
-// (for example one written by cmd/edgesim) instead of generating one —
-// the sequential dataset-replay oracle. The dataset's shape — window
-// count, and therefore the day count the temporal classifier needs — is
-// inferred from the samples. opt.Filter drops rows before they reach
-// the collector — the same row predicate the segment scanner pushes
-// down, which is what keeps a filtered JSONL report byte-identical to
-// the filtered segment report over the same dataset.
-func FromSamplesOpt(r *sample.Reader, opt Options) (*Results, error) {
-	start := startTimer()
-	reg := opt.Reg
-	store := agg.NewStore()
-	store.Instrument(reg)
-	overview := analysis.NewOverview()
-	overview.Instrument(reg)
-	col := collector.New(
-		collector.StoreSink(store),
-		collector.FuncSink(overview.Add),
-	)
-	col.Instrument(reg)
-	read := reg.Span(obs.L("study_stage_seconds", "stage", "read"), "study")
-	cSamples := reg.Counter("study_samples_read_total")
-	sp := read.Start()
-	for {
-		s, err := r.Read()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		cSamples.Inc()
-		if !opt.Filter.Match(&s) {
-			continue
-		}
-		col.Offer(s)
-	}
-	sp.End()
-	res := &Results{
-		Cfg:       inferredCfg(store),
-		Collector: col.Stats(),
-		Overview:  overview,
-		Store:     store,
-	}
-	res.analyse(reg)
-	res.Elapsed = elapsedSince(start)
-	return res, nil
-}
-
 // inferredCfg reconstructs a world.Config from an aggregated store —
 // the shape a replay run (JSONL or segments) reports when the dataset
 // arrives without one. Days counts from the first covered window, not
@@ -151,30 +113,43 @@ func inferredCfg(store *agg.Store) world.Config {
 	return cfg
 }
 
-// RunDeaggregation generates one dataset and aggregates it at both the
-// paper's granularity (BGP prefix) and subnet granularity, returning
-// the §3.3 tradeoff measurement alongside the standard results.
-func RunDeaggregation(cfg world.Config) (*Results, analysis.DeaggregationResult) {
-	start := startTimer()
-	w := world.New(cfg)
-	store := agg.NewStore()
-	fine := agg.NewStore()
-	overview := analysis.NewOverview()
-	fineSink := analysis.DeaggregateSink(fine)
-	col := collector.New(
-		collector.StoreSink(store),
-		collector.FuncSink(func(s sample.Sample) { overview.Add(s); fineSink(s) }),
-	)
-	w.Generate(col.Offer)
-	res := &Results{
-		Cfg:       w.Cfg,
-		Collector: col.Stats(),
-		Overview:  overview,
-		Store:     store,
-	}
-	res.analyse(nil)
-	res.Elapsed = elapsedSince(start)
-	return res, analysis.CompareDeaggregation(store, fine)
+// Options configures a study run.
+type Options struct {
+	// Workers is the pipeline parallelism: generation (or dataset
+	// decoding) workers and aggregation shards. 0 means
+	// pipeline.DefaultWorkers (GOMAXPROCS); 1 runs the whole pipeline on
+	// the calling goroutine — the determinism oracle the sharded path is
+	// tested against.
+	Workers int
+	// Reg receives pipeline metrics (may be nil).
+	Reg *obs.Registry
+	// Plan, when non-nil, injects deterministic faults across the
+	// pipeline (sink failures, batch corruption, PoP outages, shard
+	// stalls) and makes Results carry a degradation ledger. The report
+	// stays byte-identical at any worker count for a fixed (seed, plan).
+	Plan *faults.Plan
+	// FailFast makes the first non-recoverable fault poison the run
+	// instead of quarantining the affected group and continuing.
+	FailFast bool
+	// Filter, when non-nil, restricts dataset replay (FromStream,
+	// FromSegments) to matching rows. The segment path additionally
+	// prunes whole segments against the manifest; the row predicate is
+	// identical on both, so filtered reports agree byte for byte across
+	// formats. Ignored by generation runs.
+	Filter *segstore.Filter
+	// Trace, when non-nil, records the run's deterministic flight
+	// trace: generation spans, batch fates, sink faults and retries,
+	// quarantines, seals, and the coverage ledger summary. Tracing
+	// forces the sharded pipeline even at Workers=1 (like a fault plan
+	// does) so the trace is the same file the multi-worker run writes;
+	// the caller flushes it with Trace.WriteFile after the run.
+	Trace *trace.Recorder
+	// RowOracle forces the segment path (FromSegments) to materialize
+	// sample.Sample rows and aggregate row-at-a-time instead of feeding
+	// column batches — the oracle the columnar hot path is verified
+	// against: reports must be byte-identical either way. Slower;
+	// exists for verification, not production use.
+	RowOracle bool
 }
 
 // Run generates the dataset for cfg and runs every analysis on the
@@ -188,9 +163,113 @@ func Run(cfg world.Config) *Results {
 	return res
 }
 
+// RunCtx generates the dataset for cfg and runs every analysis on it
+// (§3.3's structure: per-group sample streams hash-partitioned into
+// shard-local aggregations, merged into one store). The rendered report
+// is byte-identical at every worker count: per-group sample order is
+// preserved end to end, shard stores partition the group-key space so
+// their merge is exact, and the global Overview folds over the stream
+// in sequential order.
+func RunCtx(ctx context.Context, cfg world.Config, opt Options) (*Results, error) {
+	return run(ctx, &worldSource{w: world.New(cfg)}, opt)
+}
+
+// RunDeaggregation generates one dataset and aggregates it at both the
+// paper's granularity (BGP prefix) and subnet granularity, returning
+// the §3.3 tradeoff measurement alongside the standard results. Like Run
+// it is the sequential oracle with nothing attached.
+func RunDeaggregation(cfg world.Config) (*Results, analysis.DeaggregationResult) {
+	fine := agg.NewStore()
+	res, err := run(context.Background(), &worldSource{w: world.New(cfg), tap: analysis.DeaggregateSink(fine)}, Options{Workers: 1})
+	if err != nil {
+		panic("study.RunDeaggregation: " + err.Error()) // as in Run: nothing can fail
+	}
+	return res, analysis.CompareDeaggregation(res.Store, fine)
+}
+
+// FromStream runs every analysis over a JSON-lines dataset (as written
+// by cmd/edgesim, one record per line). The dataset's shape — window
+// count, and therefore the day count the temporal classifier needs — is
+// inferred from the samples. opt.Filter drops rows before they reach
+// the collector — the same row predicate the segment scanner pushes
+// down, which is what keeps a filtered JSONL report byte-identical to
+// the filtered segment report over the same dataset.
+func FromStream(ctx context.Context, r io.Reader, opt Options) (*Results, error) {
+	return run(ctx, &jsonlSource{r: r}, opt)
+}
+
+// FromSegments runs every analysis over a segment dataset directory (as
+// written by `edgesim -format seg` or segcat). The manifest is pruned
+// against opt.Filter before any segment byte is read; surviving
+// segments decode on opt.Workers goroutines and are delivered in
+// manifest order — so the rendered report is byte-identical to the
+// JSONL path over the same samples, at every worker count.
+//
+// By default the path is row-free end to end: decoded column batches
+// flow from the scanner through the collector into the store's batch
+// fold without ever materializing sample.Sample structs. opt.RowOracle
+// re-enables the row currency (and chaos runs materialize rows inside
+// the shard workers, where per-sample fault decisions are made); either
+// way the report bytes are identical — that equivalence is this path's
+// standing correctness check.
+func FromSegments(ctx context.Context, dir string, opt Options) (*Results, error) {
+	return run(ctx, &segmentSource{dir: dir}, opt)
+}
+
+// run is the study loop, once: src delivers its samples to a sink, the
+// sink's store is analysed. At one worker with neither a fault plan nor
+// a trace everything happens on the calling goroutine — the sequential
+// oracle. Chaos and traced runs always take the sharded path (even at
+// one worker): the guard and quarantine machinery live there, and the
+// determinism oracle for such a run is the same flags at another worker
+// count — including the trace bytes.
+func run(ctx context.Context, src source, opt Options) (*Results, error) {
+	start := startTimer()
+	if opt.Workers == 0 {
+		opt.Workers = pipeline.DefaultWorkers()
+	}
+	opt.Workers = max(1, opt.Workers)
+	inj := faults.NewInjector(opt.Plan, src.seed())
+	inj.Instrument(opt.Reg)
+	e := &env{Options: opt, inj: inj, guard: faults.NewGuard(inj, opt.FailFast)}
+
+	var sk sink
+	var err error
+	if opt.Workers <= 1 && e.guard == nil && opt.Trace == nil {
+		sk = newInline(opt.Reg)
+		err = src.deliver(ctx, e, sk)
+	} else {
+		ing := newIngest(opt.Workers, opt.Reg, inj, e.guard, opt.Trace)
+		sk, e.buf = ing, ing.buf
+		g := pipeline.NewGroup(ctx)
+		g.Trace(opt.Trace)
+		ing.start(g)
+		g.Go(func(ctx context.Context) error {
+			defer ing.close()
+			return src.deliver(ctx, e, ing)
+		})
+		err = g.Wait()
+	}
+	if err != nil {
+		return nil, err
+	}
+	cov := e.guard.Coverage()
+	store, stats, overview := sk.finish(cov)
+	res := &Results{Cfg: src.config(store), Collector: stats, Overview: overview, Store: store, Coverage: cov}
+	res.analyse(ctx, opt.Reg, opt.Workers)
+	res.Elapsed = elapsedSince(start)
+	return res, nil
+}
+
 // analyse runs the §5/§6 analyses over the aggregated store, timing
-// each one on reg (which may be nil).
-func (r *Results) analyse(reg *obs.Registry) {
+// each one on reg (which may be nil): in order at one worker, each wave
+// fanned out otherwise. A shared store is sealed first: digest reads
+// fold lazily buffered points, so sealing is what makes it safe for
+// concurrent readers.
+func (r *Results) analyse(ctx context.Context, reg *obs.Registry, workers int) {
+	if workers > 1 {
+		r.Store.Seal(workers)
+	}
 	params := analysis.DefaultClassifyParams(r.Cfg.Days)
 	// Use the dataset's true window span (matters for datasets loaded
 	// from disk, whose length is inferred rather than configured).
@@ -198,26 +277,45 @@ func (r *Results) analyse(reg *obs.Registry) {
 	if windows == 0 {
 		windows = r.Cfg.Windows()
 	}
-
-	timed := func(name string, f func()) {
-		reg.Span(obs.L("analysis_seconds", "analysis", name), "analyse").Time(f)
+	type step struct {
+		name string
+		f    func()
 	}
-	timed("degradation_minrtt", func() { r.DegMinRTT = analysis.Degradation(r.Store, analysis.MetricMinRTT) })
-	timed("degradation_hdratio", func() { r.DegHD = analysis.Degradation(r.Store, analysis.MetricHDratio) })
-	timed("opportunity_minrtt", func() { r.OppMinRTT = analysis.Opportunity(r.Store, analysis.MetricMinRTT) })
-	timed("opportunity_hdratio", func() { r.OppHD = analysis.Opportunity(r.Store, analysis.MetricHDratio) })
-
-	timed("classify", func() {
-		r.Table1DegMinRTT = r.DegMinRTT.Classify(windows, params, Table1DegMinRTTMs)
-		r.Table1DegHD = r.DegHD.Classify(windows, params, Table1DegHD)
-		// Table 1 writes the MinRTT opportunity thresholds as −5/−10 ms (the
-		// alternate is lower); our diffs are oriented positive-is-better, so
-		// the thresholds are passed as positive magnitudes.
-		r.Table1OppMinRTT = r.OppMinRTT.Classify(windows, params, Table1OppMinRTTMs)
-		r.Table1OppHD = r.OppHD.Classify(windows, params, Table1OppHD)
-	})
-	timed("relationships", func() {
-		r.Table2MinRTT = r.OppMinRTT.Relationships(5)
-		r.Table2HD = r.OppHD.Relationships(0.05)
-	})
+	// Classification needs all four results of the first wave; Table 2
+	// only the opportunity pair.
+	waves := [][]step{{
+		{"degradation_minrtt", func() { r.DegMinRTT = analysis.Degradation(r.Store, analysis.MetricMinRTT) }},
+		{"degradation_hdratio", func() { r.DegHD = analysis.Degradation(r.Store, analysis.MetricHDratio) }},
+		{"opportunity_minrtt", func() { r.OppMinRTT = analysis.Opportunity(r.Store, analysis.MetricMinRTT) }},
+		{"opportunity_hdratio", func() { r.OppHD = analysis.Opportunity(r.Store, analysis.MetricHDratio) }},
+	}, {
+		{"classify", func() {
+			r.Table1DegMinRTT = r.DegMinRTT.Classify(windows, params, Table1DegMinRTTMs)
+			r.Table1DegHD = r.DegHD.Classify(windows, params, Table1DegHD)
+			// Table 1 writes the MinRTT opportunity thresholds as −5/−10 ms (the
+			// alternate is lower); our diffs are oriented positive-is-better, so
+			// the thresholds are passed as positive magnitudes.
+			r.Table1OppMinRTT = r.OppMinRTT.Classify(windows, params, Table1OppMinRTTMs)
+			r.Table1OppHD = r.OppHD.Classify(windows, params, Table1OppHD)
+		}},
+		{"relationships", func() {
+			r.Table2MinRTT = r.OppMinRTT.Relationships(5)
+			r.Table2HD = r.OppHD.Relationships(0.05)
+		}},
+	}}
+	for _, wave := range waves {
+		g := pipeline.NewGroup(ctx)
+		for _, st := range wave {
+			timed := func(context.Context) error {
+				reg.Span(obs.L("analysis_seconds", "analysis", st.name), "analyse").Time(st.f)
+				return nil // the analyses cannot fail
+			}
+			if workers > 1 {
+				g.Go(timed)
+			} else {
+				_ = timed(ctx)
+			}
+		}
+		_ = g.Wait()
+	}
 }

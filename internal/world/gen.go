@@ -66,12 +66,9 @@ func (w *World) Generate(emit func(sample.Sample)) {
 // at the next group boundary and returns the cause.
 func (w *World) GenerateCtx(ctx context.Context, workers int, emit func(sample.Sample)) error {
 	return w.GenerateBatches(ctx, workers, func(b Batch) error {
-		sp := w.obs.emit.Start()
 		for _, s := range b.Samples {
 			emit(s)
 		}
-		w.obs.sessions.Add(int64(len(b.Samples)))
-		sp.End()
 		return nil
 	})
 }
@@ -83,8 +80,17 @@ func (w *World) GenerateCtx(ctx context.Context, workers int, emit func(sample.S
 // batch contents are identical at any worker count — ordered delivery
 // then makes the whole stream identical. When W.Rec is set, each
 // worker goroutine owns one trace buffer; the events a group emits are
-// identical whichever worker simulates it.
+// identical whichever worker simulates it. Delivery is the "emit" stage
+// of the world's metrics and where its sessions are counted, so both
+// read the same at every worker count.
 func (w *World) GenerateBatches(ctx context.Context, workers int, deliver func(Batch) error) error {
+	handle := deliver
+	deliver = func(b Batch) error {
+		sp := w.obs.emit.Start()
+		defer sp.End()
+		w.obs.sessions.Add(int64(len(b.Samples)))
+		return handle(b)
+	}
 	if workers > len(w.Groups) {
 		workers = len(w.Groups)
 	}
