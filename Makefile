@@ -50,12 +50,12 @@ chaos:
 		-fault-plan "$(CHAOS_PLAN)" \
 		> /dev/null
 
-# The seg-format study under the race detector: write a columnar
+# The dataset round trip under the race detector: write a columnar
 # dataset with the parallel segment writer, then analyse it through the
 # parallel scanner with a time filter pushed down to the manifest.
 seg-race:
 	rm -rf .seg-race-ds
-	$(GO) run -race ./cmd/edgesim -seed 3 -groups 8 -days 2 -spw 12 -workers 4 -format seg -o .seg-race-ds
+	$(GO) run -race ./cmd/edgesim -seed 3 -groups 8 -days 2 -spw 12 -workers 4 -o .seg-race-ds
 	$(GO) run -race ./cmd/edgereport -in .seg-race-ds -workers 4 -from 24h > /dev/null
 	rm -rf .seg-race-ds
 
@@ -77,22 +77,23 @@ trace-race:
 	rm -rf .trace-race
 
 # The columnar-aggregation identity, live under the race detector: the
-# same seg dataset analysed through the batch hot path (ScanColumns ->
+# same dataset analysed through the batch hot path (ScanColumns ->
 # AddBatch, 4 shard workers), through the row oracle (-row-oracle,
-# sequential) and — extracted to JSONL by segcat — through the
-# sequential JSONL replay must render byte-identical reports: every
-# replay source and both sinks of the one study loop, crossed. Only the
+# sequential) and — exported to JSONL and imported back by segcat, both
+# directions of the one JSONL door — through the sequential replay of
+# the re-imported copy must render byte-identical reports. Only the
 # wall-clock line differs between runs, so it is stripped before cmp.
 colagg-race:
 	rm -rf .colagg-race
 	mkdir -p .colagg-race
-	$(GO) run -race ./cmd/edgesim -seed 3 -groups 8 -days 2 -spw 12 -workers 4 -format seg -o .colagg-race/ds
+	$(GO) run -race ./cmd/edgesim -seed 3 -groups 8 -days 2 -spw 12 -workers 4 -o .colagg-race/ds
 	$(GO) run -race ./cmd/edgereport -in .colagg-race/ds -workers 4 | grep -v '^Generated and analysed' > .colagg-race/batch.txt
 	$(GO) run -race ./cmd/edgereport -in .colagg-race/ds -row-oracle -workers 1 | grep -v '^Generated and analysed' > .colagg-race/rows.txt
 	cmp .colagg-race/batch.txt .colagg-race/rows.txt
 	$(GO) run -race ./cmd/segcat -in .colagg-race/ds -o .colagg-race/ds.jsonl
-	$(GO) run -race ./cmd/edgereport -in .colagg-race/ds.jsonl -workers 1 | grep -v '^Generated and analysed' > .colagg-race/jsonl.txt
-	cmp .colagg-race/batch.txt .colagg-race/jsonl.txt
+	$(GO) run -race ./cmd/segcat -in .colagg-race/ds.jsonl -o .colagg-race/ds2
+	$(GO) run -race ./cmd/edgereport -in .colagg-race/ds2 -workers 1 | grep -v '^Generated and analysed' > .colagg-race/reimported.txt
+	cmp .colagg-race/batch.txt .colagg-race/reimported.txt
 	rm -rf .colagg-race
 
 # The multi-PoP shipping invariant, live under the race detector: two
@@ -106,7 +107,7 @@ colagg-race:
 pop-race:
 	rm -rf .pop-race
 	mkdir -p .pop-race
-	$(GO) run -race ./cmd/edgesim -seed 3 -groups 9 -days 2 -spw 12 -workers 4 -format seg -o .pop-race/golden
+	$(GO) run -race ./cmd/edgesim -seed 3 -groups 9 -days 2 -spw 12 -workers 4 -o .pop-race/golden
 	$(GO) build -race -o .pop-race/edgepopd ./cmd/edgepopd
 	$(GO) build -race -o .pop-race/edgemerged ./cmd/edgemerged
 	./.pop-race/edgemerged -o .pop-race/spool -listen .pop-race/merge.sock -expect-pops 2 & \
@@ -136,8 +137,8 @@ studyd-race:
 	rm -rf .studyd-race
 	mkdir -p .studyd-race
 	$(GO) build -race -o .studyd-race/edgestudyd ./cmd/edgestudyd
-	$(GO) run -race ./cmd/edgesim $(STUDYD_FLAGS) -workers 4 -format seg -o .studyd-race/golden
-	$(GO) run -race ./cmd/edgesim $(STUDYD_FLAGS) -workers 4 -format seg -o .studyd-race/golden-chaos -fault-plan "$(STUDYD_PLAN)"
+	$(GO) run -race ./cmd/edgesim $(STUDYD_FLAGS) -workers 4 -o .studyd-race/golden
+	$(GO) run -race ./cmd/edgesim $(STUDYD_FLAGS) -workers 4 -o .studyd-race/golden-chaos -fault-plan "$(STUDYD_PLAN)"
 	$(GO) run -race ./cmd/edgereport -in .studyd-race/golden -workers 4 | grep -v '^Generated and analysed' > .studyd-race/golden.txt
 	$(GO) run -race ./cmd/edgereport -in .studyd-race/golden-chaos -workers 4 | grep -v '^Generated and analysed' > .studyd-race/golden-chaos.txt
 	for w in 1 2 4; do \

@@ -11,7 +11,7 @@
 //	           [-trace file]
 //
 // The spool directory ends byte-identical to the dataset a single
-// `edgesim -format seg` run with the fleet's flags would have written:
+// `edgesim` run with the fleet's flags would have written:
 // manifests render sorted by segment ID and blobs are pure functions
 // of their sample slices, so arrival order, PoP count, duplicate
 // deliveries, and merger restarts (the spool manifest is resumed, its

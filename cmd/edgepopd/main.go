@@ -14,7 +14,7 @@
 //
 // The fleet invariant: N edgepopd processes with -pops N and -pop
 // 0..N-1 (same seed/groups/days/spw/fault-plan) ship exactly the
-// segments a single `edgesim -format seg` run would write, and the
+// segments a single `edgesim` run would write, and the
 // merger's spool directory ends byte-identical to it — under any
 // -ship-fault-plan, at any worker count, including kill-and-restart of
 // a PoP at any instant: generation resumes from the manifest,

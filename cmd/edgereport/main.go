@@ -11,15 +11,13 @@
 //	           [-from D] [-to D] [-country CC,CC] [-pop POP,POP]
 //	           [-workers N] [-progress] [-metrics-addr host:port]
 //
-// -in accepts either a JSON-lines file from `edgesim` (one record per
-// line) or a columnar segment-store directory from `edgesim -format seg`
-// / `segcat`; the format is auto-detected. -from/-to/-country/-pop
-// restrict the analysis to a slice of the dataset — on a segment store
-// the filter is pushed down to the manifest, so whole segments outside
-// the range are never read (the segstore_bytes_pruned gauge on
-// -metrics-addr shows how much I/O the filter saved); on JSONL every
-// line is still decoded and the same row predicate applied, so both
-// formats render the same report byte for byte.
+// -in takes a dataset: the columnar segment-store directory edgesim,
+// an edgemerged/edgestudyd spool or a `segcat -in x.jsonl -o dir`
+// import leaves behind. -from/-to/-country/-pop restrict the analysis
+// to a slice of it — the filter is pushed down to the manifest, so
+// whole segments outside the range are never read (the
+// segstore_bytes_pruned gauge on -metrics-addr shows how much I/O the
+// filter saved).
 //
 // The defaults (120 groups × 5 days) run in a minute or two on a laptop.
 // -workers (default GOMAXPROCS) runs the sharded concurrent pipeline —
@@ -45,7 +43,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -87,7 +84,7 @@ func main() {
 		groups      = flag.Int("groups", 120, "number of user groups")
 		days        = flag.Int("days", 5, "dataset length in days (paper: 10)")
 		spw         = flag.Float64("spw", 110, "mean sampled sessions per group per 15-minute window")
-		in          = flag.String("in", "", "analyse an existing dataset (a JSONL file or a seg directory from edgesim; auto-detected) instead of generating one")
+		in          = flag.String("in", "", "analyse an existing dataset (a segment-store directory from edgesim) instead of generating one")
 		from        = flag.Duration("from", 0, "with -in: only analyse sessions starting at or after this dataset offset (e.g. 24h)")
 		to          = flag.Duration("to", 0, "with -in: only analyse sessions starting before this dataset offset (0 = end)")
 		country     = flag.String("country", "", "with -in: only analyse these countries (comma-separated ISO codes)")
@@ -100,7 +97,7 @@ func main() {
 		faultPlan   = flag.String("fault-plan", "", "deterministic fault-injection plan (key=value;... — see internal/faults; '' or 'none' disables)")
 		failFast    = flag.Bool("fail-fast", false, "abort on the first unrecoverable injected fault instead of degrading")
 		tracePath   = flag.String("trace", "", "record a deterministic flight trace of the study to this file (timing sidecar lands next to it); inspect with edgetrace")
-		rowOracle   = flag.Bool("row-oracle", false, "with a seg -in: aggregate row-at-a-time instead of the columnar batch path (verification oracle; the report must be byte-identical)")
+		rowOracle   = flag.Bool("row-oracle", false, "with -in: aggregate row-at-a-time instead of the columnar batch path (verification oracle; the report must be byte-identical)")
 	)
 	flag.Parse()
 
@@ -171,21 +168,8 @@ func main() {
 		res, deag = r, &d
 	case *in == "":
 		res, err = study.RunCtx(ctx, cfg, opt)
-	case segstore.IsDataset(*in):
-		res, err = study.FromSegments(ctx, *in, opt)
 	default:
-		f, ferr := os.Open(*in)
-		if ferr != nil {
-			log.Fatalf("edgereport: %v", ferr)
-		}
-		defer f.Close()
-		// ReadCounter puts bytes/s on the progress line next to the
-		// decode stage's samples/s; the goal gauge lets the progress line
-		// project an ETA from the read rate.
-		if fi, serr := f.Stat(); serr == nil {
-			reg.Gauge("study_read_goal_bytes").Set(float64(fi.Size()))
-		}
-		res, err = study.FromStream(ctx, study.ReadCounter(bufio.NewReaderSize(f, 1<<20), reg), opt)
+		res, err = study.FromSegments(ctx, *in, opt)
 	}
 	if err != nil {
 		exitIfInterrupted(err)

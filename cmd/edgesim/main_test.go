@@ -1,51 +1,42 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
 	"context"
+	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
-	"repro/internal/collector"
-	"repro/internal/faults"
-	"repro/internal/obs"
+	"repro/internal/seggen"
+	"repro/internal/segstore"
 	"repro/internal/world"
 )
 
-func chaosDataset(t *testing.T, workers int, spec string) ([]byte, collector.Stats, int, *faults.Coverage) {
+// chaosCfg keeps every group inside one segment chunk, so a group's
+// fate is one segment's fate.
+func chaosCfg() world.Config {
+	return world.Config{Seed: 5, Groups: 24, Days: 1, SessionsPerGroupWindow: 6}
+}
+
+const chaosSpec = "seed=13;sink-transient=0.15;sink-permanent=0.04;truncate=0.2;corrupt=0.08;" +
+	"fail-group=3;outage=fra:10-30;retries=4;retry-base=20us"
+
+func chaosDataset(t *testing.T, workers int, spec string) (string, seggen.Result) {
 	t.Helper()
-	plan, err := faults.ParsePlan(spec)
+	dir := filepath.Join(t.TempDir(), "ds.seg")
+	res, err := generate(t, context.Background(), chaosCfg(), dir, workers, spec, nil)
 	if err != nil {
-		t.Fatalf("ParsePlan(%q): %v", spec, err)
+		t.Fatalf("seggen.Run(workers=%d, plan=%q): %v", workers, spec, err)
 	}
-	cfg := world.Config{Seed: 5, Groups: 24, Days: 1, SessionsPerGroupWindow: 6}
-	w := world.New(cfg)
-	inj := faults.NewInjector(plan, cfg.Seed)
-	if inj != nil {
-		w.PoPDown = inj.Outage
-	}
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	st, written, cov, err := run(context.Background(), w, bw, obs.NewRegistry(), workers, inj, false, nil)
-	if err != nil {
-		t.Fatalf("run(workers=%d, plan=%q): %v", workers, spec, err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes(), st, written, cov
+	return dir, res
 }
 
 // The degraded dataset must not depend on the worker count: same seed,
 // same plan, byte-identical output and identical degradation ledger.
 func TestChaosDatasetByteIdenticalAcrossWorkers(t *testing.T) {
-	const spec = "seed=13;sink-transient=0.15;sink-permanent=0.04;truncate=0.2;corrupt=0.08;" +
-		"fail-group=3;outage=fra:10-30;retries=4;retry-base=20us"
-	base, _, baseWritten, baseCov := chaosDataset(t, 1, spec)
+	base, baseRes := chaosDataset(t, 1, chaosSpec)
+	baseCov := baseRes.Coverage
 	if baseCov == nil || !baseCov.Degraded() {
-		t.Fatalf("plan %q did not degrade the run: %+v", spec, baseCov)
+		t.Fatalf("plan %q did not degrade the run: %+v", chaosSpec, baseCov)
 	}
 	if baseCov.TransientRecovered == 0 {
 		t.Fatal("plan injected no recovered transients — the retry surface went unexercised")
@@ -54,63 +45,63 @@ func TestChaosDatasetByteIdenticalAcrossWorkers(t *testing.T) {
 		t.Fatal("the fra outage suppressed nothing — the PoP surface went unexercised")
 	}
 	for _, workers := range []int{2, 4} {
-		got, _, written, cov := chaosDataset(t, workers, spec)
-		if !bytes.Equal(got, base) {
-			t.Fatalf("workers=%d dataset differs from workers=1 (%d vs %d bytes)", workers, len(got), len(base))
+		got, res := chaosDataset(t, workers, chaosSpec)
+		sameDir(t, dirBytes(t, got), dirBytes(t, base), "chaos")
+		if res.Written != baseRes.Written {
+			t.Errorf("workers=%d wrote %d samples, workers=1 wrote %d", workers, res.Written, baseRes.Written)
 		}
-		if written != baseWritten {
-			t.Errorf("workers=%d wrote %d samples, workers=1 wrote %d", workers, written, baseWritten)
-		}
-		a, b := *cov, *baseCov
-		a.Quarantined, b.Quarantined = nil, nil
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("workers=%d coverage differs: %+v vs %+v", workers, a, b)
-		}
-		if len(cov.Quarantined) != len(baseCov.Quarantined) {
-			t.Fatalf("workers=%d quarantined %d groups, workers=1 quarantined %d", workers, len(cov.Quarantined), len(baseCov.Quarantined))
-		}
-		for i := range cov.Quarantined {
-			if cov.Quarantined[i] != baseCov.Quarantined[i] {
-				t.Errorf("quarantine entry %d differs: %+v vs %+v", i, cov.Quarantined[i], baseCov.Quarantined[i])
-			}
+		if !reflect.DeepEqual(res.Coverage, baseCov) {
+			t.Errorf("workers=%d coverage differs: %+v vs %+v", workers, res.Coverage, baseCov)
 		}
 	}
 }
 
-// With write faults only, every sample is either written or accounted
-// as dropped — written + dropped equals the clean run's accepted count.
+// With write faults only, every sample is either committed or accounted
+// as dropped — written + dropped equals the clean run's accepted count
+// — and the dataset says the same: its segments hold the written
+// samples, its tombstones the dropped ones.
 func TestChaosWriteFaultAccountingIsExact(t *testing.T) {
-	clean, cleanSt, cleanWritten, _ := chaosDataset(t, 4, "")
-	if cleanWritten != cleanSt.Accepted {
-		t.Fatalf("clean run wrote %d of %d accepted samples", cleanWritten, cleanSt.Accepted)
+	_, clean := chaosDataset(t, 4, "")
+	if clean.Written != clean.Stats.Accepted {
+		t.Fatalf("clean run wrote %d of %d accepted samples", clean.Written, clean.Stats.Accepted)
 	}
-	_, st, written, cov := chaosDataset(t, 4, "seed=3;sink-transient=0.2;sink-permanent=0.2;retries=3;retry-base=10us")
-	if st.Accepted != cleanSt.Accepted {
-		t.Fatalf("write faults changed the collector's view: accepted %d vs %d", st.Accepted, cleanSt.Accepted)
+	dir, res := chaosDataset(t, 4, "seed=3;sink-transient=0.2;sink-permanent=0.2;retries=3;retry-base=10us")
+	cov := res.Coverage
+	if res.Stats.Accepted != clean.Stats.Accepted {
+		t.Fatalf("write faults changed the collector's view: accepted %d vs %d", res.Stats.Accepted, clean.Stats.Accepted)
 	}
 	if cov.SamplesLostDropped == 0 {
 		t.Fatal("plan injected no permanent write faults; pick a hotter plan")
 	}
-	if written+cov.SamplesLostDropped != cleanSt.Accepted {
-		t.Fatalf("accounting leak: %d written + %d dropped != %d accepted", written, cov.SamplesLostDropped, cleanSt.Accepted)
+	if res.Written+cov.SamplesLostDropped != clean.Stats.Accepted {
+		t.Fatalf("accounting leak: %d written + %d dropped != %d accepted", res.Written, cov.SamplesLostDropped, clean.Stats.Accepted)
 	}
-	if clean == nil {
-		t.Fatal("unreachable")
+	r, err := segstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = r.Close() }() // read-only dataset; nothing to flush
+	man, tombstoned := r.Manifest(), 0
+	for _, tb := range man.Tombstones {
+		tombstoned += tb.SamplesLost
+	}
+	if man.TotalSamples() != res.Written || tombstoned != cov.SamplesLostDropped {
+		t.Fatalf("manifest holds %d samples and tombstones %d; the run wrote %d and dropped %d",
+			man.TotalSamples(), tombstoned, res.Written, cov.SamplesLostDropped)
 	}
 }
 
-// With no plan the chaos machinery must be fully dormant: the parallel
-// batch path emits the same bytes as the sequential writer path.
+// With no plan the chaos machinery must be fully dormant: no ledger
+// materialises, and the parallel writer commits the same directory as
+// the sequential one.
 func TestNoPlanMatchesSequentialDataset(t *testing.T) {
-	seqBytes, _, _, seqCov := chaosDataset(t, 1, "")
-	parBytes, _, _, parCov := chaosDataset(t, 4, "")
-	if seqCov != nil || parCov != nil {
+	seq, seqRes := chaosDataset(t, 1, "")
+	par, parRes := chaosDataset(t, 4, "")
+	if seqRes.Coverage != nil || parRes.Coverage != nil {
 		t.Fatal("coverage ledger materialised without a fault plan")
 	}
-	if !bytes.Equal(seqBytes, parBytes) {
-		t.Fatal("parallel dataset differs from sequential with no plan")
-	}
-	if !strings.Contains(string(seqBytes[:120]), "\"") {
-		t.Fatalf("dataset does not look like JSONL: %q", seqBytes[:120])
+	sameDir(t, dirBytes(t, par), dirBytes(t, seq), "no plan")
+	if !segstore.IsDataset(seq) {
+		t.Fatalf("%s does not look like a segment store", seq)
 	}
 }

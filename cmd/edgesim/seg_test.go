@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -13,29 +12,43 @@ import (
 	"repro/internal/collector"
 	"repro/internal/faults"
 	"repro/internal/obs"
+	"repro/internal/sample"
+	"repro/internal/seggen"
 	"repro/internal/segstore"
+	"repro/internal/trace"
 	"repro/internal/world"
 )
 
 func segCfg() world.Config {
 	// Days=2 so every group spans two segment chunks and the ID scheme
-	// (group*chunksPerGroup + chunk) is actually exercised.
+	// (group*ChunksPerGroup + chunk) is actually exercised.
 	return world.Config{Seed: 5, Groups: 24, Days: 2, SessionsPerGroupWindow: 4}
 }
 
-func segDataset(t *testing.T, ctx context.Context, dir string, workers int, spec string) (collector.Stats, int, int, *faults.Coverage, error) {
+// generate runs the writer main drives — seggen.Run over the whole
+// world — wired the way main wires it: the plan's injector also decides
+// the PoP outages, the recorder (nil = untraced) also sees generation.
+func generate(t *testing.T, ctx context.Context, cfg world.Config, dir string, workers int, spec string, rec *trace.Recorder) (seggen.Result, error) {
 	t.Helper()
 	plan, err := faults.ParsePlan(spec)
 	if err != nil {
 		t.Fatalf("ParsePlan(%q): %v", spec, err)
 	}
-	cfg := segCfg()
 	w := world.New(cfg)
 	inj := faults.NewInjector(plan, cfg.Seed)
 	if inj != nil {
 		w.PoPDown = inj.Outage
 	}
-	return runSeg(ctx, w, dir, "test "+spec, obs.NewRegistry(), workers, inj, false, nil)
+	w.Rec = rec
+	return seggen.Run(ctx, seggen.Options{
+		World: w, Dir: dir, Origin: "test " + spec, Reg: obs.NewRegistry(),
+		Workers: workers, Injector: inj, Rec: rec,
+	})
+}
+
+func segDataset(t *testing.T, ctx context.Context, dir string, workers int, spec string) (seggen.Result, error) {
+	t.Helper()
+	return generate(t, ctx, segCfg(), dir, workers, spec, nil)
 }
 
 // dirBytes snapshots every file in a dataset directory.
@@ -80,17 +93,17 @@ func sameDir(t *testing.T, got, want map[string][]byte, label string) {
 func TestSegDatasetByteIdenticalAcrossWorkers(t *testing.T) {
 	for _, spec := range []string{"", "seed=13;sink-transient=0.15;sink-permanent=0.08;truncate=0.2;corrupt=0.08;retries=4;retry-base=20us"} {
 		base := filepath.Join(t.TempDir(), "base.seg")
-		_, _, _, baseCov, err := segDataset(t, context.Background(), base, 1, spec)
+		baseRes, err := segDataset(t, context.Background(), base, 1, spec)
 		if err != nil {
 			t.Fatalf("workers=1 plan=%q: %v", spec, err)
 		}
-		if spec != "" && (baseCov == nil || !baseCov.Degraded()) {
+		if baseCov := baseRes.Coverage; spec != "" && (baseCov == nil || !baseCov.Degraded()) {
 			t.Fatalf("plan %q did not degrade the run", spec)
 		}
 		want := dirBytes(t, base)
 		for _, workers := range []int{2, 4} {
 			dir := filepath.Join(t.TempDir(), "w.seg")
-			if _, _, _, _, err := segDataset(t, context.Background(), dir, workers, spec); err != nil {
+			if _, err := segDataset(t, context.Background(), dir, workers, spec); err != nil {
 				t.Fatalf("workers=%d plan=%q: %v", workers, spec, err)
 			}
 			sameDir(t, dirBytes(t, dir), want, spec)
@@ -98,22 +111,21 @@ func TestSegDatasetByteIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// Scanning a natively written seg dataset back out as JSONL must give
-// exactly the bytes `edgesim` would have written as JSONL: both paths
-// share the collector's hosting filter and (group, window) order.
+// Exporting the dataset as JSONL must give exactly the generated rows
+// the collector's hosting filter keeps, in (group, window) order, as
+// sample.Writer renders them — the stream an external tool sees through
+// `segcat -in ds -o -`.
 func TestSegDatasetRoundTripsToJSONLDataset(t *testing.T) {
 	cfg := segCfg()
 	var jsonl bytes.Buffer
-	bw := bufio.NewWriter(&jsonl)
-	if _, _, _, err := run(context.Background(), world.New(cfg), bw, obs.NewRegistry(), 4, nil, false, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
+	col := collector.New(sample.NewWriter(&jsonl).Write)
+	world.New(cfg).Generate(col.Offer)
+	if err := col.Err(); err != nil {
 		t.Fatal(err)
 	}
 
 	dir := filepath.Join(t.TempDir(), "ds.seg")
-	if _, _, _, _, err := segDataset(t, context.Background(), dir, 4, ""); err != nil {
+	if _, err := segDataset(t, context.Background(), dir, 4, ""); err != nil {
 		t.Fatal(err)
 	}
 	r, err := segstore.Open(dir)
@@ -130,7 +142,7 @@ func TestSegDatasetRoundTripsToJSONLDataset(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(back.Bytes(), jsonl.Bytes()) {
-		t.Fatalf("seg→jsonl (%d bytes) differs from native jsonl (%d bytes)", back.Len(), jsonl.Len())
+		t.Fatalf("seg→jsonl (%d bytes) differs from the generated rows as jsonl (%d bytes)", back.Len(), jsonl.Len())
 	}
 	if man := r.Manifest(); int64(jsonl.Len()) < 3*man.TotalBytes() {
 		t.Logf("note: compression ratio %.2fx (jsonl %d bytes, seg %d bytes)", float64(jsonl.Len())/float64(man.TotalBytes()), jsonl.Len(), man.TotalBytes())
@@ -143,7 +155,7 @@ func TestSegDatasetRoundTripsToJSONLDataset(t *testing.T) {
 // landed.
 func TestSegInterruptResumeByteIdentical(t *testing.T) {
 	ref := filepath.Join(t.TempDir(), "ref.seg")
-	if _, _, _, _, err := segDataset(t, context.Background(), ref, 2, ""); err != nil {
+	if _, err := segDataset(t, context.Background(), ref, 2, ""); err != nil {
 		t.Fatal(err)
 	}
 	want := dirBytes(t, ref)
@@ -162,7 +174,7 @@ func TestSegInterruptResumeByteIdentical(t *testing.T) {
 			time.Sleep(200 * time.Microsecond)
 		}
 	}()
-	_, _, _, _, err := segDataset(t, ctx, dir, 2, "")
+	_, err := segDataset(t, ctx, dir, 2, "")
 	if err == nil {
 		t.Skip("run finished before the cancel landed; nothing interrupted")
 	}
@@ -182,11 +194,11 @@ func TestSegInterruptResumeByteIdentical(t *testing.T) {
 
 	// Resume with the same flags: only missing groups regenerate, and
 	// the final directory matches the uninterrupted reference exactly.
-	_, _, resumed, _, err := segDataset(t, context.Background(), dir, 2, "")
+	res, err := segDataset(t, context.Background(), dir, 2, "")
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
-	if partial > 0 && resumed == 0 {
+	if partial > 0 && res.Resumed == 0 {
 		t.Errorf("resume regenerated everything despite %d committed samples", partial)
 	}
 	sameDir(t, dirBytes(t, dir), want, "resumed")
@@ -195,13 +207,11 @@ func TestSegInterruptResumeByteIdentical(t *testing.T) {
 // Resuming with different flags must be refused, not interleaved.
 func TestSegResumeRefusesDifferentOrigin(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ds.seg")
-	if _, _, _, _, err := segDataset(t, context.Background(), dir, 1, ""); err != nil {
+	if _, err := segDataset(t, context.Background(), dir, 1, ""); err != nil {
 		t.Fatal(err)
 	}
-	cfg := segCfg()
-	w := world.New(cfg)
-	_, _, _, _, err := runSeg(context.Background(), w, dir, "test seed=999", obs.NewRegistry(), 1, nil, false, nil)
+	_, err := seggen.Run(context.Background(), seggen.Options{World: world.New(segCfg()), Dir: dir, Origin: "test seed=999", Workers: 1})
 	if err == nil {
-		t.Fatal("runSeg extended a dataset written under a different origin")
+		t.Fatal("seggen.Run extended a dataset written under a different origin")
 	}
 }

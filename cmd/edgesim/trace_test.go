@@ -1,44 +1,23 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"context"
+	"path/filepath"
 	"testing"
 
-	"repro/internal/faults"
-	"repro/internal/obs"
 	"repro/internal/trace"
-	"repro/internal/world"
 )
 
-// tracedDataset runs the batch pipeline traced and returns the dataset
-// bytes plus the deterministic trace bytes.
-func tracedDataset(t *testing.T, workers int, spec string) ([]byte, []byte) {
+// tracedDataset runs the writer traced and returns the dataset
+// directory plus the deterministic trace bytes.
+func tracedDataset(t *testing.T, workers int, spec string) (string, []byte) {
 	t.Helper()
-	var plan *faults.Plan
-	if spec != "" {
-		p, err := faults.ParsePlan(spec)
-		if err != nil {
-			t.Fatalf("ParsePlan(%q): %v", spec, err)
-		}
-		plan = p
-	}
-	cfg := world.Config{Seed: 5, Groups: 24, Days: 1, SessionsPerGroupWindow: 6}
-	w := world.New(cfg)
-	inj := faults.NewInjector(plan, cfg.Seed)
-	if inj != nil {
-		w.PoPDown = inj.Outage
-	}
+	cfg := chaosCfg()
 	rec := trace.New(cfg.Seed)
-	w.Rec = rec
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	if _, _, _, err := run(context.Background(), w, bw, obs.NewRegistry(), workers, inj, false, rec); err != nil {
-		t.Fatalf("run(workers=%d): %v", workers, err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
+	dir := filepath.Join(t.TempDir(), "ds.seg")
+	if _, err := generate(t, context.Background(), cfg, dir, workers, spec, rec); err != nil {
+		t.Fatalf("seggen.Run(workers=%d): %v", workers, err)
 	}
 	var tr bytes.Buffer
 	if err := rec.Flush(&tr); err != nil {
@@ -47,48 +26,42 @@ func tracedDataset(t *testing.T, workers int, spec string) ([]byte, []byte) {
 	if rec.Dropped() != 0 {
 		t.Fatalf("workers=%d: trace ring overwrote %d events", workers, rec.Dropped())
 	}
-	return buf.Bytes(), tr.Bytes()
+	return dir, tr.Bytes()
 }
 
 // The edgesim trace — spans, batch fates, write retries, commits — is
-// byte-identical at any -workers count, chaos or not, and tracing does
-// not change one dataset byte.
+// byte-identical at any -workers count, chaos (an outage included) or
+// not, and tracing does not change one dataset byte.
 func TestEdgesimTraceWorkerInvariant(t *testing.T) {
-	const spec = "seed=13;sink-transient=0.15;sink-permanent=0.04;truncate=0.2;corrupt=0.08;" +
-		"fail-group=3;outage=fra:10-30;retries=4;retry-base=20us"
-	for _, plan := range []string{"", spec} {
+	for _, plan := range []string{"", chaosSpec} {
 		name := "plain"
 		if plan != "" {
 			name = "chaos"
 		}
 		t.Run(name, func(t *testing.T) {
-			wantData, wantTrace := tracedDataset(t, 1, plan)
+			wantDir, wantTrace := tracedDataset(t, 1, plan)
 			if len(wantTrace) == 0 {
 				t.Fatal("empty trace")
 			}
+			want := dirBytes(t, wantDir)
 			for _, workers := range []int{2, 4} {
-				data, tr := tracedDataset(t, workers, plan)
+				dir, tr := tracedDataset(t, workers, plan)
 				if !bytes.Equal(tr, wantTrace) {
 					t.Errorf("workers=%d trace differs from workers=1", workers)
 				}
-				if !bytes.Equal(data, wantData) {
-					t.Errorf("workers=%d dataset differs from workers=1 under tracing", workers)
-				}
+				sameDir(t, dirBytes(t, dir), want, "traced")
 			}
-			untraced, _, _, _ := chaosDataset(t, 4, plan)
-			if !bytes.Equal(untraced, wantData) {
-				t.Error("tracing changed the dataset bytes")
-			}
+			untraced, _ := chaosDataset(t, 4, plan)
+			sameDir(t, dirBytes(t, untraced), want, "untraced")
 		})
 	}
 }
 
 // A chaos edgesim trace must tell the coverage ledger's story exactly:
-// per-track loss events partition into the same cause totals.
+// per-track loss events partition into the same cause totals
+// (`edgetrace causes` prints "reconciled").
 func TestEdgesimTraceReconciles(t *testing.T) {
-	const spec = "seed=13;sink-transient=0.15;sink-permanent=0.04;truncate=0.2;corrupt=0.08;" +
-		"fail-group=3;outage=fra:10-30;retries=4;retry-base=20us"
-	_, raw := tracedDataset(t, 4, spec)
+	_, raw := tracedDataset(t, 4, chaosSpec)
 	f, err := trace.Parse(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatalf("Parse: %v", err)

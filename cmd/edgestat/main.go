@@ -1,29 +1,25 @@
-// Command edgestat inspects a measurement dataset (a JSON-lines file or
-// a columnar segment-store directory from cmd/edgesim — the format is
-// auto-detected): it prints a per-user-group roll-up — traffic,
-// coverage, medians, baseline and worst degradation — sorted by
-// traffic, the view an operator would use to find the groups worth
-// investigating.
+// Command edgestat inspects a measurement dataset (the columnar
+// segment-store directory cmd/edgesim writes; a JSON-lines file is
+// imported first with `segcat -in x.jsonl -o dir`): it prints a
+// per-user-group roll-up — traffic, coverage, medians, baseline and
+// worst degradation — sorted by traffic, the view an operator would use
+// to find the groups worth investigating.
 //
 // Usage:
 //
-//	edgesim -groups 60 -days 2 -o ds.jsonl
-//	edgestat -in ds.jsonl [-top 20]
-//	edgesim -groups 60 -days 2 -format seg -o ds.seg
+//	edgesim -groups 60 -days 2 -o ds.seg
+//	edgestat -in ds.seg [-top 20]
 //	edgestat -in ds.seg -from 24h -country US,BR
 //
 // -from/-to/-country/-pop restrict the roll-up to a slice of the
-// dataset; on a segment store the filter prunes whole segments via the
-// manifest before any data is read.
+// dataset; the filter prunes whole segments via the manifest before
+// any data is read.
 package main
 
 import (
-	"bufio"
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 
@@ -31,13 +27,12 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/collector"
 	"repro/internal/report"
-	"repro/internal/sample"
 	"repro/internal/segstore"
 )
 
 func main() {
 	var (
-		in      = flag.String("in", "", "dataset path (a JSONL file or a seg directory; required)")
+		in      = flag.String("in", "", "dataset directory (required)")
 		top     = flag.Int("top", 20, "number of groups to print (0 = all)")
 		from    = flag.Duration("from", 0, "only count sessions starting at or after this dataset offset (e.g. 24h)")
 		to      = flag.Duration("to", 0, "only count sessions starting before this dataset offset (0 = end)")
@@ -54,48 +49,25 @@ func main() {
 		log.Fatalf("edgestat: %v", err)
 	}
 
+	// Segment batches feed the store's columnar fold directly — the
+	// roll-up never materializes row structs.
 	store := agg.NewStore()
-	col := collector.New(collector.StoreSink(store))
-	if segstore.IsDataset(*in) {
-		r, err := segstore.Open(*in)
-		if err != nil {
-			log.Fatalf("edgestat: %v", err)
-		}
-		// Segment batches feed the store's columnar fold directly — the
-		// roll-up never materializes row structs (the JSONL branch below
-		// stays row-at-a-time; both aggregate identically).
-		col.AddColumnSink(collector.StoreColumnSink(store))
-		err = r.ScanColumns(context.Background(), 1, filter, func(b *segstore.ColumnBatch) error {
-			col.OfferColumns(b)
-			b.Release()
-			return col.Err()
-		})
-		if cerr := r.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			log.Fatalf("edgestat: reading %s: %v", *in, err)
-		}
-	} else {
-		f, err := os.Open(*in)
-		if err != nil {
-			log.Fatalf("edgestat: %v", err)
-		}
-		defer f.Close()
-		r := sample.NewReader(bufio.NewReaderSize(f, 1<<20))
-		for {
-			s, err := r.Read()
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			if err != nil {
-				log.Fatalf("edgestat: reading %s: %v", *in, err)
-			}
-			if !filter.Match(&s) {
-				continue
-			}
-			col.Offer(s)
-		}
+	col := collector.New()
+	col.AddColumnSink(collector.StoreColumnSink(store))
+	r, err := segstore.Open(*in)
+	if err != nil {
+		log.Fatalf("edgestat: %v", err)
+	}
+	err = r.ScanColumns(context.Background(), 1, filter, func(b *segstore.ColumnBatch) error {
+		col.OfferColumns(b)
+		b.Release()
+		return col.Err()
+	})
+	if cerr := r.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		log.Fatalf("edgestat: reading %s: %v", *in, err)
 	}
 
 	summaries := analysis.SummariseGroups(store)

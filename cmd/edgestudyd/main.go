@@ -20,7 +20,7 @@
 //	edgestudyd -fetch URL
 //
 // The determinism invariant: a live-mode daemon with the same
-// seed/groups/days/spw/fault-plan as an `edgesim -format seg` run
+// seed/groups/days/spw/fault-plan as an `edgesim` run
 // drains into a byte-identical spool, so `edgereport` over the
 // daemon's segments — and the daemon's own /report — reproduce the
 // golden batch report exactly, at any -workers count. `make

@@ -1,8 +1,10 @@
-// Command segcat converts measurement datasets between the two on-disk
-// formats: JSON lines (the edgesim default) and the columnar segment
-// store (internal/segstore). The direction is auto-detected from -in:
-// a segment-store directory extracts to JSONL, anything else converts
-// to a segment store. Sample order is preserved exactly both ways, so
+// Command segcat is the door through which JSON lines enter and leave:
+// the dataset every other binary writes and reads is the columnar
+// segment store (internal/segstore), and segcat imports a JSONL file
+// (one record per line) into one or exports one as JSONL for external
+// tooling. The direction is auto-detected from -in: a segment-store
+// directory extracts to JSONL, anything else converts to a segment
+// store. Sample order is preserved exactly both ways, so
 // jsonl → seg → jsonl is byte-identical.
 //
 // Usage:
@@ -13,21 +15,25 @@
 //
 // Extraction accepts -from/-to/-country/-pop: the filter is pushed down
 // to the manifest, so segments wholly outside the slice are never read.
+//
+// SIGINT/SIGTERM stop an import at the next segment commit: segcat
+// exits 130 and the manifest holds every segment committed so far — a
+// readable dataset. A second signal forces an immediate exit.
 package main
 
 import (
 	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"repro/internal/pipeline"
 	"repro/internal/segstore"
+	"repro/internal/sigctl"
 )
 
 func main() {
@@ -52,7 +58,8 @@ func main() {
 		log.Fatalf("segcat: %v", err)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := sigctl.Context(context.Background(),
+		"segcat: second interrupt — forcing exit; an import's manifest holds the last committed segment")
 	defer stop()
 
 	start := time.Now()
@@ -63,14 +70,14 @@ func main() {
 	if filter != nil {
 		log.Fatal("segcat: -from/-to/-country/-pop only apply when extracting a segment store (conversion keeps every row)")
 	}
-	convert(*in, *out, *span, *maxRows, start)
+	convert(ctx, *in, *out, *span, *maxRows, start)
 }
 
 // convert packs a JSONL file into a segment store. The store commits
-// after every segment, so conversion is resumable in principle — but
-// origin strings pin the source path, keeping two sources out of one
-// dataset.
-func convert(in, out string, span time.Duration, maxRows int, start time.Time) {
+// after every segment, so an interrupted conversion leaves a readable
+// prefix; origin strings pin the source path, keeping two sources out
+// of one dataset.
+func convert(ctx context.Context, in, out string, span time.Duration, maxRows int, start time.Time) {
 	f, err := os.Open(in)
 	if err != nil {
 		log.Fatalf("segcat: %v", err)
@@ -80,7 +87,11 @@ func convert(in, out string, span time.Duration, maxRows int, start time.Time) {
 	if err != nil {
 		log.Fatalf("segcat: %v", err)
 	}
-	segs, samples, err := segstore.ConvertJSONL(bufio.NewReaderSize(f, 1<<20), w, segstore.ConvertOptions{Span: span, MaxRows: maxRows})
+	segs, samples, err := segstore.ConvertJSONL(ctx, f, w, segstore.ConvertOptions{Span: span, MaxRows: maxRows})
+	if errors.Is(err, context.Canceled) {
+		fmt.Fprintf(os.Stderr, "segcat: interrupted — %d samples in %d segments committed; %s is a readable dataset\n", samples, segs, out)
+		os.Exit(130)
+	}
 	if err != nil {
 		log.Fatalf("segcat: converting %s: %v", in, err)
 	}

@@ -15,12 +15,11 @@
 //   - The sink set is fixed before ingestion: New and AddSink must not
 //     race with Offer. Configure, then run.
 //   - Offer is only as concurrent as its sinks. StoreSink and
-//     WriterSink wrap single-threaded consumers, so concurrent
+//     SliceSink wrap single-threaded consumers, so concurrent
 //     pipelines give each shard its own collector (and store), then
 //     combine counts with Stats.Merge and stores with agg's Store.Merge.
 //     A collector whose sinks are themselves thread-safe (or that has
-//     none, as in the filter-only stage of cmd/edgesim) may be shared
-//     outright.
+//     none) may be shared outright.
 //
 // Poisoning under concurrency keeps the sequential semantics per
 // goroutine: after a sink returns an error, no goroutine starts a new
@@ -233,12 +232,6 @@ func StoreSink(st *agg.Store) Sink {
 		st.Add(s)
 		return nil
 	}
-}
-
-// WriterSink adapts a sample writer into a sink; write errors poison
-// the collector (see Offer).
-func WriterSink(w *sample.Writer) Sink {
-	return func(s sample.Sample) error { return w.Write(s) }
 }
 
 // FuncSink adapts an infallible consumer into a sink.

@@ -56,10 +56,11 @@ func TestStoreSink(t *testing.T) {
 	}
 }
 
+// A sample.Writer's Write is a Sink as it stands.
 func TestWriterSink(t *testing.T) {
 	var buf bytes.Buffer
 	w := sample.NewWriter(&buf)
-	c := New(WriterSink(w))
+	c := New(w.Write)
 	c.Offer(sample.Sample{SessionID: 42})
 	out, err := sample.NewReader(&buf).ReadAll()
 	if err != nil || len(out) != 1 || out[0].SessionID != 42 {
@@ -117,7 +118,7 @@ func TestSinkErrorPoisonsPipeline(t *testing.T) {
 func TestWriterSinkErrorStopsWrites(t *testing.T) {
 	fw := &failAfter{n: 2}
 	w := sample.NewWriter(fw)
-	c := New(WriterSink(w))
+	c := New(w.Write)
 	for i := 0; i < 10; i++ {
 		c.Offer(sample.Sample{SessionID: uint64(i)})
 	}

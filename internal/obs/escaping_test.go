@@ -113,16 +113,22 @@ func TestConcurrentRegistration(t *testing.T) {
 	}
 }
 
-// With a read goal declared, the progress line projects an ETA from the
-// tick's read rate; without one (or once done) it stays silent.
+// While a segment scan runs, the progress line projects an ETA from the
+// tick's read rate against what the scan will read (dataset bytes less
+// what the filter pruned); without a scan (or once done) it stays
+// silent.
 func TestProgressETA(t *testing.T) {
 	reg := NewRegistry()
-	reg.Gauge("study_read_goal_bytes").Set(1000)
-	c := reg.Counter("study_read_bytes_total")
+	if idle := reg.progressLine(nil, time.Second, false); strings.Contains(idle, "eta=") {
+		t.Errorf("no scan, yet an eta: %q", idle)
+	}
+	reg.Gauge("segstore_bytes_total").Set(1400)
+	reg.Gauge("segstore_bytes_pruned").Set(400)
+	c := reg.Counter("segstore_bytes_read_total")
 	c.Add(250)
-	prev := map[string]int64{"study_read_bytes_total": 0}
+	prev := map[string]int64{"segstore_bytes_read_total": 0}
 	line := reg.progressLine(prev, time.Second, false)
-	// 250 B/s against 750 remaining → 3s.
+	// 250 B/s against 750 unpruned bytes remaining → 3s.
 	if !strings.Contains(line, "eta=3s") {
 		t.Errorf("progress line missing eta: %q", line)
 	}
@@ -130,7 +136,7 @@ func TestProgressETA(t *testing.T) {
 		t.Errorf("final line must not carry an eta: %q", final)
 	}
 	c.Add(750) // goal reached
-	if done := reg.progressLine(map[string]int64{"study_read_bytes_total": 250}, time.Second, false); strings.Contains(done, "eta=") {
+	if done := reg.progressLine(map[string]int64{"segstore_bytes_read_total": 250}, time.Second, false); strings.Contains(done, "eta=") {
 		t.Errorf("completed read still projects an eta: %q", done)
 	}
 }

@@ -94,17 +94,21 @@ func (r *Registry) progressLine(prev map[string]int64, dt time.Duration, final b
 		}
 	}
 
-	// When the run declared a read goal (edgereport -in sets the dataset
-	// size), project an ETA from the bytes-read rate this tick.
+	// A segment scan knows its size up front (segstore.Reader exports the
+	// dataset's bytes and what the filter pruned): project an ETA from
+	// the bytes-read rate this tick.
 	if !final && dt > 0 {
 		r.mu.Lock()
 		var goal float64
-		if g := r.gauges["study_read_goal_bytes"]; g != nil {
+		if g := r.gauges["segstore_bytes_total"]; g != nil {
 			goal = g.Value()
 		}
+		if g := r.gauges["segstore_bytes_pruned"]; g != nil {
+			goal -= g.Value()
+		}
 		r.mu.Unlock()
-		read := cur["study_read_bytes_total"]
-		if rate := float64(read-prev["study_read_bytes_total"]) / dt.Seconds(); goal > 0 && rate > 0 && float64(read) < goal {
+		read := cur["segstore_bytes_read_total"]
+		if rate := float64(read-prev["segstore_bytes_read_total"]) / dt.Seconds(); rate > 0 && float64(read) < goal {
 			eta := time.Duration((goal - float64(read)) / rate * float64(time.Second))
 			fmt.Fprintf(&b, " eta=%s", eta.Round(time.Second))
 		}

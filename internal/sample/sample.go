@@ -8,6 +8,7 @@
 package sample
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -171,19 +172,41 @@ func (w *Writer) Write(s Sample) error {
 // Count returns the number of samples written.
 func (w *Writer) Count() int { return w.n }
 
-// Reader streams samples from JSON lines.
+// Reader streams samples from a JSON-lines dataset: one record per
+// non-empty line (CRLF endings and blank lines are not records). It is
+// the one parser JSONL enters the repo through, so what it rejects —
+// two records on a line, a malformed record — is rejected everywhere,
+// with the line's number.
 type Reader struct {
-	dec *json.Decoder
+	sc   *bufio.Scanner
+	line int
 }
 
-// NewReader wraps r.
-func NewReader(r io.Reader) *Reader { return &Reader{dec: json.NewDecoder(r)} }
+// NewReader wraps r. The scanner's buffer doubles as the read buffer
+// (r need not be buffered); a record may run to 16 MiB.
+func NewReader(r io.Reader) *Reader {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
+	return &Reader{sc: sc}
+}
 
 // Read returns the next sample or io.EOF.
 func (r *Reader) Read() (Sample, error) {
 	var s Sample
-	err := r.dec.Decode(&s)
-	return s, err
+	for r.sc.Scan() {
+		r.line++
+		if len(r.sc.Bytes()) == 0 {
+			continue
+		}
+		if err := json.Unmarshal(r.sc.Bytes(), &s); err != nil {
+			return s, fmt.Errorf("sample: line %d: %w", r.line, err)
+		}
+		return s, nil
+	}
+	if err := r.sc.Err(); err != nil {
+		return s, fmt.Errorf("sample: line %d: %w", r.line+1, err)
+	}
+	return s, io.EOF
 }
 
 // ReadAll drains the reader.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -91,10 +92,25 @@ func TestReaderEOF(t *testing.T) {
 	}
 }
 
+// A dataset is one record per non-empty line: what is not is rejected
+// with the line's number, and CRLF endings and blank lines are neither
+// records nor errors.
 func TestReaderBadInput(t *testing.T) {
-	r := NewReader(bytes.NewBufferString("{not json\n"))
-	if _, err := r.ReadAll(); err == nil {
-		t.Error("bad input should error")
+	const rec = `{"id":7,"pop":"fra"}`
+	for _, tc := range []struct {
+		name, data, want string
+	}{
+		{"malformed first line", "{not json\n", "line 1: "},
+		{"malformed third line", rec + "\n\n{bad\n" + rec + "\n", "line 3: "},
+		{"two records on one line", rec + " " + rec + "\n", "line 1: invalid character '{' after top-level value"},
+	} {
+		if _, err := NewReader(strings.NewReader(tc.data)).ReadAll(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want it to contain %q", tc.name, err, tc.want)
+		}
+	}
+	out, err := NewReader(strings.NewReader("\r\n" + rec + "\r\n\n" + rec)).ReadAll()
+	if err != nil || len(out) != 2 || out[1].SessionID != 7 || out[1].PoP != "fra" {
+		t.Errorf("CRLF and blank lines: got %d samples, err %v", len(out), err)
 	}
 }
 

@@ -32,7 +32,7 @@ import (
 // ChunksPerGroup is how many segment-span chunks one group's windows
 // cover. Segment IDs are group*ChunksPerGroup + chunk — a stable scheme
 // a resumed run re-derives from the same flags, and ascending-ID order
-// reproduces the JSONL dataset's (group, window) sample order. The
+// reproduces generation's (group, window) sample order. The
 // scheme is global: a PoP process generating a subset of groups mints
 // exactly the IDs the single-process run would for those groups.
 func ChunksPerGroup(cfg world.Config) int {

@@ -3,7 +3,6 @@ package segstore
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"time"
 
@@ -26,18 +25,19 @@ type ConvertOptions struct {
 	Span time.Duration
 	// MaxRows caps rows per segment (DefaultMaxRows when 0).
 	MaxRows int
-	// Origin is recorded in the manifest.
-	Origin string
 }
 
-// ConvertJSONL reads a JSON-lines dataset from r and writes it as a
-// segment dataset into w, committing after every segment. Segments cut
-// on user-group changes and on Span boundaries — the "window-range ×
-// group" layout cmd/edgesim writes natively, so converted and natively
-// written datasets prune identically — plus a MaxRows safety cut.
-// Sample order is preserved exactly: scanning the result in manifest
-// order re-emits the input row for row.
-func ConvertJSONL(r io.Reader, w *Writer, opt ConvertOptions) (segments, samples int, err error) {
+// ConvertJSONL reads a JSON-lines dataset from r (one record per line,
+// see sample.Reader) and writes it as a segment dataset into w,
+// committing after every segment. Segments cut on user-group changes
+// and on Span boundaries — the "window-range × group" layout
+// cmd/edgesim writes natively, so converted and natively written
+// datasets prune identically — plus a MaxRows safety cut. Sample order
+// is preserved exactly: scanning the result in manifest order re-emits
+// the input row for row. A cancelled ctx stops the import at the next
+// segment boundary with the cause; the manifest holds every segment
+// committed before it.
+func ConvertJSONL(ctx context.Context, r io.Reader, w *Writer, opt ConvertOptions) (segments, samples int, err error) {
 	span := opt.Span
 	if span <= 0 {
 		span = DefaultSegmentSpan
@@ -54,6 +54,9 @@ func ConvertJSONL(r io.Reader, w *Writer, opt ConvertOptions) (segments, samples
 	flush := func() error {
 		if len(pending) == 0 {
 			return nil
+		}
+		if ctx.Err() != nil {
+			return context.Cause(ctx)
 		}
 		blob, meta := EncodeSegment(pending)
 		if err := w.Add(id, blob, meta); err != nil {
@@ -76,7 +79,7 @@ func ConvertJSONL(r io.Reader, w *Writer, opt ConvertOptions) (segments, samples
 			break
 		}
 		if derr != nil {
-			return segments, samples, fmt.Errorf("segstore: converting line %d: %w", samples+len(pending)+1, derr)
+			return segments, samples, derr // names the line
 		}
 		key, chunk := s.Key(), int64(s.Start/span)
 		if len(pending) > 0 && (key != curKey || chunk != curChunk || len(pending) >= maxRows) {

@@ -14,10 +14,6 @@ import (
 // (MatchSegment — no bytes read), and surviving segments are filtered
 // row by row (Match), so the two levels always agree. The zero value
 // (and nil) matches everything.
-//
-// The same row predicate applies to JSONL scans, which is what keeps a
-// filtered seg-format report byte-identical to the filtered JSONL
-// report over the same dataset.
 type Filter struct {
 	// From/To bound the session start offset, half-open [From, To).
 	// To <= 0 means unbounded above.

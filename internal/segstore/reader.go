@@ -16,7 +16,7 @@ import (
 // Scan plans against it (pruning segments the filter disproves), then
 // decodes the survivors — in parallel when asked — and emits their
 // rows in manifest order, so downstream consumers see exactly the
-// sample order the equivalent JSONL file would give them.
+// order the samples were generated (or imported) in.
 type Reader struct {
 	dir string
 	man *Manifest
@@ -46,8 +46,12 @@ type Reader struct {
 // fails here, loudly and with the precise segment named, instead of as
 // a confusing read error deep inside the first scan that happens to
 // need it. (Content checksums stay on the scan path: Open stats, it
-// does not read.)
+// does not read.) Anything that is not a dataset directory is refused
+// with the one way in for it: a segcat import.
 func Open(dir string) (*Reader, error) {
+	if !IsDataset(dir) {
+		return nil, fmt.Errorf("segstore: %s is not a segment dataset (a directory holding %s); a JSON-lines file becomes one with `segcat -in %s -o <dir>`", dir, ManifestName, dir)
+	}
 	man, err := loadManifest(dir)
 	if err != nil {
 		return nil, err

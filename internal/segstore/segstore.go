@@ -24,7 +24,7 @@
 // index: per segment it records the sample count, window span, and the
 // country/PoP sets, so readers prune whole segments against a Filter
 // before a single byte of column data is read, and an interrupted
-// writer (cmd/edgesim -format seg) resumes by re-emitting only the
+// writer (cmd/edgesim) resumes by re-emitting only the
 // segments the manifest has not committed. Commits are atomic
 // (write-temp + rename), so a SIGINT at any instant leaves a readable
 // dataset; a fault-injected write failure tombstones its segment in
@@ -57,7 +57,8 @@ const FormatVersion = "edgeseg/1"
 // SegmentMeta indexes one immutable segment file.
 type SegmentMeta struct {
 	// ID orders segments; concatenating segments in ascending ID order
-	// reproduces the dataset's canonical (JSONL) sample order.
+	// reproduces the dataset's canonical sample order (what a JSONL
+	// export streams).
 	ID int `json:"id"`
 	// File is the segment's file name within the dataset directory.
 	File string `json:"file"`
@@ -136,8 +137,8 @@ func (m *Manifest) sortEntries() {
 	sort.Slice(m.Tombstones, func(i, j int) bool { return m.Tombstones[i].ID < m.Tombstones[j].ID })
 }
 
-// IsDataset reports whether path is a segment-dataset directory (the
-// format auto-detection hook for cmd/edgereport, edgestat, segcat).
+// IsDataset reports whether path is a segment-dataset directory: how
+// cmd/segcat picks its direction and how Open refuses anything else.
 func IsDataset(path string) bool {
 	fi, err := os.Stat(path)
 	if err != nil || !fi.IsDir() {

@@ -223,7 +223,7 @@ func TestPruneAndRowFilterAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ConvertJSONL(jsonlBytes(t, rows), w, ConvertOptions{}); err != nil {
+	if _, _, err := ConvertJSONL(context.Background(), bytes.NewReader(jsonlBytes(t, rows)), w, ConvertOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	r, err := Open(dir)
@@ -273,7 +273,7 @@ func TestPruneAndRowFilterAgree(t *testing.T) {
 }
 
 // jsonlBytes renders rows the way cmd/edgesim writes them.
-func jsonlBytes(t *testing.T, rows []sample.Sample) *bytes.Reader {
+func jsonlBytes(t *testing.T, rows []sample.Sample) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	sw := sample.NewWriter(&buf)
@@ -282,5 +282,5 @@ func jsonlBytes(t *testing.T, rows []sample.Sample) *bytes.Reader {
 			t.Fatal(err)
 		}
 	}
-	return bytes.NewReader(buf.Bytes())
+	return buf.Bytes()
 }

@@ -22,8 +22,8 @@ import (
 // reported by Committed and skipped by the caller.
 //
 // Writer is single-goroutine by design — it is the ordered tail of a
-// pipeline (cmd/edgesim reorders encoded segments before handing them
-// over), mirroring the JSONL writer stage.
+// pipeline (seggen.Run reorders encoded segments before handing them
+// over).
 type Writer struct {
 	dir string
 	man *Manifest

@@ -7,10 +7,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/collector"
 	"repro/internal/faults"
 	"repro/internal/pipeline"
-	"repro/internal/sample"
 	"repro/internal/world"
 )
 
@@ -221,32 +219,25 @@ func TestStalledShardTripsStageBudget(t *testing.T) {
 	}
 }
 
-// The replay path shares the sink surface: FromStream with a plan is
-// byte-identical across worker counts, coverage included.
-func TestFromStreamChaosByteIdentical(t *testing.T) {
-	var data bytes.Buffer
-	w := world.New(detCfg())
-	col := collector.New(collector.WriterSink(sample.NewWriter(&data)))
-	w.Generate(col.Offer)
-	if err := col.Err(); err != nil {
-		t.Fatal(err)
-	}
+// The replay path shares the sink surface: a segment replay under a
+// plan renders — coverage included — the report the rows oracle renders
+// under the same plan, at every worker count. Sink fates key on the
+// sample, so neither the currency nor the batch boundaries may matter.
+func TestReplayChaosByteIdentical(t *testing.T) {
+	rows, dir := writeDataset(t, detCfg())
 	spec := "seed=5;sink-transient=0.005;sink-permanent=0.0005;retries=3;retry-base=20us"
-	run := func(workers int) []byte {
-		res, err := FromStream(context.Background(), bytes.NewReader(data.Bytes()),
-			Options{Workers: workers, Plan: mustPlan(t, spec)})
+	seqRes := rowsOracle(t, rows, Options{Workers: 1, Plan: mustPlan(t, spec)})
+	if seqRes.Coverage == nil || !seqRes.Coverage.Degraded() {
+		t.Fatalf("plan injected nothing on the replay path: %+v", seqRes.Coverage)
+	}
+	seq := renderNormalized(t, seqRes)
+	for _, workers := range []int{1, 2, 4} {
+		res, err := FromSegments(context.Background(), dir, Options{Workers: workers, Plan: mustPlan(t, spec)})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if res.Coverage == nil {
-			t.Fatalf("workers=%d: no coverage ledger", workers)
-		}
-		return renderNormalized(t, res)
-	}
-	seq := run(1)
-	for _, workers := range []int{2, 4} {
-		if got := run(workers); !bytes.Equal(got, seq) {
-			t.Fatalf("workers=%d FromStream chaos report differs:\n%s", workers, firstDiff(got, seq))
+		if got := renderNormalized(t, res); !bytes.Equal(got, seq) {
+			t.Fatalf("workers=%d segment chaos report differs from the rows oracle's:\n%s", workers, firstDiff(got, seq))
 		}
 	}
 }

@@ -15,7 +15,7 @@ import (
 
 // The columnar aggregation property: over randomized corpora, filters,
 // and worker counts, the batch path's report is byte-identical to the
-// row oracle's (opt.RowOracle) and to the sequential JSONL replay of
+// row oracle's (opt.RowOracle) and to the sequential rows oracle over
 // the same dataset. This is the acceptance test of the row-free read
 // path — one diverging digest flush, misordered run, or filter
 // disagreement anywhere between segment decode and the sealed store
@@ -29,7 +29,7 @@ func TestColumnarAggregationMatchesRowOracle(t *testing.T) {
 			Days:                   1 + r.IntN(2),
 			SessionsPerGroupWindow: 6 + float64(r.IntN(12)),
 		}
-		data, dir := writeBothFormats(t, cfg)
+		rows, dir := writeDataset(t, cfg)
 
 		filters := []*segstore.Filter{
 			nil,
@@ -37,10 +37,7 @@ func TestColumnarAggregationMatchesRowOracle(t *testing.T) {
 			{Countries: []string{"US", "IN", "BR"}, PoPs: nil},
 		}
 		for fi, f := range filters {
-			want, err := FromStream(context.Background(), bytes.NewReader(data), Options{Workers: 1, Filter: f})
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := rowsOracle(t, rows, Options{Workers: 1, Filter: f})
 			wantReport := renderNormalized(t, want)
 
 			for _, workers := range []int{1, 2, 4} {
@@ -95,9 +92,9 @@ func segTraceRun(t *testing.T, dir string, workers int, plan *faults.Plan, oracl
 // bridge seamless.
 func TestColumnarChaosTraceByteIdentical(t *testing.T) {
 	cfg := detCfg()
-	_, dir := writeBothFormats(t, cfg)
+	_, dir := writeDataset(t, cfg)
 	// Segment replay has no generator, so only the sink/shard surfaces
-	// apply (mirrors the FromStream chaos coverage).
+	// apply.
 	plan := mustPlan(t, "seed=7;sink-transient=0.004;sink-permanent=0.0004;fail-group=3;delay=0.2;delay-max=300us;retries=4;retry-base=50us")
 
 	wantTrace, wantRes := segTraceRun(t, dir, 1, plan, true)
@@ -145,15 +142,12 @@ func TestColumnarChaosTraceByteIdentical(t *testing.T) {
 func TestInferredDaysUnderFromFilter(t *testing.T) {
 	cfg := detCfg()
 	cfg.Days = 2
-	data, dir := writeBothFormats(t, cfg)
+	rows, dir := writeDataset(t, cfg)
 	f := &segstore.Filter{From: 24 * time.Hour}
 
-	seq, err := FromStream(context.Background(), bytes.NewReader(data), Options{Workers: 1, Filter: f})
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq := rowsOracle(t, rows, Options{Workers: 1, Filter: f})
 	if seq.Cfg.Days != 1 {
-		t.Fatalf("sequential FromStream inferred Days=%d for a one-day slice, want 1", seq.Cfg.Days)
+		t.Fatalf("sequential rows oracle inferred Days=%d for a one-day slice, want 1", seq.Cfg.Days)
 	}
 	if seq.Store.FirstWindow() != 96 || seq.Store.TotalWindows != 192 {
 		t.Fatalf("window coverage [%d, %d), want [96, 192)", seq.Store.FirstWindow(), seq.Store.TotalWindows)
@@ -168,18 +162,15 @@ func TestInferredDaysUnderFromFilter(t *testing.T) {
 		t.Fatalf("FromSegments inferred Days=%d, want 1", segRes.Cfg.Days)
 	}
 	if got := renderNormalized(t, segRes); !bytes.Equal(got, want) {
-		t.Fatalf("filtered FromSegments differs from the sequential JSONL replay:\n%s", firstDiff(got, want))
+		t.Fatalf("filtered FromSegments differs from the sequential rows oracle:\n%s", firstDiff(got, want))
 	}
 
-	strRes, err := FromStream(context.Background(), bytes.NewReader(data), Options{Workers: 3, Filter: f})
-	if err != nil {
-		t.Fatal(err)
+	shardedRes := rowsOracle(t, rows, Options{Workers: 3, Filter: f})
+	if shardedRes.Cfg.Days != 1 {
+		t.Fatalf("sharded rows oracle inferred Days=%d, want 1", shardedRes.Cfg.Days)
 	}
-	if strRes.Cfg.Days != 1 {
-		t.Fatalf("FromStream inferred Days=%d, want 1", strRes.Cfg.Days)
-	}
-	if got := renderNormalized(t, strRes); !bytes.Equal(got, want) {
-		t.Fatalf("filtered FromStream differs from the sequential JSONL replay:\n%s", firstDiff(got, want))
+	if got := renderNormalized(t, shardedRes); !bytes.Equal(got, want) {
+		t.Fatalf("filtered sharded rows report differs from the sequential rows oracle:\n%s", firstDiff(got, want))
 	}
 
 	// An unfiltered replay still reports the full two days.

@@ -5,8 +5,6 @@ import (
 	"context"
 	"testing"
 
-	"repro/internal/collector"
-	"repro/internal/sample"
 	"repro/internal/world"
 )
 
@@ -53,49 +51,6 @@ func TestShardedRunReportByteIdentical(t *testing.T) {
 		got := renderNormalized(t, res)
 		if !bytes.Equal(got, seq) {
 			t.Fatalf("workers=%d report differs from sequential:\n%s", workers, firstDiff(got, seq))
-		}
-	}
-}
-
-// The dataset-replay path has the same guarantee: FromStream at any
-// worker count must render byte-identically to FromStream at one worker
-// over the same bytes.
-func TestFromStreamReportByteIdentical(t *testing.T) {
-	// Write a dataset the way cmd/edgesim does: through the collector's
-	// hosting filter, in generation order.
-	var data bytes.Buffer
-	w := world.New(detCfg())
-	col := collector.New(collector.WriterSink(sample.NewWriter(&data)))
-	w.Generate(col.Offer)
-	if err := col.Err(); err != nil {
-		t.Fatal(err)
-	}
-
-	seqRes, err := FromStream(context.Background(), bytes.NewReader(data.Bytes()), Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := renderNormalized(t, seqRes)
-
-	// Blank lines and CRLF endings are not records; no worker count may
-	// count, reject or misnumber them.
-	spaced := bytes.ReplaceAll(data.Bytes(), []byte("\n"), []byte("\r\n\n"))
-
-	for _, tc := range []struct {
-		workers int
-		data    []byte
-	}{{2, data.Bytes()}, {4, data.Bytes()}, {1, spaced}, {4, spaced}} {
-		workers := tc.workers
-		res, err := FromStream(context.Background(), bytes.NewReader(tc.data), Options{Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if res.Collector != seqRes.Collector {
-			t.Errorf("workers=%d: collector stats %+v != sequential %+v", workers, res.Collector, seqRes.Collector)
-		}
-		got := renderNormalized(t, res)
-		if !bytes.Equal(got, seq) {
-			t.Fatalf("workers=%d FromStream report differs from the sequential JSONL replay:\n%s", workers, firstDiff(got, seq))
 		}
 	}
 }

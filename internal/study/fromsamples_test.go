@@ -1,13 +1,11 @@
 package study
 
 import (
-	"bytes"
 	"context"
-	"strings"
+	"path/filepath"
 	"testing"
 
-	"repro/internal/collector"
-	"repro/internal/sample"
+	"repro/internal/segstore"
 	"repro/internal/world"
 )
 
@@ -20,18 +18,10 @@ func TestFromSamplesMatchesInProcess(t *testing.T) {
 	// In-process run.
 	direct := Run(cfg)
 
-	// Disk round trip: generate → JSONL → FromStream. The writer sees
-	// the raw stream (pre-filter), as cmd/edgesim writes post-filter
-	// samples; replicate edgesim exactly: filter first, then write.
-	var buf bytes.Buffer
-	w := sample.NewWriter(&buf)
-	col := collector.New(collector.WriterSink(w))
-	world.New(cfg).Generate(col.Offer)
-	if err := col.Err(); err != nil {
-		t.Fatal(err)
-	}
-
-	loaded, err := FromStream(context.Background(), &buf, Options{Workers: 1})
+	// Disk round trip: generate → segment dataset → FromSegments, the
+	// writer filtering first exactly as cmd/edgesim does.
+	_, dir := writeDataset(t, cfg)
+	loaded, err := FromSegments(context.Background(), dir, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,52 +48,21 @@ func TestFromSamplesMatchesInProcess(t *testing.T) {
 	}
 }
 
+// An empty dataset (a manifest, no segments) is still a dataset.
 func TestFromSamplesEmpty(t *testing.T) {
-	res, err := FromStream(context.Background(), bytes.NewReader(nil), Options{Workers: 1})
+	dir := filepath.Join(t.TempDir(), "empty.seg")
+	sw, err := segstore.Create(dir, "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := FromSegments(context.Background(), dir, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Store.TotalSamples != 0 || res.Cfg.Days != 1 {
 		t.Errorf("empty dataset handled badly: %+v", res.Cfg)
-	}
-}
-
-// A dataset is one record per line. What is not must be rejected — and
-// named by line number — the same way at every worker count: the
-// sequential replay used to parse with a json.Decoder, which accepted
-// two records on a line and reported no line for a malformed one.
-func TestFromSamplesBadInput(t *testing.T) {
-	var good bytes.Buffer
-	col := collector.New(collector.WriterSink(sample.NewWriter(&good)))
-	world.New(world.Config{Seed: 13, Groups: 2, Days: 1, SessionsPerGroupWindow: 2}).Generate(col.Offer)
-	lines := strings.SplitAfter(strings.TrimSuffix(good.String(), "\n"), "\n")
-	if len(lines) < 4 {
-		t.Fatalf("fixture has only %d lines", len(lines))
-	}
-	record := strings.TrimSuffix(lines[0], "\n")
-
-	cases := []struct {
-		name, data, want string
-	}{
-		{"malformed first line", "{bad\n", "decoding dataset line 1: "},
-		{"malformed third line", lines[0] + lines[1] + "{bad\n" + lines[3], "decoding dataset line 3: "},
-		{"two records on one line", record + " " + record + "\n", "decoding dataset line 1: invalid character '{' after top-level value"},
-	}
-	for _, tc := range cases {
-		var seqErr string
-		for _, workers := range []int{1, 4} {
-			res, err := FromStream(context.Background(), strings.NewReader(tc.data), Options{Workers: workers})
-			if err == nil || res != nil {
-				t.Fatalf("%s, workers=%d: got (%v, %v), want an error and no results", tc.name, workers, res, err)
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("%s, workers=%d: error %q does not contain %q", tc.name, workers, err, tc.want)
-			}
-			if workers == 1 {
-				seqErr = err.Error()
-			} else if err.Error() != seqErr {
-				t.Errorf("%s: workers=%d error %q != workers=1 error %q", tc.name, workers, err, seqErr)
-			}
-		}
 	}
 }

@@ -35,7 +35,7 @@ func TestMain(m *testing.M) {
 func TestFromSegmentsFailFastReleasesAllBatches(t *testing.T) {
 	cfg := detCfg()
 	cfg.Days = 2
-	_, dir := writeBothFormats(t, cfg)
+	_, dir := writeDataset(t, cfg)
 
 	before, dblBefore := segstore.LeakStats()
 	for _, workers := range []int{1, 2, 4} {

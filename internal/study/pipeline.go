@@ -19,8 +19,8 @@ import (
 // sink is where a source delivers the study's samples: batches arrive
 // in sequential order on one goroutine, in either pipeline currency.
 type sink interface {
-	// rows takes one batch of decoded rows (generation, JSONL replay, the
-	// row oracle). The sink may keep the slice until the run ends.
+	// rows takes one batch of decoded rows (generation, the row oracle).
+	// The sink may keep the slice until the run ends.
 	rows(ctx context.Context, samples []sample.Sample) error
 	// columns takes one column batch (segment scans), borrowed for the
 	// call: the caller releases it, a sink that hands parts of it on

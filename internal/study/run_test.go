@@ -48,19 +48,15 @@ func (s *cancelSink) columns(ctx context.Context, b *segstore.ColumnBatch) error
 
 // A cancelled context abandons the study whatever feeds it and at any
 // worker count: no Results, context.Canceled, and no column batch left
-// outstanding (TestMain's leak check covers the whole table). The
-// sequential JSONL replay used to take no context at all, so `edgereport
-// -in ds.jsonl -workers 1` ignored its first SIGINT and printed a
-// report.
+// outstanding (TestMain's leak check covers the whole table).
 func TestCancelledRunReturnsNoResults(t *testing.T) {
-	cfg := detCfg() // 17 groups, 17 segments, ~44 line batches: cancelling at batch 2 is mid-run
-	data, dir := writeBothFormats(t, cfg)
+	cfg := detCfg() // 17 groups, 17 segments: cancelling at batch 2 is mid-run
+	_, dir := writeDataset(t, cfg)
 	sources := []struct {
 		name string
 		make func() source
 	}{
 		{"world", func() source { return &worldSource{w: world.New(cfg)} }},
-		{"jsonl", func() source { return &jsonlSource{r: bytes.NewReader(data)} }},
 		{"segments", func() source { return &segmentSource{dir: dir} }},
 	}
 	before, dblBefore := segstore.LeakStats()
@@ -94,9 +90,6 @@ func TestCancelledRunReturnsNoResults(t *testing.T) {
 		opt := Options{Workers: workers}
 		if res, err := RunCtx(ctx, cfg, opt); !errors.Is(err, context.Canceled) || res != nil {
 			t.Errorf("RunCtx workers=%d: got (%v, %v)", workers, res, err)
-		}
-		if res, err := FromStream(ctx, bytes.NewReader(data), opt); !errors.Is(err, context.Canceled) || res != nil {
-			t.Errorf("FromStream workers=%d: got (%v, %v)", workers, res, err)
 		}
 		if res, err := FromSegments(ctx, dir, opt); !errors.Is(err, context.Canceled) || res != nil {
 			t.Errorf("FromSegments workers=%d: got (%v, %v)", workers, res, err)

@@ -7,42 +7,76 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/agg"
 	"repro/internal/collector"
 	"repro/internal/sample"
+	"repro/internal/seggen"
 	"repro/internal/segstore"
 	"repro/internal/world"
 )
 
-// writeBothFormats renders one dataset as JSONL bytes and as a segment
-// directory, the way cmd/edgesim and segcat would.
-func writeBothFormats(t *testing.T, cfg world.Config) ([]byte, string) {
+// rowsSource is the replay oracle of these tests: a dataset held as
+// generated rows, delivered through sink.rows with e.Filter.Match as
+// the only predicate. It shares no code with segment encode, manifest
+// pruning, ApplyColumns or decode, so a segment replay agreeing with it
+// byte for byte checks all four.
+type rowsSource struct {
+	rows []sample.Sample
+}
+
+func (*rowsSource) seed() uint64                         { return 0 }
+func (*rowsSource) config(store *agg.Store) world.Config { return inferredCfg(store) }
+
+func (s *rowsSource) deliver(ctx context.Context, e *env, sk sink) error {
+	const perBatch = 1024
+	for lo := 0; lo < len(s.rows); lo += perBatch {
+		var kept []sample.Sample
+		for i := lo; i < min(lo+perBatch, len(s.rows)); i++ {
+			if e.Filter.Match(&s.rows[i]) {
+				kept = append(kept, s.rows[i])
+			}
+		}
+		if err := sk.rows(ctx, kept); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// rowsOracle runs the study over rows: at opt.Workers 1 with no plan,
+// the sequential oracle every replay is held to.
+func rowsOracle(t *testing.T, rows []sample.Sample, opt Options) *Results {
 	t.Helper()
-	var data bytes.Buffer
-	w := world.New(cfg)
-	col := collector.New(collector.WriterSink(sample.NewWriter(&data)))
-	w.Generate(col.Offer)
-	if err := col.Err(); err != nil {
-		t.Fatal(err)
-	}
-	dir := filepath.Join(t.TempDir(), "ds.seg")
-	sw, err := segstore.Create(dir, "test")
+	res, err := run(context.Background(), &rowsSource{rows: rows}, opt)
 	if err != nil {
+		t.Fatalf("rows oracle (workers=%d): %v", opt.Workers, err)
+	}
+	return res
+}
+
+// writeDataset generates cfg's dataset twice over: as the rows the
+// collection filter keeps, for rowsSource, and as the segment directory
+// cmd/edgesim writes for the same flags.
+func writeDataset(t *testing.T, cfg world.Config) ([]sample.Sample, string) {
+	t.Helper()
+	var rows []sample.Sample
+	col := collector.New(collector.SliceSink(&rows))
+	world.New(cfg).Generate(col.Offer)
+	dir := filepath.Join(t.TempDir(), "ds.seg")
+	if _, err := seggen.Run(context.Background(), seggen.Options{World: world.New(cfg), Dir: dir, Origin: "test", Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := segstore.ConvertJSONL(bytes.NewReader(data.Bytes()), sw, segstore.ConvertOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	return data.Bytes(), dir
+	return rows, dir
 }
 
 // The segment path's core guarantee: FromSegments renders a report
-// byte-identical to the sequential JSONL replay of the same dataset, at
-// every worker count — and with a filter pushed down, byte-identical to
-// the filtered JSONL paths.
+// byte-identical to the sequential rows oracle over the same dataset,
+// at every worker count — and with a filter pushed down, byte-identical
+// to the oracle's filtered runs.
 func TestFromSegmentsReportByteIdentical(t *testing.T) {
 	cfg := detCfg()
 	cfg.Days = 2 // so the time filter crosses a segment-span boundary
-	data, dir := writeBothFormats(t, cfg)
+	rows, dir := writeDataset(t, cfg)
 
 	filters := []*segstore.Filter{
 		nil,
@@ -50,10 +84,7 @@ func TestFromSegmentsReportByteIdentical(t *testing.T) {
 		{Countries: []string{"US", "BR"}},
 	}
 	for _, f := range filters {
-		seqRes, err := FromStream(context.Background(), bytes.NewReader(data), Options{Workers: 1, Filter: f})
-		if err != nil {
-			t.Fatal(err)
-		}
+		seqRes := rowsOracle(t, rows, Options{Workers: 1, Filter: f})
 		seq := renderNormalized(t, seqRes)
 		if len(seq) == 0 {
 			t.Fatal("sequential report is empty")
@@ -68,17 +99,13 @@ func TestFromSegmentsReportByteIdentical(t *testing.T) {
 				t.Errorf("filter=%v workers=%d: collector stats %+v != sequential %+v", f, workers, res.Collector, seqRes.Collector)
 			}
 			if got := renderNormalized(t, res); !bytes.Equal(got, seq) {
-				t.Fatalf("filter=%v workers=%d: FromSegments report differs from the sequential JSONL replay:\n%s", f, workers, firstDiff(got, seq))
+				t.Fatalf("filter=%v workers=%d: FromSegments report differs from the sequential rows oracle:\n%s", f, workers, firstDiff(got, seq))
 			}
 		}
 
-		// The filtered sharded JSONL path must agree too.
-		res, err := FromStream(context.Background(), bytes.NewReader(data), Options{Workers: 3, Filter: f})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := renderNormalized(t, res); !bytes.Equal(got, seq) {
-			t.Fatalf("filter=%v: filtered FromStream report differs from the sequential JSONL replay:\n%s", f, firstDiff(got, seq))
+		// The oracle's rows through the sharded sink must agree too.
+		if got := renderNormalized(t, rowsOracle(t, rows, Options{Workers: 3, Filter: f})); !bytes.Equal(got, seq) {
+			t.Fatalf("filter=%v: sharded rows report differs from the sequential rows oracle:\n%s", f, firstDiff(got, seq))
 		}
 	}
 }

@@ -8,17 +8,17 @@
 // The study is one loop whatever feeds it. run owns it: the fault
 // injector and guard, the choice between the sequential oracle and the
 // sharded pipeline, merge, coverage, trace finish, the Results and the
-// analyses. A source (source.go: the world generator, a JSONL stream, a
-// segment directory) only delivers its samples in order, as rows or as
+// analyses. A source (source.go: the world generator or a segment
+// directory — the one dataset format; JSON lines enter and leave it
+// through cmd/segcat only) delivers its samples in order, as rows or as
 // column batches, to a sink (pipeline.go: the inline collector of the
 // sequential oracle, or the sharded ingest). The exported entry points
-// — Run, RunCtx, FromStream, FromSegments, RunDeaggregation — each pick
-// a source and call run.
+// — Run, RunCtx, FromSegments, RunDeaggregation — each pick a source
+// and call run.
 package study
 
 import (
 	"context"
-	"io"
 	"time"
 
 	"repro/internal/agg"
@@ -31,25 +31,6 @@ import (
 	"repro/internal/trace"
 	"repro/internal/world"
 )
-
-// ReadCounter wraps r so every byte read bumps the
-// study_read_bytes_total counter on reg — with the samples counter this
-// puts dataset read throughput (samples/s, MB/s) on the obs progress
-// line. reg may be nil (no-op wrap).
-func ReadCounter(r io.Reader, reg *obs.Registry) io.Reader {
-	return &countingReader{r: r, c: reg.Counter("study_read_bytes_total")}
-}
-
-type countingReader struct {
-	r io.Reader
-	c *obs.Counter
-}
-
-func (cr *countingReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	cr.c.Add(int64(n))
-	return n, err
-}
 
 // Thresholds used throughout the paper's tables.
 var (
@@ -94,13 +75,11 @@ type Results struct {
 }
 
 // inferredCfg reconstructs a world.Config from an aggregated store —
-// the shape a replay run (JSONL or segments) reports when the dataset
-// arrives without one. Days counts from the first covered window, not
-// window zero: TotalWindows is an absolute high-water mark, so a -from
-// filter that prunes the leading day would otherwise inflate the day
-// count the temporal classifier keys on. Every replay path infers
-// through this one helper, which is part of what keeps filtered reports
-// byte-identical across dataset formats.
+// the shape a segment replay reports, its dataset arriving without one.
+// Days counts from the first covered window, not window zero:
+// TotalWindows is an absolute high-water mark, so a -from filter that
+// prunes the leading day would otherwise inflate the day count the
+// temporal classifier keys on.
 func inferredCfg(store *agg.Store) world.Config {
 	covered := store.TotalWindows - store.FirstWindow()
 	days := (covered + world.WindowsPerDay - 1) / world.WindowsPerDay
@@ -131,11 +110,10 @@ type Options struct {
 	// FailFast makes the first non-recoverable fault poison the run
 	// instead of quarantining the affected group and continuing.
 	FailFast bool
-	// Filter, when non-nil, restricts dataset replay (FromStream,
-	// FromSegments) to matching rows. The segment path additionally
-	// prunes whole segments against the manifest; the row predicate is
-	// identical on both, so filtered reports agree byte for byte across
-	// formats. Ignored by generation runs.
+	// Filter, when non-nil, restricts dataset replay (FromSegments) to
+	// matching rows: whole segments are pruned against the manifest
+	// before any I/O, the row predicate handles the rest. Ignored by
+	// generation runs.
 	Filter *segstore.Filter
 	// Trace, when non-nil, records the run's deterministic flight
 	// trace: generation spans, batch fates, sink faults and retries,
@@ -187,23 +165,14 @@ func RunDeaggregation(cfg world.Config) (*Results, analysis.DeaggregationResult)
 	return res, analysis.CompareDeaggregation(res.Store, fine)
 }
 
-// FromStream runs every analysis over a JSON-lines dataset (as written
-// by cmd/edgesim, one record per line). The dataset's shape — window
-// count, and therefore the day count the temporal classifier needs — is
-// inferred from the samples. opt.Filter drops rows before they reach
-// the collector — the same row predicate the segment scanner pushes
-// down, which is what keeps a filtered JSONL report byte-identical to
-// the filtered segment report over the same dataset.
-func FromStream(ctx context.Context, r io.Reader, opt Options) (*Results, error) {
-	return run(ctx, &jsonlSource{r: r}, opt)
-}
-
 // FromSegments runs every analysis over a segment dataset directory (as
-// written by `edgesim -format seg` or segcat). The manifest is pruned
-// against opt.Filter before any segment byte is read; surviving
-// segments decode on opt.Workers goroutines and are delivered in
-// manifest order — so the rendered report is byte-identical to the
-// JSONL path over the same samples, at every worker count.
+// written by edgesim, edgepopd/edgemerged, edgestudyd or a segcat
+// import). The dataset's shape — window count, and therefore the day
+// count the temporal classifier needs — is inferred from the samples.
+// The manifest is pruned against opt.Filter before any segment byte is
+// read; surviving segments decode on opt.Workers goroutines and are
+// delivered in manifest order — so the rendered report is byte-identical
+// at every worker count.
 //
 // By default the path is row-free end to end: decoded column batches
 // flow from the scanner through the collector into the store's batch

@@ -10,7 +10,7 @@
 // shape while keeping the repo's determinism contract: sealing keys
 // on the run's logical clock (the window index), never wall time, so
 // a daemon run over a generated world drains into a spool that is
-// byte-identical to the dataset `edgesim -format seg` writes for the
+// byte-identical to the dataset `edgesim` writes for the
 // same flags — and therefore `edgereport` over the daemon's at-rest
 // segments reproduces the golden batch report exactly. The e2e tests
 // and `make studyd-race` pin that invariant at several worker counts,

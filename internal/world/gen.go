@@ -75,14 +75,14 @@ func (w *World) GenerateCtx(ctx context.Context, workers int, emit func(sample.S
 
 // GenerateBatches streams per-group batches to deliver in ascending
 // group order (deliver runs on one goroutine; its error poisons the
-// pipeline). Group simulation runs on up to workers goroutines; each
-// group's RNG lineage is independent (rng.ChildAt per group), so the
-// batch contents are identical at any worker count — ordered delivery
-// then makes the whole stream identical. When W.Rec is set, each
-// worker goroutine owns one trace buffer; the events a group emits are
-// identical whichever worker simulates it. Delivery is the "emit" stage
-// of the world's metrics and where its sessions are counted, so both
-// read the same at every worker count.
+// pipeline): GenerateSelected over every group, plus a reorder stage.
+// Each group's RNG lineage is independent (rng.ChildAt per group), so
+// the batch contents are identical at any worker count — ordered
+// delivery then makes the whole stream identical. When W.Rec is set,
+// each worker goroutine owns one trace buffer; the events a group emits
+// are identical whichever worker simulates it. Delivery is the "emit"
+// stage of the world's metrics and where its sessions are counted, so
+// both read the same at every worker count.
 func (w *World) GenerateBatches(ctx context.Context, workers int, deliver func(Batch) error) error {
 	handle := deliver
 	deliver = func(b Batch) error {
@@ -91,95 +91,34 @@ func (w *World) GenerateBatches(ctx context.Context, workers int, deliver func(B
 		w.obs.sessions.Add(int64(len(b.Samples)))
 		return handle(b)
 	}
-	if workers > len(w.Groups) {
-		workers = len(w.Groups)
+	all := make([]int, len(w.Groups))
+	for i := range all {
+		all[i] = i
 	}
-	if workers <= 1 {
-		buf := w.Rec.Buf()
-		for i := range w.Groups {
-			if err := ctx.Err(); err != nil {
-				return context.Cause(ctx)
-			}
-			if err := deliver(w.generateBatch(i, buf)); err != nil {
-				return err
-			}
-		}
-		return nil
+	if workers <= 1 { // everything on the calling goroutine
+		return w.GenerateSelected(ctx, 1, all, func(_ int, b Batch) error { return deliver(b) })
 	}
-
-	idx := make(chan int, len(w.Groups))
-	for i := range w.Groups {
-		idx <- i
-	}
-	close(idx)
-
 	g := pipeline.NewGroup(ctx)
 	out := pipeline.NewStream[Batch](workers)
-	g.GoPool(workers, func(ctx context.Context, _ int) error {
-		buf := w.Rec.Buf()
-		for i := range idx {
-			if err := ctx.Err(); err != nil {
-				return context.Cause(ctx)
-			}
-			if err := out.Send(ctx, w.generateBatch(i, buf)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}, out.Close)
+	g.Go(func(ctx context.Context) error {
+		defer out.Close()
+		return w.GenerateSelected(ctx, workers, all, func(_ int, b Batch) error { return out.Send(ctx, b) })
+	})
 	g.Go(func(ctx context.Context) error {
 		return pipeline.Reorder(ctx, out, func(b Batch) int { return b.Group }, 0, deliver)
 	})
 	return g.Wait()
 }
 
-// GenerateBatchesUnordered is GenerateBatches without the ordered
-// delivery: handle runs concurrently on the worker goroutines, once per
-// group. Callers that need deterministic output restore order
-// themselves (cmd/edgesim reorders encoded batches before writing).
-func (w *World) GenerateBatchesUnordered(ctx context.Context, workers int, handle func(Batch) error) error {
-	if workers > len(w.Groups) {
-		workers = len(w.Groups)
-	}
-	if workers <= 1 {
-		buf := w.Rec.Buf()
-		for i := range w.Groups {
-			if err := ctx.Err(); err != nil {
-				return context.Cause(ctx)
-			}
-			if err := handle(w.generateBatch(i, buf)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	idx := make(chan int, len(w.Groups))
-	for i := range w.Groups {
-		idx <- i
-	}
-	close(idx)
-	g := pipeline.NewGroup(ctx)
-	g.GoPool(workers, func(ctx context.Context, _ int) error {
-		buf := w.Rec.Buf()
-		for i := range idx {
-			if err := ctx.Err(); err != nil {
-				return context.Cause(ctx)
-			}
-			if err := handle(w.generateBatch(i, buf)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}, nil)
-	return g.Wait()
-}
-
-// GenerateSelected is GenerateBatchesUnordered restricted to the given
-// group indices — the resume path: a checkpointed run regenerates only
-// the groups its manifest does not yet account for. handle receives
+// GenerateSelected simulates the given groups — every group, or the
+// subset a checkpointed run's manifest does not yet account for — on up
+// to workers goroutines. It is the world's one group worker pool:
+// handle runs concurrently on the workers (on the calling goroutine at
+// workers ≤ 1), once per group, in no particular order. handle receives
 // order, the group's position in groups, so callers can restore the
 // requested order densely (pipeline.Reorder needs a gapless sequence)
-// even when the selection has gaps.
+// even when the selection has gaps. Cancelling ctx stops generation at
+// the next group boundary and returns the cause.
 func (w *World) GenerateSelected(ctx context.Context, workers int, groups []int, handle func(order int, b Batch) error) error {
 	if workers > len(groups) {
 		workers = len(groups)

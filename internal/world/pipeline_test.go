@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/sample"
@@ -103,9 +104,11 @@ func TestGenerateBatchesDeliverErrorPoisons(t *testing.T) {
 	}
 }
 
-// GenerateBatchesUnordered must hand every group to exactly one handler
-// invocation with the same contents as the ordered path.
-func TestGenerateBatchesUnorderedCoverage(t *testing.T) {
+// GenerateSelected must hand every selected group — and no other — to
+// exactly one handler invocation, with its position in the selection
+// and the same contents as the ordered path, gaps in the selection
+// notwithstanding.
+func TestGenerateSelectedCoverage(t *testing.T) {
 	w := New(testCfg())
 	want := map[int]int{} // group -> sample count
 	if err := w.GenerateBatches(context.Background(), 1, func(b Batch) error {
@@ -114,27 +117,33 @@ func TestGenerateBatchesUnorderedCoverage(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	w2 := New(testCfg())
-	got := make(map[int]int)
-	var mu chan struct{} = make(chan struct{}, 1)
-	mu <- struct{}{}
-	if err := w2.GenerateBatchesUnordered(context.Background(), 4, func(b Batch) error {
-		<-mu
-		defer func() { mu <- struct{}{} }()
-		if _, dup := got[b.Group]; dup {
-			t.Errorf("group %d handled twice", b.Group)
+	selection := []int{1, 2, 5, 9} // gapped: a resumed run's work list
+	for _, workers := range []int{1, 4} {
+		var mu sync.Mutex
+		got := map[int]int{}   // group -> sample count
+		order := map[int]int{} // order -> group
+		if err := New(testCfg()).GenerateSelected(context.Background(), workers, selection, func(o int, b Batch) error {
+			mu.Lock()
+			defer mu.Unlock()
+			if _, dup := got[b.Group]; dup {
+				t.Errorf("workers=%d: group %d handled twice", workers, b.Group)
+			}
+			got[b.Group] = len(b.Samples)
+			order[o] = b.Group
+			return nil
+		}); err != nil {
+			t.Fatal(err)
 		}
-		got[b.Group] = len(b.Samples)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("handled %d groups, want %d", len(got), len(want))
-	}
-	for g, n := range want {
-		if got[g] != n {
-			t.Errorf("group %d: %d samples, want %d", g, got[g], n)
+		if len(got) != len(selection) {
+			t.Fatalf("workers=%d: handled %d groups, want %d", workers, len(got), len(selection))
+		}
+		for o, g := range selection {
+			if order[o] != g {
+				t.Errorf("workers=%d: order %d carried group %d, want %d", workers, o, order[o], g)
+			}
+			if got[g] != want[g] {
+				t.Errorf("workers=%d: group %d: %d samples, want %d", workers, g, got[g], want[g])
+			}
 		}
 	}
 }
