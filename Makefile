@@ -20,10 +20,10 @@ vet:
 	$(GO) vet ./...
 
 # edgelint enforces the repo's determinism, unit-safety, poisoning, and
-# batch-ownership contracts (DESIGN.md §8, §13). Packages are analyzed
-# in parallel and results cached under os.UserCacheDir()/edgelint
-# (-cache off disables). Also runnable through the vet toolchain:
-#   go build -o edgelint ./cmd/edgelint && go vet -vettool=./edgelint ./...
+# batch-ownership contracts (DESIGN.md §8, §13). Every run type-checks
+# the module from source and analyzes every package, in dependency
+# order; nothing is remembered between runs. -stats prints what each
+# analyzer cost.
 lint:
 	$(GO) run ./cmd/edgelint -stats .
 

@@ -3,32 +3,20 @@
 // closecheck, poisonpath, rowfree, tracekey, and batchlife — the
 // contracts the compiler cannot see (DESIGN.md §8, §13).
 //
-// Two modes share one diagnostic pipeline:
-//
-// Standalone, over a module tree (type-checking from source, no build
-// cache needed):
+// It type-checks the module from source (no build cache needed), then
+// analyzes every package in dependency order so facts flow from a
+// package to its importers. _test.go files are never loaded: the
+// contracts target production code.
 //
 //	edgelint            # the module containing the current directory
 //	edgelint ./agg      # only report findings under a directory
 //	edgelint -list      # print the analyzers and their contracts
 //	edgelint -stats .   # add per-analyzer wall time and finding counts
-//	edgelint -json .    # machine-readable findings + stats
-//
-// Standalone runs analyze packages in dependency order (facts flow
-// from a package to its importers), in parallel, behind a file-hash
-// keyed result cache (-cache=off disables; -cache=DIR relocates).
-//
-// As a go vet tool, speaking vet's unitchecker protocol (-V=full,
-// -flags, and JSON vet.cfg units with gc export data):
-//
-//	go vet -vettool=$(which edgelint) ./...
 //
 // Exit status: 0 clean, 1 findings, 2 usage or analysis failure.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -42,28 +30,10 @@ import (
 )
 
 func main() {
-	// The go vet tool protocol probes first with -V=full (version for
-	// the build cache key) and -flags (supported analyzer flags).
-	if len(os.Args) == 2 {
-		switch os.Args[1] {
-		case "-V=full", "--V=full":
-			printVersion()
-			return
-		case "-flags", "--flags":
-			fmt.Println("[]")
-			return
-		}
-	}
-	if len(os.Args) == 2 && strings.HasSuffix(os.Args[1], ".cfg") {
-		os.Exit(runVetUnit(os.Args[1]))
-	}
-
 	list := flag.Bool("list", false, "list analyzers and their contracts")
 	stats := flag.Bool("stats", false, "print per-analyzer wall time and finding counts")
-	jsonOut := flag.Bool("json", false, "emit findings and stats as JSON")
-	cache := flag.String("cache", "auto", `result cache: "auto" (per-user cache dir), "off", or a directory`)
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: edgelint [-list] [-stats] [-json] [-cache=auto|off|DIR] [dir]\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: edgelint [-list] [-stats] [dir]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -80,102 +50,67 @@ func main() {
 			dir = "."
 		}
 	}
-	os.Exit(runStandaloneCfg(dir, os.Stdout, runConfig{stats: *stats, json: *jsonOut, cache: *cache}))
+	os.Exit(run(dir, os.Stdout, *stats))
 }
 
-// printVersion emits a line whose content changes whenever the binary
-// does, so `go vet` caches results against the right tool build.
-func printVersion() {
-	sum := "unknown"
-	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			h := sha256.New()
-			if _, err := io.Copy(h, f); err == nil {
-				sum = fmt.Sprintf("%x", h.Sum(nil)[:12])
-			}
-			_ = f.Close()
-		}
-	}
-	// cmd/go requires the last field to be buildID=<hex>.
-	fmt.Printf("edgelint version devel buildID=%s\n", sum)
-}
-
-// runConfig carries the standalone mode's flag settings.
-type runConfig struct {
-	stats bool
-	json  bool
-	cache string
-}
-
-// runStandalone lints the module containing dir with default settings,
-// reporting findings under dir (tests call this directly).
-func runStandalone(dir string, out io.Writer) int {
-	return runStandaloneCfg(dir, out, runConfig{cache: "auto"})
-}
-
-func runStandaloneCfg(dir string, out io.Writer, cfg runConfig) int {
-	abs, err := filepath.Abs(dir)
+// run lints the module containing dir, prints the findings under dir
+// to out (then the per-analyzer table when stats is set), and returns
+// the exit status.
+func run(dir string, out io.Writer, stats bool) int {
+	res, err := lint(dir)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "edgelint: %v\n", err)
 		return 2
+	}
+	for _, f := range res.Findings {
+		fmt.Fprintln(out, f)
+	}
+	if stats {
+		fmt.Fprintf(out, "packages: %d analyzed\n", res.Packages)
+		for _, st := range res.Stats {
+			fmt.Fprintf(out, "%15s  %10v  %d finding(s)\n", st.Name, st.Time.Round(10*time.Microsecond), st.Findings)
+		}
+	}
+	if len(res.Findings) > 0 {
+		fmt.Fprintf(os.Stderr, "edgelint: %d finding(s) in %d package(s)\n", len(res.Findings), res.Packages)
+		return 1
+	}
+	return 0
+}
+
+// lint loads and analyzes the whole module containing dir (facts need
+// every package) and keeps the findings rooted under dir, with paths
+// relative to it — this is what `edgelint ./agg` means.
+func lint(dir string) (*suite.Result, error) {
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, err
 	}
 	moduleDir, err := load.FindModuleRoot(abs)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "edgelint: %v\n", err)
-		return 2
+		return nil, err
 	}
-	var cacheDir string
-	switch cfg.cache {
-	case "auto":
-		cacheDir = suite.DefaultCacheDir()
-	case "off", "":
-		cacheDir = ""
-	default:
-		cacheDir = cfg.cache
-	}
-	res, err := suite.RunModule(moduleDir, suite.Analyzers, suite.Options{CacheDir: cacheDir})
+	loader, err := load.NewLoader(moduleDir)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "edgelint: %v\n", err)
-		return 2
+		return nil, err
 	}
-	// Analysis covers the whole module (facts and caching need every
-	// package), but only findings rooted under dir are reported — this
-	// is what `edgelint ./agg` means.
-	findings := res.Findings[:0:0]
+	pkgs, err := loader.LoadAll()
+	if err != nil {
+		return nil, err
+	}
+	res, err := suite.Run(pkgs, suite.Analyzers)
+	if err != nil {
+		return nil, err
+	}
+	under := res.Findings[:0]
 	for _, f := range res.Findings {
 		rel, err := filepath.Rel(abs, f.Pos.Filename)
 		if err != nil || strings.HasPrefix(rel, "..") {
 			continue
 		}
 		f.Pos.Filename = rel
-		findings = append(findings, f)
+		under = append(under, f)
 	}
-	if cfg.json {
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(suite.Result{Findings: findings, Stats: res.Stats}); err != nil {
-			fmt.Fprintf(os.Stderr, "edgelint: %v\n", err)
-			return 2
-		}
-	} else {
-		for _, f := range findings {
-			fmt.Fprintln(out, f)
-		}
-		if cfg.stats {
-			printStats(out, res.Stats)
-		}
-	}
-	if len(findings) > 0 {
-		fmt.Fprintf(os.Stderr, "edgelint: %d finding(s) in %d package(s)\n", len(findings), res.Stats.Packages)
-		return 1
-	}
-	return 0
-}
-
-// printStats renders the per-analyzer accounting table.
-func printStats(out io.Writer, s suite.Stats) {
-	fmt.Fprintf(out, "packages: %d analyzed, %d cache hit(s), %d miss(es)\n", s.Packages, s.CacheHits, s.CacheMisses)
-	for _, st := range s.SortedAnalyzerStats() {
-		fmt.Fprintf(out, "%15s  %10v  %d finding(s)\n", st.Name, st.Time.Round(10*time.Microsecond), st.Findings)
-	}
+	res.Findings = under
+	return res, nil
 }

@@ -2,16 +2,14 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/lint/suite"
 )
 
-// buildDriver compiles the edgelint binary once per test binary run.
+// buildDriver compiles the edgelint binary for one test.
 func buildDriver(t *testing.T) string {
 	t.Helper()
 	bin := filepath.Join(t.TempDir(), "edgelint")
@@ -22,57 +20,101 @@ func buildDriver(t *testing.T) string {
 	return bin
 }
 
-// The standalone driver over the known-bad fixture module must surface
-// one finding per planted violation and exit 1.
-func TestStandaloneOnBadModule(t *testing.T) {
-	bin := buildDriver(t)
-	cmd := exec.Command(bin, "testdata/badmod")
+// lintWith runs the built driver and returns its stdout and exit code.
+func lintWith(t *testing.T, bin string, args ...string) (string, int) {
+	t.Helper()
+	cmd := exec.Command(bin, args...)
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
 	err := cmd.Run()
-	ee, ok := err.(*exec.ExitError)
-	if !ok || ee.ExitCode() != 1 {
-		t.Fatalf("want exit 1, got %v\nstdout:\n%s\nstderr:\n%s", err, &stdout, &stderr)
+	code := 0
+	if ee, ok := err.(*exec.ExitError); ok {
+		code = ee.ExitCode()
+	} else if err != nil {
+		t.Fatalf("running edgelint %v: %v", args, err)
 	}
-	for _, want := range []string{
-		"wall-clock read time.Now in deterministic package agg",
-		"global math/rand draw rand.Int",
-		"append to out during map iteration without a subsequent sort",
-		"captured by goroutine closure",
-		"import of math/rand outside internal/rng",
-		"multiplying two bits/s (units.Rate) quantities",
-		"direct conversion from bytes (units.ByteSize) to bits/s (units.Rate)",
-		"unchecked error from (*bufio.Writer).Flush",
-		"Orphan creates a pipeline group but has no context.Context parameter",
-		"column batch b may reach this exit without being released",
-		"column batch b is used after its ownership was handed off",
+	t.Logf("edgelint %v: exit %d\nstdout:\n%s\nstderr:\n%s", args, code, &stdout, &stderr)
+	return stdout.String(), code
+}
+
+// The driver over the known-bad fixture module must surface one finding
+// per planted violation and exit 1; given a directory inside it, it
+// still analyzes the whole module (the "handed off" finding needs facts
+// from segstore) but reports only what lies under that directory.
+func TestStandaloneOnBadModule(t *testing.T) {
+	bin := buildDriver(t)
+	for _, tc := range []struct {
+		args     []string
+		exit     int
+		findings int
+		wants    []string
+	}{
+		{args: []string{"testdata/badmod"}, exit: 1, findings: 11, wants: []string{
+			"wall-clock read time.Now in deterministic package agg",
+			"global math/rand draw rand.Int",
+			"append to out during map iteration without a subsequent sort",
+			"captured by goroutine closure",
+			"import of math/rand outside internal/rng",
+			"multiplying two bits/s (units.Rate) quantities",
+			"direct conversion from bytes (units.ByteSize) to bits/s (units.Rate)",
+			"unchecked error from (*bufio.Writer).Flush",
+			"Orphan creates a pipeline group but has no context.Context parameter",
+			"column batch b may reach this exit without being released",
+			"column batch b is used after its ownership was handed off",
+		}},
+		{args: []string{"testdata/badmod/collect"}, exit: 1, findings: 2, wants: []string{
+			"collect.go:15:3: batchlife: column batch b may reach this exit without being released",
+			"collect.go:28:9: batchlife: column batch b is used after its ownership was handed off",
+		}},
+		// The flags that selected the deleted drivers are usage errors.
+		{args: []string{"-cache", "off", "testdata/badmod"}, exit: 2},
+		{args: []string{"-json", "testdata/badmod"}, exit: 2},
 	} {
-		if !strings.Contains(stdout.String(), want) {
-			t.Errorf("missing diagnostic %q in output:\n%s", want, &stdout)
+		stdout, code := lintWith(t, bin, tc.args...)
+		if code != tc.exit {
+			t.Errorf("edgelint %v: exit %d, want %d", tc.args, code, tc.exit)
+		}
+		if n := strings.Count(stdout, "\n"); n != tc.findings {
+			t.Errorf("edgelint %v: %d finding(s), want %d", tc.args, n, tc.findings)
+		}
+		for _, want := range tc.wants {
+			if !strings.Contains(stdout, want) {
+				t.Errorf("edgelint %v: missing diagnostic %q", tc.args, want)
+			}
 		}
 	}
 }
 
-// The same module through `go vet -vettool` must fail with the same
-// diagnostics, proving the unitchecker protocol end to end.
-func TestVettoolOnBadModule(t *testing.T) {
+// A finding in one package can depend on the exported types of another
+// that did not itself change: every run must re-derive every package's
+// findings from the current tree. (A result cache keyed on a package's
+// own files and its dependencies' facts answered the second run below
+// from the first.)
+func TestFindingsFollowDependencyTypes(t *testing.T) {
 	bin := buildDriver(t)
-	cmd := exec.Command("go", "vet", "-vettool="+bin, "./...")
-	cmd.Dir = "testdata/badmod"
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("go vet succeeded on the known-bad module; output:\n%s", out)
-	}
-	for _, want := range []string{
-		"wall-clock read time.Now in deterministic package agg",
-		"multiplying two bits/s (units.Rate) quantities",
-		"unchecked error from (*bufio.Writer).Flush",
-		"Orphan creates a pipeline group but has no context.Context parameter",
-		"column batch b is used after its ownership was handed off",
-	} {
-		if !strings.Contains(string(out), want) {
-			t.Errorf("missing diagnostic %q in go vet output:\n%s", want, out)
+	mod := t.TempDir()
+	write := func(rel, src string) {
+		t.Helper()
+		path := filepath.Join(mod, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o777); err != nil {
+			t.Fatal(err)
 		}
+		if err := os.WriteFile(path, []byte(src), 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const dep = "package dep\n\ntype W struct{}\n\nfunc (*W) Seal() {}\n"
+	write("go.mod", "module sealmod\n\ngo 1.22\n")
+	write("dep/dep.go", dep)
+	write("use/use.go", "package use\n\nimport \"sealmod/dep\"\n\nfunc Finish(w *dep.W) {\n\tw.Seal()\n}\n")
+
+	if stdout, code := lintWith(t, bin, mod); code != 0 || stdout != "" {
+		t.Fatalf("clean module: exit %d, want 0 and no findings", code)
+	}
+	write("dep/dep.go", strings.Replace(dep, "Seal() {}", "Seal() error { return nil }", 1))
+	stdout, code := lintWith(t, bin, mod)
+	if want := "use/use.go:6:2: closecheck: unchecked error from (*sealmod/dep.W).Seal"; code != 1 || !strings.Contains(stdout, want) {
+		t.Errorf("after dep.W.Seal gained an error result: exit %d, want 1 with %q", code, want)
 	}
 }
 
@@ -84,50 +126,7 @@ func TestSelfClean(t *testing.T) {
 		t.Skip("full-module lint in -short mode")
 	}
 	var out bytes.Buffer
-	if code := runStandalone("../..", &out); code != 0 {
+	if code := run("../..", &out, false); code != 0 {
 		t.Fatalf("edgelint on the repo exited %d:\n%s", code, &out)
-	}
-}
-
-// A second run against an unchanged module must be served entirely from
-// the result cache — same findings, zero misses — and a cached hit must
-// replay imported facts too (the cross-package batchlife diagnostics
-// stay present).
-func TestResultCacheRoundTrip(t *testing.T) {
-	cacheDir := filepath.Join(t.TempDir(), "cache")
-	run := func() (string, suite.Result) {
-		var out bytes.Buffer
-		code := runStandaloneCfg("testdata/badmod", &out, runConfig{json: true, cache: cacheDir})
-		if code != 1 {
-			t.Fatalf("want exit 1 on badmod, got %d:\n%s", code, &out)
-		}
-		var res suite.Result
-		if err := json.Unmarshal(out.Bytes(), &res); err != nil {
-			t.Fatalf("decoding -json output: %v\n%s", err, &out)
-		}
-		return out.String(), res
-	}
-
-	first, cold := run()
-	if cold.Stats.CacheMisses == 0 {
-		t.Fatalf("cold run reported no cache misses: %+v", cold.Stats)
-	}
-	second, warm := run()
-	if warm.Stats.CacheHits != warm.Stats.Packages || warm.Stats.CacheMisses != 0 {
-		t.Errorf("warm run not fully cached: %d hit(s), %d miss(es), %d package(s)",
-			warm.Stats.CacheHits, warm.Stats.CacheMisses, warm.Stats.Packages)
-	}
-	if len(warm.Findings) != len(cold.Findings) {
-		t.Errorf("warm run replayed %d finding(s), cold had %d:\ncold:\n%s\nwarm:\n%s",
-			len(warm.Findings), len(cold.Findings), first, second)
-	}
-	var handoff bool
-	for _, f := range warm.Findings {
-		if strings.Contains(f.Message, "handed off") {
-			handoff = true
-		}
-	}
-	if !handoff {
-		t.Errorf("warm run lost the fact-dependent batchlife finding:\n%s", second)
 	}
 }

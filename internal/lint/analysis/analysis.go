@@ -34,9 +34,9 @@ type Analyzer struct {
 	Requires []*Analyzer
 
 	// FactTypes lists the fact types this analyzer exports or imports.
-	// An analyzer with FactTypes is rerun package-by-package in
-	// dependency order so facts flow from a package to its importers.
-	// Each entry must be registered with RegisterFact by the driver.
+	// The driver analyzes packages in dependency order so facts flow
+	// from a package to its importers, and wires the Pass's fact hooks
+	// only for analyzers that declare some.
 	FactTypes []Fact
 
 	// Run applies the analyzer to one package.

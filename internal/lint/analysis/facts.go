@@ -1,22 +1,16 @@
 package analysis
 
-import (
-	"fmt"
-	"go/types"
-	"reflect"
-	"sort"
-	"sync"
-)
+import "go/types"
 
-// Fact is a serializable summary an analyzer attaches to a types.Object
+// Fact is a summary an analyzer attaches to a types.Object
 // (shape-compatible with x/tools go/analysis). Facts exported while
 // analyzing a package are visible — via ImportObjectFact — to later
 // passes of the same analyzer over packages that import it; this is how
 // a check becomes interprocedural without whole-program analysis.
 //
-// Fact types must be pointers to structs that marshal losslessly to
-// JSON (the driver serializes them into the result cache and the vet
-// fact files) and must be registered in the Analyzer's FactTypes.
+// Fact types must be pointers to structs (ImportObjectFact copies the
+// stored struct into the caller's) and must be listed in the Analyzer's
+// FactTypes. They live in memory for one run and are never serialized.
 type Fact interface {
 	// AFact marks the type as a Fact; it does nothing.
 	AFact()
@@ -26,68 +20,4 @@ type Fact interface {
 type ObjectFact struct {
 	Object types.Object
 	Fact   Fact
-}
-
-// factRegistry maps a fact's registered name to its concrete type so
-// serialized facts can be decoded without importing the analyzer.
-var (
-	factMu       sync.RWMutex
-	factRegistry = map[string]reflect.Type{}
-)
-
-// RegisterFact makes a fact type decodable by name. The driver calls it
-// for every type in every Analyzer's FactTypes; analyzers don't call it
-// directly. The name must be stable across builds (it is part of the
-// cache key and the vetx wire format), so it is passed explicitly
-// rather than derived from reflection.
-func RegisterFact(name string, f Fact) {
-	t := reflect.TypeOf(f)
-	if t == nil || t.Kind() != reflect.Pointer || t.Elem().Kind() != reflect.Struct {
-		panic(fmt.Sprintf("analysis: fact %q must be a pointer to struct, got %T", name, f))
-	}
-	factMu.Lock()
-	defer factMu.Unlock()
-	if prev, ok := factRegistry[name]; ok && prev != t {
-		panic(fmt.Sprintf("analysis: fact name %q registered twice with different types (%v, %v)", name, prev, t))
-	}
-	factRegistry[name] = t
-}
-
-// FactName returns the registered name for f's concrete type, or "".
-func FactName(f Fact) string {
-	t := reflect.TypeOf(f)
-	factMu.RLock()
-	defer factMu.RUnlock()
-	for name, rt := range factRegistry {
-		if rt == t {
-			return name
-		}
-	}
-	return ""
-}
-
-// NewFact returns a zero value of the fact type registered under name,
-// or nil if the name is unknown.
-func NewFact(name string) Fact {
-	factMu.RLock()
-	t, ok := factRegistry[name]
-	factMu.RUnlock()
-	if !ok {
-		return nil
-	}
-	return reflect.New(t.Elem()).Interface().(Fact)
-}
-
-// RegisteredFactNames returns the sorted names of all registered fact
-// types (part of the result-cache salt: a fact shape change must
-// invalidate cached results).
-func RegisteredFactNames() []string {
-	factMu.RLock()
-	defer factMu.RUnlock()
-	names := make([]string, 0, len(factRegistry))
-	for n := range factRegistry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -39,10 +39,11 @@ func TestAllowDirective(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings, err := suite.Run(pkgs, []*analysis.Analyzer{batchlife.Analyzer})
+	res, err := suite.Run(pkgs, []*analysis.Analyzer{batchlife.Analyzer})
 	if err != nil {
 		t.Fatal(err)
 	}
+	findings := res.Findings
 	if len(findings) != 1 {
 		var all []string
 		for _, f := range findings {

@@ -41,20 +41,20 @@ func (m ParamMode) String() string {
 // it on every path — this is how Reader.ScanColumns's emit contract
 // reaches call sites in other packages.
 type CallbackFact struct {
-	Param int `json:"param"`
-	Arg   int `json:"arg"`
+	Param int
+	Arg   int
 }
 
 // FuncFact is the exported per-function ownership summary.
 type FuncFact struct {
 	// Params holds one mode per parameter (receiver excluded).
-	Params []ParamMode `json:"params,omitempty"`
+	Params []ParamMode
 	// Callbacks lists func-typed parameters that receive batch
 	// ownership when called.
-	Callbacks []CallbackFact `json:"callbacks,omitempty"`
+	Callbacks []CallbackFact
 	// ReturnsOwned reports that the function returns a batch the caller
 	// owns (and must release).
-	ReturnsOwned bool `json:"returnsOwned,omitempty"`
+	ReturnsOwned bool
 }
 
 // AFact marks FuncFact as an analysis fact.

@@ -36,9 +36,6 @@ var checked = map[string]bool{"Flush": true, "Close": true, "Seal": true, "Commi
 
 func run(pass *analysis.Pass) (any, error) {
 	for _, f := range pass.Files {
-		if lintutil.IsTestFile(pass.Fset, f.Pos()) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.ExprStmt:

@@ -40,13 +40,6 @@ func PathHasSuffix(path, suffix string) bool {
 	return path == suffix || strings.HasSuffix(path, "/"+suffix)
 }
 
-// IsTestFile reports whether the file behind pos is a _test.go file.
-// The edgelint contracts target production code; tests may use wall
-// clocks, ad-hoc RNGs, and discarded closes freely.
-func IsTestFile(fset *token.FileSet, pos token.Pos) bool {
-	return strings.HasSuffix(fset.Position(pos).Filename, "_test.go")
-}
-
 // RootIdent returns the leftmost identifier of a selector / index /
 // call chain (the x in x.a.b[i].c), or nil.
 func RootIdent(e ast.Expr) *ast.Ident {

@@ -60,9 +60,6 @@ func run(pass *analysis.Pass) (any, error) {
 		return nil, nil
 	}
 	for _, f := range pass.Files {
-		if lintutil.IsTestFile(pass.Fset, f.Pos()) {
-			continue
-		}
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {

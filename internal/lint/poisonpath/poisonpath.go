@@ -37,9 +37,6 @@ var Analyzer = &analysis.Analyzer{
 
 func run(pass *analysis.Pass) (any, error) {
 	for _, f := range pass.Files {
-		if lintutil.IsTestFile(pass.Fset, f.Pos()) {
-			continue
-		}
 		if !lintutil.ImportsPath(f, "internal/pipeline") {
 			continue
 		}

@@ -38,9 +38,6 @@ func run(pass *analysis.Pass) (any, error) {
 		return nil, nil
 	}
 	for _, f := range pass.Files {
-		if lintutil.IsTestFile(pass.Fset, f.Pos()) {
-			continue
-		}
 		for _, imp := range f.Imports {
 			switch p := importPath(imp); p {
 			case "math/rand", "math/rand/v2":

@@ -1,69 +1,50 @@
 package suite
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/types"
 	"reflect"
-	"sort"
-	"sync"
 
 	"repro/internal/lint/analysis"
 )
 
 // FactStore holds the object facts exported while analyzing packages,
-// keyed by strings rather than types.Object so facts survive crossing
-// compilation boundaries: the exporting run sees a *types.Func from
-// type-checking source, a later importing run sees a different object
-// for the same function (from export data or a fresh type-check), but
-// both render the same stable key.
+// in memory, for the length of one run. Objects are keyed by text
+// rather than by types.Object so the key never depends on which
+// type-check produced the object.
 type FactStore struct {
-	mu sync.RWMutex
-	// m: package path -> object key -> fact name -> fact.
-	m map[string]map[string]map[string]analysis.Fact
+	m map[factKey]analysis.Fact
+}
+
+// factKey names one fact: the object's package, the object, and the
+// fact's concrete type (an object carries at most one fact per type).
+type factKey struct {
+	pkg, obj string
+	typ      reflect.Type
 }
 
 // NewFactStore returns an empty store.
 func NewFactStore() *FactStore {
-	return &FactStore{m: make(map[string]map[string]map[string]analysis.Fact)}
+	return &FactStore{m: make(map[factKey]analysis.Fact)}
 }
 
-// objKey renders a stable cross-compilation key for obj. Functions and
+// keyOf renders the key for obj's fact of fact's type. Functions and
 // methods use go/types' FullName (which qualifies the receiver), other
 // objects their bare name; both are deterministic text.
-func objKey(obj types.Object) string {
+func keyOf(obj types.Object, fact analysis.Fact) factKey {
+	name := obj.Name()
 	if fn, ok := obj.(*types.Func); ok {
-		return fn.FullName()
+		name = fn.FullName()
 	}
-	return obj.Name()
+	return factKey{pkg: obj.Pkg().Path(), obj: name, typ: reflect.TypeOf(fact)}
 }
 
-// export records fact for obj. Unregistered fact types are rejected
-// loudly: they could not be serialized, so a cache or vetx round-trip
-// would silently drop them.
+// export records fact for obj.
 func (s *FactStore) export(obj types.Object, fact analysis.Fact) error {
-	name := analysis.FactName(fact)
-	if name == "" {
-		return fmt.Errorf("fact type %T is not registered", fact)
-	}
 	if obj == nil || obj.Pkg() == nil {
-		return fmt.Errorf("fact %s exported for object without a package", name)
+		return fmt.Errorf("fact %T exported for object without a package", fact)
 	}
-	pkgPath := obj.Pkg().Path()
-	key := objKey(obj)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	pkgFacts := s.m[pkgPath]
-	if pkgFacts == nil {
-		pkgFacts = make(map[string]map[string]analysis.Fact)
-		s.m[pkgPath] = pkgFacts
-	}
-	byName := pkgFacts[key]
-	if byName == nil {
-		byName = make(map[string]analysis.Fact)
-		pkgFacts[key] = byName
-	}
-	byName[name] = fact
+	s.m[keyOf(obj, fact)] = fact
 	return nil
 }
 
@@ -73,124 +54,10 @@ func (s *FactStore) importFact(obj types.Object, fact analysis.Fact) bool {
 	if obj == nil || obj.Pkg() == nil {
 		return false
 	}
-	name := analysis.FactName(fact)
-	if name == "" {
+	stored, ok := s.m[keyOf(obj, fact)]
+	if !ok {
 		return false
 	}
-	s.mu.RLock()
-	stored := s.m[obj.Pkg().Path()][objKey(obj)][name]
-	s.mu.RUnlock()
-	if stored == nil {
-		return false
-	}
-	dst := reflect.ValueOf(fact)
-	src := reflect.ValueOf(stored)
-	if dst.Type() != src.Type() {
-		return false
-	}
-	dst.Elem().Set(src.Elem())
+	reflect.ValueOf(fact).Elem().Set(reflect.ValueOf(stored).Elem())
 	return true
-}
-
-// serialFact is the wire form of one (object, fact) pair, used by both
-// the result cache and the vetx files go vet shuttles between units.
-type serialFact struct {
-	Object string          `json:"object"`
-	Name   string          `json:"fact"`
-	Data   json.RawMessage `json:"data"`
-}
-
-// Bundle serializes every fact exported for pkgPath, deterministically
-// ordered (the bundle's bytes feed dependent packages' cache keys).
-func (s *FactStore) Bundle(pkgPath string) ([]byte, error) {
-	s.mu.RLock()
-	pkgFacts := s.m[pkgPath]
-	var sfs []serialFact
-	for key, byName := range pkgFacts {
-		for name, fact := range byName {
-			data, err := json.Marshal(fact)
-			if err != nil {
-				s.mu.RUnlock()
-				return nil, fmt.Errorf("marshaling fact %s for %s: %w", name, key, err)
-			}
-			sfs = append(sfs, serialFact{Object: key, Name: name, Data: data})
-		}
-	}
-	s.mu.RUnlock()
-	if len(sfs) == 0 {
-		return []byte("[]"), nil
-	}
-	sort.Slice(sfs, func(i, j int) bool {
-		if sfs[i].Object != sfs[j].Object {
-			return sfs[i].Object < sfs[j].Object
-		}
-		return sfs[i].Name < sfs[j].Name
-	})
-	return json.Marshal(sfs)
-}
-
-// AddBundle decodes a bundle previously produced by Bundle and records
-// its facts under pkgPath. Unknown fact names are skipped (an old cache
-// entry or vetx file may carry facts of a removed analyzer).
-func (s *FactStore) AddBundle(pkgPath string, data []byte) error {
-	if len(data) == 0 {
-		return nil
-	}
-	var sfs []serialFact
-	if err := json.Unmarshal(data, &sfs); err != nil {
-		return fmt.Errorf("decoding fact bundle for %s: %w", pkgPath, err)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, sf := range sfs {
-		fact := analysis.NewFact(sf.Name)
-		if fact == nil {
-			continue
-		}
-		if err := json.Unmarshal(sf.Data, fact); err != nil {
-			return fmt.Errorf("decoding fact %s for %s.%s: %w", sf.Name, pkgPath, sf.Object, err)
-		}
-		pkgFacts := s.m[pkgPath]
-		if pkgFacts == nil {
-			pkgFacts = make(map[string]map[string]analysis.Fact)
-			s.m[pkgPath] = pkgFacts
-		}
-		byName := pkgFacts[sf.Object]
-		if byName == nil {
-			byName = make(map[string]analysis.Fact)
-			pkgFacts[sf.Object] = byName
-		}
-		byName[sf.Name] = fact
-	}
-	return nil
-}
-
-// RegisterFacts registers the fact types of analyzers (and their
-// transitive Requires) under stable "<analyzer>.<Type>" names.
-// Idempotent. Every suite entry point calls it before running; drivers
-// that decode fact bundles themselves (the vet shim reading vetx files)
-// must call it before AddBundle, or the bundled facts are dropped as
-// unknown.
-func RegisterFacts(analyzers []*analysis.Analyzer) {
-	registerFacts(analyzers)
-}
-
-func registerFacts(analyzers []*analysis.Analyzer) {
-	seen := make(map[*analysis.Analyzer]bool)
-	var visit func(a *analysis.Analyzer)
-	visit = func(a *analysis.Analyzer) {
-		if seen[a] {
-			return
-		}
-		seen[a] = true
-		for _, r := range a.Requires {
-			visit(r)
-		}
-		for _, f := range a.FactTypes {
-			analysis.RegisterFact(a.Name+"."+reflect.TypeOf(f).Elem().Name(), f)
-		}
-	}
-	for _, a := range analyzers {
-		visit(a)
-	}
 }

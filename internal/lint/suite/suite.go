@@ -1,8 +1,8 @@
 // Package suite assembles the edgelint analyzers and runs them over
-// loaded packages, applying //edgelint:allow directives. Both the
-// cmd/edgelint driver (standalone and vettool modes) and the in-repo
-// tests go through this package so suppression semantics cannot
-// diverge between entry points.
+// loaded packages, applying //edgelint:allow directives. Run is the one
+// driver: cmd/edgelint, `make lint` and the in-repo directive tests all
+// call it, so suppression semantics cannot diverge between entry
+// points (analysistest calls its per-package half, RunPackageFacts).
 //
 // The driver resolves Analyzer.Requires (running prerequisite passes
 // like cfg first and exposing their results through Pass.ResultOf) and
@@ -45,25 +45,15 @@ var Analyzers = []*analysis.Analyzer{
 	unitsafety.Analyzer,
 }
 
-// ByName returns the analyzer with the given name, or nil.
-func ByName(name string) *analysis.Analyzer {
-	for _, a := range Analyzers {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}
-
 // Finding is one reported, post-suppression diagnostic.
 type Finding struct {
 	// Analyzer is the reporting analyzer's name ("edgelint" for
 	// driver-level problems such as malformed or unused directives).
-	Analyzer string `json:"analyzer"`
+	Analyzer string
 	// Pos locates the finding.
-	Pos token.Position `json:"pos"`
+	Pos token.Position
 	// Message describes it.
-	Message string `json:"message"`
+	Message string
 }
 
 func (f Finding) String() string {
@@ -149,35 +139,12 @@ func analyzePackage(pkg *load.Package, analyzers []*analysis.Analyzer, store *Fa
 	return out, nil
 }
 
-// RunUnit analyzes one package with dependency facts from store (the
-// vettool path: go vet hands us one unit plus its deps' fact files),
-// applies its //edgelint:allow directives, and returns sorted findings.
-// Facts the package exports are left in store for the caller to bundle.
-func RunUnit(pkg *load.Package, analyzers []*analysis.Analyzer, store *FactStore) ([]Finding, error) {
-	registerFacts(analyzers)
-	out, err := analyzePackage(pkg, analyzers, store)
-	if err != nil {
-		return nil, err
-	}
-	fs := finalizePackage(pkg, out.findings)
-	sortFindings(fs)
-	return fs, nil
-}
-
-// RunPackage applies the analyzers to one type-checked package and
-// returns raw (pre-suppression) findings, exchanging facts through a
-// store private to the call.
-func RunPackage(pkg *load.Package, analyzers []*analysis.Analyzer) ([]Finding, error) {
-	fs, _, err := RunPackageFacts(pkg, analyzers, NewFactStore())
-	return fs, err
-}
-
-// RunPackageFacts is RunPackage with an explicit fact store (facts for
-// the package's dependencies are read from it, facts exported by the
-// package are added to it). It additionally returns the exported
-// facts, which analysistest matches against want annotations.
+// RunPackageFacts applies the analyzers to one type-checked package
+// and returns its raw (pre-suppression) findings and the facts it
+// exported, which analysistest matches against want annotations. Facts
+// for the package's dependencies are read from store, and the
+// package's own are added to it.
 func RunPackageFacts(pkg *load.Package, analyzers []*analysis.Analyzer, store *FactStore) ([]Finding, []analysis.ObjectFact, error) {
-	registerFacts(analyzers)
 	out, err := analyzePackage(pkg, analyzers, store)
 	if err != nil {
 		return nil, nil, err
@@ -208,31 +175,102 @@ func finalizePackage(pkg *load.Package, raw []Finding) []Finding {
 	return kept
 }
 
-// sortFindings orders findings by position then message, the stable
-// presentation order every entry point emits.
-func sortFindings(fs []Finding) {
-	sort.Slice(fs, func(i, j int) bool {
-		a, b := fs[i].Pos, fs[j].Pos
+// AnalyzerStat aggregates one analyzer's cost and yield across a run.
+type AnalyzerStat struct {
+	Name string
+	// Time is wall time summed across packages.
+	Time time.Duration
+	// Findings counts post-suppression findings.
+	Findings int
+}
+
+// Result is a run's findings plus accounting.
+type Result struct {
+	// Findings are post-suppression, sorted by position then message.
+	Findings []Finding
+	// Packages is how many packages were analyzed.
+	Packages int
+	// Stats has one entry per analyzer that ran (prerequisites
+	// included), slowest first.
+	Stats []AnalyzerStat
+}
+
+// Run applies the analyzers to every package in dependency order —
+// one package at a time, facts flowing from each to its importers
+// through one in-memory store — filters findings through
+// //edgelint:allow directives, and reports malformed or unused
+// directives as findings of their own.
+func Run(pkgs []*load.Package, analyzers []*analysis.Analyzer) (*Result, error) {
+	res := &Result{Packages: len(pkgs)}
+	stats := make(map[string]*AnalyzerStat)
+	stat := func(name string) *AnalyzerStat {
+		if stats[name] == nil {
+			stats[name] = &AnalyzerStat{Name: name}
+		}
+		return stats[name]
+	}
+	store := NewFactStore()
+	for _, pkg := range dependencyOrder(pkgs) {
+		out, err := analyzePackage(pkg, analyzers, store)
+		if err != nil {
+			return nil, err
+		}
+		for name, d := range out.timings {
+			stat(name).Time += d
+		}
+		res.Findings = append(res.Findings, finalizePackage(pkg, out.findings)...)
+	}
+	for _, f := range res.Findings {
+		stat(f.Analyzer).Findings++
+	}
+	sort.Slice(res.Findings, func(i, j int) bool {
+		a, b := res.Findings[i].Pos, res.Findings[j].Pos
 		if a.Filename != b.Filename {
 			return a.Filename < b.Filename
 		}
 		if a.Line != b.Line {
 			return a.Line < b.Line
 		}
-		return fs[i].Message < fs[j].Message
+		return res.Findings[i].Message < res.Findings[j].Message
 	})
+	for _, st := range stats {
+		res.Stats = append(res.Stats, *st)
+	}
+	sort.Slice(res.Stats, func(i, j int) bool {
+		if res.Stats[i].Time != res.Stats[j].Time {
+			return res.Stats[i].Time > res.Stats[j].Time
+		}
+		return res.Stats[i].Name < res.Stats[j].Name
+	})
+	return res, nil
 }
 
-// Run applies the analyzers to every package in dependency order,
-// filters findings through //edgelint:allow directives, and reports
-// malformed or unused directives as findings of their own. Results are
-// position-sorted.
-func Run(pkgs []*load.Package, analyzers []*analysis.Analyzer) ([]Finding, error) {
-	res, err := RunWith(pkgs, analyzers, Options{Jobs: 1})
-	if err != nil {
-		return nil, err
+// dependencyOrder returns pkgs with every package after the ones it
+// imports (packages outside pkgs carry no facts and are skipped).
+func dependencyOrder(pkgs []*load.Package) []*load.Package {
+	byPath := make(map[string]*load.Package, len(pkgs))
+	for _, pkg := range pkgs {
+		byPath[pkg.Path] = pkg
 	}
-	return res.Findings, nil
+	out := make([]*load.Package, 0, len(pkgs))
+	seen := make(map[*load.Package]bool, len(pkgs))
+	var visit func(pkg *load.Package)
+	visit = func(pkg *load.Package) {
+		if seen[pkg] {
+			return
+		}
+		seen[pkg] = true
+		for _, imp := range pkg.Types.Imports() {
+			if dep, ok := byPath[imp.Path()]; ok {
+				visit(dep)
+			}
+		}
+		out = append(out, pkg)
+	}
+	for _, pkg := range pkgs {
+		visit(pkg)
+	}
+	return out
 }
 
 // Suppress drops findings covered by a well-formed directive on the

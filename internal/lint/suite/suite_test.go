@@ -21,10 +21,11 @@ func TestDirectiveHandling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings, err := Run(pkgs, Analyzers)
+	res, err := Run(pkgs, Analyzers)
 	if err != nil {
 		t.Fatal(err)
 	}
+	findings := res.Findings
 	var got []string
 	for _, f := range findings {
 		got = append(got, f.String())

@@ -39,7 +39,7 @@ func pooledBatch(t *testing.T, pool *sync.Pool) *ColumnBatch {
 	rows := testSamples(t, 5, 3, 1)
 	blob, _ := EncodeSegment(rows)
 	b, _ := pool.Get().(*ColumnBatch)
-	if b == nil { //edgelint:allow batchlife: pool miss replaces the nil non-batch the type assertion produced
+	if b == nil {
 		b = new(ColumnBatch)
 	}
 	b.pool = pool
@@ -57,7 +57,7 @@ func TestDoubleReleaseOwnedBatchCounted(t *testing.T) {
 	b := pooledBatch(t, &pool)
 	_, before := LeakStats()
 	b.Release()
-	b.Release() //edgelint:allow batchlife: deliberate double release, exercising the hardened counter
+	b.Release() // deliberate double release, exercising the hardened counter
 	expectedDoubleReleases.Add(1)
 	if _, after := LeakStats(); after != before+1 {
 		t.Fatalf("double releases went %d -> %d, want +1", before, after)
@@ -75,7 +75,7 @@ func TestDoubleReleaseViewCounted(t *testing.T) {
 	v.Release()
 	// The old protocol no-opped here via parent = nil while v still
 	// aliased b's (possibly recycled) arrays; now it is a counted event.
-	v.Release() //edgelint:allow batchlife: deliberate double release, exercising the hardened counter
+	v.Release() // deliberate double release, exercising the hardened counter
 	expectedDoubleReleases.Add(1)
 	if _, after := LeakStats(); after != before+1 {
 		t.Fatalf("view double releases went %d -> %d, want +1", before, after)
@@ -100,17 +100,26 @@ func TestReleasePoisonsOwnedBatch(t *testing.T) {
 		t.Fatal("fixture batch is empty")
 	}
 	b.Release()
+	if b.Len() != -1 {
+		t.Fatalf("released batch Len() = %d, want -1 (poisoned)", b.Len())
+	}
+	for _, c := range [...]*DictColumn{&b.PoP, &b.Prefix, &b.Country, &b.Continent, &b.Proto, &b.Route} {
+		if c.Dict != nil {
+			t.Fatal("released batch still carries dictionaries")
+		}
+		for i, idx := range c.Idx {
+			if idx != 0 {
+				t.Fatalf("released batch dictionary index [%d] = %d, want 0", i, idx)
+			}
+		}
+	}
+	// And reacquisition must fully repair the poison. A race-enabled
+	// sync.Pool drops some Puts on purpose, so the pool hands back
+	// either b or nothing; b stands in for itself in the second case.
 	got, _ := pool.Get().(*ColumnBatch)
-	if got != b {
-		t.Fatal("pool did not recycle the released batch")
+	if got == nil {
+		got = b
 	}
-	if got.Len() != -1 {
-		t.Fatalf("released batch Len() = %d, want -1 (poisoned)", got.Len())
-	}
-	if got.PoP.Dict != nil || got.Route.Dict != nil {
-		t.Fatal("released batch still carries dictionaries")
-	}
-	// And reacquisition must fully repair the poison.
 	got.pool = &pool
 	got.refs.Store(1)
 	outstanding.Add(1)

@@ -65,7 +65,7 @@ func BenchmarkColaggRows(b *testing.B) {
 			b.Fatal(err)
 		}
 		st := agg.NewStore()
-		//edgelint:allow rowfree: this benchmark measures the row oracle on purpose
+		// This benchmark measures the row oracle on purpose.
 		err = r.Scan(context.Background(), 1, nil, func(rs []sample.Sample) error {
 			for j := range rs {
 				st.Add(rs[j])
