@@ -8,11 +8,16 @@
 // k1 scale function, which concentrates resolution near the tails while
 // keeping memory bounded by the compression parameter. Aggregations in
 // this repository use a digest per (user group, window, route, metric).
+//
+// A digest's state is a function of the values added and their order
+// alone: when a compaction meets equal means, existing centroids go
+// before buffered points and buffered points in arrival order, so no
+// sorting library's treatment of ties reaches the bytes of a report.
 package tdigest
 
 import (
 	"math"
-	"sort"
+	"sync"
 )
 
 // TDigest is a streaming quantile sketch. The zero value is not usable;
@@ -81,6 +86,15 @@ func (t *TDigest) AddWeighted(x, w float64) {
 // path match digests fed row-at-a-time bit for bit.
 func (t *TDigest) AddAll(xs []float64) int {
 	limit := int(8 * t.compression)
+	// The buffer grows once a call, to what the call can bring it to (it
+	// never holds more than limit) or to double, whichever is more: an
+	// aggregation cell takes a few values a batch, and append alone
+	// would regrow both slices several times inside its first calls.
+	if room := min(limit, len(t.bufMeans)+len(xs)); cap(t.bufMeans) < room {
+		room = min(limit, max(room, 2*cap(t.bufMeans)))
+		t.bufMeans = append(make([]float64, 0, room), t.bufMeans...)
+		t.bufWeights = append(make([]float64, 0, room), t.bufWeights...)
+	}
 	added := 0
 	for _, x := range xs {
 		if math.IsNaN(x) {
@@ -155,32 +169,53 @@ func (t *TDigest) kInv(k float64) float64 {
 	return (math.Sin(k*2*math.Pi/t.compression) + 1) / 2
 }
 
-// process merges buffered points into the centroid set.
+// process merges buffered points into the centroid set: it sorts the
+// buffer, then runs the compaction loop over the merge of the (already
+// sorted) centroids and the sorted buffer. Among equal means existing
+// centroids come before buffered points and buffered points keep their
+// arrival order, which the selection below (buffer only when strictly
+// smaller) and the stable buffer sort implement between them.
 func (t *TDigest) process() {
-	if len(t.bufMeans) == 0 {
+	n := len(t.bufMeans)
+	if n == 0 {
 		return
 	}
-	means := append(t.means, t.bufMeans...)
-	weights := append(t.weights, t.bufWeights...)
-	t.bufMeans = t.bufMeans[:0]
-	t.bufWeights = t.bufWeights[:0]
-	total := t.total + t.bufTotal
-	t.bufTotal = 0
+	nc := len(t.means)
+	s := scratchPool.Get().(*scratch)
+	s.sortByMean(t.bufMeans, t.bufWeights)
+	bm, bw := t.bufMeans, t.bufWeights
 
-	idx := make([]int, len(means))
-	for i := range idx {
-		idx[i] = i
+	// The output overwrites t.means/t.weights from the front and can
+	// overtake the centroid cursor (a buffer that sorts below every
+	// centroid), so the loop reads the old centroids from a copy.
+	s.old = append(append(s.old[:0], t.means...), t.weights...)
+	cm, cw := s.old[:nc], s.old[nc:]
+
+	// The k1 scale function keeps a compacted digest under 2δ centroids;
+	// a digest that never saw that many points needs only room for them.
+	if need := min(2*int(t.compression), nc+n); cap(t.means) < need {
+		t.means = make([]float64, 0, need)
+		t.weights = make([]float64, 0, need)
 	}
-	sort.Slice(idx, func(a, b int) bool { return means[idx[a]] < means[idx[b]] })
-
-	outM := make([]float64, 0, int(t.compression)*2)
-	outW := make([]float64, 0, int(t.compression)*2)
+	outM, outW := t.means[:0], t.weights[:0]
+	total := t.total + t.bufTotal
 
 	soFar := 0.0
-	curM, curW := means[idx[0]], weights[idx[0]]
+	var curM, curW float64
 	qLimit := t.kInv(t.k(0) + 1)
-	for _, i := range idx[1:] {
-		m, w := means[i], weights[i]
+	for ci, bi := 0, 0; ci < nc || bi < n; {
+		var m, w float64
+		if bi < n && (ci == nc || bm[bi] < cm[ci]) {
+			m, w = bm[bi], bw[bi]
+			bi++
+		} else {
+			m, w = cm[ci], cw[ci]
+			ci++
+		}
+		if ci+bi == 1 { // the first point opens the first centroid
+			curM, curW = m, w
+			continue
+		}
 		projected := (soFar + curW + w) / total
 		if projected <= qLimit {
 			// Merge into the current centroid.
@@ -198,6 +233,103 @@ func (t *TDigest) process() {
 	outW = append(outW, curW)
 
 	t.means, t.weights, t.total = outM, outW, total
+	t.bufMeans, t.bufWeights, t.bufTotal = t.bufMeans[:0], t.bufWeights[:0], 0
+	scratchPool.Put(s)
+}
+
+// scratch is the working memory of one process call. Digests number in
+// the hundreds of thousands (one per aggregation cell), so it lives in a
+// pool shared by all of them, not in TDigest.
+type scratch struct {
+	old         []float64 // the centroids before the call: means, then weights
+	keys, moved []keyed   // the radix sort's two sides
+	sorted      []float64 // the radix sort's result: mean, weight, mean, ...
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// insertionCutoff is the longest buffer the insertion sort takes,
+// measured (go1.24, 2.1 GHz Xeon): 128 log-normal values cost either
+// sort ~3.2 µs; integer-valued buffers cross nearer 80, and buffers that
+// are mostly two atoms, whose repeated digits serialise the radix
+// passes' counter updates, past 300. It matters because the aggregation
+// store compacts tens of thousands of per-cell digests holding 10-100
+// points each when it seals.
+const insertionCutoff = 128
+
+// sortByMean stably sorts the parallel slices by mean: by insertion up
+// to insertionCutoff points, and above it by a least-significant-digit
+// radix sort over the order keys, one byte a pass, skipping a pass when
+// every key has the same byte there (the exponent bytes of one metric's
+// values, the low mantissa bytes of integers).
+func (s *scratch) sortByMean(means, weights []float64) {
+	n := len(means)
+	if n <= insertionCutoff {
+		for i := 1; i < n; i++ {
+			m, w := means[i], weights[i]
+			j := i
+			for ; j > 0 && m < means[j-1]; j-- {
+				means[j], weights[j] = means[j-1], weights[j-1]
+			}
+			means[j], weights[j] = m, w
+		}
+		return
+	}
+
+	if cap(s.keys) < n {
+		s.keys, s.moved = make([]keyed, n), make([]keyed, n)
+	}
+	src, dst := s.keys[:n], s.moved[:n]
+	first, differ := orderKey(means[0]), uint64(0)
+	for i, x := range means {
+		k := orderKey(x)
+		src[i] = keyed{k, int32(i)}
+		differ |= k ^ first
+	}
+	for shift := 0; shift < 64; shift += 8 {
+		if byte(differ>>shift) == 0 {
+			continue
+		}
+		var next [256]uint32 // counts, then each digit's next slot in dst
+		for _, e := range src {
+			next[byte(e.key>>shift)]++
+		}
+		sum := uint32(0)
+		for d, c := range next {
+			next[d], sum = sum, sum+c
+		}
+		for _, e := range src {
+			d := byte(e.key >> shift)
+			dst[next[d]] = e
+			next[d]++
+		}
+		src, dst = dst, src
+	}
+	s.sorted = s.sorted[:0]
+	for _, e := range src {
+		s.sorted = append(s.sorted, means[e.at], weights[e.at])
+	}
+	for i := range means {
+		means[i], weights[i] = s.sorted[2*i], s.sorted[2*i+1]
+	}
+}
+
+// keyed is a buffered point under the radix sort: its order key and
+// where in the buffer its mean and weight are.
+type keyed struct {
+	key uint64
+	at  int32
+}
+
+// orderKey maps a non-NaN float64 to a uint64 whose unsigned order is
+// the float's < order: the sign bit flipped for positives, every bit
+// for negatives, and -0 on +0's key because -0 < +0 is false.
+func orderKey(x float64) uint64 {
+	b := math.Float64bits(x)
+	if x == 0 {
+		b = 0
+	}
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
 }
 
 // Quantile returns an estimate of the q-th quantile (q in [0,1]).
