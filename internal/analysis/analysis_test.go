@@ -382,6 +382,10 @@ func TestOverview(t *testing.T) {
 	if got := o.HDByRTTBucket[3].Count(); got != 1 {
 		t.Errorf("bucket 3 count = %v", got)
 	}
+	// The 90ms session's HDratio is 0, the 25ms one's is 1.
+	if got := o.HDZeroByRTTBucket; got[0] != 0 || got[3] != 1 {
+		t.Errorf("zeros per bucket = %v, want [0 0 0 1]", got)
+	}
 	// Traffic characterisation counts all sessions.
 	if got := o.SessionBytes.Count(); got != 3 {
 		t.Errorf("SessionBytes count = %v", got)

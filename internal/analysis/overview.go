@@ -50,8 +50,12 @@ type Overview struct {
 	// Figure 6b/6c.
 	PerContinent map[geo.Continent]*ContinentOverview
 
-	// Figure 7: HDratio by MinRTT bucket.
-	HDByRTTBucket []*tdigest.TDigest
+	// Figure 7: HDratio by MinRTT bucket. HDZeroByRTTBucket counts each
+	// bucket's sessions at exactly 0: the share at an atom is a count,
+	// because a digest's CDF read just above one is off by up to a
+	// centroid (tdigest.TestRankErrorBound).
+	HDByRTTBucket     []*tdigest.TDigest
+	HDZeroByRTTBucket []int
 
 	// Figures 1–3 (computed over all samples; session traits do not
 	// depend on the egress route).
@@ -110,6 +114,7 @@ func NewOverview() *Overview {
 	for range RTTBuckets {
 		o.HDByRTTBucket = append(o.HDByRTTBucket, tdigest.New(tdigest.DefaultCompression))
 	}
+	o.HDZeroByRTTBucket = make([]int, len(RTTBuckets))
 	for _, c := range geo.Continents {
 		o.PerContinent[c] = &ContinentOverview{
 			MinRTT: tdigest.New(tdigest.DefaultCompression),
@@ -197,6 +202,9 @@ func (o *Overview) Add(s sample.Sample) {
 		for i, b := range RTTBuckets {
 			if rttMs >= b.Lo && rttMs < b.Hi {
 				o.HDByRTTBucket[i].Add(hd)
+				if hd == 0 {
+					o.HDZeroByRTTBucket[i]++
+				}
 				break
 			}
 		}

@@ -131,6 +131,9 @@ func (o *Overview) AddColumns(b *segstore.ColumnBatch) {
 			for j, rb := range RTTBuckets {
 				if rttMs >= rb.Lo && rttMs < rb.Hi {
 					o.HDByRTTBucket[j].Add(hd)
+					if hd == 0 {
+						o.HDZeroByRTTBucket[j]++
+					}
 					break
 				}
 			}

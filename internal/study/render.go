@@ -155,7 +155,7 @@ func (r *Results) writeFig7(w io.Writer) {
 			fmt.Sprintf("%.0f", d.Count()),
 			report.F(d.Quantile(0.25)),
 			report.F(d.Quantile(0.5)),
-			report.Pct(d.CDF(0.001)),
+			report.Pct(float64(r.Overview.HDZeroByRTTBucket[i]) / d.Count()),
 		})
 	}
 	report.Table(w, []string{"MinRTT", "sessions", "HD p25", "HD p50", "HDratio=0"}, rows)
