@@ -104,7 +104,12 @@ func (r *Results) writePoPs(w io.Writer) {
 	for name := range o.PerPoP {
 		names = append(names, name)
 	}
-	sort.Slice(names, func(i, j int) bool { return o.PerPoP[names[i]].Bytes > o.PerPoP[names[j]].Bytes })
+	sort.Slice(names, func(i, j int) bool {
+		if bi, bj := o.PerPoP[names[i]].Bytes, o.PerPoP[names[j]].Bytes; bi != bj {
+			return bi > bj
+		}
+		return names[i] < names[j]
+	})
 	var rows [][]string
 	for _, name := range names {
 		pp := o.PerPoP[name]
@@ -250,7 +255,12 @@ func (r *Results) writeTable2(w io.Writer) {
 		for pair, ro := range tbl.Pairs {
 			rows = append(rows, row{RelPairName{pair.Pref, pair.Alt}, *ro})
 		}
-		sort.Slice(rows, func(i, j int) bool { return rows[i].ro.EventBytes > rows[j].ro.EventBytes })
+		sort.Slice(rows, func(i, j int) bool {
+			if bi, bj := rows[i].ro.EventBytes, rows[j].ro.EventBytes; bi != bj {
+				return bi > bj
+			}
+			return rows[i].pair.String() < rows[j].pair.String()
+		})
 		var cells [][]string
 		for _, rr := range rows {
 			abs, rel, longer, prep := "n/a", "n/a", "n/a", "n/a"

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/bgp"
 	"repro/internal/report"
 	"repro/internal/rng"
 	"repro/internal/sample"
@@ -40,5 +41,48 @@ func TestFig7ZeroShareIsExact(t *testing.T) {
 	}
 	if fields := strings.Fields(row); len(fields) == 0 || fields[len(fields)-1] != want {
 		t.Fatalf("31-50ms row %q: HDratio=0 column should read %s (%d of %d sessions)", row, want, zeros, n)
+	}
+}
+
+// Rows that tie on the byte count the PoP table and Table 2 sort by
+// used to print in map-iteration order. Twenty renders of a tie must be
+// one text, in name order.
+func TestTiedRowsRenderInNameOrder(t *testing.T) {
+	o := analysis.NewOverview()
+	o.TotalBytes = 400
+	for _, pop := range []string{"sin", "ams", "gru", "fra"} {
+		o.Add(sample.Sample{PoP: pop, Bytes: 100, MinRTT: 20 * time.Millisecond, Proto: sample.HTTP2})
+	}
+	tbl := analysis.RelationshipTable{TotalBytes: 1000, TotalEventBytes: 90, Pairs: map[analysis.RelPair]*analysis.RelOpportunity{}}
+	for _, pref := range []bgp.RelType{bgp.Transit, bgp.PublicPeer, bgp.PrivatePeer} {
+		for _, alt := range []bgp.RelType{bgp.Transit, bgp.PublicPeer, bgp.PrivatePeer} {
+			tbl.Pairs[analysis.RelPair{Pref: pref, Alt: alt}] = &analysis.RelOpportunity{EventBytes: 10}
+		}
+	}
+	res := &Results{Overview: o, Table2MinRTT: tbl, Table2HD: tbl}
+
+	render := func() string {
+		var buf bytes.Buffer
+		res.writePoPs(&buf)
+		res.writeTable2(&buf)
+		return buf.String()
+	}
+	first := render()
+	for i := 1; i < 20; i++ {
+		if again := render(); again != first {
+			t.Fatalf("render %d differs from the first:\n%s\nvs\n%s", i+1, again, first)
+		}
+	}
+	var names []string
+	for _, line := range strings.Split(first, "\n") {
+		if f := strings.Fields(line); len(f) == 4 && strings.HasSuffix(f[3], "ms") {
+			names = append(names, f[0])
+		}
+	}
+	if got := strings.Join(names, " "); got != "ams fra gru sin" {
+		t.Errorf("tied PoPs printed as %q, want name order", got)
+	}
+	if a, b := strings.Index(first, "Private -> Private"), strings.Index(first, "Transit -> Transit"); a < 0 || b < a {
+		t.Errorf("tied relationship pairs not in name order:\n%s", first)
 	}
 }
