@@ -55,6 +55,30 @@ import (
 
 const traceBufCap = 1 << 20
 
+// What the HTTP server allows a client that has not yet sent a request:
+// five seconds to finish its headers, 64 KiB of them, and two minutes of
+// silence on a kept-alive connection. Constants, not flags: nothing about
+// a deployment changes them. There is no write timeout, because a /report
+// that misses the cache legitimately waits for a cold fold of the spool.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxHeaderBytes    = 64 << 10
+)
+
+// newServer wraps h in the daemon's HTTP server. A bare http.Server sets
+// no limit at all: a client that opens a connection and never finishes
+// its request line would hold a goroutine and a descriptor for the
+// daemon's life.
+func newServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
+}
+
 // fetchURL is the zero-dependency curl stand-in the race gate uses:
 // GET the URL, stream the body to stdout, exit 1 on any non-200.
 func fetchURL(url string) {
@@ -94,7 +118,7 @@ func main() {
 		spw        = flag.Float64("spw", 8, "mean sampled sessions per group per window (live mode)")
 		out        = flag.String("o", "", "at-rest segment spool directory (required; resumed if it already holds a dataset)")
 		workers    = flag.Int("workers", pipeline.DefaultWorkers(), "concurrent per-window generate workers (1 = sequential; never changes the spool bytes)")
-		repWorkers = flag.Int("report-workers", pipeline.DefaultWorkers(), "aggregation workers behind /report (never changes the report bytes)")
+		repWorkers = flag.Int("report-workers", pipeline.DefaultWorkers(), "aggregation workers behind a filtered /report, which folds the whole spool (the unfiltered report extends a resident study by what each commit added; never changes the report bytes)")
 		httpAddr   = flag.String("http", "127.0.0.1:0", "HTTP service address (:0 picks a free port; see -addr-file)")
 		addrFile   = flag.String("addr-file", "", "write the bound HTTP address to this file once listening")
 		cacheSize  = flag.Int("cache", 64, "report cache entries (LRU, stale-while-revalidate)")
@@ -217,7 +241,7 @@ func main() {
 			log.Fatalf("edgestudyd: -addr-file: %v", err)
 		}
 	}
-	srv := &http.Server{Handler: d.Handler()}
+	srv := newServer(d.Handler())
 	go func() {
 		if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			log.Printf("edgestudyd: http: %v", err)

@@ -355,6 +355,7 @@ func TestOverview(t *testing.T) {
 		MinRTT: 5 * time.Millisecond, HDTested: 1, HDAchieved: 1,
 		Duration: time.Second, Bytes: 100, Transactions: 1,
 	})
+	o.Seal()
 
 	if o.Sessions != 3 {
 		t.Errorf("Sessions = %d", o.Sessions)
@@ -521,6 +522,7 @@ func TestOverviewPerPoP(t *testing.T) {
 	o.Add(sample.Sample{PoP: "ams", MinRTT: 20 * time.Millisecond, Bytes: 100, Transactions: 1, Duration: time.Second})
 	o.Add(sample.Sample{PoP: "ams", MinRTT: 30 * time.Millisecond, Bytes: 200, Transactions: 1, Duration: time.Second})
 	o.Add(sample.Sample{PoP: "sin", MinRTT: 80 * time.Millisecond, Bytes: 300, Transactions: 1, Duration: time.Second})
+	o.Seal()
 	ams := o.PerPoP["ams"]
 	if ams == nil || ams.Sessions != 2 || ams.Bytes != 300 {
 		t.Fatalf("ams overview = %+v", ams)

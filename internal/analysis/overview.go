@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"math"
+	"sort"
 	"time"
 
 	"repro/internal/geo"
@@ -39,7 +40,34 @@ type ContinentOverview struct {
 // Overview is the §4 global snapshot plus the §2.3 traffic
 // characterisation, computed streaming over preferred-route samples
 // (metrics) and all samples (traffic characterisation).
+//
+// It is defined as a merge: one accumulator per user group, each the
+// fold of that group's samples in stream order, merged in group-key
+// order. That makes it a function of the per-group subsequences alone —
+// not of how the stream was cut into batches, which shard a group went
+// to, how groups interleaved, or when anyone looked — which is what lets
+// a dataset that grows by a chunk be folded by that chunk. Add and
+// AddColumns feed the accumulators; the exported fields are their merge
+// as of the last Seal, and reading them before it reads that older state.
 type Overview struct {
+	accumulator
+
+	groups map[sample.GroupKey]*accumulator
+	// cur is curKey's accumulator: consecutive samples mostly share a
+	// group, so the row path's routing is one key compare.
+	cur    *accumulator
+	curKey sample.GroupKey
+	// sealed reports that the exported fields reflect every sample folded.
+	sealed bool
+
+	// cSamples, when wired via Instrument, counts samples folded in.
+	cSamples *obs.Counter
+}
+
+// accumulator is the state of one fold: every digest and counter the
+// overview reports. An Overview holds one per user group and, as its own
+// exported fields, their merge.
+type accumulator struct {
 	// Figure 6a.
 	MinRTT *tdigest.TDigest // milliseconds
 	HD     *tdigest.TDigest
@@ -82,22 +110,30 @@ type Overview struct {
 	TotalBytes      int64
 
 	Sessions int
-
-	// cSamples, when wired via Instrument, counts samples folded in.
-	cSamples *obs.Counter
 }
 
+// protocols are the keys of the per-protocol digest maps.
+var protocols = [...]sample.Protocol{"all", sample.HTTP1, sample.HTTP2}
+
 func newProtoDigests() map[sample.Protocol]*tdigest.TDigest {
-	return map[sample.Protocol]*tdigest.TDigest{
-		sample.HTTP1: tdigest.New(tdigest.DefaultCompression),
-		sample.HTTP2: tdigest.New(tdigest.DefaultCompression),
-		"all":        tdigest.New(tdigest.DefaultCompression),
+	m := make(map[sample.Protocol]*tdigest.TDigest, len(protocols))
+	for _, p := range protocols {
+		m[p] = tdigest.New(tdigest.DefaultCompression)
 	}
+	return m
 }
 
 // NewOverview returns an empty overview.
 func NewOverview() *Overview {
-	o := &Overview{
+	return &Overview{
+		accumulator: *newAccumulator(),
+		groups:      make(map[sample.GroupKey]*accumulator),
+		sealed:      true,
+	}
+}
+
+func newAccumulator() *accumulator {
+	a := &accumulator{
 		MinRTT:          tdigest.New(200),
 		HD:              tdigest.New(200),
 		SimpleHD:        tdigest.New(200),
@@ -112,16 +148,16 @@ func NewOverview() *Overview {
 		PerPoP:          make(map[string]*PoPOverview),
 	}
 	for range RTTBuckets {
-		o.HDByRTTBucket = append(o.HDByRTTBucket, tdigest.New(tdigest.DefaultCompression))
+		a.HDByRTTBucket = append(a.HDByRTTBucket, tdigest.New(tdigest.DefaultCompression))
 	}
-	o.HDZeroByRTTBucket = make([]int, len(RTTBuckets))
+	a.HDZeroByRTTBucket = make([]int, len(RTTBuckets))
 	for _, c := range geo.Continents {
-		o.PerContinent[c] = &ContinentOverview{
+		a.PerContinent[c] = &ContinentOverview{
 			MinRTT: tdigest.New(tdigest.DefaultCompression),
 			HD:     tdigest.New(tdigest.DefaultCompression),
 		}
 	}
-	return o
+	return a
 }
 
 // Instrument registers the overview's ingest counter on reg (nil-safe).
@@ -129,10 +165,99 @@ func (o *Overview) Instrument(reg *obs.Registry) {
 	o.cSamples = reg.Counter("analysis_overview_samples_total")
 }
 
-// Add folds one sample in.
+// Add folds one sample into its user group's accumulator.
 func (o *Overview) Add(s sample.Sample) {
-	o.Sessions++
 	o.cSamples.Inc()
+	if key := s.Key(); o.cur == nil || key != o.curKey {
+		o.cur, o.curKey = o.group(key), key
+	}
+	o.sealed = false
+	o.cur.add(s)
+}
+
+// group returns (creating if needed) key's accumulator.
+func (o *Overview) group(key sample.GroupKey) *accumulator {
+	a := o.groups[key]
+	if a == nil {
+		a = newAccumulator()
+		o.groups[key] = a
+	}
+	return a
+}
+
+// Seal rebuilds the exported fields as the merge, in group-key order, of
+// the per-group accumulators. It only reads them (tdigest.Merge does not
+// compact its argument), so folding on after a Seal leaves every
+// accumulator — and therefore every later Seal — exactly where folding
+// without it would have: fold, seal, fold, seal equals fold, fold, seal
+// bit for bit. Sealing an overview nothing was folded into since the
+// last Seal does nothing.
+func (o *Overview) Seal() {
+	if o.sealed {
+		return
+	}
+	keys := make([]sample.GroupKey, 0, len(o.groups))
+	for k := range o.groups {
+		keys = append(keys, k)
+	}
+	// The order agg.Store.Groups uses.
+	sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
+	sum := newAccumulator()
+	for _, k := range keys {
+		sum.merge(o.groups[k])
+	}
+	o.accumulator, o.sealed = *sum, true
+}
+
+// merge folds g into o: digests by tdigest.Merge, counters by addition.
+func (o *accumulator) merge(g *accumulator) {
+	o.MinRTT.Merge(g.MinRTT)
+	o.HD.Merge(g.HD)
+	o.SimpleHD.Merge(g.SimpleHD)
+	o.HDZero += g.HDZero
+	o.HDOne += g.HDOne
+	o.HDDefined += g.HDDefined
+	for _, c := range geo.Continents {
+		co, gc := o.PerContinent[c], g.PerContinent[c]
+		co.MinRTT.Merge(gc.MinRTT)
+		co.HD.Merge(gc.HD)
+		co.HDZero += gc.HDZero
+		co.HDOne += gc.HDOne
+		co.HDDefined += gc.HDDefined
+	}
+	for i := range RTTBuckets {
+		o.HDByRTTBucket[i].Merge(g.HDByRTTBucket[i])
+		o.HDZeroByRTTBucket[i] += g.HDZeroByRTTBucket[i]
+	}
+	for _, p := range protocols {
+		o.SessionDuration[p].Merge(g.SessionDuration[p])
+		o.BusyFraction[p].Merge(g.BusyFraction[p])
+		o.TxnsPerSession[p].Merge(g.TxnsPerSession[p])
+	}
+	o.SessionBytes.Merge(g.SessionBytes)
+	o.ResponseBytes.Merge(g.ResponseBytes)
+	o.MediaRespBytes.Merge(g.MediaRespBytes)
+	// Each PoP's state merges on its own, so map order cannot reach it.
+	for name, gp := range g.PerPoP {
+		pp := o.PerPoP[name]
+		if pp == nil {
+			pp = &PoPOverview{MinRTT: tdigest.New(tdigest.DefaultCompression)}
+			o.PerPoP[name] = pp
+		}
+		pp.Sessions += gp.Sessions
+		pp.Bytes += gp.Bytes
+		pp.MinRTT.Merge(gp.MinRTT)
+	}
+	o.ServingDistance.Merge(g.ServingDistance)
+	o.CrossContinentBytes += g.CrossContinentBytes
+	o.BytesOver50Txns += g.BytesOver50Txns
+	o.TotalBytes += g.TotalBytes
+	o.Sessions += g.Sessions
+}
+
+// add folds one sample in.
+func (o *accumulator) add(s sample.Sample) {
+	o.Sessions++
 
 	// Traffic characterisation uses every session.
 	protoAdd := func(m map[sample.Protocol]*tdigest.TDigest, v float64) {

@@ -10,25 +10,38 @@ import (
 )
 
 // AddColumns folds a decoded column batch in — the row-free
-// counterpart of Add over the same rows in the same stream order, so
+// counterpart of Add over the same rows in the same stream order: each
+// run of rows sharing a user group goes to that group's accumulator, so
 // every digest evolves identically (same values, same insertion order,
 // same compaction trigger points) and the rendered overview is
-// byte-identical whichever currency fed it.
-//
-// Hosting-provider rows are skipped inline: pre-filtered batches (the
-// collector compacts them out) and raw batches (the sharded feed folds
-// the overview before the per-shard collectors run) fold the same.
-//
-// Dictionary columns are resolved once per batch — protocol and
-// continent digest lookups hoist out of the row loop; per-PoP state is
-// cached per dictionary entry but created lazily, so a PoP appearing
-// only on skipped rows opens no PerPoP entry (matching the row path).
+// byte-identical whichever currency fed it. A segment written per group
+// is one run.
 func (o *Overview) AddColumns(b *segstore.ColumnBatch) {
 	n := b.Len()
 	if n == 0 {
 		return
 	}
+	added := 0
+	for i := 0; i < n; {
+		end := b.KeyRunEnd(i)
+		added += o.group(b.KeyAt(i)).addColumns(b, i, end)
+		i = end
+	}
+	o.sealed = false
+	o.cSamples.Add(int64(added))
+}
 
+// addColumns folds rows [lo, hi) of b in and returns how many it took.
+//
+// Hosting-provider rows are skipped inline: pre-filtered batches (the
+// collector compacts them out) and raw batches (the sharded feed folds
+// the overview before the per-shard collectors run) fold the same.
+//
+// Dictionary columns are resolved once per call — protocol and
+// continent digest lookups hoist out of the row loop; per-PoP state is
+// cached per dictionary entry but created lazily, so a PoP appearing
+// only on skipped rows opens no PerPoP entry (matching the row path).
+func (o *accumulator) addColumns(b *segstore.ColumnBatch, lo, hi int) int {
 	type protoDigests struct{ sd, bf, txn *tdigest.TDigest }
 	protos := make([]protoDigests, len(b.Proto.Dict))
 	for i, v := range b.Proto.Dict {
@@ -43,7 +56,7 @@ func (o *Overview) AddColumns(b *segstore.ColumnBatch) {
 	pops := make([]*PoPOverview, len(b.PoP.Dict))
 
 	added := 0
-	for i := 0; i < n; i++ {
+	for i := lo; i < hi; i++ {
 		if b.HostingProvider[i] {
 			continue
 		}
@@ -67,8 +80,8 @@ func (o *Overview) AddColumns(b *segstore.ColumnBatch) {
 		}
 		bytes := b.Bytes[i]
 		o.SessionBytes.Add(float64(bytes))
-		lo, hi := b.RespSpan(i)
-		for _, rb := range b.RespVals[lo:hi] {
+		rlo, rhi := b.RespSpan(i)
+		for _, rb := range b.RespVals[rlo:rhi] {
 			o.ResponseBytes.Add(float64(rb))
 			if b.MediaEndpoint[i] {
 				o.MediaRespBytes.Add(float64(rb))
@@ -141,5 +154,5 @@ func (o *Overview) AddColumns(b *segstore.ColumnBatch) {
 		}
 	}
 	o.Sessions += added
-	o.cSamples.Add(int64(added))
+	return added
 }

@@ -105,22 +105,27 @@ func (r *Reader) Instrument(reg *obs.Registry) {
 	r.gBytesPrune = reg.Gauge("segstore_bytes_pruned")
 }
 
-// Prune plans a scan: the manifest's segments that survive f, in
-// manifest order. The pruning gauges record what the filter saved —
-// the "scans measurably fewer bytes" evidence, observable per run.
-func (r *Reader) Prune(f *Filter) []SegmentMeta {
+// Prune plans a scan of the whole dataset: the manifest's segments that
+// survive f, in manifest order.
+func (r *Reader) Prune(f *Filter) []SegmentMeta { return r.prune(r.man.Segments, f) }
+
+// prune returns the segments of segs that survive f, in order. The
+// pruning gauges record what the filter saved — the "scans measurably
+// fewer bytes" evidence, observable per run.
+func (r *Reader) prune(segs []SegmentMeta, f *Filter) []SegmentMeta {
 	var kept []SegmentMeta
-	var prunedBytes int64
-	for _, m := range r.man.Segments {
+	var totalBytes, prunedBytes int64
+	for _, m := range segs {
+		totalBytes += m.Bytes
 		if f.MatchSegment(&m) {
 			kept = append(kept, m)
 		} else {
 			prunedBytes += m.Bytes
 		}
 	}
-	r.gSegsTotal.Set(float64(len(r.man.Segments)))
-	r.gSegsPruned.Set(float64(len(r.man.Segments) - len(kept)))
-	r.gBytesTotal.Set(float64(r.man.TotalBytes()))
+	r.gSegsTotal.Set(float64(len(segs)))
+	r.gSegsPruned.Set(float64(len(segs) - len(kept)))
+	r.gBytesTotal.Set(float64(totalBytes))
 	r.gBytesPrune.Set(float64(prunedBytes))
 	return kept
 }
@@ -188,16 +193,23 @@ func (r *Reader) readColumns(m SegmentMeta) (*ColumnBatch, error) {
 	return b, nil
 }
 
-// ScanColumns prunes against f, decodes the surviving segments into
-// column batches on up to workers goroutines, filters them at the
-// column level, and emits each batch in manifest order — the primary
-// read path; no row structs are built. emit takes ownership of the
-// batch and must Release it (directly or by handing it on); emit's
-// error — like a decode error — poisons the whole scan. workers <= 1
-// scans sequentially on the calling goroutine (the determinism oracle;
-// there is nothing to reorder).
+// ScanColumns scans the whole dataset: ScanSegments over every segment
+// the manifest lists.
 func (r *Reader) ScanColumns(ctx context.Context, workers int, f *Filter, emit func(*ColumnBatch) error) error {
-	plan := r.Prune(f)
+	return r.ScanSegments(ctx, workers, r.man.Segments, f, emit)
+}
+
+// ScanSegments scans segs — segments of this dataset's manifest, in the
+// order given: a reader that has already seen the others passes only the
+// rest. It prunes against f, decodes the surviving segments into column
+// batches on up to workers goroutines, filters them at the column level,
+// and emits each batch in segs order — the primary read path; no row
+// structs are built. emit takes ownership of the batch and must Release
+// it (directly or by handing it on); emit's error — like a decode error —
+// poisons the whole scan. workers <= 1 scans sequentially on the calling
+// goroutine (the determinism oracle; there is nothing to reorder).
+func (r *Reader) ScanSegments(ctx context.Context, workers int, segs []SegmentMeta, f *Filter, emit func(*ColumnBatch) error) error {
+	plan := r.prune(segs, f)
 	if workers <= 1 {
 		for _, m := range plan {
 			if err := ctx.Err(); err != nil {

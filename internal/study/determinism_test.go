@@ -30,7 +30,7 @@ func renderNormalized(t *testing.T, r *Results) []byte {
 // byte-identical to the sequential (-workers 1) oracle on the same
 // seed. Everything feeds this — per-group order preservation in
 // generation, key-partitioned shard stores, the exact store merge, and
-// the ordered Overview fold.
+// the Overview's per-group folds.
 func TestShardedRunReportByteIdentical(t *testing.T) {
 	seqRes, err := RunCtx(context.Background(), detCfg(), Options{Workers: 1})
 	if err != nil {

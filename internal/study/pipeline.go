@@ -51,7 +51,9 @@ func offer(col *collector.Collector, it item) error {
 
 // inline is the sequential oracle's sink: one collector feeding one
 // store and the Overview on the delivering goroutine. It is also where
-// that goroutine notices cancellation, once per delivered batch.
+// that goroutine notices cancellation, once per delivered batch. It is
+// the sink that can take more samples after finish, which is what a
+// Segments study keeps between advances.
 type inline struct {
 	col      *collector.Collector
 	store    *agg.Store
@@ -89,13 +91,14 @@ func (in *inline) finish(*faults.Coverage) (*agg.Store, collector.Stats, *analys
 	return in.store, in.col.Stats(), in.overview
 }
 
-// ingest is the sharded sink: an ordered Overview fold plus N collector
-// shards, each filtering its share of the stream into a shard-local
-// aggregation store. Batches arrive in sequential order; samples are
-// routed to shards by group-key hash, so each (group, window, route)
-// digest sees exactly the subsequence — in exactly the order — it would
-// under sequential ingestion, which is why the final merge is exact
-// rather than approximate.
+// ingest is the sharded sink: the Overview, folded on the delivering
+// goroutine, plus N collector shards, each filtering its share of the
+// stream into a shard-local aggregation store. Batches arrive in
+// sequential order; samples are routed to shards by group-key hash, so
+// each (group, window, route) digest — like each of the Overview's
+// per-group accumulators — sees exactly the subsequence, in exactly the
+// order, it would under sequential ingestion, which is why the final
+// merge is exact rather than approximate.
 type ingest struct {
 	shards   []*ingestShard
 	overview *analysis.Overview

@@ -12,8 +12,12 @@ import (
 	"repro/internal/sample"
 )
 
-// WriteReport renders every reproduced table and figure as text.
+// WriteReport renders every reproduced table and figure as text. It
+// seals the overview first — nothing to do for the Results of a run,
+// which come sealed; Results assembled by hand from a folded Overview
+// need not know.
 func (r *Results) WriteReport(w io.Writer) {
+	r.Overview.Seal()
 	fmt.Fprintf(w, "Dataset: %d groups × %d days (%d windows), %d samples (%d filtered as hosting/VPN)\n",
 		r.Cfg.Groups, r.Cfg.Days, r.Cfg.Windows(), r.Collector.Accepted, r.Collector.FilteredHosting)
 	fmt.Fprintf(w, "Generated and analysed in %v\n\n", r.Elapsed.Round(1e7))

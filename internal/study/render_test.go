@@ -30,6 +30,7 @@ func TestFig7ZeroShareIsExact(t *testing.T) {
 		}
 		o.Add(sample.Sample{MinRTT: 40 * time.Millisecond, HDTested: 12, HDAchieved: achieved, Proto: sample.HTTP2})
 	}
+	o.Seal()
 	var buf bytes.Buffer
 	(&Results{Overview: o}).writeFig7(&buf)
 	want := report.Pct(float64(zeros) / n)
@@ -49,10 +50,10 @@ func TestFig7ZeroShareIsExact(t *testing.T) {
 // one text, in name order.
 func TestTiedRowsRenderInNameOrder(t *testing.T) {
 	o := analysis.NewOverview()
-	o.TotalBytes = 400
 	for _, pop := range []string{"sin", "ams", "gru", "fra"} {
 		o.Add(sample.Sample{PoP: pop, Bytes: 100, MinRTT: 20 * time.Millisecond, Proto: sample.HTTP2})
 	}
+	o.Seal()
 	tbl := analysis.RelationshipTable{TotalBytes: 1000, TotalEventBytes: 90, Pairs: map[analysis.RelPair]*analysis.RelOpportunity{}}
 	for _, pref := range []bgp.RelType{bgp.Transit, bgp.PublicPeer, bgp.PrivatePeer} {
 		for _, alt := range []bgp.RelType{bgp.Transit, bgp.PublicPeer, bgp.PrivatePeer} {

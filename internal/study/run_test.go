@@ -52,12 +52,17 @@ func (s *cancelSink) columns(ctx context.Context, b *segstore.ColumnBatch) error
 func TestCancelledRunReturnsNoResults(t *testing.T) {
 	cfg := detCfg() // 17 groups, 17 segments: cancelling at batch 2 is mid-run
 	_, dir := writeDataset(t, cfg)
+	r, err := segstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = r.Close() }()
 	sources := []struct {
 		name string
 		make func() source
 	}{
 		{"world", func() source { return &worldSource{w: world.New(cfg)} }},
-		{"segments", func() source { return &segmentSource{dir: dir} }},
+		{"segments", func() source { return &segmentSource{r: r, segs: r.Manifest().Segments} }},
 	}
 	before, dblBefore := segstore.LeakStats()
 	for _, src := range sources {
@@ -70,7 +75,7 @@ func TestCancelledRunReturnsNoResults(t *testing.T) {
 				} else {
 					cancel()
 				}
-				res, err := run(ctx, s, Options{Workers: workers})
+				res, _, err := run(ctx, s, Options{Workers: workers}, nil)
 				cancel()
 				if !errors.Is(err, context.Canceled) || res != nil {
 					t.Errorf("%s workers=%d %s: got (%v, %v), want (nil, context.Canceled)", src.name, workers, when, res, err)

@@ -3,6 +3,8 @@ package study
 import (
 	"bytes"
 	"context"
+	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -47,7 +49,7 @@ func (s *rowsSource) deliver(ctx context.Context, e *env, sk sink) error {
 // the sequential oracle every replay is held to.
 func rowsOracle(t *testing.T, rows []sample.Sample, opt Options) *Results {
 	t.Helper()
-	res, err := run(context.Background(), &rowsSource{rows: rows}, opt)
+	res, _, err := run(context.Background(), &rowsSource{rows: rows}, opt, nil)
 	if err != nil {
 		t.Fatalf("rows oracle (workers=%d): %v", opt.Workers, err)
 	}
@@ -158,5 +160,111 @@ func TestFromSegmentsMultiGroupSegmentsRaceFree(t *testing.T) {
 	}
 	if g, w := renderNormalized(t, got), renderNormalized(t, want); !bytes.Equal(g, w) {
 		t.Fatalf("workers=%d report differs from the sequential oracle:\n%s", workers, firstDiff(g, w))
+	}
+}
+
+// A Segments study advanced over a spool that grows by a day equals the
+// rows oracle at every step; an Advance that fails halfway through its
+// delta (a new segment rotted on disk, found by the scan after the ones
+// before it were folded) leaves the study to start over, not holding half
+// a day twice; and a study whose options ask for the sharded pipeline
+// keeps nothing and folds the same bytes from nothing each time.
+func TestSegmentsAdvance(t *testing.T) {
+	cfg := detCfg()
+	cfg.Days = 2
+	rows, full := writeDataset(t, cfg)
+	var day1 []sample.Sample
+	for _, s := range rows {
+		if s.Start < segstore.DefaultSegmentSpan {
+			day1 = append(day1, s)
+		}
+	}
+	wantDay1 := renderNormalized(t, rowsOracle(t, day1, Options{Workers: 1}))
+	wantFull := renderNormalized(t, rowsOracle(t, rows, Options{Workers: 1}))
+
+	src, err := segstore.Open(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = src.Close() }()
+	dir := filepath.Join(t.TempDir(), "growing.seg")
+	sw, err := segstore.Create(dir, "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// land copies the golden dataset's segments of one day (ID = group*2 +
+	// day) and returns the last one's file.
+	land := func(day int) string {
+		t.Helper()
+		last := ""
+		for _, m := range src.Manifest().Segments {
+			if m.ID%2 != day {
+				continue
+			}
+			blob, err := os.ReadFile(filepath.Join(full, m.File))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sw.Add(m.ID, blob, m); err != nil {
+				t.Fatal(err)
+			}
+			last = filepath.Join(dir, m.File)
+		}
+		if err := sw.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		return last
+	}
+	advance := func(s *Segments, want []byte, what string) {
+		t.Helper()
+		res, rebuilt, err := s.Advance(context.Background())
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if rebuilt != "" {
+			t.Errorf("%s: folded again from nothing (%s)", what, rebuilt)
+		}
+		if got := renderNormalized(t, res); !bytes.Equal(got, want) {
+			t.Fatalf("%s: report differs from the rows oracle:\n%s", what, firstDiff(got, want))
+		}
+	}
+
+	land(0)
+	s := OpenSegments(dir, Options{Workers: 1})
+	advance(s, wantDay1, "day 1")
+	if s.Folded() != cfg.Groups {
+		t.Fatalf("%d segments folded after day 1, want %d", s.Folded(), cfg.Groups)
+	}
+
+	lastFile := land(1)
+	good, err := os.ReadFile(lastFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rotted := append([]byte(nil), good...)
+	rotted[len(rotted)/2] ^= 0xff
+	if err := os.WriteFile(lastFile, rotted, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	if res, _, err := s.Advance(context.Background()); !errors.Is(err, segstore.ErrCorrupt) || res != nil {
+		t.Fatalf("Advance over a rotted segment: (%v, %v), want ErrCorrupt", res, err)
+	}
+	if s.Folded() != 0 {
+		t.Fatalf("a failed Advance left %d segments folded", s.Folded())
+	}
+	if err := os.WriteFile(lastFile, good, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	advance(s, wantFull, "day 2, after the failed advance")
+	advance(s, wantFull, "nothing new")
+	if s.Folded() != 2*cfg.Groups {
+		t.Fatalf("%d segments folded, want %d", s.Folded(), 2*cfg.Groups)
+	}
+
+	sharded := OpenSegments(dir, Options{Workers: 4})
+	advance(sharded, wantFull, "sharded")
+	advance(sharded, wantFull, "sharded, again")
+	if sharded.Folded() != 0 {
+		t.Fatalf("a sharded study kept %d segments", sharded.Folded())
 	}
 }

@@ -75,32 +75,24 @@ func (s *worldSource) deliver(ctx context.Context, e *env, sk sink) error {
 	})
 }
 
-// segmentSource replays a segment dataset directory: the manifest is
-// pruned against e.Filter, surviving segments decode on e.Workers
-// goroutines and arrive in manifest order as column batches. A replay
-// has no generator, so fault decisions key on seed 0 and only the sink
-// surface (and shard timing chaos) applies — segments are not group
-// batches, and batch-level fates would not be comparable across worker
-// counts — and the dataset's shape is inferred from what it held.
+// segmentSource replays segments of an open dataset: segs is pruned
+// against e.Filter, the survivors decode on e.Workers goroutines and
+// arrive in segs order as column batches. A replay has no generator, so
+// fault decisions key on seed 0 and only the sink surface (and shard
+// timing chaos) applies — segments are not group batches, and
+// batch-level fates would not be comparable across worker counts — and
+// the dataset's shape is inferred from what the sink's store holds.
 type segmentSource struct {
-	dir string
+	r    *segstore.Reader
+	segs []segstore.SegmentMeta
 }
 
 func (*segmentSource) seed() uint64                         { return 0 }
 func (*segmentSource) config(store *agg.Store) world.Config { return inferredCfg(store) }
 
-func (s *segmentSource) deliver(ctx context.Context, e *env, sk sink) (err error) {
-	r, err := segstore.Open(s.dir)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := r.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}()
-	r.Instrument(e.Reg)
-	return r.ScanColumns(ctx, e.Workers, e.Filter, func(b *segstore.ColumnBatch) error {
+func (s *segmentSource) deliver(ctx context.Context, e *env, sk sink) error {
+	s.r.Instrument(e.Reg)
+	return s.r.ScanSegments(ctx, e.Workers, s.segs, e.Filter, func(b *segstore.ColumnBatch) error {
 		defer b.Release()
 		if e.RowOracle {
 			//edgelint:allow rowfree: opt.RowOracle explicitly requests the row currency for verification

@@ -146,10 +146,11 @@ func Run(cfg world.Config) *Results {
 // shard-local aggregations, merged into one store). The rendered report
 // is byte-identical at every worker count: per-group sample order is
 // preserved end to end, shard stores partition the group-key space so
-// their merge is exact, and the global Overview folds over the stream
-// in sequential order.
+// their merge is exact, and the global Overview is the merge of per-group
+// folds (analysis.Overview), each fed in its group's order.
 func RunCtx(ctx context.Context, cfg world.Config, opt Options) (*Results, error) {
-	return run(ctx, &worldSource{w: world.New(cfg)}, opt)
+	res, _, err := run(ctx, &worldSource{w: world.New(cfg)}, opt, nil)
+	return res, err
 }
 
 // RunDeaggregation generates one dataset and aggregates it at both the
@@ -158,7 +159,7 @@ func RunCtx(ctx context.Context, cfg world.Config, opt Options) (*Results, error
 // it is the sequential oracle with nothing attached.
 func RunDeaggregation(cfg world.Config) (*Results, analysis.DeaggregationResult) {
 	fine := agg.NewStore()
-	res, err := run(context.Background(), &worldSource{w: world.New(cfg), tap: analysis.DeaggregateSink(fine)}, Options{Workers: 1})
+	res, _, err := run(context.Background(), &worldSource{w: world.New(cfg), tap: analysis.DeaggregateSink(fine)}, Options{Workers: 1}, nil)
 	if err != nil {
 		panic("study.RunDeaggregation: " + err.Error()) // as in Run: nothing can fail
 	}
@@ -167,9 +168,10 @@ func RunDeaggregation(cfg world.Config) (*Results, analysis.DeaggregationResult)
 
 // FromSegments runs every analysis over a segment dataset directory (as
 // written by edgesim, edgepopd/edgemerged, edgestudyd or a segcat
-// import). The dataset's shape — window count, and therefore the day
-// count the temporal classifier needs — is inferred from the samples.
-// The manifest is pruned against opt.Filter before any segment byte is
+// import): a Segments study opened on it and advanced once. The
+// dataset's shape — window count, and therefore the day count the
+// temporal classifier needs — is inferred from the samples. The
+// manifest is pruned against opt.Filter before any segment byte is
 // read; surviving segments decode on opt.Workers goroutines and are
 // delivered in manifest order — so the rendered report is byte-identical
 // at every worker count.
@@ -182,17 +184,21 @@ func RunDeaggregation(cfg world.Config) (*Results, analysis.DeaggregationResult)
 // way the report bytes are identical — that equivalence is this path's
 // standing correctness check.
 func FromSegments(ctx context.Context, dir string, opt Options) (*Results, error) {
-	return run(ctx, &segmentSource{dir: dir}, opt)
+	res, _, err := OpenSegments(dir, opt).Advance(ctx)
+	return res, err
 }
 
 // run is the study loop, once: src delivers its samples to a sink, the
 // sink's store is analysed. At one worker with neither a fault plan nor
 // a trace everything happens on the calling goroutine — the sequential
-// oracle. Chaos and traced runs always take the sharded path (even at
-// one worker): the guard and quarantine machinery live there, and the
-// determinism oracle for such a run is the same flags at another worker
-// count — including the trace bytes.
-func run(ctx context.Context, src source, opt Options) (*Results, error) {
+// oracle — and its sink is returned: passed back as in, it takes the
+// next source's samples on top of what it holds (a Segments study's
+// extension; everyone else passes nil). Chaos and traced runs always
+// take the sharded path (even at one worker): the guard and quarantine
+// machinery live there, and the determinism oracle for such a run is the
+// same flags at another worker count — including the trace bytes. A
+// sharded sink is spent once reduced, so they return nil.
+func run(ctx context.Context, src source, opt Options, in *inline) (*Results, *inline, error) {
 	start := startTimer()
 	if opt.Workers == 0 {
 		opt.Workers = pipeline.DefaultWorkers()
@@ -205,11 +211,14 @@ func run(ctx context.Context, src source, opt Options) (*Results, error) {
 	var sk sink
 	var err error
 	if opt.Workers <= 1 && e.guard == nil && opt.Trace == nil {
-		sk = newInline(opt.Reg)
+		if in == nil {
+			in = newInline(opt.Reg)
+		}
+		sk = in
 		err = src.deliver(ctx, e, sk)
 	} else {
 		ing := newIngest(opt.Workers, opt.Reg, inj, e.guard, opt.Trace)
-		sk, e.buf = ing, ing.buf
+		sk, e.buf, in = ing, ing.buf, nil
 		g := pipeline.NewGroup(ctx)
 		g.Trace(opt.Trace)
 		ing.start(g)
@@ -220,14 +229,15 @@ func run(ctx context.Context, src source, opt Options) (*Results, error) {
 		err = g.Wait()
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	cov := e.guard.Coverage()
 	store, stats, overview := sk.finish(cov)
+	overview.Seal()
 	res := &Results{Cfg: src.config(store), Collector: stats, Overview: overview, Store: store, Coverage: cov}
 	res.analyse(ctx, opt.Reg, opt.Workers)
 	res.Elapsed = elapsedSince(start)
-	return res, nil
+	return res, in, nil
 }
 
 // analyse runs the §5/§6 analyses over the aggregated store, timing

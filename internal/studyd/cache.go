@@ -1,6 +1,8 @@
 package studyd
 
 import (
+	"fmt"
+	"hash/crc32"
 	"sync"
 
 	"repro/internal/obs"
@@ -19,7 +21,9 @@ import (
 // lock: a reader either sees the old bytes or the new bytes, never a
 // torn response. The version is captured BEFORE the compute reads the
 // spool, so a commit racing the rebuild leaves the entry stale (and a
-// later request revalidates again) rather than wrongly fresh.
+// later request revalidates again) rather than wrongly fresh. Each body
+// carries the entity tag it was installed under, so bytes served stale
+// are still named by the version they were built at.
 type swrCache struct {
 	mu      sync.Mutex
 	max     int
@@ -36,8 +40,9 @@ type swrCache struct {
 
 type cacheEntry struct {
 	body    []byte
-	version int64 // spool version the body was built at
-	used    int64 // LRU clock at last touch
+	etag    string // entityTag of body, set with it
+	version int64  // spool version the body was built at
+	used    int64  // LRU clock at last touch
 	// inflight, when non-nil, is the one pending computation for this
 	// key: a blocking miss's waiters share it, and a stale entry's
 	// background revalidation holds it so at most one rebuild runs.
@@ -58,12 +63,21 @@ func newSWRCache(max int, reg *obs.Registry) *swrCache {
 	}
 }
 
-// Serve returns the response for key at spool version now, computing
-// it with compute when absent. The returned state is "hit" (fresh),
-// "stale" (served stale, revalidation running), or "miss" (computed
-// on this call). compute must be pure with respect to the spool
-// contents at the version it observes.
-func (c *swrCache) Serve(key string, now int64, compute func() ([]byte, error)) (body []byte, state string, err error) {
+// entityTag is the strong validator of a body built for key at spool
+// version: quoted, as the ETag header carries it. The version and the
+// key name the entry; the body's checksum is what makes the tag strong
+// beyond one process, because a restarted daemon counts versions from
+// zero again over a spool that has moved on.
+func entityTag(version int64, key string, body []byte) string {
+	return fmt.Sprintf(`"%d-%08x-%08x"`, version, crc32.ChecksumIEEE([]byte(key)), crc32.ChecksumIEEE(body))
+}
+
+// Serve returns the response for key at spool version now, and its
+// entity tag, computing it with compute when absent. The returned state
+// is "hit" (fresh), "stale" (served stale, revalidation running), or
+// "miss" (computed on this call). compute must be pure with respect to
+// the spool contents at the version it observes.
+func (c *swrCache) Serve(key string, now int64, compute func() ([]byte, error)) (body []byte, etag, state string, err error) {
 	c.mu.Lock()
 	e, ok := c.entries[key]
 
@@ -71,13 +85,14 @@ func (c *swrCache) Serve(key string, now int64, compute func() ([]byte, error)) 
 		c.clock++
 		e.used = c.clock
 		if e.version >= now {
+			body, etag = e.body, e.etag
 			c.mu.Unlock()
 			c.cHit.Inc()
-			return e.body, "hit", nil
+			return body, etag, "hit", nil
 		}
 		// Stale: serve the old bytes now, rebuild in the background —
 		// unless a rebuild for this key is already in flight.
-		stale := e.body
+		body, etag = e.body, e.etag
 		if e.inflight == nil {
 			done := make(chan struct{})
 			e.inflight = done
@@ -87,12 +102,12 @@ func (c *swrCache) Serve(key string, now int64, compute func() ([]byte, error)) 
 			// serve every later reader.
 			go func() {
 				body, cerr := compute()
+				etag := entityTag(now, key, body)
 				c.mu.Lock()
 				if cur := c.entries[key]; cur == e {
 					e.inflight = nil
 					if cerr == nil {
-						e.body = body
-						e.version = now
+						e.body, e.etag, e.version = body, etag, now
 					}
 				}
 				c.mu.Unlock()
@@ -104,7 +119,7 @@ func (c *swrCache) Serve(key string, now int64, compute func() ([]byte, error)) 
 		}
 		c.mu.Unlock()
 		c.cStale.Inc()
-		return stale, "stale", nil
+		return body, etag, "stale", nil
 	}
 
 	// Miss. Join a pending computation if one is running.
@@ -116,15 +131,15 @@ func (c *swrCache) Serve(key string, now int64, compute func() ([]byte, error)) 
 		if cur, still := c.entries[key]; still && cur.body != nil {
 			c.clock++
 			cur.used = c.clock
-			body := cur.body
+			body, etag = cur.body, cur.etag
 			c.mu.Unlock()
 			c.cMiss.Inc()
-			return body, "miss", nil
+			return body, etag, "miss", nil
 		}
 		err := e.err
 		c.mu.Unlock()
 		c.cErrors.Inc()
-		return nil, "miss", err
+		return nil, "", "miss", err
 	}
 
 	// First requester: compute while holding the inflight slot.
@@ -135,6 +150,7 @@ func (c *swrCache) Serve(key string, now int64, compute func() ([]byte, error)) 
 
 	c.cMiss.Inc()
 	body, err = compute()
+	etag = entityTag(now, key, body)
 
 	c.mu.Lock()
 	e.inflight = nil
@@ -144,16 +160,15 @@ func (c *swrCache) Serve(key string, now int64, compute func() ([]byte, error)) 
 		c.mu.Unlock()
 		close(done)
 		c.cErrors.Inc()
-		return nil, "miss", err
+		return nil, "", "miss", err
 	}
-	e.body = body
-	e.version = now
+	e.body, e.etag, e.version = body, etag, now
 	c.clock++
 	e.used = c.clock
 	c.evictLocked()
 	c.mu.Unlock()
 	close(done)
-	return body, "miss", nil
+	return body, etag, "miss", nil
 }
 
 // evictLocked drops least-recently-used complete entries until the

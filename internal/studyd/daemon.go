@@ -46,6 +46,7 @@ import (
 	"repro/internal/sample"
 	"repro/internal/seggen"
 	"repro/internal/segstore"
+	"repro/internal/study"
 	"repro/internal/trace"
 	"repro/internal/world"
 )
@@ -73,8 +74,10 @@ type Options struct {
 	FailFast bool
 	// Rec records the run's deterministic flight trace (may be nil).
 	Rec *trace.Recorder
-	// ReportWorkers is the aggregation parallelism behind /report
-	// (<=0: single-threaded).
+	// ReportWorkers is the aggregation parallelism behind a filtered
+	// /report, which folds the spool from nothing (0: GOMAXPROCS). The
+	// unfiltered report extends the resident study a chunk at a time, on
+	// one goroutine.
 	ReportWorkers int
 	// CacheEntries bounds the report cache (default 64).
 	CacheEntries int
@@ -113,8 +116,9 @@ type groupIngest struct {
 
 // Daemon is the always-on study service. Ingest, Seal, and Drain form
 // the single-goroutine ingest side (the live driver calls them in
-// window order); the HTTP side reads only the on-disk spool and
-// atomic counters, so serving never blocks sealing.
+// window order); the HTTP side reads the on-disk spool, atomic counters
+// and — behind its own lock — the resident study of that spool, never
+// anything the ingest side writes, so serving never blocks sealing.
 type Daemon struct {
 	opt   Options
 	cpg   int
@@ -133,6 +137,15 @@ type Daemon struct {
 
 	cache *swrCache
 
+	// resident is the study behind the unfiltered /report, kept open for
+	// the daemon's life so that a commit costs the scan and fold of what
+	// it committed. Everything it hands out aliases its state, so it is
+	// advanced, analysed and rendered under residentMu (http.go). What it
+	// holds is O(cells) — the peak of one from-nothing report, but held —
+	// and the studyd_fold_* gauges say how much.
+	residentMu sync.Mutex
+	resident   *study.Segments
+
 	cIngested *obs.Counter
 	cLate     *obs.Counter
 	cSealed   *obs.Counter
@@ -141,6 +154,12 @@ type Daemon struct {
 	gMark     *obs.Gauge
 	gVersion  *obs.Gauge
 	gDrained  *obs.Gauge
+
+	hExtend   *obs.Histogram
+	hRebuild  *obs.Histogram
+	gServed   *obs.Gauge
+	gFoldSegs *obs.Gauge
+	gCells    *obs.Gauge
 }
 
 // New builds a daemon over opt.Dir. In live mode (opt.World set) the
@@ -164,7 +183,13 @@ func New(opt Options) (*Daemon, error) {
 	d.gMark = reg.Gauge("studyd_watermark")
 	d.gVersion = reg.Gauge("studyd_version")
 	d.gDrained = reg.Gauge("studyd_drained")
+	d.hExtend = reg.Histogram(obs.L("studyd_revalidate_seconds", "mode", "extend"), nil)
+	d.hRebuild = reg.Histogram(obs.L("studyd_revalidate_seconds", "mode", "rebuild"), nil)
+	d.gServed = reg.Gauge("studyd_served_version")
+	d.gFoldSegs = reg.Gauge("studyd_fold_segments")
+	d.gCells = reg.Gauge("studyd_fold_cells")
 	d.cache = newSWRCache(opt.CacheEntries, reg)
+	d.resident = study.OpenSegments(opt.Dir, study.Options{Workers: 1})
 
 	opt.Injector.Instrument(reg)
 

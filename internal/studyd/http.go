@@ -14,6 +14,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/segstore"
 	"repro/internal/study"
 )
@@ -92,42 +93,111 @@ func (d *Daemon) Handler() http.Handler {
 	return mux
 }
 
+// cacheControl tells a client's cache what the daemon's own does: a
+// report is revalidated on every use, and may be served stale for a
+// minute while that happens.
+const cacheControl = "max-age=0, stale-while-revalidate=60"
+
 // handleReport serves the aggregated study report for the spool's
 // current contents, through the stale-while-revalidate cache. The
 // body is exactly the batch `edgereport` output for the same dataset
 // minus the elapsed-time line (the one line that may not be
 // deterministic), so a drained daemon's /report is byte-identical to
-// the golden batch report.
+// the golden batch report. Every response names its body with a strong
+// ETag (cache.go: entityTag); a request whose If-None-Match names it
+// too gets a 304 and no body.
 func (d *Daemon) handleReport(w http.ResponseWriter, r *http.Request) {
 	q, err := parseReportQuery(r.URL.Query())
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	body, state, err := d.cache.Serve(q.Key(), d.Version(), func() ([]byte, error) {
-		return d.renderReport(q)
+	version := d.Version()
+	body, etag, state, err := d.cache.Serve(q.Key(), version, func() ([]byte, error) {
+		return d.renderReport(q, version)
 	})
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.Header().Set("X-Cache", state)
+	h := w.Header()
+	h.Set("Content-Type", "text/plain; charset=utf-8")
+	h.Set("X-Cache", state)
+	h.Set("ETag", etag)
+	h.Set("Cache-Control", cacheControl)
+	if noneMatch(r.Header.Get("If-None-Match"), etag) {
+		w.WriteHeader(http.StatusNotModified)
+		return
+	}
 	_, _ = w.Write(body)
 }
 
-// renderReport aggregates the spool and renders the report body.
-func (d *Daemon) renderReport(q reportQuery) ([]byte, error) {
-	res, err := study.FromSegments(context.Background(), d.opt.Dir, study.Options{
-		Workers: d.opt.ReportWorkers,
-		Filter:  q.Filter,
-	})
+// noneMatch reports whether an If-None-Match header value names etag:
+// "*", or a comma-separated list holding it. The comparison is the weak
+// one RFC 9110 §13.1.2 asks of this header, so a W/ prefix is ignored.
+func noneMatch(header, etag string) bool {
+	for header != "" {
+		var tag string
+		tag, header, _ = strings.Cut(header, ",")
+		tag = strings.TrimPrefix(strings.TrimSpace(tag), "W/")
+		if tag == etag || tag == "*" {
+			return true
+		}
+	}
+	return false
+}
+
+// renderReport renders the report body for q over the spool, whose
+// version was read as version before the call. A filtered query folds
+// the spool from nothing and never touches the resident study; the
+// unfiltered one advances it — folding only what the spool has gained
+// since the last report, when the manifest allows (study.Segments) —
+// and analyses and renders it under its lock, because the results alias
+// its state. The cache runs at most one revalidation a key, so the lock
+// is there for the invariant, not for contention.
+func (d *Daemon) renderReport(q reportQuery, version int64) ([]byte, error) {
+	if q.Filter != nil {
+		res, err := study.FromSegments(context.Background(), d.opt.Dir, study.Options{
+			Workers: d.opt.ReportWorkers,
+			Filter:  q.Filter,
+		})
+		if err != nil {
+			return nil, err
+		}
+		return reportBody(res), nil
+	}
+
+	d.residentMu.Lock()
+	defer d.residentMu.Unlock()
+	start := time.Now()
+	res, rebuilt, err := d.resident.Advance(context.Background())
 	if err != nil {
 		return nil, err
 	}
+	body := reportBody(res)
+	if rebuilt == "" {
+		d.hExtend.ObserveDuration(time.Since(start))
+	} else {
+		d.hRebuild.ObserveDuration(time.Since(start))
+		d.opt.Reg.Counter(obs.L("studyd_fold_rebuilds_total", "reason", rebuilt)).Inc()
+	}
+	cells := 0
+	for _, g := range res.Store.Groups() {
+		for _, wa := range g.Windows {
+			cells += len(wa.Routes)
+		}
+	}
+	d.gServed.Set(float64(version))
+	d.gFoldSegs.Set(float64(d.resident.Folded()))
+	d.gCells.Set(float64(cells))
+	return body, nil
+}
+
+// reportBody renders res without its wall-clock line.
+func reportBody(res *study.Results) []byte {
 	var buf bytes.Buffer
 	res.WriteReport(&buf)
-	return stripElapsedLine(buf.Bytes()), nil
+	return stripElapsedLine(buf.Bytes())
 }
 
 // stripElapsedLine removes the "Generated and analysed in ..." line —

@@ -454,7 +454,7 @@ func TestCacheSingleRevalidation(t *testing.T) {
 	v2 := []byte("version-two")
 
 	// Prime at version 1.
-	body, state, err := c.Serve("k", 1, func() ([]byte, error) {
+	body, _, state, err := c.Serve("k", 1, func() ([]byte, error) {
 		computes.Add(1)
 		return v1, nil
 	})
@@ -472,7 +472,7 @@ func TestCacheSingleRevalidation(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			body, _, err := c.Serve("k", 2, func() ([]byte, error) {
+			body, _, _, err := c.Serve("k", 2, func() ([]byte, error) {
 				computes.Add(1)
 				<-release // keep the rebuild in flight while readers pile up
 				return v2, nil
@@ -499,7 +499,7 @@ func TestCacheSingleRevalidation(t *testing.T) {
 
 	// After the rebuild lands, version 2 is a fresh hit.
 	for i := 0; i < 2000; i++ {
-		body, state, _ = c.Serve("k", 2, func() ([]byte, error) {
+		body, _, state, _ = c.Serve("k", 2, func() ([]byte, error) {
 			t.Error("fresh entry recomputed")
 			return nil, nil
 		})
@@ -529,7 +529,7 @@ func TestCacheMissSingleflight(t *testing.T) {
 			if !first {
 				<-started
 			}
-			body, _, err := c.Serve("k", 1, func() ([]byte, error) {
+			body, _, _, err := c.Serve("k", 1, func() ([]byte, error) {
 				computes.Add(1)
 				close(started)
 				<-release
@@ -552,10 +552,10 @@ func TestCacheMissSingleflight(t *testing.T) {
 func TestCacheErrorsNotCached(t *testing.T) {
 	c := newSWRCache(8, nil)
 	wantErr := fmt.Errorf("spool on fire")
-	if _, _, err := c.Serve("k", 1, func() ([]byte, error) { return nil, wantErr }); err != wantErr {
+	if _, _, _, err := c.Serve("k", 1, func() ([]byte, error) { return nil, wantErr }); err != wantErr {
 		t.Fatalf("err = %v, want %v", err, wantErr)
 	}
-	body, state, err := c.Serve("k", 1, func() ([]byte, error) { return []byte("ok"), nil })
+	body, _, state, err := c.Serve("k", 1, func() ([]byte, error) { return []byte("ok"), nil })
 	if err != nil || state != "miss" || string(body) != "ok" {
 		t.Fatalf("retry after error: %q %s %v", body, state, err)
 	}
@@ -565,7 +565,7 @@ func TestCacheErrorsNotCached(t *testing.T) {
 func TestCacheEviction(t *testing.T) {
 	c := newSWRCache(2, nil)
 	mk := func(k string) {
-		if _, _, err := c.Serve(k, 1, func() ([]byte, error) { return []byte(k), nil }); err != nil {
+		if _, _, _, err := c.Serve(k, 1, func() ([]byte, error) { return []byte(k), nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -575,11 +575,11 @@ func TestCacheEviction(t *testing.T) {
 	if c.Len() != 2 {
 		t.Fatalf("len=%d, want 2", c.Len())
 	}
-	_, state, _ := c.Serve("b", 1, func() ([]byte, error) { return []byte("b"), nil })
+	_, _, state, _ := c.Serve("b", 1, func() ([]byte, error) { return []byte("b"), nil })
 	if state != "hit" {
 		t.Fatalf("warm key evicted (state %s)", state)
 	}
-	_, state, _ = c.Serve("a", 1, func() ([]byte, error) { return []byte("a"), nil })
+	_, _, state, _ = c.Serve("a", 1, func() ([]byte, error) { return []byte("a"), nil })
 	if state != "miss" {
 		t.Fatalf("cold key survived eviction (state %s)", state)
 	}

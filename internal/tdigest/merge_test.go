@@ -3,6 +3,7 @@ package tdigest
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -117,5 +118,50 @@ func TestMergeEmptyAndNil(t *testing.T) {
 	}
 	if d.Count() != 100 {
 		t.Fatalf("count = %v, want 100", d.Count())
+	}
+}
+
+// Merge only reads its argument: centroids, buffered points (in arrival
+// order, not sorted in place), totals and extremes are the same bits
+// afterwards, so a digest that has been merged from compacts later at
+// exactly the points, and to exactly the centroids, it would have
+// anyway. analysis.Overview.Seal rests on this: it merges per-group
+// digests that go on taking samples.
+func TestMergeLeavesItsArgumentUntouched(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	bits := func(d *TDigest) []uint64 {
+		var out []uint64
+		for _, s := range [][]float64{d.means, d.weights, d.bufMeans, d.bufWeights, {d.total, d.bufTotal, d.min, d.max}} {
+			out = append(out, uint64(len(s)))
+			for _, v := range s {
+				out = append(out, math.Float64bits(v))
+			}
+		}
+		return out
+	}
+	// No centroids yet, a buffer short enough for the insertion sort, one
+	// long enough for the radix sort, and nothing buffered at all.
+	for _, adds := range []int{50, 800 + insertionCutoff/2, 3*800 + 500, 800} {
+		arg, twin := New(100), New(100)
+		for i := 0; i < adds; i++ {
+			v := math.Round(r.NormFloat64()*10) / 2 // ties, out of order
+			arg.Add(v)
+			twin.Add(v)
+		}
+		before := bits(arg)
+		into := New(100)
+		into.Add(1)
+		into.Merge(arg)
+		if after := bits(arg); !slices.Equal(before, after) {
+			t.Fatalf("%d adds: Merge changed its argument", adds)
+		}
+		// The receiver holds what merging a compacted copy gives.
+		twin.Compact()
+		want := New(100)
+		want.Add(1)
+		want.Merge(twin)
+		if !slices.Equal(bits(into), bits(want)) {
+			t.Fatalf("%d adds: merging a buffering digest and merging its compacted twin differ", adds)
+		}
 	}
 }

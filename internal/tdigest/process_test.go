@@ -81,9 +81,13 @@ func (t *TDigest) refAdd(x, w float64) {
 }
 
 func (t *TDigest) refMerge(other *TDigest) {
-	other.processReference()
-	for i := range other.means {
-		t.refAdd(other.means[i], other.weights[i])
+	// Merge only reads its argument: the reference compacts a copy.
+	c := *other
+	c.means, c.weights = append([]float64(nil), other.means...), append([]float64(nil), other.weights...)
+	c.bufMeans, c.bufWeights = append([]float64(nil), other.bufMeans...), append([]float64(nil), other.bufWeights...)
+	c.processReference()
+	for i := range c.means {
+		t.refAdd(c.means[i], c.weights[i])
 	}
 	if other.min < t.min {
 		t.min = other.min

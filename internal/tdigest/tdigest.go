@@ -130,15 +130,22 @@ func (t *TDigest) Max() float64 { return t.max }
 // footnote 11) that lets shard-local aggregations combine into a global
 // one. Centroids carry their accumulated weight across, so Count and
 // Mean are preserved exactly and quantiles stay within the usual
-// compression tolerance. The other digest is compacted but its contents
-// are unchanged; merging nil is a no-op.
+// compression tolerance. other is only read: points it still buffers are
+// compacted in pooled scratch, to the centroids its own next compaction
+// would leave, so a digest that is merged from keeps evolving exactly as
+// if it had not been. Merging nil is a no-op.
 func (t *TDigest) Merge(other *TDigest) {
 	if other == nil {
 		return
 	}
-	other.process()
-	for i := range other.means {
-		t.AddWeighted(other.means[i], other.weights[i])
+	means, weights := other.means, other.weights
+	if len(other.bufMeans) > 0 {
+		s := scratchPool.Get().(*scratch)
+		defer scratchPool.Put(s)
+		means, weights = other.compacted(s)
+	}
+	for i := range means {
+		t.AddWeighted(means[i], weights[i])
 	}
 	// Centroid means never reach the extremes, so the true min/max must
 	// carry over explicitly or the merged digest's tails collapse to the
@@ -171,10 +178,7 @@ func (t *TDigest) kInv(k float64) float64 {
 
 // process merges buffered points into the centroid set: it sorts the
 // buffer, then runs the compaction loop over the merge of the (already
-// sorted) centroids and the sorted buffer. Among equal means existing
-// centroids come before buffered points and buffered points keep their
-// arrival order, which the selection below (buffer only when strictly
-// smaller) and the stable buffer sort implement between them.
+// sorted) centroids and the sorted buffer.
 func (t *TDigest) process() {
 	n := len(t.bufMeans)
 	if n == 0 {
@@ -183,13 +187,11 @@ func (t *TDigest) process() {
 	nc := len(t.means)
 	s := scratchPool.Get().(*scratch)
 	s.sortByMean(t.bufMeans, t.bufWeights)
-	bm, bw := t.bufMeans, t.bufWeights
 
 	// The output overwrites t.means/t.weights from the front and can
 	// overtake the centroid cursor (a buffer that sorts below every
 	// centroid), so the loop reads the old centroids from a copy.
 	s.old = append(append(s.old[:0], t.means...), t.weights...)
-	cm, cw := s.old[:nc], s.old[nc:]
 
 	// The k1 scale function keeps a compacted digest under 2δ centroids;
 	// a digest that never saw that many points needs only room for them.
@@ -197,7 +199,35 @@ func (t *TDigest) process() {
 		t.means = make([]float64, 0, need)
 		t.weights = make([]float64, 0, need)
 	}
-	outM, outW := t.means[:0], t.weights[:0]
+	t.means, t.weights = t.compact(s.old[:nc], s.old[nc:], t.bufMeans, t.bufWeights, t.means[:0], t.weights[:0])
+	t.total += t.bufTotal
+	t.bufMeans, t.bufWeights, t.bufTotal = t.bufMeans[:0], t.bufWeights[:0], 0
+	scratchPool.Put(s)
+}
+
+// compacted returns the centroids process would leave t with, computed
+// in s without touching t: the buffer is copied before it is sorted and
+// the output lands in s. They are valid until s goes back to the pool.
+func (t *TDigest) compacted(s *scratch) (means, weights []float64) {
+	n, room := len(t.bufMeans), len(t.means)+len(t.bufMeans)
+	s.old = append(append(s.old[:0], t.bufMeans...), t.bufWeights...)
+	bm, bw := s.old[:n], s.old[n:]
+	s.sortByMean(bm, bw)
+	if cap(s.out) < 2*room {
+		s.out = make([]float64, 2*room)
+	}
+	return t.compact(t.means, t.weights, bm, bw, s.out[:0:room], s.out[room:room:2*room])
+}
+
+// compact is the compaction loop: it walks the merge of t's sorted
+// centroids (cm, cw) and its sorted buffered points (bm, bw), greedily
+// filling centroids to the k1 size limit, and appends them to outM and
+// outW. Among equal means existing centroids come before buffered points
+// and buffered points keep their arrival order, which the selection below
+// (buffer only when strictly smaller) and the stable buffer sort
+// implement between them.
+func (t *TDigest) compact(cm, cw, bm, bw, outM, outW []float64) (means, weights []float64) {
+	nc, n := len(cm), len(bm)
 	total := t.total + t.bufTotal
 
 	soFar := 0.0
@@ -229,19 +259,17 @@ func (t *TDigest) process() {
 		qLimit = t.kInv(t.k(soFar/total) + 1)
 		curM, curW = m, w
 	}
-	outM = append(outM, curM)
-	outW = append(outW, curW)
-
-	t.means, t.weights, t.total = outM, outW, total
-	t.bufMeans, t.bufWeights, t.bufTotal = t.bufMeans[:0], t.bufWeights[:0], 0
-	scratchPool.Put(s)
+	return append(outM, curM), append(outW, curW)
 }
 
-// scratch is the working memory of one process call. Digests number in
+// scratch is the working memory of one compaction. Digests number in
 // the hundreds of thousands (one per aggregation cell), so it lives in a
 // pool shared by all of them, not in TDigest.
 type scratch struct {
-	old         []float64 // the centroids before the call: means, then weights
+	// old is what the loop must read from a copy, means then weights:
+	// process's centroids before the call, compacted's buffer.
+	old         []float64
+	out         []float64 // compacted's centroids: means, then weights
 	keys, moved []keyed   // the radix sort's two sides
 	sorted      []float64 // the radix sort's result: mean, weight, mean, ...
 }
