@@ -12,7 +12,7 @@ TRACE_PLAN   = seed=7;sink-transient=0.01;truncate=0.1;fail-group=2;outage=fra:1
 STUDYD_FLAGS = -seed 7 -groups 8 -days 2 -spw 10
 STUDYD_PLAN  = seed=7;sink-transient=0.01;fail-group=2;outage=fra:10-30;retries=4;retry-base=50us
 
-.PHONY: check vet lint build race test chaos seg-race trace-race colagg-race pop-race studyd-race fuzz-smoke bench-obs bench-pipeline bench-retry bench bench-segstore bench-trace bench-colagg bench-ship bench-studyd
+.PHONY: check vet lint loc build race test chaos seg-race trace-race colagg-race pop-race studyd-race fuzz-smoke bench-obs bench-pipeline bench-retry bench bench-segstore bench-trace bench-colagg bench-ship bench-studyd
 
 check: vet lint build race test chaos seg-race trace-race colagg-race pop-race studyd-race
 
@@ -26,6 +26,14 @@ vet:
 # analyzer cost.
 lint:
 	$(GO) run ./cmd/edgelint -stats .
+
+# Code-only lines per package: non-test Go outside testdata/, less
+# blank and comment-only lines — the count simplicity PRs quote in
+# CHANGES.md. A report, not a `make check` gate.
+loc:
+	@for d in internal/* cmd/*; do \
+		printf '%6d %s\n' $$(find $$d -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | grep -vE '^\s*$$' | grep -vE '^\s*//' | wc -l) $$d; \
+	done
 
 build:
 	$(GO) build ./...

@@ -110,12 +110,8 @@ func main() {
 	}
 	defer stopProgress()
 
-	w := world.New(world.Config{
-		Seed:                   *seed,
-		Groups:                 *groups,
-		Days:                   *days,
-		SessionsPerGroupWindow: *spw,
-	})
+	cfg := world.Config{Seed: *seed, Groups: *groups, Days: *days, SessionsPerGroupWindow: *spw}
+	w := world.New(cfg)
 	w.Instrument(reg)
 
 	inj := faults.NewInjector(plan, *seed)
@@ -147,11 +143,7 @@ func main() {
 	// fleet's shipped segments must land in a spool whose manifest is
 	// byte-identical to the single-process dataset's, and the origin is
 	// part of those bytes. The PoP index deliberately stays out of it.
-	spec := ""
-	if inj != nil {
-		spec = inj.Plan().Spec()
-	}
-	origin := fmt.Sprintf("edgesim seed=%d groups=%d days=%d spw=%g plan=%q", *seed, *groups, *days, *spw, spec)
+	origin := seggen.Origin(cfg, inj)
 
 	owned := seggen.OwnedGroups(w, *pop, *pops)
 	res, runErr := seggen.Run(ctx, seggen.Options{

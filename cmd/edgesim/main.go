@@ -106,12 +106,8 @@ func main() {
 		stopProgress = obs.StartProgress(reg, os.Stderr, 2*time.Second)
 	}
 
-	w := world.New(world.Config{
-		Seed:                   *seed,
-		Groups:                 *groups,
-		Days:                   *days,
-		SessionsPerGroupWindow: *spw,
-	})
+	cfg := world.Config{Seed: *seed, Groups: *groups, Days: *days, SessionsPerGroupWindow: *spw}
+	w := world.New(cfg)
 	w.Instrument(reg)
 
 	inj := faults.NewInjector(plan, *seed)
@@ -141,15 +137,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "edgesim: trace written to %s%s\n", *tracePath, note)
 	}
 
-	spec := ""
-	if inj != nil {
-		spec = inj.Plan().Spec()
-	}
 	res, runErr := seggen.Run(ctx, seggen.Options{
 		World: w, Dir: *out, Reg: reg, Workers: *workers, Injector: inj, FailFast: *failFast, Rec: rec,
-		// The origin pins everything that shapes the dataset bytes; resume
-		// with different flags is refused rather than silently interleaved.
-		Origin: fmt.Sprintf("edgesim seed=%d groups=%d days=%d spw=%g plan=%q", *seed, *groups, *days, *spw, spec),
+		Origin: seggen.Origin(cfg, inj),
 	})
 	stopProgress()
 	flushTrace()

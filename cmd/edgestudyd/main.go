@@ -46,6 +46,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
+	"repro/internal/seggen"
 	"repro/internal/ship"
 	"repro/internal/sigctl"
 	"repro/internal/studyd"
@@ -182,25 +183,17 @@ func main() {
 		// origin is the canonical edgesim origin for the same flags — the
 		// drained spool must be byte-identical to the batch dataset's, and
 		// the origin is part of those bytes.
-		w := world.New(world.Config{
-			Seed:                   *seed,
-			Groups:                 *groups,
-			Days:                   *days,
-			SessionsPerGroupWindow: *spw,
-		})
+		cfg := world.Config{Seed: *seed, Groups: *groups, Days: *days, SessionsPerGroupWindow: *spw}
+		w := world.New(cfg)
 		w.Instrument(reg)
 		inj := faults.NewInjector(plan, *seed)
 		if inj != nil {
 			w.PoPDown = inj.Outage
 		}
 		w.Rec = rec
-		spec := ""
-		if inj != nil {
-			spec = inj.Plan().Spec()
-		}
 		opt.World = w
 		opt.Injector = inj
-		opt.Origin = fmt.Sprintf("edgesim seed=%d groups=%d days=%d spw=%g plan=%q", *seed, *groups, *days, *spw, spec)
+		opt.Origin = seggen.Origin(cfg, inj)
 	} else if plan != nil {
 		log.Fatal("edgestudyd: -fault-plan shapes the live stream; in wire mode the fleet's plan shapes the data — pass it to the edgepopd processes instead")
 	}

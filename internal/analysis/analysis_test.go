@@ -77,7 +77,7 @@ func classOf(t *testing.T, res DegradationResult, store *agg.Store, prefix strin
 		verdicts := make([]WindowVerdict, len(g.Points))
 		var present int
 		for i, pt := range g.Points {
-			verdicts[i] = WindowVerdict{Window: pt.Window, Valid: pt.Valid, Event: pt.Valid && pt.Lo > threshold, Bytes: pt.Bytes}
+			verdicts[i] = WindowVerdict{Window: pt.Window, Valid: pt.Valid, Event: pt.Event(threshold), Bytes: pt.Bytes}
 			present++
 		}
 		return Classify(verdicts, present, store.TotalWindows, p)
@@ -122,10 +122,10 @@ func TestDegradationAmounts(t *testing.T) {
 		for _, pt := range g.Points {
 			hour := (pt.Window / 4) % 24
 			if hour >= 19 && hour < 23 {
-				if pt.Valid && pt.Amount > 10 {
+				if pt.Valid && pt.Diff > 10 {
 					peak++
 				}
-			} else if pt.Valid && pt.Amount < 5 {
+			} else if pt.Valid && pt.Diff < 5 {
 				quiet++
 			}
 		}
@@ -220,7 +220,7 @@ func buildOpportunityStore() *agg.Store {
 func TestOpportunityDetection(t *testing.T) {
 	st := buildOpportunityStore()
 	res := Opportunity(st, MetricMinRTT)
-	byPrefix := map[string]GroupOpportunity{}
+	byPrefix := map[string]GroupSeries{}
 	for _, g := range res.Groups {
 		byPrefix[g.Group.Key.Prefix] = g
 	}

@@ -5,7 +5,11 @@
 // relationship comparison (§6.3, Figure 10).
 package analysis
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/geo"
+)
 
 // Class is the temporal behaviour classification of §3.4.2.
 type Class int
@@ -129,4 +133,102 @@ func Classify(verdicts []WindowVerdict, present, totalWindows int, p ClassifyPar
 		}
 	}
 	return Episodic
+}
+
+// ClassRow is one Table 1 cell pair at one threshold: the traffic share
+// of groups in the class, and the share of traffic delivered during the
+// class's event windows.
+type ClassRow struct {
+	GroupTrafficShare float64
+	EventTrafficShare float64
+}
+
+// ClassTable is Table 1 for one metric: class × continent × threshold.
+type ClassTable struct {
+	Metric Metric
+	// Thresholds analysed, in the metric's units.
+	Thresholds []float64
+	// Rows[class][continent][thresholdIndex], normalised per continent.
+	Rows map[Class]map[geo.Continent][]ClassRow
+	// Overall[class][thresholdIndex] is normalised over all traffic.
+	Overall map[Class][]ClassRow
+}
+
+// Classify builds one half of Table 1 — degradation or opportunity, as
+// the series is — by temporal class at each threshold (§3.4.2).
+func (s Series) Classify(totalWindows int, p ClassifyParams, thresholds []float64) ClassTable {
+	tbl := ClassTable{
+		Metric:     s.Metric,
+		Thresholds: thresholds,
+		Rows:       make(map[Class]map[geo.Continent][]ClassRow),
+		Overall:    make(map[Class][]ClassRow),
+	}
+	type key struct {
+		class Class
+		cont  geo.Continent
+		ti    int
+	}
+	groupBytes := make(map[key]int64)
+	eventBytes := make(map[key]int64)
+	contBytes := make(map[geo.Continent]int64)
+	var allBytes int64
+
+	for _, g := range s.Groups {
+		var total int64
+		for _, pt := range g.Points {
+			total += pt.Bytes
+		}
+		contBytes[g.Continent] += total
+		allBytes += total
+
+		for ti, th := range thresholds {
+			verdicts := make([]WindowVerdict, len(g.Points))
+			var evBytes int64
+			for i, pt := range g.Points {
+				ev := pt.Event(th)
+				verdicts[i] = WindowVerdict{Window: pt.Window, Valid: pt.Valid, Event: ev, Bytes: pt.Bytes}
+				if ev {
+					evBytes += pt.Bytes
+				}
+			}
+			class := Classify(verdicts, len(g.Points), totalWindows, p)
+			if class == Unclassified {
+				continue
+			}
+			k := key{class, g.Continent, ti}
+			groupBytes[k] += total
+			eventBytes[k] += evBytes
+		}
+	}
+
+	for _, class := range Classes {
+		tbl.Rows[class] = make(map[geo.Continent][]ClassRow)
+		tbl.Overall[class] = make([]ClassRow, len(thresholds))
+		for _, cont := range geo.Continents {
+			tbl.Rows[class][cont] = make([]ClassRow, len(thresholds))
+		}
+	}
+	for ti := range thresholds {
+		for _, class := range Classes {
+			var gb, eb int64
+			for _, cont := range geo.Continents {
+				k := key{class, cont, ti}
+				gb += groupBytes[k]
+				eb += eventBytes[k]
+				if cb := contBytes[cont]; cb > 0 {
+					tbl.Rows[class][cont][ti] = ClassRow{
+						GroupTrafficShare: float64(groupBytes[k]) / float64(cb),
+						EventTrafficShare: float64(eventBytes[k]) / float64(cb),
+					}
+				}
+			}
+			if allBytes > 0 {
+				tbl.Overall[class][ti] = ClassRow{
+					GroupTrafficShare: float64(gb) / float64(allBytes),
+					EventTrafficShare: float64(eb) / float64(allBytes),
+				}
+			}
+		}
+	}
+	return tbl
 }

@@ -2,294 +2,58 @@ package analysis
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/agg"
-	"repro/internal/geo"
 	"repro/internal/stats"
 )
 
-// Metric selects which aggregation median an analysis runs on.
-type Metric int
-
-// Metrics under analysis.
-const (
-	// MetricMinRTT analyses MinRTTP50 in milliseconds; degradation and
-	// opportunity are "current minus baseline" style positive numbers.
-	MetricMinRTT Metric = iota
-	// MetricHDratio analyses HDratioP50 in ratio units.
-	MetricHDratio
-)
-
-// String names the metric.
-func (m Metric) String() string {
-	if m == MetricHDratio {
-		return "HDratioP50"
-	}
-	return "MinRTTP50"
-}
-
-// maxCIWidth returns the §3.4.1 tightness requirement for the metric.
-func (m Metric) maxCIWidth() float64 {
-	if m == MetricHDratio {
-		return agg.MaxCIWidthHDratio
-	}
-	return agg.MaxCIWidthMinRTTMs
-}
-
-// median extracts the metric's median from an aggregation.
-func (m Metric) median(a *agg.Aggregation) float64 {
-	if m == MetricHDratio {
-		return a.HDratioP50()
-	}
-	return a.MinRTTP50()
-}
-
-// digest returns the metric's digest (for CI machinery).
-func (m Metric) digest(a *agg.Aggregation) stats.QuantileSource {
-	if m == MetricHDratio {
-		return a.HD
-	}
-	return a.MinRTT
-}
-
-// count returns the number of sessions contributing to the metric.
-func (m Metric) count(a *agg.Aggregation) float64 {
-	return m.digest(a).Count()
-}
-
-// DegradationPoint is one aggregation's degradation measurement:
-// how much worse the window is than the group's baseline (§3.4).
-type DegradationPoint struct {
-	Window int
-	// Amount is baseline-relative degradation in the metric's units and
-	// "bigger is worse" orientation: current−baseline for MinRTT,
-	// baseline−current for HDratio.
-	Amount float64
-	// Lo and Hi bound Amount's confidence interval.
-	Lo, Hi float64
-	// Valid reflects the §3.4.1 sample floor and tightness.
-	Valid bool
-	// Bytes is the window's preferred-route traffic.
-	Bytes int64
-}
-
-// GroupDegradation is a group's full degradation series.
-type GroupDegradation struct {
-	Group     *agg.GroupSeries
-	Baseline  float64
-	Points    []DegradationPoint
-	Continent geo.Continent
-}
-
-// DegradationResult is the §5 analysis output.
-type DegradationResult struct {
-	Metric Metric
-	Groups []GroupDegradation
-	// CoveredBytes / TotalBytes is the traffic share with valid
-	// aggregations (paper: 94.8% for MinRTTP50, 89.5% for HDratioP50).
-	CoveredBytes int64
-	TotalBytes   int64
-}
-
-// baselineQuantile is the baseline definition (§3.4): p10 of the
-// preferred route's MinRTTP50 distribution over windows (best decile),
-// p90 for HDratioP50.
-func baselineQuantile(m Metric, medians []float64) float64 {
-	sorted := stats.SortCopy(medians)
-	if m == MetricHDratio {
-		return stats.Quantile(sorted, 0.90)
-	}
-	return stats.Quantile(sorted, 0.10)
-}
+// DegradationResult is the §5 analysis output: each window of a group's
+// preferred route against the group's baseline.
+type DegradationResult struct{ Series }
 
 // Degradation computes per-window degradation of the preferred route
-// against each group's baseline (§5).
+// against each group's baseline (§5). A group none of whose windows
+// reaches the sample floor has no baseline and is left out.
 func Degradation(store *agg.Store, metric Metric) DegradationResult {
-	res := DegradationResult{Metric: metric}
+	res := DegradationResult{Series{Metric: metric}}
+	row := &metrics[metric]
 	for _, g := range store.Groups() {
-		gd := GroupDegradation{Group: g, Continent: g.Continent}
+		wins := g.WindowIndexes()
 
-		// Collect the preferred route's medians to establish a baseline.
+		// The baseline is over the medians of windows with enough
+		// sessions on the route — not enough of the metric's own, which
+		// only the comparison below asks for: HDratio is undefined for
+		// sessions nothing could test.
 		var medians []float64
-		for _, win := range g.WindowIndexes() {
+		for _, win := range wins {
 			a := g.Windows[win].Route(0)
 			if a == nil || !a.HasMinSamples() {
 				continue
 			}
-			if v := metric.median(a); !math.IsNaN(v) {
+			if v := row.digest(a).Quantile(0.5); !math.IsNaN(v) {
 				medians = append(medians, v)
 			}
 		}
 		if len(medians) == 0 {
 			continue
 		}
-		gd.Baseline = baselineQuantile(metric, medians)
+		gs := GroupSeries{Group: g, Continent: g.Continent, Points: make([]Point, 0, len(wins))}
+		gs.Baseline = stats.Quantile(stats.SortCopy(medians), row.baselineQuantile)
+		var baseline stats.QuantileSource = stats.Exactly(gs.Baseline)
 
-		for _, win := range g.WindowIndexes() {
+		for _, win := range wins {
 			a := g.Windows[win].Route(0)
 			if a == nil {
 				continue
 			}
-			res.TotalBytes += a.Bytes
-			pt := DegradationPoint{Window: win, Bytes: a.Bytes}
-			cur := metric.median(a)
-			if a.HasMinSamples() && metric.count(a) >= stats.MinSamples && !math.IsNaN(cur) {
-				// The baseline is a scalar, so the interval comes from
-				// the current window's median variance alone.
-				v := stats.MedianVarianceDigest(metric.digest(a), stats.DefaultConfidence)
-				if !math.IsInf(v, 1) {
-					se := math.Sqrt(v)
-					z := stats.ZScore(stats.DefaultConfidence)
-					amt := cur - gd.Baseline
-					if metric == MetricHDratio {
-						amt = gd.Baseline - cur
-					}
-					pt.Amount = amt
-					pt.Lo, pt.Hi = amt-z*se, amt+z*se
-					pt.Valid = (pt.Hi - pt.Lo) <= metric.maxCIWidth()
-				}
-			}
-			if pt.Valid {
-				res.CoveredBytes += a.Bytes
-			}
-			gd.Points = append(gd.Points, pt)
+			pt := metric.worseBy(row.digest(a), baseline)
+			pt.Window, pt.Bytes = win, a.Bytes
+			res.add(&gs, pt)
 		}
-		res.Groups = append(res.Groups, gd)
+		res.Groups = append(res.Groups, gs)
 	}
 	return res
 }
-
-// CDF returns the traffic-weighted distribution of degradation amounts
-// over valid aggregations (Figure 8), plus the CI bound distributions
-// (the figure's shaded band).
-func (r DegradationResult) CDF() (amount, lo, hi *stats.WeightedCDF) {
-	var pa, pl, ph []stats.WeightedPoint
-	for _, g := range r.Groups {
-		for _, pt := range g.Points {
-			if !pt.Valid {
-				continue
-			}
-			w := float64(pt.Bytes)
-			pa = append(pa, stats.WeightedPoint{Value: pt.Amount, Weight: w})
-			pl = append(pl, stats.WeightedPoint{Value: pt.Lo, Weight: w})
-			ph = append(ph, stats.WeightedPoint{Value: pt.Hi, Weight: w})
-		}
-	}
-	return stats.NewWeightedCDF(pa), stats.NewWeightedCDF(pl), stats.NewWeightedCDF(ph)
-}
-
-// ClassRow is one Table 1 cell pair at one threshold: the traffic share
-// of groups in the class, and the share of traffic delivered during the
-// class's event windows.
-type ClassRow struct {
-	GroupTrafficShare float64
-	EventTrafficShare float64
-}
-
-// ClassTable is Table 1 for one metric: class × continent × threshold.
-type ClassTable struct {
-	Metric Metric
-	// Thresholds analysed, in the metric's units.
-	Thresholds []float64
-	// Rows[class][continent or "" for overall][thresholdIndex].
-	Rows map[Class]map[geo.Continent][]ClassRow
-	// Overall[class][thresholdIndex] is normalised over all traffic.
-	Overall map[Class][]ClassRow
-}
-
-// Classify builds Table 1's left half: degradation by temporal class at
-// each threshold (§3.4.2, §5).
-func (r DegradationResult) Classify(totalWindows int, p ClassifyParams, thresholds []float64) ClassTable {
-	tbl := ClassTable{
-		Metric:     r.Metric,
-		Thresholds: thresholds,
-		Rows:       make(map[Class]map[geo.Continent][]ClassRow),
-		Overall:    make(map[Class][]ClassRow),
-	}
-	type key struct {
-		class Class
-		cont  geo.Continent
-		ti    int
-	}
-	groupBytes := make(map[key]int64)
-	eventBytes := make(map[key]int64)
-	contBytes := make(map[geo.Continent]int64)
-	var allBytes int64
-
-	for _, g := range r.Groups {
-		var total int64
-		for _, pt := range g.Points {
-			total += pt.Bytes
-		}
-		contBytes[g.Continent] += total
-		allBytes += total
-
-		for ti, th := range thresholds {
-			verdicts := make([]WindowVerdict, len(g.Points))
-			var evBytes int64
-			for i, pt := range g.Points {
-				ev := pt.Valid && pt.Lo > th
-				verdicts[i] = WindowVerdict{Window: pt.Window, Valid: pt.Valid, Event: ev, Bytes: pt.Bytes}
-				if ev {
-					evBytes += pt.Bytes
-				}
-			}
-			class := Classify(verdicts, len(g.Points), totalWindows, p)
-			if class == Unclassified {
-				continue
-			}
-			k := key{class, g.Continent, ti}
-			groupBytes[k] += total
-			eventBytes[k] += evBytes
-		}
-	}
-
-	for _, class := range Classes {
-		tbl.Rows[class] = make(map[geo.Continent][]ClassRow)
-		tbl.Overall[class] = make([]ClassRow, len(thresholds))
-		for _, cont := range geo.Continents {
-			tbl.Rows[class][cont] = make([]ClassRow, len(thresholds))
-		}
-	}
-	for ti := range thresholds {
-		for _, class := range Classes {
-			var g, e int64
-			for _, cont := range geo.Continents {
-				k := key{class, cont, ti}
-				g += groupBytes[k]
-				e += eventBytes[k]
-				if cb := contBytes[cont]; cb > 0 {
-					tbl.Rows[class][cont][ti] = ClassRow{
-						GroupTrafficShare: float64(groupBytes[k]) / float64(cb),
-						EventTrafficShare: float64(eventBytes[k]) / float64(cb),
-					}
-				}
-			}
-			if allBytes > 0 {
-				tbl.Overall[class][ti] = ClassRow{
-					GroupTrafficShare: float64(g) / float64(allBytes),
-					EventTrafficShare: float64(e) / float64(allBytes),
-				}
-			}
-		}
-	}
-	return tbl
-}
-
-// FractionDegradedAtLeast returns the traffic share with degradation of
-// at least x (read off Figure 8).
-func (r DegradationResult) FractionDegradedAtLeast(x float64) float64 {
-	cdf, _, _ := r.CDF()
-	if cdf.Total() == 0 {
-		return math.NaN()
-	}
-	return cdf.FractionAbove(x) + fractionAt(cdf, x)
-}
-
-// fractionAt approximates point mass at exactly x (degradations are
-// continuous; this returns 0 but keeps the read-off primitive honest).
-func fractionAt(cdf *stats.WeightedCDF, x float64) float64 { return 0 }
 
 // RTTSeries returns a group's preferred-route MinRTTP50 per window —
 // the time series behind Figure 5's client-population-shift example,
@@ -305,18 +69,4 @@ func RTTSeries(g *agg.GroupSeries) map[int]float64 {
 		out[win] = a.MinRTTP50()
 	}
 	return out
-}
-
-// SortGroupsByBytes orders groups descending by traffic for reports.
-func (r *DegradationResult) SortGroupsByBytes() {
-	sort.Slice(r.Groups, func(i, j int) bool {
-		var a, b int64
-		for _, pt := range r.Groups[i].Points {
-			a += pt.Bytes
-		}
-		for _, pt := range r.Groups[j].Points {
-			b += pt.Bytes
-		}
-		return a > b
-	})
 }

@@ -2,262 +2,117 @@ package analysis
 
 import (
 	"math"
+	"sort"
 
 	"repro/internal/agg"
 	"repro/internal/bgp"
-	"repro/internal/geo"
-	"repro/internal/stats"
 )
 
-// OpportunityPoint is one (group, window) comparison of the preferred
-// route against the best alternate (§6.2).
-type OpportunityPoint struct {
-	Window int
-	// Diff is oriented "positive = alternate better": preferred−alternate
-	// for MinRTTP50, alternate−preferred for HDratioP50.
-	Diff float64
-	// Lo and Hi bound Diff's confidence interval (Price–Bonett).
-	Lo, Hi float64
-	// Valid means at least two routes had tight comparisons (§3.4.1).
-	Valid bool
-	// HDGuardOK reports the §3.4 guard for MinRTT opportunity: the best
-	// alternate's HDratioP50 is statistically equal or better.
-	HDGuardOK bool
-	// Bytes is the window's total traffic across routes.
-	Bytes int64
-	// AltIndex identifies the best alternate route.
-	AltIndex int
-}
-
-// GroupOpportunity is one group's opportunity series.
-type GroupOpportunity struct {
-	Group     *agg.GroupSeries
-	Continent geo.Continent
-	Points    []OpportunityPoint
-}
-
-// OpportunityResult is the §6.2 analysis output.
-type OpportunityResult struct {
-	Metric       Metric
-	Groups       []GroupOpportunity
-	CoveredBytes int64
-	TotalBytes   int64
-}
+// OpportunityResult is the §6.2 analysis output: in each window, the
+// preferred route against the best alternate.
+type OpportunityResult struct{ Series }
 
 // Opportunity compares the preferred route with the best alternate in
 // every aggregation (§6.2).
 func Opportunity(store *agg.Store, metric Metric) OpportunityResult {
-	res := OpportunityResult{Metric: metric}
+	res := OpportunityResult{Series{Metric: metric}}
 	for _, g := range store.Groups() {
 		if len(g.RouteMeta) < 2 {
 			continue
 		}
-		go_ := GroupOpportunity{Group: g, Continent: g.Continent}
-		for _, win := range g.WindowIndexes() {
+		alts := alternates(g)
+		wins := g.WindowIndexes()
+		gs := GroupSeries{Group: g, Continent: g.Continent, Points: make([]Point, 0, len(wins))}
+		for _, win := range wins {
 			wa := g.Windows[win]
-			pref := wa.Route(0)
-			var bytes int64
+			pt := bestAlternate(metric, wa, alts)
+			pt.Window = win
 			for _, a := range wa.Routes {
-				bytes += a.Bytes
+				pt.Bytes += a.Bytes
 			}
-			res.TotalBytes += bytes
-			pt := OpportunityPoint{Window: win, Bytes: bytes, AltIndex: -1}
-			if pref != nil {
-				pt = res.compareWindow(metric, wa, pref, pt)
-			}
-			if pt.Valid {
-				res.CoveredBytes += bytes
-			}
-			go_.Points = append(go_.Points, pt)
+			res.add(&gs, pt)
 		}
-		res.Groups = append(res.Groups, go_)
+		res.Groups = append(res.Groups, gs)
 	}
 	return res
 }
 
-// compareWindow finds the best alternate and fills the point.
-func (res *OpportunityResult) compareWindow(metric Metric, wa *agg.WindowAgg, pref *agg.Aggregation, pt OpportunityPoint) OpportunityPoint {
-	best := math.Inf(-1)
-	for alt, a := range wa.Routes {
-		if alt == 0 {
-			continue
-		}
-		cmp := stats.Compare(metric.digest(a), metric.digest(pref), stats.DefaultConfidence, metric.maxCIWidth())
-		if !cmp.Valid {
-			continue
-		}
-		// cmp.Point = median(alt) − median(pref). Positive = alternate
-		// better for HDratio; for MinRTT invert so positive = better.
-		diff, lo, hi := cmp.Point, cmp.Lo, cmp.Hi
-		if metric == MetricMinRTT {
-			diff, lo, hi = -diff, -hi, -lo
-		}
-		if diff > best {
-			best = diff
-			pt.Diff, pt.Lo, pt.Hi = diff, lo, hi
-			pt.Valid = true
-			pt.AltIndex = alt
+// alternates returns the group's alternate route indexes, ascending:
+// policy order, most preferred first.
+func alternates(g *agg.GroupSeries) []int {
+	alts := make([]int, 0, len(g.RouteMeta))
+	for alt := range g.RouteMeta {
+		if alt != 0 {
+			alts = append(alts, alt)
 		}
 	}
-	if pt.Valid && metric == MetricMinRTT {
-		// Guard: do not call it opportunity if the alternate degrades
-		// HDratio (§3.4: HDratio is prioritised).
-		pt.HDGuardOK = true
-		altAgg := wa.Route(pt.AltIndex)
-		hdCmp := stats.Compare(altAgg.HD, pref.HD, stats.DefaultConfidence, agg.MaxCIWidthHDratio)
-		if hdCmp.Valid && hdCmp.Hi < 0 {
-			pt.HDGuardOK = false
-		}
-	} else if pt.Valid {
-		pt.HDGuardOK = true
-	}
-	return pt
+	sort.Ints(alts)
+	return alts
 }
 
-// Event reports whether a point is an opportunity at the threshold.
-func (pt OpportunityPoint) Event(threshold float64) bool {
-	return pt.Valid && pt.HDGuardOK && pt.Lo > threshold
-}
-
-// CDF returns the traffic-weighted distribution of preferred-vs-best-
-// alternate differences (Figure 9) with the CI bound bands.
-func (r OpportunityResult) CDF() (diff, lo, hi *stats.WeightedCDF) {
-	var pd, pl, ph []stats.WeightedPoint
-	for _, g := range r.Groups {
-		for _, pt := range g.Points {
-			if !pt.Valid {
-				continue
-			}
-			w := float64(pt.Bytes)
-			pd = append(pd, stats.WeightedPoint{Value: pt.Diff, Weight: w})
-			pl = append(pl, stats.WeightedPoint{Value: pt.Lo, Weight: w})
-			ph = append(ph, stats.WeightedPoint{Value: pt.Hi, Weight: w})
+// bestAlternate compares the window's preferred route with each of its
+// alternates and returns the point of the one that beats it by most.
+// Alternates are walked in policy order and only a strictly larger
+// difference displaces the leader, so a tie goes to the most preferred.
+func bestAlternate(metric Metric, wa *agg.WindowAgg, alts []int) Point {
+	best := Point{AltIndex: -1}
+	pref := wa.Route(0)
+	if pref == nil {
+		return best
+	}
+	digest := metrics[metric].digest
+	for _, alt := range alts {
+		a := wa.Routes[alt]
+		if a == nil {
+			continue
+		}
+		if pt := metric.worseBy(digest(pref), digest(a)); pt.Valid && (!best.Valid || pt.Diff > best.Diff) {
+			best, best.AltIndex = pt, alt
 		}
 	}
-	return stats.NewWeightedCDF(pd), stats.NewWeightedCDF(pl), stats.NewWeightedCDF(ph)
+	// Guard: no opportunity in a lower MinRTT if the alternate's HDratio
+	// is significantly worse at all (§3.4: HDratio is prioritised).
+	if best.Valid && metric == MetricMinRTT &&
+		MetricHDratio.worseBy(wa.Routes[best.AltIndex].HD, pref.HD).Event(0) {
+		best.HDGuardOK = false
+	}
+	return best
 }
 
 // FractionImprovableAtLeast returns the traffic share whose preferred
 // route can be beaten by at least x (read off Figure 9, e.g. 2.0% for
 // 5 ms MinRTT, 0.2% for 0.05 HDratio in the paper).
 func (r OpportunityResult) FractionImprovableAtLeast(x float64) float64 {
-	var eventBytes, total int64
-	for _, g := range r.Groups {
-		for _, pt := range g.Points {
-			if !pt.Valid {
-				continue
-			}
-			total += pt.Bytes
-			if pt.Event(x) {
-				eventBytes += pt.Bytes
-			}
-		}
-	}
-	if total == 0 {
-		return math.NaN()
-	}
-	return float64(eventBytes) / float64(total)
+	return r.validShare(func(pt Point) bool { return pt.Event(x) })
 }
 
 // FractionWithinOfOptimal returns the traffic share where the preferred
 // route is within x of the best route (§6.2: 83.9% within 3 ms;
-// 93.4% within 0.025 HDratio).
+// 93.4% within 0.025 HDratio): the best alternate's advantage is at
+// most x.
 func (r OpportunityResult) FractionWithinOfOptimal(x float64) float64 {
-	var within, total int64
+	return r.validShare(func(pt Point) bool { return pt.Diff <= x })
+}
+
+// validShare returns the share of valid points' traffic that is on
+// points satisfying in.
+func (r OpportunityResult) validShare(in func(Point) bool) float64 {
+	var hit, total int64
 	for _, g := range r.Groups {
 		for _, pt := range g.Points {
 			if !pt.Valid {
 				continue
 			}
 			total += pt.Bytes
-			// Optimal = min(pref, best alt); pref is within x when the
-			// alternate's advantage is at most x.
-			if pt.Diff <= x {
-				within += pt.Bytes
+			if in(pt) {
+				hit += pt.Bytes
 			}
 		}
 	}
 	if total == 0 {
 		return math.NaN()
 	}
-	return float64(within) / float64(total)
-}
-
-// Classify builds Table 1's right half: opportunity by temporal class.
-func (r OpportunityResult) Classify(totalWindows int, p ClassifyParams, thresholds []float64) ClassTable {
-	tbl := ClassTable{
-		Metric:     r.Metric,
-		Thresholds: thresholds,
-		Rows:       make(map[Class]map[geo.Continent][]ClassRow),
-		Overall:    make(map[Class][]ClassRow),
-	}
-	type key struct {
-		class Class
-		cont  geo.Continent
-		ti    int
-	}
-	groupBytes := make(map[key]int64)
-	eventBytes := make(map[key]int64)
-	contBytes := make(map[geo.Continent]int64)
-	var allBytes int64
-
-	for _, g := range r.Groups {
-		var total int64
-		for _, pt := range g.Points {
-			total += pt.Bytes
-		}
-		contBytes[g.Continent] += total
-		allBytes += total
-		for ti, th := range thresholds {
-			verdicts := make([]WindowVerdict, len(g.Points))
-			var evBytes int64
-			for i, pt := range g.Points {
-				ev := pt.Event(th)
-				verdicts[i] = WindowVerdict{Window: pt.Window, Valid: pt.Valid, Event: ev, Bytes: pt.Bytes}
-				if ev {
-					evBytes += pt.Bytes
-				}
-			}
-			class := Classify(verdicts, len(g.Points), totalWindows, p)
-			if class == Unclassified {
-				continue
-			}
-			k := key{class, g.Continent, ti}
-			groupBytes[k] += total
-			eventBytes[k] += evBytes
-		}
-	}
-
-	for _, class := range Classes {
-		tbl.Rows[class] = make(map[geo.Continent][]ClassRow)
-		tbl.Overall[class] = make([]ClassRow, len(thresholds))
-		for _, cont := range geo.Continents {
-			tbl.Rows[class][cont] = make([]ClassRow, len(thresholds))
-		}
-	}
-	for ti := range thresholds {
-		for _, class := range Classes {
-			var gb, eb int64
-			for _, cont := range geo.Continents {
-				k := key{class, cont, ti}
-				gb += groupBytes[k]
-				eb += eventBytes[k]
-				if cb := contBytes[cont]; cb > 0 {
-					tbl.Rows[class][cont][ti] = ClassRow{
-						GroupTrafficShare: float64(groupBytes[k]) / float64(cb),
-						EventTrafficShare: float64(eventBytes[k]) / float64(cb),
-					}
-				}
-			}
-			if allBytes > 0 {
-				tbl.Overall[class][ti] = ClassRow{
-					GroupTrafficShare: float64(gb) / float64(allBytes),
-					EventTrafficShare: float64(eb) / float64(allBytes),
-				}
-			}
-		}
-	}
-	return tbl
+	return float64(hit) / float64(total)
 }
 
 // RelPair is a Table 2 row: the preferred route's relationship and the

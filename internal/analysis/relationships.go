@@ -52,31 +52,26 @@ func (c RelComparison) matches(pref, alt bgp.RelType) bool {
 	return false
 }
 
-// CompareRelationships builds Figure 10: the traffic-weighted
-// distribution of MinRTTP50 differences (preferred − alternate, so
-// positive = the alternate is better… lower) for each relationship
-// category. Unlike the opportunity analysis, the alternate is the
-// most-preferred route of the target relationship, not the best
-// performer (§6.3).
+// CompareRelationships builds Figure 10: for each relationship
+// category, the traffic-weighted distribution of how much worse the
+// preferred route's median is than the alternate's (for MinRTTP50,
+// preferred − alternate: positive = the alternate has lower latency).
+// Unlike the opportunity analysis, the alternate is the most-preferred
+// route of the target relationship, not the best performer (§6.3).
 func CompareRelationships(store *agg.Store, metric Metric) map[RelComparison]*stats.WeightedCDF {
 	points := make(map[RelComparison][]stats.WeightedPoint)
+	digest := metrics[metric].digest
 	for _, g := range store.Groups() {
 		prefMeta, ok := g.RouteMeta[0]
 		if !ok {
 			continue
 		}
+		alts := alternates(g)
 		for _, comparison := range RelComparisons {
-			// Most-preferred alternate of the matching relationship:
-			// lowest alternate index (alternates are stored in policy
-			// order).
 			altIdx := -1
-			for i := 1; i < len(g.RouteMeta)+1; i++ {
-				meta, ok := g.RouteMeta[i]
-				if !ok {
-					continue
-				}
-				if comparison.matches(prefMeta.Rel, meta.Rel) {
-					altIdx = i
+			for _, alt := range alts {
+				if comparison.matches(prefMeta.Rel, g.RouteMeta[alt].Rel) {
+					altIdx = alt
 					break
 				}
 			}
@@ -89,18 +84,12 @@ func CompareRelationships(store *agg.Store, metric Metric) map[RelComparison]*st
 				if pref == nil || alt == nil {
 					continue
 				}
-				cmp := stats.Compare(metric.digest(pref), metric.digest(alt), stats.DefaultConfidence, metric.maxCIWidth())
-				if !cmp.Valid {
+				pt := metric.worseBy(digest(pref), digest(alt))
+				if !pt.Valid {
 					continue
 				}
-				// Figure 10 orientation: preferred − alternate; for
-				// MinRTT positive means the alternate has lower latency.
-				diff := cmp.Point
-				if metric == MetricHDratio {
-					diff = -cmp.Point // alternate − preferred, better = positive
-				}
 				points[comparison] = append(points[comparison], stats.WeightedPoint{
-					Value:  diff,
+					Value:  pt.Diff,
 					Weight: float64(pref.Bytes + alt.Bytes),
 				})
 			}

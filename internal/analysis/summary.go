@@ -35,7 +35,7 @@ type GroupSummary struct {
 // SummariseGroups rolls every group up, sorted by traffic descending.
 func SummariseGroups(store *agg.Store) []GroupSummary {
 	deg := Degradation(store, MetricMinRTT)
-	baselines := make(map[string]GroupDegradation, len(deg.Groups))
+	baselines := make(map[string]GroupSeries, len(deg.Groups))
 	for _, g := range deg.Groups {
 		baselines[g.Group.Key.String()] = g
 	}
@@ -73,8 +73,8 @@ func SummariseGroups(store *agg.Store) []GroupSummary {
 			gs.Baseline = gd.Baseline
 			worst := 0.0
 			for _, pt := range gd.Points {
-				if pt.Valid && pt.Amount > worst {
-					worst = pt.Amount
+				if pt.Valid && pt.Diff > worst {
+					worst = pt.Diff
 				}
 			}
 			gs.WorstDegradation = worst

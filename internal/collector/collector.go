@@ -81,11 +81,8 @@ func (s Stats) Merge(o Stats) Stats {
 // Collector filters and fans out samples. See the package comment for
 // the concurrency contract.
 type Collector struct {
-	// KeepHosting disables the hosting-provider filter (the filter is on
-	// by default, matching the paper). Set before ingestion starts.
-	KeepHosting bool
-	sinks       []Sink
-	colSinks    []ColumnSink
+	sinks    []Sink
+	colSinks []ColumnSink
 
 	received atomic.Int64
 	filtered atomic.Int64
@@ -144,7 +141,7 @@ func (c *Collector) Offer(s sample.Sample) {
 		c.cDropped.Inc()
 		return
 	}
-	if s.HostingProvider && !c.KeepHosting {
+	if s.HostingProvider {
 		c.filtered.Add(1)
 		c.cFiltered.Inc()
 		return
@@ -181,14 +178,12 @@ func (c *Collector) OfferColumns(b *segstore.ColumnBatch) {
 		c.cDropped.Add(int64(n))
 		return
 	}
-	if !c.KeepHosting {
-		kept := b.Compact(func(i int) bool { return !b.HostingProvider[i] })
-		if f := n - kept; f > 0 {
-			c.filtered.Add(int64(f))
-			c.cFiltered.Add(int64(f))
-		}
-		n = kept
+	kept := b.Compact(func(i int) bool { return !b.HostingProvider[i] })
+	if f := n - kept; f > 0 {
+		c.filtered.Add(int64(f))
+		c.cFiltered.Add(int64(f))
 	}
+	n = kept
 	if n == 0 {
 		return
 	}

@@ -26,16 +26,6 @@ func TestFiltersHosting(t *testing.T) {
 	}
 }
 
-func TestKeepHosting(t *testing.T) {
-	var got []sample.Sample
-	c := New(FuncSink(func(s sample.Sample) { got = append(got, s) }))
-	c.KeepHosting = true
-	c.Offer(sample.Sample{SessionID: 1, HostingProvider: true})
-	if len(got) != 1 {
-		t.Error("KeepHosting did not disable the filter")
-	}
-}
-
 func TestFanOut(t *testing.T) {
 	a, b := 0, 0
 	c := New(FuncSink(func(sample.Sample) { a++ }))

@@ -19,21 +19,3 @@ func Ratios(dst []float64, achieved, tested []int64) []float64 {
 	}
 	return dst
 }
-
-// ClassifyExtremes counts the defined ratios in rs (non-NaN) and how
-// many sit at the distribution's edges — the §4.1 "all-or-nothing"
-// breakdown (most sessions achieve HD for all transactions or none).
-func ClassifyExtremes(rs []float64) (zero, one, defined int) {
-	for _, r := range rs {
-		if math.IsNaN(r) {
-			continue
-		}
-		defined++
-		if r == 0 {
-			zero++
-		} else if r == 1 {
-			one++
-		}
-	}
-	return zero, one, defined
-}

@@ -59,15 +59,3 @@ func TestRatiosMatchRowMethods(t *testing.T) {
 		t.Fatalf("Ratios with prefix: got %v", out)
 	}
 }
-
-// ClassifyExtremes over a Ratios column agrees with the row-level
-// classification.
-func TestClassifyExtremes(t *testing.T) {
-	ach := []int64{0, 5, 5, 3, 0}
-	tst := []int64{5, 5, 0, 5, 0}
-	rs := hdratio.Ratios(nil, ach, tst)
-	zero, one, defined := hdratio.ClassifyExtremes(rs)
-	if zero != 1 || one != 1 || defined != 3 {
-		t.Fatalf("ClassifyExtremes = (%d, %d, %d), want (1, 1, 3)", zero, one, defined)
-	}
-}

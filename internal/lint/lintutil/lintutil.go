@@ -12,19 +12,21 @@ import (
 
 // DeterministicPkgs names the packages whose outputs must be
 // byte-identical run to run (DESIGN.md §7): the world model, the study
-// pipeline, aggregation, sketches, samples, the HDratio methodology,
-// stats, and report rendering. Matching is by final import-path
-// segment so analysistest fixtures (import path "agg") behave like the
-// real packages (import path "repro/internal/agg").
+// pipeline, aggregation, the analyses (every number in the report),
+// sketches, samples, the HDratio methodology, stats, and report
+// rendering. Matching is by final import-path segment so analysistest
+// fixtures (import path "agg") behave like the real packages (import
+// path "repro/internal/agg").
 var DeterministicPkgs = map[string]bool{
-	"world":   true,
-	"study":   true,
-	"agg":     true,
-	"tdigest": true,
-	"sample":  true,
-	"hdratio": true,
-	"stats":   true,
-	"report":  true,
+	"world":    true,
+	"study":    true,
+	"agg":      true,
+	"analysis": true,
+	"tdigest":  true,
+	"sample":   true,
+	"hdratio":  true,
+	"stats":    true,
+	"report":   true,
 }
 
 // IsDeterministicPkg reports whether the import path names one of the

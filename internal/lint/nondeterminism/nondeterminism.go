@@ -1,7 +1,7 @@
 // Package nondeterminism defines an analyzer enforcing the repo's
 // byte-identical-output contract (DESIGN.md §7) inside the
-// deterministic packages (world, study, agg, tdigest, sample, hdratio,
-// stats, report).
+// deterministic packages (world, study, agg, analysis, tdigest, sample,
+// hdratio, stats, report).
 //
 // Three things are flagged there:
 //
@@ -22,10 +22,12 @@
 //     that outlive the loop (unless the slice is sorted later in the
 //     same function), accumulate into floating-point variables
 //     (float addition does not commute bit-for-bit), send on channels,
-//     or call emitting/accumulating methods (Write*, Fprint*, Encode,
-//     Add, Offer, ...) on state declared outside the loop. Writes into
-//     other maps, integer accumulation, and per-entry mutation of the
-//     map's own values are order-independent and pass.
+//     call emitting/accumulating methods (Write*, Fprint*, Encode,
+//     Add, Offer, ...) on state declared outside the loop, or assign
+//     the range key to a variable that outlives the loop (the argmax
+//     over a map: on a tie the winner is whichever key came first).
+//     Writes into other maps, integer accumulation, and per-entry
+//     mutation of the map's own values are order-independent and pass.
 package nondeterminism
 
 import (
@@ -149,6 +151,7 @@ func checkMapRangeAssign(pass *analysis.Pass, as *ast.AssignStmt, rng *ast.Range
 			}
 		}
 	case token.ASSIGN, token.DEFINE:
+		checkKeyEscapes(pass, as, rng)
 		for i, rhs := range as.Rhs {
 			call, ok := ast.Unparen(rhs).(*ast.CallExpr)
 			if !ok || !isBuiltinAppend(pass.TypesInfo, call) || i >= len(as.Lhs) {
@@ -164,6 +167,33 @@ func checkMapRangeAssign(pass *analysis.Pass, as *ast.AssignStmt, rng *ast.Range
 			pass.Reportf(as.Pos(),
 				"append to %s during map iteration without a subsequent sort; the slice order is random — sort it or iterate sorted keys", root.Name)
 		}
+	}
+}
+
+// checkKeyEscapes flags `outer = key`: after the loop, outer names
+// whichever qualifying key the runtime yielded last. An element of
+// another map is exempt — that write lands wherever its own index says.
+func checkKeyEscapes(pass *analysis.Pass, as *ast.AssignStmt, rng *ast.RangeStmt) {
+	key, ok := rng.Key.(*ast.Ident)
+	if !ok || len(as.Lhs) != len(as.Rhs) {
+		return
+	}
+	for i, rhs := range as.Rhs {
+		id, ok := ast.Unparen(rhs).(*ast.Ident)
+		if !ok || pass.TypesInfo.ObjectOf(id) != pass.TypesInfo.ObjectOf(key) {
+			continue
+		}
+		root := lintutil.RootIdent(as.Lhs[i])
+		if root == nil || root.Name == "_" || lintutil.DeclaredWithin(pass.TypesInfo, root, rng) {
+			continue
+		}
+		if ix, ok := ast.Unparen(as.Lhs[i]).(*ast.IndexExpr); ok {
+			if _, isMap := pass.TypesInfo.TypeOf(ix.X).Underlying().(*types.Map); isMap {
+				continue
+			}
+		}
+		pass.Reportf(as.Pos(),
+			"range key %s assigned to %s during map iteration; on a tie the key the runtime yields last wins — iterate sorted keys", key.Name, root.Name)
 	}
 }
 

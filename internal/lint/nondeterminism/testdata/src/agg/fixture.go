@@ -59,7 +59,30 @@ func feedAccumulator(m map[string]int, c counter) {
 	}
 }
 
+type best struct{ key string }
+
+func argmax(m map[string]float64) string {
+	top, b := -1.0, best{}
+	for k, v := range m {
+		if v > top {
+			top = v
+			b.key = k // want "range key k assigned to b during map iteration"
+		}
+	}
+	return b.key
+}
+
 // --- order-independent patterns that must NOT be flagged ---
+
+func invert(m map[string]int) map[int]string {
+	out := make(map[int]string, len(m))
+	for k, v := range m {
+		out[v] = k // an element of another map: lands where its index says
+		local := k
+		_ = local
+	}
+	return out
+}
 
 func appendSorted(m map[string]int) []string {
 	var keys []string

@@ -15,7 +15,10 @@ package seggen
 
 import (
 	"context"
+	"fmt"
 	"hash/fnv"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -41,6 +44,42 @@ func ChunksPerGroup(cfg world.Config) int {
 		n = 1
 	}
 	return n
+}
+
+// ChunkOf maps a sample's start to its segment-span chunk, clamped to
+// [0, cpg) so boundary jitter cannot mint an out-of-range segment ID.
+func ChunkOf(start time.Duration, cpg int) int {
+	return min(max(int(start/segstore.DefaultSegmentSpan), 0), cpg-1)
+}
+
+// Origin is the dataset's identity, stamped into its manifest: the
+// flags as given (cfg before world.New fills in defaults) and the fault
+// plan, which together pin everything that shapes the dataset bytes —
+// a resume with different flags is refused rather than silently
+// interleaved. Every producer (edgesim, each edgepopd of a fleet,
+// edgestudyd's live mode) stamps the same string for the same flags:
+// it is part of the manifest bytes their datasets are compared by.
+func Origin(cfg world.Config, inj *faults.Injector) string {
+	spec := ""
+	if inj != nil {
+		spec = inj.Plan().Spec()
+	}
+	return fmt.Sprintf("edgesim seed=%d groups=%d days=%d spw=%g plan=%q",
+		cfg.Seed, cfg.Groups, cfg.Days, cfg.SessionsPerGroupWindow, spec)
+}
+
+// OriginChunksPerGroup recovers ChunksPerGroup from an Origin string,
+// for a reader that has a dataset but no world config (a wire-mode
+// daemon). An origin it cannot read means one chunk per group.
+func OriginChunksPerGroup(origin string) int {
+	for _, f := range strings.Fields(origin) {
+		if v, ok := strings.CutPrefix(f, "days="); ok {
+			if days, err := strconv.Atoi(v); err == nil && days > 0 {
+				return ChunksPerGroup(world.Config{Days: days})
+			}
+		}
+	}
+	return 1
 }
 
 // Options configures one generation run.
@@ -96,7 +135,6 @@ type Result struct {
 func Run(ctx context.Context, opt Options) (Result, error) {
 	w, reg, inj, rec := opt.World, opt.Reg, opt.Injector, opt.Rec
 	cpg := ChunksPerGroup(w.Cfg)
-	span := segstore.DefaultSegmentSpan
 	sw, err := segstore.Create(opt.Dir, opt.Origin)
 	if err != nil {
 		return Result{}, err
@@ -159,19 +197,6 @@ func Run(ctx context.Context, opt Options) (Result, error) {
 		rawLost []int
 	}
 
-	// chunkOf maps a sample to its span chunk, clamped so boundary
-	// jitter cannot mint an out-of-range segment ID.
-	chunkOf := func(s *sample.Sample) int {
-		c := int(s.Start / span)
-		if c < 0 {
-			c = 0
-		}
-		if c >= cpg {
-			c = cpg - 1
-		}
-		return c
-	}
-
 	workers := opt.Workers
 	g := pipeline.NewGroup(ctx)
 	g.Trace(rec)
@@ -191,7 +216,7 @@ func Run(ctx context.Context, opt Options) (Result, error) {
 			if fate.Dropped() {
 				sb.rawLost = make([]int, cpg)
 				for i := range b.Samples {
-					sb.rawLost[chunkOf(&b.Samples[i])]++
+					sb.rawLost[ChunkOf(b.Samples[i].Start, cpg)]++
 				}
 				return enc.Send(ctx, sb)
 			}
@@ -207,9 +232,9 @@ func Run(ctx context.Context, opt Options) (Result, error) {
 			}
 			st := c.Stats()
 			for lo := 0; lo < len(kept); {
-				cid := chunkOf(&kept[lo])
+				cid := ChunkOf(kept[lo].Start, cpg)
 				hi := lo + 1
-				for hi < len(kept) && chunkOf(&kept[hi]) == cid {
+				for hi < len(kept) && ChunkOf(kept[hi].Start, cpg) == cid {
 					hi++
 				}
 				blob, meta := segstore.EncodeSegment(kept[lo:hi])

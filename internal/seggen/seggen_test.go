@@ -3,10 +3,49 @@ package seggen
 import (
 	"context"
 	"testing"
+	"time"
 
+	"repro/internal/faults"
 	"repro/internal/segstore"
 	"repro/internal/world"
 )
+
+// TestOriginRoundTrip pins the dataset identity — the literal every
+// manifest of the studyd gates carries, which bench/corpus.go's frozen
+// copy also spells — and that a reader holding only the origin recovers
+// the segment-ID scheme the writer used.
+func TestOriginRoundTrip(t *testing.T) {
+	cfg := world.Config{Seed: 7, Groups: 8, Days: 2, SessionsPerGroupWindow: 10}
+	origin := Origin(cfg, nil)
+	if want := `edgesim seed=7 groups=8 days=2 spw=10 plan=""`; origin != want {
+		t.Fatalf("Origin = %s, want %s", origin, want)
+	}
+	plan, err := faults.ParsePlan("seed=7;fail-group=2;retries=4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := faults.NewInjector(plan, cfg.Seed)
+	if got, want := Origin(cfg, inj), `edgesim seed=7 groups=8 days=2 spw=10 plan="`+inj.Plan().Spec()+`"`; got != want {
+		t.Errorf("Origin under a plan = %s, want %s", got, want)
+	}
+	for _, days := range []int{1, 2, 30} {
+		cfg.Days = days
+		if got, want := OriginChunksPerGroup(Origin(cfg, nil)), ChunksPerGroup(cfg); got != want {
+			t.Errorf("days=%d: OriginChunksPerGroup = %d, ChunksPerGroup = %d", days, got, want)
+		}
+	}
+	if got := OriginChunksPerGroup("segcat import"); got != 1 {
+		t.Errorf("unreadable origin: %d chunks per group, want 1", got)
+	}
+	for _, c := range []struct {
+		start time.Duration
+		want  int
+	}{{-time.Second, 0}, {0, 0}, {25 * time.Hour, 1}, {72 * time.Hour, 1}} {
+		if got := ChunkOf(c.start, 2); got != c.want {
+			t.Errorf("ChunkOf(%v, 2) = %d, want %d", c.start, got, c.want)
+		}
+	}
+}
 
 // TestOwnedGroupsPartition: the fleet's shares must cover every group
 // exactly once at any fleet size — the precondition for the merged

@@ -141,12 +141,27 @@ type QuantileSource interface {
 	Count() float64
 }
 
+// Exactly is the sketch of a known value — a group's baseline, say:
+// every quantile is the value, it is never short of samples, and its
+// median has no variance. Comparing a sketch against one is §3.4 with
+// the interval coming from the sketch's side alone.
+type Exactly float64
+
+// Quantile returns the value.
+func (x Exactly) Quantile(float64) float64 { return float64(x) }
+
+// Count returns +Inf: no sample floor stops a known value.
+func (Exactly) Count() float64 { return math.Inf(1) }
+
 // MedianVarianceDigest estimates median variance from a quantile sketch
 // by evaluating the sketch at the McKean–Schrader rank positions.
 func MedianVarianceDigest(d QuantileSource, conf float64) float64 {
 	n := d.Count()
 	if n < 3 {
 		return math.Inf(1)
+	}
+	if math.IsInf(n, 1) {
+		return 0 // a known value (Exactly): the rank positions below are Inf/Inf
 	}
 	z := ZScore(conf)
 	c := math.Round((n+1)/2 - z*math.Sqrt(n)/2)
@@ -195,13 +210,6 @@ func Compare(a, b QuantileSource, conf, maxWidth float64) Comparison {
 	iv := DiffMedianCIDigest(a, b, conf)
 	valid := !math.IsInf(iv.Lo, -1) && !math.IsInf(iv.Hi, 1) && iv.Width() <= maxWidth
 	return Comparison{Interval: iv, Valid: valid}
-}
-
-// SignificantlyAbove reports whether the difference is confidently above
-// threshold: the paper requires the *lower bound* of the confidence
-// interval to exceed the threshold (§3.4).
-func (c Comparison) SignificantlyAbove(threshold float64) bool {
-	return c.Valid && c.Lo > threshold
 }
 
 // WeightedPoint is a (value, weight) observation for traffic-weighted

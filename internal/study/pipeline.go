@@ -264,7 +264,7 @@ func (in *ingest) rows(ctx context.Context, samples []sample.Sample) error {
 	sp := in.foldSpan.Start()
 	for i := range samples {
 		if samples[i].HostingProvider {
-			continue // mirrors the shard collectors' filter (KeepHosting=false)
+			continue // mirrors the shard collectors' filter
 		}
 		in.overview.Add(samples[i])
 	}

@@ -183,20 +183,17 @@ func (r *Results) writeFig8(w io.Writer) {
 	for _, dr := range []analysis.DegradationResult{r.DegMinRTT, r.DegHD} {
 		cdf, _, _ := dr.CDF()
 		cov := float64(dr.CoveredBytes) / float64(dr.TotalBytes)
+		// The figure's anchor: traffic degraded by at least 4 ms, or 0.065.
+		anchor := 4.0
+		if dr.Metric == analysis.MetricHDratio {
+			anchor = 0.065
+		}
 		fmt.Fprintf(w, "%s: coverage=%s p50=%s p90=%s p99=%s  traffic with ≥4ms|0.065 degradation: %s\n",
 			dr.Metric, report.Pct(cov),
 			report.F(cdf.Quantile(0.5)), report.F(cdf.Quantile(0.9)), report.F(cdf.Quantile(0.99)),
-			report.Pct(fig8Anchor(dr)))
+			report.Pct(cdf.FractionAbove(anchor)))
 	}
 	fmt.Fprintln(w)
-}
-
-func fig8Anchor(dr analysis.DegradationResult) float64 {
-	cdf, _, _ := dr.CDF()
-	if dr.Metric == analysis.MetricHDratio {
-		return cdf.FractionAbove(0.065)
-	}
-	return cdf.FractionAbove(4)
 }
 
 func (r *Results) writeTable1(w io.Writer) {

@@ -216,25 +216,13 @@ func New(opt Options) (*Daemon, error) {
 			raw: make([]int, d.cpg),
 		}
 		g.col = collector.New(collector.FuncSink(func(s sample.Sample) {
-			g.buf[d.chunkOf(&s)] = append(g.buf[d.chunkOf(&s)], s)
+			c := seggen.ChunkOf(s.Start, d.cpg)
+			g.buf[c] = append(g.buf[c], s)
 		}))
 		g.col.Instrument(reg)
 		d.groups[gi] = g
 	}
 	return d, nil
-}
-
-// chunkOf maps a sample to its segment-span chunk, clamped so
-// boundary jitter cannot mint an out-of-range segment ID.
-func (d *Daemon) chunkOf(s *sample.Sample) int {
-	c := int(s.Start / segstore.DefaultSegmentSpan)
-	if c < 0 {
-		c = 0
-	}
-	if c >= d.cpg {
-		c = d.cpg - 1
-	}
-	return c
 }
 
 // Watermark returns the number of sealed windows: every window below
@@ -315,7 +303,7 @@ func (d *Daemon) Ingest(gi, win int, samples []sample.Sample, lost int) error {
 			continue
 		}
 		ingested++
-		g.raw[d.chunkOf(s)]++
+		g.raw[seggen.ChunkOf(s.Start, d.cpg)]++
 		switch {
 		case g.quarantine != "":
 			// Counted in raw above; tombstoned when its chunk closes.

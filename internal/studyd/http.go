@@ -10,11 +10,11 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/seggen"
 	"repro/internal/segstore"
 	"repro/internal/study"
 )
@@ -241,7 +241,7 @@ func (d *Daemon) handleGroups(w http.ResponseWriter, r *http.Request) {
 	}
 	cpg := d.cpg
 	if cpg <= 0 {
-		cpg = originChunksPerGroup(man.Origin)
+		cpg = seggen.OriginChunksPerGroup(man.Origin) // wire mode: no world config
 	}
 	byGroup := map[int]*groupInfo{}
 	get := func(id int) *groupInfo {
@@ -331,21 +331,6 @@ func (d *Daemon) readManifest() (*segstore.Manifest, error) {
 		return nil, fmt.Errorf("studyd: corrupt manifest: %v", err)
 	}
 	return &man, nil
-}
-
-// originChunksPerGroup recovers the segment-ID scheme from a spool's
-// origin string ("... days=N ...": one 24h chunk per day). Wire-mode
-// daemons have no world config, so the origin is the only source;
-// unknown origins fall back to one chunk per group.
-func originChunksPerGroup(origin string) int {
-	for _, f := range strings.Fields(origin) {
-		if v, ok := strings.CutPrefix(f, "days="); ok {
-			if days, err := strconv.Atoi(v); err == nil && days > 0 {
-				return days
-			}
-		}
-	}
-	return 1
 }
 
 // mergeSorted folds add into base keeping it sorted and deduplicated.
