@@ -122,6 +122,11 @@ type GroupSeries struct {
 	// PreferredBytes is total traffic on the preferred route, the
 	// group's weight in traffic-share reports.
 	PreferredBytes int64
+
+	// wins is Windows' keys, ascending: kept by open, which every ingest
+	// path opens a window through. A map filled by hand leaves it short,
+	// and WindowIndexes rebuilds it.
+	wins []int
 }
 
 // TotalSessions counts the sessions aggregated across every window and
@@ -137,14 +142,45 @@ func (g *GroupSeries) TotalSessions() int {
 	return n
 }
 
-// WindowIndexes returns the group's populated windows, ascending.
+// WindowIndexes returns the group's populated windows, ascending. The
+// slice is the series' own index, not a copy: callers only read it, and
+// a window opened later may move what it shows — take it again after
+// the store has taken samples. A series whose Windows map was filled by
+// hand is indexed here, on first use.
 func (g *GroupSeries) WindowIndexes() []int {
-	out := make([]int, 0, len(g.Windows))
-	for w := range g.Windows {
-		out = append(out, w)
+	if len(g.wins) != len(g.Windows) {
+		g.wins = g.wins[:0]
+		for w := range g.Windows {
+			g.wins = append(g.wins, w)
+		}
+		sort.Ints(g.wins)
 	}
-	sort.Ints(out)
-	return out
+	return g.wins
+}
+
+// open adds window win, which the series must not hold yet, and keeps
+// the index ascending: an append when win is past the last window — a
+// stream in time order, every ingest path's common case — and a
+// binary-search insert otherwise.
+func (g *GroupSeries) open(win int, wa *WindowAgg) {
+	g.Windows[win] = wa
+	if n := len(g.wins); n == 0 || win > g.wins[n-1] {
+		g.wins = append(g.wins, win)
+		return
+	}
+	i := sort.SearchInts(g.wins, win)
+	g.wins = append(g.wins, 0)
+	copy(g.wins[i+1:], g.wins[i:])
+	g.wins[i] = win
+}
+
+// cells counts the series' (window, route) cells.
+func (g *GroupSeries) cells() int {
+	n := 0
+	for _, wa := range g.Windows {
+		n += len(wa.Routes)
+	}
+	return n
 }
 
 // Store aggregates a sample stream.
@@ -158,6 +194,9 @@ type Store struct {
 	// TotalWindows it describes the observation period, so Remove leaves
 	// it untouched.
 	firstWindow int
+	// cells counts the (group, window, route) cells held, where they are
+	// opened, adopted and withdrawn.
+	cells int
 
 	// bs is the AddBatch gather scratch (see columns.go) — reused across
 	// batches; a store is single-goroutine during ingest.
@@ -223,13 +262,14 @@ func (st *Store) Add(s sample.Sample) {
 	wa, ok := g.Windows[win]
 	if !ok {
 		wa = &WindowAgg{Routes: make(map[int]*Aggregation)}
-		g.Windows[win] = wa
+		g.open(win, wa)
 		st.cWindows.Inc()
 	}
 	a, ok := wa.Routes[s.AltIndex]
 	if !ok {
 		a = newAggregation()
 		wa.Routes[s.AltIndex] = a
+		st.cells++
 	}
 	st.cDigestAdds.Add(int64(a.Add(s)))
 	if s.AltIndex == 0 {
@@ -257,6 +297,7 @@ func (st *Store) Remove(key sample.GroupKey) *GroupSeries {
 	}
 	delete(st.groups, key)
 	st.TotalSamples -= g.TotalSessions()
+	st.cells -= g.cells()
 	st.gGroups.Set(float64(len(st.groups)))
 	return g
 }
@@ -281,8 +322,9 @@ func (st *Store) Merge(other *Store) {
 			st.groups[key] = og
 			continue
 		}
-		g.merge(og)
+		st.cells -= g.merge(og)
 	}
+	st.cells += other.cells
 	if other.TotalWindows > st.TotalWindows {
 		st.TotalWindows = other.TotalWindows
 	}
@@ -293,12 +335,14 @@ func (st *Store) Merge(other *Store) {
 	st.gGroups.Set(float64(len(st.groups)))
 }
 
-// merge folds another series for the same group key into g.
-func (g *GroupSeries) merge(o *GroupSeries) {
+// merge folds another series for the same group key into g and returns
+// how many of o's cells folded into cells g already held (the rest were
+// adopted).
+func (g *GroupSeries) merge(o *GroupSeries) (folded int) {
 	for win, owa := range o.Windows {
 		wa, ok := g.Windows[win]
 		if !ok {
-			g.Windows[win] = owa
+			g.open(win, owa)
 			continue
 		}
 		for alt, oa := range owa.Routes {
@@ -308,6 +352,7 @@ func (g *GroupSeries) merge(o *GroupSeries) {
 				continue
 			}
 			a.Merge(oa)
+			folded++
 		}
 	}
 	for alt, meta := range o.RouteMeta {
@@ -316,6 +361,7 @@ func (g *GroupSeries) merge(o *GroupSeries) {
 		}
 	}
 	g.PreferredBytes += o.PreferredBytes
+	return folded
 }
 
 // Merge folds another aggregation of the same (group, window, route)
@@ -398,6 +444,10 @@ func (st *Store) Group(key sample.GroupKey) *GroupSeries { return st.groups[key]
 
 // Len returns the number of groups.
 func (st *Store) Len() int { return len(st.groups) }
+
+// Cells returns the number of (group, window, route) cells the store
+// holds: a count kept where cells are opened, not a walk.
+func (st *Store) Cells() int { return st.cells }
 
 // TotalPreferredBytes sums preferred-route traffic across groups — the
 // denominator for traffic-share reports.

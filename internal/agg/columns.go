@@ -109,7 +109,7 @@ func (st *Store) addRun(g *GroupSeries, w int, b *segstore.ColumnBatch, lo, hi i
 	wa, ok := g.Windows[w]
 	if !ok {
 		wa = &WindowAgg{Routes: make(map[int]*Aggregation)}
-		g.Windows[w] = wa
+		g.open(w, wa)
 		st.cWindows.Inc()
 	}
 
@@ -158,6 +158,7 @@ func (st *Store) addRun(g *GroupSeries, w int, b *segstore.ColumnBatch, lo, hi i
 		if !ok {
 			a = newAggregation()
 			wa.Routes[alt] = a
+			st.cells++
 		}
 
 		bs.rtt = bs.rtt[:0]

@@ -13,28 +13,40 @@ import (
 type OpportunityResult struct{ Series }
 
 // Opportunity compares the preferred route with the best alternate in
-// every aggregation (§6.2).
+// every aggregation (§6.2): the extension of a result that has seen
+// nothing.
 func Opportunity(store *agg.Store, metric Metric) OpportunityResult {
-	res := OpportunityResult{Series{Metric: metric}}
-	for _, g := range store.Groups() {
+	return OpportunityResult{Series{Metric: metric}}.Extend(store)
+}
+
+// Extend returns r brought up to store (Series: what an extension keeps
+// and shares): each group's new windows are compared. A route that first
+// carries traffic later leaves earlier windows' points as they are — it
+// has no cell in them — except the second route, which is what brings a
+// group into the analysis, with every window it has.
+func (r OpportunityResult) Extend(store *agg.Store) OpportunityResult {
+	metric := r.Metric
+	return OpportunityResult{r.extend(store, func(out *Series, gs *GroupSeries, wins []int) bool {
+		g := gs.Group
 		if len(g.RouteMeta) < 2 {
-			continue
+			return false // nothing kept: gs.seen stays 0
+		}
+		if gs.Points == nil {
+			gs.Points = make([]Point, 0, len(wins))
 		}
 		alts := alternates(g)
-		wins := g.WindowIndexes()
-		gs := GroupSeries{Group: g, Continent: g.Continent, Points: make([]Point, 0, len(wins))}
-		for _, win := range wins {
+		for _, win := range wins[gs.seen:] {
 			wa := g.Windows[win]
 			pt := bestAlternate(metric, wa, alts)
 			pt.Window = win
 			for _, a := range wa.Routes {
 				pt.Bytes += a.Bytes
 			}
-			res.add(&gs, pt)
+			out.add(gs, pt)
 		}
-		res.Groups = append(res.Groups, gs)
-	}
-	return res
+		gs.through(wins)
+		return true
+	})}
 }
 
 // alternates returns the group's alternate route indexes, ascending:

@@ -105,10 +105,47 @@ type GroupSeries struct {
 	// Baseline is the group's baseline median (degradation only).
 	Baseline float64
 	Points   []Point
+
+	// What an extension goes on from: how far into Group's windows the
+	// points reach, the medians the baseline is over (degradation only; a
+	// group may have none yet), and the group's share of the series' byte
+	// counters.
+	mark
+	medians        []float64
+	covered, total int64
+}
+
+// mark is how far into a group's window index a series has compared:
+// the first seen windows, the last of which was window last.
+type mark struct{ seen, last int }
+
+// heads reports whether the windows m covers are still the head of wins.
+// They are unless a window was opened at or before the last one compared,
+// which a series may assume does not happen — a closed window takes no
+// more samples — and does not keep stale points over when it does.
+func (m mark) heads(wins []int) bool {
+	return m.seen <= len(wins) && (m.seen == 0 || wins[m.seen-1] == m.last)
+}
+
+// through moves m to the end of wins.
+func (m *mark) through(wins []int) {
+	if m.seen = len(wins); m.seen > 0 {
+		m.last = wins[m.seen-1]
+	}
 }
 
 // Series is what §5 and §6.2 both produce: per group, a point per
 // window with traffic.
+//
+// A series is extensible: a closed window never takes another sample,
+// so its point is computed once, and Extend compares only the windows a
+// store has gained since the series was computed — from nothing is the
+// extension of a series that has seen no group. What is kept is kept
+// per *agg.GroupSeries, by pointer: a series extended over another
+// store finds none of its groups there and starts every one over, it
+// cannot graft one store's points onto another's. An extension shares
+// its points with the series it extends and changes none that series
+// shows; extend a series once.
 type Series struct {
 	Metric Metric
 	Groups []GroupSeries
@@ -117,13 +154,48 @@ type Series struct {
 	// opportunity, MinRTTP50 / HDratioP50).
 	CoveredBytes int64
 	TotalBytes   int64
+	// Compared is how many points the call that produced the series
+	// computed: all of them from nothing, the new windows' (and any group
+	// that started over) in an extension.
+	Compared int
+
+	// kept is every group the series has seen, listed in Groups or not
+	// (§5 lists a group once it has a baseline).
+	kept map[*agg.GroupSeries]GroupSeries
+}
+
+// extend brings the series up to store: every group, in store order, is
+// handed to compare as the series last kept it, with the group's window
+// index, and compare appends the points of the windows past gs.seen — or
+// starts the group over — and says whether the group is listed in Groups.
+// A group never seen starts from the zero series, and so does one whose
+// mark no longer heads its index. The byte counters are re-totalled over
+// the listed groups.
+func (s Series) extend(store *agg.Store, compare func(out *Series, gs *GroupSeries, wins []int) (listed bool)) Series {
+	out := Series{Metric: s.Metric, kept: make(map[*agg.GroupSeries]GroupSeries, store.Len())}
+	for _, g := range store.Groups() {
+		gs, wins := s.kept[g], g.WindowIndexes()
+		if !gs.heads(wins) {
+			gs = GroupSeries{}
+		}
+		gs.Group, gs.Continent = g, g.Continent
+		listed := compare(&out, &gs, wins)
+		out.kept[g] = gs
+		if listed {
+			out.Groups = append(out.Groups, gs)
+			out.CoveredBytes += gs.covered
+			out.TotalBytes += gs.total
+		}
+	}
+	return out
 }
 
 // add appends a point to g and counts its traffic.
 func (s *Series) add(g *GroupSeries, pt Point) {
-	s.TotalBytes += pt.Bytes
+	s.Compared++
+	g.total += pt.Bytes
 	if pt.Valid {
-		s.CoveredBytes += pt.Bytes
+		g.covered += pt.Bytes
 	}
 	g.Points = append(g.Points, pt)
 }

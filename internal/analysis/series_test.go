@@ -18,6 +18,11 @@ import (
 // a private peer, 1 transit, 2 a public peer.
 func cell(st *agg.Store, prefix string, win, alt, n int, rttMs float64, achieved, tested int) {
 	rels := []bgp.RelType{bgp.PrivatePeer, bgp.Transit, bgp.PublicPeer}
+	cellRel(st, prefix, win, alt, rels[alt], n, rttMs, achieved, tested)
+}
+
+// cellRel is cell with the route's relationship named.
+func cellRel(st *agg.Store, prefix string, win, alt int, rel bgp.RelType, n int, rttMs float64, achieved, tested int) {
 	for i := 0; i < n; i++ {
 		st.Add(sample.Sample{
 			PoP: "ams", Prefix: prefix, Country: "DE", Continent: geo.Europe,
@@ -26,7 +31,7 @@ func cell(st *agg.Store, prefix string, win, alt, n int, rttMs float64, achieved
 			MinRTT:   time.Duration((rttMs + 0.25*float64(i%9)) * float64(time.Millisecond)),
 			HDTested: tested, HDAchieved: achieved,
 			Bytes:   1000,
-			RouteID: prefix + "-r", RouteRel: rels[alt], ASPathLen: 1 + alt,
+			RouteID: prefix + "-r", RouteRel: rel, ASPathLen: 1 + alt,
 		})
 	}
 }

@@ -15,7 +15,8 @@ import (
 // WriteReport renders every reproduced table and figure as text. It
 // seals the overview first — nothing to do for the Results of a run,
 // which come sealed; Results assembled by hand from a folded Overview
-// need not know.
+// need not know — and likewise computes Figure 10 for Results that come
+// without it.
 func (r *Results) WriteReport(w io.Writer) {
 	r.Overview.Seal()
 	fmt.Fprintf(w, "Dataset: %d groups × %d days (%d windows), %d samples (%d filtered as hosting/VPN)\n",
@@ -292,7 +293,10 @@ func (p RelPairName) String() string { return p.Pref.String() + " -> " + p.Alt.S
 
 func (r *Results) writeFig10(w io.Writer) {
 	fmt.Fprintln(w, "== §6.3 Peer vs transit (Figure 10) ==")
-	cdfs := analysis.CompareRelationships(r.Store, analysis.MetricMinRTT)
+	cdfs := r.Fig10.CDFs
+	if cdfs == nil {
+		cdfs = analysis.CompareRelationships(r.Store, analysis.MetricMinRTT)
+	}
 	var rows [][]string
 	for _, c := range analysis.RelComparisons {
 		cdf, ok := cdfs[c]

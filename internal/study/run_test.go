@@ -75,7 +75,7 @@ func TestCancelledRunReturnsNoResults(t *testing.T) {
 				} else {
 					cancel()
 				}
-				res, _, err := run(ctx, s, Options{Workers: workers}, nil)
+				res, _, err := run(ctx, s, Options{Workers: workers}, nil, nil)
 				cancel()
 				if !errors.Is(err, context.Canceled) || res != nil {
 					t.Errorf("%s workers=%d %s: got (%v, %v), want (nil, context.Canceled)", src.name, workers, when, res, err)

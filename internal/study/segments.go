@@ -31,17 +31,30 @@ import (
 // manifest — and any error — makes the study fold again from nothing.
 // The choice is read off the manifest; there is nothing to set.
 //
+// The analyses extend the same way: a window that has closed is compared
+// once (analysis.Series), so the study keeps the last Advance's Results
+// beside the sink and the next Advance's comparison series extend them —
+// by the windows the new segments opened, and by whatever those send an
+// extension back over. The Results go wherever the sink goes: a rebuild
+// reason or an error drops both.
+//
 // Only the sequential sink can take more samples once analysed, so a
 // study whose options ask for the sharded pipeline (Workers above 1, a
-// Plan, a Trace) keeps nothing and every Advance folds from nothing.
+// Plan, a Trace) keeps nothing and every Advance folds, and compares,
+// from nothing.
 //
 // A Segments is not safe for concurrent use, and the Results of an
-// Advance alias its state: the next Advance changes them.
+// Advance alias its state: their Store and Overview are the study's own,
+// which the next Advance folds more samples into, and their series share
+// their points with the ones the next Advance returns. Read them before
+// the next Advance, on the goroutine that made it (internal/studyd
+// renders under the lock it advances under).
 type Segments struct {
 	dir string
 	opt Options
 
 	in     *inline                  // holds every folded segment's samples; nil: nothing kept
+	last   *Results                 // the last Advance's, analysed over in's store: what the next one's analyses extend
 	folded map[int]uint32           // folded segment ID → CRC
 	groups map[sample.GroupKey]mark // where each user group's folded segments end
 	// unindexed is set once a folded segment's manifest entry does not
@@ -64,7 +77,7 @@ func OpenSegments(dir string, opt Options) *Segments {
 }
 
 func (s *Segments) reset() {
-	s.in, s.unindexed = nil, false
+	s.in, s.last, s.unindexed = nil, nil, false
 	s.folded = make(map[int]uint32)
 	s.groups = make(map[sample.GroupKey]mark)
 }
@@ -98,10 +111,11 @@ func (s *Segments) Advance(ctx context.Context) (res *Results, rebuilt string, e
 			segs = append(segs, m)
 		}
 	}
-	res, s.in, err = run(ctx, &segmentSource{r: r, segs: segs}, s.opt, s.in)
+	res, s.in, err = run(ctx, &segmentSource{r: r, segs: segs}, s.opt, s.in, s.last)
 	if err != nil {
 		return nil, rebuilt, err
 	}
+	s.last = res
 	for _, m := range segs {
 		s.folded[m.ID] = m.CRC
 		keys, ok := groupsOf(&m)

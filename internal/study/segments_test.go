@@ -10,7 +10,9 @@ import (
 	"time"
 
 	"repro/internal/agg"
+	"repro/internal/analysis"
 	"repro/internal/collector"
+	"repro/internal/obs"
 	"repro/internal/sample"
 	"repro/internal/seggen"
 	"repro/internal/segstore"
@@ -49,7 +51,7 @@ func (s *rowsSource) deliver(ctx context.Context, e *env, sk sink) error {
 // the sequential oracle every replay is held to.
 func rowsOracle(t *testing.T, rows []sample.Sample, opt Options) *Results {
 	t.Helper()
-	res, _, err := run(context.Background(), &rowsSource{rows: rows}, opt, nil)
+	res, _, err := run(context.Background(), &rowsSource{rows: rows}, opt, nil, nil)
 	if err != nil {
 		t.Fatalf("rows oracle (workers=%d): %v", opt.Workers, err)
 	}
@@ -266,5 +268,153 @@ func TestSegmentsAdvance(t *testing.T) {
 	advance(sharded, wantFull, "sharded, again")
 	if sharded.Folded() != 0 {
 		t.Fatalf("a sharded study kept %d segments", sharded.Folded())
+	}
+}
+
+// points counts what a series lists.
+func points(s analysis.Series) int {
+	n := 0
+	for _, g := range s.Groups {
+		n += len(g.Points)
+	}
+	return n
+}
+
+// A Segments study extends its comparison series with its store: over a
+// world dense enough to have baselines (45 sessions a window), each
+// advance renders the report a fresh study of the directory renders (the
+// series behind it are held point for point in internal/analysis and
+// internal/studyd), it compares the new day's windows (and, for §5, all
+// the windows of the groups whose baseline the day moved) where the fresh
+// study compares every window, an advance over nothing new compares
+// nothing, and the counts land on Options.Reg. An Advance that fails keeps no results, as
+// it keeps no sink: the next one compares everything. So does every
+// advance of a sharded study.
+func TestSegmentsExtendComparesOnlyNewWindows(t *testing.T) {
+	cfg := world.Config{Seed: 31, Groups: 6, Days: 3, SessionsPerGroupWindow: 45}
+	_, full := writeDataset(t, cfg)
+	src, err := segstore.Open(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = src.Close() }()
+	dir := filepath.Join(t.TempDir(), "growing.seg")
+	sw, err := segstore.Create(dir, "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	land := func(day int) (lastFile string) {
+		t.Helper()
+		for _, m := range src.Manifest().Segments {
+			if m.ID%cfg.Days != day {
+				continue
+			}
+			blob, err := os.ReadFile(filepath.Join(full, m.File))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sw.Add(m.ID, blob, m); err != nil {
+				t.Fatal(err)
+			}
+			lastFile = filepath.Join(dir, m.File)
+		}
+		if err := sw.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		return lastFile
+	}
+	type counts struct{ degM, degH, oppM, oppH, fig10 int }
+	compared := func(r *Results) counts {
+		return counts{r.DegMinRTT.Compared, r.DegHD.Compared, r.OppMinRTT.Compared, r.OppHD.Compared, r.Fig10.Compared}
+	}
+	reg := obs.NewRegistry()
+	var onReg counts
+	// advance holds the study's results to a fresh study's and returns
+	// both studies' counts.
+	advance := func(s *Segments, what string) (got, fresh counts) {
+		t.Helper()
+		res, rebuilt, err := s.Advance(context.Background())
+		if err != nil || rebuilt != "" {
+			t.Fatalf("%s: rebuilt %q, %v", what, rebuilt, err)
+		}
+		want, err := FromSegments(context.Background(), dir, Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pair := range [][2]analysis.Series{{res.DegMinRTT.Series, want.DegMinRTT.Series}, {res.DegHD.Series, want.DegHD.Series},
+			{res.OppMinRTT.Series, want.OppMinRTT.Series}, {res.OppHD.Series, want.OppHD.Series}} {
+			if got, want := pair[0], pair[1]; points(got) != points(want) || got.CoveredBytes != want.CoveredBytes || got.TotalBytes != want.TotalBytes {
+				t.Fatalf("%s: %v lists %d points, %d/%d bytes covered; a fresh study %d, %d/%d", what, got.Metric,
+					points(got), got.CoveredBytes, got.TotalBytes, points(want), want.CoveredBytes, want.TotalBytes)
+			}
+		}
+		if g, w := renderNormalized(t, res), renderNormalized(t, want); !bytes.Equal(g, w) {
+			t.Fatalf("%s: report differs from a fresh study's:\n%s", what, firstDiff(g, w))
+		}
+		got, fresh = compared(res), compared(want)
+		if all := (counts{points(want.DegMinRTT.Series), points(want.DegHD.Series), points(want.OppMinRTT.Series), points(want.OppHD.Series), fresh.fig10}); fresh != all || all.degM == 0 || all.fig10 == 0 {
+			t.Fatalf("%s: a fresh study compared %+v and lists %+v", what, fresh, all)
+		}
+		return got, fresh
+	}
+
+	land(0)
+	s := OpenSegments(dir, Options{Workers: 1, Reg: reg})
+	got, day1 := advance(s, "day 1")
+	if got != day1 {
+		t.Fatalf("day 1: compared %+v, a fresh study %+v", got, day1)
+	}
+	onReg = got
+
+	land(1)
+	got, day2 := advance(s, "day 2")
+	t.Logf("day 2 compared %+v; a fresh study %+v, and %+v on day 1", got, day2, day1)
+	if got.oppM != day2.oppM-day1.oppM || got.oppH != day2.oppH-day1.oppH || got.fig10 != day2.fig10-day1.fig10 {
+		t.Errorf("day 2: compared %+v; the day added %+v", got, counts{oppM: day2.oppM - day1.oppM, oppH: day2.oppH - day1.oppH, fig10: day2.fig10 - day1.fig10})
+	}
+	if got.degM < day2.degM-day1.degM || got.degM > day2.degM || got.degH < day2.degH-day1.degH || got.degH >= day2.degH {
+		t.Errorf("day 2: §5 compared %d and %d points; the day added %d and %d to %d and %d", got.degM, got.degH,
+			day2.degM-day1.degM, day2.degH-day1.degH, day2.degM, day2.degH)
+	}
+	onReg = counts{onReg.degM + got.degM, onReg.degH + got.degH, onReg.oppM + got.oppM, onReg.oppH + got.oppH, onReg.fig10 + got.fig10}
+
+	if got, _ = advance(s, "nothing new"); got != (counts{}) {
+		t.Errorf("an advance over nothing new compared %+v", got)
+	}
+	for name, want := range map[string]int{
+		"degradation_minrtt": onReg.degM, "degradation_hdratio": onReg.degH,
+		"opportunity_minrtt": onReg.oppM, "opportunity_hdratio": onReg.oppH, "figure10_minrtt": onReg.fig10,
+	} {
+		if n := reg.Counter(obs.L("analysis_points_compared_total", "analysis", name)).Value(); n != int64(want) {
+			t.Errorf("analysis_points_compared_total{analysis=%q} = %d, the advances compared %d", name, n, want)
+		}
+	}
+
+	// A failed advance drops the results with the sink.
+	lastFile := land(2)
+	good, err := os.ReadFile(lastFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rotted := append([]byte(nil), good...)
+	rotted[len(rotted)/2] ^= 0xff
+	if err := os.WriteFile(lastFile, rotted, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	if res, _, err := s.Advance(context.Background()); !errors.Is(err, segstore.ErrCorrupt) || res != nil {
+		t.Fatalf("Advance over a rotted segment: (%v, %v), want ErrCorrupt", res, err)
+	}
+	if err := os.WriteFile(lastFile, good, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	if got, day3 := advance(s, "day 3, after the failed advance"); got != day3 {
+		t.Errorf("after a failed advance: compared %+v, a fresh study %+v", got, day3)
+	}
+
+	sharded := OpenSegments(dir, Options{Workers: 3})
+	for _, what := range []string{"sharded", "sharded, again"} {
+		if got, all := advance(sharded, what); got != all {
+			t.Errorf("%s: compared %+v, a fresh study %+v", what, got, all)
+		}
 	}
 }

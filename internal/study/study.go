@@ -44,7 +44,9 @@ var (
 	Table1OppHD = []float64{0.05}
 )
 
-// Results bundles every analysis output for one dataset.
+// Results bundles every analysis output for one dataset. The Results of
+// a Segments study alias that study's state (see Segments); every other
+// run's are its own.
 type Results struct {
 	Cfg       world.Config
 	Collector collector.Stats
@@ -63,6 +65,10 @@ type Results struct {
 
 	Table2MinRTT analysis.RelationshipTable
 	Table2HD     analysis.RelationshipTable
+
+	// Fig10 is the §6.3 relationship comparison on MinRTTP50. Results
+	// assembled by hand may leave it zero: WriteReport computes it then.
+	Fig10 analysis.RelSeries
 
 	// Coverage is the graceful-degradation ledger of a chaos run (nil
 	// when no fault plan was active): what was lost, quarantined, and
@@ -149,7 +155,7 @@ func Run(cfg world.Config) *Results {
 // their merge is exact, and the global Overview is the merge of per-group
 // folds (analysis.Overview), each fed in its group's order.
 func RunCtx(ctx context.Context, cfg world.Config, opt Options) (*Results, error) {
-	res, _, err := run(ctx, &worldSource{w: world.New(cfg)}, opt, nil)
+	res, _, err := run(ctx, &worldSource{w: world.New(cfg)}, opt, nil, nil)
 	return res, err
 }
 
@@ -159,7 +165,7 @@ func RunCtx(ctx context.Context, cfg world.Config, opt Options) (*Results, error
 // it is the sequential oracle with nothing attached.
 func RunDeaggregation(cfg world.Config) (*Results, analysis.DeaggregationResult) {
 	fine := agg.NewStore()
-	res, _, err := run(context.Background(), &worldSource{w: world.New(cfg), tap: analysis.DeaggregateSink(fine)}, Options{Workers: 1}, nil)
+	res, _, err := run(context.Background(), &worldSource{w: world.New(cfg), tap: analysis.DeaggregateSink(fine)}, Options{Workers: 1}, nil, nil)
 	if err != nil {
 		panic("study.RunDeaggregation: " + err.Error()) // as in Run: nothing can fail
 	}
@@ -192,13 +198,16 @@ func FromSegments(ctx context.Context, dir string, opt Options) (*Results, error
 // sink's store is analysed. At one worker with neither a fault plan nor
 // a trace everything happens on the calling goroutine — the sequential
 // oracle — and its sink is returned: passed back as in, it takes the
-// next source's samples on top of what it holds (a Segments study's
-// extension; everyone else passes nil). Chaos and traced runs always
+// next source's samples on top of what it holds, and the Results passed
+// back as prev are what the analyses of the grown store extend (a
+// Segments study's extension; everyone else passes nil twice, and a prev
+// that was not analysed over in's store extends nothing — analysis.Series
+// keeps what it keeps by group pointer). Chaos and traced runs always
 // take the sharded path (even at one worker): the guard and quarantine
 // machinery live there, and the determinism oracle for such a run is the
 // same flags at another worker count — including the trace bytes. A
 // sharded sink is spent once reduced, so they return nil.
-func run(ctx context.Context, src source, opt Options, in *inline) (*Results, *inline, error) {
+func run(ctx context.Context, src source, opt Options, in *inline, prev *Results) (*Results, *inline, error) {
 	start := startTimer()
 	if opt.Workers == 0 {
 		opt.Workers = pipeline.DefaultWorkers()
@@ -235,19 +244,27 @@ func run(ctx context.Context, src source, opt Options, in *inline) (*Results, *i
 	store, stats, overview := sk.finish(cov)
 	overview.Seal()
 	res := &Results{Cfg: src.config(store), Collector: stats, Overview: overview, Store: store, Coverage: cov}
-	res.analyse(ctx, opt.Reg, opt.Workers)
+	res.analyse(ctx, opt.Reg, opt.Workers, prev)
 	res.Elapsed = elapsedSince(start)
 	return res, in, nil
 }
 
 // analyse runs the §5/§6 analyses over the aggregated store, timing
 // each one on reg (which may be nil): in order at one worker, each wave
-// fanned out otherwise. A shared store is sealed first: digest reads
-// fold lazily buffered points, so sealing is what makes it safe for
-// concurrent readers.
-func (r *Results) analyse(ctx context.Context, reg *obs.Registry, workers int) {
+// fanned out otherwise. The comparison series extend prev's — windows
+// prev's store had closed are not compared again — and from nothing is
+// the extension of a Results that holds none. A shared store is sealed
+// first: digest reads fold lazily buffered points, so sealing is what
+// makes it safe for concurrent readers.
+func (r *Results) analyse(ctx context.Context, reg *obs.Registry, workers int, prev *Results) {
 	if workers > 1 {
 		r.Store.Seal(workers)
+	}
+	if prev == nil {
+		prev = &Results{
+			DegHD: analysis.DegradationResult{Series: analysis.Series{Metric: analysis.MetricHDratio}},
+			OppHD: analysis.OpportunityResult{Series: analysis.Series{Metric: analysis.MetricHDratio}},
+		}
 	}
 	params := analysis.DefaultClassifyParams(r.Cfg.Days)
 	// Use the dataset's true window span (matters for datasets loaded
@@ -259,14 +276,18 @@ func (r *Results) analyse(ctx context.Context, reg *obs.Registry, workers int) {
 	type step struct {
 		name string
 		f    func()
+		// compared is where f leaves how many points it compared; nil for
+		// the steps that are arithmetic over points.
+		compared *int
 	}
 	// Classification needs all four results of the first wave; Table 2
 	// only the opportunity pair.
 	waves := [][]step{{
-		{"degradation_minrtt", func() { r.DegMinRTT = analysis.Degradation(r.Store, analysis.MetricMinRTT) }},
-		{"degradation_hdratio", func() { r.DegHD = analysis.Degradation(r.Store, analysis.MetricHDratio) }},
-		{"opportunity_minrtt", func() { r.OppMinRTT = analysis.Opportunity(r.Store, analysis.MetricMinRTT) }},
-		{"opportunity_hdratio", func() { r.OppHD = analysis.Opportunity(r.Store, analysis.MetricHDratio) }},
+		{"degradation_minrtt", func() { r.DegMinRTT = prev.DegMinRTT.Extend(r.Store) }, &r.DegMinRTT.Compared},
+		{"degradation_hdratio", func() { r.DegHD = prev.DegHD.Extend(r.Store) }, &r.DegHD.Compared},
+		{"opportunity_minrtt", func() { r.OppMinRTT = prev.OppMinRTT.Extend(r.Store) }, &r.OppMinRTT.Compared},
+		{"opportunity_hdratio", func() { r.OppHD = prev.OppHD.Extend(r.Store) }, &r.OppHD.Compared},
+		{"figure10_minrtt", func() { r.Fig10 = prev.Fig10.Extend(r.Store) }, &r.Fig10.Compared},
 	}, {
 		{"classify", func() {
 			r.Table1DegMinRTT = r.DegMinRTT.Classify(windows, params, Table1DegMinRTTMs)
@@ -276,17 +297,20 @@ func (r *Results) analyse(ctx context.Context, reg *obs.Registry, workers int) {
 			// the thresholds are passed as positive magnitudes.
 			r.Table1OppMinRTT = r.OppMinRTT.Classify(windows, params, Table1OppMinRTTMs)
 			r.Table1OppHD = r.OppHD.Classify(windows, params, Table1OppHD)
-		}},
+		}, nil},
 		{"relationships", func() {
 			r.Table2MinRTT = r.OppMinRTT.Relationships(5)
 			r.Table2HD = r.OppHD.Relationships(0.05)
-		}},
+		}, nil},
 	}}
 	for _, wave := range waves {
 		g := pipeline.NewGroup(ctx)
 		for _, st := range wave {
 			timed := func(context.Context) error {
 				reg.Span(obs.L("analysis_seconds", "analysis", st.name), "analyse").Time(st.f)
+				if st.compared != nil {
+					reg.Counter(obs.L("analysis_points_compared_total", "analysis", st.name)).Add(int64(*st.compared))
+				}
 				return nil // the analyses cannot fail
 			}
 			if workers > 1 {

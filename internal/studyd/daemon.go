@@ -139,10 +139,12 @@ type Daemon struct {
 
 	// resident is the study behind the unfiltered /report, kept open for
 	// the daemon's life so that a commit costs the scan and fold of what
-	// it committed. Everything it hands out aliases its state, so it is
-	// advanced, analysed and rendered under residentMu (http.go). What it
-	// holds is O(cells) — the peak of one from-nothing report, but held —
-	// and the studyd_fold_* gauges say how much.
+	// it committed and the comparison of the windows that closed with it
+	// (studyd_revalidate_points_compared counts them). Everything it
+	// hands out aliases its state, so it is advanced, analysed and
+	// rendered under residentMu (http.go). What it holds is O(cells) plus
+	// a point a compared window — the peak of one from-nothing report, but
+	// held — and the studyd_fold_* gauges say how much.
 	residentMu sync.Mutex
 	resident   *study.Segments
 
@@ -160,6 +162,7 @@ type Daemon struct {
 	gServed   *obs.Gauge
 	gFoldSegs *obs.Gauge
 	gCells    *obs.Gauge
+	gCompared *obs.Gauge
 }
 
 // New builds a daemon over opt.Dir. In live mode (opt.World set) the
@@ -188,6 +191,7 @@ func New(opt Options) (*Daemon, error) {
 	d.gServed = reg.Gauge("studyd_served_version")
 	d.gFoldSegs = reg.Gauge("studyd_fold_segments")
 	d.gCells = reg.Gauge("studyd_fold_cells")
+	d.gCompared = reg.Gauge("studyd_revalidate_points_compared")
 	d.cache = newSWRCache(opt.CacheEntries, reg)
 	d.resident = study.OpenSegments(opt.Dir, study.Options{Workers: 1})
 

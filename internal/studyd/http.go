@@ -151,10 +151,11 @@ func noneMatch(header, etag string) bool {
 // version was read as version before the call. A filtered query folds
 // the spool from nothing and never touches the resident study; the
 // unfiltered one advances it — folding only what the spool has gained
-// since the last report, when the manifest allows (study.Segments) —
-// and analyses and renders it under its lock, because the results alias
-// its state. The cache runs at most one revalidation a key, so the lock
-// is there for the invariant, not for contention.
+// since the last report and comparing only the windows that closed,
+// when the manifest allows (study.Segments) — and analyses and renders it
+// under its lock, because the results alias its state. The cache runs at
+// most one revalidation a key, so the lock is there for the invariant,
+// not for contention.
 func (d *Daemon) renderReport(q reportQuery, version int64) ([]byte, error) {
 	if q.Filter != nil {
 		res, err := study.FromSegments(context.Background(), d.opt.Dir, study.Options{
@@ -181,15 +182,11 @@ func (d *Daemon) renderReport(q reportQuery, version int64) ([]byte, error) {
 		d.hRebuild.ObserveDuration(time.Since(start))
 		d.opt.Reg.Counter(obs.L("studyd_fold_rebuilds_total", "reason", rebuilt)).Inc()
 	}
-	cells := 0
-	for _, g := range res.Store.Groups() {
-		for _, wa := range g.Windows {
-			cells += len(wa.Routes)
-		}
-	}
 	d.gServed.Set(float64(version))
 	d.gFoldSegs.Set(float64(d.resident.Folded()))
-	d.gCells.Set(float64(cells))
+	d.gCells.Set(float64(res.Store.Cells()))
+	d.gCompared.Set(float64(res.DegMinRTT.Compared + res.DegHD.Compared +
+		res.OppMinRTT.Compared + res.OppHD.Compared + res.Fig10.Compared))
 	return body, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -13,10 +14,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/agg"
+	"repro/internal/analysis"
 	"repro/internal/obs"
 	"repro/internal/sample"
 	"repro/internal/seggen"
 	"repro/internal/segstore"
+	"repro/internal/study"
 	"repro/internal/world"
 )
 
@@ -93,6 +97,113 @@ func liveDaemonOf(t testing.TB, dir string, cfg world.Config) *Daemon {
 	return d
 }
 
+// denseCfg is a world with baselines: at testCfg's four sessions a window
+// no window reaches the 30-session floor, no group has a baseline and no
+// comparison is valid, so nothing there can tell a wrongly extended §5
+// from a right one. Forty-five a window puts most preferred routes over
+// the floor.
+func denseCfg(seed uint64, groups, days int) world.Config {
+	return world.Config{Seed: seed, Groups: groups, Days: days, SessionsPerGroupWindow: 45}
+}
+
+// comparedBy is how many points each comparison series of res computed.
+type comparedBy struct{ degM, degH, oppM, oppH, fig10 int }
+
+func compared(res *study.Results) comparedBy {
+	return comparedBy{res.DegMinRTT.Compared, res.DegHD.Compared, res.OppMinRTT.Compared, res.OppHD.Compared, res.Fig10.Compared}
+}
+
+func (c comparedBy) total() int { return c.degM + c.degH + c.oppM + c.oppH + c.fig10 }
+
+// residentResults advances d's resident study where a fresh report left
+// it — the spool has gained nothing since — and returns what it holds:
+// an advance that folds nothing, rebuilds nothing and compares nothing.
+func residentResults(t testing.TB, d *Daemon) *study.Results {
+	t.Helper()
+	d.residentMu.Lock()
+	defer d.residentMu.Unlock()
+	res, rebuilt, err := d.resident.Advance(context.Background())
+	if err != nil || rebuilt != "" {
+		t.Fatalf("advancing the resident study over nothing new: rebuilt %q, %v", rebuilt, err)
+	}
+	if c := compared(res); c != (comparedBy{}) {
+		t.Fatalf("an advance over nothing new compared %+v", c)
+	}
+	return res
+}
+
+// listed counts the points a series lists: what computing it from nothing
+// compares.
+func listed(s analysis.Series) int {
+	n := 0
+	for _, g := range s.Groups {
+		n += len(g.Points)
+	}
+	return n
+}
+
+// fromNothing is what a study of res's store that kept nothing compares.
+func fromNothing(res *study.Results) comparedBy {
+	return comparedBy{listed(res.DegMinRTT.Series), listed(res.DegHD.Series), listed(res.OppMinRTT.Series), listed(res.OppHD.Series),
+		analysis.RelSeries{Metric: analysis.MetricMinRTT}.Extend(res.Store).Compared}
+}
+
+// sameResults holds the comparison series of a resident study to those of
+// a fresh study of the same spool — group for group by key, baselines and
+// points bit for bit, the byte counters — beyond what the rendered report
+// shows of them.
+func sameResults(t testing.TB, got, want *study.Results) {
+	t.Helper()
+	for _, pair := range []struct {
+		what      string
+		got, want analysis.Series
+	}{
+		{"§5 MinRTT", got.DegMinRTT.Series, want.DegMinRTT.Series}, {"§5 HDratio", got.DegHD.Series, want.DegHD.Series},
+		{"§6.2 MinRTT", got.OppMinRTT.Series, want.OppMinRTT.Series}, {"§6.2 HDratio", got.OppHD.Series, want.OppHD.Series},
+	} {
+		g, w := pair.got, pair.want
+		if g.CoveredBytes != w.CoveredBytes || g.TotalBytes != w.TotalBytes || len(g.Groups) != len(w.Groups) {
+			t.Fatalf("%s: %d groups, %d/%d bytes covered; a fresh study %d, %d/%d", pair.what,
+				len(g.Groups), g.CoveredBytes, g.TotalBytes, len(w.Groups), w.CoveredBytes, w.TotalBytes)
+		}
+		for i, wg := range w.Groups {
+			gg := g.Groups[i]
+			if gg.Group.Key != wg.Group.Key || math.Float64bits(gg.Baseline) != math.Float64bits(wg.Baseline) || len(gg.Points) != len(wg.Points) {
+				t.Fatalf("%s: group %d: %v baseline %v, %d points; a fresh study %v, %v, %d", pair.what, i,
+					gg.Group.Key, gg.Baseline, len(gg.Points), wg.Group.Key, wg.Baseline, len(wg.Points))
+			}
+			for j, wp := range wg.Points {
+				p := gg.Points[j]
+				if p.Window != wp.Window || p.Valid != wp.Valid || p.HDGuardOK != wp.HDGuardOK || p.AltIndex != wp.AltIndex || p.Bytes != wp.Bytes ||
+					math.Float64bits(p.Diff) != math.Float64bits(wp.Diff) || math.Float64bits(p.Lo) != math.Float64bits(wp.Lo) || math.Float64bits(p.Hi) != math.Float64bits(wp.Hi) {
+					t.Fatalf("%s: %v point %d: %+v, a fresh study %+v", pair.what, wg.Group.Key, j, p, wp)
+				}
+			}
+		}
+	}
+}
+
+// baselineWatch follows the served groups' MinRTT baselines from one
+// commit's results to the next.
+type baselineWatch struct {
+	last        map[sample.GroupKey]uint64
+	moved, kept int // group-commits whose baseline bits changed, stayed
+}
+
+func (w *baselineWatch) see(res *study.Results) {
+	now := make(map[sample.GroupKey]uint64, len(res.DegMinRTT.Groups))
+	for _, g := range res.DegMinRTT.Groups {
+		bits := math.Float64bits(g.Baseline)
+		now[g.Group.Key] = bits
+		if was, ok := w.last[g.Group.Key]; ok && was != bits {
+			w.moved++
+		} else if ok {
+			w.kept++
+		}
+	}
+	w.last = now
+}
+
 // The served report is fresh — the batch study of the spool as it then
 // stands, byte for byte — after every commit, not only at drain, and the
 // daemon gets there by extending its resident study: one cold advance a
@@ -101,15 +212,25 @@ func liveDaemonOf(t testing.TB, dir string, cfg world.Config) *Daemon {
 // ends the first daemon; a second one opened on the spool folds what is
 // there and goes on extending.
 func TestReportFreshAtEveryCommit(t *testing.T) {
-	cfg := world.Config{Seed: 19, Groups: 8, Days: 3, SessionsPerGroupWindow: 4}
+	reportFreshAtEveryCommit(t, world.Config{Seed: 19, Groups: 8, Days: 3, SessionsPerGroupWindow: 4})
+	if moved := reportFreshAtEveryCommit(t, denseCfg(19, 8, 3)); moved == 0 {
+		t.Error("no served group's baseline moved between two commits of the dense world: its extensions never had to look back")
+	}
+}
+
+// reportFreshAtEveryCommit is the test over one world; it returns how
+// many group-commits moved a served group's MinRTT baseline.
+func reportFreshAtEveryCommit(t *testing.T, cfg world.Config) (moved int) {
 	dir := t.TempDir()
 
 	checked := 0
+	var baselines baselineWatch
 	check := func(d *Daemon, day int) {
 		t.Helper()
 		if got, want := freshReport(t, d), renderGolden(t, dir); !bytes.Equal(got, want) {
 			t.Fatalf("after day %d: /report differs from study.FromSegments over the spool", day)
 		}
+		baselines.see(residentResults(t, d))
 		checked++
 	}
 
@@ -163,6 +284,7 @@ func TestReportFreshAtEveryCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	dirsEqual(t, golden, dir)
+	return baselines.moved
 }
 
 // A clean month: thirty commits, thirty extensions, and not one rebuild
@@ -200,26 +322,132 @@ func TestCleanRoundNeverRebuilds(t *testing.T) {
 	}
 }
 
+// wantCompared is what extending prev to cur has to compare: the points
+// cur lists beyond prev's, group by group — all of a group's when prev did
+// not list it, and, where rediff says a moved baseline starts a group over
+// (§5), when its baseline's bits are not prev's.
+func wantCompared(prev, cur analysis.Series, rediff bool) (n, startedOver int) {
+	was := make(map[*agg.GroupSeries]analysis.GroupSeries, len(prev.Groups))
+	for _, g := range prev.Groups {
+		was[g.Group] = g
+	}
+	for _, g := range cur.Groups {
+		n += len(g.Points)
+		p, ok := was[g.Group]
+		if ok && rediff && math.Float64bits(p.Baseline) != math.Float64bits(g.Baseline) {
+			startedOver++
+		} else if ok {
+			n -= len(p.Points)
+		}
+	}
+	return n, startedOver
+}
+
+// What a revalidation compares is a count that repeats exactly, so that
+// it is O(chunk) is an equality, not a timing: over TestCleanRoundNever-
+// Rebuilds' shape on a world with baselines, every commit after the first
+// has §6.2 and Figure 10 compare exactly the windows the commit added, and
+// §5 those plus every window of exactly the groups whose baseline the day
+// moved; the first compares everything, and an advance that finds nothing
+// new compares nothing. Odd days advance the resident study by hand and
+// hold each series' count, then find the report's revalidation with
+// nothing to do; even days let the report revalidate and hold the gauge to
+// the sum. (The parent of this test's commit compared every window at
+// every commit.)
+func TestRevalidationComparesOnlyNewWindows(t *testing.T) {
+	cfg := denseCfg(23, 8, 5)
+	dir := t.TempDir()
+	d := liveDaemonOf(t, dir, cfg)
+	prev := &study.Results{}
+	var prevAll comparedBy
+	startedOver, extended := 0, 0
+	driveLive(t, d, func(day int) error {
+		var got comparedBy
+		var res *study.Results
+		if day%2 == 1 {
+			d.residentMu.Lock()
+			r, rebuilt, err := d.resident.Advance(context.Background())
+			d.residentMu.Unlock()
+			if err != nil || rebuilt != "" {
+				t.Fatalf("day %d: rebuilt %q, %v", day, rebuilt, err)
+			}
+			res, got = r, compared(r)
+			if body, want := freshReport(t, d), renderGolden(t, dir); !bytes.Equal(body, want) {
+				t.Fatalf("day %d: /report differs from study.FromSegments over the spool", day)
+			}
+			if g := d.gCompared.Value(); g != 0 {
+				t.Errorf("day %d: studyd_revalidate_points_compared = %v after a revalidation with nothing new", day, g)
+			}
+		} else {
+			freshReport(t, d)
+			res = residentResults(t, d)
+		}
+
+		all := fromNothing(res)
+		var want comparedBy
+		var moved, movedHD int
+		want.degM, moved = wantCompared(prev.DegMinRTT.Series, res.DegMinRTT.Series, true)
+		want.degH, movedHD = wantCompared(prev.DegHD.Series, res.DegHD.Series, true)
+		want.oppM, _ = wantCompared(prev.OppMinRTT.Series, res.OppMinRTT.Series, false)
+		want.oppH, _ = wantCompared(prev.OppHD.Series, res.OppHD.Series, false)
+		want.fig10 = all.fig10 - prevAll.fig10
+		if day == 1 && want != all {
+			t.Fatalf("day 1: the first revalidation should compare everything: %+v of %+v", want, all)
+		}
+		if day > 1 {
+			if want.oppM >= all.oppM || want.fig10 >= all.fig10 || want.degH >= all.degH {
+				t.Fatalf("day %d: the commit added %+v of %+v: not a day's worth", day, want, all)
+			}
+			startedOver += moved + movedHD
+			extended += len(res.DegMinRTT.Groups) + len(res.DegHD.Groups) - moved - movedHD
+		}
+		if day%2 == 1 {
+			if got != want {
+				t.Errorf("day %d: compared %+v; the commit's windows and moved baselines are %+v (everything: %+v)", day, got, want, all)
+			}
+		} else if g := d.gCompared.Value(); g != float64(want.total()) {
+			t.Errorf("day %d: studyd_revalidate_points_compared = %v; the commit's windows and moved baselines are %d (everything: %d)", day, g, want.total(), all.total())
+		}
+		prev, prevAll = res, all
+		return nil
+	})
+	if extends, rebuilds := foldPaths(d); extends != int64(cfg.Days) || len(rebuilds) != 0 {
+		t.Fatalf("%d extensions, rebuilds %v; want %d and none", extends, rebuilds, cfg.Days)
+	}
+	if startedOver == 0 || extended == 0 {
+		t.Errorf("%d group-commits moved a baseline and %d kept one: the §5 rule was not held both ways", startedOver, extended)
+	}
+	if got, want := d.gCells.Value(), float64(residentResults(t, d).Store.Cells()); got != want || want == 0 {
+		t.Errorf("studyd_fold_cells = %v, the store counts %v", got, want)
+	}
+}
+
 // handSpool is a spool filled by hand under a wire-mode daemon, from the
-// segments of a golden dataset of testCfg (segment ID = group*2 + day).
+// segments of a golden dataset of a two-day world (segment ID = group*2 +
+// day).
 type handSpool struct {
 	t      *testing.T
 	dir    string
 	golden *segstore.Reader
 	sw     *segstore.Writer
 	d      *Daemon
+
+	baselines *baselineWatch
+	rebuilds  int64 // as of the last commit
 }
 
-func newHandSpool(t *testing.T) *handSpool {
+func newHandSpool(t *testing.T, cfg world.Config, baselines *baselineWatch) *handSpool {
 	t.Helper()
 	goldenDir := t.TempDir()
-	goldenDataset(t, goldenDir, "")
+	if _, err := seggen.Run(context.Background(), seggen.Options{World: world.New(cfg), Dir: goldenDir, Origin: "hand-golden"}); err != nil {
+		t.Fatal(err)
+	}
 	golden, err := segstore.Open(goldenDir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = golden.Close() })
-	h := &handSpool{t: t, dir: t.TempDir(), golden: golden}
+	h := &handSpool{t: t, dir: t.TempDir(), golden: golden, baselines: baselines}
 	h.reopen()
 	if h.d, err = New(Options{Dir: h.dir, Reg: obs.NewRegistry()}); err != nil {
 		t.Fatal(err)
@@ -272,8 +500,10 @@ func (h *handSpool) add(id int, rows []sample.Sample, edit ...func(*segstore.Seg
 }
 
 // commit publishes the manifest, as a merger's commit does, and holds
-// the fresh report to the batch study of the spool; it returns how the
-// resident study got there.
+// the fresh report to the batch study of the spool — its bytes, and the
+// series behind them point for point; it returns how the resident study
+// got there. One that got there by a rebuild kept nothing: it compared
+// every window, as the batch study did.
 func (h *handSpool) commit() (extends int64, rebuilds map[string]int64) {
 	h.t.Helper()
 	if err := h.sw.Commit(); err != nil {
@@ -283,7 +513,23 @@ func (h *handSpool) commit() (extends int64, rebuilds map[string]int64) {
 	if got, want := freshReport(h.t, h.d), renderGolden(h.t, h.dir); !bytes.Equal(got, want) {
 		h.t.Fatal("/report differs from study.FromSegments over the spool")
 	}
-	return foldPaths(h.d)
+	fresh, err := study.FromSegments(context.Background(), h.dir, study.Options{Workers: 1})
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	res := residentResults(h.t, h.d)
+	sameResults(h.t, res, fresh)
+	h.baselines.see(res)
+
+	extends, rebuilds = foldPaths(h.d)
+	was := h.rebuilds
+	h.rebuilds = h.d.hRebuild.Count()
+	if got, all := h.d.gCompared.Value(), float64(compared(fresh).total()); h.rebuilds > was && got != all {
+		h.t.Fatalf("a rebuild compared %v points; the spool's study from nothing compares %v", got, all)
+	} else if h.rebuilds == was && extends > 1 && got >= all {
+		h.t.Fatalf("an extension compared %v points of the %v a study from nothing compares", got, all)
+	}
+	return extends, rebuilds
 }
 
 // Manifests that do not extend what the resident study has folded — a
@@ -302,9 +548,17 @@ func TestSpoolsThatDoNotExtendRebuild(t *testing.T) {
 		}
 	}
 	none := map[string]int64{}
+	// Every case runs over testCfg's world and over one with baselines.
+	var baselines baselineWatch
+	run := func(name string, body func(t *testing.T, h *handSpool)) {
+		t.Run(name, func(t *testing.T) {
+			body(t, newHandSpool(t, testCfg, new(baselineWatch)))
+			baselines.last = nil
+			body(t, newHandSpool(t, denseCfg(testCfg.Seed, testCfg.Groups, testCfg.Days), &baselines))
+		})
+	}
 
-	t.Run("out of order", func(t *testing.T) {
-		h := newHandSpool(t)
+	run("out of order", func(t *testing.T, h *handSpool) {
 		for g := 0; g < testCfg.Groups; g++ {
 			if g != 3 {
 				h.add(2*g, h.rows(2*g))
@@ -321,8 +575,7 @@ func TestSpoolsThatDoNotExtendRebuild(t *testing.T) {
 		want(t, e, r, 2, map[string]int64{"out_of_order": 1})
 	})
 
-	t.Run("segment spanning groups", func(t *testing.T) {
-		h := newHandSpool(t)
+	run("segment spanning groups", func(t *testing.T, h *handSpool) {
 		for g := 0; g < testCfg.Groups; g++ {
 			h.add(2*g, h.rows(2*g))
 		}
@@ -343,8 +596,7 @@ func TestSpoolsThatDoNotExtendRebuild(t *testing.T) {
 		want(t, e, r, 2, map[string]int64{"out_of_order": 1})
 	})
 
-	t.Run("no group index", func(t *testing.T) {
-		h := newHandSpool(t)
+	run("no group index", func(t *testing.T, h *handSpool) {
 		for g := 0; g < testCfg.Groups; g++ {
 			h.add(2*g, h.rows(2*g))
 		}
@@ -361,8 +613,7 @@ func TestSpoolsThatDoNotExtendRebuild(t *testing.T) {
 		want(t, e, r, 1, map[string]int64{"unindexed": 2})
 	})
 
-	t.Run("segment rewritten, segment gone", func(t *testing.T) {
-		h := newHandSpool(t)
+	run("segment rewritten, segment gone", func(t *testing.T, h *handSpool) {
 		for g := 0; g < testCfg.Groups; g++ {
 			h.add(2*g, h.rows(2*g))
 		}
@@ -385,6 +636,10 @@ func TestSpoolsThatDoNotExtendRebuild(t *testing.T) {
 		e, r = h.commit()
 		want(t, e, r, 1, map[string]int64{"crc_changed": 1, "segment_gone": 1})
 	})
+
+	if baselines.moved == 0 {
+		t.Error("no served group's baseline moved between two commits of the dense world")
+	}
 }
 
 // /report names every body with a strong ETag and answers a matching
