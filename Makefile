@@ -174,13 +174,15 @@ studyd-race:
 	rm -rf .studyd-race
 
 # A short burst on each fuzz target; the invariants live next to the
-# targets (tdigest merge structure, hdratio classification ranges,
+# targets (tdigest merge structure, compaction and buffer sort equal to
+# their stable references, hdratio classification ranges,
 # segment decode never panics on hostile bytes, ship frame decode never
 # panics on hostile streams, comparison series extended at any cuts of a
 # stream equal the from-nothing ones).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzTDigestMerge -fuzztime 10s ./internal/tdigest/
 	$(GO) test -run '^$$' -fuzz FuzzProcessMatchesStableReference -fuzztime 10s ./internal/tdigest/
+	$(GO) test -run '^$$' -fuzz FuzzSortByMean -fuzztime 10s ./internal/tdigest/
 	$(GO) test -run '^$$' -fuzz FuzzSeriesExtend -fuzztime 10s ./internal/analysis/
 	$(GO) test -run '^$$' -fuzz FuzzHDRatioClassify -fuzztime 10s ./internal/hdratio/
 	$(GO) test -run '^$$' -fuzz FuzzSegmentDecode -fuzztime 10s ./internal/segstore/

@@ -12,6 +12,7 @@
 package agg
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -390,7 +391,7 @@ func (st *Store) Seal(workers int) {
 	}
 	// Seal work order is observable through per-digest compaction
 	// metrics; sort so it does not depend on map iteration order.
-	sort.Slice(groups, func(i, j int) bool { return groups[i].Key.String() < groups[j].Key.String() })
+	slices.SortFunc(groups, func(a, b *GroupSeries) int { return a.Key.Compare(b.Key) })
 	if workers > len(groups) {
 		workers = len(groups)
 	}
@@ -435,7 +436,7 @@ func (st *Store) Groups() []*GroupSeries {
 	for _, g := range st.groups {
 		out = append(out, g)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key.String() < out[j].Key.String() })
+	slices.SortFunc(out, func(a, b *GroupSeries) int { return a.Key.Compare(b.Key) })
 	return out
 }
 

@@ -146,6 +146,18 @@ func TestGroupsSortedDeterministically(t *testing.T) {
 	}
 }
 
+// Groups sorts by GroupKey.Compare, formatting no key: its one
+// allocation is the slice it returns.
+func TestGroupsAllocatesOnlyItsResult(t *testing.T) {
+	st := NewStore()
+	for _, p := range []string{"10.0.2.0/24", "10.0.1.0/24", "10.0.10.0/24", "10.1.0.0/16", "10.0.1.0/25"} {
+		st.Add(mkSample(p, 0, 0, time.Millisecond, 0, 0, 1))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { st.Groups() }); allocs != 1 {
+		t.Fatalf("Store.Groups() allocates %v times, want 1", allocs)
+	}
+}
+
 func TestCoverageFraction(t *testing.T) {
 	st := NewStore()
 	for win := 0; win < 6; win++ {

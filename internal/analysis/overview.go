@@ -2,7 +2,7 @@ package analysis
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/geo"
@@ -201,7 +201,7 @@ func (o *Overview) Seal() {
 		keys = append(keys, k)
 	}
 	// The order agg.Store.Groups uses.
-	sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
+	slices.SortFunc(keys, sample.GroupKey.Compare)
 	sum := newAccumulator()
 	for _, k := range keys {
 		sum.merge(o.groups[k])

@@ -9,9 +9,11 @@ package sample
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"strings"
 	"time"
 
 	"repro/internal/bgp"
@@ -134,6 +136,33 @@ func (s Sample) Key() GroupKey {
 // String renders the key compactly for logs and reports.
 func (k GroupKey) String() string {
 	return fmt.Sprintf("%s/%s/%s", k.PoP, k.Prefix, k.Country)
+}
+
+// Compare orders keys exactly as strings.Compare(k.String(), o.String())
+// does, by walking PoP, Prefix and Country as one '/'-joined byte
+// sequence, without formatting either key. That is not the order of the
+// (PoP, Prefix, Country) tuple: the two differ when a part holds a byte
+// below '/', such as '-' or '.', or a '/' itself, as prefixes do.
+func (k GroupKey) Compare(o GroupKey) int {
+	a := [...]string{k.PoP, "/", k.Prefix, "/", k.Country}
+	b := [...]string{o.PoP, "/", o.Prefix, "/", o.Country}
+	i, j, x, y := 0, 0, a[0], b[0]
+	for {
+		for ; x == "" && i+1 < len(a); i++ {
+			x = a[i+1]
+		}
+		for ; y == "" && j+1 < len(b); j++ {
+			y = b[j+1]
+		}
+		n := min(len(x), len(y))
+		if n == 0 { // one sequence, or both, is at its end
+			return cmp.Compare(len(x), len(y))
+		}
+		if c := strings.Compare(x[:n], y[:n]); c != 0 {
+			return c
+		}
+		x, y = x[n:], y[n:]
+	}
 }
 
 // Hash returns a stable FNV-1a hash of the key — the sharding function

@@ -2,6 +2,7 @@ package sample
 
 import (
 	"bytes"
+	"cmp"
 	"io"
 	"math"
 	"strings"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/bgp"
 	"repro/internal/geo"
+	"repro/internal/rng"
 )
 
 func TestHDratio(t *testing.T) {
@@ -45,6 +47,41 @@ func TestGroupKey(t *testing.T) {
 	other := GroupKey{"fra", "10.0.0.0/16", "DE"}
 	if m[other] != 0 {
 		t.Error("different PoPs collided")
+	}
+}
+
+// Compare is String()'s order, which the tuple order is not. Keys are
+// drawn over '-' and '.' (below '/'), '/' and '0', each part extending a
+// prefix of an earlier key's, and every pair must compare as its strings
+// do — including pairs the tuple order puts the other way round.
+func TestGroupKeyCompareIsStringOrder(t *testing.T) {
+	r := rng.New(25).Child("groupkey")
+	part := func(base string) string {
+		s := base[:r.IntN(len(base)+1)]
+		for n := r.IntN(3); n > 0; n-- {
+			s += string("-./0"[r.IntN(4)])
+		}
+		return s
+	}
+	keys := []GroupKey{{}}
+	for len(keys) < 300 {
+		base := keys[r.IntN(len(keys))]
+		keys = append(keys, GroupKey{part(base.PoP), part(base.Prefix), part(base.Country)})
+	}
+	tupleDisagrees := 0
+	for _, a := range keys {
+		for _, b := range keys {
+			want := strings.Compare(a.String(), b.String())
+			if got := a.Compare(b); got != want {
+				t.Fatalf("%q.Compare(%q) = %d, strings.Compare of their String()s = %d", a, b, got, want)
+			}
+			if cmp.Or(strings.Compare(a.PoP, b.PoP), strings.Compare(a.Prefix, b.Prefix), strings.Compare(a.Country, b.Country)) != want {
+				tupleDisagrees++
+			}
+		}
+	}
+	if tupleDisagrees == 0 {
+		t.Fatal("tuple order agreed with String() on every pair: the keys no longer tell them apart")
 	}
 }
 
