@@ -1,29 +1,29 @@
-# Development targets. `make check` is the full gate: vet, build, the
-# race detector across every package (the determinism golden tests run
-# the sharded pipeline under -race) plus a real multi-worker study run
-# under -race, then the whole suite (tier-1: `go build ./... && go test
-# ./...`).
+# Development targets. `make check` is the full gate: vet, lint, build,
+# the race detector across every package (the determinism golden tests
+# run the sharded pipeline under -race), the whole suite (tier-1: `go
+# build ./... && go test ./...`), then the live gates that drive the
+# binaries under -race.
 
 GO ?= go
 
 # The fault plans and daemon flags the live gates below run under.
 CHAOS_PLAN   = seed=7;sink-transient=0.01;sink-permanent=0.001;truncate=0.1;corrupt=0.03;fail-group=2;outage=fra:10-30;retries=4;retry-base=50us
-TRACE_PLAN   = seed=7;sink-transient=0.01;truncate=0.1;fail-group=2;outage=fra:10-30;retries=4;retry-base=50us
 STUDYD_FLAGS = -seed 7 -groups 8 -days 2 -spw 10
 STUDYD_PLAN  = seed=7;sink-transient=0.01;fail-group=2;outage=fra:10-30;retries=4;retry-base=50us
 
-.PHONY: check vet lint loc build race test chaos seg-race trace-race colagg-race pop-race studyd-race fuzz-smoke bench-obs bench-pipeline bench-retry bench bench-segstore bench-trace bench-colagg bench-ship bench-studyd
+.PHONY: check vet lint loc build race test seg-race trace-race colagg-race pop-race studyd-race fuzz-smoke bench-obs bench-pipeline bench-retry bench bench-segstore bench-trace bench-colagg bench-ship bench-studyd
 
-check: vet lint build race test chaos seg-race trace-race colagg-race pop-race studyd-race
+check: vet lint build race test seg-race trace-race colagg-race pop-race studyd-race
 
 vet:
 	$(GO) vet ./...
 
-# edgelint enforces the repo's determinism, unit-safety, poisoning, and
-# batch-ownership contracts (DESIGN.md §8, §13). Every run type-checks
-# the module from source and analyzes every package, in dependency
-# order; nothing is remembered between runs. -stats prints what each
-# analyzer cost.
+# edgelint enforces the repo's determinism, error-checking, poisoning,
+# row-free and batch-ownership contracts (DESIGN.md §8, §13): the five
+# analyzers that have each caught something in the repo's history
+# (EXPERIMENTS.md "edgelint roster"). Every run type-checks the module
+# from source and analyzes every package, in dependency order; nothing
+# is remembered between runs. -stats prints what each analyzer cost.
 lint:
 	$(GO) run ./cmd/edgelint -stats .
 
@@ -43,20 +43,9 @@ build:
 # sets its own.
 race:
 	$(GO) test -race -timeout 30m ./...
-	$(GO) run -race ./cmd/edgereport -groups 8 -days 1 -spw 12 -workers 4 > /dev/null
 
 test:
 	$(GO) test ./...
-
-# A degraded multi-worker study under the race detector: every fault
-# surface fires (sink retry, quarantine, batch truncation/drop, a PoP
-# outage) and the run must still complete with an accounted report.
-# The byte-identity of degraded reports across worker counts is proved
-# by the chaos tests in internal/study and cmd/edgesim (run by `race`).
-chaos:
-	$(GO) run -race ./cmd/edgereport -groups 8 -days 1 -spw 12 -workers 4 \
-		-fault-plan "$(CHAOS_PLAN)" \
-		> /dev/null
 
 # The dataset round trip under the race detector: write a columnar
 # dataset with the parallel segment writer, then analyse it through the
@@ -69,16 +58,18 @@ seg-race:
 
 # The flight recorder's determinism golden, live: two traced chaos
 # studies under the race detector at different worker counts must
-# produce byte-identical trace files (DESIGN.md §11). The .timing
-# sidecars are physical and excluded from the comparison.
+# produce byte-identical trace files (DESIGN.md §11). Every fault
+# surface fires (sink retry, quarantine, batch truncation/drop, a PoP
+# outage) and the ledger must reconcile (`edgetrace causes`). The
+# .timing sidecars are physical and excluded from the comparison.
 trace-race:
 	rm -rf .trace-race
 	mkdir -p .trace-race
 	$(GO) run -race ./cmd/edgereport -groups 8 -days 1 -spw 12 -workers 4 -trace .trace-race/w4.trace \
-		-fault-plan "$(TRACE_PLAN)" \
+		-fault-plan "$(CHAOS_PLAN)" \
 		> /dev/null
 	$(GO) run -race ./cmd/edgereport -groups 8 -days 1 -spw 12 -workers 1 -trace .trace-race/w1.trace \
-		-fault-plan "$(TRACE_PLAN)" \
+		-fault-plan "$(CHAOS_PLAN)" \
 		> /dev/null
 	cmp .trace-race/w1.trace .trace-race/w4.trace
 	$(GO) run ./cmd/edgetrace causes .trace-race/w4.trace > /dev/null

@@ -1,7 +1,7 @@
 // Command edgelint runs the repo's domain-specific static analyzers
-// (internal/lint/...): nondeterminism, rngsplit, unitsafety,
-// closecheck, poisonpath, rowfree, tracekey, and batchlife — the
-// contracts the compiler cannot see (DESIGN.md §8, §13).
+// (internal/lint/...): nondeterminism, closecheck, poisonpath, rowfree,
+// and batchlife — the contracts the compiler cannot see (DESIGN.md §8,
+// §13).
 //
 // It type-checks the module from source (no build cache needed), then
 // analyzes every package in dependency order so facts flow from a

@@ -49,14 +49,10 @@ func TestStandaloneOnBadModule(t *testing.T) {
 		findings int
 		wants    []string
 	}{
-		{args: []string{"testdata/badmod"}, exit: 1, findings: 11, wants: []string{
+		{args: []string{"testdata/badmod"}, exit: 1, findings: 7, wants: []string{
 			"wall-clock read time.Now in deterministic package agg",
 			"global math/rand draw rand.Int",
 			"append to out during map iteration without a subsequent sort",
-			"captured by goroutine closure",
-			"import of math/rand outside internal/rng",
-			"multiplying two bits/s (units.Rate) quantities",
-			"direct conversion from bytes (units.ByteSize) to bits/s (units.Rate)",
 			"unchecked error from (*bufio.Writer).Flush",
 			"Orphan creates a pipeline group but has no context.Context parameter",
 			"column batch b may reach this exit without being released",

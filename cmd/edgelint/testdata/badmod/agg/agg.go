@@ -26,12 +26,3 @@ func Keys(m map[string]int) []string {
 	}
 	return out
 }
-
-// Leak shares one generator across goroutines.
-func Leak(r *rand.Rand, n int) {
-	for i := 0; i < n; i++ {
-		go func() {
-			_ = r.Int()
-		}()
-	}
-}

@@ -1,23 +1,12 @@
-// Package flow is a known-bad fixture for the unitsafety, closecheck,
-// and poisonpath analyzers.
+// Package flow is a known-bad fixture for the closecheck and poisonpath
+// analyzers.
 package flow
 
 import (
 	"bufio"
 
 	"badmod/internal/pipeline"
-	"badmod/internal/units"
 )
-
-// Square multiplies two rates.
-func Square(r units.Rate) units.Rate {
-	return r * r
-}
-
-// Cast converts bytes to a rate with a cast.
-func Cast(b units.ByteSize) units.Rate {
-	return units.Rate(b)
-}
 
 // Drop discards a flush error.
 func Drop(bw *bufio.Writer) {

@@ -10,9 +10,8 @@
 // data back to rows:
 //
 //   - ColumnBatch.AppendRows — batch-to-row materialization;
-//   - Reader.Scan, Reader.ReadSegment, DecodeSegment — row-emitting
-//     segment reads (ScanColumns / DecodeSegmentColumns are the
-//     columnar equivalents).
+//   - Reader.Scan — the row-emitting segment read (ScanColumns is the
+//     columnar equivalent).
 //
 // Intentional uses — the row oracle, per-sample fault decisions —
 // carry an //edgelint:allow rowfree: reason directive, so every row
@@ -36,10 +35,8 @@ var Analyzer = &analysis.Analyzer{
 // rowCalls maps the flagged segstore functions to what the finding
 // should call them.
 var rowCalls = map[string]string{
-	"AppendRows":    "materializes rows from a column batch",
-	"Scan":          "row-emitting segment read",
-	"ReadSegment":   "row-emitting segment read",
-	"DecodeSegment": "row-emitting segment read",
+	"AppendRows": "materializes rows from a column batch",
+	"Scan":       "row-emitting segment read",
 }
 
 func run(pass *analysis.Pass) (any, error) {

@@ -19,14 +19,6 @@ func rowScan(ctx context.Context, r *segstore.Reader) error {
 	return r.Scan(ctx, 1, nil, func(rows []sample.Sample) error { return nil }) // want "Scan row-emitting segment read"
 }
 
-func readSeg(r *segstore.Reader, m segstore.SegmentMeta) ([]sample.Sample, error) {
-	return r.ReadSegment(m) // want "ReadSegment row-emitting segment read"
-}
-
-func rowDecode(data []byte) ([]sample.Sample, error) {
-	return segstore.DecodeSegment(data) // want "DecodeSegment row-emitting segment read"
-}
-
 // --- accepted forms ---
 
 func columnar(ctx context.Context, r *segstore.Reader) error {

@@ -26,10 +26,7 @@ import (
 	"repro/internal/lint/load"
 	"repro/internal/lint/nondeterminism"
 	"repro/internal/lint/poisonpath"
-	"repro/internal/lint/rngsplit"
 	"repro/internal/lint/rowfree"
-	"repro/internal/lint/tracekey"
-	"repro/internal/lint/unitsafety"
 )
 
 // Analyzers is the full edgelint suite. Prerequisite-only passes (cfg)
@@ -39,10 +36,7 @@ var Analyzers = []*analysis.Analyzer{
 	closecheck.Analyzer,
 	nondeterminism.Analyzer,
 	poisonpath.Analyzer,
-	rngsplit.Analyzer,
 	rowfree.Analyzer,
-	tracekey.Analyzer,
-	unitsafety.Analyzer,
 }
 
 // Finding is one reported, post-suppression diagnostic.

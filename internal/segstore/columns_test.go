@@ -20,9 +20,8 @@ func sameRows(got, want []sample.Sample) bool {
 	return reflect.DeepEqual(got, want)
 }
 
-// The columnar decode is the same parser as the row decode behind a
-// different materialization: AppendRows over the batch must reproduce
-// the row decode exactly, field for field.
+// AppendRows over a decoded batch must reproduce the encoded rows
+// exactly, field for field.
 func TestDecodeSegmentColumnsMatchesRows(t *testing.T) {
 	for _, seed := range []uint64{5, 23} {
 		rows := testSamples(t, seed, 7, 1)

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-
-	"repro/internal/sample"
 )
 
 // ErrCorrupt wraps every decode failure: truncated blocks, checksum
@@ -69,18 +67,6 @@ type rawColumn struct {
 	name string
 	kind byte
 	data []byte
-}
-
-// DecodeSegment decodes one segment block produced by EncodeSegment
-// into row structs. It is the row-oracle view of DecodeSegmentColumns:
-// the columnar decode runs first and the rows are materialized from
-// the batch, so the two paths cannot drift.
-func DecodeSegment(data []byte) ([]sample.Sample, error) {
-	var b ColumnBatch
-	if err := decodeInto(data, &b); err != nil {
-		return nil, err
-	}
-	return b.AppendRows(make([]sample.Sample, 0, b.Len())), nil
 }
 
 // DecodeSegmentColumns decodes one segment block into a fresh column

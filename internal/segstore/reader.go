@@ -52,7 +52,7 @@ func Open(dir string) (*Reader, error) {
 	if !IsDataset(dir) {
 		return nil, fmt.Errorf("segstore: %s is not a segment dataset (a directory holding %s); a JSON-lines file becomes one with `segcat -in %s -o <dir>`", dir, ManifestName, dir)
 	}
-	man, err := loadManifest(dir)
+	man, err := LoadManifest(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -128,31 +128,6 @@ func (r *Reader) prune(segs []SegmentMeta, f *Filter) []SegmentMeta {
 	r.gBytesTotal.Set(float64(totalBytes))
 	r.gBytesPrune.Set(float64(prunedBytes))
 	return kept
-}
-
-// ReadSegment loads and decodes one segment, verifying the manifest's
-// whole-file checksum before the per-column ones.
-func (r *Reader) ReadSegment(m SegmentMeta) ([]sample.Sample, error) {
-	sp := r.scanSpan.Start()
-	defer sp.End()
-	data, err := os.ReadFile(filepath.Join(r.dir, m.File))
-	if err != nil {
-		return nil, fmt.Errorf("segstore: segment %d: %w", m.ID, err)
-	}
-	if int64(len(data)) != m.Bytes || fileCRC(data) != m.CRC {
-		return nil, fmt.Errorf("segstore: segment %d (%s): %w: file does not match manifest checksum", m.ID, m.File, ErrCorrupt)
-	}
-	rows, err := DecodeSegment(data)
-	if err != nil {
-		return nil, fmt.Errorf("segstore: segment %d (%s): %w", m.ID, m.File, err)
-	}
-	if len(rows) != m.Samples {
-		return nil, fmt.Errorf("segstore: segment %d (%s): %w: %d rows, manifest says %d", m.ID, m.File, ErrCorrupt, len(rows), m.Samples)
-	}
-	r.cBytesRead.Add(int64(len(data)))
-	r.cSamples.Add(int64(len(rows)))
-	r.cSegsRead.Inc()
-	return rows, nil
 }
 
 // readColumns loads and decodes one segment into a pooled batch,

@@ -151,8 +151,11 @@ func IsDataset(path string) bool {
 // segmentFileName names a segment file for its ID.
 func segmentFileName(id int) string { return fmt.Sprintf("seg-%08d.seg", id) }
 
-// loadManifest reads and validates the dataset's manifest.
-func loadManifest(dir string) (*Manifest, error) {
+// LoadManifest reads and validates the dataset's manifest: its format,
+// one entry per segment ID, and each segment's file name. It opens no
+// segment file. Commits are atomic renames, so a reader running beside
+// a writer never sees a torn manifest.
+func LoadManifest(dir string) (*Manifest, error) {
 	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
 		return nil, err

@@ -14,6 +14,15 @@ import (
 	"repro/internal/world"
 )
 
+// decodeRows decodes a segment block and materializes its rows.
+func decodeRows(data []byte) ([]sample.Sample, error) {
+	b, err := DecodeSegmentColumns(data)
+	if err != nil {
+		return nil, err
+	}
+	return b.AppendRows(nil), nil
+}
+
 // testSamples generates a realistic dataset through the world model.
 func testSamples(t testing.TB, seed uint64, groups, days int) []sample.Sample {
 	t.Helper()
@@ -30,9 +39,9 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if meta.Samples != len(rows) {
 		t.Fatalf("meta.Samples = %d, want %d", meta.Samples, len(rows))
 	}
-	got, err := DecodeSegment(blob)
+	got, err := decodeRows(blob)
 	if err != nil {
-		t.Fatalf("DecodeSegment: %v", err)
+		t.Fatalf("decode: %v", err)
 	}
 	if !reflect.DeepEqual(got, rows) {
 		for i := range rows {
@@ -58,9 +67,9 @@ func TestEncodeEmptySegment(t *testing.T) {
 	if meta.Samples != 0 {
 		t.Fatalf("meta.Samples = %d, want 0", meta.Samples)
 	}
-	got, err := DecodeSegment(blob)
+	got, err := decodeRows(blob)
 	if err != nil {
-		t.Fatalf("DecodeSegment(empty): %v", err)
+		t.Fatalf("decode(empty): %v", err)
 	}
 	if len(got) != 0 {
 		t.Fatalf("decoded %d rows from an empty segment", len(got))
@@ -75,9 +84,9 @@ func TestEncodeExtremeValues(t *testing.T) {
 		{SessionID: 0, Start: 0, DistanceKm: 1e308, Country: "", PoP: "", ResponseBytes: nil},
 	}
 	blob, _ := EncodeSegment(rows)
-	got, err := DecodeSegment(blob)
+	got, err := decodeRows(blob)
 	if err != nil {
-		t.Fatalf("DecodeSegment: %v", err)
+		t.Fatalf("decode: %v", err)
 	}
 	if !reflect.DeepEqual(got, rows) {
 		t.Fatalf("extreme rows did not round-trip:\n got: %+v\nwant: %+v", got, rows)
@@ -91,13 +100,13 @@ func TestDecodeDetectsCorruption(t *testing.T) {
 	for _, off := range []int{0, 7, len(blob) / 3, len(blob) / 2, len(blob) - 5} {
 		mut := append([]byte(nil), blob...)
 		mut[off] ^= 0x40
-		got, err := DecodeSegment(mut)
+		got, err := decodeRows(mut)
 		if err == nil && !reflect.DeepEqual(got, rows) {
 			t.Fatalf("flipping byte %d decoded silently to different rows", off)
 		}
 	}
 	for _, cut := range []int{1, len(segMagic), len(blob) / 2, len(blob) - 1} {
-		if _, err := DecodeSegment(blob[:cut]); err == nil {
+		if _, err := DecodeSegmentColumns(blob[:cut]); err == nil {
 			t.Fatalf("truncation to %d bytes decoded without error", cut)
 		}
 	}
@@ -211,8 +220,12 @@ func TestResumeDropsCorruptSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = r.Close() }()
-	if _, err := r.ReadSegment(r.Manifest().Segments[0]); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("ReadSegment on rotted file: err = %v, want ErrCorrupt", err)
+	err = r.ScanColumns(context.Background(), 1, nil, func(b *ColumnBatch) error {
+		b.Release()
+		return nil
+	})
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("scan of rotted file: err = %v, want ErrCorrupt", err)
 	}
 }
 

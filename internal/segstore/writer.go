@@ -44,7 +44,7 @@ func Create(dir, origin string) (*Writer, error) {
 	}
 	w := &Writer{dir: dir, done: map[int]bool{}}
 	if _, err := os.Stat(filepath.Join(dir, ManifestName)); err == nil {
-		man, err := loadManifest(dir)
+		man, err := LoadManifest(dir)
 		if err != nil {
 			return nil, err
 		}

@@ -92,10 +92,7 @@ func inferredCfg(store *agg.Store) world.Config {
 	if days < 1 {
 		days = 1
 	}
-	cfg := world.Config{Groups: store.Len(), Days: days}
-	// The inferred config must report the true window count.
-	cfg.SessionsPerGroupWindow = float64(store.TotalSamples) / float64(max(1, store.Len()*store.TotalWindows))
-	return cfg
+	return world.Config{Groups: store.Len(), Days: days}
 }
 
 // Options configures a study run.

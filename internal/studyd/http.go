@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"time"
@@ -231,7 +229,7 @@ type groupInfo struct {
 
 // handleGroups rolls the spool manifest up by world group.
 func (d *Daemon) handleGroups(w http.ResponseWriter, r *http.Request) {
-	man, err := d.readManifest()
+	man, err := segstore.LoadManifest(d.opt.Dir)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -313,21 +311,6 @@ func (d *Daemon) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"ingested":  d.cIngested.Value(),
 		"late":      d.cLate.Value(),
 	})
-}
-
-// readManifest loads the spool manifest straight from disk: commits
-// are atomic renames, so a concurrent chunk close can never expose a
-// torn manifest to a reader.
-func (d *Daemon) readManifest() (*segstore.Manifest, error) {
-	data, err := os.ReadFile(filepath.Join(d.opt.Dir, segstore.ManifestName))
-	if err != nil {
-		return nil, err
-	}
-	var man segstore.Manifest
-	if err := json.Unmarshal(data, &man); err != nil {
-		return nil, fmt.Errorf("studyd: corrupt manifest: %v", err)
-	}
-	return &man, nil
 }
 
 // mergeSorted folds add into base keeping it sorted and deduplicated.

@@ -307,7 +307,7 @@ func TestCleanRoundNeverRebuilds(t *testing.T) {
 	if want := renderGolden(t, dir); !bytes.Equal(last, want) {
 		t.Fatal("the thirtieth extension differs from study.FromSegments over the drained spool")
 	}
-	man, err := d.readManifest()
+	man, err := segstore.LoadManifest(d.opt.Dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,11 +426,12 @@ func TestRevalidationComparesOnlyNewWindows(t *testing.T) {
 // segments of a golden dataset of a two-day world (segment ID = group*2 +
 // day).
 type handSpool struct {
-	t      *testing.T
-	dir    string
-	golden *segstore.Reader
-	sw     *segstore.Writer
-	d      *Daemon
+	t         *testing.T
+	dir       string
+	goldenDir string
+	golden    *segstore.Manifest
+	sw        *segstore.Writer
+	d         *Daemon
 
 	baselines *baselineWatch
 	rebuilds  int64 // as of the last commit
@@ -442,12 +443,11 @@ func newHandSpool(t *testing.T, cfg world.Config, baselines *baselineWatch) *han
 	if _, err := seggen.Run(context.Background(), seggen.Options{World: world.New(cfg), Dir: goldenDir, Origin: "hand-golden"}); err != nil {
 		t.Fatal(err)
 	}
-	golden, err := segstore.Open(goldenDir)
+	golden, err := segstore.LoadManifest(goldenDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = golden.Close() })
-	h := &handSpool{t: t, dir: t.TempDir(), golden: golden, baselines: baselines}
+	h := &handSpool{t: t, dir: t.TempDir(), goldenDir: goldenDir, golden: golden, baselines: baselines}
 	h.reopen()
 	if h.d, err = New(Options{Dir: h.dir, Reg: obs.NewRegistry()}); err != nil {
 		t.Fatal(err)
@@ -468,7 +468,7 @@ func (h *handSpool) reopen() {
 
 func (h *handSpool) meta(id int) segstore.SegmentMeta {
 	h.t.Helper()
-	for _, m := range h.golden.Manifest().Segments {
+	for _, m := range h.golden.Segments {
 		if m.ID == id {
 			return m
 		}
@@ -479,11 +479,15 @@ func (h *handSpool) meta(id int) segstore.SegmentMeta {
 
 func (h *handSpool) rows(id int) []sample.Sample {
 	h.t.Helper()
-	rows, err := h.golden.ReadSegment(h.meta(id))
+	data, err := os.ReadFile(filepath.Join(h.goldenDir, h.meta(id).File))
 	if err != nil {
 		h.t.Fatal(err)
 	}
-	return rows
+	b, err := segstore.DecodeSegmentColumns(data)
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	return b.AppendRows(nil)
 }
 
 // add lands rows as segment id; edit, when given, touches the manifest

@@ -430,7 +430,7 @@ func TestSealBoundaries(t *testing.T) {
 	if err := d.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	man, err := d.readManifest()
+	man, err := segstore.LoadManifest(d.opt.Dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -651,6 +651,41 @@ func TestEndpoints(t *testing.T) {
 	d.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/report?from=banana", nil))
 	if rr.Code != 400 {
 		t.Fatalf("bad filter: %d", rr.Code)
+	}
+}
+
+// TestGroupsRefusesInvalidManifest: /groups validates the spool
+// manifest as segstore.Open does, so a manifest of another format or
+// one listing a segment twice is a 500, not a rollup of bad entries.
+func TestGroupsRefusesInvalidManifest(t *testing.T) {
+	dir := t.TempDir()
+	d := liveDaemon(t, dir, "")
+	if err := d.RunLive(context.Background(), 2); err != nil {
+		t.Fatal(err)
+	}
+	man, err := segstore.LoadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldFormat, dup := *man, *man
+	oldFormat.Format = "edgeseg/0"
+	dup.Segments = append([]segstore.SegmentMeta{man.Segments[0]}, man.Segments...)
+	for _, tc := range []struct {
+		name string
+		man  segstore.Manifest
+	}{{"old format", oldFormat}, {"duplicate segment", dup}} {
+		data, err := json.Marshal(tc.man)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, segstore.ManifestName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rr := httptest.NewRecorder()
+		d.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/groups", nil))
+		if rr.Code != 500 {
+			t.Errorf("%s: /groups answered %d, want 500: %s", tc.name, rr.Code, rr.Body)
+		}
 	}
 }
 

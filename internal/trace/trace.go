@@ -151,8 +151,8 @@ type Event struct {
 	Seq uint64
 	// Kind types the event.
 	Kind Kind
-	// Stage names the emitting pipeline stage (never empty; edgelint's
-	// tracekey check enforces it).
+	// Stage names the emitting pipeline stage. It is never empty:
+	// edgetrace joins events into stages by it.
 	Stage string
 	// Value is the event's logical magnitude (samples, attempts, ...).
 	Value int64
@@ -424,7 +424,7 @@ func (b *Buf) Begin(track string, phase uint8, win int32, seq uint64, stage stri
 // End emits the span's KEnd with its logical size and returns the end
 // event's ID (0 on an inert span). Do not defer End inside a loop —
 // the deferred ends pile up to function exit and the spans all close
-// late (edgelint's tracekey check flags it).
+// late.
 func (sp Span) End(value int64) uint64 {
 	if sp.b == nil {
 		return 0
