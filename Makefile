@@ -60,8 +60,9 @@ seg-race:
 # studies under the race detector at different worker counts must
 # produce byte-identical trace files (DESIGN.md §11). Every fault
 # surface fires (sink retry, quarantine, batch truncation/drop, a PoP
-# outage) and the ledger must reconcile (`edgetrace causes`). The
-# .timing sidecars are physical and excluded from the comparison.
+# outage) and the ledger must reconcile (`edgetrace causes`). The trace
+# is the only file a run writes beside it: physical timing lives on
+# /metrics, never in a sidecar.
 trace-race:
 	rm -rf .trace-race
 	mkdir -p .trace-race
@@ -72,6 +73,7 @@ trace-race:
 		-fault-plan "$(CHAOS_PLAN)" \
 		> /dev/null
 	cmp .trace-race/w1.trace .trace-race/w4.trace
+	test ! -e .trace-race/w4.trace.timing
 	$(GO) run ./cmd/edgetrace causes .trace-race/w4.trace > /dev/null
 	rm -rf .trace-race
 

@@ -96,7 +96,7 @@ func main() {
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address")
 		faultPlan   = flag.String("fault-plan", "", "deterministic fault-injection plan (key=value;... — see internal/faults; '' or 'none' disables)")
 		failFast    = flag.Bool("fail-fast", false, "abort on the first unrecoverable injected fault instead of degrading")
-		tracePath   = flag.String("trace", "", "record a deterministic flight trace of the study to this file (timing sidecar lands next to it); inspect with edgetrace")
+		tracePath   = flag.String("trace", "", "record a deterministic flight trace of the study to this file; inspect with edgetrace")
 		rowOracle   = flag.Bool("row-oracle", false, "with -in: aggregate row-at-a-time instead of the columnar batch path (verification oracle; the report must be byte-identical)")
 	)
 	flag.Parse()

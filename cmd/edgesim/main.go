@@ -77,7 +77,7 @@ func main() {
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address")
 		faultPlan   = flag.String("fault-plan", "", "deterministic fault-injection plan (key=value;... — see internal/faults; '' or 'none' disables)")
 		failFast    = flag.Bool("fail-fast", false, "abort on the first unrecoverable injected fault instead of degrading")
-		tracePath   = flag.String("trace", "", "record a deterministic flight trace of the run to this file (timing sidecar lands next to it); inspect with edgetrace")
+		tracePath   = flag.String("trace", "", "record a deterministic flight trace of the run to this file; inspect with edgetrace")
 	)
 	flag.Parse()
 

@@ -7,7 +7,6 @@
 //
 //	edgetrace stages   <trace>      per-stage attribution: spans, samples, events
 //	edgetrace critpath [-n N] <trace>  heaviest window per group and its event chain
-//	edgetrace stalls   <trace>      physical report from the .timing sidecar
 //	edgetrace causes   <trace>      sender/network/receiver loss attribution
 //	edgetrace diff     <a> <b>      stage-by-stage comparison of two runs
 //
@@ -21,11 +20,9 @@
 // ledger the run embedded; a reconciliation failure means the trace and
 // the ledger disagree about what was lost, which voids both.
 //
-// The physical companion (`stalls`) reads the .timing sidecar next to
-// the trace: queue-depth samples, GoBudget stall verdicts, and summed
-// per-stage wall clock. Physical records are kept out of the
-// deterministic file precisely so the trace bytes stay comparable
-// across machines and worker counts.
+// The trace holds no physical measurements, so its bytes stay
+// comparable across machines and worker counts: queue depths and stage
+// wall clocks are the run's /metrics (-metrics-addr).
 package main
 
 import (
@@ -33,14 +30,13 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"repro/internal/report"
 	"repro/internal/trace"
 )
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: edgetrace <stages|critpath|stalls|causes|diff> [flags] <trace> [<trace>]")
+	fmt.Fprintln(os.Stderr, "usage: edgetrace <stages|critpath|causes|diff> [flags] <trace> [<trace>]")
 	os.Exit(2)
 }
 
@@ -55,8 +51,6 @@ func main() {
 		err = runStages(os.Stdout, args)
 	case "critpath":
 		err = runCritPath(os.Stdout, args)
-	case "stalls":
-		err = runStalls(os.Stdout, args)
 	case "causes":
 		err = runCauses(os.Stdout, args)
 	case "diff":
@@ -149,32 +143,6 @@ func runCritPath(w io.Writer, args []string) error {
 		}
 		report.Table(w, []string{"phase", "kind", "stage", "value", "detail"}, steps)
 	}
-	return nil
-}
-
-func runStalls(w io.Writer, args []string) error {
-	path, err := one(args)
-	if err != nil {
-		return err
-	}
-	ts, err := trace.ParseTimingFile(path + ".timing")
-	if err != nil {
-		return err
-	}
-	if ts == nil {
-		fmt.Fprintf(w, "no timing sidecar at %s.timing (the run recorded no physical events)\n", path)
-		return nil
-	}
-	rows := trace.StallReport(ts)
-	out := make([][]string, 0, len(rows))
-	for _, r := range rows {
-		out = append(out, []string{
-			r.Stage, fmt.Sprint(r.Stalls), fmt.Sprint(r.Depths),
-			fmt.Sprint(r.MaxDepth), time.Duration(r.TimeNs).String(),
-		})
-	}
-	fmt.Fprintf(w, "== Stall report: %s.timing (%d physical events) ==\n", path, len(ts))
-	report.Table(w, []string{"stage", "stalls", "depth-samples", "max-depth", "wall-clock"}, out)
 	return nil
 }
 

@@ -13,8 +13,8 @@ import (
 	"repro/internal/world"
 )
 
-// writeTrace runs a small chaos study and writes its trace (plus timing
-// sidecar) under dir, returning the trace path.
+// writeTrace runs a small chaos study and writes its trace under dir,
+// returning the trace path.
 func writeTrace(t *testing.T, dir, name string, spec string) string {
 	t.Helper()
 	var plan *faults.Plan
@@ -75,14 +75,6 @@ func TestSubcommandsOverChaosTrace(t *testing.T) {
 	}
 	if strings.Contains(out, "MISMATCH") {
 		t.Errorf("causes reported a reconciliation mismatch:\n%s", out)
-	}
-
-	b.Reset()
-	if err := runStalls(&b, []string{path}); err != nil {
-		t.Fatalf("stalls: %v", err)
-	}
-	if !strings.Contains(b.String(), "agg_shard") {
-		t.Errorf("stalls output missing shard stages:\n%s", b.String())
 	}
 }
 

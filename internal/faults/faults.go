@@ -7,7 +7,7 @@
 //
 //   - Plan: a parseable description of which failures to inject at
 //     which surfaces — transient/permanent collector-sink errors,
-//     slow or stalled shard workers, corrupt or truncated sample
+//     slow shard workers, corrupt or truncated sample
 //     batches, and per-PoP world outages.
 //   - Injector: the decision engine. Every decision is a pure function
 //     of (plan seed ⊕ study seed, surface label, stable identity), so
@@ -90,16 +90,6 @@ type Plan struct {
 	// change any output byte.
 	DelayP   float64
 	DelayMax time.Duration
-	// StallShard, when ≥ 0, stalls that aggregation shard for StallFor
-	// before its first batch (default 2×StageBudget). Combined with
-	// StageBudget it exercises the deadline path. -1 disables.
-	StallShard int
-	StallFor   time.Duration
-
-	// StageBudget, when positive, bounds each aggregation shard stage's
-	// wall time (pipeline.GoBudget); a stalled stage fails with a
-	// StageTimeoutError instead of hanging the run.
-	StageBudget time.Duration
 
 	// Outages lists per-PoP world outages.
 	Outages []Outage
@@ -142,9 +132,6 @@ func (p Plan) withDefaults() Plan {
 	}
 	if p.RetryBase <= 0 {
 		p.RetryBase = time.Millisecond
-	}
-	if p.StallFor <= 0 {
-		p.StallFor = 2 * p.StageBudget
 	}
 	return p
 }
@@ -191,12 +178,6 @@ func (p *Plan) Spec() string {
 		add("delay", trimFloat(p.DelayP))
 		add("delay-max", p.DelayMax.String())
 	}
-	if p.StallShard > 0 || (p.StallShard == 0 && p.StallFor > 0) {
-		add("stall-shard", strconv.Itoa(p.StallShard))
-	}
-	if p.StageBudget > 0 {
-		add("stage-budget", p.StageBudget.String())
-	}
 	for _, o := range p.Outages {
 		add("outage", fmt.Sprintf("%s:%d-%d", o.PoP, o.From, o.To))
 	}
@@ -242,9 +223,6 @@ func trimFloat(v float64) string {
 //	fail-group=I|J|...      group indices whose batches permanently fail
 //	delay=P                 per-dispatch shard-delay probability
 //	delay-max=D             max injected delay (default 2ms)
-//	stall-shard=I           stall shard I before its first batch
-//	stall-for=D             stall duration (default 2×stage-budget)
-//	stage-budget=D          per-shard-stage deadline (0 = none)
 //	outage=POP:A-B          PoP down for windows [A, B)
 //	ship-drop=P             per-attempt shipment drop probability
 //	ship-dup=P              per-shipment duplicate-delivery probability
@@ -261,7 +239,7 @@ func ParsePlan(spec string) (*Plan, error) {
 	if spec == "" || spec == "none" {
 		return nil, nil
 	}
-	p := &Plan{StallShard: -1}
+	p := &Plan{}
 	fields := strings.FieldsFunc(spec, func(r rune) bool { return r == ';' || r == ',' })
 	for _, f := range fields {
 		f = strings.TrimSpace(f)
@@ -301,12 +279,6 @@ func ParsePlan(spec string) (*Plan, error) {
 			p.DelayP, err = parseProb(v)
 		case "delay-max":
 			p.DelayMax, err = time.ParseDuration(v)
-		case "stall-shard":
-			p.StallShard, err = strconv.Atoi(v)
-		case "stall-for":
-			p.StallFor, err = time.ParseDuration(v)
-		case "stage-budget":
-			p.StageBudget, err = time.ParseDuration(v)
 		case "outage":
 			var o Outage
 			o, err = parseOutage(v)
@@ -331,9 +303,6 @@ func ParsePlan(spec string) (*Plan, error) {
 		if err != nil {
 			return nil, fmt.Errorf("faults: bad value for %s: %v", k, err)
 		}
-	}
-	if p.StallShard >= 0 && p.StageBudget <= 0 {
-		return nil, errors.New("faults: stall-shard requires stage-budget (a stalled stage with no deadline hangs the run)")
 	}
 	return p, nil
 }

@@ -10,7 +10,7 @@ import (
 
 func TestParsePlanRoundTrip(t *testing.T) {
 	spec := "seed=9;sink-transient=0.01;sink-streak=3;sink-permanent=0.001;truncate=0.2;truncate-frac=0.25;" +
-		"corrupt=0.05;fail-group=2|7;delay=0.1;delay-max=3ms;stage-budget=2s;outage=gru:10-20;retries=5;retry-base=2ms"
+		"corrupt=0.05;fail-group=2|7;delay=0.1;delay-max=3ms;outage=gru:10-20;retries=5;retry-base=2ms"
 	p, err := ParsePlan(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -24,7 +24,7 @@ func TestParsePlanRoundTrip(t *testing.T) {
 	if len(p.FailGroups) != 2 || p.FailGroups[0] != 2 || p.FailGroups[1] != 7 {
 		t.Errorf("FailGroups = %v", p.FailGroups)
 	}
-	if p.DelayP != 0.1 || p.DelayMax != 3*time.Millisecond || p.StageBudget != 2*time.Second {
+	if p.DelayP != 0.1 || p.DelayMax != 3*time.Millisecond {
 		t.Errorf("timing fields wrong: %+v", p)
 	}
 	if len(p.Outages) != 1 || !p.Outages[0].Covers("gru", 15) || p.Outages[0].Covers("gru", 20) || p.Outages[0].Covers("ams", 15) {
@@ -51,18 +51,26 @@ func TestParsePlanEmptyAndErrors(t *testing.T) {
 		}
 	}
 	bad := []string{
-		"sink-transient=1.5",          // probability out of range
-		"bogus-key=1",                 // unknown key
-		"outage=gru",                  // malformed outage
-		"outage=gru:9-3",              // inverted range
-		"delay-max=fast",              // bad duration
-		"sink-transient",              // missing value
-		"stall-shard=0",               // stall without a budget would hang
-		"stall-shard=1;stall-for=1ms", // same, explicit duration
+		"sink-transient=1.5", // probability out of range
+		"outage=gru",         // malformed outage
+		"outage=gru:9-3",     // inverted range
+		"delay-max=fast",     // bad duration
+		"sink-transient",     // missing value
 	}
 	for _, s := range bad {
 		if _, err := ParsePlan(s); err == nil {
 			t.Errorf("ParsePlan(%q) accepted", s)
+		}
+	}
+	unknown := []string{
+		"bogus-key=1",
+		"stall-shard=0",
+		"stall-for=1s",
+		"stage-budget=30ms",
+	}
+	for _, s := range unknown {
+		if _, err := ParsePlan(s); err == nil || !strings.Contains(err.Error(), "unknown plan key") {
+			t.Errorf("ParsePlan(%q) = %v, want an unknown plan key error", s, err)
 		}
 	}
 }
@@ -126,7 +134,7 @@ func TestInjectorNilSafety(t *testing.T) {
 	if f := in.batchFault(0); f != BatchOK {
 		t.Error("nil injector injected a batch fault")
 	}
-	if in.Outage("gru", 0) || in.ShardDelay(0, 0) != 0 || in.StageBudget() != 0 {
+	if in.Outage("gru", 0) || in.ShardDelay(0, 0) != 0 {
 		t.Error("nil injector injected timing faults")
 	}
 	in.Instrument(nil)

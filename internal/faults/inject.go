@@ -214,25 +214,17 @@ func (in *Injector) Outage(pop string, win int) bool {
 
 // ShardDelay returns the injected delay for a shard's nth dispatch —
 // scheduling chaos that perturbs timing but must not change a single
-// output byte. Includes the plan's one-shot shard stall (dispatch 0 of
-// StallShard).
+// output byte.
 func (in *Injector) ShardDelay(shard, n int) time.Duration {
-	if in == nil {
+	if in == nil || in.plan.DelayP <= 0 {
 		return 0
 	}
-	var d time.Duration
-	if shard == in.plan.StallShard && n == 0 && in.plan.StallFor > 0 {
-		in.inject(SurfaceDelay)
-		d = in.plan.StallFor
+	r := rng.ChildAt(in.mix, SurfaceDelay, shard<<20|n)
+	if !r.Bool(in.plan.DelayP) {
+		return 0
 	}
-	if in.plan.DelayP > 0 {
-		r := rng.ChildAt(in.mix, SurfaceDelay, shard<<20|n)
-		if r.Bool(in.plan.DelayP) {
-			in.inject(SurfaceDelay)
-			d += time.Duration(float64(in.plan.DelayMax) * r.Float64())
-		}
-	}
-	return d
+	in.inject(SurfaceDelay)
+	return time.Duration(float64(in.plan.DelayMax) * r.Float64())
 }
 
 // ShipFaultKind classifies one wire-shipment attempt's injected fate.
@@ -313,14 +305,6 @@ func (in *Injector) ShipFault(segID, attempt int) ShipFault {
 		return ShipFault{Kind: ShipDelay, Delay: time.Duration(float64(p.ShipDelayMax) * r.Float64())}
 	}
 	return ShipFault{}
-}
-
-// StageBudget returns the plan's per-shard-stage deadline (0 = none).
-func (in *Injector) StageBudget() time.Duration {
-	if in == nil {
-		return 0
-	}
-	return in.plan.StageBudget
 }
 
 // Policy returns the recovery policy the plan prescribes, with jitter

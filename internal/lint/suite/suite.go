@@ -60,8 +60,8 @@ type pkgOutcome struct {
 	findings []Finding
 	// facts were exported by this package's analyzers, in export order.
 	facts []analysis.ObjectFact
-	// timings is wall time per analyzer (prerequisites included).
-	timings map[string]time.Duration
+	// wall is wall time per analyzer (prerequisites included).
+	wall map[string]time.Duration
 }
 
 // analyzePackage applies the analyzers — prerequisites first — to one
@@ -71,7 +71,7 @@ func analyzePackage(pkg *load.Package, analyzers []*analysis.Analyzer, store *Fa
 	if len(pkg.Errors) > 0 {
 		return nil, fmt.Errorf("%s has type errors (first: %v)", pkg.Path, pkg.Errors[0])
 	}
-	out := &pkgOutcome{timings: make(map[string]time.Duration)}
+	out := &pkgOutcome{wall: make(map[string]time.Duration)}
 	results := make(map[*analysis.Analyzer]any)
 	ran := make(map[*analysis.Analyzer]bool)
 
@@ -118,7 +118,7 @@ func analyzePackage(pkg *load.Package, analyzers []*analysis.Analyzer, store *Fa
 		}
 		t0 := time.Now()
 		ret, err := a.Run(pass)
-		out.timings[name] += time.Since(t0)
+		out.wall[name] += time.Since(t0)
 		if err != nil {
 			return fmt.Errorf("analyzer %s on %s: %w", a.Name, pkg.Path, err)
 		}
@@ -209,7 +209,7 @@ func Run(pkgs []*load.Package, analyzers []*analysis.Analyzer) (*Result, error) 
 		if err != nil {
 			return nil, err
 		}
-		for name, d := range out.timings {
+		for name, d := range out.wall {
 			stat(name).Time += d
 		}
 		res.Findings = append(res.Findings, finalizePackage(pkg, out.findings)...)

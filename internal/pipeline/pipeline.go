@@ -26,14 +26,10 @@ package pipeline
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 // DefaultWorkers is the worker count used when a caller passes 0:
@@ -50,14 +46,7 @@ type Group struct {
 	wg     sync.WaitGroup
 	once   sync.Once
 	err    error
-	rec    *trace.Recorder
 }
-
-// Trace attaches a flight recorder: every GoBudget stage reports its
-// wall-clock duration to the timing sidecar, and budget expiries are
-// recorded as stall events. Call before launching stages; a nil
-// recorder leaves the group untraced.
-func (g *Group) Trace(rec *trace.Recorder) { g.rec = rec }
 
 // NewGroup returns a stage group under parent (nil means Background).
 func NewGroup(parent context.Context) *Group {
@@ -109,72 +98,6 @@ func (g *Group) GoPool(n int, worker func(ctx context.Context, i int) error, aft
 	}
 }
 
-// GoBudget launches one stage under a wall-time budget: the stage's
-// context is cancelled budget after launch with a *StageTimeoutError
-// as the cause, so a stalled stage fails loudly instead of hanging the
-// pipeline. The stage observes the deadline the same way it observes
-// poisoning — through blocked Sends/Ranges returning the cause. A
-// non-positive budget degrades to plain Go. Budgets are for bounded
-// chaos/recovery runs; long-lived streaming stages should stay
-// unbudgeted.
-func (g *Group) GoBudget(stage string, budget time.Duration, f func(ctx context.Context) error) {
-	run := f
-	if budget > 0 {
-		run = func(ctx context.Context) error {
-			sctx, cancel := context.WithTimeoutCause(ctx, budget, &StageTimeoutError{Stage: stage, Budget: budget})
-			defer cancel()
-			err := f(sctx)
-			if errors.Is(err, context.DeadlineExceeded) {
-				// The stage surfaced the raw deadline instead of the cause
-				// (e.g. a third-party call); restore attribution.
-				err = &StageTimeoutError{Stage: stage, Budget: budget}
-			}
-			return err
-		}
-	}
-	if rec := g.rec; rec != nil {
-		inner := run
-		run = func(ctx context.Context) error {
-			start := time.Now()
-			err := inner(ctx)
-			rec.StageTime(stage, time.Since(start))
-			var ste *StageTimeoutError
-			if errors.As(err, &ste) {
-				rec.Stall(ste.Stage, ste.Budget)
-			}
-			return err
-		}
-	}
-	g.Go(run)
-}
-
-// StageTimeoutError reports a stage that exhausted its GoBudget
-// deadline.
-type StageTimeoutError struct {
-	Stage  string
-	Budget time.Duration
-}
-
-// Error renders the timeout.
-func (e *StageTimeoutError) Error() string {
-	return fmt.Sprintf("pipeline stage %q exceeded its %v deadline budget", e.Stage, e.Budget)
-}
-
-// Cancel poisons the group from outside its stages — the hook for
-// callers that must abandon a pipeline (operator interrupt, fail-fast
-// fault handling) without waiting for a stage to fail. A nil err
-// records context.Canceled. Idempotent: the first poisoning (Cancel or
-// stage error) wins; later calls are no-ops.
-func (g *Group) Cancel(err error) {
-	if err == nil {
-		err = context.Canceled
-	}
-	g.once.Do(func() {
-		g.err = err
-		g.cancel(err)
-	})
-}
-
 // Wait blocks until every stage has returned and reports the first
 // error (nil on a clean run). The group's context is cancelled either
 // way, releasing any resources. Safe to call more than once.
@@ -220,14 +143,6 @@ func (s *Stream[T]) Instrument(reg *obs.Registry, stage string) {
 	reg.GaugeFunc(obs.L("pipeline_queue_capacity", "stage", stage), func() float64 {
 		return float64(cap(ch))
 	})
-}
-
-// Observe registers the stream's live queue depth as a timing-sidecar
-// probe on rec (sampled by Recorder.SampleQueues) — the physical
-// counterpart of Instrument's exposition-time gauges. Nil-safe.
-func (s *Stream[T]) Observe(rec *trace.Recorder, stage string) {
-	ch := s.ch
-	rec.Probe(stage, func() int { return len(ch) })
 }
 
 // Send delivers v, blocking under backpressure; it returns the

@@ -189,79 +189,3 @@ func TestStreamCloseIdempotent(t *testing.T) {
 		t.Fatalf("Range after double Close: %v", err)
 	}
 }
-
-// Cancel must poison the group from outside, be idempotent, and lose
-// to a stage error that landed first.
-func TestGroupCancel(t *testing.T) {
-	t.Run("poisons blocked stages", func(t *testing.T) {
-		g := NewGroup(context.Background())
-		s := NewStream[int](1)
-		g.Go(func(ctx context.Context) error {
-			return s.Range(ctx, func(int) error { return nil })
-		})
-		boom := errors.New("operator abort")
-		g.Cancel(boom)
-		g.Cancel(errors.New("second cancel must be a no-op"))
-		if err := g.Wait(); !errors.Is(err, boom) {
-			t.Fatalf("Wait = %v, want %v", err, boom)
-		}
-	})
-	t.Run("nil means context.Canceled", func(t *testing.T) {
-		g := NewGroup(context.Background())
-		g.Cancel(nil)
-		if err := g.Wait(); !errors.Is(err, context.Canceled) {
-			t.Fatalf("Wait = %v, want context.Canceled", err)
-		}
-	})
-	t.Run("safe after a stage error", func(t *testing.T) {
-		g := NewGroup(context.Background())
-		boom := errors.New("stage failed first")
-		g.Go(func(ctx context.Context) error { return boom })
-		if err := g.Wait(); !errors.Is(err, boom) {
-			t.Fatalf("Wait = %v, want %v", err, boom)
-		}
-		g.Cancel(errors.New("late cancel"))
-		if err := g.Wait(); !errors.Is(err, boom) {
-			t.Fatalf("Wait after late Cancel = %v, want the original %v", err, boom)
-		}
-	})
-}
-
-// GoBudget must fail a stalled stage with a StageTimeoutError carrying
-// the stage name, and leave fast stages untouched.
-func TestGoBudget(t *testing.T) {
-	t.Run("stall trips the budget", func(t *testing.T) {
-		g := NewGroup(context.Background())
-		s := NewStream[int](1)
-		g.GoBudget("stalled-shard", 5*time.Millisecond, func(ctx context.Context) error {
-			return s.Range(ctx, func(int) error { return nil }) // never fed, never closed
-		})
-		err := g.Wait()
-		var te *StageTimeoutError
-		if !errors.As(err, &te) {
-			t.Fatalf("Wait = %v, want a *StageTimeoutError", err)
-		}
-		if te.Stage != "stalled-shard" || te.Budget != 5*time.Millisecond {
-			t.Fatalf("timeout attribution = %+v", te)
-		}
-	})
-	t.Run("fast stage passes", func(t *testing.T) {
-		g := NewGroup(context.Background())
-		g.GoBudget("quick", time.Second, func(ctx context.Context) error { return nil })
-		if err := g.Wait(); err != nil {
-			t.Fatalf("Wait = %v, want nil", err)
-		}
-	})
-	t.Run("zero budget means unbudgeted", func(t *testing.T) {
-		g := NewGroup(context.Background())
-		g.GoBudget("unbounded", 0, func(ctx context.Context) error {
-			if _, ok := ctx.Deadline(); ok {
-				return errors.New("zero budget installed a deadline")
-			}
-			return nil
-		})
-		if err := g.Wait(); err != nil {
-			t.Fatalf("Wait = %v, want nil", err)
-		}
-	})
-}

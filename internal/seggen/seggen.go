@@ -199,10 +199,8 @@ func Run(ctx context.Context, opt Options) (Result, error) {
 
 	workers := opt.Workers
 	g := pipeline.NewGroup(ctx)
-	g.Trace(rec)
 	enc := pipeline.NewStream[segBatch](max(workers, 1))
 	enc.Instrument(reg, "write")
-	enc.Observe(rec, "write")
 	tb := rec.Buf() // owned by the ordered tail goroutine below
 	g.Go(func(ctx context.Context) error {
 		defer enc.Close()

@@ -4,11 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"strings"
 	"testing"
 
 	"repro/internal/faults"
-	"repro/internal/pipeline"
 	"repro/internal/world"
 )
 
@@ -201,21 +199,6 @@ func TestFailFastPropagatesFault(t *testing.T) {
 	})
 	if !errors.As(err, &fe) || fe.Surface != faults.SurfaceSink {
 		t.Fatalf("err = %v, want a wrapped sink FaultError", err)
-	}
-}
-
-// A stalled shard under a stage budget fails loudly with attribution
-// instead of hanging the run.
-func TestStalledShardTripsStageBudget(t *testing.T) {
-	_, err := RunCtx(context.Background(), detCfg(), Options{
-		Workers: 2, Plan: mustPlan(t, "stall-shard=0;stage-budget=30ms;stall-for=10s"),
-	})
-	var te *pipeline.StageTimeoutError
-	if !errors.As(err, &te) {
-		t.Fatalf("err = %v, want a StageTimeoutError", err)
-	}
-	if !strings.HasPrefix(te.Stage, "agg_shard_") {
-		t.Errorf("timeout attributed to %q, want an aggregation shard stage", te.Stage)
 	}
 }
 

@@ -104,7 +104,6 @@ type ingest struct {
 	overview *analysis.Overview
 	foldSpan *obs.SpanTimer
 	inj      *faults.Injector
-	rec      *trace.Recorder
 	buf      *trace.Buf // owned by the ordered deliver goroutine
 	feedHist *obs.Histogram
 	feedN    uint64
@@ -140,7 +139,6 @@ func newIngest(shards int, reg *obs.Registry, inj *faults.Injector, guard *fault
 		overview: ov,
 		foldSpan: reg.Span(obs.L("study_stage_seconds", "stage", "overview_fold"), "study"),
 		inj:      inj,
-		rec:      rec,
 		buf:      rec.Buf(),
 		feedHist: reg.Histogram("study_feed_batch_samples", []float64{1, 8, 64, 256, 1024, 4096, 16384}),
 	}
@@ -160,19 +158,17 @@ func newIngest(shards int, reg *obs.Registry, inj *faults.Injector, guard *fault
 			sh.guard, sh.qidx, sh.buf = guard, make(map[sample.GroupKey]int), rec.Buf()
 		}
 		sh.stream.Instrument(reg, fmt.Sprintf("agg_shard_%d", i))
-		sh.stream.Observe(rec, fmt.Sprintf("agg_shard_%d", i))
 		in.shards = append(in.shards, sh)
 	}
 	return in
 }
 
 // start launches one worker per shard in g. Under a fault plan the
-// workers run with the plan's stage budget (a stalled shard trips a
-// StageTimeoutError instead of hanging the run) and injected dispatch
-// delays — timing chaos that must not change one output byte.
+// workers take injected dispatch delays — timing chaos that must not
+// change one output byte.
 func (in *ingest) start(g *pipeline.Group) {
 	for i, sh := range in.shards {
-		run := func(ctx context.Context) error {
+		g.Go(func(ctx context.Context) error {
 			n := 0
 			err := sh.stream.Range(ctx, func(it item) error {
 				if d := in.inj.ShardDelay(i, n); d > 0 {
@@ -193,8 +189,7 @@ func (in *ingest) start(g *pipeline.Group) {
 				})
 			}
 			return err
-		}
-		g.GoBudget(fmt.Sprintf("agg_shard_%d", i), in.inj.StageBudget(), run)
+		})
 	}
 }
 
@@ -246,9 +241,6 @@ func (in *ingest) mark(n int) {
 		Kind: trace.KMark, Stage: "feed", Value: int64(n),
 	})
 	in.feedHist.ObserveExemplar(float64(n), id)
-	if in.feedN%64 == 0 {
-		in.rec.SampleQueues()
-	}
 	in.feedN++
 }
 
@@ -357,7 +349,6 @@ func (in *ingest) finish(cov *faults.Coverage) (*agg.Store, collector.Stats, *an
 			})
 		}
 		cov.EmitTrace(in.buf)
-		in.rec.SampleQueues()
 	}
 	return store, stats, in.overview
 }

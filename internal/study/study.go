@@ -107,7 +107,7 @@ type Options struct {
 	Reg *obs.Registry
 	// Plan, when non-nil, injects deterministic faults across the
 	// pipeline (sink failures, batch corruption, PoP outages, shard
-	// stalls) and makes Results carry a degradation ledger. The report
+	// delays) and makes Results carry a degradation ledger. The report
 	// stays byte-identical at any worker count for a fixed (seed, plan).
 	Plan *faults.Plan
 	// FailFast makes the first non-recoverable fault poison the run
@@ -226,7 +226,6 @@ func run(ctx context.Context, src source, opt Options, in *inline, prev *Results
 		ing := newIngest(opt.Workers, opt.Reg, inj, e.guard, opt.Trace)
 		sk, e.buf, in = ing, ing.buf, nil
 		g := pipeline.NewGroup(ctx)
-		g.Trace(opt.Trace)
 		ing.start(g)
 		g.Go(func(ctx context.Context) error {
 			defer ing.close()

@@ -3,9 +3,15 @@ package study
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -116,5 +122,54 @@ func TestTracingDoesNotChangeReport(t *testing.T) {
 	_, traced := traceRun(t, 4, nil)
 	if a, b := renderNormalized(t, plain), renderNormalized(t, traced); !bytes.Equal(a, b) {
 		t.Fatal("tracing changed the rendered report")
+	}
+}
+
+// Wall-clock facts have one home: a traced sharded run exposes its
+// queue depths and shard stage times on the registry, and the trace
+// file it writes is the only file — no physical sidecar beside it.
+func TestWallClockFactsLiveOnMetrics(t *testing.T) {
+	reg := obs.NewRegistry()
+	rec := trace.New(detCfg().Seed)
+	if _, err := RunCtx(context.Background(), detCfg(), Options{Workers: 4, Reg: reg, Trace: rec}); err != nil {
+		t.Fatalf("RunCtx: %v", err)
+	}
+	var expo bytes.Buffer
+	if err := reg.WritePrometheus(&expo); err != nil {
+		t.Fatalf("WritePrometheus: %v", err)
+	}
+	value := func(series string) (float64, bool) {
+		for _, line := range strings.Split(expo.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, series+" "); ok {
+				f, err := strconv.ParseFloat(v, 64)
+				return f, err == nil
+			}
+		}
+		return 0, false
+	}
+	for i := 0; i < 4; i++ {
+		series := fmt.Sprintf(`pipeline_queue_depth{stage="agg_shard_%d"}`, i)
+		if _, ok := value(series); !ok {
+			t.Errorf("/metrics lacks %s", series)
+		}
+	}
+	if n, _ := value(`study_stage_seconds_count{stage="agg_shard",parent="study"}`); n == 0 {
+		t.Errorf("study_stage_seconds_count for agg_shard is %v, want > 0", n)
+	}
+
+	dir := t.TempDir()
+	if err := rec.WriteFile(filepath.Join(dir, "run.trace")); err != nil {
+		t.Fatalf("WriteFile: %v", err)
+	}
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 1 {
+		var names []string
+		for _, f := range files {
+			names = append(names, f.Name())
+		}
+		t.Fatalf("WriteFile left %v, want only run.trace", names)
 	}
 }

@@ -1,11 +1,7 @@
 package trace
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 	"sort"
 )
 
@@ -332,104 +328,5 @@ func Diff(a, b *File) []DiffRow {
 		}
 		return out[i].Stage < out[j].Stage
 	})
-	return out
-}
-
-// TimedEvent is one physical record from the timing sidecar.
-type TimedEvent struct {
-	Kind  Kind   `json:"-"`
-	Stage string `json:"s"`
-	Seq   uint64 `json:"q"`
-	Value int64  `json:"v"`
-}
-
-// ParseTiming reads a timing sidecar.
-func ParseTiming(r io.Reader) ([]TimedEvent, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("trace: empty timing sidecar")
-	}
-	var out []TimedEvent
-	line := 1
-	for sc.Scan() {
-		line++
-		var raw struct {
-			Kind  string `json:"k"`
-			Stage string `json:"s"`
-			Seq   uint64 `json:"q"`
-			Value int64  `json:"v"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &raw); err != nil {
-			return nil, fmt.Errorf("trace: timing line %d: %w", line, err)
-		}
-		k, ok := kindByName[raw.Kind]
-		if !ok {
-			return nil, fmt.Errorf("trace: timing line %d: unknown kind %q", line, raw.Kind)
-		}
-		out = append(out, TimedEvent{Kind: k, Stage: raw.Stage, Seq: raw.Seq, Value: raw.Value})
-	}
-	return out, sc.Err()
-}
-
-// ParseTimingFile reads the timing sidecar at path; a missing file
-// yields (nil, nil) — an untraced-timing run, not an error.
-func ParseTimingFile(path string) ([]TimedEvent, error) {
-	fh, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	defer fh.Close()
-	return ParseTiming(fh)
-}
-
-// StallRow summarises one stage's physical behaviour from the sidecar.
-type StallRow struct {
-	Stage    string
-	Stalls   int   // GoBudget deadline expiries
-	Depths   int   // queue-depth samples taken
-	MaxDepth int64 // deepest observed queue
-	TimeNs   int64 // summed stage goroutine wall clock
-}
-
-// StallReport folds timing events into per-stage rows, sorted by
-// stage name.
-func StallReport(ts []TimedEvent) []StallRow {
-	idx := map[string]*StallRow{}
-	var order []string
-	get := func(stage string) *StallRow {
-		r, ok := idx[stage]
-		if !ok {
-			r = &StallRow{Stage: stage}
-			idx[stage] = r
-			order = append(order, stage)
-		}
-		return r
-	}
-	for _, t := range ts {
-		r := get(t.Stage)
-		switch t.Kind {
-		case KStall:
-			r.Stalls++
-		case KDepth:
-			r.Depths++
-			if t.Value > r.MaxDepth {
-				r.MaxDepth = t.Value
-			}
-		case KTime:
-			r.TimeNs += t.Value
-		}
-	}
-	out := make([]StallRow, 0, len(order))
-	for _, k := range order {
-		out = append(out, *idx[k])
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Stage < out[j].Stage })
 	return out
 }

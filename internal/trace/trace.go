@@ -14,9 +14,8 @@
 // plus a phase rank and an in-track sequence number; the flush sorts
 // on that key, so the same flags produce a byte-identical trace file
 // at any worker count. Physical measurements that cannot be
-// deterministic (queue-depth samples, GoBudget stalls) go to a
-// separate timing sidecar (<path>.timing) that carries no determinism
-// guarantee.
+// deterministic (queue depths, stage wall clocks) are not trace events:
+// they live on the obs registry's /metrics exposition.
 //
 // Cost model: a nil *Recorder or *Buf is valid everywhere and makes
 // every emission a no-op — tracing disabled costs a nil check and
@@ -28,7 +27,6 @@ package trace
 import (
 	"strconv"
 	"sync"
-	"time"
 
 	"repro/internal/rng"
 )
@@ -36,7 +34,7 @@ import (
 // Kind enumerates trace event types.
 type Kind uint8
 
-// Deterministic event kinds (the trace file proper).
+// Event kinds: every one is deterministic.
 const (
 	// KBegin/KEnd bracket one logical span (a group's generation, a
 	// batch fold); Value on KEnd is the span's logical size in samples.
@@ -59,22 +57,12 @@ const (
 	KSeal
 	// KCommit records a segment-store chunk committed to the manifest.
 	KCommit
-
-	// Physical kinds (timing sidecar only; never in the golden file).
-
-	// KDepth is a queue-depth sample for one pipeline stage.
-	KDepth
-	// KStall is a GoBudget stage deadline expiry.
-	KStall
-	// KTime is one stage goroutine's wall-clock duration (ns).
-	KTime
 )
 
 var kindNames = map[Kind]string{
 	KBegin: "begin", KEnd: "end", KMark: "mark", KFault: "fault",
 	KRetry: "retry", KQuarantine: "quarantine", KLoss: "loss",
-	KSeal: "seal", KCommit: "commit", KDepth: "depth", KStall: "stall",
-	KTime: "time",
+	KSeal: "seal", KCommit: "commit",
 }
 
 var kindByName = func() map[string]Kind {
@@ -230,32 +218,14 @@ func less(a, b Event) bool {
 const DefaultBufCap = 1 << 15
 
 // Recorder owns a run's trace: it hands out single-goroutine ring
-// buffers (Buf), collects physical timing events, and flushes
-// everything deterministically. A nil *Recorder is valid everywhere
-// and records nothing.
+// buffers (Buf) and flushes them deterministically. A nil *Recorder is
+// valid everywhere and records nothing.
 type Recorder struct {
 	base   uint64
 	bufCap int
 
-	mu     sync.Mutex
-	bufs   []*Buf
-	timing []timed
-	probes []probe
-	rounds uint64
-}
-
-// timed is one physical timing record (sidecar only).
-type timed struct {
-	Kind  Kind
-	Stage string
-	Seq   uint64
-	Value int64
-}
-
-// probe samples one queue's live depth.
-type probe struct {
-	stage string
-	depth func() int
+	mu   sync.Mutex
+	bufs []*Buf
 }
 
 // New returns a recorder whose event-identity base derives from the
@@ -300,56 +270,6 @@ func (r *Recorder) Buf() *Buf {
 	r.bufs = append(r.bufs, b)
 	r.mu.Unlock()
 	return b
-}
-
-// Stall records a GoBudget stage-deadline expiry on the timing
-// sidecar. Nil-safe; physical, never part of the deterministic file.
-func (r *Recorder) Stall(stage string, budget time.Duration) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.timing = append(r.timing, timed{Kind: KStall, Stage: stage, Value: int64(budget)})
-	r.mu.Unlock()
-}
-
-// StageTime records one stage goroutine's wall-clock duration on the
-// timing sidecar (once per stage exit — off the hot path). Nil-safe.
-func (r *Recorder) StageTime(stage string, d time.Duration) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.timing = append(r.timing, timed{Kind: KTime, Stage: stage, Value: int64(d)})
-	r.mu.Unlock()
-}
-
-// Probe registers a queue-depth callback sampled by SampleQueues.
-// Nil-safe. The callback must be safe to call concurrently (len(ch)
-// on a channel is).
-func (r *Recorder) Probe(stage string, depth func() int) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.probes = append(r.probes, probe{stage: stage, depth: depth})
-	r.mu.Unlock()
-}
-
-// SampleQueues takes one depth sample of every registered probe onto
-// the timing sidecar. Nil-safe; called opportunistically (the study
-// feed stage samples every few batches, and Flush takes a final one).
-func (r *Recorder) SampleQueues() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.rounds++
-	round := r.rounds
-	for _, p := range r.probes {
-		r.timing = append(r.timing, timed{Kind: KDepth, Stage: p.stage, Seq: round, Value: int64(p.depth())})
-	}
-	r.mu.Unlock()
 }
 
 // Dropped returns the total events overwritten across all rings — the

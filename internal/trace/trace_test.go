@@ -151,10 +151,6 @@ func TestNilSafety(t *testing.T) {
 		t.Fatalf("inert span returned id %d", id)
 	}
 	b.Loss("t", PhaseGen, -1, 0, "stage", LossOutage, 5)
-	r.Stall("s", 0)
-	r.StageTime("s", 0)
-	r.Probe("s", func() int { return 0 })
-	r.SampleQueues()
 	if err := r.Flush(nil); err != nil {
 		t.Fatalf("nil recorder Flush: %v", err)
 	}
@@ -190,51 +186,6 @@ func TestEnabledSteadyStateAllocs(t *testing.T) {
 	n := testing.AllocsPerRun(1000, func() { b.Emit(e) })
 	if n != 0 {
 		t.Fatalf("steady-state Emit allocates %.1f/op", n)
-	}
-}
-
-func TestTimingSidecarSeparation(t *testing.T) {
-	r := New(3)
-	b := r.Buf()
-	b.Emit(Event{Track: TrackRun, Phase: PhaseRun, Seq: 0, Kind: KMark, Stage: "run"})
-	r.Stall("ingest", 1000)
-	r.Probe("feed", func() int { return 5 })
-	r.SampleQueues()
-	r.StageTime("feed", 2000)
-	var out bytes.Buffer
-	if err := r.Flush(&out); err != nil {
-		t.Fatal(err)
-	}
-	for _, phys := range []string{`"stall"`, `"depth"`, `"time"`} {
-		if strings.Contains(out.String(), phys) {
-			t.Fatalf("physical kind %s leaked into deterministic trace", phys)
-		}
-	}
-	dir := t.TempDir()
-	path := dir + "/run.trace"
-	if err := r.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	ts, err := ParseTimingFile(path + ".timing")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ts) != 3 {
-		t.Fatalf("timing events: got %d want 3", len(ts))
-	}
-	rows := StallReport(ts)
-	byStage := map[string]StallRow{}
-	for _, row := range rows {
-		byStage[row.Stage] = row
-	}
-	if byStage["ingest"].Stalls != 1 {
-		t.Fatalf("ingest stalls: %+v", rows)
-	}
-	if byStage["feed"].MaxDepth != 5 || byStage["feed"].TimeNs != 2000 {
-		t.Fatalf("feed row: %+v", byStage["feed"])
-	}
-	if ts2, err := ParseTimingFile(dir + "/absent.timing"); err != nil || ts2 != nil {
-		t.Fatalf("missing sidecar: %v %v", ts2, err)
 	}
 }
 

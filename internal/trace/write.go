@@ -85,10 +85,7 @@ func hex16(dst []byte, v uint64) {
 	}
 }
 
-// WriteFile flushes the deterministic trace to path and the physical
-// timing sidecar (queue-depth samples, stalls) to path+".timing". The
-// sidecar is explicitly not deterministic and is only written when it
-// has content.
+// WriteFile flushes the deterministic trace to path.
 func (r *Recorder) WriteFile(path string) error {
 	if r == nil {
 		return nil
@@ -101,29 +98,5 @@ func (r *Recorder) WriteFile(path string) error {
 		_ = f.Close() // the Flush error is the one worth reporting
 		return err
 	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-
-	r.mu.Lock()
-	timing := append([]timed(nil), r.timing...)
-	r.mu.Unlock()
-	if len(timing) == 0 {
-		return nil
-	}
-	tf, err := os.Create(path + ".timing")
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(tf)
-	fmt.Fprintf(bw, "{\"trace\":%q,\"sidecar\":\"timing\"}\n", Header)
-	for _, t := range timing {
-		fmt.Fprintf(bw, "{\"k\":%q,\"s\":%s,\"q\":%d,\"v\":%d}\n",
-			t.Kind.String(), strconv.Quote(t.Stage), t.Seq, t.Value)
-	}
-	if err := bw.Flush(); err != nil {
-		_ = tf.Close() // the Flush error is the one worth reporting
-		return err
-	}
-	return tf.Close()
+	return f.Close()
 }

@@ -3,7 +3,6 @@ package world
 import (
 	"context"
 	"math"
-	"runtime"
 	"time"
 
 	"repro/internal/cartographer"
@@ -35,27 +34,13 @@ type Batch struct {
 	Lost int
 }
 
-// DefaultWorkers is the generation worker count used by the legacy
-// Generate entry point: one per CPU, capped — group simulation is
-// compute-bound and stops scaling past the core count.
-func DefaultWorkers() int {
-	nw := runtime.NumCPU()
-	if nw > 16 {
-		nw = 16
-	}
-	if nw < 1 {
-		nw = 1
-	}
-	return nw
-}
-
 // Generate produces the full dataset, invoking emit for every sampled
 // session in deterministic order (group by group, windows ascending).
 // Generation is parallel across groups; emission is ordered.
 func (w *World) Generate(emit func(sample.Sample)) {
 	// Only context cancellation or a failing deliver can error, and this
 	// legacy path has neither.
-	_ = w.GenerateCtx(context.Background(), DefaultWorkers(), emit)
+	_ = w.GenerateCtx(context.Background(), pipeline.DefaultWorkers(), emit)
 }
 
 // GenerateCtx is Generate with explicit worker count and cancellation:
