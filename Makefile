@@ -48,13 +48,20 @@ test:
 	$(GO) test ./...
 
 # The dataset round trip under the race detector: write a columnar
-# dataset with the parallel segment writer, then analyse it through the
-# parallel scanner with a time filter pushed down to the manifest.
+# dataset with the parallel segment writer, then analyse it with a time
+# filter pushed down to the manifest at one worker (one decode goroutine
+# reading ahead of the fold, one aggregation shard) and at four. The two
+# reports must be byte-identical once line 2, the wall-clock line, is
+# dropped.
 seg-race:
-	rm -rf .seg-race-ds
-	$(GO) run -race ./cmd/edgesim -seed 3 -groups 8 -days 2 -spw 12 -workers 4 -o .seg-race-ds
-	$(GO) run -race ./cmd/edgereport -in .seg-race-ds -workers 4 -from 24h > /dev/null
-	rm -rf .seg-race-ds
+	rm -rf .seg-race
+	mkdir -p .seg-race
+	$(GO) run -race ./cmd/edgesim -seed 3 -groups 8 -days 2 -spw 12 -workers 4 -o .seg-race/ds
+	$(GO) run -race ./cmd/edgereport -in .seg-race/ds -workers 1 -from 24h > .seg-race/w1.txt
+	$(GO) run -race ./cmd/edgereport -in .seg-race/ds -workers 4 -from 24h > .seg-race/w4.txt
+	sed 2d .seg-race/w1.txt > .seg-race/w1.body
+	sed 2d .seg-race/w4.txt | cmp .seg-race/w1.body -
+	rm -rf .seg-race
 
 # The flight recorder's determinism golden, live: two traced chaos
 # studies under the race detector at different worker counts must

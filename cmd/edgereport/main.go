@@ -91,7 +91,7 @@ func main() {
 		pop         = flag.String("pop", "", "with -in: only analyse these PoPs (comma-separated)")
 		cdf         = flag.Bool("cdf", false, "also dump raw CDF series for Figures 8 and 9")
 		deagg       = flag.Bool("deagg", false, "also run the §3.3 prefix-deaggregation experiment")
-		workers     = flag.Int("workers", pipeline.DefaultWorkers(), "pipeline workers and aggregation shards (1 = sequential)")
+		workers     = flag.Int("workers", pipeline.DefaultWorkers(), "pipeline workers and aggregation shards (any count renders the same report)")
 		progress    = flag.Bool("progress", false, "report study progress to stderr every 2s")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address")
 		faultPlan   = flag.String("fault-plan", "", "deterministic fault-injection plan (key=value;... — see internal/faults; '' or 'none' disables)")
@@ -163,7 +163,7 @@ func main() {
 	switch {
 	case *deagg && *in == "":
 		// The deaggregation experiment re-buckets the same world two ways;
-		// it stays on the sequential path regardless of -workers.
+		// it runs at one worker regardless of -workers.
 		r, d := study.RunDeaggregation(cfg)
 		res, deag = r, &d
 	case *in == "":

@@ -247,15 +247,6 @@ func StoreColumnSink(st *agg.Store) ColumnSink {
 	}
 }
 
-// ColumnFuncSink adapts an infallible batch consumer into a column
-// sink.
-func ColumnFuncSink(f func(*segstore.ColumnBatch)) ColumnSink {
-	return func(b *segstore.ColumnBatch) error {
-		f(b)
-		return nil
-	}
-}
-
 // SliceSink appends accepted samples to *dst — the buffer-then-encode
 // shape columnar writers need (they see whole segments, not a stream).
 func SliceSink(dst *[]sample.Sample) Sink {

@@ -56,8 +56,8 @@ func (o Outage) Covers(pop string, win int) bool {
 
 // Plan describes the faults to inject into one run. The zero value
 // injects nothing; a nil *Plan everywhere means "no injection". Plans
-// are data — they carry no RNG state — so the same plan can drive the
-// sequential oracle and the sharded pipeline to identical outcomes.
+// are data — they carry no RNG state — so the same plan drives the
+// pipeline to identical outcomes at every worker count.
 type Plan struct {
 	// Seed separates the fault lineage from the world lineage; it is
 	// mixed with the study seed so two studies with the same plan do not

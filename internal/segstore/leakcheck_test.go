@@ -9,6 +9,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"repro/internal/obs"
 )
 
 // expectedDoubleReleases counts the double releases tests provoke on
@@ -168,7 +171,9 @@ func writeDataset(t *testing.T, segments int) string {
 // Regression: a mid-scan emit error used to strand every batch that was
 // decoded but not yet emitted — the workers' failed Sends leaked their
 // batches and Reorder dropped its pending window. The drain path must
-// release all of them.
+// release all of them, also when the segment after the failing emit is
+// rotted and its decode error races the emit error (decoding runs ahead
+// of emit at every worker count): either error may win, nil may not.
 func TestScanColumnsEmitErrorReleasesEverything(t *testing.T) {
 	dir := writeDataset(t, 6)
 	r, err := Open(dir)
@@ -179,21 +184,68 @@ func TestScanColumnsEmitErrorReleasesEverything(t *testing.T) {
 
 	before, _ := LeakStats()
 	boom := errors.New("sink exploded")
-	for _, workers := range []int{1, 4} {
-		emitted := 0
-		err := r.ScanColumns(context.Background(), workers, nil, func(b *ColumnBatch) error {
-			emitted++
-			b.Release()
-			if emitted >= 2 {
-				return boom
+	for _, rotted := range []bool{false, true} {
+		if rotted {
+			path := filepath.Join(dir, r.Manifest().Segments[2].File)
+			blob, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
 			}
+			blob[len(blob)/2] ^= 0xff
+			if err := os.WriteFile(path, blob, 0o666); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, workers := range []int{1, 4} {
+			emitted := 0
+			err := r.ScanColumns(context.Background(), workers, nil, func(b *ColumnBatch) error {
+				emitted++
+				b.Release()
+				if emitted >= 2 {
+					return boom
+				}
+				return nil
+			})
+			if !errors.Is(err, boom) && !(rotted && errors.Is(err, ErrCorrupt)) {
+				t.Fatalf("rotted=%v workers=%d: scan error = %v, want the emit error", rotted, workers, err)
+			}
+			if out, _ := LeakStats(); out != before {
+				t.Fatalf("rotted=%v workers=%d: outstanding batches = %d, want %d — poisoned scan leaked pool capacity", rotted, workers, out, before)
+			}
+		}
+	}
+}
+
+// At one worker the scan still reads ahead: segment 1 is read,
+// checksummed and decoded while emit holds segment 0.
+func TestScanReadsAheadAtOneWorker(t *testing.T) {
+	dir := writeDataset(t, 3)
+	r, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	reg := obs.NewRegistry()
+	r.Instrument(reg)
+	read := reg.Counter("segstore_segments_read_total")
+
+	emitted := 0
+	err = r.ScanColumns(context.Background(), 1, nil, func(b *ColumnBatch) error {
+		defer b.Release()
+		if emitted++; emitted > 1 {
 			return nil
-		})
-		if !errors.Is(err, boom) {
-			t.Fatalf("workers=%d: scan error = %v, want the emit error", workers, err)
 		}
-		if out, _ := LeakStats(); out != before {
-			t.Fatalf("workers=%d: outstanding batches = %d, want %d — poisoned scan leaked pool capacity", workers, out, before)
+		for deadline := time.Now().Add(10 * time.Second); read.Value() < 2; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				return fmt.Errorf("emit of segment 0 waited 10s with %d segments read: the scan does not read ahead", read.Value())
+			}
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if emitted != 3 {
+		t.Fatalf("emitted %d batches, want 3", emitted)
 	}
 }

@@ -29,7 +29,9 @@ type Reader struct {
 	// allocating per segment. Batches return here via Release.
 	pool sync.Pool
 
-	// Pre-resolved obs handles; nil (no-op) until Instrument.
+	// The Instrument registry and pre-resolved handles on it; nil (no-op)
+	// until Instrument.
+	reg         *obs.Registry
 	scanSpan    *obs.SpanTimer
 	cBytesRead  *obs.Counter
 	cSamples    *obs.Counter
@@ -93,8 +95,10 @@ func (r *Reader) Close() error {
 
 // Instrument registers scan metrics on reg (nil-safe): bytes/segments
 // read and decoded samples as counters (rates show on the obs progress
-// line), plan totals and pruned amounts as gauges.
+// line), plan totals and pruned amounts as gauges, and each scan's
+// decode queue.
 func (r *Reader) Instrument(reg *obs.Registry) {
+	r.reg = reg
 	r.scanSpan = reg.Span(obs.L("segstore_stage_seconds", "stage", "scan"), "segstore")
 	r.cBytesRead = reg.Counter("segstore_bytes_read_total")
 	r.cSamples = reg.Counter("segstore_samples_decoded_total")
@@ -177,38 +181,22 @@ func (r *Reader) ScanColumns(ctx context.Context, workers int, f *Filter, emit f
 // ScanSegments scans segs — segments of this dataset's manifest, in the
 // order given: a reader that has already seen the others passes only the
 // rest. It prunes against f, decodes the surviving segments into column
-// batches on up to workers goroutines, filters them at the column level,
-// and emits each batch in segs order — the primary read path; no row
-// structs are built. emit takes ownership of the batch and must Release
-// it (directly or by handing it on); emit's error — like a decode error —
-// poisons the whole scan. workers <= 1 scans sequentially on the calling
-// goroutine (the determinism oracle; there is nothing to reorder).
+// batches on up to workers goroutines (at least one), filters them at the
+// column level, and emits each batch in segs order from one goroutine —
+// the primary read path; no row structs are built. Decoding
+// runs ahead of emit, so even one worker reads segment k+1 while emit
+// folds segment k; the decode→emit queue is
+// pipeline_queue_depth{stage="segstore_decode"} on the Instrument
+// registry. emit takes ownership of the batch and must Release it
+// (directly or by handing it on); emit's error — like a decode error —
+// poisons the whole scan.
 func (r *Reader) ScanSegments(ctx context.Context, workers int, segs []SegmentMeta, f *Filter, emit func(*ColumnBatch) error) error {
 	plan := r.prune(segs, f)
-	if workers <= 1 {
-		for _, m := range plan {
-			if err := ctx.Err(); err != nil {
-				return context.Cause(ctx)
-			}
-			b, err := r.readColumns(m)
-			if err != nil {
-				return err
-			}
-			f.ApplyColumns(b)
-			if err := emit(b); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
 	type decoded struct {
 		seq int
 		b   *ColumnBatch
 	}
-	if workers > len(plan) && len(plan) > 0 {
-		workers = len(plan)
-	}
+	workers = max(1, min(workers, len(plan)))
 	idx := make(chan int, len(plan))
 	for i := range plan {
 		idx <- i
@@ -217,6 +205,7 @@ func (r *Reader) ScanSegments(ctx context.Context, workers int, segs []SegmentMe
 
 	g := pipeline.NewGroup(ctx)
 	out := pipeline.NewStream[decoded](workers)
+	out.Instrument(r.reg, "segstore_decode")
 	g.GoPool(workers, func(ctx context.Context, _ int) error {
 		for i := range idx {
 			if err := ctx.Err(); err != nil {

@@ -26,11 +26,11 @@ func renderNormalized(t *testing.T, r *Results) []byte {
 	return b.Bytes()
 }
 
-// The tentpole guarantee: the sharded pipeline's rendered report is
-// byte-identical to the sequential (-workers 1) oracle on the same
-// seed. Everything feeds this — per-group order preservation in
-// generation, key-partitioned shard stores, the exact store merge, and
-// the Overview's per-group folds.
+// The tentpole guarantee: the pipeline's rendered report is
+// byte-identical at every worker count on the same seed (workers 1 is
+// one generate worker and one shard). Everything feeds this — per-group
+// order preservation in generation, key-partitioned shard stores, the
+// exact store merge, and the Overview's per-group folds.
 func TestShardedRunReportByteIdentical(t *testing.T) {
 	seqRes, err := RunCtx(context.Background(), detCfg(), Options{Workers: 1})
 	if err != nil {
@@ -55,9 +55,9 @@ func TestShardedRunReportByteIdentical(t *testing.T) {
 	}
 }
 
-// The legacy Run entry point (parallel generation, sequential ingest)
-// must agree with both pipeline modes — it remains the API the examples
-// and benchmarks use.
+// The legacy Run entry point (one worker, nothing attached) must agree
+// with the multi-worker pipeline — it remains the API the examples and
+// benchmarks use.
 func TestLegacyRunMatchesPipeline(t *testing.T) {
 	legacy := Run(detCfg())
 	piped, err := RunCtx(context.Background(), detCfg(), Options{Workers: 4})

@@ -17,7 +17,8 @@ import (
 )
 
 // sink is where a source delivers the study's samples: batches arrive
-// in sequential order on one goroutine, in either pipeline currency.
+// in canonical order on one goroutine, in either pipeline currency. The
+// ingest is the one sink; tests interpose on it.
 type sink interface {
 	// rows takes one batch of decoded rows (generation, the row oracle).
 	// The sink may keep the slice until the run ends.
@@ -26,9 +27,6 @@ type sink interface {
 	// call: the caller releases it, a sink that hands parts of it on
 	// retains them (Slice).
 	columns(ctx context.Context, b *segstore.ColumnBatch) error
-	// finish, once delivery has returned cleanly, yields what the samples
-	// aggregated into and closes the trace with the coverage ledger.
-	finish(cov *faults.Coverage) (*agg.Store, collector.Stats, *analysis.Overview)
 }
 
 // item is one run of samples bound for one collector, in either
@@ -49,59 +47,25 @@ func offer(col *collector.Collector, it item) error {
 	return col.Err()
 }
 
-// inline is the sequential oracle's sink: one collector feeding one
-// store and the Overview on the delivering goroutine. It is also where
-// that goroutine notices cancellation, once per delivered batch. It is
-// the sink that can take more samples after finish, which is what a
-// Segments study keeps between advances.
-type inline struct {
-	col      *collector.Collector
-	store    *agg.Store
-	overview *analysis.Overview
-}
-
-func newInline(reg *obs.Registry) *inline {
-	in := &inline{store: agg.NewStore(), overview: analysis.NewOverview()}
-	in.store.Instrument(reg)
-	in.overview.Instrument(reg)
-	// A run delivers in one currency, so only one sink pair ever fires.
-	in.col = collector.New(collector.StoreSink(in.store), collector.FuncSink(in.overview.Add))
-	in.col.AddColumnSink(collector.StoreColumnSink(in.store))
-	in.col.AddColumnSink(collector.ColumnFuncSink(in.overview.AddColumns))
-	in.col.Instrument(reg)
-	return in
-}
-
-func (in *inline) rows(ctx context.Context, samples []sample.Sample) error {
-	return in.take(ctx, item{rows: samples})
-}
-
-func (in *inline) columns(ctx context.Context, b *segstore.ColumnBatch) error {
-	return in.take(ctx, item{cols: b})
-}
-
-func (in *inline) take(ctx context.Context, it item) error {
-	if ctx.Err() != nil {
-		return context.Cause(ctx)
-	}
-	return offer(in.col, it)
-}
-
-func (in *inline) finish(*faults.Coverage) (*agg.Store, collector.Stats, *analysis.Overview) {
-	return in.store, in.col.Stats(), in.overview
-}
-
-// ingest is the sharded sink: the Overview, folded on the delivering
-// goroutine, plus N collector shards, each filtering its share of the
-// stream into a shard-local aggregation store. Batches arrive in
-// sequential order; samples are routed to shards by group-key hash, so
-// each (group, window, route) digest — like each of the Overview's
-// per-group accumulators — sees exactly the subsequence, in exactly the
-// order, it would under sequential ingestion, which is why the final
+// ingest is where a source delivers the study's samples: the Overview,
+// folded on the delivering goroutine, plus N collector shards, each
+// filtering its share of the stream into a shard-local aggregation
+// store on a goroutine of its own (one shard at one worker). Batches
+// arrive in canonical order from one goroutine, in either pipeline
+// currency; samples are routed to shards by group-key hash, so each
+// (group, window, route) digest — like each of the Overview's per-group
+// accumulators — sees exactly the subsequence, in exactly the order, it
+// would if one collector took the whole stream, which is why the final
 // merge is exact rather than approximate.
+//
+// A one-shard ingest is never merged, so with neither a fault plan nor a
+// trace it can take more samples after finish: start it again and the
+// next source's samples land on top of what it holds — what a Segments
+// study keeps between advances.
 type ingest struct {
 	shards   []*ingestShard
 	overview *analysis.Overview
+	reg      *obs.Registry
 	foldSpan *obs.SpanTimer
 	inj      *faults.Injector
 	buf      *trace.Buf // owned by the ordered deliver goroutine
@@ -117,7 +81,7 @@ type shardCut struct {
 }
 
 type ingestShard struct {
-	stream *pipeline.Stream[item] // runs of consecutive same-shard samples
+	stream *pipeline.Stream[item] // runs of consecutive same-shard samples; one per start
 	col    *collector.Collector
 	store  *agg.Store
 	span   *obs.SpanTimer
@@ -137,6 +101,7 @@ func newIngest(shards int, reg *obs.Registry, inj *faults.Injector, guard *fault
 	ov.Instrument(reg)
 	in := &ingest{
 		overview: ov,
+		reg:      reg,
 		foldSpan: reg.Span(obs.L("study_stage_seconds", "stage", "overview_fold"), "study"),
 		inj:      inj,
 		buf:      rec.Buf(),
@@ -149,25 +114,30 @@ func newIngest(shards int, reg *obs.Registry, inj *faults.Injector, guard *fault
 		col.AddColumnSink(collector.StoreColumnSink(st))
 		col.Instrument(reg)
 		sh := &ingestShard{
-			stream: pipeline.NewStream[item](4),
-			col:    col,
-			store:  st,
-			span:   reg.Span(obs.L("study_stage_seconds", "stage", "agg_shard"), "study"),
+			col:   col,
+			store: st,
+			span:  reg.Span(obs.L("study_stage_seconds", "stage", "agg_shard"), "study"),
 		}
 		if guard != nil {
 			sh.guard, sh.qidx, sh.buf = guard, make(map[sample.GroupKey]int), rec.Buf()
 		}
-		sh.stream.Instrument(reg, fmt.Sprintf("agg_shard_%d", i))
 		in.shards = append(in.shards, sh)
 	}
 	return in
 }
 
-// start launches one worker per shard in g. Under a fault plan the
-// workers take injected dispatch delays — timing chaos that must not
-// change one output byte.
+// keeps reports whether in can take more samples after finish.
+func (in *ingest) keeps() bool {
+	return len(in.shards) == 1 && in.shards[0].guard == nil && in.buf == nil
+}
+
+// start opens each shard's stream — close spends it — and launches one
+// worker per shard in g. Under a fault plan the workers take injected
+// dispatch delays — timing chaos that must not change one output byte.
 func (in *ingest) start(g *pipeline.Group) {
 	for i, sh := range in.shards {
+		sh.stream = pipeline.NewStream[item](4)
+		sh.stream.Instrument(in.reg, fmt.Sprintf("agg_shard_%d", i))
 		g.Go(func(ctx context.Context) error {
 			n := 0
 			err := sh.stream.Range(ctx, func(it item) error {

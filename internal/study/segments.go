@@ -38,10 +38,11 @@ import (
 // extension back over. The Results go wherever the sink goes: a rebuild
 // reason or an error drops both.
 //
-// Only the sequential sink can take more samples once analysed, so a
-// study whose options ask for the sharded pipeline (Workers above 1, a
-// Plan, a Trace) keeps nothing and every Advance folds, and compares,
-// from nothing.
+// Only a one-shard ingest with neither a plan nor a trace can take more
+// samples once analysed — N shards are merged into one store, and a plan
+// or a trace closes its ledger at finish — so a study whose options ask
+// for Workers above 1, a Plan or a Trace keeps nothing and every Advance
+// folds, and compares, from nothing.
 //
 // A Segments is not safe for concurrent use, and the Results of an
 // Advance alias its state: their Store and Overview are the study's own,
@@ -53,7 +54,7 @@ type Segments struct {
 	dir string
 	opt Options
 
-	in     *inline                  // holds every folded segment's samples; nil: nothing kept
+	in     *ingest                  // holds every folded segment's samples; nil: nothing kept
 	last   *Results                 // the last Advance's, analysed over in's store: what the next one's analyses extend
 	folded map[int]uint32           // folded segment ID → CRC
 	groups map[sample.GroupKey]mark // where each user group's folded segments end
@@ -98,7 +99,7 @@ func (s *Segments) Advance(ctx context.Context) (res *Results, rebuilt string, e
 			res, err = nil, cerr
 		}
 		if err != nil || s.in == nil {
-			s.reset() // half-folded, or a sharded sink: nothing to build on
+			s.reset() // half-folded, or an ingest that does not keep: nothing to build on
 		}
 	}()
 	man := r.Manifest()

@@ -48,7 +48,7 @@ func (s *rowsSource) deliver(ctx context.Context, e *env, sk sink) error {
 }
 
 // rowsOracle runs the study over rows: at opt.Workers 1 with no plan,
-// the sequential oracle every replay is held to.
+// the reference every replay is held to.
 func rowsOracle(t *testing.T, rows []sample.Sample, opt Options) *Results {
 	t.Helper()
 	res, _, err := run(context.Background(), &rowsSource{rows: rows}, opt, nil, nil)
@@ -161,7 +161,7 @@ func TestFromSegmentsMultiGroupSegmentsRaceFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	if g, w := renderNormalized(t, got), renderNormalized(t, want); !bytes.Equal(g, w) {
-		t.Fatalf("workers=%d report differs from the sequential oracle:\n%s", workers, firstDiff(g, w))
+		t.Fatalf("workers=%d report differs from the one-worker run's:\n%s", workers, firstDiff(g, w))
 	}
 }
 

@@ -27,8 +27,8 @@ type source interface {
 	// seed keys the run's fault decisions.
 	seed() uint64
 	// deliver hands sk every sample in the source's canonical order, as
-	// rows or as column batches, from a single goroutine. At e.Workers
-	// ≤ 1 that goroutine is the caller's and does all the work.
+	// rows or as column batches, from a single goroutine, producing them
+	// on up to e.Workers goroutines of its own.
 	deliver(ctx context.Context, e *env, sk sink) error
 	// config is the world.Config the report states, given the store the
 	// delivered samples aggregated into.

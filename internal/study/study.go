@@ -5,16 +5,16 @@
 // cmd/edgereport, the examples, and the benchmark harness all drive
 // this package.
 //
-// The study is one loop whatever feeds it. run owns it: the fault
-// injector and guard, the choice between the sequential oracle and the
-// sharded pipeline, merge, coverage, trace finish, the Results and the
+// The study is one loop whatever feeds it, and one pipeline at every
+// worker count. run owns it: the fault injector and guard, the shard
+// group's lifecycle, merge, coverage, trace finish, the Results and the
 // analyses. A source (source.go: the world generator or a segment
 // directory — the one dataset format; JSON lines enter and leave it
 // through cmd/segcat only) delivers its samples in order, as rows or as
-// column batches, to a sink (pipeline.go: the inline collector of the
-// sequential oracle, or the sharded ingest). The exported entry points
-// — Run, RunCtx, FromSegments, RunDeaggregation — each pick a source
-// and call run.
+// column batches, to the ingest (pipeline.go: the Overview fold on the
+// delivering goroutine, aggregation shards on their own). The exported
+// entry points — Run, RunCtx, FromSegments, RunDeaggregation — each
+// pick a source and call run.
 package study
 
 import (
@@ -99,9 +99,9 @@ func inferredCfg(store *agg.Store) world.Config {
 type Options struct {
 	// Workers is the pipeline parallelism: generation (or dataset
 	// decoding) workers and aggregation shards. 0 means
-	// pipeline.DefaultWorkers (GOMAXPROCS); 1 runs the whole pipeline on
-	// the calling goroutine — the determinism oracle the sharded path is
-	// tested against.
+	// pipeline.DefaultWorkers (GOMAXPROCS); 1 is one worker and one
+	// shard, still beside the delivering goroutine's Overview fold. The
+	// report is byte-identical at every count.
 	Workers int
 	// Reg receives pipeline metrics (may be nil).
 	Reg *obs.Registry
@@ -120,10 +120,9 @@ type Options struct {
 	Filter *segstore.Filter
 	// Trace, when non-nil, records the run's deterministic flight
 	// trace: generation spans, batch fates, sink faults and retries,
-	// quarantines, seals, and the coverage ledger summary. Tracing
-	// forces the sharded pipeline even at Workers=1 (like a fault plan
-	// does) so the trace is the same file the multi-worker run writes;
-	// the caller flushes it with Trace.WriteFile after the run.
+	// quarantines, seals, and the coverage ledger summary — the same file
+	// at every worker count. The caller flushes it with Trace.WriteFile
+	// after the run.
 	Trace *trace.Recorder
 	// RowOracle forces the segment path (FromSegments) to materialize
 	// sample.Sample rows and aggregate row-at-a-time instead of feeding
@@ -133,8 +132,8 @@ type Options struct {
 	RowOracle bool
 }
 
-// Run generates the dataset for cfg and runs every analysis on the
-// calling goroutine: RunCtx's sequential oracle with nothing attached.
+// Run generates the dataset for cfg and runs every analysis: RunCtx at
+// one worker with nothing attached.
 func Run(cfg world.Config) *Results {
 	res, err := RunCtx(context.Background(), cfg, Options{Workers: 1})
 	if err != nil {
@@ -159,7 +158,7 @@ func RunCtx(ctx context.Context, cfg world.Config, opt Options) (*Results, error
 // RunDeaggregation generates one dataset and aggregates it at both the
 // paper's granularity (BGP prefix) and subnet granularity, returning
 // the §3.3 tradeoff measurement alongside the standard results. Like Run
-// it is the sequential oracle with nothing attached.
+// it runs at one worker with nothing attached.
 func RunDeaggregation(cfg world.Config) (*Results, analysis.DeaggregationResult) {
 	fine := agg.NewStore()
 	res, _, err := run(context.Background(), &worldSource{w: world.New(cfg), tap: analysis.DeaggregateSink(fine)}, Options{Workers: 1}, nil, nil)
@@ -191,20 +190,17 @@ func FromSegments(ctx context.Context, dir string, opt Options) (*Results, error
 	return res, err
 }
 
-// run is the study loop, once: src delivers its samples to a sink, the
-// sink's store is analysed. At one worker with neither a fault plan nor
-// a trace everything happens on the calling goroutine — the sequential
-// oracle — and its sink is returned: passed back as in, it takes the
-// next source's samples on top of what it holds, and the Results passed
-// back as prev are what the analyses of the grown store extend (a
-// Segments study's extension; everyone else passes nil twice, and a prev
-// that was not analysed over in's store extends nothing — analysis.Series
-// keeps what it keeps by group pointer). Chaos and traced runs always
-// take the sharded path (even at one worker): the guard and quarantine
-// machinery live there, and the determinism oracle for such a run is the
-// same flags at another worker count — including the trace bytes. A
-// sharded sink is spent once reduced, so they return nil.
-func run(ctx context.Context, src source, opt Options, in *inline, prev *Results) (*Results, *inline, error) {
+// run is the study loop, once: src delivers its samples to an ingest on
+// one goroutine while the ingest's shards aggregate on one goroutine
+// each, and the merged store is analysed. The ingest is returned when it
+// keeps (one worker, neither a fault plan nor a trace): passed back as
+// in, it takes the next source's samples on top of what it holds, and
+// the Results passed back as prev are what the analyses of the grown
+// store extend (a Segments study's extension; everyone else passes nil
+// twice, and a prev that was not analysed over in's store extends
+// nothing — analysis.Series keeps what it keeps by group pointer). Any
+// other ingest is spent once reduced, so run returns nil for it.
+func run(ctx context.Context, src source, opt Options, in *ingest, prev *Results) (*Results, *ingest, error) {
 	start := startTimer()
 	if opt.Workers == 0 {
 		opt.Workers = pipeline.DefaultWorkers()
@@ -213,35 +209,28 @@ func run(ctx context.Context, src source, opt Options, in *inline, prev *Results
 	inj := faults.NewInjector(opt.Plan, src.seed())
 	inj.Instrument(opt.Reg)
 	e := &env{Options: opt, inj: inj, guard: faults.NewGuard(inj, opt.FailFast)}
-
-	var sk sink
-	var err error
-	if opt.Workers <= 1 && e.guard == nil && opt.Trace == nil {
-		if in == nil {
-			in = newInline(opt.Reg)
-		}
-		sk = in
-		err = src.deliver(ctx, e, sk)
-	} else {
-		ing := newIngest(opt.Workers, opt.Reg, inj, e.guard, opt.Trace)
-		sk, e.buf, in = ing, ing.buf, nil
-		g := pipeline.NewGroup(ctx)
-		ing.start(g)
-		g.Go(func(ctx context.Context) error {
-			defer ing.close()
-			return src.deliver(ctx, e, ing)
-		})
-		err = g.Wait()
+	if in == nil {
+		in = newIngest(opt.Workers, opt.Reg, inj, e.guard, opt.Trace)
 	}
-	if err != nil {
+	e.buf = in.buf
+	g := pipeline.NewGroup(ctx)
+	in.start(g)
+	g.Go(func(ctx context.Context) error {
+		defer in.close()
+		return src.deliver(ctx, e, in)
+	})
+	if err := g.Wait(); err != nil {
 		return nil, nil, err
 	}
 	cov := e.guard.Coverage()
-	store, stats, overview := sk.finish(cov)
+	store, stats, overview := in.finish(cov)
 	overview.Seal()
 	res := &Results{Cfg: src.config(store), Collector: stats, Overview: overview, Store: store, Coverage: cov}
 	res.analyse(ctx, opt.Reg, opt.Workers, prev)
 	res.Elapsed = elapsedSince(start)
+	if !in.keeps() {
+		in = nil
+	}
 	return res, in, nil
 }
 

@@ -125,43 +125,61 @@ func TestTracingDoesNotChangeReport(t *testing.T) {
 	}
 }
 
-// Wall-clock facts have one home: a traced sharded run exposes its
-// queue depths and shard stage times on the registry, and the trace
-// file it writes is the only file — no physical sidecar beside it.
+// Wall-clock facts have one home: a traced sharded run, and a one-worker
+// replay, expose their queue depths and shard stage times on the
+// registry — the replay's decode queue too, which reads decode-bound at
+// depth 0 and fold-bound at capacity — and the trace file a run writes
+// is the only file — no physical sidecar beside it.
 func TestWallClockFactsLiveOnMetrics(t *testing.T) {
-	reg := obs.NewRegistry()
+	_, dir := writeDataset(t, detCfg())
 	rec := trace.New(detCfg().Seed)
-	if _, err := RunCtx(context.Background(), detCfg(), Options{Workers: 4, Reg: reg, Trace: rec}); err != nil {
-		t.Fatalf("RunCtx: %v", err)
-	}
-	var expo bytes.Buffer
-	if err := reg.WritePrometheus(&expo); err != nil {
-		t.Fatalf("WritePrometheus: %v", err)
-	}
-	value := func(series string) (float64, bool) {
-		for _, line := range strings.Split(expo.String(), "\n") {
-			if v, ok := strings.CutPrefix(line, series+" "); ok {
-				f, err := strconv.ParseFloat(v, 64)
-				return f, err == nil
+	for _, tc := range []struct {
+		name   string
+		run    func(reg *obs.Registry) error
+		stages []string
+	}{
+		{"traced RunCtx workers=4", func(reg *obs.Registry) error {
+			_, err := RunCtx(context.Background(), detCfg(), Options{Workers: 4, Reg: reg, Trace: rec})
+			return err
+		}, []string{"agg_shard_0", "agg_shard_1", "agg_shard_2", "agg_shard_3"}},
+		{"FromSegments workers=1", func(reg *obs.Registry) error {
+			_, err := FromSegments(context.Background(), dir, Options{Workers: 1, Reg: reg})
+			return err
+		}, []string{"segstore_decode", "agg_shard_0"}},
+	} {
+		reg := obs.NewRegistry()
+		if err := tc.run(reg); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var expo bytes.Buffer
+		if err := reg.WritePrometheus(&expo); err != nil {
+			t.Fatalf("WritePrometheus: %v", err)
+		}
+		value := func(series string) (float64, bool) {
+			for _, line := range strings.Split(expo.String(), "\n") {
+				if v, ok := strings.CutPrefix(line, series+" "); ok {
+					f, err := strconv.ParseFloat(v, 64)
+					return f, err == nil
+				}
+			}
+			return 0, false
+		}
+		for _, stage := range tc.stages {
+			series := fmt.Sprintf(`pipeline_queue_depth{stage=%q}`, stage)
+			if _, ok := value(series); !ok {
+				t.Errorf("%s: /metrics lacks %s", tc.name, series)
 			}
 		}
-		return 0, false
-	}
-	for i := 0; i < 4; i++ {
-		series := fmt.Sprintf(`pipeline_queue_depth{stage="agg_shard_%d"}`, i)
-		if _, ok := value(series); !ok {
-			t.Errorf("/metrics lacks %s", series)
+		if n, _ := value(`study_stage_seconds_count{stage="agg_shard",parent="study"}`); n == 0 {
+			t.Errorf("%s: study_stage_seconds_count for agg_shard is %v, want > 0", tc.name, n)
 		}
 	}
-	if n, _ := value(`study_stage_seconds_count{stage="agg_shard",parent="study"}`); n == 0 {
-		t.Errorf("study_stage_seconds_count for agg_shard is %v, want > 0", n)
-	}
 
-	dir := t.TempDir()
-	if err := rec.WriteFile(filepath.Join(dir, "run.trace")); err != nil {
+	out := t.TempDir()
+	if err := rec.WriteFile(filepath.Join(out, "run.trace")); err != nil {
 		t.Fatalf("WriteFile: %v", err)
 	}
-	files, err := os.ReadDir(dir)
+	files, err := os.ReadDir(out)
 	if err != nil {
 		t.Fatal(err)
 	}

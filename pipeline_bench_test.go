@@ -2,8 +2,9 @@
 // the same end-to-end run — generation, filter, sharded aggregation,
 // merge, analyses — at increasing worker counts. samples/s is the
 // headline metric; EXPERIMENTS.md records the measured scaling curve.
-// workers=1 is the sequential determinism oracle, so the curve is also
-// the cost of the concurrency machinery at no parallelism.
+// workers=1 is the same pipeline — generation and the Overview fold on
+// the delivering goroutine, one aggregation shard beside them — so the
+// curve starts from the concurrency machinery already paid for.
 package repro_test
 
 import (
