@@ -8,6 +8,7 @@ import (
 	"repro/internal/geo"
 	"repro/internal/obs"
 	"repro/internal/sample"
+	"repro/internal/segstore"
 	"repro/internal/tdigest"
 )
 
@@ -49,49 +50,27 @@ type ContinentOverview struct {
 // a dataset that grows by a chunk be folded by that chunk. Add and
 // AddColumns feed the accumulators; the exported fields are their merge
 // as of the last Seal, and reading them before it reads that older state.
+//
+// The fold runs in two lanes (Lanes). An accumulator is two parts, one
+// per lane, and each lane keeps its parts in a per-group map of its own.
+// No field belongs to both parts, so the two lanes may fold one stream
+// on two goroutines.
 type Overview struct {
-	accumulator
+	sessionPart
+	routePart
 
-	groups map[sample.GroupKey]*accumulator
-	// cur is curKey's accumulator: consecutive samples mostly share a
-	// group, so the row path's routing is one key compare.
-	cur    *accumulator
-	curKey sample.GroupKey
-	// sealed reports that the exported fields reflect every sample folded.
-	sealed bool
-
-	// cSamples, when wired via Instrument, counts samples folded in.
-	cSamples *obs.Counter
+	sessions lane[sessionPart, *sessionPart]
+	routes   lane[routePart, *routePart]
 }
 
-// accumulator is the state of one fold: every digest and counter the
-// overview reports. An Overview holds one per user group and, as its own
-// exported fields, their merge.
-type accumulator struct {
-	// Figure 6a.
-	MinRTT *tdigest.TDigest // milliseconds
-	HD     *tdigest.TDigest
-	// SimpleHD is the §4 ablation baseline's session HDratio.
-	SimpleHD                 *tdigest.TDigest
-	HDZero, HDOne, HDDefined int
-
-	// Figure 6b/6c.
-	PerContinent map[geo.Continent]*ContinentOverview
-
-	// Figure 7: HDratio by MinRTT bucket. HDZeroByRTTBucket counts each
-	// bucket's sessions at exactly 0: the share at an atom is a count,
-	// because a digest's CDF read just above one is off by up to a
-	// centroid (tdigest.TestRankErrorBound).
-	HDByRTTBucket     []*tdigest.TDigest
-	HDZeroByRTTBucket []int
-
-	// Figures 1–3 (computed over all samples; session traits do not
-	// depend on the egress route).
+// sessionPart is the sessions lane's part of a fold: per-session traffic
+// traits over all samples (session traits do not depend on the egress
+// route), per PoP and by serving distance.
+type sessionPart struct {
+	// Figures 1–3.
 	SessionDuration map[sample.Protocol]*tdigest.TDigest // seconds
 	BusyFraction    map[sample.Protocol]*tdigest.TDigest
 	SessionBytes    *tdigest.TDigest
-	ResponseBytes   *tdigest.TDigest
-	MediaRespBytes  *tdigest.TDigest
 	TxnsPerSession  map[sample.Protocol]*tdigest.TDigest
 
 	// PerPoP tracks session counts and median latency per serving PoP
@@ -112,6 +91,31 @@ type accumulator struct {
 	Sessions int
 }
 
+// routePart is the routes lane's part of a fold: Figure 2's per-response
+// sizes over all samples, and the performance digests over
+// preferred-route samples (§2.2.3).
+type routePart struct {
+	ResponseBytes  *tdigest.TDigest
+	MediaRespBytes *tdigest.TDigest
+
+	// Figure 6a.
+	MinRTT *tdigest.TDigest // milliseconds
+	HD     *tdigest.TDigest
+	// SimpleHD is the §4 ablation baseline's session HDratio.
+	SimpleHD                 *tdigest.TDigest
+	HDZero, HDOne, HDDefined int
+
+	// Figures 6b/6c.
+	PerContinent map[geo.Continent]*ContinentOverview
+
+	// Figure 7: HDratio by MinRTT bucket. HDZeroByRTTBucket counts each
+	// bucket's sessions at exactly 0: the share at an atom is a count,
+	// because a digest's CDF read just above one is off by up to a
+	// centroid (tdigest.TestRankErrorBound).
+	HDByRTTBucket     []*tdigest.TDigest
+	HDZeroByRTTBucket []int
+}
+
 // protocols are the keys of the per-protocol digest maps.
 var protocols = [...]sample.Protocol{"all", sample.HTTP1, sample.HTTP2}
 
@@ -125,118 +129,161 @@ func newProtoDigests() map[sample.Protocol]*tdigest.TDigest {
 
 // NewOverview returns an empty overview.
 func NewOverview() *Overview {
-	return &Overview{
-		accumulator: *newAccumulator(),
-		groups:      make(map[sample.GroupKey]*accumulator),
-		sealed:      true,
-	}
+	o := &Overview{sessions: newLane[sessionPart](), routes: newLane[routePart]()}
+	o.sessionPart.init()
+	o.routePart.init()
+	return o
 }
 
-func newAccumulator() *accumulator {
-	a := &accumulator{
-		MinRTT:          tdigest.New(200),
-		HD:              tdigest.New(200),
-		SimpleHD:        tdigest.New(200),
-		PerContinent:    make(map[geo.Continent]*ContinentOverview),
+func (o *sessionPart) init() {
+	*o = sessionPart{
 		SessionDuration: newProtoDigests(),
 		BusyFraction:    newProtoDigests(),
 		SessionBytes:    tdigest.New(tdigest.DefaultCompression),
-		ResponseBytes:   tdigest.New(tdigest.DefaultCompression),
-		MediaRespBytes:  tdigest.New(tdigest.DefaultCompression),
 		TxnsPerSession:  newProtoDigests(),
-		ServingDistance: tdigest.New(tdigest.DefaultCompression),
 		PerPoP:          make(map[string]*PoPOverview),
+		ServingDistance: tdigest.New(tdigest.DefaultCompression),
+	}
+}
+
+func (o *routePart) init() {
+	*o = routePart{
+		ResponseBytes:     tdigest.New(tdigest.DefaultCompression),
+		MediaRespBytes:    tdigest.New(tdigest.DefaultCompression),
+		MinRTT:            tdigest.New(200),
+		HD:                tdigest.New(200),
+		SimpleHD:          tdigest.New(200),
+		PerContinent:      make(map[geo.Continent]*ContinentOverview),
+		HDZeroByRTTBucket: make([]int, len(RTTBuckets)),
 	}
 	for range RTTBuckets {
-		a.HDByRTTBucket = append(a.HDByRTTBucket, tdigest.New(tdigest.DefaultCompression))
+		o.HDByRTTBucket = append(o.HDByRTTBucket, tdigest.New(tdigest.DefaultCompression))
 	}
-	a.HDZeroByRTTBucket = make([]int, len(RTTBuckets))
 	for _, c := range geo.Continents {
-		a.PerContinent[c] = &ContinentOverview{
+		o.PerContinent[c] = &ContinentOverview{
 			MinRTT: tdigest.New(tdigest.DefaultCompression),
 			HD:     tdigest.New(tdigest.DefaultCompression),
 		}
 	}
-	return a
 }
 
 // Instrument registers the overview's ingest counter on reg (nil-safe).
+// The sessions lane counts, so each sample is counted once.
 func (o *Overview) Instrument(reg *obs.Registry) {
-	o.cSamples = reg.Counter("analysis_overview_samples_total")
+	o.sessions.count = reg.Counter("analysis_overview_samples_total")
 }
 
-// Add folds one sample into its user group's accumulator.
+// Lane is one of an Overview's two lanes: Add and AddColumns fold into
+// the lane's part of each user group's accumulator only.
+type Lane interface {
+	Add(s sample.Sample)
+	AddColumns(b *segstore.ColumnBatch)
+}
+
+// Lanes returns the overview's two lanes: sessions folds the per-session
+// traffic characterisation (Figures 1–3, per PoP, serving distance),
+// routes the per-response sizes and the preferred-route performance
+// digests (Figures 6–7, the §4 ablation). Folding one stream into each
+// is Add (or AddColumns) over it, bit for bit after Seal, on whatever
+// goroutines and however far one lane lags the other — as long as each
+// lane folds on one goroutine at a time and both are done before Seal.
+func (o *Overview) Lanes() (sessions, routes Lane) { return &o.sessions, &o.routes }
+
+// Add folds one sample into its user group's accumulator, both lanes.
 func (o *Overview) Add(s sample.Sample) {
-	o.cSamples.Inc()
-	if key := s.Key(); o.cur == nil || key != o.curKey {
-		o.cur, o.curKey = o.group(key), key
-	}
-	o.sealed = false
-	o.cur.add(s)
-}
-
-// group returns (creating if needed) key's accumulator.
-func (o *Overview) group(key sample.GroupKey) *accumulator {
-	a := o.groups[key]
-	if a == nil {
-		a = newAccumulator()
-		o.groups[key] = a
-	}
-	return a
+	o.sessions.Add(s)
+	o.routes.Add(s)
 }
 
 // Seal rebuilds the exported fields as the merge, in group-key order, of
-// the per-group accumulators. It only reads them (tdigest.Merge does not
-// compact its argument), so folding on after a Seal leaves every
-// accumulator — and therefore every later Seal — exactly where folding
-// without it would have: fold, seal, fold, seal equals fold, fold, seal
-// bit for bit. Sealing an overview nothing was folded into since the
-// last Seal does nothing.
+// the per-group accumulators, lane by lane. It only reads them
+// (tdigest.Merge does not compact its argument), so folding on after a
+// Seal leaves every accumulator — and therefore every later Seal —
+// exactly where folding without it would have: fold, seal, fold, seal
+// equals fold, fold, seal bit for bit. A lane nothing was folded into
+// since the last Seal is not merged again.
 func (o *Overview) Seal() {
-	if o.sealed {
+	o.sessions.seal(&o.sessionPart)
+	o.routes.seal(&o.routePart)
+}
+
+// part is one lane's part of an accumulator.
+type part[A any] interface {
+	*A
+	init()
+	merge(g *A)
+	add(s *sample.Sample)
+	// addColumns folds rows [lo, hi) of b in and returns how many it took.
+	addColumns(b *segstore.ColumnBatch, lo, hi int) int
+}
+
+// lane folds one part of every user group's accumulator. Nothing in it
+// is shared with the other lane.
+type lane[A any, P part[A]] struct {
+	groups map[sample.GroupKey]P
+	// cur is curKey's part: consecutive samples mostly share a group, so
+	// the row path's routing is one key compare.
+	cur    P
+	curKey sample.GroupKey
+	// sealed reports that the overview's exported part reflects every
+	// sample this lane folded.
+	sealed bool
+	// count, when wired via Instrument, counts samples folded in.
+	count *obs.Counter
+}
+
+func newLane[A any, P part[A]]() lane[A, P] {
+	return lane[A, P]{groups: make(map[sample.GroupKey]P), sealed: true}
+}
+
+// group returns (creating if needed) key's part.
+func (l *lane[A, P]) group(key sample.GroupKey) P {
+	p := l.groups[key]
+	if p == nil {
+		p = new(A)
+		p.init()
+		l.groups[key] = p
+	}
+	return p
+}
+
+// Add folds one sample into its user group's part.
+func (l *lane[A, P]) Add(s sample.Sample) {
+	l.count.Inc()
+	if key := s.Key(); l.cur == nil || key != l.curKey {
+		l.cur, l.curKey = l.group(key), key
+	}
+	l.sealed = false
+	l.cur.add(&s)
+}
+
+// seal sets into to the merge of the lane's parts in group-key order.
+func (l *lane[A, P]) seal(into *A) {
+	if l.sealed {
 		return
 	}
-	keys := make([]sample.GroupKey, 0, len(o.groups))
-	for k := range o.groups {
+	keys := make([]sample.GroupKey, 0, len(l.groups))
+	for k := range l.groups {
 		keys = append(keys, k)
 	}
 	// The order agg.Store.Groups uses.
 	slices.SortFunc(keys, sample.GroupKey.Compare)
-	sum := newAccumulator()
+	var sum P = new(A)
+	sum.init()
 	for _, k := range keys {
-		sum.merge(o.groups[k])
+		sum.merge(l.groups[k])
 	}
-	o.accumulator, o.sealed = *sum, true
+	*into, l.sealed = *sum, true
 }
 
 // merge folds g into o: digests by tdigest.Merge, counters by addition.
-func (o *accumulator) merge(g *accumulator) {
-	o.MinRTT.Merge(g.MinRTT)
-	o.HD.Merge(g.HD)
-	o.SimpleHD.Merge(g.SimpleHD)
-	o.HDZero += g.HDZero
-	o.HDOne += g.HDOne
-	o.HDDefined += g.HDDefined
-	for _, c := range geo.Continents {
-		co, gc := o.PerContinent[c], g.PerContinent[c]
-		co.MinRTT.Merge(gc.MinRTT)
-		co.HD.Merge(gc.HD)
-		co.HDZero += gc.HDZero
-		co.HDOne += gc.HDOne
-		co.HDDefined += gc.HDDefined
-	}
-	for i := range RTTBuckets {
-		o.HDByRTTBucket[i].Merge(g.HDByRTTBucket[i])
-		o.HDZeroByRTTBucket[i] += g.HDZeroByRTTBucket[i]
-	}
+func (o *sessionPart) merge(g *sessionPart) {
 	for _, p := range protocols {
 		o.SessionDuration[p].Merge(g.SessionDuration[p])
 		o.BusyFraction[p].Merge(g.BusyFraction[p])
 		o.TxnsPerSession[p].Merge(g.TxnsPerSession[p])
 	}
 	o.SessionBytes.Merge(g.SessionBytes)
-	o.ResponseBytes.Merge(g.ResponseBytes)
-	o.MediaRespBytes.Merge(g.MediaRespBytes)
 	// Each PoP's state merges on its own, so map order cannot reach it.
 	for name, gp := range g.PerPoP {
 		pp := o.PerPoP[name]
@@ -255,11 +302,33 @@ func (o *accumulator) merge(g *accumulator) {
 	o.Sessions += g.Sessions
 }
 
-// add folds one sample in.
-func (o *accumulator) add(s sample.Sample) {
-	o.Sessions++
+// merge folds g into o: digests by tdigest.Merge, counters by addition.
+func (o *routePart) merge(g *routePart) {
+	o.ResponseBytes.Merge(g.ResponseBytes)
+	o.MediaRespBytes.Merge(g.MediaRespBytes)
+	o.MinRTT.Merge(g.MinRTT)
+	o.HD.Merge(g.HD)
+	o.SimpleHD.Merge(g.SimpleHD)
+	o.HDZero += g.HDZero
+	o.HDOne += g.HDOne
+	o.HDDefined += g.HDDefined
+	for _, c := range geo.Continents {
+		co, gc := o.PerContinent[c], g.PerContinent[c]
+		co.MinRTT.Merge(gc.MinRTT)
+		co.HD.Merge(gc.HD)
+		co.HDZero += gc.HDZero
+		co.HDOne += gc.HDOne
+		co.HDDefined += gc.HDDefined
+	}
+	for i := range RTTBuckets {
+		o.HDByRTTBucket[i].Merge(g.HDByRTTBucket[i])
+		o.HDZeroByRTTBucket[i] += g.HDZeroByRTTBucket[i]
+	}
+}
 
-	// Traffic characterisation uses every session.
+// add folds one sample in.
+func (o *sessionPart) add(s *sample.Sample) {
+	o.Sessions++
 	protoAdd := func(m map[sample.Protocol]*tdigest.TDigest, v float64) {
 		m["all"].Add(v)
 		if d, ok := m[s.Proto]; ok {
@@ -270,12 +339,6 @@ func (o *accumulator) add(s sample.Sample) {
 	protoAdd(o.BusyFraction, s.BusyFraction)
 	protoAdd(o.TxnsPerSession, float64(s.Transactions))
 	o.SessionBytes.Add(float64(s.Bytes))
-	for _, rb := range s.ResponseBytes {
-		o.ResponseBytes.Add(float64(rb))
-		if s.MediaEndpoint {
-			o.MediaRespBytes.Add(float64(rb))
-		}
-	}
 	o.TotalBytes += s.Bytes
 	if s.Transactions >= 50 {
 		o.BytesOver50Txns += s.Bytes
@@ -294,6 +357,16 @@ func (o *accumulator) add(s sample.Sample) {
 	pp.Sessions++
 	pp.Bytes += s.Bytes
 	pp.MinRTT.Add(float64(s.MinRTT) / 1e6)
+}
+
+// add folds one sample in.
+func (o *routePart) add(s *sample.Sample) {
+	for _, rb := range s.ResponseBytes {
+		o.ResponseBytes.Add(float64(rb))
+		if s.MediaEndpoint {
+			o.MediaRespBytes.Add(float64(rb))
+		}
+	}
 
 	// Performance metrics use the preferred route only (§2.2.3).
 	if s.AltIndex != 0 {

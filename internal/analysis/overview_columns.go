@@ -9,14 +9,20 @@ import (
 	"repro/internal/tdigest"
 )
 
-// AddColumns folds a decoded column batch in — the row-free
-// counterpart of Add over the same rows in the same stream order: each
-// run of rows sharing a user group goes to that group's accumulator, so
-// every digest evolves identically (same values, same insertion order,
-// same compaction trigger points) and the rendered overview is
-// byte-identical whichever currency fed it. A segment written per group
-// is one run.
+// AddColumns folds a decoded column batch in, both lanes — the
+// row-free counterpart of Add over the same rows in the same stream
+// order: each run of rows sharing a user group goes to that group's
+// accumulator, so every digest evolves identically (same values, same
+// insertion order, same compaction trigger points) and the rendered
+// overview is byte-identical whichever currency fed it. A segment written
+// per group is one run.
 func (o *Overview) AddColumns(b *segstore.ColumnBatch) {
+	o.sessions.AddColumns(b)
+	o.routes.AddColumns(b)
+}
+
+// AddColumns folds a column batch into the lane's parts, run by run.
+func (l *lane[A, P]) AddColumns(b *segstore.ColumnBatch) {
 	n := b.Len()
 	if n == 0 {
 		return
@@ -24,24 +30,25 @@ func (o *Overview) AddColumns(b *segstore.ColumnBatch) {
 	added := 0
 	for i := 0; i < n; {
 		end := b.KeyRunEnd(i)
-		added += o.group(b.KeyAt(i)).addColumns(b, i, end)
+		added += l.group(b.KeyAt(i)).addColumns(b, i, end)
 		i = end
 	}
-	o.sealed = false
-	o.cSamples.Add(int64(added))
+	l.sealed = false
+	l.count.Add(int64(added))
 }
 
 // addColumns folds rows [lo, hi) of b in and returns how many it took.
 //
-// Hosting-provider rows are skipped inline: pre-filtered batches (the
-// collector compacts them out) and raw batches (the sharded feed folds
-// the overview before the per-shard collectors run) fold the same.
+// Hosting-provider rows are skipped inline, in both lanes: pre-filtered
+// batches (the collector compacts them out) and raw batches (the sharded
+// feed folds the overview before the per-shard collectors run) fold the
+// same.
 //
-// Dictionary columns are resolved once per call — protocol and
-// continent digest lookups hoist out of the row loop; per-PoP state is
-// cached per dictionary entry but created lazily, so a PoP appearing
-// only on skipped rows opens no PerPoP entry (matching the row path).
-func (o *accumulator) addColumns(b *segstore.ColumnBatch, lo, hi int) int {
+// Dictionary columns are resolved once per call — protocol digest
+// lookups hoist out of the row loop; per-PoP state is cached per
+// dictionary entry but created lazily, so a PoP appearing only on skipped
+// rows opens no PerPoP entry (matching the row path).
+func (o *sessionPart) addColumns(b *segstore.ColumnBatch, lo, hi int) int {
 	type protoDigests struct{ sd, bf, txn *tdigest.TDigest }
 	protos := make([]protoDigests, len(b.Proto.Dict))
 	for i, v := range b.Proto.Dict {
@@ -49,10 +56,6 @@ func (o *accumulator) addColumns(b *segstore.ColumnBatch, lo, hi int) int {
 		protos[i] = protoDigests{o.SessionDuration[p], o.BusyFraction[p], o.TxnsPerSession[p]}
 	}
 	allSD, allBF, allTxn := o.SessionDuration["all"], o.BusyFraction["all"], o.TxnsPerSession["all"]
-	conts := make([]*ContinentOverview, len(b.Continent.Dict))
-	for i, v := range b.Continent.Dict {
-		conts[i] = o.PerContinent[geo.Continent(v)]
-	}
 	pops := make([]*PoPOverview, len(b.PoP.Dict))
 
 	added := 0
@@ -62,7 +65,6 @@ func (o *accumulator) addColumns(b *segstore.ColumnBatch, lo, hi int) int {
 		}
 		added++
 
-		// Traffic characterisation uses every session.
 		pd := protos[b.Proto.Idx[i]]
 		dur := time.Duration(b.Duration[i]).Seconds()
 		allSD.Add(dur)
@@ -80,13 +82,6 @@ func (o *accumulator) addColumns(b *segstore.ColumnBatch, lo, hi int) int {
 		}
 		bytes := b.Bytes[i]
 		o.SessionBytes.Add(float64(bytes))
-		rlo, rhi := b.RespSpan(i)
-		for _, rb := range b.RespVals[rlo:rhi] {
-			o.ResponseBytes.Add(float64(rb))
-			if b.MediaEndpoint[i] {
-				o.MediaRespBytes.Add(float64(rb))
-			}
-		}
 		o.TotalBytes += bytes
 		if b.Transactions[i] >= 50 {
 			o.BytesOver50Txns += bytes
@@ -110,6 +105,33 @@ func (o *accumulator) addColumns(b *segstore.ColumnBatch, lo, hi int) int {
 		pp.Sessions++
 		pp.Bytes += bytes
 		pp.MinRTT.Add(float64(b.MinRTT[i]) / 1e6)
+	}
+	o.Sessions += added
+	return added
+}
+
+// addColumns is sessionPart.addColumns for the routes lane; continent
+// digest lookups hoist out of the row loop.
+func (o *routePart) addColumns(b *segstore.ColumnBatch, lo, hi int) int {
+	conts := make([]*ContinentOverview, len(b.Continent.Dict))
+	for i, v := range b.Continent.Dict {
+		conts[i] = o.PerContinent[geo.Continent(v)]
+	}
+
+	added := 0
+	for i := lo; i < hi; i++ {
+		if b.HostingProvider[i] {
+			continue
+		}
+		added++
+
+		rlo, rhi := b.RespSpan(i)
+		for _, rb := range b.RespVals[rlo:rhi] {
+			o.ResponseBytes.Add(float64(rb))
+			if b.MediaEndpoint[i] {
+				o.MediaRespBytes.Add(float64(rb))
+			}
+		}
 
 		// Performance metrics use the preferred route only (§2.2.3).
 		if b.AltIndex[i] != 0 {
@@ -153,6 +175,5 @@ func (o *accumulator) addColumns(b *segstore.ColumnBatch, lo, hi int) int {
 			o.SimpleHD.Add(float64(b.SimpleAchieved[i]) / float64(t))
 		}
 	}
-	o.Sessions += added
 	return added
 }

@@ -47,16 +47,24 @@ func offer(col *collector.Collector, it item) error {
 	return col.Err()
 }
 
-// ingest is where a source delivers the study's samples: the Overview,
-// folded on the delivering goroutine, plus N collector shards, each
-// filtering its share of the stream into a shard-local aggregation
-// store on a goroutine of its own (one shard at one worker). Batches
-// arrive in canonical order from one goroutine, in either pipeline
-// currency; samples are routed to shards by group-key hash, so each
-// (group, window, route) digest — like each of the Overview's per-group
-// accumulators — sees exactly the subsequence, in exactly the order, it
-// would if one collector took the whole stream, which is why the final
-// merge is exact rather than approximate.
+// ingest is where a source delivers the study's samples: a chain of
+// the Overview's two lanes (analysis.Overview.Lanes) and N collector
+// shards, each filtering its share of the stream into a shard-local
+// aggregation store (one shard at one worker). Batches arrive in
+// canonical order from one goroutine, in either pipeline currency. That
+// goroutine folds the sessions lane and hands each batch on to the
+// overview_lane goroutine, which folds the routes lane and then routes
+// the batch to the shards, each on a goroutine of its own. Samples are
+// routed by group-key hash, so each (group, window, route) digest — like
+// each of the Overview's per-group accumulators — sees exactly the
+// subsequence, in exactly the order, it would if one collector took the
+// whole stream, which is why the final merge is exact rather than
+// approximate.
+//
+// The lanes form a chain, not a fan-out, because a shard compacts its
+// views in place and a view is a region of the delivered batch: only
+// once the routes lane is done reading a batch may shards own parts of
+// it.
 //
 // A one-shard ingest is never merged, so with neither a fault plan nor a
 // trace it can take more samples after finish: start it again and the
@@ -65,13 +73,17 @@ func offer(col *collector.Collector, it item) error {
 type ingest struct {
 	shards   []*ingestShard
 	overview *analysis.Overview
-	reg      *obs.Registry
-	foldSpan *obs.SpanTimer
-	inj      *faults.Injector
-	buf      *trace.Buf // owned by the ordered deliver goroutine
-	feedHist *obs.Histogram
-	feedN    uint64
-	cuts     []shardCut // columns scratch (deliver goroutine)
+	// sessions is folded on the deliver goroutine, routes on the lane's.
+	sessions, routes analysis.Lane
+	lane             *pipeline.Stream[item] // delivered batches, to the routes lane; one per start
+	reg              *obs.Registry
+	foldSpan         *obs.SpanTimer
+	laneSpan         *obs.SpanTimer
+	inj              *faults.Injector
+	buf              *trace.Buf // owned by the ordered deliver goroutine
+	feedHist         *obs.Histogram
+	feedN            uint64
+	cuts             []shardCut // columns scratch (lane goroutine)
 }
 
 // shardCut is one batch view bound for one shard.
@@ -103,6 +115,7 @@ func newIngest(shards int, reg *obs.Registry, inj *faults.Injector, guard *fault
 		overview: ov,
 		reg:      reg,
 		foldSpan: reg.Span(obs.L("study_stage_seconds", "stage", "overview_fold"), "study"),
+		laneSpan: reg.Span(obs.L("study_stage_seconds", "stage", "overview_lane"), "study"),
 		inj:      inj,
 		buf:      rec.Buf(),
 		feedHist: reg.Histogram("study_feed_batch_samples", []float64{1, 8, 64, 256, 1024, 4096, 16384}),
@@ -123,6 +136,7 @@ func newIngest(shards int, reg *obs.Registry, inj *faults.Injector, guard *fault
 		}
 		in.shards = append(in.shards, sh)
 	}
+	in.sessions, in.routes = ov.Lanes()
 	return in
 }
 
@@ -131,36 +145,58 @@ func (in *ingest) keeps() bool {
 	return len(in.shards) == 1 && in.shards[0].guard == nil && in.buf == nil
 }
 
-// start opens each shard's stream — close spends it — and launches one
-// worker per shard in g. Under a fault plan the workers take injected
-// dispatch delays — timing chaos that must not change one output byte.
+// start opens the lane's and each shard's stream — close spends them —
+// and launches the lane's goroutine and one worker per shard in g. Under
+// a fault plan the shard workers take injected dispatch delays — timing
+// chaos that must not change one output byte.
 func (in *ingest) start(g *pipeline.Group) {
+	// Four batches, as each shard's stream takes: room for the two lanes'
+	// per-batch costs to drift apart without the sessions lane waiting.
+	in.lane = pipeline.NewStream[item](4)
+	in.lane.Instrument(in.reg, "overview_lane")
 	for i, sh := range in.shards {
 		sh.stream = pipeline.NewStream[item](4)
 		sh.stream.Instrument(in.reg, fmt.Sprintf("agg_shard_%d", i))
+	}
+	g.Go(func(ctx context.Context) error {
+		// The lane is the shards' one producer.
+		defer func() {
+			for _, sh := range in.shards {
+				sh.stream.Close()
+			}
+		}()
+		return drainOnError(in.lane, in.lane.Range(ctx, func(it item) error {
+			return in.route(ctx, it)
+		}))
+	})
+	for i, sh := range in.shards {
 		g.Go(func(ctx context.Context) error {
 			n := 0
-			err := sh.stream.Range(ctx, func(it item) error {
+			return drainOnError(sh.stream, sh.stream.Range(ctx, func(it item) error {
 				if d := in.inj.ShardDelay(i, n); d > 0 {
 					time.Sleep(d)
 				}
 				n++
 				return sh.consume(ctx, it)
-			})
-			if err != nil {
-				// Poisoned: views still buffered in this shard's stream will
-				// never reach consume; release them or the parent batches
-				// leak. study.run's deferred close guarantees Drain
-				// terminates.
-				sh.stream.Drain(func(it item) {
-					if it.cols != nil {
-						it.cols.Release()
-					}
-				})
-			}
-			return err
+			}))
 		})
 	}
+}
+
+// drainOnError returns err, first releasing — when err poisoned the
+// stage — every view still buffered in its input s: those will never be
+// consumed, and the parent batches would leak. s's producer closes it
+// once its own sends fail (study.run's deferred close, the lane's
+// deferred shard closes), so Drain terminates.
+func drainOnError(s *pipeline.Stream[item], err error) error {
+	if err != nil {
+		s.Drain(func(it item) {
+			if it.cols != nil {
+				it.cols.Release()
+			}
+		})
+	}
+	return err
 }
 
 // consume aggregates one routed item on the shard's worker and releases
@@ -190,10 +226,9 @@ func (sh *ingestShard) consume(ctx context.Context, it item) error {
 }
 
 // close marks the producer side done; call once delivery has returned.
+// The lane closes the shards' streams when it has routed the rest.
 func (in *ingest) close() {
-	for _, sh := range in.shards {
-		sh.stream.Close()
-	}
+	in.lane.Close()
 }
 
 // mark opens one delivered batch of n samples on the run track. It runs
@@ -214,24 +249,66 @@ func (in *ingest) mark(n int) {
 	in.feedN++
 }
 
-// rows folds one ordered batch into the Overview and routes it to the
-// shards in runs of consecutive same-shard samples (keys change only at
-// window boundaries, so runs are long and the per-sample routing cost
-// is a struct compare).
+// rows folds one ordered batch into the sessions lane and hands it on
+// to the routes lane, as is: the lane goroutine only reads it.
 func (in *ingest) rows(ctx context.Context, samples []sample.Sample) error {
 	if len(samples) == 0 {
 		return nil
 	}
 	in.mark(len(samples))
 	sp := in.foldSpan.Start()
-	for i := range samples {
-		if samples[i].HostingProvider {
-			continue // mirrors the shard collectors' filter
-		}
-		in.overview.Add(samples[i])
-	}
+	foldRows(in.sessions, samples)
 	sp.End()
+	return in.lane.Send(ctx, item{rows: samples})
+}
 
+// columns is rows in the columnar currency: the lane gets a view of the
+// whole batch, which keeps it alive past the caller's release.
+func (in *ingest) columns(ctx context.Context, b *segstore.ColumnBatch) error {
+	n := b.Len()
+	if n == 0 {
+		return nil
+	}
+	in.mark(n)
+	sp := in.foldSpan.Start()
+	in.sessions.AddColumns(b)
+	sp.End()
+	it := item{cols: b.Slice(0, n)}
+	if err := in.lane.Send(ctx, it); err != nil {
+		it.cols.Release()
+		return err
+	}
+	return nil
+}
+
+// foldRows folds every sample but the hosting providers' into l.
+func foldRows(l analysis.Lane, samples []sample.Sample) {
+	for i := range samples {
+		if !samples[i].HostingProvider { // mirrors the shard collectors' filter
+			l.Add(samples[i])
+		}
+	}
+}
+
+// route runs on the lane goroutine: it folds one delivered item into the
+// routes lane, then routes it to the shards, releasing its view.
+func (in *ingest) route(ctx context.Context, it item) error {
+	sp := in.laneSpan.Start()
+	if it.cols == nil {
+		foldRows(in.routes, it.rows)
+		sp.End()
+		return in.routeRows(ctx, it.rows)
+	}
+	defer it.cols.Release()
+	in.routes.AddColumns(it.cols)
+	sp.End()
+	return in.routeColumns(ctx, it.cols)
+}
+
+// routeRows sends samples to the shards in runs of consecutive
+// same-shard samples (keys change only at window boundaries, so runs are
+// long and the per-sample routing cost is a struct compare).
+func (in *ingest) routeRows(ctx context.Context, samples []sample.Sample) error {
 	nShards := uint32(len(in.shards))
 	runStart := 0
 	key := samples[0].Key()
@@ -254,25 +331,15 @@ func (in *ingest) rows(ctx context.Context, samples []sample.Sample) error {
 	return in.shards[shard].stream.Send(ctx, item{rows: samples[runStart:]})
 }
 
-// columns is rows in the columnar currency: one ordered batch is folded
-// into the Overview and routed to the shards as batch views cut at
-// shard boundaries (group-key runs compare dictionary indexes, so
-// routing never touches row structs). Views handed to shard workers
-// keep the batch alive, past the caller's release, until each releases
-// its reference.
-func (in *ingest) columns(ctx context.Context, b *segstore.ColumnBatch) error {
-	n := b.Len()
-	if n == 0 {
-		return nil
-	}
-	in.mark(n)
-	sp := in.foldSpan.Start()
-	in.overview.AddColumns(b)
-	sp.End()
-
+// routeColumns is routeRows in the columnar currency: b is cut into views
+// at shard boundaries (group-key runs compare dictionary indexes, so
+// routing never touches row structs). Views handed to shard workers keep
+// the batch alive until each releases its reference.
+func (in *ingest) routeColumns(ctx context.Context, b *segstore.ColumnBatch) error {
 	// Every view is cut before any is sent: Slice reads the parent's
 	// RespEnds[lo-1] — the last row of the previous view — and once a
 	// shard worker owns that view, its Compact may rewrite the row.
+	n := b.Len()
 	nShards := uint32(len(in.shards))
 	in.cuts = in.cuts[:0]
 	runStart := 0

@@ -114,33 +114,38 @@ func TestFromSegmentsReportByteIdentical(t *testing.T) {
 	}
 }
 
-// Regression (run under -race, as `make race` does): a segment that
-// holds user groups of different shards is cut into several views, and
-// cutting view N+1 reads the parent's RespEnds[lo-1] — the last row of
-// view N, which a shard worker may already be compacting. ingest.columns
-// therefore cuts every view before it sends any. Converted and natively
-// written datasets hold one user group per segment, so the dataset here
-// is packed by row count instead.
+// Regression (run under -race, as `make race` does) for the two places
+// the ingest's goroutines share a batch. A segment that holds user groups
+// of different shards is cut into several views, and cutting view N+1
+// reads the parent's RespEnds[lo-1] — the last row of view N, which a
+// shard worker may already be compacting — so the routes lane cuts every
+// view before it sends any. And a shard compacts its view in place, so
+// the routes lane must be done reading the batch before it sends one: the
+// lanes are a chain. Converted and natively written datasets hold one
+// user group per segment, and hold no hosting rows, so the dataset here
+// is the world's raw stream packed by row count: hosting rows between
+// kept ones make every Compact move rows.
 func TestFromSegmentsMultiGroupSegmentsRaceFree(t *testing.T) {
-	const workers, rowsPerSegment = 2, 4096
-	var kept []sample.Sample
-	col := collector.New(collector.SliceSink(&kept))
-	world.New(detCfg()).Generate(col.Offer)
+	const rowsPerSegment = 4096
+	rows := world.New(detCfg()).GenerateAll()
 
 	dir := filepath.Join(t.TempDir(), "packed.seg")
 	sw, err := segstore.Create(dir, "test")
 	if err != nil {
 		t.Fatal(err)
 	}
-	crossShard := 0
-	for id, lo := 0, 0; lo < len(kept); id, lo = id+1, lo+rowsPerSegment {
-		rows := kept[lo:min(lo+rowsPerSegment, len(kept))]
-		for i := 1; i < len(rows); i++ {
-			if rows[i].Key().Hash()%workers != rows[i-1].Key().Hash()%workers {
+	crossShard, hosting := 0, 0
+	for id, lo := 0, 0; lo < len(rows); id, lo = id+1, lo+rowsPerSegment {
+		seg := rows[lo:min(lo+rowsPerSegment, len(rows))]
+		for i := 1; i < len(seg); i++ {
+			if seg[i].Key().Hash()%4 != seg[i-1].Key().Hash()%4 {
 				crossShard++
 			}
+			if seg[i-1].HostingProvider && !seg[i].HostingProvider {
+				hosting++
+			}
 		}
-		blob, meta := segstore.EncodeSegment(rows)
+		blob, meta := segstore.EncodeSegment(seg)
 		if err := sw.Add(id, blob, meta); err != nil {
 			t.Fatal(err)
 		}
@@ -148,20 +153,19 @@ func TestFromSegmentsMultiGroupSegmentsRaceFree(t *testing.T) {
 	if err := sw.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if crossShard == 0 {
-		t.Fatal("no segment holds two user groups of different shards; the views this test exists for are never cut")
+	if crossShard == 0 || hosting == 0 {
+		t.Fatalf("%d shard changes and %d hosting rows followed by a kept one inside segments: the cuts and compactions this test exists for do not happen", crossShard, hosting)
 	}
 
-	want, err := FromSegments(context.Background(), dir, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := FromSegments(context.Background(), dir, Options{Workers: workers})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g, w := renderNormalized(t, got), renderNormalized(t, want); !bytes.Equal(g, w) {
-		t.Fatalf("workers=%d report differs from the one-worker run's:\n%s", workers, firstDiff(g, w))
+	want := renderNormalized(t, rowsOracle(t, rows, Options{Workers: 1}))
+	for _, workers := range []int{1, 4} {
+		got, err := FromSegments(context.Background(), dir, Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g := renderNormalized(t, got); !bytes.Equal(g, want) {
+			t.Fatalf("workers=%d report differs from the rows oracle's:\n%s", workers, firstDiff(g, want))
+		}
 	}
 }
 

@@ -11,8 +11,9 @@
 // analyses. A source (source.go: the world generator or a segment
 // directory — the one dataset format; JSON lines enter and leave it
 // through cmd/segcat only) delivers its samples in order, as rows or as
-// column batches, to the ingest (pipeline.go: the Overview fold on the
-// delivering goroutine, aggregation shards on their own). The exported
+// column batches, to the ingest (pipeline.go: the Overview's sessions
+// lane on the delivering goroutine, its routes lane on one goroutine
+// after it, aggregation shards on their own after that). The exported
 // entry points — Run, RunCtx, FromSegments, RunDeaggregation — each
 // pick a source and call run.
 package study
@@ -100,8 +101,9 @@ type Options struct {
 	// Workers is the pipeline parallelism: generation (or dataset
 	// decoding) workers and aggregation shards. 0 means
 	// pipeline.DefaultWorkers (GOMAXPROCS); 1 is one worker and one
-	// shard, still beside the delivering goroutine's Overview fold. The
-	// report is byte-identical at every count.
+	// shard, still beside the Overview's two lanes (one on the
+	// delivering goroutine, one on its own). The report is
+	// byte-identical at every count.
 	Workers int
 	// Reg receives pipeline metrics (may be nil).
 	Reg *obs.Registry
@@ -191,8 +193,8 @@ func FromSegments(ctx context.Context, dir string, opt Options) (*Results, error
 }
 
 // run is the study loop, once: src delivers its samples to an ingest on
-// one goroutine while the ingest's shards aggregate on one goroutine
-// each, and the merged store is analysed. The ingest is returned when it
+// one goroutine while the ingest's routes lane and its shards work on one
+// goroutine each, and the merged store is analysed. The ingest is returned when it
 // keeps (one worker, neither a fault plan nor a trace): passed back as
 // in, it takes the next source's samples on top of what it holds, and
 // the Results passed back as prev are what the analyses of the grown

@@ -126,10 +126,12 @@ func TestTracingDoesNotChangeReport(t *testing.T) {
 }
 
 // Wall-clock facts have one home: a traced sharded run, and a one-worker
-// replay, expose their queue depths and shard stage times on the
-// registry — the replay's decode queue too, which reads decode-bound at
-// depth 0 and fold-bound at capacity — and the trace file a run writes
-// is the only file — no physical sidecar beside it.
+// replay, expose their queue depths and their stage times — each
+// Overview lane's fold, the shards' aggregation — on the registry. The
+// replay's decode queue is there too, which reads decode-bound at depth
+// 0 and fold-bound at capacity; so is the routes lane's input queue. The
+// trace file a run writes is the only file — no physical sidecar beside
+// it.
 func TestWallClockFactsLiveOnMetrics(t *testing.T) {
 	_, dir := writeDataset(t, detCfg())
 	rec := trace.New(detCfg().Seed)
@@ -141,11 +143,11 @@ func TestWallClockFactsLiveOnMetrics(t *testing.T) {
 		{"traced RunCtx workers=4", func(reg *obs.Registry) error {
 			_, err := RunCtx(context.Background(), detCfg(), Options{Workers: 4, Reg: reg, Trace: rec})
 			return err
-		}, []string{"agg_shard_0", "agg_shard_1", "agg_shard_2", "agg_shard_3"}},
+		}, []string{"overview_lane", "agg_shard_0", "agg_shard_1", "agg_shard_2", "agg_shard_3"}},
 		{"FromSegments workers=1", func(reg *obs.Registry) error {
 			_, err := FromSegments(context.Background(), dir, Options{Workers: 1, Reg: reg})
 			return err
-		}, []string{"segstore_decode", "agg_shard_0"}},
+		}, []string{"segstore_decode", "overview_lane", "agg_shard_0"}},
 	} {
 		reg := obs.NewRegistry()
 		if err := tc.run(reg); err != nil {
@@ -170,8 +172,10 @@ func TestWallClockFactsLiveOnMetrics(t *testing.T) {
 				t.Errorf("%s: /metrics lacks %s", tc.name, series)
 			}
 		}
-		if n, _ := value(`study_stage_seconds_count{stage="agg_shard",parent="study"}`); n == 0 {
-			t.Errorf("%s: study_stage_seconds_count for agg_shard is %v, want > 0", tc.name, n)
+		for _, stage := range []string{"overview_fold", "overview_lane", "agg_shard"} {
+			if n, _ := value(fmt.Sprintf(`study_stage_seconds_count{stage=%q,parent="study"}`, stage)); n == 0 {
+				t.Errorf("%s: study_stage_seconds_count for %s is %v, want > 0", tc.name, stage, n)
+			}
 		}
 	}
 

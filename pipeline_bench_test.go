@@ -2,9 +2,10 @@
 // the same end-to-end run — generation, filter, sharded aggregation,
 // merge, analyses — at increasing worker counts. samples/s is the
 // headline metric; EXPERIMENTS.md records the measured scaling curve.
-// workers=1 is the same pipeline — generation and the Overview fold on
-// the delivering goroutine, one aggregation shard beside them — so the
-// curve starts from the concurrency machinery already paid for.
+// workers=1 is the same pipeline — generation and the Overview's
+// sessions lane on the delivering goroutine, its routes lane and one
+// aggregation shard each on a goroutine after it — so the curve starts
+// from the concurrency machinery already paid for.
 package repro_test
 
 import (
