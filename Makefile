@@ -48,7 +48,9 @@ test:
 	$(GO) test ./...
 
 # The dataset round trip under the race detector: write a columnar
-# dataset with the parallel segment writer, then analyse it with a time
+# dataset at four workers and again at one (three goroutines, each a
+# stage behind the other: simulate, encode, commit) — the two
+# directories must be byte-identical — then analyse it with a time
 # filter pushed down to the manifest at one worker (one decode goroutine
 # reading ahead of the fold, one aggregation shard) and at four. The two
 # reports must be byte-identical once line 2, the wall-clock line, is
@@ -57,6 +59,8 @@ seg-race:
 	rm -rf .seg-race
 	mkdir -p .seg-race
 	$(GO) run -race ./cmd/edgesim -seed 3 -groups 8 -days 2 -spw 12 -workers 4 -o .seg-race/ds
+	$(GO) run -race ./cmd/edgesim -seed 3 -groups 8 -days 2 -spw 12 -workers 1 -o .seg-race/ds1
+	diff -r .seg-race/ds .seg-race/ds1
 	$(GO) run -race ./cmd/edgereport -in .seg-race/ds -workers 1 -from 24h > .seg-race/w1.txt
 	$(GO) run -race ./cmd/edgereport -in .seg-race/ds -workers 4 -from 24h > .seg-race/w4.txt
 	sed 2d .seg-race/w1.txt > .seg-race/w1.body

@@ -64,7 +64,7 @@ func main() {
 		credit      = flag.Int("credit", 4, "max unacknowledged shipments in flight (merger may grant less)")
 		ackBatch    = flag.Int("ack-batch", 1, "group-commit the durable ack log every N acked slots (1 = commit per ack); a crash mid-batch only re-ships, never re-acks")
 		noShip      = flag.Bool("no-ship", false, "generate only; skip the shipping phase")
-		workers     = flag.Int("workers", pipeline.DefaultWorkers(), "concurrent generate/encode workers (1 = sequential)")
+		workers     = flag.Int("workers", pipeline.DefaultWorkers(), "goroutines that simulate groups, and as many that encode them; at any count simulate, encode and commit overlap")
 		progress    = flag.Bool("progress", false, "report progress to stderr every 2s")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address")
 		faultPlan   = flag.String("fault-plan", "", "deterministic generation fault plan (shapes the dataset; part of its origin)")

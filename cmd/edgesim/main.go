@@ -11,14 +11,17 @@
 //	        [-workers N] [-progress] [-metrics-addr host:port]
 //
 // A 10-day, 300-group dataset is a few million sessions; scale
-// -groups/-days/-spw to taste. -workers (default GOMAXPROCS) generates
-// and encodes groups concurrently while a single ordered tail appends
-// segments and commits the manifest in deterministic group order, so
-// the dataset bytes do not depend on the worker count. -progress
-// reports sessions per second and per-stage wall time to stderr while
-// the run grinds; -metrics-addr additionally serves /metrics
-// (Prometheus text), /debug/vars, and /debug/pprof — including
-// pipeline_queue_depth{stage="write"} for the encode→write queue.
+// -groups/-days/-spw to taste. The write is three stages at every
+// -workers count (default GOMAXPROCS): -workers goroutines simulate
+// groups, as many filter and encode them, and a single ordered tail
+// appends segments and commits the manifest in deterministic group
+// order, so the dataset bytes do not depend on the worker count and
+// even -workers 1 simulates one group while it encodes the one before.
+// -progress reports sessions per second and per-stage wall time to
+// stderr while the run grinds; -metrics-addr additionally serves
+// /metrics (Prometheus text), /debug/vars, and /debug/pprof — including
+// pipeline_queue_depth{stage="encode"} and {stage="write"} for the
+// generate→encode and encode→write queues.
 // cmd/edgereport and cmd/edgestat read the directory; cmd/segcat
 // exports it as JSON lines for external tooling.
 //
@@ -72,7 +75,7 @@ func main() {
 		days        = flag.Int("days", 10, "dataset length in days")
 		spw         = flag.Float64("spw", 8, "mean sampled sessions per group per window")
 		out         = flag.String("o", "", "dataset directory to write or resume (required)")
-		workers     = flag.Int("workers", pipeline.DefaultWorkers(), "concurrent generate/encode workers (1 = sequential)")
+		workers     = flag.Int("workers", pipeline.DefaultWorkers(), "goroutines that simulate groups, and as many that encode them; at any count simulate, encode and commit overlap")
 		progress    = flag.Bool("progress", false, "report generation progress to stderr every 2s")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address")
 		faultPlan   = flag.String("fault-plan", "", "deterministic fault-injection plan (key=value;... — see internal/faults; '' or 'none' disables)")

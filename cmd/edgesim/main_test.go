@@ -92,8 +92,7 @@ func TestChaosWriteFaultAccountingIsExact(t *testing.T) {
 }
 
 // With no plan the chaos machinery must be fully dormant: no ledger
-// materialises, and the parallel writer commits the same directory as
-// the sequential one.
+// materialises, and four workers commit the same directory as one.
 func TestNoPlanMatchesSequentialDataset(t *testing.T) {
 	seq, seqRes := chaosDataset(t, 1, "")
 	par, parRes := chaosDataset(t, 4, "")

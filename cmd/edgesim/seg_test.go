@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -152,7 +154,8 @@ func TestSegDatasetRoundTripsToJSONLDataset(t *testing.T) {
 // An interrupt mid-run must leave a readable manifest, and rerunning
 // with the same flags must resume and converge on a directory
 // byte-identical to an uninterrupted run's — wherever the interrupt
-// landed.
+// landed, at one worker (three goroutines, one stage behind the other)
+// as at two.
 func TestSegInterruptResumeByteIdentical(t *testing.T) {
 	ref := filepath.Join(t.TempDir(), "ref.seg")
 	if _, err := segDataset(t, context.Background(), ref, 2, ""); err != nil {
@@ -160,48 +163,154 @@ func TestSegInterruptResumeByteIdentical(t *testing.T) {
 	}
 	want := dirBytes(t, ref)
 
-	dir := filepath.Join(t.TempDir(), "ds.seg")
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	// Cancel as soon as a few segments have landed — mid-run, like a
-	// SIGINT. The property under test is interrupt-point-agnostic.
-	go func() {
-		for {
-			if ents, err := os.ReadDir(dir); err == nil && len(ents) >= 4 {
-				cancel()
-				return
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "ds.seg")
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			// Cancel as soon as a few segments have landed — mid-run, like
+			// a SIGINT. The property under test is interrupt-point-agnostic.
+			go func() {
+				for ctx.Err() == nil {
+					if ents, err := os.ReadDir(dir); err == nil && len(ents) >= 4 {
+						cancel()
+						return
+					}
+					time.Sleep(200 * time.Microsecond)
+				}
+			}()
+			_, err := segDataset(t, ctx, dir, workers, "")
+			if err == nil {
+				t.Skip("run finished before the cancel landed; nothing interrupted")
 			}
-			time.Sleep(200 * time.Microsecond)
-		}
-	}()
-	_, err := segDataset(t, ctx, dir, 2, "")
-	if err == nil {
-		t.Skip("run finished before the cancel landed; nothing interrupted")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("interrupted run failed with %v, want context.Canceled", err)
-	}
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("interrupted run failed with %v, want context.Canceled", err)
+			}
 
-	// The manifest must be readable right now, mid-dataset.
-	r, err := segstore.Open(dir)
-	if err != nil {
-		t.Fatalf("interrupted dataset is not readable: %v", err)
+			// The manifest must be readable right now, mid-dataset.
+			r, err := segstore.Open(dir)
+			if err != nil {
+				t.Fatalf("interrupted dataset is not readable: %v", err)
+			}
+			partial := r.Manifest().TotalSamples()
+			if err := r.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			// Resume with the same flags: only missing groups regenerate,
+			// and the final directory matches the uninterrupted reference
+			// exactly.
+			res, err := segDataset(t, context.Background(), dir, workers, "")
+			if err != nil {
+				t.Fatalf("resume: %v", err)
+			}
+			if partial > 0 && res.Resumed == 0 {
+				t.Errorf("resume regenerated everything despite %d committed samples", partial)
+			}
+			sameDir(t, dirBytes(t, dir), want, "resumed")
+		})
 	}
-	partial := r.Manifest().TotalSamples()
-	if err := r.Close(); err != nil {
+}
+
+// A permanent write fault under FailFast poisons the ordered tail while
+// the generators are blocked in Send. The plan gives group 0 a streak
+// of sixteen transient write faults (about 0.8 s of backoff on the
+// tail, several times what the generators need to fill the queues even
+// under -race) and group 1 a permanent one: while the tail sleeps, the
+// generators fill every queue behind it; then it commits group 0 and
+// fails on group 1. The run must return the write fault, and the
+// dataset must read back as exactly group 0, whole — nothing of the
+// groups in flight — with every pooled batch of the read released.
+func TestSegFailFastWriteFaultStopsBlockedGenerator(t *testing.T) {
+	cfg := world.Config{Seed: 5, Groups: 24, Days: 2, SessionsPerGroupWindow: 2}
+	const spec = "seed=49;sink-transient=0.3;sink-permanent=0.3;sink-streak=16;retries=20;retry-base=50ms"
+	plan, err := faults.ParsePlan(spec)
+	if err != nil {
 		t.Fatal(err)
 	}
+	ref := filepath.Join(t.TempDir(), "ref.seg")
+	if _, err := generate(t, context.Background(), cfg, ref, 4, "", nil); err != nil {
+		t.Fatal(err)
+	}
+	refMan := manifest(t, ref)
+	refBytes := dirBytes(t, ref)
+	cpg := seggen.ChunksPerGroup(cfg)
+	var group0 []segstore.SegmentMeta
+	for _, m := range refMan.Segments {
+		if m.ID < cpg {
+			group0 = append(group0, m)
+		}
+	}
+	if len(group0) != cpg {
+		t.Fatalf("reference holds %d segments of group 0, want %d", len(group0), cpg)
+	}
 
-	// Resume with the same flags: only missing groups regenerate, and
-	// the final directory matches the uninterrupted reference exactly.
-	res, err := segDataset(t, context.Background(), dir, 2, "")
+	for _, workers := range []int{1, 4} {
+		w := world.New(cfg)
+		reg := obs.NewRegistry()
+		w.Instrument(reg)
+		dir := filepath.Join(t.TempDir(), "ds.seg")
+		res, err := seggen.Run(context.Background(), seggen.Options{
+			World: w, Dir: dir, Origin: "test " + spec, Reg: reg, Workers: workers,
+			Injector: faults.NewInjector(plan, cfg.Seed), FailFast: true,
+		})
+		var fe *faults.FaultError
+		if !errors.As(err, &fe) || fe.Surface != faults.SurfaceWrite || fe.Transient {
+			t.Fatalf("workers=%d: Run returned %v, want the permanent write fault", workers, err)
+		}
+		// Group 0 at the tail plus, at each of the write queue, the
+		// encoders, the encode queue and the generators, one group per
+		// worker: anything less and no generator ever blocked in Send.
+		if n := reg.Counter("world_groups_total").Value(); n < int64(1+4*workers) {
+			t.Fatalf("workers=%d: %d groups simulated while the tail stalled, want >= %d", workers, n, 1+4*workers)
+		}
+
+		man := manifest(t, dir)
+		if len(man.Tombstones) != 0 || len(man.Segments) != len(group0) {
+			t.Fatalf("workers=%d: manifest holds %d segments and %d tombstones, want group 0's %d segments",
+				workers, len(man.Segments), len(man.Tombstones), len(group0))
+		}
+		got := dirBytes(t, dir)
+		for i, m := range man.Segments {
+			if !reflect.DeepEqual(m, group0[i]) || !bytes.Equal(got[m.File], refBytes[m.File]) {
+				t.Fatalf("workers=%d: segment %+v is not the clean run's %+v", workers, m, group0[i])
+			}
+		}
+		if res.Written != man.TotalSamples() {
+			t.Fatalf("workers=%d: run reports %d samples written, manifest holds %d", workers, res.Written, man.TotalSamples())
+		}
+
+		r, err := segstore.Open(dir)
+		if err != nil {
+			t.Fatalf("workers=%d: failed dataset is not readable: %v", workers, err)
+		}
+		rows := 0
+		err = r.ScanColumns(context.Background(), workers, nil, func(b *segstore.ColumnBatch) error {
+			rows += b.Len()
+			b.Release()
+			return nil
+		})
+		if cerr := r.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil || rows != res.Written {
+			t.Fatalf("workers=%d: read back %d rows (%v), want %d", workers, rows, err, res.Written)
+		}
+		if out, _ := segstore.LeakStats(); out != 0 {
+			t.Fatalf("workers=%d: %d pooled batches outstanding after the read", workers, out)
+		}
+	}
+}
+
+// manifest reads a dataset's committed manifest.
+func manifest(t *testing.T, dir string) *segstore.Manifest {
+	t.Helper()
+	r, err := segstore.Open(dir)
 	if err != nil {
-		t.Fatalf("resume: %v", err)
+		t.Fatal(err)
 	}
-	if partial > 0 && res.Resumed == 0 {
-		t.Errorf("resume regenerated everything despite %d committed samples", partial)
-	}
-	sameDir(t, dirBytes(t, dir), want, "resumed")
+	defer func() { _ = r.Close() }() // read-only dataset; nothing to flush
+	return r.Manifest()
 }
 
 // Resuming with different flags must be refused, not interleaved.

@@ -26,7 +26,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
-	"repro/internal/sample"
 	"repro/internal/segstore"
 	"repro/internal/trace"
 	"repro/internal/world"
@@ -93,7 +92,9 @@ type Options struct {
 	Origin string
 	// Reg receives pipeline metrics (may be nil).
 	Reg *obs.Registry
-	// Workers is the generate/encode parallelism (<=1 sequential).
+	// Workers is how many goroutines simulate groups and how many
+	// filter and encode them (values below 1 mean 1). Every count runs
+	// the same three stages; see Run.
 	Workers int
 	// Injector injects deterministic batch/write faults (may be nil).
 	Injector *faults.Injector
@@ -127,9 +128,18 @@ type Result struct {
 // resuming from its manifest if one exists: only groups the manifest
 // does not fully account for (committed or tombstoned) are regenerated,
 // and the finished directory is byte-identical to an uninterrupted
-// run's at any worker count. Workers generate and encode whole groups
-// concurrently; a single ordered tail appends segments and commits the
-// manifest once per group, so an interrupt loses at most the groups not
+// run's at any worker count.
+//
+// Run is three stages at every worker count, each a stage behind the
+// one before. Generate: opt.Workers goroutines simulate whole groups
+// and draw each group's outage and batch faults. Encode: opt.Workers
+// goroutines filter each group's samples (hosting/VPN) in place and
+// encode one segment per chunk (queue
+// pipeline_queue_depth{stage="encode"}). Commit: one ordered tail
+// appends the segments and commits the manifest once per group, in
+// group order (queue pipeline_queue_depth{stage="write"}). So at one
+// worker the world simulates group k+1 while group k is encoded and
+// group k-1 committed, and an interrupt loses at most the groups not
 // yet committed. A permanently failed group tombstones its segment IDs
 // in the manifest — the loss is recorded in the dataset itself.
 func Run(ctx context.Context, opt Options) (Result, error) {
@@ -185,6 +195,13 @@ func Run(ctx context.Context, opt Options) (Result, error) {
 		blob    []byte
 		meta    segstore.SegmentMeta
 	}
+	// rawBatch is one simulated group on its way to the encode pool,
+	// with the batch surface's verdict drawn on the generator.
+	type rawBatch struct {
+		order int
+		b     world.Batch
+		fate  faults.BatchFate
+	}
 	type segBatch struct {
 		order  int
 		group  int
@@ -197,21 +214,29 @@ func Run(ctx context.Context, opt Options) (Result, error) {
 		rawLost []int
 	}
 
-	workers := opt.Workers
+	workers := max(opt.Workers, 1)
 	g := pipeline.NewGroup(ctx)
-	enc := pipeline.NewStream[segBatch](max(workers, 1))
+	raw := pipeline.NewStream[rawBatch](workers)
+	raw.Instrument(reg, "encode")
+	enc := pipeline.NewStream[segBatch](workers)
 	enc.Instrument(reg, "write")
 	tb := rec.Buf() // owned by the ordered tail goroutine below
 	g.Go(func(ctx context.Context) error {
-		defer enc.Close()
+		defer raw.Close()
 		return w.GenerateSelected(ctx, workers, todo, func(order int, b world.Batch) error {
 			guard.Outage(b.Lost) // PoP outage suppressed windows at the source
 			fate, err := guard.Batch(b.Group, len(b.Samples))
 			if err != nil {
 				return err
 			}
-			sb := segBatch{order: order, group: b.Group, fate: fate}
-			if fate.Dropped() {
+			return raw.Send(ctx, rawBatch{order: order, b: b, fate: fate})
+		})
+	})
+	g.GoPool(workers, func(ctx context.Context, _ int) error {
+		return raw.Range(ctx, func(rb rawBatch) error {
+			b := rb.b
+			sb := segBatch{order: rb.order, group: b.Group, fate: rb.fate}
+			if rb.fate.Dropped() {
 				sb.rawLost = make([]int, cpg)
 				for i := range b.Samples {
 					sb.rawLost[ChunkOf(b.Samples[i].Start, cpg)]++
@@ -219,13 +244,15 @@ func Run(ctx context.Context, opt Options) (Result, error) {
 				return enc.Send(ctx, sb)
 			}
 
-			// Filter (hosting/VPN) and encode. Samples arrive in window
-			// order, so chunk runs are contiguous and ascending.
+			// Filter (hosting/VPN) in place: the stage owns the raw batch,
+			// and the kept prefix is written at or behind the sample being
+			// read. Samples arrive in window order, so chunk runs are
+			// contiguous and ascending.
 			sp := encSpan.Start()
-			var kept []sample.Sample
+			kept := b.Samples[:0]
 			c := collector.New(collector.SliceSink(&kept))
 			c.Instrument(reg)
-			for _, s := range b.Samples[:len(b.Samples)-fate.Lost] {
+			for _, s := range b.Samples[:len(b.Samples)-rb.fate.Lost] {
 				c.Offer(s)
 			}
 			st := c.Stats()
@@ -245,7 +272,7 @@ func Run(ctx context.Context, opt Options) (Result, error) {
 			mu.Unlock()
 			return enc.Send(ctx, sb)
 		})
-	})
+	}, enc.Close)
 	g.Go(func(ctx context.Context) error {
 		return pipeline.Reorder(ctx, enc, func(b segBatch) int { return b.order }, 0, func(b segBatch) error {
 			b.fate.Emit(tb)

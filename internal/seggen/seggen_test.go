@@ -1,11 +1,16 @@
 package seggen
 
 import (
+	"bytes"
 	"context"
+	"fmt"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/obs"
 	"repro/internal/segstore"
 	"repro/internal/world"
 )
@@ -104,5 +109,43 @@ func TestRunEmptyShare(t *testing.T) {
 	defer func() { _ = r.Close() }() // read-only dataset; nothing to flush
 	if man := r.Manifest(); len(man.Segments) != 0 || man.Origin != "test origin" {
 		t.Fatalf("manifest = %d segments, origin %q", len(man.Segments), man.Origin)
+	}
+}
+
+// TestStageMetricsAtOneWorker: a one-worker run is three stages, and
+// /metrics shows both queues between them — generate→encode and
+// encode→write — and a completed span of each timed stage per group.
+func TestStageMetricsAtOneWorker(t *testing.T) {
+	w := world.New(world.Config{Seed: 7, Groups: 5, Days: 1, SessionsPerGroupWindow: 2})
+	reg := obs.NewRegistry()
+	if _, err := Run(context.Background(), Options{
+		World: w, Dir: t.TempDir(), Origin: "test origin", Reg: reg, Workers: 1,
+	}); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	var expo bytes.Buffer
+	if err := reg.WritePrometheus(&expo); err != nil {
+		t.Fatalf("WritePrometheus: %v", err)
+	}
+	value := func(series string) (float64, bool) {
+		for _, line := range strings.Split(expo.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, series+" "); ok {
+				f, err := strconv.ParseFloat(v, 64)
+				return f, err == nil
+			}
+		}
+		return 0, false
+	}
+	for _, stage := range []string{"encode", "write"} {
+		for _, gauge := range []string{"pipeline_queue_depth", "pipeline_queue_capacity"} {
+			series := fmt.Sprintf("%s{stage=%q}", gauge, stage)
+			if _, ok := value(series); !ok {
+				t.Errorf("/metrics lacks %s", series)
+			}
+		}
+		series := fmt.Sprintf(`edgesim_stage_seconds_count{stage=%q,parent="edgesim"}`, stage)
+		if n, _ := value(series); n != float64(len(w.Groups)) {
+			t.Errorf("%s = %v, want one span per group (%d)", series, n, len(w.Groups))
+		}
 	}
 }

@@ -142,13 +142,27 @@ func (w *World) GenerateSelected(ctx context.Context, workers int, groups []int,
 	return g.Wait()
 }
 
-// generateBatch simulates one group under the generation span.
+// generateBatch simulates one group under the generation span, into a
+// buffer sized once for the group (sessionCapacity) rather than grown
+// by doubling as the sessions arrive.
 func (w *World) generateBatch(i int, tb *trace.Buf) Batch {
 	sp := w.obs.genStage.Start()
-	var buf []sample.Sample
+	buf := make([]sample.Sample, 0, w.sessionCapacity(w.Groups[i]))
 	lost := w.generateGroup(i, tb, func(s sample.Sample) { buf = append(buf, s) })
 	sp.End()
 	return Batch{Group: i, Samples: buf, Lost: lost}
+}
+
+// sessionCapacity is a capacity for one group's samples that its
+// session count exceeds only by chance: the sum of its windows' Poisson
+// means (generateWindow) plus four standard deviations of that sum.
+// Only a buffer's capacity depends on it, never a draw.
+func (w *World) sessionCapacity(g *Group) int {
+	mean := 0.0
+	for win := 0; win < w.Cfg.Windows(); win++ {
+		mean += w.Cfg.SessionsPerGroupWindow * g.Weight * activity((win/4)%24, g.ActivityPeakUTC)
+	}
+	return int(mean+4*math.Sqrt(mean)) + 1
 }
 
 // GenerateAll buffers the whole dataset; intended for tests and small

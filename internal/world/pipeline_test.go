@@ -147,3 +147,31 @@ func TestGenerateSelectedCoverage(t *testing.T) {
 		}
 	}
 }
+
+// A group's buffer is sized once, before its first session, and the
+// sessions must fit it: a batch whose capacity is not sessionCapacity
+// was regrown by append. The slack is bounded too, so the estimate
+// cannot pass by over-allocating.
+func TestGroupBufferSizedOnce(t *testing.T) {
+	for _, cfg := range []Config{
+		{Seed: 3, Groups: 40, Days: 2, SessionsPerGroupWindow: 12},
+		{Seed: 42, Groups: 12, Days: 2, SessionsPerGroupWindow: 40},
+		{Seed: 9, Groups: 30, Days: 3, SessionsPerGroupWindow: 2},
+	} {
+		w := New(cfg)
+		used, held := 0, 0
+		if err := w.GenerateBatches(context.Background(), 2, func(b Batch) error {
+			if want := w.sessionCapacity(w.Groups[b.Group]); cap(b.Samples) != want {
+				t.Errorf("seed %d group %d: %d samples in a buffer of %d, sized for %d", cfg.Seed, b.Group, len(b.Samples), cap(b.Samples), want)
+			}
+			used += len(b.Samples)
+			held += cap(b.Samples)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if slack := float64(held) / float64(used); slack > 1.25 {
+			t.Errorf("seed %d: buffers hold %.2fx the samples generated", cfg.Seed, slack)
+		}
+	}
+}
