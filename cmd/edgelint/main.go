@@ -1,12 +1,12 @@
 // Command edgelint runs the repo's domain-specific static analyzers
-// (internal/lint/...): nondeterminism, closecheck, poisonpath, rowfree,
-// and batchlife — the contracts the compiler cannot see (DESIGN.md §8,
-// §13).
+// (internal/lint/...): closecheck, nondeterminism, poisonpath and
+// rowfree — the contracts the compiler cannot see (DESIGN.md §8).
+// Pooled-batch ownership is not among them: the leak-checked tests
+// check it at run time (DESIGN.md §13).
 //
 // It type-checks the module from source (no build cache needed), then
-// analyzes every package in dependency order so facts flow from a
-// package to its importers. _test.go files are never loaded: the
-// contracts target production code.
+// analyzes every package, each on its own. _test.go files are never
+// loaded: the contracts target production code.
 //
 //	edgelint            # the module containing the current directory
 //	edgelint ./agg      # only report findings under a directory
@@ -78,9 +78,9 @@ func run(dir string, out io.Writer, stats bool) int {
 	return 0
 }
 
-// lint loads and analyzes the whole module containing dir (facts need
-// every package) and keeps the findings rooted under dir, with paths
-// relative to it — this is what `edgelint ./agg` means.
+// lint loads and analyzes the whole module containing dir and keeps the
+// findings rooted under dir, with paths relative to it — this is what
+// `edgelint ./agg` means.
 func lint(dir string) (*suite.Result, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {

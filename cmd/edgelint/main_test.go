@@ -39,8 +39,7 @@ func lintWith(t *testing.T, bin string, args ...string) (string, int) {
 
 // The driver over the known-bad fixture module must surface one finding
 // per planted violation and exit 1; given a directory inside it, it
-// still analyzes the whole module (the "handed off" finding needs facts
-// from segstore) but reports only what lies under that directory.
+// reports only what lies under that directory.
 func TestStandaloneOnBadModule(t *testing.T) {
 	bin := buildDriver(t)
 	for _, tc := range []struct {
@@ -49,18 +48,17 @@ func TestStandaloneOnBadModule(t *testing.T) {
 		findings int
 		wants    []string
 	}{
-		{args: []string{"testdata/badmod"}, exit: 1, findings: 7, wants: []string{
+		{args: []string{"testdata/badmod"}, exit: 1, findings: 5, wants: []string{
 			"wall-clock read time.Now in deterministic package agg",
 			"global math/rand draw rand.Int",
 			"append to out during map iteration without a subsequent sort",
 			"unchecked error from (*bufio.Writer).Flush",
 			"Orphan creates a pipeline group but has no context.Context parameter",
-			"column batch b may reach this exit without being released",
-			"column batch b is used after its ownership was handed off",
 		}},
-		{args: []string{"testdata/badmod/collect"}, exit: 1, findings: 2, wants: []string{
-			"collect.go:15:3: batchlife: column batch b may reach this exit without being released",
-			"collect.go:28:9: batchlife: column batch b is used after its ownership was handed off",
+		{args: []string{"testdata/badmod/agg"}, exit: 1, findings: 3, wants: []string{
+			"\nagg.go:13:9: nondeterminism: wall-clock read time.Now in deterministic package agg;",
+			"\nagg.go:18:9: nondeterminism: global math/rand draw rand.Int in deterministic package agg;",
+			"\nagg.go:25:3: nondeterminism: append to out during map iteration without a subsequent sort;",
 		}},
 		// The flags that selected the deleted drivers are usage errors.
 		{args: []string{"-cache", "off", "testdata/badmod"}, exit: 2},
@@ -74,7 +72,7 @@ func TestStandaloneOnBadModule(t *testing.T) {
 			t.Errorf("edgelint %v: %d finding(s), want %d", tc.args, n, tc.findings)
 		}
 		for _, want := range tc.wants {
-			if !strings.Contains(stdout, want) {
+			if !strings.Contains("\n"+stdout, want) {
 				t.Errorf("edgelint %v: missing diagnostic %q", tc.args, want)
 			}
 		}

@@ -17,9 +17,11 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -48,17 +50,24 @@ func main() {
 	if err != nil {
 		log.Fatalf("edgestat: %v", err)
 	}
+	if err := run(*in, filter, *top, os.Stdout); err != nil {
+		log.Fatalf("edgestat: %v", err)
+	}
+}
 
+// run writes the roll-up of the dataset at in, restricted to f, to w:
+// the top groups by traffic (all of them when top is 0).
+func run(in string, f *segstore.Filter, top int, w io.Writer) error {
 	// Segment batches feed the store's columnar fold directly — the
 	// roll-up never materializes row structs.
 	store := agg.NewStore()
 	col := collector.New()
 	col.AddColumnSink(collector.StoreColumnSink(store))
-	r, err := segstore.Open(*in)
+	r, err := segstore.Open(in)
 	if err != nil {
-		log.Fatalf("edgestat: %v", err)
+		return err
 	}
-	err = r.ScanColumns(context.Background(), 1, filter, func(b *segstore.ColumnBatch) error {
+	err = r.ScanColumns(context.Background(), 1, f, func(b *segstore.ColumnBatch) error {
 		col.OfferColumns(b)
 		b.Release()
 		return col.Err()
@@ -67,14 +76,15 @@ func main() {
 		err = cerr
 	}
 	if err != nil {
-		log.Fatalf("edgestat: reading %s: %v", *in, err)
+		return fmt.Errorf("reading %s: %w", in, err)
 	}
 
 	summaries := analysis.SummariseGroups(store)
-	fmt.Printf("%d groups, %d samples, %d windows\n\n", store.Len(), store.TotalSamples, store.TotalWindows)
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, "%d groups, %d samples, %d windows\n\n", store.Len(), store.TotalSamples, store.TotalWindows)
 	rows := make([][]string, 0, len(summaries))
 	for i, g := range summaries {
-		if *top > 0 && i >= *top {
+		if top > 0 && i >= top {
 			break
 		}
 		rows = append(rows, []string{
@@ -89,7 +99,8 @@ func main() {
 			fmt.Sprintf("%d", g.Routes),
 		})
 	}
-	report.Table(os.Stdout, []string{
+	report.Table(bw, []string{
 		"group", "cont", "sessions", "coverage", "minrtt-p50", "hd-p50", "baseline", "worst-deg", "routes",
 	}, rows)
+	return bw.Flush()
 }

@@ -7,8 +7,7 @@
 // directory name under src is the fixture's import path, so a fixture
 // named "agg" exercises the deterministic-package rules exactly as
 // repro/internal/agg would. Fixture files may import real repro/...
-// packages (they resolve against this module) or sibling fixture
-// packages under the same testdata/src root (GOPATH-style).
+// packages (they resolve against this module) and the standard library.
 //
 // Expectations are trailing comments of the form
 //
@@ -16,17 +15,6 @@
 //
 // Every diagnostic must match a want on its line, and every want must
 // be matched by exactly one diagnostic.
-//
-// For analyzers that export object facts, a want of the form
-//
-//	func f() {} // want f:"fact regexp"
-//
-// asserts that a fact whose String() matches the regexp is exported
-// for the object named f declared on that line. Fact wants and
-// diagnostic wants mix freely on one line. When the analyzer declares
-// FactTypes, the fixture's module-internal and fixture-sibling imports
-// are analyzed first (findings discarded) so facts flow into the
-// fixture exactly as they do in a real run.
 package analysistest
 
 import (
@@ -43,16 +31,15 @@ import (
 )
 
 // Run analyses the fixture package testdata/src/<pkgpath> (relative to
-// the calling test's directory) with a and compares diagnostics and
-// exported facts against its // want comments.
+// the calling test's directory) with a and compares its diagnostics
+// against its // want comments.
 func Run(t *testing.T, a *analysis.Analyzer, pkgpath string) {
 	t.Helper()
 	_, caller, _, ok := runtime.Caller(1)
 	if !ok {
 		t.Fatal("analysistest: cannot locate caller")
 	}
-	srcRoot := filepath.Join(filepath.Dir(caller), "testdata", "src")
-	dir := filepath.Join(srcRoot, filepath.FromSlash(pkgpath))
+	dir := filepath.Join(filepath.Dir(caller), "testdata", "src", filepath.FromSlash(pkgpath))
 
 	moduleDir, err := load.FindModuleRoot(filepath.Dir(caller))
 	if err != nil {
@@ -62,7 +49,6 @@ func Run(t *testing.T, a *analysis.Analyzer, pkgpath string) {
 	if err != nil {
 		t.Fatalf("analysistest: %v", err)
 	}
-	loader.AddSrcDir(srcRoot)
 	pkg, err := loader.LoadDir(dir, pkgpath)
 	if err != nil {
 		t.Fatalf("analysistest: loading fixture %s: %v", pkgpath, err)
@@ -70,22 +56,7 @@ func Run(t *testing.T, a *analysis.Analyzer, pkgpath string) {
 	if len(pkg.Errors) > 0 {
 		t.Fatalf("analysistest: fixture %s has type errors: %v", pkgpath, pkg.Errors)
 	}
-
-	// Fact-producing analyzers see their dependencies' facts in real
-	// runs; reproduce that by analyzing the fixture's dependencies
-	// (loaded before it, so loader order is dependency order) first.
-	store := suite.NewFactStore()
-	if len(a.FactTypes) > 0 {
-		for _, dep := range loader.Packages() {
-			if dep == pkg {
-				continue
-			}
-			if _, _, err := suite.RunPackageFacts(dep, []*analysis.Analyzer{a}, store); err != nil {
-				t.Fatalf("analysistest: analyzing dependency %s: %v", dep.Path, err)
-			}
-		}
-	}
-	findings, facts, err := suite.RunPackageFacts(pkg, []*analysis.Analyzer{a}, store)
+	findings, err := suite.RunPackage(pkg, []*analysis.Analyzer{a})
 	if err != nil {
 		t.Fatalf("analysistest: %v", err)
 	}
@@ -93,37 +64,17 @@ func Run(t *testing.T, a *analysis.Analyzer, pkgpath string) {
 	wants := collectWants(t, pkg)
 	for _, f := range findings {
 		key := lineKey{f.Pos.Filename, f.Pos.Line}
-		if !wants.match(key, "", f.Message) {
+		if !wants.match(key, f.Message) {
 			t.Errorf("%s: unexpected diagnostic: %s", f.Pos, f.Message)
-		}
-	}
-	for _, of := range facts {
-		pos := pkg.Fset.Position(of.Object.Pos())
-		key := lineKey{pos.Filename, pos.Line}
-		text := of.Object.Name() + ":" + factString(of.Fact)
-		if !wants.match(key, of.Object.Name(), factString(of.Fact)) {
-			t.Errorf("%s: unexpected fact: %s", pos, text)
 		}
 	}
 	for key, ws := range wants {
 		for _, w := range ws {
 			if !w.matched {
-				kind := "diagnostic"
-				if w.name != "" {
-					kind = "fact on object " + w.name
-				}
-				t.Errorf("%s:%d: expected %s matching %q, got none", key.file, key.line, kind, w.re)
+				t.Errorf("%s:%d: expected diagnostic matching %q, got none", key.file, key.line, w.re)
 			}
 		}
 	}
-}
-
-// factString renders a fact for matching, preferring its Stringer.
-func factString(f analysis.Fact) string {
-	if s, ok := f.(interface{ String() string }); ok {
-		return s.String()
-	}
-	return ""
 }
 
 type lineKey struct {
@@ -131,19 +82,17 @@ type lineKey struct {
 	line int
 }
 
-// want is one expectation: a diagnostic regexp (name == "") or a fact
-// regexp bound to the object declared on the line (name != "").
+// want is one diagnostic expectation.
 type want struct {
-	name    string
 	re      *regexp.Regexp
 	matched bool
 }
 
 type wantMap map[lineKey][]*want
 
-func (m wantMap) match(key lineKey, name, msg string) bool {
+func (m wantMap) match(key lineKey, msg string) bool {
 	for _, w := range m[key] {
-		if !w.matched && w.name == name && w.re.MatchString(msg) {
+		if !w.matched && w.re.MatchString(msg) {
 			w.matched = true
 			return true
 		}
@@ -151,9 +100,8 @@ func (m wantMap) match(key lineKey, name, msg string) bool {
 	return false
 }
 
-// wantRE matches one expectation: an optional object-name prefix
-// (fact wants) followed by a quoted regexp.
-var wantRE = regexp.MustCompile(`(?:([A-Za-z_]\w*):)?("(?:[^"\\]|\\.)*")`)
+// wantRE matches one expectation: a quoted regexp.
+var wantRE = regexp.MustCompile(`"(?:[^"\\]|\\.)*"`)
 
 func collectWants(t *testing.T, pkg *load.Package) wantMap {
 	t.Helper()
@@ -167,22 +115,22 @@ func collectWants(t *testing.T, pkg *load.Package) wantMap {
 				}
 				pos := pkg.Fset.Position(c.Pos())
 				key := lineKey{pos.Filename, pos.Line}
-				ms := wantRE.FindAllStringSubmatch(rest, -1)
+				ms := wantRE.FindAllString(rest, -1)
 				if len(ms) == 0 {
 					t.Fatalf("%s: malformed want comment %q", pos, c.Text)
 				}
 				for _, m := range ms {
 					// The quoted pattern is a Go string literal, so \\( in
 					// the fixture reaches the regexp engine as \(.
-					pat, err := strconv.Unquote(m[2])
+					pat, err := strconv.Unquote(m)
 					if err != nil {
-						t.Fatalf("%s: bad want string %s: %v", pos, m[2], err)
+						t.Fatalf("%s: bad want string %s: %v", pos, m, err)
 					}
 					re, err := regexp.Compile(pat)
 					if err != nil {
 						t.Fatalf("%s: bad want regexp: %v", pos, err)
 					}
-					out[key] = append(out[key], &want{name: m[1], re: re})
+					out[key] = append(out[key], &want{re: re})
 				}
 			}
 		}

@@ -57,15 +57,6 @@ type Loader struct {
 
 	std  types.Importer
 	pkgs map[string]*Package
-	// order records packages in completion order: a package's
-	// dependencies finish type-checking before it does, so this is a
-	// ready-made topological order.
-	order []*Package
-	// srcRoots are extra GOPATH-style source roots (analysistest
-	// fixture trees): an import path that matches no module package
-	// resolves against <root>/<path> before falling back to the
-	// standard library.
-	srcRoots []string
 	// loading guards against import cycles (which would otherwise
 	// recurse forever); a cycle is reported as an error.
 	loading map[string]bool
@@ -106,16 +97,6 @@ func NewLoader(moduleDir string) (*Loader, error) {
 		loading:    make(map[string]bool),
 	}, nil
 }
-
-// AddSrcDir registers a GOPATH-style source root: imports that match
-// no module package resolve as <dir>/<importpath> when that directory
-// holds Go files. analysistest uses this so fixtures can import helper
-// fixture packages living beside them under testdata/src.
-func (l *Loader) AddSrcDir(dir string) { l.srcRoots = append(l.srcRoots, dir) }
-
-// Packages returns every package loaded so far, dependencies before
-// dependents.
-func (l *Loader) Packages() []*Package { return append([]*Package(nil), l.order...) }
 
 // modulePath extracts the module declaration from a go.mod file.
 func modulePath(gomod string) (string, error) {
@@ -243,7 +224,6 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 	pkg.Types = tpkg
 	pkg.Info = info
 	l.pkgs[importPath] = pkg
-	l.order = append(l.order, pkg)
 	return pkg, nil
 }
 
@@ -262,19 +242,6 @@ func (l *Loader) importPkg(path string) (*types.Package, error) {
 			return nil, fmt.Errorf("package %s has type errors: %v", path, p.Errors[0])
 		}
 		return p.Types, nil
-	}
-	for _, root := range l.srcRoots {
-		dir := filepath.Join(root, filepath.FromSlash(path))
-		if bp, err := build.ImportDir(dir, 0); err == nil && len(bp.GoFiles) > 0 {
-			p, err := l.LoadDir(dir, path)
-			if err != nil {
-				return nil, err
-			}
-			if len(p.Errors) > 0 {
-				return nil, fmt.Errorf("package %s has type errors: %v", path, p.Errors[0])
-			}
-			return p.Types, nil
-		}
 	}
 	return l.std.Import(path)
 }

@@ -2,25 +2,20 @@
 // loaded packages, applying //edgelint:allow directives. Run is the one
 // driver: cmd/edgelint, `make lint` and the in-repo directive tests all
 // call it, so suppression semantics cannot diverge between entry
-// points (analysistest calls its per-package half, RunPackageFacts).
+// points (analysistest calls its per-package half, RunPackage).
 //
-// The driver resolves Analyzer.Requires (running prerequisite passes
-// like cfg first and exposing their results through Pass.ResultOf) and
-// plumbs object facts between packages: facts exported while analyzing
-// a package are visible when its importers are analyzed, which is what
-// makes batchlife's ownership summaries interprocedural across
-// segstore → collector → agg/analysis/study.
+// Every analyzer reads one package on its own — there are no facts and
+// no prerequisite passes — so packages are analyzed in any order and
+// the findings sorted afterwards.
 package suite
 
 import (
 	"fmt"
 	"go/token"
-	"go/types"
 	"sort"
 	"time"
 
 	"repro/internal/lint/analysis"
-	"repro/internal/lint/batchlife"
 	"repro/internal/lint/closecheck"
 	"repro/internal/lint/lintutil"
 	"repro/internal/lint/load"
@@ -29,10 +24,8 @@ import (
 	"repro/internal/lint/rowfree"
 )
 
-// Analyzers is the full edgelint suite. Prerequisite-only passes (cfg)
-// are not listed; the driver schedules them through Requires.
+// Analyzers is the full edgelint suite.
 var Analyzers = []*analysis.Analyzer{
-	batchlife.Analyzer,
 	closecheck.Analyzer,
 	nondeterminism.Analyzer,
 	poisonpath.Analyzer,
@@ -54,96 +47,31 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s: %s: %s", f.Pos, f.Analyzer, f.Message)
 }
 
-// pkgOutcome is the raw result of analyzing one package.
-type pkgOutcome struct {
-	// findings are pre-suppression diagnostics.
-	findings []Finding
-	// facts were exported by this package's analyzers, in export order.
-	facts []analysis.ObjectFact
-	// wall is wall time per analyzer (prerequisites included).
-	wall map[string]time.Duration
-}
-
-// analyzePackage applies the analyzers — prerequisites first — to one
-// type-checked package, exchanging facts through store. Packages with
-// type errors refuse analysis: unsound types produce unsound findings.
-func analyzePackage(pkg *load.Package, analyzers []*analysis.Analyzer, store *FactStore) (*pkgOutcome, error) {
+// RunPackage applies the analyzers to one type-checked package and
+// returns its raw (pre-suppression) findings, which analysistest
+// matches against want annotations. Packages with type errors refuse
+// analysis: unsound types produce unsound findings.
+func RunPackage(pkg *load.Package, analyzers []*analysis.Analyzer) ([]Finding, error) {
 	if len(pkg.Errors) > 0 {
 		return nil, fmt.Errorf("%s has type errors (first: %v)", pkg.Path, pkg.Errors[0])
 	}
-	out := &pkgOutcome{wall: make(map[string]time.Duration)}
-	results := make(map[*analysis.Analyzer]any)
-	ran := make(map[*analysis.Analyzer]bool)
-
-	var runOne func(a *analysis.Analyzer) error
-	runOne = func(a *analysis.Analyzer) error {
-		if ran[a] {
-			return nil
-		}
-		ran[a] = true
-		resultOf := make(map[*analysis.Analyzer]any, len(a.Requires))
-		for _, r := range a.Requires {
-			if err := runOne(r); err != nil {
-				return err
-			}
-			resultOf[r] = results[r]
-		}
-		name := a.Name
+	var findings []Finding
+	for _, a := range analyzers {
 		pass := &analysis.Pass{
 			Analyzer:  a,
 			Fset:      pkg.Fset,
 			Files:     pkg.Files,
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.Info,
-			ResultOf:  resultOf,
 			Report: func(d analysis.Diagnostic) {
-				out.findings = append(out.findings, Finding{Analyzer: name, Pos: pkg.Fset.Position(d.Pos), Message: d.Message})
+				findings = append(findings, Finding{Analyzer: a.Name, Pos: pkg.Fset.Position(d.Pos), Message: d.Message})
 			},
 		}
-		// Fact plumbing is wired for every analyzer that declares fact
-		// types; others get nil hooks (calling them is a bug).
-		if len(a.FactTypes) > 0 {
-			pass.ImportObjectFact = store.importFact
-			pass.ExportObjectFact = func(obj types.Object, fact analysis.Fact) {
-				if err := store.export(obj, fact); err != nil {
-					panic(fmt.Sprintf("edgelint: %s: %v", name, err))
-				}
-				if obj.Pkg() != nil && obj.Pkg() == pkg.Types {
-					out.facts = append(out.facts, analysis.ObjectFact{Object: obj, Fact: fact})
-				}
-			}
-			pass.AllObjectFacts = func() []analysis.ObjectFact {
-				return append([]analysis.ObjectFact(nil), out.facts...)
-			}
-		}
-		t0 := time.Now()
-		ret, err := a.Run(pass)
-		out.wall[name] += time.Since(t0)
-		if err != nil {
-			return fmt.Errorf("analyzer %s on %s: %w", a.Name, pkg.Path, err)
-		}
-		results[a] = ret
-		return nil
-	}
-	for _, a := range analyzers {
-		if err := runOne(a); err != nil {
-			return nil, err
+		if _, err := a.Run(pass); err != nil {
+			return nil, fmt.Errorf("analyzer %s on %s: %w", a.Name, pkg.Path, err)
 		}
 	}
-	return out, nil
-}
-
-// RunPackageFacts applies the analyzers to one type-checked package
-// and returns its raw (pre-suppression) findings and the facts it
-// exported, which analysistest matches against want annotations. Facts
-// for the package's dependencies are read from store, and the
-// package's own are added to it.
-func RunPackageFacts(pkg *load.Package, analyzers []*analysis.Analyzer, store *FactStore) ([]Finding, []analysis.ObjectFact, error) {
-	out, err := analyzePackage(pkg, analyzers, store)
-	if err != nil {
-		return nil, nil, err
-	}
-	return out.findings, out.facts, nil
+	return findings, nil
 }
 
 // finalizePackage applies the package's //edgelint:allow directives to
@@ -184,14 +112,11 @@ type Result struct {
 	Findings []Finding
 	// Packages is how many packages were analyzed.
 	Packages int
-	// Stats has one entry per analyzer that ran (prerequisites
-	// included), slowest first.
+	// Stats has one entry per analyzer that ran, slowest first.
 	Stats []AnalyzerStat
 }
 
-// Run applies the analyzers to every package in dependency order —
-// one package at a time, facts flowing from each to its importers
-// through one in-memory store — filters findings through
+// Run applies the analyzers to every package, filters findings through
 // //edgelint:allow directives, and reports malformed or unused
 // directives as findings of their own.
 func Run(pkgs []*load.Package, analyzers []*analysis.Analyzer) (*Result, error) {
@@ -203,16 +128,18 @@ func Run(pkgs []*load.Package, analyzers []*analysis.Analyzer) (*Result, error) 
 		}
 		return stats[name]
 	}
-	store := NewFactStore()
-	for _, pkg := range dependencyOrder(pkgs) {
-		out, err := analyzePackage(pkg, analyzers, store)
-		if err != nil {
-			return nil, err
+	for _, pkg := range pkgs {
+		var raw []Finding
+		for _, a := range analyzers {
+			t0 := time.Now()
+			found, err := RunPackage(pkg, []*analysis.Analyzer{a})
+			stat(a.Name).Time += time.Since(t0)
+			if err != nil {
+				return nil, err
+			}
+			raw = append(raw, found...)
 		}
-		for name, d := range out.wall {
-			stat(name).Time += d
-		}
-		res.Findings = append(res.Findings, finalizePackage(pkg, out.findings)...)
+		res.Findings = append(res.Findings, finalizePackage(pkg, raw)...)
 	}
 	for _, f := range res.Findings {
 		stat(f.Analyzer).Findings++
@@ -237,34 +164,6 @@ func Run(pkgs []*load.Package, analyzers []*analysis.Analyzer) (*Result, error) 
 		return res.Stats[i].Name < res.Stats[j].Name
 	})
 	return res, nil
-}
-
-// dependencyOrder returns pkgs with every package after the ones it
-// imports (packages outside pkgs carry no facts and are skipped).
-func dependencyOrder(pkgs []*load.Package) []*load.Package {
-	byPath := make(map[string]*load.Package, len(pkgs))
-	for _, pkg := range pkgs {
-		byPath[pkg.Path] = pkg
-	}
-	out := make([]*load.Package, 0, len(pkgs))
-	seen := make(map[*load.Package]bool, len(pkgs))
-	var visit func(pkg *load.Package)
-	visit = func(pkg *load.Package) {
-		if seen[pkg] {
-			return
-		}
-		seen[pkg] = true
-		for _, imp := range pkg.Types.Imports() {
-			if dep, ok := byPath[imp.Path()]; ok {
-				visit(dep)
-			}
-		}
-		out = append(out, pkg)
-	}
-	for _, pkg := range pkgs {
-		visit(pkg)
-	}
-	return out
 }
 
 // Suppress drops findings covered by a well-formed directive on the

@@ -76,7 +76,6 @@ type rawColumn struct {
 func DecodeSegmentColumns(data []byte) (*ColumnBatch, error) {
 	b := new(ColumnBatch)
 	if err := decodeInto(data, b); err != nil {
-		b.Release() // unpooled, so a no-op — but every path releases
 		return nil, err
 	}
 	return b, nil

@@ -1,19 +1,16 @@
 package segstore
 
-import (
-	"os"
-	"sync/atomic"
-)
+import "sync/atomic"
 
-// Leak accounting — the runtime twin of the batchlife static analyzer
-// (DESIGN.md §13). The ownership protocol says every pooled batch a
-// scan hands out is released exactly once; the analyzer proves it on
-// the paths it can see, and these counters catch what it cannot
-// (ownership threaded through channels, dynamic call chains, future
-// daemon code). The counters are always on — two uncontended atomic
-// adds per batch, invisible next to a segment decode — so any test can
-// assert the invariant; poisoning is opt-in because it deliberately
-// corrupts released batches.
+// Leak accounting — the one check of the batch ownership protocol
+// (DESIGN.md §13): every pooled batch a scan hands out is released
+// exactly once. The leak-checked test mains of segstore, study,
+// cmd/edgesim and cmd/edgestat assert it, and their tests drive every
+// production release, error paths included (EXPERIMENTS.md "Batch
+// ownership probe"). The counters are always on — two uncontended
+// atomic adds per batch, invisible next to a segment decode — so any
+// test can assert the invariant; poisoning is opt-in because it
+// deliberately corrupts released batches.
 var (
 	// outstanding counts pooled batches currently out of their scan
 	// pool: +1 per acquisition, −1 when the last reference releases.
@@ -33,15 +30,8 @@ var (
 	leakPoison atomic.Bool
 )
 
-func init() {
-	if os.Getenv("EDGE_LEAKCHECK") == "1" {
-		leakPoison.Store(true)
-	}
-}
-
-// SetLeakCheck switches batch poisoning on or off (see LeakStats). The
-// EDGE_LEAKCHECK=1 environment variable enables it at init; tests that
-// drive whole studies enable it in TestMain.
+// SetLeakCheck switches batch poisoning on or off (see LeakStats); the
+// leak-checked test mains enable it.
 func SetLeakCheck(on bool) { leakPoison.Store(on) }
 
 // LeakCheckEnabled reports whether released batches are poisoned.

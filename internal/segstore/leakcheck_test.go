@@ -22,8 +22,9 @@ var expectedDoubleReleases atomic.Int64
 // TestMain runs the whole package under leak-check mode and asserts the
 // ownership invariant at the end: every pooled batch any test acquired
 // was released exactly once (outstanding == 0, no unexpected double
-// releases). This is the runtime twin of the batchlife analyzer — it
-// catches leaks on paths the static check cannot see.
+// releases). With the tests below that reach each release on the scan's
+// error paths, this is the package's batch ownership check (DESIGN.md
+// §13).
 func TestMain(m *testing.M) {
 	SetLeakCheck(true)
 	code := m.Run()
@@ -35,21 +36,14 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-// pooledBatch hand-builds what readColumns builds: a batch owned by a
-// pool with one reference, counted as outstanding.
+// pooledBatch builds what readColumns builds: a batch owned by a pool
+// with one reference, counted as outstanding.
 func pooledBatch(t *testing.T, pool *sync.Pool) *ColumnBatch {
 	t.Helper()
 	rows := testSamples(t, 5, 3, 1)
 	blob, _ := EncodeSegment(rows)
-	b, _ := pool.Get().(*ColumnBatch)
-	if b == nil {
-		b = new(ColumnBatch)
-	}
-	b.pool = pool
-	b.refs.Store(1)
-	outstanding.Add(1)
-	if err := decodeInto(blob, b); err != nil {
-		b.Release()
+	b, err := decodePooled(pool, blob, len(rows))
+	if err != nil {
 		t.Fatal(err)
 	}
 	return b
@@ -213,6 +207,121 @@ func TestScanColumnsEmitErrorReleasesEverything(t *testing.T) {
 				t.Fatalf("rotted=%v workers=%d: outstanding batches = %d, want %d — poisoned scan leaked pool capacity", rotted, workers, out, before)
 			}
 		}
+	}
+}
+
+// rotSegment rewrites segment i of the dataset at dir through mutate —
+// the segment's bytes and its manifest entry — then recommits the
+// manifest with the file's new size and checksum, so the rot passes
+// Open and the whole-file check and only the pooled decode can see it.
+func rotSegment(t *testing.T, dir string, i int, mutate func(m *SegmentMeta, blob []byte)) {
+	t.Helper()
+	man, err := LoadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &man.Segments[i]
+	path := filepath.Join(dir, m.File)
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutate(m, blob)
+	if err := os.WriteFile(path, blob, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	m.Bytes, m.CRC = int64(len(blob)), fileCRC(blob)
+	if err := commitManifest(dir, man); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A segment that passes the manifest's whole-file checksum can still
+// fail to decode (a column checksum) or hold a row count other than
+// the manifest's. Both are found only after a pooled batch was taken
+// for it, and both must give that batch back: the scan fails with
+// ErrCorrupt and leaves nothing outstanding.
+func TestScanColumnsPooledCorruptionReleases(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(m *SegmentMeta, blob []byte)
+	}{
+		{"undecodable", func(_ *SegmentMeta, blob []byte) { blob[len(blob)/2] ^= 0xff }},
+		{"row count", func(m *SegmentMeta, _ []byte) { m.Samples++ }},
+	} {
+		dir := writeDataset(t, 6)
+		rotSegment(t, dir, 2, tc.mutate)
+		r, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 4} {
+			before, _ := LeakStats()
+			err := r.ScanColumns(context.Background(), workers, nil, func(b *ColumnBatch) error {
+				b.Release()
+				return nil
+			})
+			if !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s, workers=%d: scan error = %v, want ErrCorrupt", tc.name, workers, err)
+			}
+			if out, _ := LeakStats(); out != before {
+				t.Errorf("%s, workers=%d: outstanding batches = %d, want %d — the corrupt segment's pooled batch leaked", tc.name, workers, out, before)
+			}
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// awaitOutstanding waits until exactly want pooled batches are
+// outstanding, or fails after five seconds naming what it saw.
+func awaitOutstanding(want int64) error {
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		out, _ := LeakStats()
+		if out == want {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("outstanding batches stuck at %d, want %d", out, want)
+		}
+	}
+}
+
+// A decode worker whose Send fails still owns the batch in its hand and
+// must release it. Emit holds segment 0 until segment 1 fills the
+// one-slot queue and segment 2 is decoded; the scan is cancelled then,
+// so the worker's Send has only the cancellation to select — every
+// run takes the failed-Send path.
+func TestScanColumnsFailedSendReleases(t *testing.T) {
+	dir := writeDataset(t, 6)
+	r, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	before, _ := LeakStats()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	emitted := 0
+	err = r.ScanColumns(ctx, 1, nil, func(b *ColumnBatch) error {
+		defer b.Release()
+		if emitted++; emitted > 1 {
+			return nil
+		}
+		// Segment 0 here, segment 1 queued, segment 2 in the worker's hand.
+		if err := awaitOutstanding(before + 3); err != nil {
+			return err
+		}
+		cancel()
+		return awaitOutstanding(before + 2)
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("scan error = %v, want context.Canceled", err)
+	}
+	if out, _ := LeakStats(); out != before {
+		t.Fatalf("outstanding batches = %d, want %d", out, before)
 	}
 }
 

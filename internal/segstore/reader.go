@@ -147,21 +147,9 @@ func (r *Reader) readColumns(m SegmentMeta) (*ColumnBatch, error) {
 	if int64(len(data)) != m.Bytes || fileCRC(data) != m.CRC {
 		return nil, fmt.Errorf("segstore: segment %d (%s): %w: file does not match manifest checksum", m.ID, m.File, ErrCorrupt)
 	}
-	b, _ := r.pool.Get().(*ColumnBatch)
-	if b == nil {
-		b = new(ColumnBatch)
-	}
-	b.pool = &r.pool
-	b.refs.Store(1)
-	outstanding.Add(1)
-	if err := decodeInto(data, b); err != nil {
-		b.Release()
+	b, err := decodePooled(&r.pool, data, m.Samples)
+	if err != nil {
 		return nil, fmt.Errorf("segstore: segment %d (%s): %w", m.ID, m.File, err)
-	}
-	if b.Len() != m.Samples {
-		n := b.Len()
-		b.Release()
-		return nil, fmt.Errorf("segstore: segment %d (%s): %w: %d rows, manifest says %d", m.ID, m.File, ErrCorrupt, n, m.Samples)
 	}
 	if m.SingleGroup() {
 		b.singleGroup = true
@@ -169,6 +157,29 @@ func (r *Reader) readColumns(m SegmentMeta) (*ColumnBatch, error) {
 	r.cBytesRead.Add(int64(len(data)))
 	r.cSamples.Add(int64(b.Len()))
 	r.cSegsRead.Inc()
+	return b, nil
+}
+
+// decodePooled decodes one segment block into a batch from pool, owned
+// by the caller (Release it) and counted as outstanding until its last
+// release. A block that fails to decode, or holds other than rows rows,
+// is released here and returns an error wrapping ErrCorrupt.
+func decodePooled(pool *sync.Pool, data []byte, rows int) (*ColumnBatch, error) {
+	b, _ := pool.Get().(*ColumnBatch)
+	if b == nil {
+		b = new(ColumnBatch)
+	}
+	b.pool = pool
+	b.refs.Store(1)
+	outstanding.Add(1)
+	if err := decodeInto(data, b); err != nil {
+		b.Release()
+		return nil, err
+	}
+	if n := b.Len(); n != rows {
+		b.Release()
+		return nil, fmt.Errorf("%w: %d rows, manifest says %d", ErrCorrupt, n, rows)
+	}
 	return b, nil
 }
 
@@ -218,8 +229,8 @@ func (r *Reader) ScanSegments(ctx context.Context, workers int, segs []SegmentMe
 			f.ApplyColumns(b)
 			if err := out.Send(ctx, decoded{seq: i, b: b}); err != nil {
 				// The scan is poisoned and the reorder stage will never see
-				// this batch: release it here or its pool slot leaks.
-				//edgelint:allow batchlife: a failed Send means the stream never took ownership
+				// this batch: a failed Send leaves it ours, so release it here
+				// or its pool slot leaks.
 				b.Release()
 				return err
 			}

@@ -245,6 +245,8 @@ func TestPruneAndRowFilterAgree(t *testing.T) {
 	}
 	defer func() { _ = r.Close() }()
 
+	// Scan's row view releases each batch once its rows are emitted.
+	before, _ := LeakStats()
 	country := rows[0].Country
 	filters := []*Filter{
 		nil,
@@ -276,6 +278,9 @@ func TestPruneAndRowFilterAgree(t *testing.T) {
 			pruned := len(r.man.Segments) - len(r.Prune(f))
 			t.Logf("filter %v: pruned %d/%d segments", f, pruned, len(r.man.Segments))
 		}
+	}
+	if out, _ := LeakStats(); out != before {
+		t.Errorf("outstanding batches = %d after the scans, want %d", out, before)
 	}
 
 	// Time pruning must actually skip segments on a multi-day dataset.

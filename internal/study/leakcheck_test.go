@@ -2,10 +2,12 @@ package study
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"testing"
 
+	"repro/internal/pipeline"
 	"repro/internal/segstore"
 )
 
@@ -52,5 +54,57 @@ func TestFromSegmentsFailFastReleasesAllBatches(t *testing.T) {
 		if dbl != dblBefore {
 			t.Fatalf("workers=%d: double releases = %d, want %d — error paths released a batch twice", workers, dbl, dblBefore)
 		}
+	}
+}
+
+// Each error path of the ingest that holds a view must release it: a
+// failed Send leaves the item with its sender — ingest.columns' view
+// bound for the routes lane, routeColumns' views bound for the shards —
+// and drainOnError gives back what a poisoned stage's input still
+// buffers. Every Send here goes into a full stream under a cancelled
+// context, so it has only the cancellation to select: every run takes
+// every path.
+func TestIngestErrorPathsRelease(t *testing.T) {
+	_, dir := writeDataset(t, detCfg())
+	r, err := segstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	full := func() *pipeline.Stream[item] {
+		s := pipeline.NewStream[item](1)
+		_ = s.Send(context.Background(), item{}) // an empty slot: cannot fail
+		return s
+	}
+
+	in := newIngest(2, nil, nil, nil, nil)
+	before, _ := segstore.LeakStats()
+	err = r.ScanColumns(context.Background(), 1, nil, func(b *segstore.ColumnBatch) error {
+		defer b.Release()
+		in.lane = full()
+		if err := in.columns(cancelled, b); !errors.Is(err, context.Canceled) {
+			return fmt.Errorf("lane send: error %v, want context.Canceled", err)
+		}
+		for _, sh := range in.shards {
+			sh.stream = full()
+		}
+		if err := in.routeColumns(cancelled, b); !errors.Is(err, context.Canceled) {
+			return fmt.Errorf("shard send: error %v, want context.Canceled", err)
+		}
+		s := pipeline.NewStream[item](1)
+		_ = s.Send(context.Background(), item{cols: b.Slice(0, b.Len())}) // an empty slot: cannot fail
+		s.Close()
+		if err := drainOnError(s, context.Canceled); !errors.Is(err, context.Canceled) {
+			return fmt.Errorf("drain: error %v, want context.Canceled", err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, _ := segstore.LeakStats(); out != before {
+		t.Fatalf("outstanding batches = %d, want %d", out, before)
 	}
 }
