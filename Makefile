@@ -180,16 +180,19 @@ studyd-race:
 
 # A short burst on each fuzz target; the invariants live next to the
 # targets (tdigest merge structure, compaction and buffer sort equal to
-# their stable references, hdratio classification ranges,
-# segment decode never panics on hostile bytes, ship frame decode never
-# panics on hostile streams, comparison series extended at any cuts of a
-# stream equal the from-nothing ones).
+# their stable references, hdratio classification ranges, the integer
+# equation 1 equal to its float form and Tally's counts equal to
+# Evaluate's, segment decode never panics on hostile bytes, ship frame
+# decode never panics on hostile streams, comparison series extended at
+# any cuts of a stream equal the from-nothing ones).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzTDigestMerge -fuzztime 10s ./internal/tdigest/
 	$(GO) test -run '^$$' -fuzz FuzzProcessMatchesStableReference -fuzztime 10s ./internal/tdigest/
 	$(GO) test -run '^$$' -fuzz FuzzSortByMean -fuzztime 10s ./internal/tdigest/
 	$(GO) test -run '^$$' -fuzz FuzzSeriesExtend -fuzztime 10s ./internal/analysis/
 	$(GO) test -run '^$$' -fuzz FuzzHDRatioClassify -fuzztime 10s ./internal/hdratio/
+	$(GO) test -run '^$$' -fuzz FuzzIdealRoundsMatchesLog2 -fuzztime 10s ./internal/hdratio/
+	$(GO) test -run '^$$' -fuzz FuzzTallyMatchesEvaluate -fuzztime 10s ./internal/hdratio/
 	$(GO) test -run '^$$' -fuzz FuzzSegmentDecode -fuzztime 10s ./internal/segstore/
 	$(GO) test -run '^$$' -fuzz FuzzShipFrameDecode -fuzztime 10s ./internal/ship/
 	$(GO) test -run '^$$' -fuzz FuzzStudydQueryParams -fuzztime 10s ./internal/studyd/

@@ -95,3 +95,23 @@ func TestSamplerAPI(t *testing.T) {
 		t.Errorf("sampler degenerate: %d/%d", a, b)
 	}
 }
+
+// TestPublicAPIGtestableHugeResponses: edge.Gtestable returns for
+// response sizes above MaxInt64/2, where the float form of equation 1
+// never did.
+func TestPublicAPIGtestableHugeResponses(t *testing.T) {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, b := range []int64{math.MaxInt64/2 + 1, math.MaxInt64} {
+			if g := edge.Gtestable(b, 1, 60*time.Millisecond); g <= 0 {
+				t.Errorf("Gtestable(%d, 1) = %v, want > 0", b, g)
+			}
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("edge.Gtestable did not return within 10s")
+	}
+}

@@ -91,10 +91,12 @@ type Session struct {
 	policeTokens int64
 }
 
-// NewSession starts a connection over the given path.
-func NewSession(path Path, cfg Config, r *rng.RNG) *Session {
+// NewSession starts a connection over the given path. It returns the
+// state by value, so a caller that keeps it in a local allocates
+// nothing.
+func NewSession(path Path, cfg Config, r *rng.RNG) Session {
 	cfg = cfg.withDefaults()
-	s := &Session{
+	s := Session{
 		cfg:      cfg,
 		path:     path,
 		r:        r,

@@ -414,12 +414,39 @@ func TestEvaluateSimpleStricter(t *testing.T) {
 		},
 	}
 	corrected := Evaluate(sess, DefaultConfig())
-	simple := EvaluateSimple(sess, DefaultConfig())
+	c := Tally(sess, DefaultConfig())
+	simple := Outcome{Tested: c.Tested, AchievedCount: c.SimpleAchieved}
 	if corrected.HDratio() != 1 {
 		t.Errorf("corrected HDratio = %v, want 1", corrected.HDratio())
 	}
 	if simple.HDratio() != 0 {
 		t.Errorf("simple HDratio = %v, want 0 (2.4 < 2.5 Mbps)", simple.HDratio())
+	}
+}
+
+// TestIdealRoundsHugeResponses: above MaxInt64/2, where sumWindows
+// saturates, the float form's m++ correction loop never exited, and
+// Gtestable and IdealEndWindow hung with it. Every int64 now returns.
+func TestIdealRoundsHugeResponses(t *testing.T) {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, b := range []int64{math.MaxInt64/2 + 1, math.MaxInt64} {
+			if m := IdealRounds(b, 1); m != 63 {
+				t.Errorf("IdealRounds(%d, 1) = %d, want 63", b, m)
+			}
+			if g := Gtestable(b, 1, rtt60); g <= 0 {
+				t.Errorf("Gtestable(%d, 1) = %v, want > 0", b, g)
+			}
+			if w := IdealEndWindow(b, iw10); w <= 0 {
+				t.Errorf("IdealEndWindow(%d) = %d, want > 0", b, w)
+			}
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("IdealRounds/Gtestable/IdealEndWindow did not return within 10s")
 	}
 }
 

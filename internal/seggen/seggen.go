@@ -188,6 +188,10 @@ func Run(ctx context.Context, opt Options) (Result, error) {
 	)
 	encSpan := reg.Span(obs.L("edgesim_stage_seconds", "stage", "encode"), "edgesim")
 	writeSpan := reg.Span(obs.L("edgesim_stage_seconds", "stage", "write"), "edgesim")
+	// One observation per group of the same span readings the counters
+	// above accumulate: the per-group spread behind their totals.
+	encHist := reg.Histogram(obs.L("edgesim_group_stage_seconds", "stage", "encode"), nil)
+	writeHist := reg.Histogram(obs.L("edgesim_group_stage_seconds", "stage", "write"), nil)
 
 	type chunk struct {
 		id      int
@@ -266,7 +270,7 @@ func Run(ctx context.Context, opt Options) (Result, error) {
 				sb.chunks = append(sb.chunks, chunk{id: b.Group*cpg + cid, samples: hi - lo, blob: blob, meta: meta})
 				lo = hi
 			}
-			sp.End()
+			encHist.ObserveDuration(sp.End())
 			mu.Lock()
 			total = total.Merge(st)
 			mu.Unlock()
@@ -289,7 +293,7 @@ func Run(ctx context.Context, opt Options) (Result, error) {
 			ok, err := guard.Write(ctx, tb, b.group, accepted,
 				func() error {
 					sp := writeSpan.Start()
-					defer sp.End()
+					defer func() { writeHist.ObserveDuration(sp.End()) }()
 					for _, c := range b.chunks {
 						if sw.Committed(c.id) {
 							continue // survived a previous interrupted run

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -114,7 +115,9 @@ func TestRunEmptyShare(t *testing.T) {
 
 // TestStageMetricsAtOneWorker: a one-worker run is three stages, and
 // /metrics shows both queues between them — generate→encode and
-// encode→write — and a completed span of each timed stage per group.
+// encode→write — and a completed span of each timed stage per group,
+// each one observation of that stage's per-group histogram: the
+// histogram's count is the group count and its sum the span total.
 func TestStageMetricsAtOneWorker(t *testing.T) {
 	w := world.New(world.Config{Seed: 7, Groups: 5, Days: 1, SessionsPerGroupWindow: 2})
 	reg := obs.NewRegistry()
@@ -146,6 +149,15 @@ func TestStageMetricsAtOneWorker(t *testing.T) {
 		series := fmt.Sprintf(`edgesim_stage_seconds_count{stage=%q,parent="edgesim"}`, stage)
 		if n, _ := value(series); n != float64(len(w.Groups)) {
 			t.Errorf("%s = %v, want one span per group (%d)", series, n, len(w.Groups))
+		}
+		series = fmt.Sprintf(`edgesim_group_stage_seconds_count{stage=%q}`, stage)
+		if n, _ := value(series); n != float64(len(w.Groups)) {
+			t.Errorf("%s = %v, want one observation per group (%d)", series, n, len(w.Groups))
+		}
+		total, _ := value(fmt.Sprintf(`edgesim_stage_seconds_total{stage=%q,parent="edgesim"}`, stage))
+		sum, _ := value(fmt.Sprintf(`edgesim_group_stage_seconds_sum{stage=%q}`, stage))
+		if total <= 0 || math.Abs(sum-total) > 1e-6*total {
+			t.Errorf("%s histogram sum %v, span total %v: want equal within 1e-6", stage, sum, total)
 		}
 	}
 }

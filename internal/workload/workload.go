@@ -18,6 +18,7 @@ package workload
 
 import (
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/rng"
@@ -123,6 +124,10 @@ type Generator struct {
 
 	h1Dur, h2Dur *rng.Categorical
 	h1Txn, h2Txn *rng.Categorical
+
+	// spac is placeTxns' exponential-spacing scratch, reused across
+	// sessions.
+	spac []float64
 }
 
 // NewGenerator builds a generator over the given stream.
@@ -161,8 +166,18 @@ func NewGenerator(r *rng.RNG, cfg Config) *Generator {
 	}
 }
 
-// Session draws one session spec.
+// Session draws one session spec into a transaction slice of its own.
 func (g *Generator) Session() SessionSpec {
+	var spec SessionSpec
+	g.SessionInto(&spec)
+	return spec
+}
+
+// SessionInto draws one session spec into spec, reusing spec.Txns'
+// backing array: the draws are Session's, in the same order. What it
+// fills stays valid until the next SessionInto on the same spec, so a
+// caller that keeps transactions past that copies them out.
+func (g *Generator) SessionInto(spec *SessionSpec) {
 	proto := sample.HTTP1
 	durCat, txnCat := g.h1Dur, g.h1Txn
 	durBuckets, txnBuckets := h1DurBuckets, h1TxnBuckets
@@ -176,13 +191,11 @@ func (g *Generator) Session() SessionSpec {
 	dur := g.drawDuration(durBuckets[durCat.Sample(g.r)])
 	n := g.drawTxnCount(txnBuckets[txnCat.Sample(g.r)])
 
-	spec := SessionSpec{Proto: proto, Duration: dur, Media: media}
-	spec.Txns = make([]TxnSpec, n)
-	for i := range spec.Txns {
-		spec.Txns[i] = TxnSpec{Bytes: g.ResponseSize(media)}
+	*spec = SessionSpec{Proto: proto, Duration: dur, Media: media, Txns: slices.Grow(spec.Txns[:0], n)}
+	for range n {
+		spec.Txns = append(spec.Txns, TxnSpec{Bytes: g.ResponseSize(media)})
 	}
-	g.placeTxns(&spec)
-	return spec
+	g.placeTxns(spec)
 }
 
 // drawDuration samples within a bucket: log-uniform for the bounded
@@ -260,11 +273,12 @@ func (g *Generator) placeTxns(spec *SessionSpec) {
 	// by insertion (simple selection keeps it O(n log n) via sort-free
 	// sampling: draw sorted uniforms via exponential spacings).
 	total := 0.0
-	spac := make([]float64, n-1)
-	for i := range spac {
-		spac[i] = g.r.Exponential(1)
-		total += spac[i]
+	spac := g.spac[:0]
+	for range n - 1 {
+		spac = append(spac, g.r.Exponential(1))
+		total += spac[len(spac)-1]
 	}
+	g.spac = spac
 	total += g.r.Exponential(1) // final gap to session end
 	at := 0.0
 	horizon := float64(spec.Duration) * 0.9

@@ -216,3 +216,26 @@ func BenchmarkSessionGeneration(b *testing.B) {
 		g.Session()
 	}
 }
+
+// TestSessionIntoMatchesSession: one spec reused across sessions of
+// every length holds exactly what Session draws from an identically
+// seeded generator, so nothing of a longer earlier session survives
+// into a shorter later one.
+func TestSessionIntoMatchesSession(t *testing.T) {
+	fresh := NewGenerator(rng.New(9), Config{})
+	reuse := NewGenerator(rng.New(9), Config{})
+	var spec SessionSpec
+	for i := 0; i < 5000; i++ {
+		want := fresh.Session()
+		reuse.SessionInto(&spec)
+		if spec.Proto != want.Proto || spec.Duration != want.Duration || spec.Media != want.Media ||
+			len(spec.Txns) != len(want.Txns) {
+			t.Fatalf("session %d: %+v, want %+v", i, spec, want)
+		}
+		for j := range want.Txns {
+			if spec.Txns[j] != want.Txns[j] {
+				t.Fatalf("session %d txn %d: %+v, want %+v", i, j, spec.Txns[j], want.Txns[j])
+			}
+		}
+	}
+}

@@ -189,12 +189,13 @@ func (w *World) generateGroup(groupIdx int, tb *trace.Buf, emit func(sample.Samp
 	g := w.Groups[groupIdx]
 	r := rng.ChildAt(w.Cfg.Seed, "traffic", groupIdx)
 	gen := workload.NewGenerator(r.Child("workload"), workload.Config{})
+	var sc sessionScratch
 	track := trace.GroupTrack(groupIdx)
 	tsp := tb.Begin(track, trace.PhaseGen, -1, 0, "generate")
 	seq := uint64(0)
 	lost, emitted := 0, 0
 	for win := 0; win < w.Cfg.Windows(); win++ {
-		wl, wn := w.generateWindow(g, uint64(groupIdx), win, r, gen, &seq, emit)
+		wl, wn := w.generateWindow(g, uint64(groupIdx), win, r, gen, &sc, &seq, emit)
 		lost += wl
 		emitted += wn
 		tb.Emit(trace.Event{Track: track, Phase: trace.PhaseGen, Win: int32(win), Seq: uint64(win),
@@ -211,10 +212,19 @@ func (w *World) generateGroup(groupIdx int, tb *trace.Buf, emit func(sample.Samp
 	return lost
 }
 
+// sessionScratch is one group's per-session buffers, reused from session
+// to session: the spec gen draws into and the transaction observations
+// the methodology tallies. It lives beside the group's generator, so one
+// goroutine owns it at a time, and no Sample aliases it.
+type sessionScratch struct {
+	spec workload.SessionSpec
+	txns []hdratio.Transaction
+}
+
 // generateWindow produces the samples for one group × window and
 // returns (sessions lost to a PoP outage, sessions emitted).
 func (w *World) generateWindow(g *Group, groupIdx uint64, win int, r *rng.RNG,
-	gen *workload.Generator, seq *uint64, emit func(sample.Sample)) (int, int) {
+	gen *workload.Generator, sc *sessionScratch, seq *uint64, emit func(sample.Sample)) (int, int) {
 
 	hour := (win / 4) % 24
 	mean := w.Cfg.SessionsPerGroupWindow * g.Weight * activity(hour, g.ActivityPeakUTC)
@@ -244,7 +254,7 @@ func (w *World) generateWindow(g *Group, groupIdx uint64, win int, r *rng.RNG,
 
 	for i := 0; i < n; i++ {
 		*seq++
-		s := w.generateSession(g, groupIdx, win, hour, r, gen, remapped)
+		s := w.generateSession(g, win, hour, r, gen, sc, remapped)
 		s.PoP = pop
 		s.SessionID = groupIdx<<40 | *seq
 		s.Start = winStart + time.Duration(r.Int64N(int64(WindowDuration)))
@@ -261,8 +271,8 @@ func (w *World) generateWindow(g *Group, groupIdx uint64, win int, r *rng.RNG,
 
 // generateSession runs one sampled session through the transfer model
 // and the measurement methodology.
-func (w *World) generateSession(g *Group, groupIdx uint64, win, hour int,
-	r *rng.RNG, gen *workload.Generator, remapped bool) sample.Sample {
+func (w *World) generateSession(g *Group, win, hour int,
+	r *rng.RNG, gen *workload.Generator, sc *sessionScratch, remapped bool) sample.Sample {
 
 	// Route pinning (§2.2.3): sampled sessions are pinned in
 	// coordination with Edge Fabric — ~47% ride the policy-preferred
@@ -274,14 +284,12 @@ func (w *World) generateSession(g *Group, groupIdx uint64, win, hour int,
 	if remapped {
 		path.PropRTT += g.RemapRTTDelta
 	}
-	spec := gen.Session()
+	gen.SessionInto(&sc.spec)
+	spec := &sc.spec
 
 	fs := flowsim.NewSession(path, flowsim.Config{}, r)
-	nSim := len(spec.Txns)
-	if nSim > maxSimulatedTxns {
-		nSim = maxSimulatedTxns
-	}
-	txns := make([]hdratio.Transaction, 0, nSim)
+	nSim := min(len(spec.Txns), maxSimulatedTxns)
+	txns := sc.txns[:0]
 	var busy time.Duration
 	var prevEnd time.Duration
 	for _, t := range spec.Txns[:nSim] {
@@ -310,9 +318,8 @@ func (w *World) generateSession(g *Group, groupIdx uint64, win, hour int,
 		}
 	}
 
-	hsess := hdratio.Session{MinRTT: fs.MinRTT(), Transactions: txns}
-	out := hdratio.Evaluate(hsess, hdratio.DefaultConfig())
-	simple := hdratio.EvaluateSimple(hsess, hdratio.DefaultConfig())
+	sc.txns = txns
+	hd := hdratio.Tally(hdratio.Session{MinRTT: fs.MinRTT(), Transactions: txns}, hdratio.DefaultConfig())
 
 	return sample.Sample{
 		PoP:             g.PoP,
@@ -333,12 +340,12 @@ func (w *World) generateSession(g *Group, groupIdx uint64, win, hour int,
 		BusyFraction:    busyFrac,
 		Bytes:           spec.TotalBytes(),
 		Transactions:    len(spec.Txns),
-		ResponseBytes:   gen.RecordedResponses(spec),
+		ResponseBytes:   gen.RecordedResponses(*spec),
 		MediaEndpoint:   spec.Media,
 		MinRTT:          fs.MinRTT(),
-		HDTested:        out.Tested,
-		HDAchieved:      out.AchievedCount,
-		SimpleAchieved:  simple.AchievedCount,
+		HDTested:        hd.Tested,
+		HDAchieved:      hd.Achieved,
+		SimpleAchieved:  hd.SimpleAchieved,
 		HostingProvider: r.Bool(w.Cfg.HostingShare),
 	}
 }

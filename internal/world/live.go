@@ -34,6 +34,7 @@ type WindowBatch struct {
 type groupFeed struct {
 	r       *rng.RNG
 	gen     *workload.Generator
+	sc      sessionScratch
 	seq     uint64
 	next    int // next window this group may generate
 	emitted int // cumulative samples, for the gen span's closing value
@@ -70,7 +71,7 @@ func (f *LiveFeed) generate(gi, win int) WindowBatch {
 	}
 	fd.next++
 	var buf []sample.Sample
-	lost, _ := f.w.generateWindow(f.w.Groups[gi], uint64(gi), win, fd.r, fd.gen, &fd.seq,
+	lost, _ := f.w.generateWindow(f.w.Groups[gi], uint64(gi), win, fd.r, fd.gen, &fd.sc, &fd.seq,
 		func(s sample.Sample) { buf = append(buf, s) })
 	return WindowBatch{Group: gi, Win: win, Samples: buf, Lost: lost}
 }
