@@ -1,19 +1,20 @@
 # Development targets. `make check` is the full gate: vet, lint, build,
 # the race detector across every package (the determinism golden tests
 # run the sharded pipeline under -race), the whole suite (tier-1: `go
-# build ./... && go test ./...`), then the live gates that drive the
+# build ./... && go test ./...`), then the identity cells that drive the
 # binaries under -race.
+#
+# Budget: 18 minutes for `make check` on 2 vCPUs, about twice what it
+# takes there with a warm build cache (race 7.5–8.5 min, internal/study
+# 5.5–6 of them; test ~1 min; identity 40 s; vet, lint and build 15 s).
+# CI enforces it as the timeout-minutes of the three steps that run
+# these targets: lint 2, identity 4, vet + build + race + test 12.
 
 GO ?= go
 
-# The fault plans and daemon flags the live gates below run under.
-CHAOS_PLAN   = seed=7;sink-transient=0.01;sink-permanent=0.001;truncate=0.1;corrupt=0.03;fail-group=2;outage=fra:10-30;retries=4;retry-base=50us
-STUDYD_FLAGS = -seed 7 -groups 8 -days 2 -spw 10
-STUDYD_PLAN  = seed=7;sink-transient=0.01;fail-group=2;outage=fra:10-30;retries=4;retry-base=50us
+.PHONY: check vet lint loc build race test identity fuzz-smoke bench-obs bench-pipeline bench-retry bench bench-segstore bench-trace bench-colagg bench-ship bench-studyd
 
-.PHONY: check vet lint loc build race test seg-race trace-race colagg-race pop-race studyd-race fuzz-smoke bench-obs bench-pipeline bench-retry bench bench-segstore bench-trace bench-colagg bench-ship bench-studyd
-
-check: vet lint build race test seg-race trace-race colagg-race pop-race studyd-race
+check: vet lint build race test identity
 
 vet:
 	$(GO) vet ./...
@@ -39,144 +40,34 @@ loc:
 build:
 	$(GO) build ./...
 
-# internal/study alone runs ~10 minutes under the race detector on two
-# cores — right at go test's default per-package timeout — so the target
-# sets its own.
+# internal/study alone runs 5–6 minutes under the race detector on two
+# cores — within reach of go test's default 10-minute per-package
+# timeout on a slower machine — so the target sets its own.
 race:
 	$(GO) test -race -timeout 30m ./...
 
+# The suite again without the race detector, about a seventh of race's
+# time: it is tier-1 itself, and the only run of the allocation counts
+# that build without -race alone (the `!race` files of internal/tdigest
+# and internal/analysis).
 test:
 	$(GO) test ./...
 
-# The dataset round trip under the race detector: write a columnar
-# dataset at four workers and again at one (three goroutines, each a
-# stage behind the other: simulate, encode, commit) — the two
-# directories must be byte-identical — then analyse it with a time
-# filter pushed down to the manifest at one worker (one decode goroutine
-# reading ahead of the fold, one aggregation shard) and at four. The two
-# reports must be byte-identical once line 2, the wall-clock line, is
-# dropped.
-seg-race:
-	rm -rf .seg-race
-	mkdir -p .seg-race
-	$(GO) run -race ./cmd/edgesim -seed 3 -groups 8 -days 2 -spw 12 -workers 4 -o .seg-race/ds
-	$(GO) run -race ./cmd/edgesim -seed 3 -groups 8 -days 2 -spw 12 -workers 1 -o .seg-race/ds1
-	diff -r .seg-race/ds .seg-race/ds1
-	$(GO) run -race ./cmd/edgereport -in .seg-race/ds -workers 1 -from 24h > .seg-race/w1.txt
-	$(GO) run -race ./cmd/edgereport -in .seg-race/ds -workers 4 -from 24h > .seg-race/w4.txt
-	sed 2d .seg-race/w1.txt > .seg-race/w1.body
-	sed 2d .seg-race/w4.txt | cmp .seg-race/w1.body -
-	rm -rf .seg-race
-
-# The flight recorder's determinism golden, live: two traced chaos
-# studies under the race detector at different worker counts must
-# produce byte-identical trace files (DESIGN.md §11). Every fault
-# surface fires (sink retry, quarantine, batch truncation/drop, a PoP
-# outage) and the ledger must reconcile (`edgetrace causes`). The trace
-# is the only file a run writes beside it: physical timing lives on
-# /metrics, never in a sidecar.
-trace-race:
-	rm -rf .trace-race
-	mkdir -p .trace-race
-	$(GO) run -race ./cmd/edgereport -groups 8 -days 1 -spw 12 -workers 4 -trace .trace-race/w4.trace \
-		-fault-plan "$(CHAOS_PLAN)" \
-		> /dev/null
-	$(GO) run -race ./cmd/edgereport -groups 8 -days 1 -spw 12 -workers 1 -trace .trace-race/w1.trace \
-		-fault-plan "$(CHAOS_PLAN)" \
-		> /dev/null
-	cmp .trace-race/w1.trace .trace-race/w4.trace
-	test ! -e .trace-race/w4.trace.timing
-	$(GO) run ./cmd/edgetrace causes .trace-race/w4.trace > /dev/null
-	rm -rf .trace-race
-
-# The columnar-aggregation identity, live under the race detector: the
-# same dataset analysed through the batch hot path (ScanColumns ->
-# AddBatch, 4 shard workers), through the row oracle (-row-oracle,
-# sequential) and — exported to JSONL and imported back by segcat, both
-# directions of the one JSONL door — through the sequential replay of
-# the re-imported copy must render byte-identical reports. Only the
-# wall-clock line differs between runs, so it is stripped before cmp.
-colagg-race:
-	rm -rf .colagg-race
-	mkdir -p .colagg-race
-	$(GO) run -race ./cmd/edgesim -seed 3 -groups 8 -days 2 -spw 12 -workers 4 -o .colagg-race/ds
-	$(GO) run -race ./cmd/edgereport -in .colagg-race/ds -workers 4 | grep -v '^Generated and analysed' > .colagg-race/batch.txt
-	$(GO) run -race ./cmd/edgereport -in .colagg-race/ds -row-oracle -workers 1 | grep -v '^Generated and analysed' > .colagg-race/rows.txt
-	cmp .colagg-race/batch.txt .colagg-race/rows.txt
-	$(GO) run -race ./cmd/segcat -in .colagg-race/ds -o .colagg-race/ds.jsonl
-	$(GO) run -race ./cmd/segcat -in .colagg-race/ds.jsonl -o .colagg-race/ds2
-	$(GO) run -race ./cmd/edgereport -in .colagg-race/ds2 -workers 1 | grep -v '^Generated and analysed' > .colagg-race/reimported.txt
-	cmp .colagg-race/batch.txt .colagg-race/reimported.txt
-	rm -rf .colagg-race
-
-# The multi-PoP shipping invariant, live under the race detector: two
-# edgepopd processes generate disjoint shares of the world and ship
-# them to an edgemerged spool over a unix socket while the wire plan
-# injects duplicate deliveries and connection-severing drops. The
-# report rendered from the merged spool must be byte-identical to the
-# single-process run's (only the wall-clock line is stripped). The
-# kill-and-restart variants of this invariant run in internal/ship's
-# tests (`race`).
-pop-race:
-	rm -rf .pop-race
-	mkdir -p .pop-race
-	$(GO) run -race ./cmd/edgesim -seed 3 -groups 9 -days 2 -spw 12 -workers 4 -o .pop-race/golden
-	$(GO) build -race -o .pop-race/edgepopd ./cmd/edgepopd
-	$(GO) build -race -o .pop-race/edgemerged ./cmd/edgemerged
-	./.pop-race/edgemerged -o .pop-race/spool -listen .pop-race/merge.sock -expect-pops 2 & \
-	mpid=$$!; \
-	sleep 1; \
-	./.pop-race/edgepopd -seed 3 -groups 9 -days 2 -spw 12 -workers 4 -o .pop-race/pop0 -pop 0 -pops 2 -merger .pop-race/merge.sock \
-		-ship-fault-plan "seed=9;ship-dup=0.4;ship-drop=0.2;retries=12;retry-base=1ms" & \
-	p0=$$!; \
-	./.pop-race/edgepopd -seed 3 -groups 9 -days 2 -spw 12 -workers 4 -o .pop-race/pop1 -pop 1 -pops 2 -merger .pop-race/merge.sock \
-		-ship-fault-plan "seed=9;ship-dup=0.4;ship-drop=0.2;retries=12;retry-base=1ms" & \
-	p1=$$!; \
-	wait $$p0 && wait $$p1 && wait $$mpid
-	$(GO) run -race ./cmd/edgereport -in .pop-race/golden -workers 4 | grep -v '^Generated and analysed' > .pop-race/golden.txt
-	$(GO) run -race ./cmd/edgereport -in .pop-race/spool -workers 4 | grep -v '^Generated and analysed' > .pop-race/merged.txt
-	cmp .pop-race/golden.txt .pop-race/merged.txt
-	rm -rf .pop-race
-
-# The always-on daemon's keystone invariant, live under the race
-# detector: an edgestudyd live run (continuous ingest, logical-clock
-# window sealing, chunk commits while serving HTTP) must drain into a
-# spool — and serve a /report — byte-identical to the golden batch
-# pipeline's output for the same flags, at several worker counts,
-# clean and under a chaos plan. The daemon is polled over its own
-# -fetch client (no curl dependency), interrupted with SIGINT once
-# drained, and must exit the sigctl drain path cleanly.
-studyd-race:
-	rm -rf .studyd-race
-	mkdir -p .studyd-race
-	$(GO) build -race -o .studyd-race/edgestudyd ./cmd/edgestudyd
-	$(GO) run -race ./cmd/edgesim $(STUDYD_FLAGS) -workers 4 -o .studyd-race/golden
-	$(GO) run -race ./cmd/edgesim $(STUDYD_FLAGS) -workers 4 -o .studyd-race/golden-chaos -fault-plan "$(STUDYD_PLAN)"
-	$(GO) run -race ./cmd/edgereport -in .studyd-race/golden -workers 4 | grep -v '^Generated and analysed' > .studyd-race/golden.txt
-	$(GO) run -race ./cmd/edgereport -in .studyd-race/golden-chaos -workers 4 | grep -v '^Generated and analysed' > .studyd-race/golden-chaos.txt
-	for w in 1 2 4; do \
-		rm -f .studyd-race/addr; \
-		./.studyd-race/edgestudyd $(STUDYD_FLAGS) -workers $$w -o .studyd-race/spool-w$$w -addr-file .studyd-race/addr & \
-		dpid=$$!; \
-		until [ -s .studyd-race/addr ]; do sleep 0.1; done; \
-		addr=$$(cat .studyd-race/addr); \
-		until ./.studyd-race/edgestudyd -fetch "http://$$addr/healthz" | grep -q '"state": "drained"'; do sleep 0.2; done; \
-		./.studyd-race/edgestudyd -fetch "http://$$addr/report" > .studyd-race/served-w$$w.txt || exit 1; \
-		kill -INT $$dpid; wait $$dpid || exit 1; \
-		cmp .studyd-race/golden.txt .studyd-race/served-w$$w.txt || exit 1; \
-		diff -r .studyd-race/golden .studyd-race/spool-w$$w || exit 1; \
-	done
-	rm -f .studyd-race/addr; \
-	./.studyd-race/edgestudyd $(STUDYD_FLAGS) -workers 4 -fault-plan "$(STUDYD_PLAN)" -o .studyd-race/spool-chaos -addr-file .studyd-race/addr & \
-	dpid=$$!; \
-	until [ -s .studyd-race/addr ]; do sleep 0.1; done; \
-	addr=$$(cat .studyd-race/addr); \
-	until ./.studyd-race/edgestudyd -fetch "http://$$addr/healthz" | grep -q '"state": "drained"'; do sleep 0.2; done; \
-	./.studyd-race/edgestudyd -fetch "http://$$addr/report" > .studyd-race/served-chaos.txt || exit 1; \
-	kill -INT $$dpid; wait $$dpid || exit 1; \
-	cmp .studyd-race/golden-chaos.txt .studyd-race/served-chaos.txt || exit 1; \
-	diff -r .studyd-race/golden-chaos .studyd-race/spool-chaos
-	rm -rf .studyd-race
+# The byte-identity cells, live under the race detector: every producer
+# built once with -race, then one table of cells (cmd/edgeident/cells.go)
+# — the dataset write at workers 4/2/1 clean and under two plans, traced
+# and not; replays at workers 4/1 and through the row oracle under
+# filters, -cdf and a traced sink plan; the segcat export and re-import;
+# edgestat; a generated world's traced chaos study and `edgetrace
+# causes`; dense worlds' -cdf and -deagg reports; two PoPs shipping
+# through a dup/drop wire to edgemerged and to a wire-mode edgestudyd;
+# the live daemon drained at workers 1/2/4, clean and under a plan, then
+# interrupted. Each cell must equal the cells its row names, exit 0
+# within its deadline, leave exactly its expected files and print
+# exactly its one wall-clock line. One line per cell.
+# `go run ./cmd/edgeident -parent REV` compares every cell with REV's.
+identity:
+	$(GO) run ./cmd/edgeident
 
 # A short burst on each fuzz target; the invariants live next to the
 # targets (tdigest merge structure, compaction and buffer sort equal to

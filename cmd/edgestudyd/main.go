@@ -15,16 +15,12 @@
 //	edgestudyd -o dir -listen ADDR [-network tcp|unix] [-expect-pops N]
 //	           [-credit N] [-origin STR] [-http host:port] ...
 //
-// Usage (client mode — fetch one URL from a running daemon):
-//
-//	edgestudyd -fetch URL
-//
 // The determinism invariant: a live-mode daemon with the same
 // seed/groups/days/spw/fault-plan as an `edgesim` run
 // drains into a byte-identical spool, so `edgereport` over the
 // daemon's segments — and the daemon's own /report — reproduce the
-// golden batch report exactly, at any -workers count. `make
-// studyd-race` pins this end to end.
+// golden batch report exactly, at any -workers count. The studyd cells
+// of cmd/edgeident pin this end to end.
 //
 // HTTP endpoints: /report (cached, stale-while-revalidate), /groups,
 // /windows, /healthz, plus /metrics, /debug/vars and /debug/pprof.
@@ -35,7 +31,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"net/http"
@@ -80,23 +75,6 @@ func newServer(h http.Handler) *http.Server {
 	}
 }
 
-// fetchURL is the zero-dependency curl stand-in the race gate uses:
-// GET the URL, stream the body to stdout, exit 1 on any non-200.
-func fetchURL(url string) {
-	resp, err := http.Get(url)
-	if err != nil {
-		log.Fatalf("edgestudyd: fetch: %v", err)
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if _, err := io.Copy(os.Stdout, resp.Body); err != nil {
-		log.Fatalf("edgestudyd: fetch: reading body: %v", err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		fmt.Fprintf(os.Stderr, "edgestudyd: GET %s: %s\n", url, resp.Status)
-		os.Exit(1)
-	}
-}
-
 func reportCoverage(cov *faults.Coverage) {
 	if cov == nil {
 		return
@@ -127,7 +105,6 @@ func main() {
 		failFast   = flag.Bool("fail-fast", false, "abort on the first unrecoverable injected fault instead of degrading")
 		tracePath  = flag.String("trace", "", "record a deterministic flight trace of the run to this file")
 		progress   = flag.Bool("progress", false, "report ingest progress to stderr every 2s")
-		fetch      = flag.String("fetch", "", "client mode: GET this URL from a running daemon, print the body, exit 1 on non-200")
 		listen     = flag.String("listen", "", "wire mode: accept an edgepopd fleet on this address instead of generating a live stream")
 		network    = flag.String("network", "", "wire mode listen network: tcp or unix (default: unix when -listen contains a path separator)")
 		expectPops = flag.Int("expect-pops", 1, "wire mode: drain once this many distinct PoPs complete their DONE handshake")
@@ -136,10 +113,6 @@ func main() {
 	)
 	flag.Parse()
 
-	if *fetch != "" {
-		fetchURL(*fetch)
-		return
-	}
 	if *out == "" {
 		log.Fatal("edgestudyd: -o is required (the spool directory)")
 	}

@@ -1,6 +1,7 @@
 package study
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
@@ -21,7 +22,7 @@ func (r *Results) WriteReport(w io.Writer) {
 	r.Overview.Seal()
 	fmt.Fprintf(w, "Dataset: %d groups × %d days (%d windows), %d samples (%d filtered as hosting/VPN)\n",
 		r.Cfg.Groups, r.Cfg.Days, r.Cfg.Windows(), r.Collector.Accepted, r.Collector.FilteredHosting)
-	fmt.Fprintf(w, "Generated and analysed in %v\n\n", r.Elapsed.Round(1e7))
+	fmt.Fprintf(w, elapsedPrefix+"%v\n\n", r.Elapsed.Round(1e7))
 
 	r.writeCoverage(w)
 	r.writeTrafficCharacterisation(w)
@@ -34,6 +35,31 @@ func (r *Results) WriteReport(w io.Writer) {
 	r.writeFig9(w)
 	r.writeTable2(w)
 	r.writeFig10(w)
+}
+
+// elapsedPrefix opens the report's wall-clock line, the only bytes of a
+// report that are not a function of the data.
+const elapsedPrefix = "Generated and analysed in "
+
+// StripElapsed returns report without its wall-clock lines and how many
+// it removed: one, for any report WriteReport wrote. What is left is a
+// pure function of the data, comparable byte for byte across runs.
+func StripElapsed(report []byte) ([]byte, int) {
+	body := make([]byte, 0, len(report))
+	n := 0
+	for rest := report; len(rest) > 0; {
+		line := rest
+		if i := bytes.IndexByte(rest, '\n'); i >= 0 {
+			line = rest[:i+1]
+		}
+		rest = rest[len(line):]
+		if bytes.HasPrefix(line, []byte(elapsedPrefix)) {
+			n++
+			continue
+		}
+		body = append(body, line...)
+	}
+	return body, n
 }
 
 // writeCoverage renders the degradation ledger of a chaos run. Plans

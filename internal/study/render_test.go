@@ -87,3 +87,24 @@ func TestTiedRowsRenderInNameOrder(t *testing.T) {
 		t.Errorf("tied relationship pairs not in name order:\n%s", first)
 	}
 }
+
+// StripElapsed removes every wall-clock line, wherever it sits, and
+// counts them, so a caller can insist on exactly one.
+func TestStripElapsed(t *testing.T) {
+	for _, tc := range []struct {
+		in, want string
+		n        int
+	}{
+		{"Dataset: 8 groups\nGenerated and analysed in 1.2s\n\nbody\n", "Dataset: 8 groups\n\nbody\n", 1},
+		{"Dataset: 8 groups\n\nbody\n", "Dataset: 8 groups\n\nbody\n", 0},
+		{"Generated and analysed in 1s\nGenerated and analysed in 2s\nbody\n", "body\n", 2},
+		{"body\nGenerated and analysed in 3s", "body\n", 1},
+		{"body mentions Generated and analysed in passing\n", "body mentions Generated and analysed in passing\n", 0},
+		{"", "", 0},
+	} {
+		got, n := StripElapsed([]byte(tc.in))
+		if string(got) != tc.want || n != tc.n {
+			t.Errorf("StripElapsed(%q) = %q, %d; want %q, %d", tc.in, got, n, tc.want, tc.n)
+		}
+	}
+}

@@ -13,8 +13,8 @@
 // byte-identical to the dataset `edgesim` writes for the
 // same flags — and therefore `edgereport` over the daemon's at-rest
 // segments reproduces the golden batch report exactly. The e2e tests
-// and `make studyd-race` pin that invariant at several worker counts,
-// including under an ingest fault plan.
+// and the studyd cells of cmd/edgeident pin that invariant at several
+// worker counts, including under an ingest fault plan.
 //
 // Faults go through the same faults.Guard the batch producers call
 // (internal/seggen, internal/study): PoP outages suppress windows at

@@ -188,31 +188,13 @@ func (d *Daemon) renderReport(q reportQuery, version int64) ([]byte, error) {
 	return body, nil
 }
 
-// reportBody renders res without its wall-clock line.
+// reportBody renders res without its wall-clock line, so responses are
+// pure functions of the spool contents.
 func reportBody(res *study.Results) []byte {
 	var buf bytes.Buffer
 	res.WriteReport(&buf)
-	return stripElapsedLine(buf.Bytes())
-}
-
-// stripElapsedLine removes the "Generated and analysed in ..." line —
-// the report's only wall-clock-dependent bytes — so responses are
-// pure functions of the spool contents.
-func stripElapsedLine(b []byte) []byte {
-	marker := []byte("Generated and analysed")
-	i := 0
-	for i < len(b) {
-		j := bytes.IndexByte(b[i:], '\n')
-		if j < 0 {
-			j = len(b) - i - 1
-		}
-		line := b[i : i+j]
-		if bytes.HasPrefix(line, marker) {
-			return append(b[:i:i], b[i+j+1:]...)
-		}
-		i += j + 1
-	}
-	return b
+	body, _ := study.StripElapsed(buf.Bytes())
+	return body
 }
 
 // groupInfo is one world group's spool rollup, served by /groups.

@@ -128,7 +128,8 @@ func renderGolden(t testing.TB, dir string) []byte {
 	}
 	var buf bytes.Buffer
 	res.WriteReport(&buf)
-	return stripElapsedLine(buf.Bytes())
+	body, _ := study.StripElapsed(buf.Bytes())
+	return body
 }
 
 // get fetches a path from the daemon's handler and returns the body
