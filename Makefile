@@ -75,7 +75,8 @@ identity:
 # equation 1 equal to its float form and Tally's counts equal to
 # Evaluate's, segment decode never panics on hostile bytes, ship frame
 # decode never panics on hostile streams, comparison series extended at
-# any cuts of a stream equal the from-nothing ones).
+# any cuts of a stream equal the from-nothing ones, segment encode equal
+# to the map-per-row encoder it replaced).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzTDigestMerge -fuzztime 10s ./internal/tdigest/
 	$(GO) test -run '^$$' -fuzz FuzzProcessMatchesStableReference -fuzztime 10s ./internal/tdigest/
@@ -85,6 +86,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzIdealRoundsMatchesLog2 -fuzztime 10s ./internal/hdratio/
 	$(GO) test -run '^$$' -fuzz FuzzTallyMatchesEvaluate -fuzztime 10s ./internal/hdratio/
 	$(GO) test -run '^$$' -fuzz FuzzSegmentDecode -fuzztime 10s ./internal/segstore/
+	$(GO) test -run '^$$' -fuzz FuzzEncodeSegmentMatchesOracle -fuzztime 10s ./internal/segstore/
 	$(GO) test -run '^$$' -fuzz FuzzShipFrameDecode -fuzztime 10s ./internal/ship/
 	$(GO) test -run '^$$' -fuzz FuzzStudydQueryParams -fuzztime 10s ./internal/studyd/
 

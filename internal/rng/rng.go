@@ -16,13 +16,34 @@ import (
 )
 
 // RNG is a deterministic random source with distribution helpers.
+//
+// The PCG state lives inside the RNG, and an RNG is exactly one cache
+// line (cacheLine bytes), which the allocator's 64-byte size class
+// places on a line boundary. Sibling streams drawn on different
+// goroutines (a world group's flow-model stream and its workload
+// stream, which the draw-ahead goroutine owns) would otherwise be
+// allocated side by side and trade one line between cores on every
+// draw.
 type RNG struct {
-	src *rand.Rand
+	src rand.Rand // reads pcg
+	pcg rand.PCG
+	_   [cacheLine - 32]byte // rand.Rand and rand.PCG are 16 bytes each
+}
+
+// cacheLine is the size of an RNG: one cache line on amd64 and arm64.
+const cacheLine = 64
+
+// newPCG returns an RNG over PCG(a, b).
+func newPCG(a, b uint64) *RNG {
+	r := new(RNG)
+	r.pcg.Seed(a, b)
+	r.src = *rand.New(&r.pcg)
+	return r
 }
 
 // New returns a generator seeded with seed.
 func New(seed uint64) *RNG {
-	return &RNG{src: rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))}
+	return newPCG(seed, seed^0x9e3779b97f4a7c15)
 }
 
 // Child derives an independent stream from this generator's seed space
@@ -35,7 +56,7 @@ func (r *RNG) Child(label string) *RNG {
 	// children remain distinct.
 	a := r.src.Uint64() ^ h.Sum64()
 	b := r.src.Uint64() ^ (h.Sum64() * 0x9e3779b97f4a7c15)
-	return &RNG{src: rand.New(rand.NewPCG(a, b))}
+	return newPCG(a, b)
 }
 
 // ChildAt derives an independent stream from a label and an index,
@@ -46,7 +67,7 @@ func ChildAt(seed uint64, label string, index int) *RNG {
 	h.Write([]byte(label))
 	a := seed ^ h.Sum64() ^ uint64(index)*0x9e3779b97f4a7c15
 	b := (seed * 0xbf58476d1ce4e5b9) ^ h.Sum64() ^ uint64(index)
-	return &RNG{src: rand.New(rand.NewPCG(a, b))}
+	return newPCG(a, b)
 }
 
 // Float64 returns a uniform value in [0, 1).

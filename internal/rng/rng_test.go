@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 	"testing"
+	"unsafe"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -254,5 +255,23 @@ func TestPerm(t *testing.T) {
 	}
 	if len(seen) != 10 {
 		t.Fatalf("bad permutation %v", p)
+	}
+}
+
+// Each stream's PCG state sits on a cache line of its own: an RNG is
+// one line, and the allocator places it on a line boundary, so sibling
+// streams drawn on two goroutines never share a line.
+func TestStreamOwnsCacheLine(t *testing.T) {
+	if got := unsafe.Sizeof(RNG{}); got != cacheLine {
+		t.Fatalf("RNG is %d bytes, want %d", got, cacheLine)
+	}
+	parent := ChildAt(3, "traffic", 0)
+	for i, r := range []*RNG{parent, parent.Child("workload"), New(1), ChildAt(3, "traffic", 1)} {
+		if a := uintptr(unsafe.Pointer(&r.pcg)); a/cacheLine != (a+unsafe.Sizeof(r.pcg)-1)/cacheLine {
+			t.Errorf("stream %d: PCG state at %#x straddles a line", i, a)
+		}
+		if a := uintptr(unsafe.Pointer(r)); a%cacheLine != 0 {
+			t.Errorf("stream %d at %#x is not line-aligned", i, a)
+		}
 	}
 }

@@ -94,7 +94,10 @@ type Options struct {
 	Reg *obs.Registry
 	// Workers is how many goroutines simulate groups and how many
 	// filter and encode them (values below 1 mean 1). Every count runs
-	// the same three stages; see Run.
+	// the same three stages; see Run. Each group being simulated also
+	// has one goroutine of its own that draws its workload ahead of the
+	// simulation, so a one-worker run keeps four goroutines busy: the
+	// drawer, the simulation, the encoder and the commit tail.
 	Workers int
 	// Injector injects deterministic batch/write faults (may be nil).
 	Injector *faults.Injector

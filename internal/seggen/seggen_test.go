@@ -3,8 +3,10 @@ package seggen
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -158,6 +160,56 @@ func TestStageMetricsAtOneWorker(t *testing.T) {
 		sum, _ := value(fmt.Sprintf(`edgesim_group_stage_seconds_sum{stage=%q}`, stage))
 		if total <= 0 || math.Abs(sum-total) > 1e-6*total {
 			t.Errorf("%s histogram sum %v, span total %v: want equal within 1e-6", stage, sum, total)
+		}
+	}
+}
+
+// TestRunCancelMidGroupStopsDrawers: a cancel that lands inside a
+// group's simulation stops a one-worker write at that group's next
+// window with the cancel's cause. No segment of that group or a later
+// one is committed, and no workload drawer goroutine is left running.
+func TestRunCancelMidGroupStopsDrawers(t *testing.T) {
+	cfg := world.Config{Seed: 4, Groups: 4, Days: 1, SessionsPerGroupWindow: 4}
+	w := world.New(cfg)
+	ctx, cancel := context.WithCancelCause(context.Background())
+	defer cancel(nil)
+	stopped := errors.New("stop mid-group")
+	const cancelAt = 2*world.WindowsPerDay + 10 // group 2, window 10
+	begun := 0                                  // windows begun; one generator goroutine at one worker
+	w.PoPDown = func(string, int) bool {
+		begun++
+		if begun == cancelAt {
+			cancel(stopped)
+		}
+		return false
+	}
+	dir := t.TempDir()
+	if _, err := Run(ctx, Options{World: w, Dir: dir, Origin: "test origin", Workers: 1}); !errors.Is(err, stopped) {
+		t.Fatalf("Run: %v, want the cancel's cause", err)
+	}
+	if begun > cancelAt+1 {
+		t.Errorf("%d windows begun after a cancel at window %d: the group ran on", begun, cancelAt)
+	}
+	r, err := segstore.Open(dir)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer func() { _ = r.Close() }() // read-only dataset; nothing to flush
+	for _, s := range r.Manifest().Segments {
+		if s.ID >= 2*ChunksPerGroup(cfg) {
+			t.Errorf("segment %d of a cancelled group was committed", s.ID)
+		}
+	}
+	// A stopped drawer has returned before Run does, but its goroutine
+	// may linger an instant; one that never stopped stays.
+	for deadline := time.Now().Add(time.Second); ; time.Sleep(time.Millisecond) {
+		buf := make([]byte, 1<<20)
+		n := strings.Count(string(buf[:runtime.Stack(buf, true)]), "created by repro/internal/world.startDrawers")
+		if n == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d workload drawers left after Run returned", n)
 		}
 	}
 }

@@ -147,7 +147,9 @@ var schema = []colSpec{
 // assign). Encoding is a pure function of rows: same samples, same
 // bytes, regardless of worker count or call order.
 func EncodeSegment(rows []sample.Sample) ([]byte, SegmentMeta) {
-	buf := make([]byte, 0, 64+32*len(rows))
+	// A world row encodes to ~64 bytes; room for 72 keeps the blob from
+	// being regrown as the columns are appended.
+	buf := make([]byte, 0, 64+72*len(rows))
 	buf = append(buf, segMagic[:]...)
 	buf = binary.AppendUvarint(buf, segVersion)
 	buf = binary.AppendUvarint(buf, uint64(len(rows)))
@@ -166,16 +168,26 @@ func EncodeSegment(rows []sample.Sample) ([]byte, SegmentMeta) {
 	meta := SegmentMeta{Samples: len(rows), Bytes: int64(len(buf)), CRC: fileCRC(buf)}
 	countries, pops, prefixes := map[string]bool{}, map[string]bool{}, map[string]bool{}
 	for i := range rows {
-		start := int64(rows[i].Start)
+		r := &rows[i]
+		start := int64(r.Start)
 		if i == 0 || start < meta.StartMin {
 			meta.StartMin = start
 		}
 		if i == 0 || start > meta.StartMax {
 			meta.StartMax = start
 		}
-		countries[rows[i].Country] = true
-		pops[rows[i].PoP] = true
-		prefixes[rows[i].Prefix] = true
+		// A segment is one group's rows, so its strings repeat row to
+		// row: only a value that differs from the previous row's can be
+		// new to a set.
+		if i == 0 || r.Country != rows[i-1].Country {
+			countries[r.Country] = true
+		}
+		if i == 0 || r.PoP != rows[i-1].PoP {
+			pops[r.PoP] = true
+		}
+		if i == 0 || r.Prefix != rows[i-1].Prefix {
+			prefixes[r.Prefix] = true
+		}
 	}
 	meta.Countries = sortedSet(countries)
 	meta.PoPs = sortedSet(pops)
@@ -271,6 +283,9 @@ func intCol(name string, kind byte, get func(*sample.Sample) int64, col func(*Co
 
 // dictCol encodes a low-cardinality string field: the distinct values
 // in first-appearance order (deterministic), then one index per row.
+// Rows mostly repeat the previous row's value (a segment is one group's,
+// and most columns are constant per group), so a row whose value equals
+// the previous row's reuses its index instead of looking it up.
 func dictCol(name string, get func(*sample.Sample) string, col func(*ColumnBatch) *DictColumn) colSpec {
 	return colSpec{
 		name: name,
@@ -278,8 +293,13 @@ func dictCol(name string, get func(*sample.Sample) string, col func(*ColumnBatch
 		enc: func(buf []byte, rows []sample.Sample) []byte {
 			idx := map[string]uint64{}
 			var dict []string
+			var prev string
 			for i := range rows {
 				v := get(&rows[i])
+				if i > 0 && v == prev {
+					continue
+				}
+				prev = v
 				if _, ok := idx[v]; !ok {
 					idx[v] = uint64(len(dict))
 					dict = append(dict, v)
@@ -290,8 +310,12 @@ func dictCol(name string, get func(*sample.Sample) string, col func(*ColumnBatch
 				buf = binary.AppendUvarint(buf, uint64(len(v)))
 				buf = append(buf, v...)
 			}
+			var id uint64
 			for i := range rows {
-				buf = binary.AppendUvarint(buf, idx[get(&rows[i])])
+				if v := get(&rows[i]); i == 0 || v != prev {
+					id, prev = idx[v], v
+				}
+				buf = binary.AppendUvarint(buf, id)
 			}
 			return buf
 		},

@@ -169,15 +169,18 @@ func NewGenerator(r *rng.RNG, cfg Config) *Generator {
 // Session draws one session spec into a transaction slice of its own.
 func (g *Generator) Session() SessionSpec {
 	var spec SessionSpec
-	g.SessionInto(&spec)
+	g.SessionInto(&spec, nil)
 	return spec
 }
 
-// SessionInto draws one session spec into spec, reusing spec.Txns'
-// backing array: the draws are Session's, in the same order. What it
-// fills stays valid until the next SessionInto on the same spec, so a
-// caller that keeps transactions past that copies them out.
-func (g *Generator) SessionInto(spec *SessionSpec) {
+// SessionInto draws one session spec into spec, appending its
+// transactions to arena and returning the extended arena: the draws are
+// Session's, in the same order. spec.Txns is the appended tail, capped
+// at its length, so a later append to the arena never writes into it;
+// many specs can share one arena (the world's draw-ahead ring fills a
+// chunk of specs into one), and a caller reuses the arena from [:0]
+// once it is done with every spec in it.
+func (g *Generator) SessionInto(spec *SessionSpec, arena []TxnSpec) []TxnSpec {
 	proto := sample.HTTP1
 	durCat, txnCat := g.h1Dur, g.h1Txn
 	durBuckets, txnBuckets := h1DurBuckets, h1TxnBuckets
@@ -191,11 +194,14 @@ func (g *Generator) SessionInto(spec *SessionSpec) {
 	dur := g.drawDuration(durBuckets[durCat.Sample(g.r)])
 	n := g.drawTxnCount(txnBuckets[txnCat.Sample(g.r)])
 
-	*spec = SessionSpec{Proto: proto, Duration: dur, Media: media, Txns: slices.Grow(spec.Txns[:0], n)}
+	lo := len(arena)
+	arena = slices.Grow(arena, n)
 	for range n {
-		spec.Txns = append(spec.Txns, TxnSpec{Bytes: g.ResponseSize(media)})
+		arena = append(arena, TxnSpec{Bytes: g.ResponseSize(media)})
 	}
+	*spec = SessionSpec{Proto: proto, Duration: dur, Media: media, Txns: arena[lo:len(arena):len(arena)]}
 	g.placeTxns(spec)
+	return arena
 }
 
 // drawDuration samples within a bucket: log-uniform for the bounded

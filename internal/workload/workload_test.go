@@ -217,24 +217,31 @@ func BenchmarkSessionGeneration(b *testing.B) {
 	}
 }
 
-// TestSessionIntoMatchesSession: one spec reused across sessions of
-// every length holds exactly what Session draws from an identically
-// seeded generator, so nothing of a longer earlier session survives
-// into a shorter later one.
+// TestSessionIntoMatchesSession: specs drawn a chunk at a time into one
+// reused transaction arena hold exactly what Session draws from an
+// identically seeded generator: no later spec of a chunk writes into an
+// earlier one as the arena grows, and nothing of a longer earlier chunk
+// survives into a shorter later one.
 func TestSessionIntoMatchesSession(t *testing.T) {
 	fresh := NewGenerator(rng.New(9), Config{})
 	reuse := NewGenerator(rng.New(9), Config{})
-	var spec SessionSpec
-	for i := 0; i < 5000; i++ {
-		want := fresh.Session()
-		reuse.SessionInto(&spec)
-		if spec.Proto != want.Proto || spec.Duration != want.Duration || spec.Media != want.Media ||
-			len(spec.Txns) != len(want.Txns) {
-			t.Fatalf("session %d: %+v, want %+v", i, spec, want)
+	specs := make([]SessionSpec, 64)
+	var arena []TxnSpec
+	for chunk := 0; chunk < 80; chunk++ {
+		arena = arena[:0]
+		for i := range specs {
+			arena = reuse.SessionInto(&specs[i], arena)
 		}
-		for j := range want.Txns {
-			if spec.Txns[j] != want.Txns[j] {
-				t.Fatalf("session %d txn %d: %+v, want %+v", i, j, spec.Txns[j], want.Txns[j])
+		for i, spec := range specs {
+			want := fresh.Session()
+			if spec.Proto != want.Proto || spec.Duration != want.Duration || spec.Media != want.Media ||
+				len(spec.Txns) != len(want.Txns) || cap(spec.Txns) != len(want.Txns) {
+				t.Fatalf("chunk %d session %d: %+v, want %+v", chunk, i, spec, want)
+			}
+			for j := range want.Txns {
+				if spec.Txns[j] != want.Txns[j] {
+					t.Fatalf("chunk %d session %d txn %d: %+v, want %+v", chunk, i, j, spec.Txns[j], want.Txns[j])
+				}
 			}
 		}
 	}

@@ -44,11 +44,11 @@ func (w *World) Generate(emit func(sample.Sample)) {
 }
 
 // GenerateCtx is Generate with explicit worker count and cancellation:
-// workers ≤ 1 simulates groups on the calling goroutine (the
-// determinism oracle, and the only mode with zero goroutine overhead);
-// larger counts fan group simulation out over a worker pool while
-// keeping emission in sequential order. Cancelling ctx stops generation
-// at the next group boundary and returns the cause.
+// workers ≤ 1 simulates groups on the calling goroutine (beside each
+// group's workload drawer, as at every count); larger counts fan group
+// simulation out over a worker pool while keeping emission in
+// sequential order. Cancelling ctx stops generation at the next window
+// and returns the cause.
 func (w *World) GenerateCtx(ctx context.Context, workers int, emit func(sample.Sample)) error {
 	return w.GenerateBatches(ctx, workers, func(b Batch) error {
 		for _, s := range b.Samples {
@@ -67,10 +67,16 @@ func (w *World) GenerateCtx(ctx context.Context, workers int, emit func(sample.S
 // each worker goroutine owns one trace buffer; the events a group emits
 // are identical whichever worker simulates it. Delivery is the "emit"
 // stage of the world's metrics and where its sessions are counted, so
-// both read the same at every worker count.
+// both read the same at every worker count. No batch is delivered once
+// ctx is done: the reorder stage may already hold every later group,
+// simulated before the cancel, and would otherwise deliver them all and
+// return nil.
 func (w *World) GenerateBatches(ctx context.Context, workers int, deliver func(Batch) error) error {
 	handle := deliver
 	deliver = func(b Batch) error {
+		if ctx.Err() != nil {
+			return context.Cause(ctx)
+		}
 		sp := w.obs.emit.Start()
 		defer sp.End()
 		w.obs.sessions.Add(int64(len(b.Samples)))
@@ -103,7 +109,7 @@ func (w *World) GenerateBatches(ctx context.Context, workers int, deliver func(B
 // order, the group's position in groups, so callers can restore the
 // requested order densely (pipeline.Reorder needs a gapless sequence)
 // even when the selection has gaps. Cancelling ctx stops generation at
-// the next group boundary and returns the cause.
+// the next window of each group being simulated and returns the cause.
 func (w *World) GenerateSelected(ctx context.Context, workers int, groups []int, handle func(order int, b Batch) error) error {
 	if workers > len(groups) {
 		workers = len(groups)
@@ -114,7 +120,11 @@ func (w *World) GenerateSelected(ctx context.Context, workers int, groups []int,
 			if err := ctx.Err(); err != nil {
 				return context.Cause(ctx)
 			}
-			if err := handle(o, w.generateBatch(i, buf)); err != nil {
+			b, err := w.generateBatch(ctx, i, buf)
+			if err != nil {
+				return err
+			}
+			if err := handle(o, b); err != nil {
 				return err
 			}
 		}
@@ -133,7 +143,11 @@ func (w *World) GenerateSelected(ctx context.Context, workers int, groups []int,
 			if err := ctx.Err(); err != nil {
 				return context.Cause(ctx)
 			}
-			if err := handle(j.order, w.generateBatch(j.group, buf)); err != nil {
+			b, err := w.generateBatch(ctx, j.group, buf)
+			if err != nil {
+				return err
+			}
+			if err := handle(j.order, b); err != nil {
 				return err
 			}
 		}
@@ -145,12 +159,12 @@ func (w *World) GenerateSelected(ctx context.Context, workers int, groups []int,
 // generateBatch simulates one group under the generation span, into a
 // buffer sized once for the group (sessionCapacity) rather than grown
 // by doubling as the sessions arrive.
-func (w *World) generateBatch(i int, tb *trace.Buf) Batch {
+func (w *World) generateBatch(ctx context.Context, i int, tb *trace.Buf) (Batch, error) {
 	sp := w.obs.genStage.Start()
 	buf := make([]sample.Sample, 0, w.sessionCapacity(w.Groups[i]))
-	lost := w.generateGroup(i, tb, func(s sample.Sample) { buf = append(buf, s) })
+	lost, err := w.generateGroup(ctx, i, tb, func(s sample.Sample) { buf = append(buf, s) })
 	sp.End()
-	return Batch{Group: i, Samples: buf, Lost: lost}
+	return Batch{Group: i, Samples: buf, Lost: lost}, err
 }
 
 // sessionCapacity is a capacity for one group's samples that its
@@ -160,9 +174,22 @@ func (w *World) generateBatch(i int, tb *trace.Buf) Batch {
 func (w *World) sessionCapacity(g *Group) int {
 	mean := 0.0
 	for win := 0; win < w.Cfg.Windows(); win++ {
-		mean += w.Cfg.SessionsPerGroupWindow * g.Weight * activity((win/4)%24, g.ActivityPeakUTC)
+		mean += w.windowMean(g, win)
 	}
-	return int(mean+4*math.Sqrt(mean)) + 1
+	return capacityFor(mean)
+}
+
+// windowMean is the Poisson mean of one group × window's session count.
+func (w *World) windowMean(g *Group, win int) float64 {
+	return w.Cfg.SessionsPerGroupWindow * g.Weight * activity((win/4)%24, g.ActivityPeakUTC)
+}
+
+// capacityFor is a buffer capacity that a Poisson count (or a sum of
+// them) of the given mean exceeds only by chance: four standard
+// deviations above the mean, plus four more for the heavier upper tail
+// of a single window's small mean (at most ~1e-5 of windows exceed it).
+func capacityFor(mean float64) int {
+	return int(mean+4*math.Sqrt(mean)) + 5
 }
 
 // GenerateAll buffers the whole dataset; intended for tests and small
@@ -177,25 +204,35 @@ func (w *World) GenerateAll() []sample.Sample {
 // and returns the number of sessions suppressed by PoP outages
 // (World.PoPDown), 0 when no outage machinery is installed.
 func (w *World) GenerateGroup(groupIdx int, emit func(sample.Sample)) int {
-	return w.generateGroup(groupIdx, nil, emit)
+	// Nothing cancels a background context, so there is no error.
+	lost, _ := w.generateGroup(context.Background(), groupIdx, nil, emit)
+	return lost
 }
 
-// generateGroup is GenerateGroup with trace emission: one generation
-// span per group, one window mark per window, and loss/fault events
-// for outage-suppressed windows. Every coordinate is logical (group
-// index, window index), so the events are identical at any worker
-// count.
-func (w *World) generateGroup(groupIdx int, tb *trace.Buf, emit func(sample.Sample)) int {
+// generateGroup is GenerateGroup with trace emission and cancellation:
+// one generation span per group, one window mark per window, and
+// loss/fault events for outage-suppressed windows. Every coordinate is
+// logical (group index, window index), so the events are identical at
+// any worker count. The group's workload draws run ahead on a drawer
+// goroutine of their own (draw.go), stopped and waited for before
+// generateGroup returns. Cancelling ctx stops the group at its next
+// window (or while it waits on the drawer) and returns the cause.
+func (w *World) generateGroup(ctx context.Context, groupIdx int, tb *trace.Buf, emit func(sample.Sample)) (int, error) {
 	g := w.Groups[groupIdx]
 	r := rng.ChildAt(w.Cfg.Seed, "traffic", groupIdx)
-	gen := workload.NewGenerator(r.Child("workload"), workload.Config{})
-	var sc sessionScratch
+	sc := sessionScratch{ring: newSpecRing(workload.NewGenerator(r.Child("workload"), workload.Config{}))}
+	stop := startDrawers(ctx, &w.obs, sc.ring)
+	defer stop()
 	track := trace.GroupTrack(groupIdx)
 	tsp := tb.Begin(track, trace.PhaseGen, -1, 0, "generate")
 	seq := uint64(0)
 	lost, emitted := 0, 0
 	for win := 0; win < w.Cfg.Windows(); win++ {
-		wl, wn := w.generateWindow(g, uint64(groupIdx), win, r, gen, &sc, &seq, emit)
+		wl, wn, err := w.generateWindow(ctx, g, uint64(groupIdx), win, r, &sc, &seq, emit)
+		if err != nil {
+			tsp.End(int64(emitted))
+			return lost, err
+		}
 		lost += wl
 		emitted += wn
 		tb.Emit(trace.Event{Track: track, Phase: trace.PhaseGen, Win: int32(win), Seq: uint64(win),
@@ -209,26 +246,30 @@ func (w *World) generateGroup(groupIdx int, tb *trace.Buf, emit func(sample.Samp
 	}
 	tsp.End(int64(emitted))
 	w.obs.groups.Inc()
-	return lost
+	return lost, nil
 }
 
-// sessionScratch is one group's per-session buffers, reused from session
-// to session: the spec gen draws into and the transaction observations
-// the methodology tallies. It lives beside the group's generator, so one
-// goroutine owns it at a time, and no Sample aliases it.
+// sessionScratch is one group's per-session state on the simulating
+// goroutine: the read end of the group's draw-ahead ring and the
+// transaction observations the methodology tallies, reused from session
+// to session. No Sample aliases the observations.
 type sessionScratch struct {
-	spec workload.SessionSpec
+	ring *specRing
 	txns []hdratio.Transaction
 }
 
 // generateWindow produces the samples for one group × window and
-// returns (sessions lost to a PoP outage, sessions emitted).
-func (w *World) generateWindow(g *Group, groupIdx uint64, win int, r *rng.RNG,
-	gen *workload.Generator, sc *sessionScratch, seq *uint64, emit func(sample.Sample)) (int, int) {
+// returns (sessions lost to a PoP outage, sessions emitted). Its error
+// is ctx's cause: no window begins once ctx is done, and one that waits
+// on the drawer when ctx ends stops there.
+func (w *World) generateWindow(ctx context.Context, g *Group, groupIdx uint64, win int, r *rng.RNG,
+	sc *sessionScratch, seq *uint64, emit func(sample.Sample)) (int, int, error) {
+	if ctx.Err() != nil {
+		return 0, 0, context.Cause(ctx)
+	}
 
 	hour := (win / 4) % 24
-	mean := w.Cfg.SessionsPerGroupWindow * g.Weight * activity(hour, g.ActivityPeakUTC)
-	n := poisson(r, mean)
+	n := poisson(r, w.windowMean(g, win))
 	winStart := time.Duration(win) * WindowDuration
 
 	// Cartographer may have remapped the group to another PoP for this
@@ -253,8 +294,12 @@ func (w *World) generateWindow(g *Group, groupIdx uint64, win int, r *rng.RNG,
 	}
 
 	for i := 0; i < n; i++ {
+		d, err := sc.ring.next(ctx, &w.obs)
+		if err != nil {
+			return 0, 0, err
+		}
 		*seq++
-		s := w.generateSession(g, win, hour, r, gen, sc, remapped)
+		s := w.generateSession(g, win, hour, r, d, sc, remapped)
 		s.PoP = pop
 		s.SessionID = groupIdx<<40 | *seq
 		s.Start = winStart + time.Duration(r.Int64N(int64(WindowDuration)))
@@ -264,15 +309,15 @@ func (w *World) generateWindow(g *Group, groupIdx uint64, win int, r *rng.RNG,
 		emit(s)
 	}
 	if down {
-		return n, 0
+		return n, 0, nil
 	}
-	return 0, n
+	return 0, n, nil
 }
 
-// generateSession runs one sampled session through the transfer model
-// and the measurement methodology.
+// generateSession runs one sampled session, drawn ahead as d, through
+// the transfer model and the measurement methodology.
 func (w *World) generateSession(g *Group, win, hour int,
-	r *rng.RNG, gen *workload.Generator, sc *sessionScratch, remapped bool) sample.Sample {
+	r *rng.RNG, d *drawnSession, sc *sessionScratch, remapped bool) sample.Sample {
 
 	// Route pinning (§2.2.3): sampled sessions are pinned in
 	// coordination with Edge Fabric — ~47% ride the policy-preferred
@@ -284,8 +329,7 @@ func (w *World) generateSession(g *Group, win, hour int,
 	if remapped {
 		path.PropRTT += g.RemapRTTDelta
 	}
-	gen.SessionInto(&sc.spec)
-	spec := &sc.spec
+	spec := &d.spec
 
 	fs := flowsim.NewSession(path, flowsim.Config{}, r)
 	nSim := min(len(spec.Txns), maxSimulatedTxns)
@@ -338,9 +382,9 @@ func (w *World) generateSession(g *Group, win, hour int,
 		AltIndex:        alt,
 		Duration:        spec.Duration,
 		BusyFraction:    busyFrac,
-		Bytes:           spec.TotalBytes(),
+		Bytes:           d.bytes,
 		Transactions:    len(spec.Txns),
-		ResponseBytes:   gen.RecordedResponses(*spec),
+		ResponseBytes:   d.resp,
 		MediaEndpoint:   spec.Media,
 		MinRTT:          fs.MinRTT(),
 		HDTested:        hd.Tested,

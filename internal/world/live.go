@@ -28,12 +28,11 @@ type WindowBatch struct {
 // groupFeed is one group's persistent generation state. The batch
 // generator builds this state once per group and burns through every
 // window in a loop; the live feed keeps it alive between windows so
-// the RNG lineage, workload generator, and session sequence advance
-// exactly as they would in one uninterrupted sweep — which is why a
-// live run's samples are byte-identical to a batch run's.
+// the RNG lineage, workload draw-ahead ring, and session sequence
+// advance exactly as they would in one uninterrupted sweep — which is
+// why a live run's samples are byte-identical to a batch run's.
 type groupFeed struct {
 	r       *rng.RNG
-	gen     *workload.Generator
 	sc      sessionScratch
 	seq     uint64
 	next    int // next window this group may generate
@@ -56,24 +55,28 @@ func NewLiveFeed(w *World) *LiveFeed {
 	f := &LiveFeed{w: w, feeds: make([]*groupFeed, len(w.Groups))}
 	for gi := range w.Groups {
 		r := rng.ChildAt(w.Cfg.Seed, "traffic", gi)
-		f.feeds[gi] = &groupFeed{r: r, gen: workload.NewGenerator(r.Child("workload"), workload.Config{})}
+		f.feeds[gi] = &groupFeed{r: r, sc: sessionScratch{ring: newSpecRing(workload.NewGenerator(r.Child("workload"), workload.Config{}))}}
 	}
 	return f
 }
 
 // generate advances one group by exactly one window. Windows must be
 // requested in order per group — the RNG lineage is a stream, not an
-// index — so a skipped or repeated window is a programming error.
-func (f *LiveFeed) generate(gi, win int) WindowBatch {
+// index — so a skipped or repeated window is a programming error. The
+// window's buffer is sized once, as generateBatch sizes a group's
+// (capacityFor). Its error is ctx's cause, when ctx ends while the
+// window waits on the group's drawer.
+func (f *LiveFeed) generate(ctx context.Context, gi, win int) (WindowBatch, error) {
 	fd := f.feeds[gi]
 	if win != fd.next {
 		panic(fmt.Sprintf("world: live feed asked for group %d window %d, expected %d (windows are a stream)", gi, win, fd.next))
 	}
 	fd.next++
-	var buf []sample.Sample
-	lost, _ := f.w.generateWindow(f.w.Groups[gi], uint64(gi), win, fd.r, fd.gen, &fd.sc, &fd.seq,
+	g := f.w.Groups[gi]
+	buf := make([]sample.Sample, 0, capacityFor(f.w.windowMean(g, win)))
+	lost, _, err := f.w.generateWindow(ctx, g, uint64(gi), win, fd.r, &fd.sc, &fd.seq,
 		func(s sample.Sample) { buf = append(buf, s) })
-	return WindowBatch{Group: gi, Win: win, Samples: buf, Lost: lost}
+	return WindowBatch{Group: gi, Win: win, Samples: buf, Lost: lost}, err
 }
 
 // Run streams the whole world window-major: for each window, group
@@ -85,7 +88,9 @@ func (f *LiveFeed) generate(gi, win int) WindowBatch {
 // land on the same logical coordinates as the batch generator's:
 // a PhaseGen span per group and a mark per group × window, with
 // outage faults and losses attributed to their window. deliver and
-// seal run on one goroutine; their errors poison the run.
+// seal run on one goroutine; their errors poison the run. Every group's
+// workload drawer runs for the length of Run and is stopped and waited
+// for on every return; what the drawers drew ahead stays in the feed.
 func (f *LiveFeed) Run(ctx context.Context, workers int, deliver func(WindowBatch) error, seal func(win int) error) error {
 	windows := f.w.Cfg.Windows()
 	last := windows - 1
@@ -93,6 +98,12 @@ func (f *LiveFeed) Run(ctx context.Context, workers int, deliver func(WindowBatc
 		workers = len(f.w.Groups)
 	}
 	tb := f.w.Rec.Buf()
+	rings := make([]*specRing, len(f.feeds))
+	for gi, fd := range f.feeds {
+		rings[gi] = fd.sc.ring
+	}
+	stop := startDrawers(ctx, &f.w.obs, rings...)
+	defer stop()
 
 	// handoff emits the batch's trace events (mirroring generateGroup's
 	// coordinates) and hands it to the caller.
@@ -126,7 +137,11 @@ func (f *LiveFeed) Run(ctx context.Context, workers int, deliver func(WindowBatc
 				return context.Cause(ctx)
 			}
 			for gi := range f.w.Groups {
-				if err := handoff(f.generate(gi, win)); err != nil {
+				b, err := f.generate(ctx, gi, win)
+				if err != nil {
+					return err
+				}
+				if err := handoff(b); err != nil {
 					return err
 				}
 			}
@@ -153,7 +168,11 @@ func (f *LiveFeed) Run(ctx context.Context, workers int, deliver func(WindowBatc
 				if err := ctx.Err(); err != nil {
 					return context.Cause(ctx)
 				}
-				if err := out.Send(ctx, f.generate(gi, win)); err != nil {
+				b, err := f.generate(ctx, gi, win)
+				if err != nil {
+					return err
+				}
+				if err := out.Send(ctx, b); err != nil {
 					return err
 				}
 			}

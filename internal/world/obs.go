@@ -14,12 +14,21 @@ type worldObs struct {
 	outageLost *obs.Counter
 	genStage   *obs.SpanTimer
 	emit       *obs.SpanTimer
+	draw       *obs.SpanTimer
+	drawWait   *obs.SpanTimer
+	specsDrawn *obs.Counter
 }
 
 // Instrument registers generation metrics on reg: sessions, windows and
 // groups completed, plus per-stage wall time for the parallel group
-// simulation ("generate") and the ordered fan-out ("emit"). A nil
-// registry leaves the world uninstrumented.
+// simulation ("generate"), the ordered fan-out ("emit") and the
+// workload draw-ahead ("draw": the time drawers spend drawing). The
+// draw-ahead adds the time simulations wait on an empty ring
+// (world_draw_wait_seconds) and the specs drawn
+// (world_specs_drawn_total): drawn minus the sessions simulated, kept
+// or lost to an outage, is what was drawn ahead and never simulated, at
+// most one ring (ringChunks × chunkSpecs) per group. A nil registry
+// leaves the world uninstrumented.
 func (w *World) Instrument(reg *obs.Registry) {
 	w.obs = worldObs{
 		sessions:   reg.Counter("world_sessions_total"),
@@ -28,6 +37,9 @@ func (w *World) Instrument(reg *obs.Registry) {
 		outageLost: reg.Counter("world_outage_sessions_total"),
 		genStage:   reg.Span(obs.L("world_stage_seconds", "stage", "generate"), "world"),
 		emit:       reg.Span(obs.L("world_stage_seconds", "stage", "emit"), "world"),
+		draw:       reg.Span(obs.L("world_stage_seconds", "stage", "draw"), "world"),
+		drawWait:   reg.Span("world_draw_wait_seconds", "world"),
+		specsDrawn: reg.Counter("world_specs_drawn_total"),
 	}
 	// The pinner's route-assignment counters ride along (§2.2.3's
 	// preferred/alternate measurement split).

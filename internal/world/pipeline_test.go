@@ -151,7 +151,8 @@ func TestGenerateSelectedCoverage(t *testing.T) {
 // A group's buffer is sized once, before its first session, and the
 // sessions must fit it: a batch whose capacity is not sessionCapacity
 // was regrown by append. The slack is bounded too, so the estimate
-// cannot pass by over-allocating.
+// cannot pass by over-allocating. A live feed's window buffers are
+// sized once by the same estimate (capacityFor) from the window's mean.
 func TestGroupBufferSizedOnce(t *testing.T) {
 	for _, cfg := range []Config{
 		{Seed: 3, Groups: 40, Days: 2, SessionsPerGroupWindow: 12},
@@ -172,6 +173,15 @@ func TestGroupBufferSizedOnce(t *testing.T) {
 		}
 		if slack := float64(held) / float64(used); slack > 1.25 {
 			t.Errorf("seed %d: buffers hold %.2fx the samples generated", cfg.Seed, slack)
+		}
+		if err := NewLiveFeed(w).Run(context.Background(), 2, func(b WindowBatch) error {
+			if want := capacityFor(w.windowMean(w.Groups[b.Group], b.Win)); cap(b.Samples) != want {
+				t.Errorf("seed %d live group %d window %d: %d samples in a buffer of %d, sized for %d",
+					cfg.Seed, b.Group, b.Win, len(b.Samples), cap(b.Samples), want)
+			}
+			return nil
+		}, func(int) error { return nil }); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
