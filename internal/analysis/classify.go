@@ -172,6 +172,13 @@ func (s Series) Classify(totalWindows int, p ClassifyParams, thresholds []float6
 	eventBytes := make(map[key]int64)
 	contBytes := make(map[geo.Continent]int64)
 	var allBytes int64
+	// verdicts is one scratch for every group × threshold, sized for the
+	// longest group: Classify reads it and keeps none of it.
+	longest := 0
+	for _, g := range s.Groups {
+		longest = max(longest, len(g.Points))
+	}
+	verdicts := make([]WindowVerdict, longest)
 
 	for _, g := range s.Groups {
 		var total int64
@@ -182,7 +189,7 @@ func (s Series) Classify(totalWindows int, p ClassifyParams, thresholds []float6
 		allBytes += total
 
 		for ti, th := range thresholds {
-			verdicts := make([]WindowVerdict, len(g.Points))
+			verdicts := verdicts[:len(g.Points)]
 			var evBytes int64
 			for i, pt := range g.Points {
 				ev := pt.Event(th)

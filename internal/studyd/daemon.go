@@ -39,6 +39,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/collector"
 	"repro/internal/faults"
@@ -101,6 +102,9 @@ type groupIngest struct {
 	// tombstones with, matching the batch pipeline exactly.
 	buf [][]sample.Sample
 	raw []int
+	// spare is the buffer of the group's last closed chunk, emptied: the
+	// next chunk to open fills it instead of growing one from nothing.
+	spare []sample.Sample
 	// fate is the batch-surface verdict, drawn at the group's first
 	// window; when it drops the group, fate.Lost accumulates the
 	// tombstoned raw counts until Drain books them.
@@ -112,6 +116,14 @@ type groupIngest struct {
 	// against.
 	quarantine string
 	sinkEntry  int
+}
+
+// commit is one spool version and when the commit that made it
+// returned; the zero time marks a version no commit of this process
+// made (the spool as found at start).
+type commit struct {
+	version int64
+	at      time.Time
 }
 
 // Daemon is the always-on study service. Ingest, Seal, and Drain form
@@ -127,12 +139,17 @@ type Daemon struct {
 	guard *faults.Guard
 
 	groups []*groupIngest
+	// ctx is the context of the run driving ingest, so that a cancel
+	// reaches the sink and write retries mid-backoff: RunLive's, or
+	// Background for a caller that calls Ingest and Seal itself.
+	ctx context.Context
 
 	mu       sync.Mutex // guards winStats (ingest writes, HTTP snapshots)
 	winStats []windowStat
 
 	watermark atomic.Int64
-	version   atomic.Int64
+	head      atomic.Pointer[commit] // the spool's current version
+	fresh     atomic.Int64           // the newest version a render has served
 	drained   atomic.Bool
 
 	cache *swrCache
@@ -159,6 +176,7 @@ type Daemon struct {
 
 	hExtend   *obs.Histogram
 	hRebuild  *obs.Histogram
+	hFresh    *obs.Histogram
 	gServed   *obs.Gauge
 	gFoldSegs *obs.Gauge
 	gCells    *obs.Gauge
@@ -176,7 +194,8 @@ func New(opt Options) (*Daemon, error) {
 	if p := opt.Injector.Plan(); p != nil && p.TruncateP > 0 {
 		return nil, fmt.Errorf("studyd: fault plans with truncate= are not supported: batch truncation needs the group's total sample count before its first window ships, which a streaming ingest cannot know; drop truncate= from the plan")
 	}
-	d := &Daemon{opt: opt, guard: faults.NewGuard(opt.Injector, opt.FailFast), tb: opt.Rec.Buf()}
+	d := &Daemon{opt: opt, guard: faults.NewGuard(opt.Injector, opt.FailFast), tb: opt.Rec.Buf(), ctx: context.Background()}
+	d.head.Store(&commit{})
 	reg := opt.Reg
 	d.cIngested = reg.Counter("studyd_samples_ingested_total")
 	d.cLate = reg.Counter("studyd_late_samples")
@@ -188,6 +207,7 @@ func New(opt Options) (*Daemon, error) {
 	d.gDrained = reg.Gauge("studyd_drained")
 	d.hExtend = reg.Histogram(obs.L("studyd_revalidate_seconds", "mode", "extend"), nil)
 	d.hRebuild = reg.Histogram(obs.L("studyd_revalidate_seconds", "mode", "rebuild"), nil)
+	d.hFresh = reg.Histogram("studyd_seal_to_fresh_seconds", nil)
 	d.gServed = reg.Gauge("studyd_served_version")
 	d.gFoldSegs = reg.Gauge("studyd_fold_segments")
 	d.gCells = reg.Gauge("studyd_fold_cells")
@@ -221,6 +241,9 @@ func New(opt Options) (*Daemon, error) {
 		}
 		g.col = collector.New(collector.FuncSink(func(s sample.Sample) {
 			c := seggen.ChunkOf(s.Start, d.cpg)
+			if g.buf[c] == nil {
+				g.buf[c], g.spare = g.spare, nil
+			}
 			g.buf[c] = append(g.buf[c], s)
 		}))
 		g.col.Instrument(reg)
@@ -236,11 +259,39 @@ func (d *Daemon) Watermark() int { return int(d.watermark.Load()) }
 // Version returns the spool commit counter — the cache's freshness
 // token. It bumps on every manifest commit, so a cached report built
 // at version v is fresh exactly until the spool changes.
-func (d *Daemon) Version() int64 { return d.version.Load() }
+func (d *Daemon) Version() int64 { return d.head.Load().version }
 
 // BumpVersion invalidates cached reports; the wire-mode merge hook.
+// It stamps the new version with the time, which the first render
+// served at that version reads (servedFresh).
 func (d *Daemon) BumpVersion() {
-	d.gVersion.Set(float64(d.version.Add(1)))
+	for {
+		cur := d.head.Load()
+		next := &commit{version: cur.version + 1, at: time.Now()}
+		if d.head.CompareAndSwap(cur, next) {
+			d.gVersion.Set(float64(next.version))
+			return
+		}
+	}
+}
+
+// servedFresh records a render built at c's version: the first one
+// observes studyd_seal_to_fresh_seconds, the time from the commit that
+// made the version to a report that serves it.
+func (d *Daemon) servedFresh(c *commit) {
+	if c.at.IsZero() {
+		return
+	}
+	for {
+		seen := d.fresh.Load()
+		if seen >= c.version {
+			return
+		}
+		if d.fresh.CompareAndSwap(seen, c.version) {
+			d.hFresh.ObserveDuration(time.Since(c.at))
+			return
+		}
+	}
 }
 
 // Drained reports whether the ingest stream has fully drained.
@@ -344,7 +395,7 @@ func (d *Daemon) Ingest(gi, win int, samples []sample.Sample, lost int) error {
 // stay committed: a daemon cannot un-commit durable segments, and the
 // coverage ledger accounts the difference.
 func (d *Daemon) offer(gi int, g *groupIngest, s sample.Sample) error {
-	entry, err := d.guard.Sink(context.TODO(), d.tb, gi, s,
+	entry, err := d.guard.Sink(d.ctx, d.tb, gi, s,
 		func() error {
 			g.col.Offer(s)
 			return g.col.Err()
@@ -413,7 +464,7 @@ func (d *Daemon) closeChunk(c int) error {
 		// The write fate is the group's, drawn by the guard at this — its
 		// first non-empty — chunk close, just as the batch writer draws it
 		// once per group batch.
-		ok, err := d.guard.Write(context.TODO(), d.tb, gi, len(kept),
+		ok, err := d.guard.Write(d.ctx, d.tb, gi, len(kept),
 			func() error {
 				if d.sw.Committed(id) {
 					return nil // survived a previous interrupted run
@@ -432,6 +483,9 @@ func (d *Daemon) closeChunk(c int) error {
 		if ok {
 			d.cSegs.Inc()
 		}
+		// EncodeSegment copied kept into the blob and nothing else holds
+		// it, so its buffer opens the group's next chunk.
+		g.spare = kept[:0]
 	}
 	if err := d.sw.Commit(); err != nil {
 		return err
@@ -467,13 +521,15 @@ func (d *Daemon) Drain() error {
 // RunLive drives the daemon from its world's live feed: windows
 // generate in logical order (parallel across groups within a window),
 // every batch ingests, every window seals, and the stream drains.
-// Cancelling ctx stops the feed; everything already committed is
+// Cancelling ctx stops the feed, and any sink or write retry waiting
+// out a backoff, with ctx's cause; everything already committed is
 // durable, and a rerun with the same flags resumes (committed chunks
 // are recognised and skipped).
 func (d *Daemon) RunLive(ctx context.Context, workers int) error {
 	if d.opt.World == nil {
 		return fmt.Errorf("studyd: RunLive needs a live world")
 	}
+	d.ctx = ctx
 	feed := world.NewLiveFeed(d.opt.World)
 	if err := feed.Run(ctx, workers, func(b world.WindowBatch) error {
 		return d.Ingest(b.Group, b.Win, b.Samples, b.Lost)

@@ -110,9 +110,13 @@ func (d *Daemon) handleReport(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	version := d.Version()
-	body, etag, state, err := d.cache.Serve(q.Key(), version, func() ([]byte, error) {
-		return d.renderReport(q, version)
+	head := d.head.Load()
+	body, etag, state, err := d.cache.Serve(q.Key(), head.version, func() ([]byte, error) {
+		body, err := d.renderReport(q, head.version)
+		if err == nil {
+			d.servedFresh(head)
+		}
+		return body, err
 	})
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)

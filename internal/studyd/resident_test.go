@@ -254,6 +254,7 @@ func reportFreshAtEveryCommit(t *testing.T, cfg world.Config) (moved int) {
 	if extends, rebuilds := foldPaths(first); extends != 2 || len(rebuilds) != 0 {
 		t.Fatalf("first daemon: %d extensions, rebuilds %v; want 2 and none", extends, rebuilds)
 	}
+	freshRenders(t, first, 2)
 
 	// The second daemon regenerates days 1 and 2, finds their chunks
 	// committed, and commits day 3: its first report folds the two days at
@@ -269,6 +270,7 @@ func reportFreshAtEveryCommit(t *testing.T, cfg world.Config) (moved int) {
 	if checked != 5 {
 		t.Fatalf("%d commits checked, want 5", checked)
 	}
+	freshRenders(t, second, 3)
 	if got, want := second.gFoldSegs.Value(), float64(cfg.Groups*cfg.Days); got != want {
 		t.Errorf("studyd_fold_segments = %v, want %v", got, want)
 	}
@@ -285,6 +287,19 @@ func reportFreshAtEveryCommit(t *testing.T, cfg world.Config) (moved int) {
 	}
 	dirsEqual(t, golden, dir)
 	return baselines.moved
+}
+
+// freshRenders asserts that d's /metrics counts want renders in
+// studyd_seal_to_fresh_seconds: one a commit, when every commit was
+// read until its report came fresh, and a later read at the same
+// version (the filtered report on day one) renders without counting.
+func freshRenders(t *testing.T, d *Daemon, want int) {
+	t.Helper()
+	metrics, _ := get(t, d, "/metrics")
+	line := fmt.Sprintf("studyd_seal_to_fresh_seconds_count %d\n", want)
+	if !bytes.Contains(metrics, []byte(line)) {
+		t.Errorf("/metrics lacks %q:\n%s", line, metrics)
+	}
 }
 
 // A clean month: thirty commits, thirty extensions, and not one rebuild

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http/httptest"
@@ -335,6 +336,84 @@ func TestDaemonResumesCommittedChunks(t *testing.T) {
 		}
 	}
 	dirsEqual(t, golden, dir)
+}
+
+// TestRunLiveCancelStopsRetries cancels a live run while a sink retry
+// waits out its backoff. Every sample of the plan fails transiently up
+// to eight times before it recovers, so the run spends nearly all its
+// time in backoffs; RunLive's context must reach them, and the cancel
+// return its cause within a second instead of after the retries of the
+// window's remaining samples. A rerun then resumes the spool to the
+// golden bytes. The rerun's plan differs only in its base backoff,
+// which decides no outcome, so it keeps the spool's origin and runs in
+// seconds instead of minutes. The world is small for the rerun's sake,
+// and its first window is busy: group 0's holds 19 samples, so the
+// retries left in it when the cancel lands would outlast the bound.
+func TestRunLiveCancelStopsRetries(t *testing.T) {
+	const (
+		slow   = "sink-transient=1;sink-streak=8;retries=12;retry-base=1s"
+		fast   = "sink-transient=1;sink-streak=8;retries=12;retry-base=1us"
+		origin = "retry-cancel-test"
+	)
+	cfg := world.Config{Seed: 38, Groups: 2, Days: 1, SessionsPerGroupWindow: 6}
+	injector := func(spec string) *faults.Injector {
+		plan, err := faults.ParsePlan(spec)
+		if err != nil {
+			t.Fatalf("plan: %v", err)
+		}
+		return faults.NewInjector(plan, cfg.Seed)
+	}
+	daemon := func(dir, spec string) *Daemon {
+		d, err := New(Options{Dir: dir, Origin: origin, World: world.New(cfg), Injector: injector(spec), Reg: obs.NewRegistry()})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		return d
+	}
+	golden := t.TempDir()
+	if _, err := seggen.Run(context.Background(), seggen.Options{
+		World: world.New(cfg), Dir: golden, Origin: origin, Injector: injector(fast),
+	}); err != nil {
+		t.Fatalf("golden generate: %v", err)
+	}
+
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			dir := t.TempDir()
+			d := daemon(dir, slow)
+			stop := errors.New("operator stop")
+			ctx, cancel := context.WithCancelCause(context.Background())
+			defer cancel(nil)
+			done := make(chan struct{})
+			cancelled := make(chan time.Time, 1)
+			go func() {
+				// The first retry is booked before its backoff begins.
+				for d.Coverage().RetriesSpent == 0 {
+					select {
+					case <-done:
+						return
+					case <-time.After(time.Millisecond):
+					}
+				}
+				cancelled <- time.Now()
+				cancel(stop)
+			}()
+			err := d.RunLive(ctx, workers)
+			returned := time.Now()
+			close(done)
+			if !errors.Is(err, stop) {
+				t.Fatalf("RunLive returned %v, want the cancel's cause", err)
+			}
+			if wait := returned.Sub(<-cancelled); wait > time.Second {
+				t.Errorf("RunLive returned %v after the cancel, want within 1s", wait)
+			}
+
+			if err := daemon(dir, fast).RunLive(context.Background(), workers); err != nil {
+				t.Fatalf("rerun: %v", err)
+			}
+			dirsEqual(t, golden, dir)
+		})
+	}
 }
 
 // TestDaemonRefusesTruncatePlans pins the documented deviation: batch

@@ -17,8 +17,11 @@ import (
 // groups ascending within each window reproduces exactly the samples
 // the batch generator emits, just transposed to arrival order.
 type WindowBatch struct {
-	Group   int
-	Win     int
+	Group int
+	Win   int
+	// Samples is valid until deliver returns: the group's next window
+	// is generated into the same buffer, so a consumer that keeps a
+	// sample copies it.
 	Samples []sample.Sample
 	// Lost counts sessions this window would have produced but for a
 	// PoP outage (World.PoPDown).
@@ -37,6 +40,9 @@ type groupFeed struct {
 	seq     uint64
 	next    int // next window this group may generate
 	emitted int // cumulative samples, for the gen span's closing value
+	// buf is the group's one window buffer, lent to deliver and
+	// refilled by the group's next window.
+	buf []sample.Sample
 }
 
 // LiveFeed generates the world window-major: all groups advance
@@ -63,9 +69,11 @@ func NewLiveFeed(w *World) *LiveFeed {
 // generate advances one group by exactly one window. Windows must be
 // requested in order per group — the RNG lineage is a stream, not an
 // index — so a skipped or repeated window is a programming error. The
-// window's buffer is sized once, as generateBatch sizes a group's
-// (capacityFor). Its error is ctx's cause, when ctx ends while the
-// window waits on the group's drawer.
+// window is generated into the group's one buffer, which is replaced
+// only when the window's estimate (capacityFor, as generateBatch sizes
+// a group's) exceeds its capacity, so no window regrows it. Its error
+// is ctx's cause, when ctx ends while the window waits on the group's
+// drawer.
 func (f *LiveFeed) generate(ctx context.Context, gi, win int) (WindowBatch, error) {
 	fd := f.feeds[gi]
 	if win != fd.next {
@@ -73,9 +81,13 @@ func (f *LiveFeed) generate(ctx context.Context, gi, win int) (WindowBatch, erro
 	}
 	fd.next++
 	g := f.w.Groups[gi]
-	buf := make([]sample.Sample, 0, capacityFor(f.w.windowMean(g, win)))
+	if want := capacityFor(f.w.windowMean(g, win)); want > cap(fd.buf) {
+		fd.buf = make([]sample.Sample, 0, want)
+	}
+	buf := fd.buf[:0]
 	lost, _, err := f.w.generateWindow(ctx, g, uint64(gi), win, fd.r, &fd.sc, &fd.seq,
 		func(s sample.Sample) { buf = append(buf, s) })
+	fd.buf = buf
 	return WindowBatch{Group: gi, Win: win, Samples: buf, Lost: lost}, err
 }
 
@@ -88,9 +100,12 @@ func (f *LiveFeed) generate(ctx context.Context, gi, win int) (WindowBatch, erro
 // land on the same logical coordinates as the batch generator's:
 // a PhaseGen span per group and a mark per group × window, with
 // outage faults and losses attributed to their window. deliver and
-// seal run on one goroutine; their errors poison the run. Every group's
-// workload drawer runs for the length of Run and is stopped and waited
-// for on every return; what the drawers drew ahead stays in the feed.
+// seal run on one goroutine; their errors poison the run. A batch's
+// Samples are the group's window buffer, lent until deliver returns:
+// the barrier delivers a group's window before the group generates its
+// next one into the same buffer. Every group's workload drawer runs
+// for the length of Run and is stopped and waited for on every return;
+// what the drawers drew ahead stays in the feed.
 func (f *LiveFeed) Run(ctx context.Context, workers int, deliver func(WindowBatch) error, seal func(win int) error) error {
 	windows := f.w.Cfg.Windows()
 	last := windows - 1

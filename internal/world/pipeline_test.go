@@ -151,8 +151,13 @@ func TestGenerateSelectedCoverage(t *testing.T) {
 // A group's buffer is sized once, before its first session, and the
 // sessions must fit it: a batch whose capacity is not sessionCapacity
 // was regrown by append. The slack is bounded too, so the estimate
-// cannot pass by over-allocating. A live feed's window buffers are
-// sized once by the same estimate (capacityFor) from the window's mean.
+// cannot pass by over-allocating. A live feed keeps one window buffer a
+// group and replaces it only when a window's estimate (capacityFor of
+// its mean) rises above the buffer's capacity: every other window must
+// arrive in the same buffer at the same capacity, so none was regrown
+// by append, and the feed makes as many buffers as the estimates rise —
+// all on the first day, since every day's activity curve is the same —
+// not one a window.
 func TestGroupBufferSizedOnce(t *testing.T) {
 	for _, cfg := range []Config{
 		{Seed: 3, Groups: 40, Days: 2, SessionsPerGroupWindow: 12},
@@ -174,14 +179,41 @@ func TestGroupBufferSizedOnce(t *testing.T) {
 		if slack := float64(held) / float64(used); slack > 1.25 {
 			t.Errorf("seed %d: buffers hold %.2fx the samples generated", cfg.Seed, slack)
 		}
+
+		type window struct {
+			first *sample.Sample // the buffer's first element: its identity
+			cap   int
+		}
+		last := make([]window, len(w.Groups))
+		rises, made := 0, 0
 		if err := NewLiveFeed(w).Run(context.Background(), 2, func(b WindowBatch) error {
-			if want := capacityFor(w.windowMean(w.Groups[b.Group], b.Win)); cap(b.Samples) != want {
-				t.Errorf("seed %d live group %d window %d: %d samples in a buffer of %d, sized for %d",
-					cfg.Seed, b.Group, b.Win, len(b.Samples), cap(b.Samples), want)
+			got := window{&b.Samples[:1][0], cap(b.Samples)}
+			prev := &last[b.Group]
+			switch want := capacityFor(w.windowMean(w.Groups[b.Group], b.Win)); {
+			case want > prev.cap:
+				rises++
+				if b.Win >= WindowsPerDay {
+					t.Errorf("seed %d live group %d: the estimate rose at window %d, after the first day", cfg.Seed, b.Group, b.Win)
+				}
+				if got.first == prev.first || got.cap != want {
+					t.Errorf("seed %d live group %d window %d: %d samples in a buffer of %d, want a new one sized for %d",
+						cfg.Seed, b.Group, b.Win, len(b.Samples), got.cap, want)
+				}
+			case got != *prev:
+				t.Errorf("seed %d live group %d window %d: %d samples in a buffer of %d, want the group's buffer of %d again",
+					cfg.Seed, b.Group, b.Win, len(b.Samples), got.cap, prev.cap)
 			}
+			if got.first != prev.first {
+				made++
+			}
+			*prev = got
 			return nil
 		}, func(int) error { return nil }); err != nil {
 			t.Fatal(err)
+		}
+		if made != rises || made > len(w.Groups)*WindowsPerDay {
+			t.Errorf("seed %d: the live feed made %d window buffers for %d rises of the estimate over %d groups x %d windows",
+				cfg.Seed, made, rises, len(w.Groups), cfg.Windows())
 		}
 	}
 }
