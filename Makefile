@@ -61,8 +61,8 @@ test:
 # edgestat; a generated world's traced chaos study and `edgetrace
 # causes`; dense worlds' -cdf and -deagg reports; two PoPs shipping
 # through a dup/drop wire to edgemerged and to a wire-mode edgestudyd;
-# the live daemon drained at workers 1/2/4, clean and under a plan, then
-# interrupted. Each cell must equal the cells its row names, exit 0
+# the live daemon drained at workers 1/2/4, clean and under both plans,
+# then interrupted. Each cell must equal the cells its row names, exit 0
 # within its deadline, leave exactly its expected files and print
 # exactly its one wall-clock line. One line per cell.
 # `go run ./cmd/edgeident -parent REV` compares every cell with REV's.

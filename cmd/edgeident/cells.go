@@ -10,8 +10,6 @@ const (
 	// hot is hot enough to tombstone whole groups (3 groups, 8083 samples
 	// of the sim world).
 	hot = "seed=13;sink-transient=0.15;sink-permanent=0.08;truncate=0.2;corrupt=0.08;fail-group=3;outage=fra:10-30;retries=4;retry-base=20us"
-	// studydPlan is chaos without truncate=, which a live daemon refuses.
-	studydPlan = "seed=7;sink-transient=0.01;fail-group=2;outage=fra:10-30;retries=4;retry-base=50us"
 	// wirePlan duplicates and severs shipments between PoPs and merger.
 	wirePlan = "seed=9;ship-dup=0.4;ship-drop=0.2;retries=12;retry-base=1ms"
 )
@@ -124,8 +122,11 @@ func cells() []cell {
 	)
 
 	// The always-on daemon drains into the batch dataset's spool and
-	// serves its report, at workers 1, 2 and 4, clean and under a plan.
-	for _, p := range []struct{ name, plan string }{{"", ""}, {"-chaos", studydPlan}} {
+	// serves its report, at workers 1, 2 and 4, clean and under both
+	// plans: on the daemon's world each truncates groups, drops one and
+	// loses windows to the outage. No write fault fires there; the
+	// daemon's own tests run plans that fire it.
+	for _, p := range []struct{ name, plan string }{{"", ""}, {"-chaos", chaos}, {"-hot", hot}} {
 		golden := "studyd" + p.name + "-golden"
 		var plan []string
 		if p.plan != "" {

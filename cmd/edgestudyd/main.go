@@ -101,7 +101,7 @@ func main() {
 		httpAddr   = flag.String("http", "127.0.0.1:0", "HTTP service address (:0 picks a free port; see -addr-file)")
 		addrFile   = flag.String("addr-file", "", "write the bound HTTP address to this file once listening")
 		cacheSize  = flag.Int("cache", 64, "report cache entries (LRU, stale-while-revalidate)")
-		faultPlan  = flag.String("fault-plan", "", "deterministic ingest fault plan (shapes the dataset; part of its origin; truncate= is refused)")
+		faultPlan  = flag.String("fault-plan", "", "deterministic ingest fault plan, the one edgesim takes (shapes the dataset; part of its origin)")
 		failFast   = flag.Bool("fail-fast", false, "abort on the first unrecoverable injected fault instead of degrading")
 		tracePath  = flag.String("trace", "", "record a deterministic flight trace of the run to this file")
 		progress   = flag.Bool("progress", false, "report ingest progress to stderr every 2s")

@@ -7,7 +7,7 @@
 //
 //   - Plan: a parseable description of which failures to inject at
 //     which surfaces — transient/permanent collector-sink errors,
-//     slow shard workers, corrupt or truncated sample
+//     slow shard workers, corrupt or truncated group
 //     batches, and per-PoP world outages.
 //   - Injector: the decision engine. Every decision is a pure function
 //     of (plan seed ⊕ study seed, surface label, stable identity), so
@@ -73,9 +73,11 @@ type Plan struct {
 	// permanently; the sample's user group is quarantined.
 	SinkPermanentP float64
 
-	// TruncateP is the per-group probability that the group's sample
-	// batch loses its tail; TruncateFrac is the fraction lost
-	// (default 0.5).
+	// TruncateP is the per-group probability that the group loses the
+	// tail of its windows; TruncateFrac (default 0.5) sizes the tail in
+	// windows, not samples: a truncated group loses every window from
+	// cut = Windows − round(TruncateFrac × Windows) on, which a stream
+	// knows before its first window.
 	TruncateP    float64
 	TruncateFrac float64
 	// CorruptP is the per-group probability that the group's batch is

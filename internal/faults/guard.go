@@ -3,6 +3,7 @@ package faults
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -13,22 +14,24 @@ import (
 // Guard is the pipeline's one recovery ladder. It owns the policy that
 // follows every injected decision — what is lost, retried, quarantined
 // or tombstoned — and the two records of it: the Coverage ledger and
-// the trace events the ledger must reconcile against. Producers
-// (internal/study, internal/seggen, internal/studyd, cmd/edgesim) are
-// thin callers: they supply the work (commit, offer) and the
-// producer-specific consequence (tombstone, quarantine) as callbacks
-// and never touch an Injector decision or a Coverage counter.
+// the trace events the ledger must reconcile against. Producers (the
+// study's world source and sink, and seggen's chunk writer, which
+// internal/studyd drives too) are thin callers: they supply the work
+// (commit, offer) and the producer-specific consequence (tombstone,
+// quarantine) as callbacks and never touch an Injector decision or a
+// Coverage counter.
 //
 // Three surfaces, each a decision with callbacks: Batch (a world
-// group's generated batch: keep all, keep a prefix, or drop), Write
-// (one group's ordered dataset commit) and Sink (one sample's collector
-// offer). A nil *Guard (no fault plan) is valid everywhere: Batch keeps
-// everything, Write commits, Sink offers, Coverage is nil.
+// group's generated windows: keep all, keep those below a cut, or
+// drop), Write (one group's dataset commit) and Sink (one sample's
+// collector offer, in the study only). A nil *Guard (no fault plan) is
+// valid everywhere: Batch keeps everything, Write commits, Sink offers,
+// Coverage is nil.
 //
 // Guard is safe for concurrent use; the ledger is locked. Trace buffers
 // are single-owner, so every method that emits takes the calling
-// goroutine's buffer, and BatchFate separates the decision (any
-// goroutine) from its events (the caller's ordered goroutine).
+// goroutine's buffer: a batch fate is decided on any goroutine (Batch)
+// and booked with its events on the caller's ordered one (BookBatch).
 type Guard struct {
 	inj      *Injector
 	failFast bool
@@ -112,13 +115,19 @@ func (s site) loss(seq uint64, cause string, n int) {
 
 // BatchFate is one world group's batch-surface verdict. It is a plain
 // value so a worker goroutine can decide it and the ordered goroutine
-// that owns the trace buffer can Emit it.
+// that owns the trace buffer can book it.
 type BatchFate struct {
 	Group int
 	Kind  BatchFaultKind
-	// Lost counts the samples cut from the tail (BatchTruncate) or
-	// dropped with the whole batch (BatchCorrupt, BatchFail); the
-	// surviving prefix is the batch's first len-Lost samples.
+	// Cut is the first window the fate loses: 0 for a dropped batch
+	// (BatchCorrupt, BatchFail), Windows − round(TruncateFrac × Windows)
+	// for a truncated one, and Windows — none — otherwise. It is known
+	// before the group's first window, so a stream applies it as a batch
+	// does.
+	Cut int
+	// Lost counts the samples of the windows from Cut on. The producer
+	// counts them as it applies the cut and books the fate with
+	// BookBatch once the group is whole.
 	Lost int
 }
 
@@ -128,47 +137,37 @@ func (f BatchFate) Dropped() bool { return f.Kind == BatchCorrupt || f.Kind == B
 // Reason names the fate for ledger entries and tombstones.
 func (f BatchFate) Reason() string { return f.Kind.String() }
 
-// Batch decides and books the fate of group's batch of n samples. Under
-// fail-fast a dropped batch is an error instead.
-func (g *Guard) Batch(group, n int) (BatchFate, error) {
-	f, err := g.DrawBatch(group)
-	if err != nil {
-		return f, err
-	}
-	switch {
-	case f.Dropped():
-		f.Lost = n
-	case f.Kind == BatchTruncate:
-		f.Lost = int(float64(n) * g.inj.plan.TruncateFrac)
-	}
-	g.BookBatch(f)
-	return f, nil
-}
-
-// DrawBatch decides group's batch fate without sizing or booking it —
-// the streaming producer's half of Batch: a daemon learns the group is
-// dropped at its first window, and what that cost only at drain, when
-// it sets Lost and calls BookBatch.
-func (g *Guard) DrawBatch(group int) (BatchFate, error) {
-	f := BatchFate{Group: group}
+// Batch decides the fate of group's batch of windows windows: what it
+// keeps is every window below the fate's Cut. Under fail-fast a dropped
+// batch is an error instead. Nothing is booked until BookBatch.
+func (g *Guard) Batch(group, windows int) (BatchFate, error) {
+	f := BatchFate{Group: group, Cut: windows}
 	if g == nil {
 		return f, nil
 	}
 	f.Kind = g.inj.batchFault(group)
-	if f.Dropped() && g.failFast {
+	switch {
+	case f.Dropped() && g.failFast:
 		return f, fmt.Errorf("fail-fast: %s: %w", f.Kind, &FaultError{Surface: SurfaceBatch, Key: worldGroupKey(group)})
+	case f.Dropped():
+		f.Cut = 0
+	case f.Kind == BatchTruncate:
+		f.Cut = windows - int(math.Round(g.inj.plan.TruncateFrac*float64(windows)))
 	}
 	return f, nil
 }
 
-// BookBatch enters a sized fate into the ledger. A truncation that cut
-// nothing (a batch too small to lose a tail) is not a loss.
-func (g *Guard) BookBatch(f BatchFate) {
-	if g == nil || f.noop() {
+// BookBatch enters a counted fate in the ledger and its events in tb,
+// the calling goroutine's buffer. A truncation that cut nothing (no
+// sample in the windows from its cut on) is not a loss.
+func (g *Guard) BookBatch(tb *trace.Buf, f BatchFate) {
+	if g == nil || f.Kind == BatchOK || (f.Kind == BatchTruncate && f.Lost == 0) {
 		return
 	}
+	cause := trace.LossTruncated
 	g.mu.Lock()
 	if f.Dropped() {
+		cause = trace.LossDropped
 		g.cov.GroupsDropped++
 		g.cov.SamplesLostDropped += f.Lost
 		g.quarantineLocked(worldGroupKey(f.Group), trace.GroupTrack(f.Group), f.Reason(), f.Lost)
@@ -178,24 +177,10 @@ func (g *Guard) BookBatch(f BatchFate) {
 	}
 	g.mu.Unlock()
 	g.inj.MarkDegraded()
-}
-
-func (f BatchFate) noop() bool {
-	return f.Kind == BatchOK || (f.Kind == BatchTruncate && f.Lost == 0)
-}
-
-// Emit replays the fate as trace events on the group's track; call it
-// from the goroutine that owns tb. Nil-safe on tb.
-func (f BatchFate) Emit(tb *trace.Buf) {
-	if tb == nil || f.noop() {
-		return
-	}
 	at := site{tb, trace.GroupTrack(f.Group), trace.PhaseBatch, "batch"}
 	at.emit(trace.KFault, 0, f.Lost, f.Reason())
-	cause := trace.LossTruncated
 	if f.Dropped() {
 		at.emit(trace.KQuarantine, 1, f.Lost, f.Reason())
-		cause = trace.LossDropped
 	}
 	at.loss(0, cause, f.Lost)
 }
@@ -323,22 +308,16 @@ func (g *Guard) retry(ctx context.Context, at site, seq uint64, policyID int, re
 	return true, nil
 }
 
-// UserGroup, passed as Sink's group, makes the sample's own user group
-// (sample.GroupKey) the quarantine unit — the batch study's choice.
-// Any other value names a world group: the unit a segment spool can
-// tombstone, and therefore the streaming daemon's choice.
-const UserGroup = -1
-
 // Sink offers one sample under the sink surface. A clean sample just
 // runs offer; a transient streak runs it under the plan's retry policy;
 // a permanent fault — or an exhausted budget — quarantines the sample's
-// unit instead: quarantine(reason) withdraws whatever the producer
-// already holds of the unit and returns how many samples that cost
-// (the triggering sample included), and Sink books them and returns the
-// new ledger entry's handle (-1 when nothing was quarantined). The
-// producer refuses the unit's later samples and reports them with
-// Refuse. tb is the calling goroutine's buffer.
-func (g *Guard) Sink(ctx context.Context, tb *trace.Buf, group int, s sample.Sample, offer func() error, quarantine func(reason string) int) (int, error) {
+// user group (sample.GroupKey) instead: quarantine(reason) withdraws
+// whatever the producer already holds of the group and returns how many
+// samples that cost (the triggering sample included), and Sink books
+// them and returns the new ledger entry's handle (-1 when nothing was
+// quarantined). The producer refuses the group's later samples and
+// reports them with Refuse. tb is the calling goroutine's buffer.
+func (g *Guard) Sink(ctx context.Context, tb *trace.Buf, s sample.Sample, offer func() error, quarantine func(reason string) int) (int, error) {
 	if g == nil {
 		return -1, offer()
 	}
@@ -346,14 +325,8 @@ func (g *Guard) Sink(ctx context.Context, tb *trace.Buf, group int, s sample.Sam
 	if d.None() {
 		return -1, offer()
 	}
-	var key, track string
-	if group == UserGroup {
-		key = s.Key().String()
-		track = key
-	} else {
-		key, track = worldGroupKey(group), trace.GroupTrack(group)
-	}
-	at := site{tb, track, trace.PhaseIngest, "sink"}
+	key := s.Key().String()
+	at := site{tb, key, trace.PhaseIngest, "sink"}
 	ferr := &FaultError{Surface: SurfaceSink, Key: sinkFaultKey(s), Transient: !d.Permanent}
 	reason := "permanent sink failure"
 	if d.Permanent {
@@ -380,8 +353,9 @@ func (g *Guard) Sink(ctx context.Context, tb *trace.Buf, group int, s sample.Sam
 	return entry, nil
 }
 
-// Refuse books n more samples of an already-quarantined unit (entry is
-// the handle Sink returned), filed under stream coordinate seq.
+// Refuse books n more samples of an already-quarantined user group
+// (entry is the handle Sink returned), filed under stream coordinate
+// seq.
 func (g *Guard) Refuse(tb *trace.Buf, entry int, seq uint64, n int) {
 	g.mu.Lock()
 	g.cov.Quarantined[entry].SamplesLost += n

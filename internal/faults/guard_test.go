@@ -12,9 +12,9 @@ import (
 	"repro/internal/trace"
 )
 
-// The fixtures every Guard table row shares: world group 3, a 10-sample
-// batch, a 7-sample write, and one sample of user group userKey whose
-// quarantine withdraws 3 samples.
+// The fixtures every Guard table row shares: world group 3, a batch of
+// 10 windows of one sample each, a 7-sample write, and one sample of
+// user group userKey whose quarantine withdraws 3 samples.
 const (
 	tGroup   = 3
 	tBatchN  = 10
@@ -84,13 +84,16 @@ func (h *harness) quarantine(reason string) int {
 	return tQLost
 }
 
+// batch runs a batch of tBatchN windows, one sample each, through its
+// fate: the samples of the windows from the cut on are lost.
 func (h *harness) batch() error {
 	f, err := h.g.Batch(tGroup, tBatchN)
 	if err != nil {
 		return err
 	}
-	f.Emit(h.tb)
-	h.calls = append(h.calls, fmt.Sprintf("keep %d", tBatchN-f.Lost))
+	f.Lost = tBatchN - f.Cut
+	h.g.BookBatch(h.tb, f)
+	h.calls = append(h.calls, fmt.Sprintf("keep %d", f.Cut))
 	return nil
 }
 
@@ -102,8 +105,8 @@ func (h *harness) write(n int) error {
 	return err
 }
 
-func (h *harness) sink(group int) (int, error) {
-	return h.g.Sink(context.Background(), h.tb, group, tSample, h.offer, h.quarantine)
+func (h *harness) sink() (int, error) {
+	return h.g.Sink(context.Background(), h.tb, tSample, h.offer, h.quarantine)
 }
 
 func quarantined(key, reason string, lost int) []QuarantinedGroup {
@@ -135,7 +138,7 @@ func TestGuardLadder(t *testing.T) {
 		}
 		return h.write(streamingN)
 	}
-	sink := func(h *harness) error { _, err := h.sink(UserGroup); return err }
+	sink := func(h *harness) error { _, err := h.sink(); return err }
 
 	rows := []struct {
 		name string
@@ -152,13 +155,15 @@ func TestGuardLadder(t *testing.T) {
 
 		{name: "batch/ok", plan: planQuiet, op: batch,
 			want: outcome{calls: []string{"keep 10"}}},
-		{name: "batch/truncate", plan: "truncate=1", op: batch,
+		// The cut is in windows: 10 − round(0.25 × 10), rounding half away
+		// from zero, keeps windows 0–6 and loses the last three.
+		{name: "batch/truncate", plan: "truncate=1;truncate-frac=0.25", op: batch,
 			want: outcome{
-				cov:   Coverage{BatchesTruncated: 1, SamplesLostTruncated: 5},
-				calls: []string{"keep 5"},
+				cov:   Coverage{BatchesTruncated: 1, SamplesLostTruncated: 3},
+				calls: []string{"keep 7"},
 				events: []trace.Event{
-					batchEv(0, trace.KFault, 5, truncated),
-					batchEv(0, trace.KLoss, 5, trace.LossTruncated),
+					batchEv(0, trace.KFault, 3, truncated),
+					batchEv(0, trace.KLoss, 3, trace.LossTruncated),
 				}}},
 		{name: "batch/corrupt", plan: "corrupt=1", op: batch,
 			want: outcome{
@@ -280,27 +285,6 @@ func TestGuardLadder(t *testing.T) {
 					sinkEv(userKey, tSession, trace.KLoss, tQLost, lossQuar),
 				}},
 			ff: &outcome{err: &FaultError{Surface: SurfaceSink, Key: sinkKey}}},
-		// The streaming producer's unit: the sample's world group, whose
-		// later samples are refused against the entry Sink returned.
-		{name: "sink/permanent on a world group, then refused samples", plan: planPermanent,
-			op: func(h *harness) error {
-				entry, err := h.sink(tGroup)
-				if err != nil {
-					return err
-				}
-				h.g.Refuse(h.tb, entry, 9, 2)
-				return nil
-			},
-			want: outcome{
-				cov:   Coverage{SamplesLostQuarantined: tQLost + 2, Quarantined: quarantined(gKey, permSink, tQLost+2)},
-				calls: []string{"quarantine(" + permSink + ")"},
-				events: []trace.Event{
-					sinkEv(gTrack, 9, trace.KLoss, 2, lossQuar),
-					sinkEv(gTrack, tSession, trace.KFault, 1, "sink-permanent"),
-					sinkEv(gTrack, tSession, trace.KQuarantine, tQLost, permSink),
-					sinkEv(gTrack, tSession, trace.KLoss, tQLost, lossQuar),
-				}},
-			ff: &outcome{err: &FaultError{Surface: SurfaceSink, Key: sinkKey}}},
 	}
 
 	for _, row := range rows {
@@ -357,11 +341,11 @@ func TestNilGuardPassesThrough(t *testing.T) {
 	if err := h.batch(); err != nil {
 		t.Fatal(err)
 	}
-	h.g.BookBatch(BatchFate{Group: tGroup, Kind: BatchFail, Lost: 1})
+	h.g.BookBatch(h.tb, BatchFate{Group: tGroup, Kind: BatchFail, Lost: 1})
 	if err := h.write(tWriteN); err != nil {
 		t.Fatal(err)
 	}
-	if entry, err := h.sink(UserGroup); entry != -1 || err != nil {
+	if entry, err := h.sink(); entry != -1 || err != nil {
 		t.Fatalf("Sink = (%d, %v), want (-1, nil)", entry, err)
 	}
 	if want := []string{"keep 10", "commit", "committed", "offer"}; !reflect.DeepEqual(h.calls, want) {
@@ -400,5 +384,36 @@ func TestGuardWriteSurfacesCommitErrors(t *testing.T) {
 		if cov := g.Coverage(); cov.Degraded() {
 			t.Errorf("plan %q: a commit error was booked as degradation: %+v", spec, cov)
 		}
+	}
+}
+
+// TestBatchTruncateCut pins the cut a batch fate draws: in windows, from
+// Windows − round(TruncateFrac × Windows) on, rounding half away from
+// zero; every window for a dropped batch and none without a plan.
+func TestBatchTruncateCut(t *testing.T) {
+	for _, c := range []struct {
+		plan         string
+		windows, cut int
+	}{
+		{"truncate=1", 192, 96},
+		{"truncate=1;truncate-frac=0.3", 192, 134},
+		{"truncate=1;truncate-frac=0.25", 10, 7},
+		{"truncate=1;truncate-frac=1", 96, 0},
+		{"truncate=1;truncate-frac=0.001", 96, 96},
+		{"corrupt=1", 192, 0},
+		{"fail-group=3", 192, 0},
+		{"retries=4", 192, 192},
+	} {
+		plan, err := ParsePlan(c.plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := NewGuard(NewInjector(plan, 1), false).Batch(tGroup, c.windows)
+		if err != nil || f.Cut != c.cut || f.Lost != 0 {
+			t.Errorf("plan %q over %d windows: fate %+v, %v; want cut %d, nothing counted yet", c.plan, c.windows, f, err, c.cut)
+		}
+	}
+	if f, _ := (*Guard)(nil).Batch(tGroup, 192); f.Cut != 192 {
+		t.Errorf("nil guard: cut %d, want 192", f.Cut)
 	}
 }

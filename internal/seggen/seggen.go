@@ -7,10 +7,12 @@
 // The package exists so the pipeline has exactly one implementation
 // with two drivers: cmd/edgesim (the whole world in one process) and
 // cmd/edgepopd (one PoP's share of the world per process, for the
-// multi-PoP shipping topology in internal/ship). Because generation is
-// a pure function of (config, group index), the union of per-PoP
-// datasets is byte-identical to the single-process dataset — the
-// invariant the shipping layer's end-to-end tests pin.
+// multi-PoP shipping topology in internal/ship). Its chunk writer,
+// GroupWriter, is also the live daemon's (internal/studyd), so a spool
+// sealed window by window is the dataset written group by group.
+// Because generation is a pure function of (config, group index), the
+// union of per-PoP datasets is byte-identical to the single-process
+// dataset — the invariant the shipping layer's end-to-end tests pin.
 package seggen
 
 import (
@@ -26,6 +28,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
+	"repro/internal/sample"
 	"repro/internal/segstore"
 	"repro/internal/trace"
 	"repro/internal/world"
@@ -134,16 +137,18 @@ type Result struct {
 // run's at any worker count.
 //
 // Run is three stages at every worker count, each a stage behind the
-// one before. Generate: opt.Workers goroutines simulate whole groups
-// and draw each group's outage and batch faults. Encode: opt.Workers
-// goroutines filter each group's samples (hosting/VPN) in place and
-// encode one segment per chunk (queue
-// pipeline_queue_depth{stage="encode"}). Commit: one ordered tail
-// appends the segments and commits the manifest once per group, in
-// group order (queue pipeline_queue_depth{stage="write"}). So at one
-// worker the world simulates group k+1 while group k is encoded and
-// group k-1 committed, and an interrupt loses at most the groups not
-// yet committed. A permanently failed group tombstones its segment IDs
+// one before. Generate: opt.Workers goroutines simulate whole groups,
+// book each group's outage and make its GroupWriter, drawing its batch
+// fate. Encode: opt.Workers goroutines run each group's samples through
+// its writer in place — the windows from the fate's cut on are lost,
+// the hosting filter keeps the rest — and encode one segment per chunk
+// (queue pipeline_queue_depth{stage="encode"}). Commit: one ordered
+// tail books the fate, lands the group in one Write and commits the
+// manifest once per group, in group order (queue
+// pipeline_queue_depth{stage="write"}). So at one worker the world
+// simulates group k+1 while group k is encoded and group k-1
+// committed, and an interrupt loses at most the groups not yet
+// committed. A permanently failed group tombstones its segment IDs
 // in the manifest — the loss is recorded in the dataset itself.
 func Run(ctx context.Context, opt Options) (Result, error) {
 	w, reg, inj, rec := opt.World, opt.Reg, opt.Injector, opt.Rec
@@ -196,29 +201,18 @@ func Run(ctx context.Context, opt Options) (Result, error) {
 	encHist := reg.Histogram(obs.L("edgesim_group_stage_seconds", "stage", "encode"), nil)
 	writeHist := reg.Histogram(obs.L("edgesim_group_stage_seconds", "stage", "write"), nil)
 
-	type chunk struct {
-		id      int
-		samples int // accepted (post-filter) rows in the blob
-		blob    []byte
-		meta    segstore.SegmentMeta
-	}
 	// rawBatch is one simulated group on its way to the encode pool,
-	// with the batch surface's verdict drawn on the generator.
+	// with its writer, whose batch fate is drawn on the generator.
 	type rawBatch struct {
-		order int
-		b     world.Batch
-		fate  faults.BatchFate
+		order   int
+		samples []sample.Sample
+		gw      *GroupWriter
 	}
+	// segBatch is the group encoded, on its way to the ordered tail,
+	// which owns the trace ring the writer's events land in.
 	type segBatch struct {
-		order  int
-		group  int
-		chunks []chunk
-		// fate is the batch surface's verdict, carried to the ordered
-		// tail, which owns the trace ring its events land in. A dropped
-		// group tombstones every chunk (rawLost[c] raw samples each)
-		// instead of writing.
-		fate    faults.BatchFate
-		rawLost []int
+		order int
+		unit  Unit
 	}
 
 	workers := max(opt.Workers, 1)
@@ -232,90 +226,41 @@ func Run(ctx context.Context, opt Options) (Result, error) {
 		defer raw.Close()
 		return w.GenerateSelected(ctx, workers, todo, func(order int, b world.Batch) error {
 			guard.Outage(b.Lost) // PoP outage suppressed windows at the source
-			fate, err := guard.Batch(b.Group, len(b.Samples))
+			gw, err := NewGroupWriter(w.Cfg, b.Group, guard, reg)
 			if err != nil {
 				return err
 			}
-			return raw.Send(ctx, rawBatch{order: order, b: b, fate: fate})
+			return raw.Send(ctx, rawBatch{order: order, samples: b.Samples, gw: gw})
 		})
 	})
 	g.GoPool(workers, func(ctx context.Context, _ int) error {
 		return raw.Range(ctx, func(rb rawBatch) error {
-			b := rb.b
-			sb := segBatch{order: rb.order, group: b.Group, fate: rb.fate}
-			if rb.fate.Dropped() {
-				sb.rawLost = make([]int, cpg)
-				for i := range b.Samples {
-					sb.rawLost[ChunkOf(b.Samples[i].Start, cpg)]++
-				}
-				return enc.Send(ctx, sb)
-			}
-
-			// Filter (hosting/VPN) in place: the stage owns the raw batch,
-			// and the kept prefix is written at or behind the sample being
-			// read. Samples arrive in window order, so chunk runs are
-			// contiguous and ascending.
 			sp := encSpan.Start()
-			kept := b.Samples[:0]
-			c := collector.New(collector.SliceSink(&kept))
-			c.Instrument(reg)
-			for _, s := range b.Samples[:len(b.Samples)-rb.fate.Lost] {
-				c.Offer(s)
-			}
-			st := c.Stats()
-			for lo := 0; lo < len(kept); {
-				cid := ChunkOf(kept[lo].Start, cpg)
-				hi := lo + 1
-				for hi < len(kept) && ChunkOf(kept[hi].Start, cpg) == cid {
-					hi++
-				}
-				blob, meta := segstore.EncodeSegment(kept[lo:hi])
-				sb.chunks = append(sb.chunks, chunk{id: b.Group*cpg + cid, samples: hi - lo, blob: blob, meta: meta})
-				lo = hi
-			}
+			// Filter in place: the stage owns the raw batch, so the writer's
+			// buffer is the batch's own array, and each kept sample is
+			// written at or behind the sample being read. Nothing needs the
+			// array once the chunks are encoded.
+			rb.gw.kept = rb.samples[:0]
+			rb.gw.Add(rb.samples)
+			u := rb.gw.Encode(0, cpg)
+			rb.gw.kept = nil
 			encHist.ObserveDuration(sp.End())
 			mu.Lock()
-			total = total.Merge(st)
+			total = total.Merge(rb.gw.Stats())
 			mu.Unlock()
-			return enc.Send(ctx, sb)
+			return enc.Send(ctx, segBatch{order: rb.order, unit: u})
 		})
 	}, enc.Close)
 	g.Go(func(ctx context.Context) error {
 		return pipeline.Reorder(ctx, enc, func(b segBatch) int { return b.order }, 0, func(b segBatch) error {
-			b.fate.Emit(tb)
-			if b.fate.Dropped() {
-				for c, n := range b.rawLost {
-					sw.Tombstone(b.group*cpg+c, b.fate.Reason(), n)
-				}
-				return sw.Commit()
+			b.unit.w.Book(tb)
+			sp := writeSpan.Start()
+			n, err := b.unit.Write(ctx, sw, tb)
+			if err == nil {
+				err = sw.Commit()
 			}
-			accepted := 0
-			for _, c := range b.chunks {
-				accepted += c.samples
-			}
-			ok, err := guard.Write(ctx, tb, b.group, accepted,
-				func() error {
-					sp := writeSpan.Start()
-					defer func() { writeHist.ObserveDuration(sp.End()) }()
-					for _, c := range b.chunks {
-						if sw.Committed(c.id) {
-							continue // survived a previous interrupted run
-						}
-						if err := sw.Add(c.id, c.blob, c.meta); err != nil {
-							return err
-						}
-					}
-					return sw.Commit()
-				},
-				func(reason string) error {
-					for _, c := range b.chunks {
-						sw.Tombstone(c.id, reason, c.samples)
-					}
-					return sw.Commit()
-				})
-			if ok {
-				written += accepted
-			}
+			writeHist.ObserveDuration(sp.End())
+			written += n
 			return err
 		})
 	})

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/segstore"
+	"repro/internal/study"
 	"repro/internal/world"
 )
 
@@ -211,5 +213,34 @@ func TestRunCancelMidGroupStopsDrawers(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d workload drawers left after Run returned", n)
 		}
+	}
+}
+
+// TestTruncateLedgerMatchesStudy: the study's world source and Run apply
+// one batch fate, cut in windows, so for one world and a plan without
+// the sink keys — the surface only one of them has — they keep the same
+// ledger, what truncation cut included.
+func TestTruncateLedgerMatchesStudy(t *testing.T) {
+	cfg := world.Config{Seed: 11, Groups: 8, Days: 2, SessionsPerGroupWindow: 6}
+	plan, err := faults.ParsePlan("seed=3;truncate=0.5;truncate-frac=0.3;corrupt=0.1;fail-group=1;outage=fra:10-30")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := study.RunCtx(context.Background(), cfg, study.Options{Plan: plan, Workers: 2})
+	if err != nil {
+		t.Fatalf("study: %v", err)
+	}
+	w := world.New(cfg)
+	inj := faults.NewInjector(plan, cfg.Seed)
+	w.PoPDown = inj.Outage
+	res, err := Run(context.Background(), Options{World: w, Dir: t.TempDir(), Origin: "test origin", Injector: inj, Workers: 2})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if res.Coverage.SamplesLostTruncated == 0 {
+		t.Fatalf("the plan truncated nothing: %+v", res.Coverage)
+	}
+	if !reflect.DeepEqual(res.Coverage, st.Coverage) {
+		t.Errorf("ledgers differ:\n Run   %+v\n study %+v", res.Coverage, st.Coverage)
 	}
 }

@@ -3,7 +3,6 @@ package study
 import (
 	"context"
 
-	"repro/internal/faults"
 	"repro/internal/sample"
 )
 
@@ -28,7 +27,7 @@ func (sh *ingestShard) guarded(ctx context.Context, s sample.Sample) error {
 		sh.guard.Refuse(sh.buf, entry, s.SessionID, 1)
 		return nil
 	}
-	entry, err := sh.guard.Sink(ctx, sh.buf, faults.UserGroup, s, offer,
+	entry, err := sh.guard.Sink(ctx, sh.buf, s, offer,
 		func(string) int {
 			lost := 1 // the triggering sample never reached the store
 			if removed := sh.store.Remove(key); removed != nil {

@@ -54,16 +54,23 @@ func (s *worldSource) deliver(ctx context.Context, e *env, sk sink) error {
 		s.w.PoPDown = e.inj.Outage
 	}
 	// GenerateBatches calls back on one ordered goroutine (the one that
-	// owns e.buf): outage losses are booked, a dropped batch delivers
-	// nothing, a truncated one delivers its surviving prefix.
+	// owns e.buf): outage losses are booked, and a batch delivers its
+	// windows below its fate's cut — none of a dropped one's. Samples
+	// arrive in window order, so those are a prefix.
 	return s.w.GenerateBatches(ctx, e.Workers, func(b world.Batch) error {
 		e.guard.Outage(b.Lost)
-		fate, err := e.guard.Batch(b.Group, len(b.Samples))
+		fate, err := e.guard.Batch(b.Group, s.w.Cfg.Windows())
 		if err != nil {
 			return err
 		}
-		fate.Emit(e.buf)
-		kept := b.Samples[:len(b.Samples)-fate.Lost]
+		kept := b.Samples
+		for i := range kept {
+			if int(kept[i].Start/world.WindowDuration) >= fate.Cut {
+				kept, fate.Lost = kept[:i], len(kept)-i
+				break
+			}
+		}
+		e.guard.BookBatch(e.buf, fate)
 		if s.tap != nil {
 			for i := range kept {
 				if !kept[i].HostingProvider { // mirrors the collectors' filter

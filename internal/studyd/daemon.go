@@ -16,27 +16,22 @@
 // and the studyd cells of cmd/edgeident pin that invariant at several
 // worker counts, including under an ingest fault plan.
 //
-// Faults go through the same faults.Guard the batch producers call
-// (internal/seggen, internal/study): PoP outages suppress windows at
-// the source, batch faults quarantine whole groups into tombstones,
-// write faults retry with backoff and tombstone on exhaustion, and sink
-// faults retry per sample — chaos degrades coverage instead of killing
-// the daemon. What differs is only what streaming forces: fates are
-// drawn lazily (a group's batch fate at its first window, its write
-// fate at its first chunk close), a dropped group's loss is known — and
-// booked — only at drain, and tombstones carry per-chunk raw counts.
-// Two deliberate deviations from the batch study, both documented in
-// DESIGN.md §15: batch *truncation* needs the group's total sample
-// count before its first window ships, which a streaming ingest cannot
-// know, so plans with truncate= are refused up front; and a permanent
-// sink fault quarantines the sample's world group at segment
-// granularity (the unit the spool can tombstone) rather than its user
-// group.
+// Each world group's samples go through seggen.GroupWriter, the chunk
+// writer the batch dataset writer drives too, so the fault surfaces are
+// the batch writer's, under every plan: PoP outages suppress windows at
+// the source, a batch fate drops a group or cuts the windows from its
+// cut on (tombstoning a dropped group's chunks), and write faults retry
+// with backoff and tombstone on exhaustion — chaos degrades coverage
+// instead of killing the daemon. What streaming changes is only when
+// things happen: a group's writer, and with it its batch fate, is made
+// at its first window, each commit lands one chunk of every group, and
+// the batch fates are booked at drain, when what they cut is known.
 package studyd
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -92,32 +87,6 @@ type windowStat struct {
 	Sealed   bool `json:"sealed"`
 }
 
-// groupIngest is one world group's open-window state: the hosting
-// filter, the per-chunk sample buffers awaiting their chunk's seal,
-// and what the group's fault fate means for its remaining chunks.
-type groupIngest struct {
-	col *collector.Collector
-	// buf holds kept (post-filter) samples per chunk; raw counts every
-	// post-outage sample per chunk — the loss denominator a quarantine
-	// tombstones with, matching the batch pipeline exactly.
-	buf [][]sample.Sample
-	raw []int
-	// spare is the buffer of the group's last closed chunk, emptied: the
-	// next chunk to open fills it instead of growing one from nothing.
-	spare []sample.Sample
-	// fate is the batch-surface verdict, drawn at the group's first
-	// window; when it drops the group, fate.Lost accumulates the
-	// tombstoned raw counts until Drain books them.
-	fateDrawn bool
-	fate      faults.BatchFate
-	// quarantine, when non-empty, is the reason every remaining chunk
-	// tombstones under: the batch fate's, or a sink quarantine's — then
-	// sinkEntry is the ledger entry the tombstoned counts are refused
-	// against.
-	quarantine string
-	sinkEntry  int
-}
-
 // commit is one spool version and when the commit that made it
 // returned; the zero time marks a version no commit of this process
 // made (the spool as found at start).
@@ -138,10 +107,14 @@ type Daemon struct {
 	tb    *trace.Buf
 	guard *faults.Guard
 
-	groups []*groupIngest
+	// groups are the world groups' chunk writers, each made at its
+	// group's first window and all let go at Drain, which keeps their
+	// filter totals in stats.
+	groups []*seggen.GroupWriter
+	stats  collector.Stats
 	// ctx is the context of the run driving ingest, so that a cancel
-	// reaches the sink and write retries mid-backoff: RunLive's, or
-	// Background for a caller that calls Ingest and Seal itself.
+	// reaches the write retries mid-backoff: RunLive's, or Background for
+	// a caller that calls Ingest and Seal itself.
 	ctx context.Context
 
 	mu       sync.Mutex // guards winStats (ingest writes, HTTP snapshots)
@@ -184,15 +157,13 @@ type Daemon struct {
 }
 
 // New builds a daemon over opt.Dir. In live mode (opt.World set) the
-// spool writer is created or resumed and the per-group ingest state
-// is built; in wire mode the daemon only serves, and the ship merger
-// feeding the spool bumps the version through BumpVersion.
+// spool writer is created or resumed, and each group's chunk writer is
+// made at the group's first window; in wire mode the daemon only
+// serves, and the ship merger feeding the spool bumps the version
+// through BumpVersion.
 func New(opt Options) (*Daemon, error) {
 	if opt.CacheEntries <= 0 {
 		opt.CacheEntries = 64
-	}
-	if p := opt.Injector.Plan(); p != nil && p.TruncateP > 0 {
-		return nil, fmt.Errorf("studyd: fault plans with truncate= are not supported: batch truncation needs the group's total sample count before its first window ships, which a streaming ingest cannot know; drop truncate= from the plan")
 	}
 	d := &Daemon{opt: opt, guard: faults.NewGuard(opt.Injector, opt.FailFast), tb: opt.Rec.Buf(), ctx: context.Background()}
 	d.head.Store(&commit{})
@@ -233,22 +204,7 @@ func New(opt Options) (*Daemon, error) {
 	}
 	d.sw = sw
 	d.winStats = make([]windowStat, opt.World.Cfg.Windows())
-	d.groups = make([]*groupIngest, len(opt.World.Groups))
-	for gi := range d.groups {
-		g := &groupIngest{
-			buf: make([][]sample.Sample, d.cpg),
-			raw: make([]int, d.cpg),
-		}
-		g.col = collector.New(collector.FuncSink(func(s sample.Sample) {
-			c := seggen.ChunkOf(s.Start, d.cpg)
-			if g.buf[c] == nil {
-				g.buf[c], g.spare = g.spare, nil
-			}
-			g.buf[c] = append(g.buf[c], s)
-		}))
-		g.col.Instrument(reg)
-		d.groups[gi] = g
-	}
+	d.groups = make([]*seggen.GroupWriter, len(opt.World.Groups))
 	return d, nil
 }
 
@@ -307,16 +263,19 @@ func (d *Daemon) SetDrained() {
 // Coverage snapshots the degradation ledger (nil without an injector).
 func (d *Daemon) Coverage() *faults.Coverage { return d.guard.Coverage() }
 
-// Stats merges the per-group collector totals.
+// Stats merges the groups' filter totals. Call it from the ingest
+// goroutine, or once that is done.
 func (d *Daemon) Stats() collector.Stats {
-	var total collector.Stats
+	total := d.stats
 	for _, g := range d.groups {
-		total = total.Merge(g.col.Stats())
+		if g != nil {
+			total = total.Merge(g.Stats())
+		}
 	}
 	return total
 }
 
-// Ingest feeds one group × window batch into the open-window buffers.
+// Ingest feeds one group × window batch into the group's chunk writer.
 // lost counts sessions a PoP outage suppressed at the source. Each
 // sample buckets by its own window (Start / 15min — a sample exactly
 // on a window edge belongs to the later window); samples whose window
@@ -327,9 +286,6 @@ func (d *Daemon) Ingest(gi, win int, samples []sample.Sample, lost int) error {
 	if d.sw == nil {
 		return fmt.Errorf("studyd: ingest on a wire-mode daemon (no live world)")
 	}
-	g := d.groups[gi]
-	mark := int(d.watermark.Load())
-
 	if lost > 0 {
 		d.guard.Outage(lost)
 		d.mu.Lock()
@@ -338,79 +294,36 @@ func (d *Daemon) Ingest(gi, win int, samples []sample.Sample, lost int) error {
 		}
 		d.mu.Unlock()
 	}
-
-	if !g.fateDrawn {
-		g.fateDrawn = true
+	g := d.groups[gi]
+	if g == nil {
 		var err error
-		if g.fate, err = d.guard.DrawBatch(gi); err != nil {
+		if g, err = seggen.NewGroupWriter(d.opt.World.Cfg, gi, d.guard, d.opt.Reg); err != nil {
 			return err
 		}
-		if g.fate.Dropped() {
-			g.quarantine = g.fate.Reason()
-		}
+		d.groups[gi] = g
 	}
 
-	ingested, late := 0, 0
+	mark := int(d.watermark.Load())
+	isLate := func(s sample.Sample) bool { return int(s.Start/world.WindowDuration) < mark }
+	late := 0
 	for i := range samples {
-		s := &samples[i]
-		if sw := int(s.Start / world.WindowDuration); sw < mark {
+		if isLate(samples[i]) {
 			late++
-			continue
-		}
-		ingested++
-		g.raw[seggen.ChunkOf(s.Start, d.cpg)]++
-		switch {
-		case g.quarantine != "":
-			// Counted in raw above; tombstoned when its chunk closes.
-		case d.guard == nil || s.HostingProvider:
-			// No plan: the fast path stays a nil check. Hosting: the
-			// filter would reject it before any sink ran, so no fault
-			// surface applies and the collector keeps its count exact.
-			g.col.Offer(*s)
-		default:
-			if err := d.offer(gi, g, *s); err != nil {
-				return err
-			}
 		}
 	}
-	d.cIngested.Add(int64(ingested))
 	if late > 0 {
+		samples = slices.DeleteFunc(slices.Clone(samples), isLate)
 		d.cLate.Add(int64(late))
 	}
+	g.Add(samples)
+	d.cIngested.Add(int64(len(samples)))
 	d.mu.Lock()
 	if win >= 0 && win < len(d.winStats) {
-		d.winStats[win].Ingested += ingested
+		d.winStats[win].Ingested += len(samples)
 		d.winStats[win].Late += late
 	}
 	d.mu.Unlock()
 	return nil
-}
-
-// offer runs one sample through the sink-fault surface. A recovered
-// transient changes nothing, so the spool stays byte-identical to the
-// batch writer's; a permanent fault — or an exhausted retry budget —
-// quarantines the whole world group from this sample on (deviation (2),
-// DESIGN.md §15): buffered unsealed samples fall with it and every
-// remaining chunk tombstones with its raw count. Chunks already sealed
-// stay committed: a daemon cannot un-commit durable segments, and the
-// coverage ledger accounts the difference.
-func (d *Daemon) offer(gi int, g *groupIngest, s sample.Sample) error {
-	entry, err := d.guard.Sink(d.ctx, d.tb, gi, s,
-		func() error {
-			g.col.Offer(s)
-			return g.col.Err()
-		},
-		func(reason string) int {
-			g.quarantine = reason
-			for c := range g.buf {
-				g.buf[c] = nil
-			}
-			return 0 // the loss is booked per chunk, as each tombstones
-		})
-	if entry >= 0 {
-		g.sinkEntry = entry
-	}
-	return err
 }
 
 // Seal advances the logical watermark past win, freezing it forever,
@@ -438,65 +351,34 @@ func (d *Daemon) Seal(win int) error {
 	return nil
 }
 
-// closeChunk seals chunk c across every group: quarantined groups
-// tombstone the chunk with its raw sample count, healthy groups
-// encode and append their kept samples under the write-fault surface.
-// Groups commit in ascending order and the manifest sorts by segment
-// ID, so the finished spool is byte-identical to the batch writer's.
+// closeChunk lands chunk c of every group that has a writer, in
+// ascending group order, and commits the manifest once: the chunk
+// writers are the batch writer's, and the manifest sorts by segment ID,
+// so the finished spool is byte-identical to the batch writer's.
 func (d *Daemon) closeChunk(c int) error {
-	for gi, g := range d.groups {
-		id := gi*d.cpg + c
-		kept := g.buf[c]
-		g.buf[c] = nil
-		if g.quarantine != "" {
-			d.sw.Tombstone(id, g.quarantine, g.raw[c])
-			d.cTombs.Inc()
-			if g.fate.Dropped() {
-				g.fate.Lost += g.raw[c]
-			} else {
-				d.guard.Refuse(d.tb, g.sinkEntry, uint64(c), g.raw[c])
-			}
+	man := d.sw.Manifest()
+	segs, tombs := len(man.Segments), len(man.Tombstones)
+	for _, g := range d.groups {
+		if g == nil {
 			continue
 		}
-		if len(kept) == 0 {
-			continue
-		}
-		// The write fate is the group's, drawn by the guard at this — its
-		// first non-empty — chunk close, just as the batch writer draws it
-		// once per group batch.
-		ok, err := d.guard.Write(d.ctx, d.tb, gi, len(kept),
-			func() error {
-				if d.sw.Committed(id) {
-					return nil // survived a previous interrupted run
-				}
-				blob, meta := segstore.EncodeSegment(kept)
-				return d.sw.Add(id, blob, meta)
-			},
-			func(reason string) error {
-				d.sw.Tombstone(id, reason, len(kept))
-				d.cTombs.Inc()
-				return nil
-			})
-		if err != nil {
+		if _, err := g.Encode(c, c+1).Write(d.ctx, d.sw, d.tb); err != nil {
 			return err
 		}
-		if ok {
-			d.cSegs.Inc()
-		}
-		// EncodeSegment copied kept into the blob and nothing else holds
-		// it, so its buffer opens the group's next chunk.
-		g.spare = kept[:0]
 	}
 	if err := d.sw.Commit(); err != nil {
 		return err
 	}
+	d.cSegs.Add(int64(len(man.Segments) - segs))
+	d.cTombs.Add(int64(len(man.Tombstones) - tombs))
 	d.BumpVersion()
 	return nil
 }
 
 // Drain closes the ingest stream: any trailing partial chunk is
-// sealed, dropped groups book their ledger entries (their totals are
-// only known now), and the daemon flips to drained. After Drain the
+// sealed, the groups' batch fates are booked (what a fate cut is only
+// known now), and the daemon flips to drained. The chunk writers are
+// let go with their buffers; Stats keeps their totals. After Drain the
 // spool is at rest.
 func (d *Daemon) Drain() error {
 	if d.sw == nil {
@@ -510,10 +392,12 @@ func (d *Daemon) Drain() error {
 		}
 	}
 	for _, g := range d.groups {
-		d.guard.BookBatch(g.fate)
-		g.fate.Emit(d.tb)
+		if g != nil {
+			g.Book(d.tb)
+		}
 	}
 	d.guard.Coverage().EmitTrace(d.tb)
+	d.stats, d.groups = d.Stats(), nil
 	d.SetDrained()
 	return nil
 }
@@ -521,8 +405,8 @@ func (d *Daemon) Drain() error {
 // RunLive drives the daemon from its world's live feed: windows
 // generate in logical order (parallel across groups within a window),
 // every batch ingests, every window seals, and the stream drains.
-// Cancelling ctx stops the feed, and any sink or write retry waiting
-// out a backoff, with ctx's cause; everything already committed is
+// Cancelling ctx stops the feed, and any write retry waiting out a
+// backoff, with ctx's cause; everything already committed is
 // durable, and a rerun with the same flags resumes (committed chunks
 // are recognised and skipped).
 func (d *Daemon) RunLive(ctx context.Context, workers int) error {

@@ -24,7 +24,6 @@ import (
 	"repro/internal/seggen"
 	"repro/internal/segstore"
 	"repro/internal/study"
-	"repro/internal/trace"
 	"repro/internal/world"
 )
 
@@ -64,12 +63,6 @@ func goldenDataset(t testing.TB, dir, spec string) *faults.Coverage {
 // liveDaemon builds a live-mode daemon over a fresh world for spec.
 func liveDaemon(t testing.TB, dir, spec string) *Daemon {
 	t.Helper()
-	return tracedDaemon(t, dir, spec, nil)
-}
-
-// tracedDaemon is liveDaemon recording its ingest events on rec.
-func tracedDaemon(t testing.TB, dir, spec string, rec *trace.Recorder) *Daemon {
-	t.Helper()
 	plan, err := faults.ParsePlan(spec)
 	if err != nil {
 		t.Fatalf("plan: %v", err)
@@ -81,7 +74,7 @@ func tracedDaemon(t testing.TB, dir, spec string, rec *trace.Recorder) *Daemon {
 	}
 	d, err := New(Options{
 		Dir: dir, Origin: testOrigin(inj.Plan()),
-		World: w, Injector: inj, Reg: obs.NewRegistry(), Rec: rec,
+		World: w, Injector: inj, Reg: obs.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -148,38 +141,35 @@ func get(t testing.TB, d *Daemon, path string) ([]byte, string) {
 // TestDaemonByteIdenticalToBatch is the keystone invariant: a drained
 // live-mode daemon's spool is byte-identical to the batch dataset for
 // the same flags — and its served /report to the golden batch report —
-// at every worker count, clean and under chaos plans. Both producers
-// call the same faults.Guard, so their ledgers must agree too: whatever
-// the batch and write surfaces booked for the batch writer, they booked
-// for the daemon, which differs only by its sink surface — the
-// per-sample retries (read off the daemon's trace) and, in the last
-// row, the documented sink-permanent deviation (DESIGN.md §15 (2)).
+// at every worker count, clean and under fault plans. Both producers
+// drive the same chunk writer (seggen.GroupWriter) under the same
+// faults.Guard, so their ledgers are equal too, entry for entry.
 func TestDaemonByteIdenticalToBatch(t *testing.T) {
 	const (
-		chaos = "sink-transient=0.01;fail-group=2;outage=fra:10-30;retries=4;retry-base=50us"
+		chaos = "seed=7;sink-transient=0.01;sink-permanent=0.001;truncate=0.1;corrupt=0.03;fail-group=2;outage=fra:10-30;retries=4;retry-base=50us"
 		// The plan seeds below are picked so that, on testCfg's six groups,
-		// the write surface really fires — one group draws a permanent
-		// write fate, at least one a recovered transient — while no sample
-		// (writeFaults) or one group's day-two samples (sinkPermanent,
-		// group 2, clean write fate) draw a permanent sink fault.
+		// the write surface really fires: one group draws a permanent write
+		// fate, at least one a recovered transient.
 		writeFaults   = "seed=2713;sink-transient=0.2;sink-permanent=0.0002;fail-group=5;outage=fra:10-30;retries=4;retry-base=1us"
 		sinkPermanent = "seed=33772;sink-transient=0.2;sink-permanent=0.0002;retries=4;retry-base=1us"
-		sinkReason    = "permanent sink failure"
+		// A truncated group loses its windows from 192 − round(0.5 × 192) =
+		// 96 on, the second chunk's edge, or from 192 − round(0.3 × 192) =
+		// 134 on, inside the second chunk.
+		truncEdge   = "seed=3;truncate=0.5;corrupt=0.1;retries=4"
+		truncInside = "seed=3;truncate=0.5;truncate-frac=0.3;retries=4"
 	)
-	for _, row := range []struct {
-		name, spec string
-		// sinkGroup, when >= 0, is the world group a permanent sink fault
-		// quarantines in the daemon (and only there).
-		sinkGroup int
-	}{
-		{"false", "", -1},
-		{"true", chaos, -1},
-		{"write-faults", writeFaults, -1},
-		{"sink-permanent", sinkPermanent, 2},
+	for _, row := range []struct{ name, spec string }{
+		{"false", ""},
+		{"true", chaos},
+		{"write-faults", writeFaults},
+		{"sink-permanent", sinkPermanent},
+		{"truncate-edge", truncEdge},
+		{"truncate-inside", truncInside},
 	} {
 		golden := t.TempDir()
 		goldenCov := goldenDataset(t, golden, row.spec)
-		if row.spec == writeFaults || row.spec == sinkPermanent {
+		switch row.spec {
+		case writeFaults, sinkPermanent:
 			reasons := map[string]bool{}
 			for _, q := range goldenCov.Quarantined {
 				reasons[q.Reason] = true
@@ -187,59 +177,25 @@ func TestDaemonByteIdenticalToBatch(t *testing.T) {
 			if !reasons["permanent write failure"] || goldenCov.TransientRecovered == 0 {
 				t.Fatalf("plan %q fired no permanent or no recovered write fault in the batch writer: %+v", row.spec, goldenCov)
 			}
+		case truncEdge, truncInside:
+			if goldenCov.BatchesTruncated == 0 || goldenCov.SamplesLostTruncated == 0 {
+				t.Fatalf("plan %q truncated nothing in the batch writer: %+v", row.spec, goldenCov)
+			}
 		}
+		report := renderGolden(t, golden)
 		for _, workers := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("plan=%s/workers=%d", row.name, workers), func(t *testing.T) {
 				dir := t.TempDir()
-				rec := trace.New(testCfg.Seed)
-				d := tracedDaemon(t, dir, row.spec, rec)
+				d := liveDaemon(t, dir, row.spec)
 				if err := d.RunLive(context.Background(), workers); err != nil {
 					t.Fatalf("RunLive: %v", err)
 				}
 				if !d.Drained() {
 					t.Fatal("daemon not drained after RunLive")
 				}
-
-				want := goldenCov
-				if want != nil {
-					// The dataset writer has no sink surface; the daemon's
-					// share of the retry economy is on its trace.
-					c := *goldenCov
-					faulted := map[uint64]bool{}
-					for _, e := range rec.Events() {
-						if e.Stage != "sink" {
-							continue
-						}
-						switch {
-						case e.Kind == trace.KRetry:
-							c.RetriesSpent++
-						case e.Kind == trace.KFault && e.Detail == "sink-transient":
-							faulted[e.Seq] = true
-						}
-					}
-					c.TransientRecovered += len(faulted)
-					want = &c
-				}
-
-				if row.sinkGroup < 0 {
-					dirsEqual(t, golden, dir)
-				} else {
-					lost := sinkDeviation(t, d, golden, dir, row.sinkGroup, sinkReason)
-					want.SamplesLostQuarantined += lost
-					want.Quarantined = append(append([]faults.QuarantinedGroup(nil), want.Quarantined...),
-						faults.QuarantinedGroup{Key: fmt.Sprintf("world-group-%04d", row.sinkGroup), Reason: sinkReason, SamplesLost: lost})
-					want.Finalize()
-				}
-				if got := d.Coverage(); !reflect.DeepEqual(got, want) {
-					t.Errorf("daemon ledger differs from the batch writer's (+ its own sink surface):\n got %+v\nwant %+v", got, want)
-				}
-
-				// The served report is the golden batch report — or, once
-				// the spools legitimately differ, the batch report over the
-				// daemon's own spool.
-				report := renderGolden(t, dir)
-				if row.sinkGroup < 0 {
-					report = renderGolden(t, golden)
+				dirsEqual(t, golden, dir)
+				if got := d.Coverage(); !reflect.DeepEqual(got, goldenCov) {
+					t.Errorf("daemon ledger differs from the batch writer's:\n got %+v\nwant %+v", got, goldenCov)
 				}
 				body, _ := get(t, d, "/report")
 				if !bytes.Equal(body, report) {
@@ -248,78 +204,6 @@ func TestDaemonByteIdenticalToBatch(t *testing.T) {
 			})
 		}
 	}
-}
-
-// sinkDeviation asserts the one documented way a daemon spool may
-// differ from the batch dataset under the same plan: a permanent sink
-// fault quarantines the sample's world group from that sample onward.
-// Every other group's segments and tombstones are identical; the
-// quarantined group's already-sealed chunks stay committed exactly as
-// the batch writer committed them, and each later chunk is a tombstone
-// under the sink reason. It returns the samples those tombstones book.
-func sinkDeviation(t *testing.T, d *Daemon, golden, dir string, group int, reason string) (lost int) {
-	t.Helper()
-	readMan := func(dir string) *segstore.Manifest {
-		data, err := os.ReadFile(filepath.Join(dir, segstore.ManifestName))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var man segstore.Manifest
-		if err := json.Unmarshal(data, &man); err != nil {
-			t.Fatal(err)
-		}
-		return &man
-	}
-	gm, dm := readMan(golden), readMan(dir)
-	inGroup := func(id int) bool { return id/d.cpg == group }
-
-	sealed := map[int]bool{} // the group's chunks the daemon committed
-	var rest []segstore.SegmentMeta
-	for _, seg := range dm.Segments {
-		if inGroup(seg.ID) {
-			sealed[seg.ID] = true
-		}
-	}
-	for _, seg := range gm.Segments {
-		if !inGroup(seg.ID) || sealed[seg.ID] {
-			rest = append(rest, seg)
-		}
-	}
-	if !reflect.DeepEqual(dm.Segments, rest) {
-		t.Errorf("segments outside the quarantined tail differ:\n got %+v\nwant %+v", dm.Segments, rest)
-	}
-	for _, seg := range dm.Segments {
-		want, err := os.ReadFile(filepath.Join(golden, seg.File))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := os.ReadFile(filepath.Join(dir, seg.File))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s differs from the batch writer's", seg.File)
-		}
-	}
-
-	var others []segstore.Tombstone
-	for _, ts := range dm.Tombstones {
-		switch {
-		case !inGroup(ts.ID):
-			others = append(others, ts)
-		case ts.Reason != reason || sealed[ts.ID]:
-			t.Errorf("quarantined group's tombstone %+v: want reason %q on an unsealed chunk", ts, reason)
-		default:
-			lost += ts.SamplesLost
-		}
-	}
-	if !reflect.DeepEqual(others, gm.Tombstones) {
-		t.Errorf("tombstones outside the quarantined group differ:\n got %+v\nwant %+v", others, gm.Tombstones)
-	}
-	if len(sealed) == 0 || lost == 0 {
-		t.Errorf("the deviation went unexercised: %d chunks sealed before the quarantine, %d samples tombstoned after", len(sealed), lost)
-	}
-	return lost
 }
 
 // TestDaemonResumesCommittedChunks reruns a drained daemon's flags over
@@ -338,24 +222,22 @@ func TestDaemonResumesCommittedChunks(t *testing.T) {
 	dirsEqual(t, golden, dir)
 }
 
-// TestRunLiveCancelStopsRetries cancels a live run while a sink retry
-// waits out its backoff. Every sample of the plan fails transiently up
-// to eight times before it recovers, so the run spends nearly all its
-// time in backoffs; RunLive's context must reach them, and the cancel
-// return its cause within a second instead of after the retries of the
-// window's remaining samples. A rerun then resumes the spool to the
-// golden bytes. The rerun's plan differs only in its base backoff,
-// which decides no outcome, so it keeps the spool's origin and runs in
-// seconds instead of minutes. The world is small for the rerun's sake,
-// and its first window is busy: group 0's holds 19 samples, so the
-// retries left in it when the cancel lands would outlast the bound.
+// TestRunLiveCancelStopsRetries cancels a live run while a write retry
+// waits out its backoff. Every group's write fate fails transiently up
+// to eight times before it recovers: the chunk close of the twelve
+// groups retries 50 times, each backoff at the policy's 50 ms cap,
+// 2.6 s in all. RunLive's context must reach them, and the cancel
+// return its cause within a second instead of after the retries left in
+// the close. A rerun then resumes the spool to the golden bytes. The
+// rerun's plan differs only in its base backoff, which decides no
+// outcome, so it keeps the spool's origin and runs in a moment.
 func TestRunLiveCancelStopsRetries(t *testing.T) {
 	const (
 		slow   = "sink-transient=1;sink-streak=8;retries=12;retry-base=1s"
 		fast   = "sink-transient=1;sink-streak=8;retries=12;retry-base=1us"
 		origin = "retry-cancel-test"
 	)
-	cfg := world.Config{Seed: 38, Groups: 2, Days: 1, SessionsPerGroupWindow: 6}
+	cfg := world.Config{Seed: 38, Groups: 12, Days: 1, SessionsPerGroupWindow: 2}
 	injector := func(spec string) *faults.Injector {
 		plan, err := faults.ParsePlan(spec)
 		if err != nil {
@@ -416,20 +298,42 @@ func TestRunLiveCancelStopsRetries(t *testing.T) {
 	}
 }
 
-// TestDaemonRefusesTruncatePlans pins the documented deviation: batch
-// truncation needs totals a stream cannot know, so the plan is refused
-// at construction, not silently mis-applied.
-func TestDaemonRefusesTruncatePlans(t *testing.T) {
-	plan, err := faults.ParsePlan("truncate=0.5")
-	if err != nil {
-		t.Fatalf("plan: %v", err)
+// TestDaemonAcceptsTruncatePlans: a plan that truncates every group is
+// a plan like any other. A stream knows the cut before a group's first
+// window, so the daemon takes the plan and drains into the batch
+// writer's spool and ledger: each group keeps its windows below 134 and
+// books the rest as truncated.
+func TestDaemonAcceptsTruncatePlans(t *testing.T) {
+	const spec = "truncate=1;truncate-frac=0.3"
+	golden := t.TempDir()
+	want := goldenDataset(t, golden, spec)
+	if want.BatchesTruncated != testCfg.Groups {
+		t.Fatalf("the batch writer truncated %d groups, want all %d", want.BatchesTruncated, testCfg.Groups)
 	}
-	_, err = New(Options{
-		Dir: t.TempDir(), Origin: "x", World: world.New(testCfg),
-		Injector: faults.NewInjector(plan, 1),
-	})
-	if err == nil || !strings.Contains(err.Error(), "truncate") {
-		t.Fatalf("want truncate refusal, got %v", err)
+	dir := t.TempDir()
+	d := liveDaemon(t, dir, spec)
+	if err := d.RunLive(context.Background(), 2); err != nil {
+		t.Fatalf("RunLive: %v", err)
+	}
+	dirsEqual(t, golden, dir)
+	if got := d.Coverage(); !reflect.DeepEqual(got, want) {
+		t.Errorf("daemon ledger differs from the batch writer's:\n got %+v\nwant %+v", got, want)
+	}
+	man, err := segstore.LoadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cut = 192 - 58
+	latest := 0
+	for _, seg := range man.Segments {
+		last := int(time.Duration(seg.StartMax) / world.WindowDuration)
+		if last >= cut {
+			t.Errorf("segment %d holds window %d, at or past the cut %d", seg.ID, last, cut)
+		}
+		latest = max(latest, last)
+	}
+	if latest < windowsPerChunk {
+		t.Errorf("no segment holds a window of the second chunk, which the cut falls inside: the latest is %d", latest)
 	}
 }
 
