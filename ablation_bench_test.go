@@ -307,13 +307,13 @@ func BenchmarkAblationDeaggregation(b *testing.B) {
 		base := agg.NewStore()
 		fine := agg.NewStore()
 		fineSink := analysis.DeaggregateSink(fine)
-		w.Generate(func(s sample.Sample) {
+		for _, s := range w.GenerateAll() {
 			if s.HostingProvider {
-				return
+				continue
 			}
 			base.Add(s)
 			fineSink(s)
-		})
+		}
 		res = analysis.CompareDeaggregation(base, fine)
 	}
 	b.ReportMetric(res.CoverageLoss(), "coverage-loss(paper:large)")

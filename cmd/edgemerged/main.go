@@ -6,9 +6,11 @@
 //
 // Usage:
 //
-//	edgemerged -o spool -listen ADDR -expect-pops N [-network tcp|unix]
-//	           [-credit N] [-origin STR] [-metrics-addr host:port]
-//	           [-trace file]
+//	edgemerged -o spool -listen ADDR -expect-pops N [-credit N]
+//	           [-origin STR] [-metrics-addr host:port] [-trace file]
+//
+// ADDR is a unix socket path when it holds a path separator, else a
+// tcp host:port.
 //
 // The spool directory ends byte-identical to the dataset a single
 // `edgesim` run with the fleet's flags would have written:
@@ -30,7 +32,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/obs"
@@ -45,7 +46,6 @@ func main() {
 	var (
 		out         = flag.String("o", "", "spool dataset directory (required; resumed if it already holds a dataset)")
 		listen      = flag.String("listen", "", "address to listen on (host:port, or a unix socket path; required)")
-		network     = flag.String("network", "", "listen network: tcp or unix (default: unix when -listen contains a path separator)")
 		expectPops  = flag.Int("expect-pops", 1, "exit once this many distinct PoPs complete their DONE handshake")
 		credit      = flag.Int("credit", 4, "credit window granted to each shipper (max unacked shipments in flight)")
 		origin      = flag.String("origin", "", "pin the spool origin; refuse shippers that disagree (default: adopt the first shipper's)")
@@ -63,14 +63,6 @@ func main() {
 	}
 	if *expectPops < 1 {
 		log.Fatalf("edgemerged: -expect-pops %d out of range", *expectPops)
-	}
-	net := *network
-	if net == "" {
-		if strings.ContainsRune(*listen, os.PathSeparator) {
-			net = "unix"
-		} else {
-			net = "tcp"
-		}
 	}
 
 	ctx, stop := sigctl.Context(context.Background(),
@@ -102,7 +94,7 @@ func main() {
 	}
 
 	start := time.Now()
-	serveErr := m.ListenAndServe(ctx, net, *listen)
+	serveErr := m.ListenAndServe(ctx, *listen)
 	m.EmitTrace()
 	if rec != nil {
 		if werr := rec.WriteFile(*tracePath); werr != nil {

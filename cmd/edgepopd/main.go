@@ -12,6 +12,9 @@
 //	         [-ship-fault-plan SPEC] [-credit N] [-ack-batch N] [-fail-fast]
 //	         [-progress] [-metrics-addr host:port] [-trace file]
 //
+// ADDR is a unix socket path when it holds a path separator, else a
+// tcp host:port.
+//
 // The fleet invariant: N edgepopd processes with -pops N and -pop
 // 0..N-1 (same seed/groups/days/spw/fault-plan) ship exactly the
 // segments a single `edgesim` run would write, and the
@@ -60,7 +63,6 @@ func main() {
 		pop         = flag.Int("pop", 0, "this PoP's index in the fleet (0-based)")
 		pops        = flag.Int("pops", 1, "fleet size")
 		merger      = flag.String("merger", "", "merger address (host:port, or a unix socket path; required unless -no-ship)")
-		network     = flag.String("network", "", "merger network: tcp or unix (default: unix when -merger contains a path separator)")
 		credit      = flag.Int("credit", 4, "max unacknowledged shipments in flight (merger may grant less)")
 		ackBatch    = flag.Int("ack-batch", 1, "group-commit the durable ack log every N acked slots (1 = commit per ack); a crash mid-batch only re-ships, never re-acks")
 		noShip      = flag.Bool("no-ship", false, "generate only; skip the shipping phase")
@@ -177,7 +179,7 @@ func main() {
 	}
 
 	st, shipErr := ship.Ship(ctx, ship.ShipperOptions{
-		Dir: *out, Network: *network, Addr: *merger,
+		Dir: *out, Addr: *merger,
 		PoP: *pop, Pops: *pops, Credit: *credit, AckBatch: *ackBatch,
 		Injector: wireInj, Reg: reg, Rec: rec,
 	})

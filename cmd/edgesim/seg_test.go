@@ -121,7 +121,9 @@ func TestSegDatasetRoundTripsToJSONLDataset(t *testing.T) {
 	cfg := segCfg()
 	var jsonl bytes.Buffer
 	col := collector.New(sample.NewWriter(&jsonl).Write)
-	world.New(cfg).Generate(col.Offer)
+	for _, s := range world.New(cfg).GenerateAll() {
+		col.Offer(s)
+	}
 	if err := col.Err(); err != nil {
 		t.Fatal(err)
 	}

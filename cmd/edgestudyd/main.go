@@ -12,8 +12,11 @@
 //
 // Usage (wire mode — an edgepopd fleet feeds the spool):
 //
-//	edgestudyd -o dir -listen ADDR [-network tcp|unix] [-expect-pops N]
-//	           [-credit N] [-origin STR] [-http host:port] ...
+//	edgestudyd -o dir -listen ADDR [-expect-pops N] [-credit N]
+//	           [-origin STR] [-http host:port] ...
+//
+// ADDR is a unix socket path when it holds a path separator, else a
+// tcp host:port.
 //
 // The determinism invariant: a live-mode daemon with the same
 // seed/groups/days/spw/fault-plan as an `edgesim` run
@@ -35,7 +38,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/faults"
@@ -105,8 +107,7 @@ func main() {
 		failFast   = flag.Bool("fail-fast", false, "abort on the first unrecoverable injected fault instead of degrading")
 		tracePath  = flag.String("trace", "", "record a deterministic flight trace of the run to this file")
 		progress   = flag.Bool("progress", false, "report ingest progress to stderr every 2s")
-		listen     = flag.String("listen", "", "wire mode: accept an edgepopd fleet on this address instead of generating a live stream")
-		network    = flag.String("network", "", "wire mode listen network: tcp or unix (default: unix when -listen contains a path separator)")
+		listen     = flag.String("listen", "", "wire mode: accept an edgepopd fleet on this address (host:port, or a unix socket path) instead of generating a live stream")
 		expectPops = flag.Int("expect-pops", 1, "wire mode: drain once this many distinct PoPs complete their DONE handshake")
 		credit     = flag.Int("credit", 4, "wire mode: credit window granted to each shipper")
 		origin     = flag.String("origin", "", "wire mode: pin the spool origin; refuse shippers that disagree (default: adopt the first shipper's)")
@@ -218,15 +219,7 @@ func main() {
 	start := time.Now()
 	var runErr error
 	if merger != nil {
-		netName := *network
-		if netName == "" {
-			if strings.ContainsRune(*listen, os.PathSeparator) {
-				netName = "unix"
-			} else {
-				netName = "tcp"
-			}
-		}
-		runErr = merger.ListenAndServe(ctx, netName, *listen)
+		runErr = merger.ListenAndServe(ctx, *listen)
 		merger.EmitTrace()
 		if runErr == nil {
 			d.SetDrained()

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/agg"
-	"repro/internal/sample"
 	"repro/internal/world"
 )
 
@@ -17,13 +16,13 @@ func TestDeaggregationTradeoff(t *testing.T) {
 	base := agg.NewStore()
 	fine := agg.NewStore()
 	fineSink := DeaggregateSink(fine)
-	w.Generate(func(s sample.Sample) {
+	for _, s := range w.GenerateAll() {
 		if s.HostingProvider {
-			return
+			continue
 		}
 		base.Add(s)
 		fineSink(s)
-	})
+	}
 
 	res := CompareDeaggregation(base, fine)
 	if res.FineGroups <= res.BaseGroups*2 {

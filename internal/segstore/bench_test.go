@@ -31,12 +31,12 @@ func benchDataset(b *testing.B) ([]byte, string, int) {
 		var buf bytes.Buffer
 		sw := sample.NewWriter(&buf)
 		n := 0
-		w.Generate(func(s sample.Sample) {
+		for _, s := range w.GenerateAll() {
 			if err := sw.Write(s); err != nil {
 				b.Fatal(err)
 			}
 			n++
-		})
+		}
 		// The corpus must outlive every benchmark in the binary, so it
 		// cannot live in b.TempDir (cleaned per benchmark).
 		tmp, err := os.MkdirTemp("", "segstore-bench-")

@@ -5,12 +5,25 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
+	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/segstore"
 	"repro/internal/trace"
 )
+
+// peerTimeout is how long the merger waits for a peer's hello and for
+// each later frame. A shipper sends its frames back to back, so a peer
+// silent this long has stalled; dropping it frees its goroutine, its
+// descriptor and any partly read frame, and the shipper reconnects and
+// replays, as after any torn frame.
+const peerTimeout = time.Minute
+
+// frameDeadline is peerTimeout; tests shorten it before NewMerger.
+var frameDeadline = peerTimeout
 
 // MergerOptions configures the central merge tier.
 type MergerOptions struct {
@@ -78,6 +91,8 @@ type Merger struct {
 	done   map[int]bool // PoP indices that completed their done exchange
 
 	tb *trace.Buf
+	// deadline bounds the wait for each frame of a peer (peerTimeout).
+	deadline time.Duration
 
 	cShipments *obs.Counter
 	cDedup     *obs.Counter
@@ -100,6 +115,9 @@ func NewMerger(opt MergerOptions) (*Merger, error) {
 		hashes: map[int]uint32{},
 		tombs:  map[int]bool{},
 		done:   map[int]bool{},
+		// Read once, so a test that shortens frameDeadline races no
+		// earlier merger's handlers.
+		deadline: frameDeadline,
 	}
 	m.tb = opt.Rec.Buf()
 	m.cShipments = opt.Reg.Counter("merge_shipments_total")
@@ -173,20 +191,18 @@ func (m *Merger) EmitTrace() {
 // Serve accepts shipping connections on l until ctx is cancelled or —
 // when ExpectPoPs is set — every expected PoP has finished. Each
 // connection is handled on its own goroutine; Serve returns after all
-// handlers drain. The listener is closed on return.
+// handlers drain, and when ctx ends it closes every open connection,
+// so no peer, however stalled, holds it. The listener is closed on
+// return.
 func (m *Merger) Serve(ctx context.Context, l net.Listener) error {
 	defer func() { _ = l.Close() }() // double-close on the cancel path is harmless
 
+	// A cancel, or the last expected DONE, closes the listener, which
+	// unblocks Accept; the deferred close is then a no-op.
+	defer context.AfterFunc(ctx, func() { _ = l.Close() })()
 	finished := make(chan struct{})
 	var finishOnce sync.Once
-	finish := func() { finishOnce.Do(func() { close(finished) }) }
-	go func() {
-		select {
-		case <-ctx.Done():
-		case <-finished:
-		}
-		_ = l.Close() // unblocks Accept; the deferred close is then a no-op
-	}()
+	finish := func() { finishOnce.Do(func() { close(finished); _ = l.Close() }) }
 
 	var wg sync.WaitGroup
 	for {
@@ -210,19 +226,25 @@ func (m *Merger) Serve(ctx context.Context, l net.Listener) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer context.AfterFunc(ctx, func() { _ = conn.Close() })() // handle's own close may follow; the second is harmless
 			m.handle(conn, finish)
 		}()
 	}
 }
 
 // handle runs one connection's frame loop. Wire errors (including the
-// torn frames a truncation fault leaves) abandon the connection — the
-// shipper reconnects and replays; nothing is partially applied because
-// commits happen only after a frame fully decodes and verifies.
+// torn frames a truncation fault leaves, and a peer that sends no frame
+// for peerTimeout) abandon the connection — the shipper reconnects
+// and replays; nothing is partially applied because commits happen
+// only after a frame fully decodes and verifies.
 func (m *Merger) handle(conn net.Conn, finish func()) {
 	defer func() { _ = conn.Close() }() // the frame loop already surfaced any real error to the peer
+	read := func() (byte, []byte, error) {
+		_ = conn.SetReadDeadline(time.Now().Add(m.deadline)) // fails only on a closed conn, whose read fails too
+		return ReadFrame(conn)
+	}
 
-	typ, payload, err := ReadFrame(conn)
+	typ, payload, err := read()
 	if err != nil || typ != FrameHello {
 		return // never completed hello; nothing to undo
 	}
@@ -240,7 +262,7 @@ func (m *Merger) handle(conn net.Conn, finish func()) {
 
 	accepted, deduped := 0, 0
 	for {
-		typ, payload, err := ReadFrame(conn)
+		typ, payload, err := read()
 		if err != nil {
 			return // severed mid-stream; shipper will reconnect
 		}
@@ -413,12 +435,22 @@ func (m *Merger) commitTombstone(t Tomb) (dup bool, err error) {
 	return false, nil
 }
 
-// ListenAndServe is the binary-facing wrapper: listen on network/addr
-// and Serve.
-func (m *Merger) ListenAndServe(ctx context.Context, network, addr string) error {
+// ListenAndServe is the binary-facing wrapper: listen on addr (a unix
+// socket when it holds a path separator, else tcp) and Serve.
+func (m *Merger) ListenAndServe(ctx context.Context, addr string) error {
+	network := networkOf(addr)
 	l, err := net.Listen(network, addr)
 	if err != nil {
 		return fmt.Errorf("ship: listen %s %s: %w", network, addr, err)
 	}
 	return m.Serve(ctx, l)
+}
+
+// networkOf is the network an address names: unix when it holds a path
+// separator, else tcp.
+func networkOf(addr string) string {
+	if strings.ContainsRune(addr, os.PathSeparator) {
+		return "unix"
+	}
+	return "tcp"
 }

@@ -1,6 +1,7 @@
 package ship
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -8,7 +9,6 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"repro/internal/faults"
@@ -131,11 +131,7 @@ type shipper struct {
 // unrecoverable error.
 func Ship(ctx context.Context, opt ShipperOptions) (ShipStats, error) {
 	if opt.Network == "" {
-		if strings.ContainsRune(opt.Addr, os.PathSeparator) {
-			opt.Network = "unix"
-		} else {
-			opt.Network = "tcp"
-		}
+		opt.Network = networkOf(opt.Addr)
 	}
 	if opt.Credit <= 0 {
 		opt.Credit = 4
@@ -298,7 +294,8 @@ func (s *shipper) policy(id int) faults.Policy {
 }
 
 // connect dials the merger and completes the hello exchange, adopting
-// the granted credit. Wire failures wrap errWire (transient).
+// the granted credit and counting every connection after the first as
+// a reconnect. Wire failures wrap errWire (transient).
 func (s *shipper) connect() (int, error) {
 	conn, err := s.opt.Dial(s.opt.Network, s.opt.Addr)
 	if err != nil {
@@ -328,6 +325,11 @@ func (s *shipper) connect() (int, error) {
 		return 0, err
 	}
 	s.conn = conn
+	if s.everConnected {
+		s.stats.Reconnects++
+		s.cReconnect.Inc()
+	}
+	s.everConnected = true
 	return ack.Credit, nil
 }
 
@@ -346,11 +348,6 @@ func (s *shipper) sendWithRetry(ctx context.Context, it shipItem, requeue func()
 				return err
 			}
 			granted = g
-			if s.everConnected {
-				s.stats.Reconnects++
-				s.cReconnect.Inc()
-			}
-			s.everConnected = true
 			requeue()
 		}
 		attempt := s.attempts[it.id]
@@ -385,11 +382,11 @@ func (s *shipper) sendOnce(it shipItem, attempt int) error {
 	case faults.ShipTruncate:
 		// Half a frame lands, then the connection dies; the merger must
 		// discard the torn frame without side effects.
-		var buf writerBuf
+		var buf bytes.Buffer
 		if err := WriteFrame(&buf, typ, frame); err != nil {
 			return err
 		}
-		_, _ = s.conn.Write(buf.b[:len(buf.b)/2]) // the sever is the point; the torn write may itself fail
+		_, _ = s.conn.Write(buf.Bytes()[:buf.Len()/2]) // the sever is the point; the torn write may itself fail
 		s.closeConn()
 		return fmt.Errorf("injected %s on slot %d: %w", f.Kind, it.id, errWire)
 	case faults.ShipDelay:
@@ -503,11 +500,6 @@ func (s *shipper) finish(ctx context.Context, total int) error {
 			if _, err := s.connect(); err != nil {
 				return err
 			}
-			if s.everConnected {
-				s.stats.Reconnects++
-				s.cReconnect.Inc()
-			}
-			s.everConnected = true
 		}
 		if err := WriteJSONFrame(s.conn, FrameDone, Done{Shipped: total}); err != nil {
 			s.closeConn()
@@ -591,13 +583,4 @@ func unmarshalFrame(payload []byte, v any) error {
 		return fmt.Errorf("ship: decode %T payload: %w", v, err)
 	}
 	return nil
-}
-
-// writerBuf is a minimal in-memory writer for building a frame whose
-// truncation we want to inject byte-exactly.
-type writerBuf struct{ b []byte }
-
-func (w *writerBuf) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
 }

@@ -30,12 +30,12 @@ func colaggDataset(b *testing.B) (string, int) {
 		var buf bytes.Buffer
 		sw := sample.NewWriter(&buf)
 		n := 0
-		w.Generate(func(s sample.Sample) {
+		for _, s := range w.GenerateAll() {
 			if err := sw.Write(s); err != nil {
 				b.Fatal(err)
 			}
 			n++
-		})
+		}
 		tmp, err := os.MkdirTemp("", "colagg-bench-")
 		if err != nil {
 			b.Fatal(err)

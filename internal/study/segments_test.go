@@ -65,7 +65,9 @@ func writeDataset(t *testing.T, cfg world.Config) ([]sample.Sample, string) {
 	t.Helper()
 	var rows []sample.Sample
 	col := collector.New(collector.SliceSink(&rows))
-	world.New(cfg).Generate(col.Offer)
+	for _, s := range world.New(cfg).GenerateAll() {
+		col.Offer(s)
+	}
 	dir := filepath.Join(t.TempDir(), "ds.seg")
 	if _, err := seggen.Run(context.Background(), seggen.Options{World: world.New(cfg), Dir: dir, Origin: "test", Workers: 2}); err != nil {
 		t.Fatal(err)

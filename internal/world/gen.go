@@ -34,102 +34,55 @@ type Batch struct {
 	Lost int
 }
 
-// Generate produces the full dataset, invoking emit for every sampled
-// session in deterministic order (group by group, windows ascending).
-// Generation is parallel across groups; emission is ordered.
-func (w *World) Generate(emit func(sample.Sample)) {
-	// Only context cancellation or a failing deliver can error, and this
-	// legacy path has neither.
-	_ = w.GenerateCtx(context.Background(), pipeline.DefaultWorkers(), emit)
-}
-
-// GenerateCtx is Generate with explicit worker count and cancellation:
-// workers ≤ 1 simulates groups on the calling goroutine (beside each
-// group's workload drawer, as at every count); larger counts fan group
-// simulation out over a worker pool while keeping emission in
-// sequential order. Cancelling ctx stops generation at the next window
-// and returns the cause.
-func (w *World) GenerateCtx(ctx context.Context, workers int, emit func(sample.Sample)) error {
-	return w.GenerateBatches(ctx, workers, func(b Batch) error {
-		for _, s := range b.Samples {
-			emit(s)
-		}
-		return nil
-	})
-}
-
 // GenerateBatches streams per-group batches to deliver in ascending
 // group order (deliver runs on one goroutine; its error poisons the
 // pipeline): GenerateSelected over every group, plus a reorder stage.
 // Each group's RNG lineage is independent (rng.ChildAt per group), so
 // the batch contents are identical at any worker count — ordered
-// delivery then makes the whole stream identical. When W.Rec is set,
-// each worker goroutine owns one trace buffer; the events a group emits
-// are identical whichever worker simulates it. Delivery is the "emit"
-// stage of the world's metrics and where its sessions are counted, so
-// both read the same at every worker count. No batch is delivered once
-// ctx is done: the reorder stage may already hold every later group,
+// delivery then makes the whole stream identical. Delivery is the
+// "emit" stage of the world's metrics. No batch is delivered once ctx
+// is done: the reorder stage may already hold every later group,
 // simulated before the cancel, and would otherwise deliver them all and
 // return nil.
 func (w *World) GenerateBatches(ctx context.Context, workers int, deliver func(Batch) error) error {
-	handle := deliver
-	deliver = func(b Batch) error {
-		if ctx.Err() != nil {
-			return context.Cause(ctx)
-		}
-		sp := w.obs.emit.Start()
-		defer sp.End()
-		w.obs.sessions.Add(int64(len(b.Samples)))
-		return handle(b)
-	}
 	all := make([]int, len(w.Groups))
 	for i := range all {
 		all[i] = i
 	}
-	if workers <= 1 { // everything on the calling goroutine
-		return w.GenerateSelected(ctx, 1, all, func(_ int, b Batch) error { return deliver(b) })
-	}
+	workers = max(workers, 1)
 	g := pipeline.NewGroup(ctx)
 	out := pipeline.NewStream[Batch](workers)
-	g.Go(func(ctx context.Context) error {
+	g.Go(func(gctx context.Context) error {
 		defer out.Close()
-		return w.GenerateSelected(ctx, workers, all, func(_ int, b Batch) error { return out.Send(ctx, b) })
+		return w.GenerateSelected(gctx, workers, all, func(_ int, b Batch) error { return out.Send(gctx, b) })
 	})
-	g.Go(func(ctx context.Context) error {
-		return pipeline.Reorder(ctx, out, func(b Batch) int { return b.Group }, 0, deliver)
+	g.Go(func(gctx context.Context) error {
+		return pipeline.Reorder(gctx, out, func(b Batch) int { return b.Group }, 0, func(b Batch) error {
+			if ctx.Err() != nil {
+				return context.Cause(ctx)
+			}
+			sp := w.obs.emit.Start()
+			defer sp.End()
+			return deliver(b)
+		})
 	})
 	return g.Wait()
 }
 
 // GenerateSelected simulates the given groups — every group, or the
-// subset a checkpointed run's manifest does not yet account for — on up
-// to workers goroutines. It is the world's one group worker pool:
-// handle runs concurrently on the workers (on the calling goroutine at
-// workers ≤ 1), once per group, in no particular order. handle receives
-// order, the group's position in groups, so callers can restore the
-// requested order densely (pipeline.Reorder needs a gapless sequence)
-// even when the selection has gaps. Cancelling ctx stops generation at
-// the next window of each group being simulated and returns the cause.
+// subset a checkpointed run's manifest does not yet account for — on a
+// pool of up to workers goroutines (at least one; none for an empty
+// selection). It is the world's one group worker pool: handle runs
+// concurrently on the workers, once per group, in no particular order.
+// handle receives order, the group's position in groups, so callers can
+// restore the requested order densely (pipeline.Reorder needs a gapless
+// sequence) even when the selection has gaps. Each worker owns one
+// trace buffer; the events a group emits are identical whichever
+// worker simulates it. Each group's buffer is sized once for the group
+// (sessionCapacity) rather than grown by doubling as the sessions
+// arrive. Cancelling ctx stops generation at the next window of each
+// group being simulated and returns the cause.
 func (w *World) GenerateSelected(ctx context.Context, workers int, groups []int, handle func(order int, b Batch) error) error {
-	if workers > len(groups) {
-		workers = len(groups)
-	}
-	if workers <= 1 {
-		buf := w.Rec.Buf()
-		for o, i := range groups {
-			if err := ctx.Err(); err != nil {
-				return context.Cause(ctx)
-			}
-			b, err := w.generateBatch(ctx, i, buf)
-			if err != nil {
-				return err
-			}
-			if err := handle(o, b); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	type job struct{ order, group int }
 	idx := make(chan job, len(groups))
 	for o, i := range groups {
@@ -137,17 +90,18 @@ func (w *World) GenerateSelected(ctx context.Context, workers int, groups []int,
 	}
 	close(idx)
 	g := pipeline.NewGroup(ctx)
-	g.GoPool(workers, func(ctx context.Context, _ int) error {
-		buf := w.Rec.Buf()
+	g.GoPool(min(max(workers, 1), len(groups)), func(ctx context.Context, _ int) error {
+		tb := w.Rec.Buf()
 		for j := range idx {
 			if err := ctx.Err(); err != nil {
 				return context.Cause(ctx)
 			}
-			b, err := w.generateBatch(ctx, j.group, buf)
+			buf := make([]sample.Sample, 0, w.sessionCapacity(w.Groups[j.group]))
+			lost, err := w.generateGroup(ctx, j.group, tb, func(s sample.Sample) { buf = append(buf, s) })
 			if err != nil {
 				return err
 			}
-			if err := handle(j.order, b); err != nil {
+			if err := handle(j.order, Batch{Group: j.group, Samples: buf, Lost: lost}); err != nil {
 				return err
 			}
 		}
@@ -156,20 +110,9 @@ func (w *World) GenerateSelected(ctx context.Context, workers int, groups []int,
 	return g.Wait()
 }
 
-// generateBatch simulates one group under the generation span, into a
-// buffer sized once for the group (sessionCapacity) rather than grown
-// by doubling as the sessions arrive.
-func (w *World) generateBatch(ctx context.Context, i int, tb *trace.Buf) (Batch, error) {
-	sp := w.obs.genStage.Start()
-	buf := make([]sample.Sample, 0, w.sessionCapacity(w.Groups[i]))
-	lost, err := w.generateGroup(ctx, i, tb, func(s sample.Sample) { buf = append(buf, s) })
-	sp.End()
-	return Batch{Group: i, Samples: buf, Lost: lost}, err
-}
-
 // sessionCapacity is a capacity for one group's samples that its
 // session count exceeds only by chance: the sum of its windows' Poisson
-// means (generateWindow) plus four standard deviations of that sum.
+// means (groupFeed.window) plus four standard deviations of that sum.
 // Only a buffer's capacity depends on it, never a draw.
 func (w *World) sessionCapacity(g *Group) int {
 	mean := 0.0
@@ -196,7 +139,11 @@ func capacityFor(mean float64) int {
 // configurations.
 func (w *World) GenerateAll() []sample.Sample {
 	var out []sample.Sample
-	w.Generate(func(s sample.Sample) { out = append(out, s) })
+	// Only a cancel or a failing deliver can error, and this has neither.
+	_ = w.GenerateBatches(context.Background(), pipeline.DefaultWorkers(), func(b Batch) error {
+		out = append(out, b.Samples...)
+		return nil
+	})
 	return out
 }
 
@@ -209,44 +156,55 @@ func (w *World) GenerateGroup(groupIdx int, emit func(sample.Sample)) int {
 	return lost
 }
 
-// generateGroup is GenerateGroup with trace emission and cancellation:
-// one generation span per group, one window mark per window, and
-// loss/fault events for outage-suppressed windows. Every coordinate is
-// logical (group index, window index), so the events are identical at
-// any worker count. The group's workload draws run ahead on a drawer
-// goroutine of their own (draw.go), stopped and waited for before
-// generateGroup returns. Cancelling ctx stops the group at its next
-// window (or while it waits on the drawer) and returns the cause.
+// generateGroup runs one group's feed through every window on the
+// calling goroutine, recording on tb. The group's workload draws run
+// ahead on a drawer goroutine of their own (draw.go), stopped and
+// waited for before generateGroup returns. Cancelling ctx stops the
+// group at its next window (or while it waits on the drawer) and
+// returns the cause.
 func (w *World) generateGroup(ctx context.Context, groupIdx int, tb *trace.Buf, emit func(sample.Sample)) (int, error) {
-	g := w.Groups[groupIdx]
-	r := rng.ChildAt(w.Cfg.Seed, "traffic", groupIdx)
-	sc := sessionScratch{ring: newSpecRing(workload.NewGenerator(r.Child("workload"), workload.Config{}))}
-	stop := startDrawers(ctx, &w.obs, sc.ring)
+	fd := w.newGroupFeed(groupIdx)
+	stop := startDrawers(ctx, &w.obs, fd.sc.ring)
 	defer stop()
-	track := trace.GroupTrack(groupIdx)
-	tsp := tb.Begin(track, trace.PhaseGen, -1, 0, "generate")
-	seq := uint64(0)
-	lost, emitted := 0, 0
-	for win := 0; win < w.Cfg.Windows(); win++ {
-		wl, wn, err := w.generateWindow(ctx, g, uint64(groupIdx), win, r, &sc, &seq, emit)
+	lost := 0
+	for fd.next < w.Cfg.Windows() {
+		wl, err := fd.window(ctx, tb, emit)
 		if err != nil {
-			tsp.End(int64(emitted))
 			return lost, err
 		}
 		lost += wl
-		emitted += wn
-		tb.Emit(trace.Event{Track: track, Phase: trace.PhaseGen, Win: int32(win), Seq: uint64(win),
-			Kind: trace.KMark, Stage: "window", Value: int64(wn)})
-		if wl > 0 {
-			tb.Emit(trace.Event{Track: track, Phase: trace.PhaseGen, Win: int32(win), Seq: uint64(win),
-				Kind: trace.KFault, Stage: "generate", Value: int64(wl), Detail: "pop-outage"})
-			tb.Loss(track, trace.PhaseGen, int32(win), uint64(win), "generate", trace.LossOutage, wl)
-		}
-		w.obs.windows.Inc()
 	}
-	tsp.End(int64(emitted))
-	w.obs.groups.Inc()
 	return lost, nil
+}
+
+// groupFeed is one group's generation state and the world's one
+// per-group generator: its RNG lineage, the read end of its draw-ahead
+// ring, its session scratch and its session sequence, advanced one
+// window at a time by window. The batch generator (generateGroup) runs
+// a feed through every window in one loop; the live feed keeps one per
+// group alive between windows, so the lineage advances exactly as in
+// one uninterrupted sweep. Every driver generates and records through
+// window, so their samples, trace events and world metrics agree by
+// construction.
+type groupFeed struct {
+	w       *World
+	group   int
+	track   string // the group's trace track
+	r       *rng.RNG
+	sc      sessionScratch
+	seq     uint64
+	next    int // the next window the group generates
+	emitted int // cumulative samples, for the gen span's closing value
+	// buf is the live feed's window buffer, lent to deliver and
+	// refilled by the group's next window.
+	buf []sample.Sample
+}
+
+// newGroupFeed sets up group gi's generation state at its first window.
+func (w *World) newGroupFeed(gi int) *groupFeed {
+	r := rng.ChildAt(w.Cfg.Seed, "traffic", gi)
+	return &groupFeed{w: w, group: gi, track: trace.GroupTrack(gi), r: r,
+		sc: sessionScratch{ring: newSpecRing(workload.NewGenerator(r.Child("workload"), workload.Config{}))}}
 }
 
 // sessionScratch is one group's per-session state on the simulating
@@ -258,18 +216,34 @@ type sessionScratch struct {
 	txns []hdratio.Transaction
 }
 
-// generateWindow produces the samples for one group × window and
-// returns (sessions lost to a PoP outage, sessions emitted). Its error
-// is ctx's cause: no window begins once ctx is done, and one that waits
-// on the drawer when ctx ends stops there.
-func (w *World) generateWindow(ctx context.Context, g *Group, groupIdx uint64, win int, r *rng.RNG,
-	sc *sessionScratch, seq *uint64, emit func(sample.Sample)) (int, int, error) {
-	if ctx.Err() != nil {
-		return 0, 0, context.Cause(ctx)
+// window generates the group's next window, emitting its kept samples
+// in draw order, and records it on tb, which the calling goroutine
+// owns: the group's PhaseGen span (begun at its first window, ended at
+// its last or when ctx stops it), a mark per window, and a fault and a
+// loss for a window an outage suppressed, all at logical coordinates
+// (group, window), so the events are identical at any worker count;
+// and the world's generate stage time and its session, window and
+// group counters. It returns the sessions lost to a PoP outage. Its
+// error is ctx's cause: no window begins once ctx is done, and one that
+// waits on the drawer when ctx ends stops there.
+func (fd *groupFeed) window(ctx context.Context, tb *trace.Buf, emit func(sample.Sample)) (int, error) {
+	w, g, track, win := fd.w, fd.w.Groups[fd.group], fd.track, fd.next
+	fd.next++
+	if win == 0 {
+		tb.Emit(trace.Event{Track: track, Phase: trace.PhaseGen, Win: -1, Kind: trace.KBegin, Stage: "generate"})
 	}
+	end := func() {
+		tb.Emit(trace.Event{Track: track, Phase: trace.PhaseGen, Win: -1, Kind: trace.KEnd, Stage: "generate", Value: int64(fd.emitted)})
+	}
+	if ctx.Err() != nil {
+		end()
+		return 0, context.Cause(ctx)
+	}
+	sp := w.obs.genStage.Start()
+	defer sp.End()
 
 	hour := (win / 4) % 24
-	n := poisson(r, w.windowMean(g, win))
+	n := poisson(fd.r, w.windowMean(g, win))
 	winStart := time.Duration(win) * WindowDuration
 
 	// Cartographer may have remapped the group to another PoP for this
@@ -289,29 +263,42 @@ func (w *World) generateWindow(ctx context.Context, g *Group, groupIdx uint64, w
 	// the no-outage dataset — but their measurements are never
 	// collected, and the window's samples are accounted as lost.
 	down := w.PoPDown != nil && w.PoPDown(pop, win)
-	if down {
-		w.obs.outageLost.Add(int64(n))
+	for i := 0; i < n; i++ {
+		d, err := fd.sc.ring.next(ctx, &w.obs)
+		if err != nil {
+			end()
+			return 0, err
+		}
+		fd.seq++
+		s := w.generateSession(g, win, hour, fd.r, d, &fd.sc, remapped)
+		s.PoP = pop
+		s.SessionID = uint64(fd.group)<<40 | fd.seq
+		s.Start = winStart + time.Duration(fd.r.Int64N(int64(WindowDuration)))
+		if !down {
+			emit(s)
+		}
 	}
 
-	for i := 0; i < n; i++ {
-		d, err := sc.ring.next(ctx, &w.obs)
-		if err != nil {
-			return 0, 0, err
-		}
-		*seq++
-		s := w.generateSession(g, win, hour, r, d, sc, remapped)
-		s.PoP = pop
-		s.SessionID = groupIdx<<40 | *seq
-		s.Start = winStart + time.Duration(r.Int64N(int64(WindowDuration)))
-		if down {
-			continue
-		}
-		emit(s)
-	}
+	lost, kept := 0, n
 	if down {
-		return n, 0, nil
+		lost, kept = n, 0
+		w.obs.outageLost.Add(int64(n))
 	}
-	return 0, n, nil
+	fd.emitted += kept
+	w.obs.sessions.Add(int64(kept))
+	w.obs.windows.Inc()
+	tb.Emit(trace.Event{Track: track, Phase: trace.PhaseGen, Win: int32(win), Seq: uint64(win),
+		Kind: trace.KMark, Stage: "window", Value: int64(kept)})
+	if lost > 0 {
+		tb.Emit(trace.Event{Track: track, Phase: trace.PhaseGen, Win: int32(win), Seq: uint64(win),
+			Kind: trace.KFault, Stage: "generate", Value: int64(lost), Detail: "pop-outage"})
+		tb.Loss(track, trace.PhaseGen, int32(win), uint64(win), "generate", trace.LossOutage, lost)
+	}
+	if fd.next == w.Cfg.Windows() {
+		end()
+		w.obs.groups.Inc()
+	}
+	return lost, nil
 }
 
 // generateSession runs one sampled session, drawn ahead as d, through

@@ -5,10 +5,8 @@ import (
 	"fmt"
 
 	"repro/internal/pipeline"
-	"repro/internal/rng"
 	"repro/internal/sample"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 // WindowBatch is one group × window slice of the live sample stream —
@@ -28,23 +26,6 @@ type WindowBatch struct {
 	Lost int
 }
 
-// groupFeed is one group's persistent generation state. The batch
-// generator builds this state once per group and burns through every
-// window in a loop; the live feed keeps it alive between windows so
-// the RNG lineage, workload draw-ahead ring, and session sequence
-// advance exactly as they would in one uninterrupted sweep — which is
-// why a live run's samples are byte-identical to a batch run's.
-type groupFeed struct {
-	r       *rng.RNG
-	sc      sessionScratch
-	seq     uint64
-	next    int // next window this group may generate
-	emitted int // cumulative samples, for the gen span's closing value
-	// buf is the group's one window buffer, lent to deliver and
-	// refilled by the group's next window.
-	buf []sample.Sample
-}
-
 // LiveFeed generates the world window-major: all groups advance
 // through window w before any group touches window w+1 — the run's
 // logical clock. It is the ingest source of the always-on study
@@ -60,33 +41,29 @@ type LiveFeed struct {
 func NewLiveFeed(w *World) *LiveFeed {
 	f := &LiveFeed{w: w, feeds: make([]*groupFeed, len(w.Groups))}
 	for gi := range w.Groups {
-		r := rng.ChildAt(w.Cfg.Seed, "traffic", gi)
-		f.feeds[gi] = &groupFeed{r: r, sc: sessionScratch{ring: newSpecRing(workload.NewGenerator(r.Child("workload"), workload.Config{}))}}
+		f.feeds[gi] = w.newGroupFeed(gi)
 	}
 	return f
 }
 
-// generate advances one group by exactly one window. Windows must be
-// requested in order per group — the RNG lineage is a stream, not an
-// index — so a skipped or repeated window is a programming error. The
-// window is generated into the group's one buffer, which is replaced
-// only when the window's estimate (capacityFor, as generateBatch sizes
-// a group's) exceeds its capacity, so no window regrows it. Its error
-// is ctx's cause, when ctx ends while the window waits on the group's
-// drawer.
-func (f *LiveFeed) generate(ctx context.Context, gi, win int) (WindowBatch, error) {
+// generate advances one group by exactly one window, recording it on
+// tb. Windows must be requested in order per group — the RNG lineage
+// is a stream, not an index — so a skipped or repeated window is a
+// programming error. The window is generated into the group's one
+// buffer, which is replaced only when the window's estimate
+// (capacityFor, as GenerateSelected sizes a group's) exceeds its
+// capacity, so no window regrows it. Its error is ctx's cause, when
+// ctx ends while the window waits on the group's drawer.
+func (f *LiveFeed) generate(ctx context.Context, tb *trace.Buf, gi, win int) (WindowBatch, error) {
 	fd := f.feeds[gi]
 	if win != fd.next {
 		panic(fmt.Sprintf("world: live feed asked for group %d window %d, expected %d (windows are a stream)", gi, win, fd.next))
 	}
-	fd.next++
-	g := f.w.Groups[gi]
-	if want := capacityFor(f.w.windowMean(g, win)); want > cap(fd.buf) {
+	if want := capacityFor(f.w.windowMean(f.w.Groups[gi], win)); want > cap(fd.buf) {
 		fd.buf = make([]sample.Sample, 0, want)
 	}
 	buf := fd.buf[:0]
-	lost, _, err := f.w.generateWindow(ctx, g, uint64(gi), win, fd.r, &fd.sc, &fd.seq,
-		func(s sample.Sample) { buf = append(buf, s) })
+	lost, err := fd.window(ctx, tb, func(s sample.Sample) { buf = append(buf, s) })
 	fd.buf = buf
 	return WindowBatch{Group: gi, Win: win, Samples: buf, Lost: lost}, err
 }
@@ -96,23 +73,19 @@ func (f *LiveFeed) generate(ctx context.Context, gi, win int) (WindowBatch, erro
 // state is touched by exactly one worker per window, and the
 // per-window barrier orders the touches across windows), delivered in
 // ascending group order, then seal is invoked with the window index —
-// the logical-clock tick the daemon's sealing keys on. Trace events
-// land on the same logical coordinates as the batch generator's:
-// a PhaseGen span per group and a mark per group × window, with
-// outage faults and losses attributed to their window. deliver and
-// seal run on one goroutine; their errors poison the run. A batch's
-// Samples are the group's window buffer, lent until deliver returns:
-// the barrier delivers a group's window before the group generates its
+// the logical-clock tick the daemon's sealing keys on. Each group
+// generates and records its window through the batch generator's
+// method (groupFeed.window), on a trace buffer its worker owns, so the
+// trace and the world metrics are the batch run's. deliver and seal
+// run on one goroutine; their errors poison the run. A batch's Samples
+// are the group's window buffer, lent until deliver returns: the
+// barrier delivers a group's window before the group generates its
 // next one into the same buffer. Every group's workload drawer runs
 // for the length of Run and is stopped and waited for on every return;
 // what the drawers drew ahead stays in the feed.
 func (f *LiveFeed) Run(ctx context.Context, workers int, deliver func(WindowBatch) error, seal func(win int) error) error {
 	windows := f.w.Cfg.Windows()
-	last := windows - 1
-	if workers > len(f.w.Groups) {
-		workers = len(f.w.Groups)
-	}
-	tb := f.w.Rec.Buf()
+	workers = min(workers, len(f.w.Groups))
 	rings := make([]*specRing, len(f.feeds))
 	for gi, fd := range f.feeds {
 		rings[gi] = fd.sc.ring
@@ -120,43 +93,21 @@ func (f *LiveFeed) Run(ctx context.Context, workers int, deliver func(WindowBatc
 	stop := startDrawers(ctx, &f.w.obs, rings...)
 	defer stop()
 
-	// handoff emits the batch's trace events (mirroring generateGroup's
-	// coordinates) and hands it to the caller.
-	handoff := func(b WindowBatch) error {
-		fd := f.feeds[b.Group]
-		track := trace.GroupTrack(b.Group)
-		if b.Win == 0 {
-			tb.Emit(trace.Event{Track: track, Phase: trace.PhaseGen, Win: -1, Seq: 0,
-				Kind: trace.KBegin, Stage: "generate"})
-		}
-		tb.Emit(trace.Event{Track: track, Phase: trace.PhaseGen, Win: int32(b.Win), Seq: uint64(b.Win),
-			Kind: trace.KMark, Stage: "window", Value: int64(len(b.Samples))})
-		if b.Lost > 0 {
-			tb.Emit(trace.Event{Track: track, Phase: trace.PhaseGen, Win: int32(b.Win), Seq: uint64(b.Win),
-				Kind: trace.KFault, Stage: "generate", Value: int64(b.Lost), Detail: "pop-outage"})
-			tb.Loss(track, trace.PhaseGen, int32(b.Win), uint64(b.Win), "generate", trace.LossOutage, b.Lost)
-		}
-		f.w.obs.windows.Inc()
-		fd.emitted += len(b.Samples)
-		if b.Win == last {
-			tb.Emit(trace.Event{Track: track, Phase: trace.PhaseGen, Win: -1, Seq: 0,
-				Kind: trace.KEnd, Stage: "generate", Value: int64(fd.emitted)})
-			f.w.obs.groups.Inc()
-		}
-		return deliver(b)
-	}
-
+	// One worker generates and delivers on the calling goroutine: a
+	// pool would be set up and torn down for every window (96 a day)
+	// to run the same program.
 	if workers <= 1 {
+		tb := f.w.Rec.Buf()
 		for win := 0; win < windows; win++ {
 			if err := ctx.Err(); err != nil {
 				return context.Cause(ctx)
 			}
 			for gi := range f.w.Groups {
-				b, err := f.generate(ctx, gi, win)
+				b, err := f.generate(ctx, tb, gi, win)
 				if err != nil {
 					return err
 				}
-				if err := handoff(b); err != nil {
+				if err := deliver(b); err != nil {
 					return err
 				}
 			}
@@ -167,6 +118,13 @@ func (f *LiveFeed) Run(ctx context.Context, workers int, deliver func(WindowBatc
 		return nil
 	}
 
+	// A trace buffer per pool worker, kept across windows: the
+	// per-window Wait orders one window's writes to a buffer before the
+	// next window's.
+	bufs := make([]*trace.Buf, workers)
+	for i := range bufs {
+		bufs[i] = f.w.Rec.Buf()
+	}
 	for win := 0; win < windows; win++ {
 		if err := ctx.Err(); err != nil {
 			return context.Cause(ctx)
@@ -178,12 +136,12 @@ func (f *LiveFeed) Run(ctx context.Context, workers int, deliver func(WindowBatc
 		close(idx)
 		g := pipeline.NewGroup(ctx)
 		out := pipeline.NewStream[WindowBatch](workers)
-		g.GoPool(workers, func(ctx context.Context, _ int) error {
+		g.GoPool(workers, func(ctx context.Context, i int) error {
 			for gi := range idx {
 				if err := ctx.Err(); err != nil {
 					return context.Cause(ctx)
 				}
-				b, err := f.generate(ctx, gi, win)
+				b, err := f.generate(ctx, bufs[i], gi, win)
 				if err != nil {
 					return err
 				}
@@ -194,7 +152,7 @@ func (f *LiveFeed) Run(ctx context.Context, workers int, deliver func(WindowBatc
 			return nil
 		}, out.Close)
 		g.Go(func(ctx context.Context) error {
-			return pipeline.Reorder(ctx, out, func(b WindowBatch) int { return b.Group }, 0, handoff)
+			return pipeline.Reorder(ctx, out, func(b WindowBatch) int { return b.Group }, 0, deliver)
 		})
 		// The per-window Wait is the live clock's barrier: every group's
 		// window w is generated, delivered, and sealed before any state

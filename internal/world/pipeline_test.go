@@ -17,12 +17,13 @@ func testCfg() Config {
 // The sample stream must be identical — same samples, same order — at
 // every worker count. This is the generation half of the pipeline's
 // byte-identical-report guarantee.
-func TestGenerateCtxDeterministicAcrossWorkers(t *testing.T) {
+func TestGenerateBatchesDeterministicAcrossWorkers(t *testing.T) {
 	collect := func(workers int) []sample.Sample {
 		w := New(testCfg())
 		var out []sample.Sample
-		if err := w.GenerateCtx(context.Background(), workers, func(s sample.Sample) {
-			out = append(out, s)
+		if err := w.GenerateBatches(context.Background(), workers, func(b Batch) error {
+			out = append(out, b.Samples...)
+			return nil
 		}); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -64,9 +65,9 @@ func TestGenerateBatchesOrdered(t *testing.T) {
 	}
 }
 
-// A cancelled context must stop generation promptly with the cause, in
-// both sequential and parallel modes.
-func TestGenerateCtxCancellation(t *testing.T) {
+// A cancelled context must stop generation promptly with the cause, at
+// one worker and at several.
+func TestGenerateBatchesCancellation(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		w := New(testCfg())
 		ctx, cancel := context.WithCancel(context.Background())

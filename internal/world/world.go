@@ -9,6 +9,14 @@
 // calibrated to the paper's Figure 6, diurnal congestion and episodic
 // failures for §5, and per-route deltas that reproduce the limited
 // opportunity structure of §6.
+//
+// One per-group generator, groupFeed, simulates a group window by
+// window from the group's own RNG lineage and records each window: its
+// trace events and the world's metrics. Three drivers run it. The
+// group worker pool (GenerateSelected) runs whole groups for the
+// dataset writer; GenerateBatches adds ordered delivery for the study;
+// LiveFeed runs all groups one window at a time for the always-on
+// daemon. Their samples, traces and counters agree by construction.
 package world
 
 import (

@@ -352,9 +352,9 @@ func TestPolicedShareSuppressesHD(t *testing.T) {
 	run := func(policed float64, seed uint64) float64 {
 		w := New(Config{Seed: seed, Groups: 20, Days: 1, SessionsPerGroupWindow: 3, PolicedShare: policed})
 		zero, defined := 0, 0
-		w.Generate(func(s sample.Sample) {
+		for _, s := range w.GenerateAll() {
 			if s.AltIndex != 0 {
-				return
+				continue
 			}
 			if hd, ok := s.HDratio(); ok {
 				defined++
@@ -362,7 +362,7 @@ func TestPolicedShareSuppressesHD(t *testing.T) {
 					zero++
 				}
 			}
-		})
+		}
 		if defined == 0 {
 			t.Fatal("no tested sessions")
 		}
