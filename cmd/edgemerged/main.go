@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	edgemerged -o spool -listen ADDR -expect-pops N [-credit N]
+//	edgemerged -o spool -listen ADDR -expect-pops N
 //	           [-origin STR] [-metrics-addr host:port] [-trace file]
 //
 // ADDR is a unix socket path when it holds a path separator, else a
@@ -47,7 +47,6 @@ func main() {
 		out         = flag.String("o", "", "spool dataset directory (required; resumed if it already holds a dataset)")
 		listen      = flag.String("listen", "", "address to listen on (host:port, or a unix socket path; required)")
 		expectPops  = flag.Int("expect-pops", 1, "exit once this many distinct PoPs complete their DONE handshake")
-		credit      = flag.Int("credit", 4, "credit window granted to each shipper (max unacked shipments in flight)")
 		origin      = flag.String("origin", "", "pin the spool origin; refuse shippers that disagree (default: adopt the first shipper's)")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address")
 		tracePath   = flag.String("trace", "", "record a deterministic flight trace of the merge to this file")
@@ -86,8 +85,8 @@ func main() {
 
 	m, err := ship.NewMerger(ship.MergerOptions{
 		SpoolDir: *out, Origin: *origin,
-		ExpectPoPs: *expectPops, Credit: *credit,
-		Reg: reg, Rec: rec,
+		ExpectPoPs: *expectPops,
+		Reg:        reg, Rec: rec,
 	})
 	if err != nil {
 		log.Fatalf("edgemerged: %v", err)

@@ -9,7 +9,7 @@
 //
 //	edgepopd -merger ADDR -pop I -pops N [-seed N] [-groups N] [-days N]
 //	         [-spw N] [-o dir] [-workers N] [-fault-plan SPEC]
-//	         [-ship-fault-plan SPEC] [-credit N] [-ack-batch N] [-fail-fast]
+//	         [-ship-fault-plan SPEC] [-ack-batch N] [-fail-fast]
 //	         [-progress] [-metrics-addr host:port] [-trace file]
 //
 // ADDR is a unix socket path when it holds a path separator, else a
@@ -63,7 +63,6 @@ func main() {
 		pop         = flag.Int("pop", 0, "this PoP's index in the fleet (0-based)")
 		pops        = flag.Int("pops", 1, "fleet size")
 		merger      = flag.String("merger", "", "merger address (host:port, or a unix socket path; required unless -no-ship)")
-		credit      = flag.Int("credit", 4, "max unacknowledged shipments in flight (merger may grant less)")
 		ackBatch    = flag.Int("ack-batch", 1, "group-commit the durable ack log every N acked slots (1 = commit per ack); a crash mid-batch only re-ships, never re-acks")
 		noShip      = flag.Bool("no-ship", false, "generate only; skip the shipping phase")
 		workers     = flag.Int("workers", pipeline.DefaultWorkers(), "goroutines that simulate groups, and as many that encode them; at any count simulate, encode and commit overlap")
@@ -180,7 +179,7 @@ func main() {
 
 	st, shipErr := ship.Ship(ctx, ship.ShipperOptions{
 		Dir: *out, Addr: *merger,
-		PoP: *pop, Pops: *pops, Credit: *credit, AckBatch: *ackBatch,
+		PoP: *pop, Pops: *pops, AckBatch: *ackBatch,
 		Injector: wireInj, Reg: reg, Rec: rec,
 	})
 	flushTrace()

@@ -12,7 +12,7 @@
 //
 // Usage (wire mode — an edgepopd fleet feeds the spool):
 //
-//	edgestudyd -o dir -listen ADDR [-expect-pops N] [-credit N]
+//	edgestudyd -o dir -listen ADDR [-expect-pops N]
 //	           [-origin STR] [-http host:port] ...
 //
 // ADDR is a unix socket path when it holds a path separator, else a
@@ -109,7 +109,6 @@ func main() {
 		progress   = flag.Bool("progress", false, "report ingest progress to stderr every 2s")
 		listen     = flag.String("listen", "", "wire mode: accept an edgepopd fleet on this address (host:port, or a unix socket path) instead of generating a live stream")
 		expectPops = flag.Int("expect-pops", 1, "wire mode: drain once this many distinct PoPs complete their DONE handshake")
-		credit     = flag.Int("credit", 4, "wire mode: credit window granted to each shipper")
 		origin     = flag.String("origin", "", "wire mode: pin the spool origin; refuse shippers that disagree (default: adopt the first shipper's)")
 	)
 	flag.Parse()
@@ -184,8 +183,8 @@ func main() {
 		}
 		merger, err = ship.NewMerger(ship.MergerOptions{
 			SpoolDir: *out, Origin: *origin,
-			ExpectPoPs: *expectPops, Credit: *credit,
-			Reg: reg, Rec: rec,
+			ExpectPoPs: *expectPops,
+			Reg:        reg, Rec: rec,
 			OnCommit: d.BumpVersion,
 		})
 		if err != nil {

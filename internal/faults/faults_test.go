@@ -4,8 +4,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/sample"
 )
 
 func TestParsePlanRoundTrip(t *testing.T) {
@@ -81,22 +79,22 @@ func TestInjectorDecisionsArePure(t *testing.T) {
 	plan := &Plan{Seed: 3, SinkTransientP: 0.2, SinkPermanentP: 0.05, TruncateP: 0.2, CorruptP: 0.1}
 	a := NewInjector(plan, 42)
 	b := NewInjector(plan, 42)
-	samples := make([]sample.Sample, 500)
-	for i := range samples {
-		samples[i] = sample.Sample{SessionID: uint64(i*977 + 13)}
+	ids := make([]uint64, 500)
+	for i := range ids {
+		ids[i] = uint64(i*977 + 13)
 	}
 	// b sees the same identities in reverse order.
-	for i := range samples {
-		fa := a.sinkFault(samples[i])
-		fb := b.sinkFault(samples[len(samples)-1-i])
-		fa2 := a.sinkFault(samples[i]) // repeatable on the same injector
+	for i := range ids {
+		fa := a.sinkFault(ids[i])
+		fb := b.sinkFault(ids[len(ids)-1-i])
+		fa2 := a.sinkFault(ids[i]) // repeatable on the same injector
 		if fa != fa2 {
 			t.Fatalf("sinkFault not repeatable for sample %d: %+v vs %+v", i, fa, fa2)
 		}
 		_ = fb
 	}
-	for i := range samples {
-		if fa, fb := a.sinkFault(samples[i]), b.sinkFault(samples[i]); fa != fb {
+	for i := range ids {
+		if fa, fb := a.sinkFault(ids[i]), b.sinkFault(ids[i]); fa != fb {
 			t.Fatalf("sinkFault differs across call orders for sample %d: %+v vs %+v", i, fa, fb)
 		}
 	}
@@ -109,8 +107,8 @@ func TestInjectorDecisionsArePure(t *testing.T) {
 	c := NewInjector(plan, 43)
 	same := 0
 	faults := 0
-	for i := range samples {
-		fa, fc := a.sinkFault(samples[i]), c.sinkFault(samples[i])
+	for i := range ids {
+		fa, fc := a.sinkFault(ids[i]), c.sinkFault(ids[i])
 		if !fa.None() {
 			faults++
 			if fa == fc {
@@ -128,7 +126,7 @@ func TestInjectorDecisionsArePure(t *testing.T) {
 
 func TestInjectorNilSafety(t *testing.T) {
 	var in *Injector
-	if f := in.sinkFault(sample.Sample{}); !f.None() {
+	if f := in.sinkFault(0); !f.None() {
 		t.Error("nil injector injected a sink fault")
 	}
 	if f := in.batchFault(0); f != BatchOK {

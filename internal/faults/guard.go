@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/sample"
 	"repro/internal/trace"
 )
 
@@ -15,18 +14,18 @@ import (
 // follows every injected decision — what is lost, retried, quarantined
 // or tombstoned — and the two records of it: the Coverage ledger and
 // the trace events the ledger must reconcile against. Producers (the
-// study's world source and sink, and seggen's chunk writer, which
-// internal/studyd drives too) are thin callers: they supply the work
-// (commit, offer) and the producer-specific consequence (tombstone,
-// quarantine) as callbacks and never touch an Injector decision or a
-// Coverage counter.
+// study's world source and routes lane, and seggen's chunk writer,
+// which internal/studyd drives too) are thin callers: they ask for a
+// verdict, apply it to their own data, and never touch an Injector
+// decision or a Coverage counter.
 //
-// Three surfaces, each a decision with callbacks: Batch (a world
-// group's generated windows: keep all, keep those below a cut, or
-// drop), Write (one group's dataset commit) and Sink (one sample's
-// collector offer, in the study only). A nil *Guard (no fault plan) is
-// valid everywhere: Batch keeps everything, Write commits, Sink offers,
-// Coverage is nil.
+// Three surfaces: Batch (a world group's generated windows: keep all,
+// keep those below a cut, or drop) and Sink (one sample of a user
+// group, in the study only: keep it or quarantine the group) are
+// verdicts the producer applies; Write (one group's dataset commit)
+// runs the producer's commit and tombstone callbacks. A nil *Guard (no
+// fault plan) is valid everywhere: Batch keeps everything, Write
+// commits, Sink keeps, Coverage is nil.
 //
 // Guard is safe for concurrent use; the ledger is locked. Trace buffers
 // are single-owner, so every method that emits takes the calling
@@ -308,48 +307,50 @@ func (g *Guard) retry(ctx context.Context, at site, seq uint64, policyID int, re
 	return true, nil
 }
 
-// Sink offers one sample under the sink surface. A clean sample just
-// runs offer; a transient streak runs it under the plan's retry policy;
-// a permanent fault — or an exhausted budget — quarantines the sample's
-// user group (sample.GroupKey) instead: quarantine(reason) withdraws
-// whatever the producer already holds of the group and returns how many
-// samples that cost (the triggering sample included), and Sink books
-// them and returns the new ledger entry's handle (-1 when nothing was
-// quarantined). The producer refuses the group's later samples and
-// reports them with Refuse. tb is the calling goroutine's buffer.
-func (g *Guard) Sink(ctx context.Context, tb *trace.Buf, s sample.Sample, offer func() error, quarantine func(reason string) int) (int, error) {
+// Sink decides one sample's fate under the sink surface: keep it, or
+// quarantine its user group. The sample is named by id (its SessionID,
+// which keys the decision) and key (its group's sample.GroupKey string,
+// the ledger key and trace track); held is how many of the group's
+// samples the producer already holds. A clean sample is kept; a
+// transient streak is retried under the plan's policy and kept once
+// spent; a permanent fault — or an exhausted budget — quarantines the
+// group instead: Sink books the triggering sample and the held ones as
+// lost and returns the new ledger entry's handle (-1 when the sample is
+// kept). The producer then withdraws what it holds of the group, drops
+// the triggering sample, and refuses the group's later samples with
+// Refuse. tb is the calling goroutine's buffer.
+func (g *Guard) Sink(ctx context.Context, tb *trace.Buf, id uint64, key string, held int) (int, error) {
 	if g == nil {
-		return -1, offer()
+		return -1, nil
 	}
-	d := g.inj.sinkFault(s)
+	d := g.inj.sinkFault(id)
 	if d.None() {
-		return -1, offer()
+		return -1, nil
 	}
-	key := s.Key().String()
 	at := site{tb, key, trace.PhaseIngest, "sink"}
-	ferr := &FaultError{Surface: SurfaceSink, Key: sinkFaultKey(s), Transient: !d.Permanent}
+	ferr := &FaultError{Surface: SurfaceSink, Key: sinkFaultKey(id, key), Transient: !d.Permanent}
 	reason := "permanent sink failure"
 	if d.Permanent {
 		if g.failFast {
 			return -1, fmt.Errorf("fail-fast: %w", ferr)
 		}
-		at.emit(trace.KFault, s.SessionID, 1, "sink-permanent")
+		at.emit(trace.KFault, id, 1, "sink-permanent")
 	} else {
-		at.emit(trace.KFault, s.SessionID, d.Transient, "sink-transient")
-		exhausted, err := g.retry(ctx, at, s.SessionID, int(s.SessionID), &d.Transient, ferr, offer)
+		at.emit(trace.KFault, id, d.Transient, "sink-transient")
+		exhausted, err := g.retry(ctx, at, id, int(id), &d.Transient, ferr, func() error { return nil })
 		if !exhausted {
 			return -1, err
 		}
 		reason = "sink retry budget exhausted"
 	}
-	lost := quarantine(reason)
+	lost := held + 1
 	g.mu.Lock()
 	g.cov.SamplesLostQuarantined += lost
 	entry := g.quarantineLocked(key, at.track, reason, lost)
 	g.mu.Unlock()
 	g.inj.MarkDegraded()
-	at.emit(trace.KQuarantine, s.SessionID, lost, reason)
-	at.loss(s.SessionID, trace.LossQuarantined, lost)
+	at.emit(trace.KQuarantine, id, lost, reason)
+	at.loss(id, trace.LossQuarantined, lost)
 	return entry, nil
 }
 

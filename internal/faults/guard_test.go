@@ -8,26 +8,25 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/sample"
 	"repro/internal/trace"
 )
 
 // The fixtures every Guard table row shares: world group 3, a batch of
 // 10 windows of one sample each, a 7-sample write, and one sample of
-// user group userKey whose quarantine withdraws 3 samples.
+// user group userKey, which already holds 2 samples, so a quarantine
+// loses 3.
 const (
 	tGroup   = 3
 	tBatchN  = 10
 	tWriteN  = 7
 	tSession = 42
-	tQLost   = 3
+	tHeld    = 2
+	tQLost   = tHeld + 1
 	gTrack   = "g/0003"
 	gKey     = "world-group-0003"
 	userKey  = "lhr/10.0.0.0/24/GB"
 	sinkKey  = "sample 42 group " + userKey
 )
-
-var tSample = sample.Sample{SessionID: tSession, PoP: "lhr", Prefix: "10.0.0.0/24", Country: "GB"}
 
 // Plans that force each fate: probabilities of 1 make the draw
 // independent of any seed, sink-streak=1 pins a transient streak to one
@@ -58,7 +57,7 @@ func sinkEv(track string, seq uint64, kind trace.Kind, value int64, detail strin
 type outcome struct {
 	cov    Coverage      // ledger delta (Spec and FailFast are filled in by the harness)
 	events []trace.Event // in canonical trace order
-	calls  []string      // callbacks fired, in order
+	calls  []string      // callbacks fired and verdicts returned, in order
 	sleeps int           // virtual backoffs taken
 	// err, when non-nil, is the FaultError the operation must return
 	// (matched on Surface, Key and Transient, and against IsTransient).
@@ -74,14 +73,9 @@ type harness struct {
 }
 
 func (h *harness) commit() error { h.calls = append(h.calls, "commit"); return nil }
-func (h *harness) offer() error  { h.calls = append(h.calls, "offer"); return nil }
 func (h *harness) tombstone(reason string) error {
 	h.calls = append(h.calls, "tombstone("+reason+")")
 	return nil
-}
-func (h *harness) quarantine(reason string) int {
-	h.calls = append(h.calls, "quarantine("+reason+")")
-	return tQLost
 }
 
 // batch runs a batch of tBatchN windows, one sample each, through its
@@ -105,8 +99,12 @@ func (h *harness) write(n int) error {
 	return err
 }
 
-func (h *harness) sink() (int, error) {
-	return h.g.Sink(context.Background(), h.tb, tSample, h.offer, h.quarantine)
+// sink decides the fixture sample's fate and records the verdict: the
+// ledger entry of its group's quarantine, or -1 to keep it.
+func (h *harness) sink() error {
+	entry, err := h.g.Sink(context.Background(), h.tb, tSession, userKey, tHeld)
+	h.calls = append(h.calls, fmt.Sprintf("entry %d", entry))
+	return err
 }
 
 func quarantined(key, reason string, lost int) []QuarantinedGroup {
@@ -115,8 +113,8 @@ func quarantined(key, reason string, lost int) []QuarantinedGroup {
 
 // TestGuardLadder pins the recovery ladder rung by rung: for every fate
 // of every surface, with fail-fast off and on, the exact ledger delta,
-// the exact trace events, the callbacks that fired and the class of the
-// returned error.
+// the exact trace events, the callbacks that fired or the verdict
+// returned, and the class of the returned error.
 func TestGuardLadder(t *testing.T) {
 	const (
 		exhausted  = "write retry budget exhausted"
@@ -138,7 +136,14 @@ func TestGuardLadder(t *testing.T) {
 		}
 		return h.write(streamingN)
 	}
-	sink := func(h *harness) error { _, err := h.sink(); return err }
+	sink := func(h *harness) error { return h.sink() }
+	sinkThenRefuse := func(h *harness) error {
+		if err := h.sink(); err != nil {
+			return err
+		}
+		h.g.Refuse(h.tb, 0, tSession+1, 1)
+		return nil
+	}
 
 	rows := []struct {
 		name string
@@ -252,11 +257,11 @@ func TestGuardLadder(t *testing.T) {
 			ff: &outcome{err: &FaultError{Surface: SurfaceWrite, Key: gKey}}},
 
 		{name: "sink/none", plan: planQuiet, op: sink,
-			want: outcome{calls: []string{"offer"}}},
+			want: outcome{calls: []string{"entry -1"}}},
 		{name: "sink/transient-recovered", plan: planRecover, op: sink,
 			want: outcome{
 				cov:    Coverage{RetriesSpent: 1, TransientRecovered: 1},
-				calls:  []string{"offer"},
+				calls:  []string{"entry -1"},
 				sleeps: 1,
 				events: []trace.Event{
 					sinkEv(userKey, tSession, trace.KFault, 1, "sink-transient"),
@@ -265,7 +270,7 @@ func TestGuardLadder(t *testing.T) {
 		{name: "sink/transient-exhausted", plan: planExhaust, op: sink,
 			want: outcome{
 				cov:   Coverage{SamplesLostQuarantined: tQLost, Quarantined: quarantined(userKey, sinkExh, tQLost)},
-				calls: []string{"quarantine(" + sinkExh + ")"},
+				calls: []string{"entry 0"},
 				events: []trace.Event{
 					sinkEv(userKey, tSession, trace.KFault, 1, "sink-transient"),
 					sinkEv(userKey, tSession, trace.KQuarantine, tQLost, sinkExh),
@@ -273,18 +278,32 @@ func TestGuardLadder(t *testing.T) {
 				}},
 			ff: &outcome{
 				err:    &FaultError{Surface: SurfaceSink, Key: sinkKey, Transient: true},
+				calls:  []string{"entry -1"},
 				events: []trace.Event{sinkEv(userKey, tSession, trace.KFault, 1, "sink-transient")},
 			}},
 		{name: "sink/permanent", plan: planPermanent, op: sink,
 			want: outcome{
 				cov:   Coverage{SamplesLostQuarantined: tQLost, Quarantined: quarantined(userKey, permSink, tQLost)},
-				calls: []string{"quarantine(" + permSink + ")"},
+				calls: []string{"entry 0"},
 				events: []trace.Event{
 					sinkEv(userKey, tSession, trace.KFault, 1, "sink-permanent"),
 					sinkEv(userKey, tSession, trace.KQuarantine, tQLost, permSink),
 					sinkEv(userKey, tSession, trace.KLoss, tQLost, lossQuar),
 				}},
-			ff: &outcome{err: &FaultError{Surface: SurfaceSink, Key: sinkKey}}},
+			ff: &outcome{err: &FaultError{Surface: SurfaceSink, Key: sinkKey}, calls: []string{"entry -1"}}},
+		// The producer refuses a quarantined group's later samples into the
+		// entry the quarantine returned, each filed at its own SessionID.
+		{name: "sink/permanent, then a refused sample", plan: planPermanent, op: sinkThenRefuse,
+			want: outcome{
+				cov:   Coverage{SamplesLostQuarantined: tQLost + 1, Quarantined: quarantined(userKey, permSink, tQLost+1)},
+				calls: []string{"entry 0"},
+				events: []trace.Event{
+					sinkEv(userKey, tSession, trace.KFault, 1, "sink-permanent"),
+					sinkEv(userKey, tSession, trace.KQuarantine, tQLost, permSink),
+					sinkEv(userKey, tSession, trace.KLoss, tQLost, lossQuar),
+					sinkEv(userKey, tSession+1, trace.KLoss, 1, lossQuar),
+				}},
+			ff: &outcome{err: &FaultError{Surface: SurfaceSink, Key: sinkKey}, calls: []string{"entry -1"}}},
 	}
 
 	for _, row := range rows {
@@ -345,10 +364,10 @@ func TestNilGuardPassesThrough(t *testing.T) {
 	if err := h.write(tWriteN); err != nil {
 		t.Fatal(err)
 	}
-	if entry, err := h.sink(); entry != -1 || err != nil {
-		t.Fatalf("Sink = (%d, %v), want (-1, nil)", entry, err)
+	if err := h.sink(); err != nil {
+		t.Fatal(err)
 	}
-	if want := []string{"keep 10", "commit", "committed", "offer"}; !reflect.DeepEqual(h.calls, want) {
+	if want := []string{"keep 10", "commit", "committed", "entry -1"}; !reflect.DeepEqual(h.calls, want) {
 		t.Errorf("callbacks: got %q, want %q", h.calls, want)
 	}
 	if want := []trace.Event{writeEv(2, trace.KCommit, tWriteN, "")}; !reflect.DeepEqual(rec.Events(), want) {

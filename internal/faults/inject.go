@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/rng"
-	"repro/internal/sample"
 )
 
 // Injector turns a Plan into per-identity fault decisions. Every
@@ -115,12 +114,12 @@ type sinkDraw struct {
 // None reports a clean decision.
 func (f sinkDraw) None() bool { return f.Transient == 0 && !f.Permanent }
 
-// sinkFault decides the collector-sink outcome for one sample, keyed by
-// its SessionID (stable across sharding and replay). Like batchFault
+// sinkFault decides the collector-sink outcome for the sample whose
+// SessionID is id (stable across sharding and replay). Like batchFault
 // and writeFault it is unexported on purpose: producers reach the
 // decisions only through Guard, which owns what follows from them.
-func (in *Injector) sinkFault(s sample.Sample) sinkDraw {
-	return in.drawSink(SurfaceSink, int(s.SessionID))
+func (in *Injector) sinkFault(id uint64) sinkDraw {
+	return in.drawSink(SurfaceSink, int(id))
 }
 
 // writeFault decides the dataset-writer outcome for one group's encoded
@@ -323,7 +322,8 @@ func (in *Injector) Policy(id int) Policy {
 	}
 }
 
-// sinkFaultKey renders a sample's identity for FaultError.Key.
-func sinkFaultKey(s sample.Sample) string {
-	return "sample " + strconv.FormatUint(s.SessionID, 10) + " group " + s.Key().String()
+// sinkFaultKey renders a sample's identity — its SessionID and its user
+// group's key — for FaultError.Key.
+func sinkFaultKey(id uint64, key string) string {
+	return "sample " + strconv.FormatUint(id, 10) + " group " + key
 }

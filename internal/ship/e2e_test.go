@@ -404,7 +404,7 @@ func TestHashConflictRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.adoptOrigin("test origin"); err != nil {
+	if err := m.adopt(Hello{Origin: "test origin", Pops: 1}); err != nil {
 		t.Fatal(err)
 	}
 	blob := []byte("segment bytes v1")

@@ -1,6 +1,7 @@
 package ship
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -38,11 +39,6 @@ type MergerOptions struct {
 	// ExpectPoPs, when positive, makes Serve return once that many
 	// distinct PoPs have completed their done exchange.
 	ExpectPoPs int
-	// Credit is the in-flight window granted to each shipper (default 4)
-	// — the bounded-queue backpressure: a slow merger holds at most
-	// Credit unprocessed shipments per connection in kernel buffers, and
-	// shippers block instead of ballooning.
-	Credit int
 	// Reg receives merger metrics (may be nil).
 	Reg *obs.Registry
 	// Rec records merge events (may be nil).
@@ -82,7 +78,11 @@ type Merger struct {
 
 	mu     sync.Mutex
 	origin string
-	w      *segstore.Writer
+	// pops is the fleet size the first accepted hello pinned (0 before
+	// it): each PoP generates its seggen.OwnedGroups share of a fleet of
+	// that size, so a PoP of another fleet would overlap or miss groups.
+	pops int
+	w    *segstore.Writer
 	// hashes remembers each committed slot's content hash so a replayed
 	// shipment is verified, not blindly trusted (tombstones hash to 0).
 	hashes map[int]uint32
@@ -106,9 +106,6 @@ type Merger struct {
 // resumed (its manifest is the dedup state), so a restarted merger
 // keeps its exactly-once guarantee.
 func NewMerger(opt MergerOptions) (*Merger, error) {
-	if opt.Credit <= 0 {
-		opt.Credit = 4
-	}
 	m := &Merger{
 		opt:    opt,
 		origin: opt.Origin,
@@ -220,12 +217,12 @@ func (m *Merger) Serve(ctx context.Context, l net.Listener) error {
 		}
 		m.mu.Lock()
 		m.stats.Conns++
-		conns := m.stats.Conns - m.stats.PopsDone
 		m.mu.Unlock()
-		m.gConns.Set(float64(conns))
+		m.gConns.Add(1)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer m.gConns.Add(-1)
 			defer context.AfterFunc(ctx, func() { _ = conn.Close() })() // handle's own close may follow; the second is harmless
 			m.handle(conn, finish)
 		}()
@@ -252,11 +249,11 @@ func (m *Merger) handle(conn net.Conn, finish func()) {
 	if err := unmarshalFrame(payload, &hello); err != nil {
 		return
 	}
-	if err := m.adoptOrigin(hello.Origin); err != nil {
+	if err := m.adopt(hello); err != nil {
 		_ = WriteJSONFrame(conn, FrameErr, ErrMsg{Msg: err.Error()}) // refusal is best-effort; we drop the conn either way
 		return
 	}
-	if err := WriteJSONFrame(conn, FrameHelloAck, HelloAck{Credit: m.opt.Credit}); err != nil {
+	if err := WriteJSONFrame(conn, FrameHelloAck, HelloAck{Credit: credit}); err != nil {
 		return
 	}
 
@@ -330,31 +327,35 @@ func (m *Merger) handle(conn net.Conn, finish func()) {
 	}
 }
 
-// adoptOrigin pins the spool origin on the first hello and verifies
-// every later one — two different invocations' datasets must never
-// interleave in one spool.
-func (m *Merger) adoptOrigin(origin string) error {
+// adopt pins the spool origin and the fleet size on the first accepted
+// hello and verifies every later one: two different invocations'
+// datasets must never interleave in one spool, and every PoP must own
+// its share of one fleet. A refused hello pins nothing.
+func (m *Merger) adopt(h Hello) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	pops := cmp.Or(m.pops, h.Pops)
+	switch {
+	case h.Pops != pops:
+		return fmt.Errorf("a fleet of %d PoPs does not match the pinned fleet of %d", h.Pops, pops)
+	case h.PoP < 0 || h.PoP >= pops:
+		return fmt.Errorf("PoP %d is outside a fleet of %d", h.PoP, pops)
+	}
 	if m.origin == "" {
-		if err := m.openSpool(origin); err != nil {
+		if err := m.openSpool(h.Origin); err != nil {
 			return err
 		}
-		m.origin = origin
-		return nil
+		m.origin = h.Origin
+	} else if h.Origin != m.origin {
+		return fmt.Errorf("origin %q does not match spool origin %q", h.Origin, m.origin)
 	}
-	if origin != m.origin {
-		return fmt.Errorf("origin %q does not match spool origin %q", origin, m.origin)
-	}
-	if m.w == nil {
-		return errors.New("spool not open") // unreachable: origin set implies spool open
-	}
+	m.pops = pops
 	return nil
 }
 
 // commitSegment folds one shipped segment into the spool, exactly
 // once. The dedup key is (origin, segment ID, content hash): origin is
-// connection-wide (adoptOrigin), the ID indexes the dedup state, and
+// connection-wide (adopt), the ID indexes the dedup state, and
 // the hash distinguishes a harmless replay (same bytes — drop, ack as
 // dup) from a conflict (different bytes for the same slot — refuse
 // loudly; something is deeply wrong upstream).

@@ -1,0 +1,125 @@
+package ship
+
+import (
+	"context"
+	"net"
+	"testing"
+	"time"
+
+	"repro/internal/obs"
+)
+
+// dialHello connects to addr, sends h and returns the connection and
+// the type of the merger's answer.
+func dialHello(t *testing.T, addr string, h Hello) (net.Conn, byte) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = conn.Close() })
+	if err := WriteJSONFrame(conn, FrameHello, h); err != nil {
+		t.Fatal(err)
+	}
+	typ, _, err := ReadFrame(conn)
+	if err != nil {
+		t.Fatalf("hello %+v: %v", h, err)
+	}
+	return conn, typ
+}
+
+// done completes a peer's done exchange.
+func done(t *testing.T, conn net.Conn) {
+	t.Helper()
+	if err := WriteJSONFrame(conn, FrameDone, Done{}); err != nil {
+		t.Fatal(err)
+	}
+	if typ, _, err := ReadFrame(conn); err != nil || typ != FrameDoneAck {
+		t.Fatalf("done answered with frame %d, err %v", typ, err)
+	}
+}
+
+// The first accepted hello pins the fleet size: a PoP of another fleet
+// owns another share of the groups, and one outside the fleet owns none,
+// so either is refused and never counts toward ExpectPoPs — while the
+// fleet's own PoPs still complete it.
+func TestMergerPinsFleet(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	m, addr, wait := startMerger(t, ctx, t.TempDir(), 2)
+
+	conn, typ := dialHello(t, addr, Hello{Origin: "fleet test", PoP: 0, Pops: 2})
+	if typ != FrameHelloAck {
+		t.Fatalf("first hello answered with frame %d", typ)
+	}
+	done(t, conn)
+
+	for _, h := range []Hello{
+		{Origin: "fleet test", PoP: 1, Pops: 3},
+		{Origin: "fleet test", PoP: 5, Pops: 2},
+	} {
+		conn, typ := dialHello(t, addr, h)
+		if typ != FrameErr {
+			// Let a wrongly accepted peer's done land, so PopsDone shows it.
+			done(t, conn)
+			t.Errorf("hello %+v answered with frame %d, want a refusal", h, typ)
+		}
+	}
+	if got := m.Stats().PopsDone; got != 1 {
+		t.Fatalf("PopsDone = %d after refused hellos, want 1", got)
+	}
+
+	conn, typ = dialHello(t, addr, Hello{Origin: "fleet test", PoP: 1, Pops: 2})
+	if typ != FrameHelloAck {
+		t.Fatalf("the fleet's second PoP answered with frame %d", typ)
+	}
+	done(t, conn)
+	if err := wait(); err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+}
+
+// merge_conns counts open connections: one while a peer is connected,
+// none once a severed peer and a completed one have both gone.
+func TestMergerConnsGauge(t *testing.T) {
+	reg := obs.NewRegistry()
+	m, err := NewMerger(MergerOptions{SpoolDir: t.TempDir(), ExpectPoPs: 1, Reg: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel() // a failing test leaves no Serve behind
+	errc := make(chan error, 1)
+	go func() { errc <- m.Serve(ctx, l) }()
+	gauge := reg.Gauge("merge_conns")
+
+	severed, typ := dialHello(t, l.Addr().String(), Hello{Origin: "conns test", PoP: 0, Pops: 1})
+	if typ != FrameHelloAck {
+		t.Fatalf("hello answered with frame %d", typ)
+	}
+	if got := gauge.Value(); got != 1 {
+		t.Fatalf("merge_conns = %v with one peer connected, want 1", got)
+	}
+	_ = severed.Close()
+
+	conn, typ := dialHello(t, l.Addr().String(), Hello{Origin: "conns test", PoP: 0, Pops: 1})
+	if typ != FrameHelloAck {
+		t.Fatalf("reconnect hello answered with frame %d", typ)
+	}
+	done(t, conn)
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatalf("Serve: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Serve did not return after the last expected PoP finished")
+	}
+	if got := gauge.Value(); got != 0 {
+		t.Fatalf("merge_conns = %v after every peer left, want 0", got)
+	}
+}

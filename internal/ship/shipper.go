@@ -35,9 +35,6 @@ type ShipperOptions struct {
 	// PoP and Pops identify this shipper in its fleet.
 	PoP  int
 	Pops int
-	// Credit caps unacked in-flight shipments; the merger's hello grant
-	// lowers it further. Default 4.
-	Credit int
 	// Injector drives the deterministic wire-fault surface (may be nil).
 	// This is the *ship* plan — wire-only chaos, never part of the
 	// dataset origin.
@@ -133,9 +130,6 @@ func Ship(ctx context.Context, opt ShipperOptions) (ShipStats, error) {
 	if opt.Network == "" {
 		opt.Network = networkOf(opt.Addr)
 	}
-	if opt.Credit <= 0 {
-		opt.Credit = 4
-	}
 	if opt.Dial == nil {
 		opt.Dial = net.Dial
 	}
@@ -193,7 +187,7 @@ func Ship(ctx context.Context, opt ShipperOptions) (ShipStats, error) {
 		}
 	}()
 
-	credit := opt.Credit
+	window := credit
 	for len(pending)+len(inflight) > 0 {
 		if err := ctx.Err(); err != nil {
 			return s.stats, context.Cause(ctx)
@@ -201,7 +195,7 @@ func Ship(ctx context.Context, opt ShipperOptions) (ShipStats, error) {
 		s.gBacklog.Set(float64(len(pending) + len(inflight)))
 		s.gInflight.Set(float64(len(inflight)))
 
-		if len(pending) > 0 && len(inflight) < credit {
+		if len(pending) > 0 && len(inflight) < window {
 			it := pending[0]
 			pending = pending[1:]
 			granted, err := s.sendWithRetry(ctx, it, requeue)
@@ -209,8 +203,8 @@ func Ship(ctx context.Context, opt ShipperOptions) (ShipStats, error) {
 				s.markDegraded()
 				return s.stats, err
 			}
-			if granted > 0 && granted < credit {
-				credit = granted
+			if granted > 0 && granted < window {
+				window = granted
 			}
 			inflight = append(inflight, it)
 			continue

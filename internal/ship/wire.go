@@ -81,6 +81,13 @@ type Hello struct {
 	Pops int `json:"pops"`
 }
 
+// credit is the in-flight window: the merger grants it in every
+// HelloAck and a shipper keeps at most that many unacknowledged
+// shipments in flight — the bounded-queue backpressure, so a slow merger
+// holds at most credit unprocessed shipments per connection in kernel
+// buffers and shippers block instead of ballooning.
+const credit = 4
+
 // HelloAck grants the shipper its credit window: the maximum number of
 // unacknowledged shipments it may keep in flight.
 type HelloAck struct {

@@ -87,9 +87,9 @@ func segTraceRun(t *testing.T, dir string, workers int, plan *faults.Plan, oracl
 // Chaos and tracing on the batch path: with a fault plan active and the
 // flight recorder on, the columnar scan must produce the same degraded
 // report and the same trace bytes as the row oracle, at every worker
-// count. Fault decisions are per sample, so the shard workers
-// materialize rows behind the guard — this test is what proves that
-// bridge seamless.
+// count. Fault decisions are per sample, made by index into the batch
+// on the routes lane in either currency — this test is what proves the
+// two walks agree.
 func TestColumnarChaosTraceByteIdentical(t *testing.T) {
 	cfg := detCfg()
 	_, dir := writeDataset(t, cfg)

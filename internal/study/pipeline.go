@@ -3,6 +3,7 @@ package study
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/agg"
@@ -36,15 +37,14 @@ type item struct {
 	cols *segstore.ColumnBatch
 }
 
-// offer runs it through col, which filters and fans out to its sinks.
-func offer(col *collector.Collector, it item) error {
+// row reads what the sink fault surface decides on of row i, in either
+// currency: its SessionID, user group and hosting flag.
+func (it item) row(i int) (id uint64, key sample.GroupKey, hosting bool) {
 	if it.cols != nil {
-		col.OfferColumns(it.cols)
+		return it.cols.SessionID[i], it.cols.KeyAt(i), it.cols.HostingProvider[i]
 	}
-	for i := range it.rows {
-		col.Offer(it.rows[i])
-	}
-	return col.Err()
+	s := &it.rows[i]
+	return s.SessionID, s.Key(), s.HostingProvider
 }
 
 // ingest is where a source delivers the study's samples: a chain of
@@ -66,6 +66,12 @@ func offer(col *collector.Collector, it item) error {
 // once the routes lane is done reading a batch may shards own parts of
 // it.
 //
+// Under a fault plan the routes lane also decides the sink surface
+// (sinkFates): it is the one goroutine that sees every sample in
+// canonical order after both Overview lanes and before any store, so a
+// shard only ever folds what it is handed, and a quarantined user group
+// is withdrawn once, from the merged store.
+//
 // A one-shard ingest is never merged, so with neither a fault plan nor a
 // trace it can take more samples after finish: start it again and the
 // next source's samples land on top of what it holds — what a Segments
@@ -84,6 +90,16 @@ type ingest struct {
 	feedHist         *obs.Histogram
 	feedN            uint64
 	cuts             []shardCut // columns scratch (lane goroutine)
+
+	// The sink fault surface, set under a fault plan and owned by the lane
+	// goroutine: the guard, the lane's trace ring (flush sorts all rings
+	// canonically), each user group's rows routed to a shard so far, each
+	// quarantined group's ledger entry, and the per-item keep scratch.
+	guard       *faults.Guard
+	laneBuf     *trace.Buf
+	held        map[sample.GroupKey]int
+	quarantined map[sample.GroupKey]int
+	keep        []bool
 }
 
 // shardCut is one batch view bound for one shard.
@@ -97,15 +113,6 @@ type ingestShard struct {
 	col    *collector.Collector
 	store  *agg.Store
 	span   *obs.SpanTimer
-	// Set under a fault plan, owned by the shard's worker: the sink fault
-	// surface (see guarded), each quarantined user group's ledger entry,
-	// the worker's trace ring (flush sorts all rings canonically), and the
-	// materialization scratch — per-sample fault decisions need row
-	// structs, so chaos runs convert batch views back to rows here.
-	guard *faults.Guard
-	qidx  map[sample.GroupKey]int
-	buf   *trace.Buf
-	rows  []sample.Sample
 }
 
 func newIngest(shards int, reg *obs.Registry, inj *faults.Injector, guard *faults.Guard, rec *trace.Recorder) *ingest {
@@ -120,21 +127,21 @@ func newIngest(shards int, reg *obs.Registry, inj *faults.Injector, guard *fault
 		buf:      rec.Buf(),
 		feedHist: reg.Histogram("study_feed_batch_samples", []float64{1, 8, 64, 256, 1024, 4096, 16384}),
 	}
+	if guard != nil {
+		in.guard, in.laneBuf = guard, rec.Buf()
+		in.held, in.quarantined = make(map[sample.GroupKey]int), make(map[sample.GroupKey]int)
+	}
 	for i := 0; i < shards; i++ {
 		st := agg.NewStore()
 		st.Instrument(reg)
 		col := collector.New(collector.StoreSink(st))
 		col.AddColumnSink(collector.StoreColumnSink(st))
 		col.Instrument(reg)
-		sh := &ingestShard{
+		in.shards = append(in.shards, &ingestShard{
 			col:   col,
 			store: st,
 			span:  reg.Span(obs.L("study_stage_seconds", "stage", "agg_shard"), "study"),
-		}
-		if guard != nil {
-			sh.guard, sh.qidx, sh.buf = guard, make(map[sample.GroupKey]int), rec.Buf()
-		}
-		in.shards = append(in.shards, sh)
+		})
 	}
 	in.sessions, in.routes = ov.Lanes()
 	return in
@@ -142,7 +149,7 @@ func newIngest(shards int, reg *obs.Registry, inj *faults.Injector, guard *fault
 
 // keeps reports whether in can take more samples after finish.
 func (in *ingest) keeps() bool {
-	return len(in.shards) == 1 && in.shards[0].guard == nil && in.buf == nil
+	return len(in.shards) == 1 && in.guard == nil && in.buf == nil
 }
 
 // start opens the lane's and each shard's stream — close spends them —
@@ -177,7 +184,7 @@ func (in *ingest) start(g *pipeline.Group) {
 					time.Sleep(d)
 				}
 				n++
-				return sh.consume(ctx, it)
+				return sh.consume(it)
 			}))
 		})
 	}
@@ -199,36 +206,19 @@ func drainOnError(s *pipeline.Stream[item], err error) error {
 	return err
 }
 
-// consume aggregates one routed item on the shard's worker and releases
-// its view.
-func (sh *ingestShard) consume(ctx context.Context, it item) error {
+// consume offers one routed item to the shard's collector, which
+// filters it and folds it into the shard's store, and releases its view.
+func (sh *ingestShard) consume(it item) error {
 	sp := sh.span.Start()
 	defer sp.End()
 	if it.cols != nil {
 		defer it.cols.Release()
+		sh.col.OfferColumns(it.cols)
 	}
-	if sh.guard == nil {
-		return offer(sh.col, it)
+	for i := range it.rows {
+		sh.col.Offer(it.rows[i])
 	}
-	if it.cols != nil {
-		// Sink-fault decisions are per sample (keyed by SessionID and group
-		// key), so chaos runs materialize the view back to rows — the price
-		// of keeping degraded reports byte-identical to the row oracle.
-		sh.rows = it.cols.AppendRows(sh.rows[:0]) //edgelint:allow rowfree: per-sample fault decisions need row structs
-		it.rows = sh.rows
-	}
-	for _, s := range it.rows {
-		if err := sh.guarded(ctx, s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// close marks the producer side done; call once delivery has returned.
-// The lane closes the shards' streams when it has routed the rest.
-func (in *ingest) close() {
-	in.lane.Close()
+	return sh.col.Err()
 }
 
 // mark opens one delivered batch of n samples on the run track. It runs
@@ -257,7 +247,7 @@ func (in *ingest) rows(ctx context.Context, samples []sample.Sample) error {
 	}
 	in.mark(len(samples))
 	sp := in.foldSpan.Start()
-	foldRows(in.sessions, samples)
+	foldRows(in.sessions.Add, samples)
 	sp.End()
 	return in.lane.Send(ctx, item{rows: samples})
 }
@@ -281,28 +271,95 @@ func (in *ingest) columns(ctx context.Context, b *segstore.ColumnBatch) error {
 	return nil
 }
 
-// foldRows folds every sample but the hosting providers' into l.
-func foldRows(l analysis.Lane, samples []sample.Sample) {
+// foldRows hands add every sample but the hosting providers', mirroring
+// the shard collectors' filter.
+func foldRows(add func(sample.Sample), samples []sample.Sample) {
 	for i := range samples {
-		if !samples[i].HostingProvider { // mirrors the shard collectors' filter
-			l.Add(samples[i])
+		if !samples[i].HostingProvider {
+			add(samples[i])
 		}
 	}
 }
 
 // route runs on the lane goroutine: it folds one delivered item into the
-// routes lane, then routes it to the shards, releasing its view.
+// routes lane, decides its sink fates under a fault plan, then routes
+// what is kept to the shards, releasing its view.
 func (in *ingest) route(ctx context.Context, it item) error {
 	sp := in.laneSpan.Start()
-	if it.cols == nil {
-		foldRows(in.routes, it.rows)
-		sp.End()
+	if it.cols != nil {
+		defer it.cols.Release()
+		in.routes.AddColumns(it.cols)
+	} else {
+		foldRows(in.routes.Add, it.rows)
+	}
+	sp.End()
+	if in.guard != nil {
+		var err error
+		if it, err = in.sinkFates(ctx, it); err != nil {
+			return err
+		}
+	}
+	switch {
+	case it.cols != nil && it.cols.Len() > 0:
+		return in.routeColumns(ctx, it.cols)
+	case len(it.rows) > 0:
 		return in.routeRows(ctx, it.rows)
 	}
-	defer it.cols.Release()
-	in.routes.AddColumns(it.cols)
-	sp.End()
-	return in.routeColumns(ctx, it.cols)
+	return nil // every row was dropped
+}
+
+// sinkFates runs one item through the sink fault surface, row by row in
+// canonical order, and returns what is kept. Fault decisions key on
+// SessionID and group key, so the outcome is identical at any worker
+// count and in either currency. A hosting row passes: the shard
+// collector filters and counts it. A quarantined group's row is refused.
+// Any other row is kept unless the guard quarantines its group, whose
+// ledger entry then counts it and every row of the group routed before
+// it (finish withdraws those from the merged store). Only an item that
+// lost rows changes: its view is compacted in place — the lane is its
+// last reader, the sessions lane having folded it before the send — and
+// its kept rows are copied, since the source may keep its slice.
+func (in *ingest) sinkFates(ctx context.Context, it item) (item, error) {
+	n := len(it.rows)
+	if it.cols != nil {
+		n = it.cols.Len()
+	}
+	in.keep = in.keep[:0]
+	for i := 0; i < n; i++ {
+		id, k, hosting := it.row(i)
+		in.keep = append(in.keep, hosting)
+		if hosting {
+			continue
+		}
+		if entry, ok := in.quarantined[k]; ok {
+			in.guard.Refuse(in.laneBuf, entry, id, 1)
+			continue
+		}
+		entry, err := in.guard.Sink(ctx, in.laneBuf, id, k.String(), in.held[k])
+		switch {
+		case err != nil:
+			return it, err
+		case entry >= 0:
+			in.quarantined[k] = entry
+		default:
+			in.held[k]++
+			in.keep[i] = true
+		}
+	}
+	switch {
+	case !slices.Contains(in.keep, false):
+		return it, nil
+	case it.cols != nil:
+		it.cols.Compact(func(i int) bool { return in.keep[i] })
+		return it, nil
+	}
+	var rows []sample.Sample
+	for i := range it.rows {
+		if in.keep[i] {
+			rows = append(rows, it.rows[i])
+		}
+	}
+	return item{rows: rows}, nil
 }
 
 // routeRows sends samples to the shards in runs of consecutive
@@ -365,8 +422,10 @@ func (in *ingest) routeColumns(ctx context.Context, b *segstore.ColumnBatch) err
 }
 
 // finish reduces the shards — stats sum; stores merge through the agg
-// merge path (exact here, because the key space is partitioned) — and
-// emits the run's closing trace events: one seal per surviving group
+// merge path (exact here, because the key space is partitioned) —
+// withdraws every quarantined user group from the merged store (the
+// samples routed before its quarantine, which its ledger entry counts),
+// and emits the run's closing trace events: one seal per surviving group
 // series (value = its session count, the weight the critical-path
 // extraction sums) and the finalized coverage ledger on the run track.
 // It runs on the caller's goroutine after every stage has returned, so
@@ -377,6 +436,9 @@ func (in *ingest) finish(cov *faults.Coverage) (*agg.Store, collector.Stats, *an
 	for _, sh := range in.shards[1:] {
 		store.Merge(sh.store)
 		stats = stats.Merge(sh.col.Stats())
+	}
+	for k := range in.quarantined {
+		store.Remove(k) // in any order: each withdraws its own group
 	}
 	if in.buf != nil {
 		for _, gs := range store.Groups() {

@@ -47,12 +47,7 @@ const elapsedPrefix = "Generated and analysed in "
 func StripElapsed(report []byte) ([]byte, int) {
 	body := make([]byte, 0, len(report))
 	n := 0
-	for rest := report; len(rest) > 0; {
-		line := rest
-		if i := bytes.IndexByte(rest, '\n'); i >= 0 {
-			line = rest[:i+1]
-		}
-		rest = rest[len(line):]
+	for _, line := range bytes.SplitAfter(report, []byte("\n")) {
 		if bytes.HasPrefix(line, []byte(elapsedPrefix)) {
 			n++
 			continue
@@ -231,21 +226,18 @@ func (r *Results) writeTable1(w io.Writer) {
 		for _, th := range tbl.Thresholds {
 			headers = append(headers, fmt.Sprintf("@%v", th))
 		}
+		row := func(label string, cells []analysis.ClassRow) []string {
+			r := []string{label}
+			for ti := range tbl.Thresholds {
+				r = append(r, report.Frac(cells[ti].GroupTrafficShare)+" "+report.Frac(cells[ti].EventTrafficShare))
+			}
+			return r
+		}
 		var rows [][]string
 		for _, class := range analysis.Classes {
-			row := []string{class.String()}
-			for ti := range tbl.Thresholds {
-				cell := tbl.Overall[class][ti]
-				row = append(row, report.Frac(cell.GroupTrafficShare)+" "+report.Frac(cell.EventTrafficShare))
-			}
-			rows = append(rows, row)
+			rows = append(rows, row(class.String(), tbl.Overall[class]))
 			for _, cont := range geo.Continents {
-				crow := []string{"  " + string(cont)}
-				for ti := range tbl.Thresholds {
-					cell := tbl.Rows[class][cont][ti]
-					crow = append(crow, report.Frac(cell.GroupTrafficShare)+" "+report.Frac(cell.EventTrafficShare))
-				}
-				rows = append(rows, crow)
+				rows = append(rows, row("  "+string(cont), tbl.Rows[class][cont]))
 			}
 		}
 		report.Table(w, headers, rows)

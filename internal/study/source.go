@@ -72,11 +72,7 @@ func (s *worldSource) deliver(ctx context.Context, e *env, sk sink) error {
 		}
 		e.guard.BookBatch(e.buf, fate)
 		if s.tap != nil {
-			for i := range kept {
-				if !kept[i].HostingProvider { // mirrors the collectors' filter
-					s.tap(kept[i])
-				}
-			}
+			foldRows(s.tap, kept)
 		}
 		return sk.rows(ctx, kept)
 	})

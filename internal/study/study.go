@@ -19,6 +19,7 @@
 package study
 
 import (
+	"cmp"
 	"context"
 	"time"
 
@@ -89,10 +90,7 @@ type Results struct {
 // temporal classifier keys on.
 func inferredCfg(store *agg.Store) world.Config {
 	covered := store.TotalWindows - store.FirstWindow()
-	days := (covered + world.WindowsPerDay - 1) / world.WindowsPerDay
-	if days < 1 {
-		days = 1
-	}
+	days := max(1, (covered+world.WindowsPerDay-1)/world.WindowsPerDay)
 	return world.Config{Groups: store.Len(), Days: days}
 }
 
@@ -182,10 +180,10 @@ func RunDeaggregation(cfg world.Config) (*Results, analysis.DeaggregationResult)
 //
 // By default the path is row-free end to end: decoded column batches
 // flow from the scanner through the collector into the store's batch
-// fold without ever materializing sample.Sample structs. opt.RowOracle
-// re-enables the row currency (and chaos runs materialize rows inside
-// the shard workers, where per-sample fault decisions are made); either
-// way the report bytes are identical — that equivalence is this path's
+// fold without ever materializing sample.Sample structs — under a fault
+// plan too: the routes lane decides each sample's sink fate by index
+// into the batch. opt.RowOracle re-enables the row currency; either way
+// the report bytes are identical — that equivalence is this path's
 // standing correctness check.
 func FromSegments(ctx context.Context, dir string, opt Options) (*Results, error) {
 	res, _, err := OpenSegments(dir, opt).Advance(ctx)
@@ -218,7 +216,7 @@ func run(ctx context.Context, src source, opt Options, in *ingest, prev *Results
 	g := pipeline.NewGroup(ctx)
 	in.start(g)
 	g.Go(func(ctx context.Context) error {
-		defer in.close()
+		defer in.lane.Close() // the lane closes the shards' streams once it has routed the rest
 		return src.deliver(ctx, e, in)
 	})
 	if err := g.Wait(); err != nil {
@@ -256,10 +254,7 @@ func (r *Results) analyse(ctx context.Context, reg *obs.Registry, workers int, p
 	params := analysis.DefaultClassifyParams(r.Cfg.Days)
 	// Use the dataset's true window span (matters for datasets loaded
 	// from disk, whose length is inferred rather than configured).
-	windows := r.Store.TotalWindows
-	if windows == 0 {
-		windows = r.Cfg.Windows()
-	}
+	windows := cmp.Or(r.Store.TotalWindows, r.Cfg.Windows())
 	type step struct {
 		name string
 		f    func()
