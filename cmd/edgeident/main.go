@@ -1,8 +1,8 @@
 // Command edgeident runs the repository's byte-identity checks: batch
 // equals fleet equals daemon, at any worker count and under any fault
 // plan. They are one table of cells (cells.go), each a run of one
-// producer — edgesim, edgereport, edgestat, segcat, edgetrace, an
-// edgepopd fleet into edgemerged, or an edgestudyd drain — with its
+// producer — edgesim, edgereport, edgestat, segcat, edgetrace, a fleet
+// of edgesim PoPs into edgemerged, or an edgestudyd drain — with its
 // flags, and the artifacts it yields: stdout less its wall-clock line,
 // stderr, its trace file and its output directory.
 //
@@ -18,8 +18,9 @@
 // temporary git worktree, every cell runs on both sets, and each must
 // equal its twin, stderr included; a twin whose producer lacks one of
 // the cell's flags, or that REV does not have, is reported as "parent
-// cannot run", not as a difference. Either way one line is printed per
-// cell, and the exit status is 1 when any cell failed or differed.
+// cannot run", not as a difference, and so is a cell whose input the
+// parent cannot run. Either way one line is printed per cell, and the
+// exit status is 1 when any cell failed or differed.
 package main
 
 import (
@@ -39,7 +40,7 @@ import (
 )
 
 // producers are the commands the cells run.
-var producers = []string{"edgesim", "edgereport", "edgestat", "segcat", "edgetrace", "edgepopd", "edgemerged", "edgestudyd"}
+var producers = []string{"edgesim", "edgereport", "edgestat", "segcat", "edgetrace", "edgemerged", "edgestudyd"}
 
 func main() {
 	parent := flag.String("parent", "", "also run every cell on this git revision's binaries and compare each with its twin")
@@ -147,7 +148,7 @@ func (s side) start(ctx context.Context, table []cell, slots chan struct{}) map[
 				in := jobs[c.in]
 				<-in.done
 				if in.res.err != nil {
-					j.res = &result{err: fmt.Errorf("its input %s failed", c.in)}
+					j.res = &result{err: fmt.Errorf("its input %s failed: %w", c.in, in.res.err)}
 					return
 				}
 			}

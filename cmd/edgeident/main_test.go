@@ -113,32 +113,38 @@ func TestAcksExemptOnlyInFleetCells(t *testing.T) {
 
 // With -parent, each cell is compared with its twin: a parent whose
 // producer lacks one of the cell's flags, or that has no such producer,
-// cannot run it, which is not a difference; a parent that prints other
-// bytes differs.
+// cannot run it, which is not a difference, and neither can it run a
+// cell that reads that one's output; a parent that prints other bytes
+// differs, and a parent whose run failed differs for its dependents too.
 func TestParentTwins(t *testing.T) {
 	cur := fakes(t, time.Minute, scripts)
 	for _, tc := range []struct {
-		parent  string // the parent's edgereport
-		verdict string
-		failed  int
+		parent   string    // the parent's edgereport
+		verdicts [2]string // the report's, then its dependent's
+		failed   int
 	}{
-		{scripts["edgereport"], "equal", 0},
-		{`printf 'flag provided but not defined: -row-oracle\nUsage of edgereport:\n  -cdf\n' >&2; exit 2`, "parent cannot run", 0},
-		{`echo Dataset; echo "Generated and analysed in 3s"; echo; echo other`, "differs", 1},
-		{`echo Dataset; echo "Generated and analysed in 3s"; echo; echo body; echo warning >&2`, "differs", 1},
-		{`exit 1`, "differs", 1},
-		{"", "parent cannot run", 0}, // no edgereport at all
+		{scripts["edgereport"], [2]string{"equal", "equal"}, 0},
+		{`printf 'flag provided but not defined: -row-oracle\nUsage of edgereport:\n  -cdf\n' >&2; exit 2`, [2]string{"parent cannot run", "parent cannot run"}, 0},
+		{`echo Dataset; echo "Generated and analysed in 3s"; echo; echo other`, [2]string{"differs", "equal"}, 1},
+		{`echo Dataset; echo "Generated and analysed in 3s"; echo; echo body; echo warning >&2`, [2]string{"differs", "equal"}, 1},
+		{`exit 1`, [2]string{"differs", "differs"}, 2},
+		{"", [2]string{"parent cannot run", "parent cannot run"}, 0}, // no edgereport at all
 	} {
-		par := fakes(t, time.Minute, map[string]string{})
+		parScripts := map[string]string{"edgestat": scripts["edgestat"]}
 		if tc.parent != "" {
-			par = fakes(t, time.Minute, map[string]string{"edgereport": tc.parent})
+			parScripts["edgereport"] = tc.parent
 		}
-		table := []cell{{name: "report", prog: "edgereport", args: []string{"1"}}}
+		par := fakes(t, time.Minute, parScripts)
+		table := []cell{
+			{name: "report", prog: "edgereport", args: []string{"1"}},
+			{name: "stat", prog: "edgestat", in: "report", args: []string{"0"}},
+		}
 		slots := make(chan struct{}, 2)
 		var out bytes.Buffer
 		failed := parentCheck(&out, table, cur.start(context.Background(), table, slots), par.start(context.Background(), table, slots))
-		if !strings.HasPrefix(out.String(), tc.verdict+" ") || failed != tc.failed {
-			t.Errorf("parent %q: got %d failed,\n%s want %q", tc.parent, failed, out.String(), tc.verdict)
+		lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+		if len(lines) != 2 || !strings.HasPrefix(lines[0], tc.verdicts[0]+" ") || !strings.HasPrefix(lines[1], tc.verdicts[1]+" ") || failed != tc.failed {
+			t.Errorf("parent %q: got %d failed,\n%s want %q", tc.parent, failed, out.String(), tc.verdicts)
 		}
 	}
 }

@@ -24,9 +24,9 @@ import (
 
 // The drills: producers that are several processes, not one.
 const (
-	fleet  = "fleet"  // edgemerged fed by two edgepopd
+	fleet  = "fleet"  // edgemerged fed by two edgesim PoPs
 	daemon = "daemon" // a live edgestudyd, drained, /report read, interrupted
-	wire   = "wire"   // edgestudyd -listen fed by two edgepopd, then as daemon
+	wire   = "wire"   // edgestudyd -listen fed by two edgesim PoPs, then as daemon
 )
 
 // cellDeadline bounds every cell: a producer that hangs (a daemon that
@@ -40,9 +40,10 @@ const cellDeadline = 3 * time.Minute
 // wall-clock line), its stderr (but segcat's, which times itself) and
 // every file it leaves in its directory; that directory must hold
 // exactly "out" when an argument names it and "trace" when one names
-// that. A drill's args are its edgestudyd or edgepopd flags; it yields
-// "out" (less ACKS.json, the shippers' ack log, which no single process
-// writes) and, for daemon and wire, the /report body as its stdout.
+// that. A drill's args are its edgestudyd flags or its PoPs' edgesim
+// flags; it yields "out" (less ACKS.json, the shippers' ack log, which no
+// single process writes) and, for daemon and wire, the /report body as
+// its stdout.
 type cell struct {
 	name string
 	prog string
@@ -280,13 +281,13 @@ func exists(path string) func() (bool, error) {
 	}
 }
 
-// pops starts the two edgepopd of a fleet, shipping to sock.
+// pops starts the two edgesim PoPs of a fleet, shipping to sock.
 func (s side) pops(ctx context.Context, c cell, tmp, sock string) ([]*proc, error) {
 	var ps []*proc
 	for i := 0; i < 2; i++ {
 		args := append(append([]string{}, c.args...), "-o", filepath.Join(tmp, "pop"+strconv.Itoa(i)),
 			"-pop", strconv.Itoa(i), "-pops", "2", "-merger", sock)
-		p, err := s.spawn(ctx, tmp, "edgepopd", args...)
+		p, err := s.spawn(ctx, tmp, "edgesim", args...)
 		if err != nil {
 			return ps, err
 		}

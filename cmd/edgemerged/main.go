@@ -1,8 +1,9 @@
 // Command edgemerged is the central merge tier for a multi-PoP fleet:
-// it listens for shipping connections from edgepopd processes, spools
-// accepted segments into an ordinary segstore dataset under the same
-// commit protocol the PoPs use locally, and deduplicates replayed
-// shipments idempotently by (origin, segment ID, content hash).
+// it listens for shipping connections from the fleet's PoPs (`edgesim
+// -pop I -pops N -merger ADDR`), spools accepted segments into an
+// ordinary segstore dataset under the same commit protocol the PoPs use
+// locally, and deduplicates replayed shipments idempotently by (origin,
+// segment ID, content hash).
 //
 // Usage:
 //
@@ -39,8 +40,6 @@ import (
 	"repro/internal/sigctl"
 	"repro/internal/trace"
 )
-
-const traceBufCap = 1 << 20
 
 func main() {
 	var (
@@ -80,7 +79,6 @@ func main() {
 	var rec *trace.Recorder
 	if *tracePath != "" {
 		rec = trace.New(*seed)
-		rec.SetBufCap(traceBufCap)
 	}
 
 	m, err := ship.NewMerger(ship.MergerOptions{

@@ -63,11 +63,6 @@ import (
 	"repro/internal/world"
 )
 
-// traceBufCap bounds the flight-recorder rings for CLI runs; rings grow
-// lazily, so the bound costs nothing until a run actually emits that
-// many events on one goroutine.
-const traceBufCap = 1 << 20
-
 // exitIfInterrupted maps a cancelled study to the conventional SIGINT
 // exit: no partial report is ever written (the analyses need the whole
 // dataset), so the operator gets a notice instead of half a table.
@@ -139,7 +134,6 @@ func main() {
 	var rec *trace.Recorder
 	if *tracePath != "" {
 		rec = trace.New(*seed)
-		rec.SetBufCap(traceBufCap)
 	}
 	flushTrace := func() {
 		if rec == nil {

@@ -3,12 +3,15 @@
 // writes it as a columnar segment store (internal/segstore): a
 // directory of immutable group × 24 h segments behind an atomically
 // committed manifest, holding every sampled HTTP session that passes
-// the collector's hosting-provider filter.
+// the collector's hosting-provider filter. Run as one PoP of a fleet,
+// it writes that PoP's share and ships it to the central merger.
 //
 // Usage:
 //
 //	edgesim [-seed N] [-groups N] [-days N] [-spw N] -o dataset-dir
-//	        [-workers N] [-progress] [-metrics-addr host:port]
+//	        [-workers N] [-fault-plan SPEC] [-fail-fast] [-trace file]
+//	        [-progress] [-metrics-addr host:port]
+//	        [-pop I -pops N] [-merger ADDR [-ack-batch N] [-ship-fault-plan SPEC]]
 //
 // A 10-day, 300-group dataset is a few million sessions; scale
 // -groups/-days/-spw to taste. The write is three stages at every
@@ -41,6 +44,23 @@
 // -fail-fast). The same seed and plan yield a byte-identical degraded
 // dataset at any -workers count; the losses are accounted on stderr
 // when the run ends.
+//
+// -pop I -pops N restricts the run to PoP I's share of the world's
+// groups (seggen.OwnedGroups); -merger ADDR then ships every committed
+// segment and tombstone to the merge tier (cmd/edgemerged, or
+// edgestudyd -listen) over a length-prefixed, CRC-framed stream. ADDR
+// is a unix socket path when it holds a path separator, else a tcp
+// host:port. N processes with -pop 0..N-1 and otherwise the same world
+// flags ship exactly the segments one unrestricted run writes, and the
+// merger's spool ends byte-identical to that dataset — under any
+// -ship-fault-plan, at any worker count, across kill-and-restart of a
+// PoP at any instant: generation resumes from the manifest, shipping
+// from the committed-vs-acked watermark (ACKS.json, group-committed
+// every -ack-batch acks), and the merger deduplicates replays by
+// (origin, segment ID, content hash). -ship-fault-plan is wire-only
+// chaos — drops, delays, truncations, duplicate deliveries — and never
+// enters the dataset origin, because it must never change a dataset
+// byte. Without -merger the run only generates.
 package main
 
 import (
@@ -56,17 +76,11 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/seggen"
+	"repro/internal/ship"
 	"repro/internal/sigctl"
 	"repro/internal/trace"
 	"repro/internal/world"
 )
-
-// traceBufCap is the flight-recorder ring bound for CLI runs: large
-// enough that a full chaos dataset keeps every event (drops void the
-// byte-identity guarantee and edgetrace warns about them), small enough
-// to bound memory on a runaway run. Rings grow lazily, so quiet runs
-// never pay it.
-const traceBufCap = 1 << 20
 
 func main() {
 	var (
@@ -81,6 +95,11 @@ func main() {
 		faultPlan   = flag.String("fault-plan", "", "deterministic fault-injection plan (key=value;... — see internal/faults; '' or 'none' disables)")
 		failFast    = flag.Bool("fail-fast", false, "abort on the first unrecoverable injected fault instead of degrading")
 		tracePath   = flag.String("trace", "", "record a deterministic flight trace of the run to this file; inspect with edgetrace")
+		pop         = flag.Int("pop", 0, "this PoP's index in the fleet (0-based)")
+		pops        = flag.Int("pops", 1, "fleet size")
+		merger      = flag.String("merger", "", "ship the committed dataset to this merger (host:port, or a unix socket path); without it the run only generates")
+		ackBatch    = flag.Int("ack-batch", 1, "group-commit the durable ack log every N acked slots (1 = commit per ack); a crash mid-batch only re-ships, never re-acks")
+		shipPlan    = flag.String("ship-fault-plan", "", "deterministic wire fault plan for the shipping phase (ship-drop/ship-dup/ship-trunc/ship-delay; never changes dataset bytes)")
 	)
 	flag.Parse()
 
@@ -88,8 +107,23 @@ func main() {
 	if err != nil {
 		log.Fatalf("edgesim: -fault-plan: %v", err)
 	}
+	wirePlan, err := faults.ParsePlan(*shipPlan)
+	if err != nil {
+		log.Fatalf("edgesim: -ship-fault-plan: %v", err)
+	}
 	if *out == "" || *out == "-" {
 		log.Fatal("edgesim: the dataset is a segment-store directory; name one with -o (segcat -in dir -o - exports JSON lines)")
+	}
+	if *pops < 1 || *pop < 0 || *pop >= *pops {
+		log.Fatalf("edgesim: -pop %d -pops %d out of range", *pop, *pops)
+	}
+	shipping := *merger != ""
+	if !shipping {
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "ack-batch" || f.Name == "ship-fault-plan" {
+				log.Fatalf("edgesim: -%s shapes the shipping phase; it needs -merger", f.Name)
+			}
+		})
 	}
 
 	ctx, stop := sigctl.Context(context.Background(),
@@ -118,11 +152,14 @@ func main() {
 	if inj != nil {
 		w.PoPDown = inj.Outage
 	}
+	// The wire injector shares the registry (its faults_injected_total
+	// surface is "ship") but draws from the ship plan's own seed mix.
+	wireInj := faults.NewInjector(wirePlan, *seed)
+	wireInj.Instrument(reg)
 
 	var rec *trace.Recorder
 	if *tracePath != "" {
 		rec = trace.New(*seed)
-		rec.SetBufCap(traceBufCap)
 		w.Rec = rec
 	}
 	flushTrace := func() {
@@ -140,12 +177,20 @@ func main() {
 		fmt.Fprintf(os.Stderr, "edgesim: trace written to %s%s\n", *tracePath, note)
 	}
 
+	// The origin is the one for these world flags whatever the PoP: a
+	// fleet's spool must be byte-identical to the unrestricted dataset,
+	// and the origin is part of its manifest bytes.
+	owned := seggen.OwnedGroups(w, *pop, *pops)
 	res, runErr := seggen.Run(ctx, seggen.Options{
 		World: w, Dir: *out, Reg: reg, Workers: *workers, Injector: inj, FailFast: *failFast, Rec: rec,
-		Origin: seggen.Origin(cfg, inj),
+		Origin: seggen.Origin(cfg, inj), Groups: owned,
 	})
-	stopProgress()
-	flushTrace()
+	// A shipping run flushes its trace after the shipment, whose events
+	// it holds too.
+	if !shipping || runErr != nil {
+		stopProgress()
+		flushTrace()
+	}
 	if runErr != nil && !errors.Is(runErr, context.Canceled) {
 		log.Fatalf("edgesim: %v", runErr)
 	}
@@ -154,26 +199,32 @@ func main() {
 		os.Exit(130)
 	}
 	msg := fmt.Sprintf("edgesim: committed %d samples (%d filtered as hosting/VPN) across %d groups × %d windows",
-		res.Written, res.Stats.FilteredHosting, *groups, w.Cfg.Windows())
+		res.Written, res.Stats.FilteredHosting, len(owned), w.Cfg.Windows())
 	if res.Resumed > 0 {
 		msg += fmt.Sprintf("; %d groups already committed by a previous run", res.Resumed)
 	}
 	fmt.Fprintln(os.Stderr, msg)
-	reportCoverage(res.Coverage)
-}
-
-// reportCoverage prints the degradation ledger of a chaos run (no-op
-// without a fault plan): degraded results must be labeled, never silent.
-func reportCoverage(cov *faults.Coverage) {
-	if cov == nil {
+	if res.Coverage != nil {
+		fmt.Fprintln(os.Stderr, "edgesim: "+res.Coverage.Summary())
+	}
+	if !shipping {
 		return
 	}
-	if cov.Degraded() {
-		fmt.Fprintf(os.Stderr, "edgesim: DEGRADED under fault plan %q — lost %d samples (outage %d, truncated %d, dropped %d); %d group batches quarantined; %d retries spent, %d transient faults recovered\n",
-			cov.Spec, cov.SamplesLost(), cov.SamplesLostOutage, cov.SamplesLostTruncated, cov.SamplesLostDropped,
-			len(cov.Quarantined), cov.RetriesSpent, cov.TransientRecovered)
-	} else {
-		fmt.Fprintf(os.Stderr, "edgesim: fault plan %q injected no data loss (%d retries spent, %d transient faults recovered)\n",
-			cov.Spec, cov.RetriesSpent, cov.TransientRecovered)
+
+	st, shipErr := ship.Ship(ctx, ship.ShipperOptions{
+		Dir: *out, Addr: *merger, PoP: *pop, Pops: *pops, AckBatch: *ackBatch,
+		Injector: wireInj, Reg: reg, Rec: rec,
+	})
+	stopProgress()
+	flushTrace()
+	if shipErr != nil && !errors.Is(shipErr, context.Canceled) {
+		log.Fatalf("edgesim: ship: %v (%d slots acked and durable; rerun to resume)", shipErr, st.Shipped+st.AlreadyAcked)
 	}
+	if shipErr != nil {
+		fmt.Fprintf(os.Stderr, "edgesim: interrupted — %d slots acked (%d already acked before this run); rerun with the same flags to resume shipping\n",
+			st.Shipped, st.AlreadyAcked)
+		os.Exit(130)
+	}
+	fmt.Fprintf(os.Stderr, "edgesim: shipped %d slots (%d segments, %d tombstones, %d already acked) in %d bytes; %d retries, %d reconnects, %d duplicates injected\n",
+		st.Shipped, st.Segments, st.Tombs, st.AlreadyAcked, st.Bytes, st.Retries, st.Reconnects, st.DupsInjected)
 }

@@ -10,7 +10,8 @@
 //	           [-http host:port] [-addr-file path] [-report-workers N]
 //	           [-cache N] [-trace file] [-progress]
 //
-// Usage (wire mode — an edgepopd fleet feeds the spool):
+// Usage (wire mode — a fleet of `edgesim -pop I -pops N -merger ADDR`
+// feeds the spool):
 //
 //	edgestudyd -o dir -listen ADDR [-expect-pops N]
 //	           [-origin STR] [-http host:port] ...
@@ -51,8 +52,6 @@ import (
 	"repro/internal/world"
 )
 
-const traceBufCap = 1 << 20
-
 // What the HTTP server allows a client that has not yet sent a request:
 // five seconds to finish its headers, 64 KiB of them, and two minutes of
 // silence on a kept-alive connection. Constants, not flags: nothing about
@@ -77,20 +76,6 @@ func newServer(h http.Handler) *http.Server {
 	}
 }
 
-func reportCoverage(cov *faults.Coverage) {
-	if cov == nil {
-		return
-	}
-	if cov.Degraded() {
-		fmt.Fprintf(os.Stderr, "edgestudyd: DEGRADED under fault plan %q — lost %d samples (outage %d, truncated %d, dropped %d); %d group batches quarantined; %d retries spent, %d transient faults recovered\n",
-			cov.Spec, cov.SamplesLost(), cov.SamplesLostOutage, cov.SamplesLostTruncated, cov.SamplesLostDropped,
-			len(cov.Quarantined), cov.RetriesSpent, cov.TransientRecovered)
-	} else {
-		fmt.Fprintf(os.Stderr, "edgestudyd: fault plan %q injected no data loss (%d retries spent, %d transient faults recovered)\n",
-			cov.Spec, cov.RetriesSpent, cov.TransientRecovered)
-	}
-}
-
 func main() {
 	var (
 		seed       = flag.Uint64("seed", 1, "world seed (live mode)")
@@ -107,7 +92,7 @@ func main() {
 		failFast   = flag.Bool("fail-fast", false, "abort on the first unrecoverable injected fault instead of degrading")
 		tracePath  = flag.String("trace", "", "record a deterministic flight trace of the run to this file")
 		progress   = flag.Bool("progress", false, "report ingest progress to stderr every 2s")
-		listen     = flag.String("listen", "", "wire mode: accept an edgepopd fleet on this address (host:port, or a unix socket path) instead of generating a live stream")
+		listen     = flag.String("listen", "", "wire mode: accept a fleet of edgesim -merger shippers on this address (host:port, or a unix socket path) instead of generating a live stream")
 		expectPops = flag.Int("expect-pops", 1, "wire mode: drain once this many distinct PoPs complete their DONE handshake")
 		origin     = flag.String("origin", "", "wire mode: pin the spool origin; refuse shippers that disagree (default: adopt the first shipper's)")
 	)
@@ -135,7 +120,6 @@ func main() {
 	var rec *trace.Recorder
 	if *tracePath != "" {
 		rec = trace.New(*seed)
-		rec.SetBufCap(traceBufCap)
 	}
 	flushTrace := func() {
 		if rec == nil {
@@ -168,7 +152,7 @@ func main() {
 		opt.Injector = inj
 		opt.Origin = seggen.Origin(cfg, inj)
 	} else if plan != nil {
-		log.Fatal("edgestudyd: -fault-plan shapes the live stream; in wire mode the fleet's plan shapes the data — pass it to the edgepopd processes instead")
+		log.Fatal("edgestudyd: -fault-plan shapes the live stream; in wire mode the fleet's plan shapes the data — pass it to the fleet's edgesim -pop processes instead")
 	}
 
 	var d *studyd.Daemon
@@ -243,7 +227,9 @@ func main() {
 		st := d.Stats()
 		fmt.Fprintf(os.Stderr, "edgestudyd: drained — sealed %d windows, accepted %d of %d samples in %s; still serving on http://%s (interrupt to exit)\n",
 			d.Watermark(), st.Accepted, st.Received, time.Since(start).Round(time.Millisecond), bound)
-		reportCoverage(d.Coverage())
+		if cov := d.Coverage(); cov != nil {
+			fmt.Fprintln(os.Stderr, "edgestudyd: "+cov.Summary())
+		}
 	}
 
 	// Linger: the spool is at rest but the service stays up — cached

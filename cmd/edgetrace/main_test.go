@@ -27,7 +27,6 @@ func writeTrace(t *testing.T, dir, name string, spec string) string {
 	}
 	cfg := world.Config{Seed: 1234, Groups: 17, Days: 1, SessionsPerGroupWindow: 28}
 	rec := trace.New(cfg.Seed)
-	rec.SetBufCap(1 << 17)
 	if _, err := study.RunCtx(context.Background(), cfg, study.Options{Workers: 4, Plan: plan, Trace: rec}); err != nil {
 		t.Fatalf("RunCtx: %v", err)
 	}

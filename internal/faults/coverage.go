@@ -1,6 +1,9 @@
 package faults
 
-import "sort"
+import (
+	"fmt"
+	"sort"
+)
 
 // QuarantinedGroup records one isolated user group: the unit the
 // pipeline withdrew from aggregation instead of poisoning the run.
@@ -70,4 +73,17 @@ func (c *Coverage) Degraded() bool {
 // regardless of which goroutine booked which entry first.
 func (c *Coverage) Finalize() {
 	sort.Slice(c.Quarantined, func(i, j int) bool { return c.Quarantined[i].Key < c.Quarantined[j].Key })
+}
+
+// Summary renders the ledger as the one line a command prints when its
+// run ends: DEGRADED with the losses by cause, or what the plan cost
+// without losing data. Degraded results must be labeled, never silent.
+func (c *Coverage) Summary() string {
+	if c.Degraded() {
+		return fmt.Sprintf("DEGRADED under fault plan %q — lost %d samples (outage %d, truncated %d, dropped %d); %d group batches quarantined; %d retries spent, %d transient faults recovered",
+			c.Spec, c.SamplesLost(), c.SamplesLostOutage, c.SamplesLostTruncated, c.SamplesLostDropped,
+			len(c.Quarantined), c.RetriesSpent, c.TransientRecovered)
+	}
+	return fmt.Sprintf("fault plan %q injected no data loss (%d retries spent, %d transient faults recovered)",
+		c.Spec, c.RetriesSpent, c.TransientRecovered)
 }

@@ -5,9 +5,9 @@
 // faults at the batch and write surfaces.
 //
 // The package exists so the pipeline has exactly one implementation
-// with two drivers: cmd/edgesim (the whole world in one process) and
-// cmd/edgepopd (one PoP's share of the world per process, for the
-// multi-PoP shipping topology in internal/ship). Its chunk writer,
+// and one driver, cmd/edgesim, with two uses: the whole world in one
+// process, or (-pop I -pops N) one PoP's share of it per process, for
+// the multi-PoP shipping topology in internal/ship. Its chunk writer,
 // GroupWriter, is also the live daemon's (internal/studyd), so a spool
 // sealed window by window is the dataset written group by group.
 // Because generation is a pure function of (config, group index), the
@@ -58,7 +58,7 @@ func ChunkOf(start time.Duration, cpg int) int {
 // flags as given (cfg before world.New fills in defaults) and the fault
 // plan, which together pin everything that shapes the dataset bytes —
 // a resume with different flags is refused rather than silently
-// interleaved. Every producer (edgesim, each edgepopd of a fleet,
+// interleaved. Every producer (edgesim, whole or one PoP of a fleet,
 // edgestudyd's live mode) stamps the same string for the same flags:
 // it is part of the manifest bytes their datasets are compared by.
 func Origin(cfg world.Config, inj *faults.Injector) string {

@@ -6,15 +6,16 @@
 // tier, PoP restarts mid-upload, duplicate shipments.
 //
 // The design keeps the repo's byte-identity invariant end to end. A
-// shipper (cmd/edgepopd) reads its PoP's committed segment dataset and
-// sends each segment — blob plus manifest metadata — over a
-// length-prefixed, CRC-framed stream; the merger (cmd/edgemerged)
-// spools accepted segments into an ordinary segstore dataset under the
-// same commit protocol the writer uses locally. Segment blobs are pure
-// functions of their sample slices and manifests render sorted by
-// segment ID, so the spool directory is byte-identical to the dataset
-// a single edgesim process would have written — at any PoP count, in
-// any arrival order, under any wire-fault plan.
+// shipper (edgesim -merger, once its PoP's share is generated) reads
+// the PoP's committed segment dataset and sends each segment — blob
+// plus manifest metadata — over a length-prefixed, CRC-framed stream;
+// the merger (cmd/edgemerged) spools accepted segments into an
+// ordinary segstore dataset under the same commit protocol the writer
+// uses locally. Segment blobs are pure functions of their sample slices
+// and manifests render sorted by segment ID, so the spool directory is
+// byte-identical to the dataset a single edgesim process would have
+// written — at any PoP count, in any arrival order, under any
+// wire-fault plan.
 //
 // Robustness is structural, not best-effort:
 //

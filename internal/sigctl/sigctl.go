@@ -4,7 +4,7 @@
 // the last committed state), and a second signal skips the orderly
 // drain and exits immediately with status 130. Before this package
 // each cmd carried its own copy of the watcher; now edgesim,
-// edgereport, edgepopd, edgemerged, edgestudyd and segcat all share one
+// edgereport, edgemerged, edgestudyd and segcat all share one
 // implementation, so "^C drains, ^C^C exits" holds fleet-wide.
 package sigctl
 

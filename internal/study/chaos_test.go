@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/trace"
 	"repro/internal/world"
 )
 
@@ -74,7 +75,13 @@ func TestNoPlanMeansNoCoverageSection(t *testing.T) {
 
 // Sink-surface accounting: with only sink faults active, every
 // non-hosting sample the clean run aggregates is either in the chaos
-// run's store or attributed to a quarantined group — nothing leaks.
+// run's store or attributed to a quarantined group — nothing leaks. The
+// plan quarantines most groups but not all, so the store checks below
+// compare something. The trace says how many rows each group had routed
+// before its quarantine (its quarantine event's value less the row that
+// triggered it); finish withdraws exactly those, so they are what the
+// shard collectors accepted beyond the store, and a refused row that
+// reached a shard would show there.
 func TestSinkFaultAccountingIsExact(t *testing.T) {
 	clean, err := RunCtx(context.Background(), detCfg(), Options{Workers: 1})
 	if err != nil {
@@ -82,8 +89,9 @@ func TestSinkFaultAccountingIsExact(t *testing.T) {
 	}
 	// retries=2 with sink-streak=3 makes budget exhaustion reachable, so
 	// both quarantine reasons (permanent, exhausted) occur.
-	plan := mustPlan(t, "seed=11;sink-transient=0.01;sink-streak=3;sink-permanent=0.0005;retries=2;retry-base=20us")
-	res, err := RunCtx(context.Background(), detCfg(), Options{Workers: 4, Plan: plan})
+	plan := mustPlan(t, "seed=11;sink-transient=0.001;sink-streak=3;sink-permanent=0.0001;retries=2;retry-base=20us")
+	rec := trace.New(detCfg().Seed)
+	res, err := RunCtx(context.Background(), detCfg(), Options{Workers: 4, Plan: plan, Trace: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,9 +99,32 @@ func TestSinkFaultAccountingIsExact(t *testing.T) {
 	if cov == nil || len(cov.Quarantined) == 0 {
 		t.Fatalf("expected quarantined groups, coverage = %+v", cov)
 	}
+	if n := res.Store.Len(); n == 0 || n >= clean.Store.Len() {
+		t.Fatalf("chaos store holds %d of the clean run's %d groups; the plan must quarantine some but not all", n, clean.Store.Len())
+	}
+	reasons := map[string]bool{}
+	for _, q := range cov.Quarantined {
+		reasons[q.Reason] = true
+	}
+	if len(reasons) != 2 {
+		t.Errorf("quarantine reasons %v, want both permanent and exhausted", reasons)
+	}
 	if got, want := res.Store.TotalSamples+cov.SamplesLostQuarantined, clean.Collector.Accepted; got != want {
 		t.Errorf("store (%d) + quarantined (%d) = %d, want the clean run's %d accepted samples",
 			res.Store.TotalSamples, cov.SamplesLostQuarantined, got, want)
+	}
+	if rec.Dropped() != 0 {
+		t.Fatalf("ring overwrote %d events", rec.Dropped())
+	}
+	routed := 0
+	for _, e := range rec.Events() {
+		if e.Kind == trace.KQuarantine && e.Stage == "sink" {
+			routed += int(e.Value) - 1
+		}
+	}
+	if got := res.Collector.Accepted - res.Store.TotalSamples; got != routed {
+		t.Errorf("accepted (%d) - stored (%d) = %d, want the %d rows quarantined groups had routed",
+			res.Collector.Accepted, res.Store.TotalSamples, got, routed)
 	}
 	if cov.RetriesSpent == 0 || cov.TransientRecovered == 0 {
 		t.Errorf("transient machinery idle: retries=%d recovered=%d", cov.RetriesSpent, cov.TransientRecovered)

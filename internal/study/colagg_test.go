@@ -67,7 +67,6 @@ func TestColumnarAggregationMatchesRowOracle(t *testing.T) {
 func segTraceRun(t *testing.T, dir string, workers int, plan *faults.Plan, oracle bool) ([]byte, *Results) {
 	t.Helper()
 	rec := trace.New(7)
-	rec.SetBufCap(1 << 17)
 	res, err := FromSegments(context.Background(), dir, Options{
 		Workers: workers, Plan: plan, Trace: rec, RowOracle: oracle,
 	})

@@ -169,8 +169,9 @@ func RunDeaggregation(cfg world.Config) (*Results, analysis.DeaggregationResult)
 }
 
 // FromSegments runs every analysis over a segment dataset directory (as
-// written by edgesim, edgepopd/edgemerged, edgestudyd or a segcat
-// import): a Segments study opened on it and advanced once. The
+// written by edgesim, by a fleet of edgesim PoPs into edgemerged, by
+// edgestudyd or by a segcat import): a Segments study opened on it and
+// advanced once. The
 // dataset's shape — window count, and therefore the day count the
 // temporal classifier needs — is inferred from the samples. The
 // manifest is pruned against opt.Filter before any segment byte is

@@ -27,10 +27,6 @@ func traceRun(t *testing.T, workers int, plan *faults.Plan) ([]byte, *Results) {
 	t.Helper()
 	cfg := detCfg()
 	rec := trace.New(cfg.Seed)
-	// Quarantine follow-ups emit one loss event per refused sample, so a
-	// chaos run outgrows the default flight-recorder ring; goldens need
-	// zero drops, so give the ring headroom.
-	rec.SetBufCap(1 << 17)
 	res, err := RunCtx(context.Background(), cfg, Options{Workers: workers, Plan: plan, Trace: rec})
 	if err != nil {
 		t.Fatalf("RunCtx(workers=%d): %v", workers, err)

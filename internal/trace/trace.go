@@ -212,10 +212,12 @@ func less(a, b Event) bool {
 }
 
 // DefaultBufCap is the per-buffer ring capacity. One buffer belongs to
-// one goroutine; a generation worker emits a handful of events per
-// group, so the default absorbs tens of thousands of groups before the
-// flight recorder starts overwriting.
-const DefaultBufCap = 1 << 15
+// one goroutine. The bound is large enough that a full chaos run keeps
+// every event (quarantine follow-ups emit one loss event per refused
+// sample; drops void the byte-identity guarantee and edgetrace warns
+// about them) and small enough to bound memory on a runaway run. Rings
+// grow lazily (Buf), so a quiet run never pays it.
+const DefaultBufCap = 1 << 20
 
 // Recorder owns a run's trace: it hands out single-goroutine ring
 // buffers (Buf) and flushes them deterministically. A nil *Recorder is
