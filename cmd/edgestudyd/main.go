@@ -7,8 +7,8 @@
 //
 //	edgestudyd -o dir [-seed N] [-groups N] [-days N] [-spw N]
 //	           [-workers N] [-fault-plan SPEC] [-fail-fast]
-//	           [-http host:port] [-addr-file path] [-report-workers N]
-//	           [-cache N] [-trace file] [-progress]
+//	           [-http host:port] [-addr-file path] [-trace file]
+//	           [-progress]
 //
 // Usage (wire mode — a fleet of `edgesim -pop I -pops N -merger ADDR`
 // feeds the spool):
@@ -84,10 +84,8 @@ func main() {
 		spw        = flag.Float64("spw", 8, "mean sampled sessions per group per window (live mode)")
 		out        = flag.String("o", "", "at-rest segment spool directory (required; resumed if it already holds a dataset)")
 		workers    = flag.Int("workers", pipeline.DefaultWorkers(), "concurrent per-window generate workers (1 = sequential; never changes the spool bytes)")
-		repWorkers = flag.Int("report-workers", pipeline.DefaultWorkers(), "aggregation workers behind a filtered /report, which folds the whole spool (the unfiltered report extends a resident study by what each commit added; never changes the report bytes)")
 		httpAddr   = flag.String("http", "127.0.0.1:0", "HTTP service address (:0 picks a free port; see -addr-file)")
 		addrFile   = flag.String("addr-file", "", "write the bound HTTP address to this file once listening")
-		cacheSize  = flag.Int("cache", 64, "report cache entries (LRU, stale-while-revalidate)")
 		faultPlan  = flag.String("fault-plan", "", "deterministic ingest fault plan, the one edgesim takes (shapes the dataset; part of its origin)")
 		failFast   = flag.Bool("fail-fast", false, "abort on the first unrecoverable injected fault instead of degrading")
 		tracePath  = flag.String("trace", "", "record a deterministic flight trace of the run to this file")
@@ -130,11 +128,7 @@ func main() {
 		}
 	}
 
-	opt := studyd.Options{
-		Dir: *out, Reg: reg, Rec: rec,
-		ReportWorkers: *repWorkers, CacheEntries: *cacheSize,
-		FailFast: *failFast,
-	}
+	opt := studyd.Options{Dir: *out, Reg: reg, Rec: rec, FailFast: *failFast}
 	if *listen == "" {
 		// Live mode: the daemon generates its own continuous stream. The
 		// origin is the canonical edgesim origin for the same flags — the
@@ -155,27 +149,21 @@ func main() {
 		log.Fatal("edgestudyd: -fault-plan shapes the live stream; in wire mode the fleet's plan shapes the data — pass it to the fleet's edgesim -pop processes instead")
 	}
 
-	var d *studyd.Daemon
+	d, err := studyd.New(opt)
+	if err != nil {
+		log.Fatalf("edgestudyd: %v", err)
+	}
 	var merger *ship.Merger
 	if *listen != "" {
 		// Wire mode: the ship merger owns the spool writer; the daemon
 		// reads the at-rest segments and every merger commit invalidates
 		// cached reports.
-		d, err = studyd.New(opt)
-		if err != nil {
-			log.Fatalf("edgestudyd: %v", err)
-		}
 		merger, err = ship.NewMerger(ship.MergerOptions{
 			SpoolDir: *out, Origin: *origin,
 			ExpectPoPs: *expectPops,
 			Reg:        reg, Rec: rec,
 			OnCommit: d.BumpVersion,
 		})
-		if err != nil {
-			log.Fatalf("edgestudyd: %v", err)
-		}
-	} else {
-		d, err = studyd.New(opt)
 		if err != nil {
 			log.Fatalf("edgestudyd: %v", err)
 		}

@@ -9,9 +9,12 @@
 //
 // Usage:
 //
-//	segcat -in ds.jsonl -o ds.seg [-seg-span 24h] [-max-rows 65536]
-//	segcat -in ds.seg -o ds.jsonl [-workers N]
+//	segcat -in ds.jsonl -o ds.seg
+//	segcat -in ds.seg -o ds.jsonl
 //	segcat -in ds.seg -o - -from 24h -to 48h -country US
+//
+// An import cuts a segment per user group and day, and at
+// segstore.DefaultMaxRows rows; an export decodes on GOMAXPROCS workers.
 //
 // Extraction accepts -from/-to/-country/-pop: the filter is pushed down
 // to the manifest, so segments wholly outside the slice are never read.
@@ -40,9 +43,6 @@ func main() {
 	var (
 		in      = flag.String("in", "", "input dataset: a JSONL file or a segment-store directory (required)")
 		out     = flag.String("o", "", "output path: a directory for jsonl→seg, a file or '-' for seg→jsonl (required)")
-		span    = flag.Duration("seg-span", segstore.DefaultSegmentSpan, "jsonl→seg: window range per segment")
-		maxRows = flag.Int("max-rows", segstore.DefaultMaxRows, "jsonl→seg: maximum rows per segment")
-		workers = flag.Int("workers", pipeline.DefaultWorkers(), "seg→jsonl: parallel segment decoders")
 		from    = flag.Duration("from", 0, "seg→jsonl: only extract sessions starting at or after this dataset offset")
 		to      = flag.Duration("to", 0, "seg→jsonl: only extract sessions starting before this dataset offset (0 = end)")
 		country = flag.String("country", "", "seg→jsonl: only extract these countries (comma-separated ISO codes)")
@@ -64,20 +64,20 @@ func main() {
 
 	start := time.Now()
 	if segstore.IsDataset(*in) {
-		extract(ctx, *in, *out, *workers, filter, start)
+		extract(ctx, *in, *out, filter, start)
 		return
 	}
 	if filter != nil {
 		log.Fatal("segcat: -from/-to/-country/-pop only apply when extracting a segment store (conversion keeps every row)")
 	}
-	convert(ctx, *in, *out, *span, *maxRows, start)
+	convert(ctx, *in, *out, start)
 }
 
 // convert packs a JSONL file into a segment store. The store commits
 // after every segment, so an interrupted conversion leaves a readable
 // prefix; origin strings pin the source path, keeping two sources out
 // of one dataset.
-func convert(ctx context.Context, in, out string, span time.Duration, maxRows int, start time.Time) {
+func convert(ctx context.Context, in, out string, start time.Time) {
 	f, err := os.Open(in)
 	if err != nil {
 		log.Fatalf("segcat: %v", err)
@@ -87,7 +87,7 @@ func convert(ctx context.Context, in, out string, span time.Duration, maxRows in
 	if err != nil {
 		log.Fatalf("segcat: %v", err)
 	}
-	segs, samples, err := segstore.ConvertJSONL(ctx, f, w, segstore.ConvertOptions{Span: span, MaxRows: maxRows})
+	segs, samples, err := segstore.ConvertJSONL(ctx, f, w)
 	if errors.Is(err, context.Canceled) {
 		fmt.Fprintf(os.Stderr, "segcat: interrupted — %d samples in %d segments committed; %s is a readable dataset\n", samples, segs, out)
 		os.Exit(130)
@@ -110,7 +110,7 @@ func convert(ctx context.Context, in, out string, span time.Duration, maxRows in
 
 // extract streams a segment store (or a filtered slice of it) back out
 // as JSON lines.
-func extract(ctx context.Context, in, out string, workers int, filter *segstore.Filter, start time.Time) {
+func extract(ctx context.Context, in, out string, filter *segstore.Filter, start time.Time) {
 	r, err := segstore.Open(in)
 	if err != nil {
 		log.Fatalf("segcat: %v", err)
@@ -123,7 +123,7 @@ func extract(ctx context.Context, in, out string, workers int, filter *segstore.
 		}
 	}
 	bw := bufio.NewWriterSize(f, 1<<20)
-	n, err := segstore.WriteJSONL(ctx, r, bw, workers, filter)
+	n, err := segstore.WriteJSONL(ctx, r, bw, pipeline.DefaultWorkers(), filter)
 	if cerr := r.Close(); err == nil {
 		err = cerr
 	}

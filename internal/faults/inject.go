@@ -317,7 +317,6 @@ func (in *Injector) Policy(id int) Policy {
 	return Policy{
 		MaxAttempts: in.plan.RetryAttempts,
 		BaseDelay:   in.plan.RetryBase,
-		Jitter:      0.5,
 		RNG:         rng.ChildAt(in.mix, "retry-jitter", id),
 	}
 }

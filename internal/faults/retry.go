@@ -9,9 +9,13 @@ import (
 	"repro/internal/rng"
 )
 
-// Policy shapes Retry: capped exponential backoff with jitter. The
-// zero value retries transient faults up to 4 attempts with a 1ms base
-// delay capped at 50ms and ±25% jitter.
+// maxDelay caps Retry's backoff.
+const maxDelay = 50 * time.Millisecond
+
+// Policy shapes Retry: capped exponential backoff with jitter, retrying
+// the faults IsTransient classifies as transient. The zero value makes
+// up to 4 attempts with a 1ms base delay; every delay is capped at
+// maxDelay.
 type Policy struct {
 	// MaxAttempts is the total number of op invocations (first try
 	// included). Default 4.
@@ -19,20 +23,14 @@ type Policy struct {
 	// BaseDelay is the backoff before the first retry; each further
 	// retry doubles it. Default 1ms.
 	BaseDelay time.Duration
-	// MaxDelay caps the backoff. Default 50ms.
-	MaxDelay time.Duration
-	// Jitter spreads each delay uniformly over ±Jitter/2 of its value,
-	// drawn from RNG. Default 0.5 (±25%); jitter is skipped when RNG is
-	// nil. Jitter affects timing only, never outcomes.
-	Jitter float64
-	// RNG is the jitter stream. Each concurrent call site must hold its
-	// own split (rng.Child/ChildAt); Retry never shares it.
+	// RNG is the jitter stream: when set, each delay is spread uniformly
+	// over ±25% of its value. Each concurrent call site must hold its
+	// own split (rng.Child/ChildAt); Retry never shares it. Jitter
+	// affects timing only, never outcomes.
 	RNG *rng.RNG
 	// Sleep replaces the real clock (tests, virtual time). Nil means a
 	// context-aware real sleep.
 	Sleep func(time.Duration)
-	// Retryable classifies errors; nil means IsTransient.
-	Retryable func(error) bool
 	// OnRetry observes each retry before its backoff: attempt is the
 	// 1-based retry number, err the failure being retried. Used for
 	// retry accounting.
@@ -46,33 +44,21 @@ func (p Policy) withDefaults() Policy {
 	if p.BaseDelay <= 0 {
 		p.BaseDelay = time.Millisecond
 	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = 50 * time.Millisecond
-	}
-	if p.Jitter < 0 || p.Jitter >= 2 {
-		p.Jitter = 0.5
-	}
-	if p.Retryable == nil {
-		p.Retryable = IsTransient
-	}
 	return p
 }
 
 // delay computes the backoff before the attempt-th retry (1-based).
 func (p Policy) delay(attempt int) time.Duration {
-	d := float64(p.BaseDelay) * math.Pow(2, float64(attempt-1))
-	if d > float64(p.MaxDelay) {
-		d = float64(p.MaxDelay)
-	}
-	if p.RNG != nil && p.Jitter > 0 {
-		d *= 1 - p.Jitter/2 + p.Jitter*p.RNG.Float64()
+	d := min(float64(p.BaseDelay)*math.Pow(2, float64(attempt-1)), float64(maxDelay))
+	if p.RNG != nil {
+		d *= 0.75 + 0.5*p.RNG.Float64()
 	}
 	return time.Duration(d)
 }
 
-// Retry runs op, retrying failures the policy classifies as retryable
-// with capped exponential backoff until an attempt succeeds, a
-// non-retryable error surfaces (returned as-is), the attempt budget is
+// Retry runs op, retrying transient failures (IsTransient) with capped
+// exponential backoff until an attempt succeeds, a non-transient error
+// surfaces (returned as-is), the attempt budget is
 // exhausted (the last error is returned wrapped with the budget), or
 // ctx is cancelled mid-backoff (the cancellation cause is returned,
 // wrapping the pending error).
@@ -84,7 +70,7 @@ func Retry(ctx context.Context, p Policy, op func() error) error {
 		if err == nil {
 			return nil
 		}
-		if !p.Retryable(err) {
+		if !IsTransient(err) {
 			return err
 		}
 		if attempt >= p.MaxAttempts {

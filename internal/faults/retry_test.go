@@ -77,26 +77,24 @@ func TestRetryBackoffCapsAtMaxDelay(t *testing.T) {
 	clock := &fakeClock{}
 	calls := 0
 	_ = Retry(context.Background(), Policy{
-		MaxAttempts: 8, BaseDelay: 10 * time.Millisecond, MaxDelay: 25 * time.Millisecond, Sleep: clock.sleep,
+		MaxAttempts: 8, BaseDelay: 20 * time.Millisecond, Sleep: clock.sleep,
 	}, func() error { calls++; return transientErr() })
 	if len(clock.slept) != 7 {
 		t.Fatalf("slept %d times, want 7", len(clock.slept))
 	}
 	for i, d := range clock.slept {
-		if d > 25*time.Millisecond {
-			t.Errorf("sleep %d = %v exceeds the 25ms cap", i, d)
+		if d > maxDelay {
+			t.Errorf("sleep %d = %v exceeds the %v cap", i, d, maxDelay)
 		}
 	}
-	if clock.slept[0] != 10*time.Millisecond || clock.slept[6] != 25*time.Millisecond {
+	if clock.slept[0] != 20*time.Millisecond || clock.slept[6] != maxDelay {
 		t.Errorf("backoff = %v", clock.slept)
 	}
 }
 
 func TestRetryJitterBoundsAndDeterminism(t *testing.T) {
-	p := Policy{BaseDelay: 8 * time.Millisecond, MaxDelay: 8 * time.Millisecond, Jitter: 0.5,
-		RNG: rng.ChildAt(1, "jitter", 0)}
-	q := Policy{BaseDelay: 8 * time.Millisecond, MaxDelay: 8 * time.Millisecond, Jitter: 0.5,
-		RNG: rng.ChildAt(1, "jitter", 0)}
+	p := Policy{BaseDelay: 8 * time.Millisecond, RNG: rng.ChildAt(1, "jitter", 0)}
+	q := Policy{BaseDelay: 8 * time.Millisecond, RNG: rng.ChildAt(1, "jitter", 0)}
 	for i := 0; i < 100; i++ {
 		d, e := p.delay(1), q.delay(1)
 		if d != e {

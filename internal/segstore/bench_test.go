@@ -48,7 +48,7 @@ func benchDataset(b *testing.B) ([]byte, string, int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := ConvertJSONL(context.Background(), bytes.NewReader(buf.Bytes()), sgw, ConvertOptions{}); err != nil {
+		if _, _, err := ConvertJSONL(context.Background(), bytes.NewReader(buf.Bytes()), sgw); err != nil {
 			b.Fatal(err)
 		}
 		benchCorpus.jsonl = buf.Bytes()

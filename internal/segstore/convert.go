@@ -19,34 +19,17 @@ const DefaultSegmentSpan = 24 * time.Hour
 // decode memory.
 const DefaultMaxRows = 1 << 16
 
-// ConvertOptions shape jsonl→seg conversion.
-type ConvertOptions struct {
-	// Span is the window range per segment (DefaultSegmentSpan when 0).
-	Span time.Duration
-	// MaxRows caps rows per segment (DefaultMaxRows when 0).
-	MaxRows int
-}
-
 // ConvertJSONL reads a JSON-lines dataset from r (one record per line,
 // see sample.Reader) and writes it as a segment dataset into w,
 // committing after every segment. Segments cut on user-group changes
-// and on Span boundaries — the "window-range × group" layout
-// cmd/edgesim writes natively, so converted and natively written
-// datasets prune identically — plus a MaxRows safety cut. Sample order
-// is preserved exactly: scanning the result in manifest order re-emits
-// the input row for row. A cancelled ctx stops the import at the next
+// and on DefaultSegmentSpan boundaries — the "window-range × group"
+// layout cmd/edgesim writes natively, so converted and natively written
+// datasets prune identically — plus a DefaultMaxRows safety cut. Sample
+// order is preserved exactly: scanning the result in manifest order
+// re-emits the input row for row. A cancelled ctx stops the import at the next
 // segment boundary with the cause; the manifest holds every segment
 // committed before it.
-func ConvertJSONL(ctx context.Context, r io.Reader, w *Writer, opt ConvertOptions) (segments, samples int, err error) {
-	span := opt.Span
-	if span <= 0 {
-		span = DefaultSegmentSpan
-	}
-	maxRows := opt.MaxRows
-	if maxRows <= 0 {
-		maxRows = DefaultMaxRows
-	}
-
+func ConvertJSONL(ctx context.Context, r io.Reader, w *Writer) (segments, samples int, err error) {
 	var pending []sample.Sample
 	var curKey sample.GroupKey
 	var curChunk int64
@@ -81,8 +64,8 @@ func ConvertJSONL(ctx context.Context, r io.Reader, w *Writer, opt ConvertOption
 		if derr != nil {
 			return segments, samples, derr // names the line
 		}
-		key, chunk := s.Key(), int64(s.Start/span)
-		if len(pending) > 0 && (key != curKey || chunk != curChunk || len(pending) >= maxRows) {
+		key, chunk := s.Key(), int64(s.Start/DefaultSegmentSpan)
+		if len(pending) > 0 && (key != curKey || chunk != curChunk || len(pending) >= DefaultMaxRows) {
 			if err := flush(); err != nil {
 				return segments, samples, err
 			}

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/sample"
 )
 
 // The golden guarantee of the storage layer: jsonl → seg → jsonl is
@@ -29,7 +31,7 @@ func TestGoldenRoundTripJSONLSegJSONL(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			segs, n, err := ConvertJSONL(context.Background(), bytes.NewReader(src), w, ConvertOptions{})
+			segs, n, err := ConvertJSONL(context.Background(), bytes.NewReader(src), w)
 			if err != nil {
 				t.Fatalf("seed=%d: ConvertJSONL: %v", seed, err)
 			}
@@ -65,6 +67,43 @@ func TestGoldenRoundTripJSONLSegJSONL(t *testing.T) {
 	}
 }
 
+// One group's day past DefaultMaxRows rows takes the safety cut: the
+// import writes a full segment and a one-row segment, and the export
+// returns the input bytes.
+func TestConvertJSONLCutsAtMaxRows(t *testing.T) {
+	rows := make([]sample.Sample, DefaultMaxRows+1)
+	for i := range rows {
+		rows[i] = sample.Sample{SessionID: uint64(i), PoP: "pop", Prefix: "10.0.0.0/24", Country: "PE"}
+	}
+	want := jsonlBytes(t, rows)
+	dir := filepath.Join(t.TempDir(), "ds.seg")
+	w, err := Create(dir, "max rows")
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs, n, err := ConvertJSONL(context.Background(), bytes.NewReader(want), w)
+	if err != nil || segs != 2 || n != len(rows) {
+		t.Fatalf("ConvertJSONL = %d segments, %d samples, %v; want 2, %d", segs, n, err, len(rows))
+	}
+	r, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Manifest().Segments; got[0].Samples != DefaultMaxRows || got[1].Samples != 1 {
+		t.Fatalf("segments hold %d and %d rows, want %d and 1", got[0].Samples, got[1].Samples, DefaultMaxRows)
+	}
+	var back bytes.Buffer
+	if _, err := WriteJSONL(context.Background(), r, &back, 2, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(back.Bytes(), want) {
+		t.Fatalf("export is %d bytes, not the %d input bytes", back.Len(), len(want))
+	}
+}
+
 // The import door is strict: a line that is not exactly one record
 // fails the conversion and names the line.
 func TestConvertJSONLBadInput(t *testing.T) {
@@ -85,7 +124,7 @@ func TestConvertJSONLBadInput(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, _, err = ConvertJSONL(context.Background(), strings.NewReader(tc.data), w, ConvertOptions{})
+		_, _, err = ConvertJSONL(context.Background(), strings.NewReader(tc.data), w)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want it to contain %q", tc.name, err, tc.want)
 		}
@@ -121,7 +160,7 @@ func TestConvertJSONLCancelled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, n, err := ConvertJSONL(ctx, &cancelAt{r: bytes.NewReader(src), off: len(src) / 2, cancel: cancel}, w, ConvertOptions{})
+	_, n, err := ConvertJSONL(ctx, &cancelAt{r: bytes.NewReader(src), off: len(src) / 2, cancel: cancel}, w)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -236,7 +236,7 @@ func TestPruneAndRowFilterAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ConvertJSONL(context.Background(), bytes.NewReader(jsonlBytes(t, rows)), w, ConvertOptions{}); err != nil {
+	if _, _, err := ConvertJSONL(context.Background(), bytes.NewReader(jsonlBytes(t, rows)), w); err != nil {
 		t.Fatal(err)
 	}
 	r, err := Open(dir)

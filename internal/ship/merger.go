@@ -89,6 +89,9 @@ type Merger struct {
 	tombs  map[int]bool
 	stats  MergeStats
 	done   map[int]bool // PoP indices that completed their done exchange
+	// conns is each PoP's connection past its hello: at most one, so
+	// the connections a fleet holds open are at most its pinned size.
+	conns map[int]net.Conn
 
 	tb *trace.Buf
 	// deadline bounds the wait for each frame of a peer (peerTimeout).
@@ -112,6 +115,7 @@ func NewMerger(opt MergerOptions) (*Merger, error) {
 		hashes: map[int]uint32{},
 		tombs:  map[int]bool{},
 		done:   map[int]bool{},
+		conns:  map[int]net.Conn{},
 		// Read once, so a test that shortens frameDeadline races no
 		// earlier merger's handlers.
 		deadline: frameDeadline,
@@ -230,8 +234,9 @@ func (m *Merger) Serve(ctx context.Context, l net.Listener) error {
 }
 
 // handle runs one connection's frame loop. Wire errors (including the
-// torn frames a truncation fault leaves, and a peer that sends no frame
-// for peerTimeout) abandon the connection — the shipper reconnects
+// torn frames a truncation fault leaves, a peer that sends no frame for
+// peerTimeout, and a newer hello from the same PoP, which closes this
+// connection) abandon the connection — the shipper reconnects
 // and replays; nothing is partially applied because commits happen
 // only after a frame fully decodes and verifies.
 func (m *Merger) handle(conn net.Conn, finish func()) {
@@ -253,7 +258,8 @@ func (m *Merger) handle(conn net.Conn, finish func()) {
 		_ = WriteJSONFrame(conn, FrameErr, ErrMsg{Msg: err.Error()}) // refusal is best-effort; we drop the conn either way
 		return
 	}
-	if err := WriteJSONFrame(conn, FrameHelloAck, HelloAck{Credit: credit}); err != nil {
+	defer m.claim(hello.PoP, conn)()
+	if err := WriteJSONFrame(conn, FrameHelloAck, HelloAck{}); err != nil {
 		return
 	}
 
@@ -351,6 +357,28 @@ func (m *Merger) adopt(h Hello) error {
 	}
 	m.pops = pops
 	return nil
+}
+
+// claim makes conn the connection of PoP pop, closing the one it
+// replaces: a shipper holds one connection at a time and reconnects
+// only after dropping the last, so an older one still open is dead, and
+// closing it frees its handler's goroutine, its descriptor and any
+// partly read frame. The returned func forgets conn unless a newer
+// connection has claimed the PoP since.
+func (m *Merger) claim(pop int, conn net.Conn) (release func()) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if prev := m.conns[pop]; prev != nil {
+		_ = prev.Close() // its handler sees the read fail and returns
+	}
+	m.conns[pop] = conn
+	return func() {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		if m.conns[pop] == conn {
+			delete(m.conns, pop)
+		}
+	}
 }
 
 // commitSegment folds one shipped segment into the spool, exactly

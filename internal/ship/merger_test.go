@@ -2,11 +2,14 @@ package ship
 
 import (
 	"context"
+	"errors"
+	"io"
 	"net"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/segstore"
 )
 
 // dialHello connects to addr, sends h and returns the connection and
@@ -121,5 +124,74 @@ func TestMergerConnsGauge(t *testing.T) {
 	}
 	if got := gauge.Value(); got != 0 {
 		t.Fatalf("merge_conns = %v after every peer left, want 0", got)
+	}
+}
+
+// A PoP holds one connection past its hello: a second hello from PoP 0
+// closes the first connection, merge_conns settles at one, and the
+// second connection ships as usual.
+func TestMergerOneConnPerPoP(t *testing.T) {
+	reg := obs.NewRegistry()
+	m, err := NewMerger(MergerOptions{SpoolDir: t.TempDir(), ExpectPoPs: 1, Reg: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel() // a failing test leaves no Serve behind
+	errc := make(chan error, 1)
+	go func() { errc <- m.Serve(ctx, l) }()
+	gauge := reg.Gauge("merge_conns")
+
+	h := Hello{Origin: "one conn test", PoP: 0, Pops: 1}
+	first, typ := dialHello(t, l.Addr().String(), h)
+	if typ != FrameHelloAck {
+		t.Fatalf("first hello answered with frame %d", typ)
+	}
+	second, typ := dialHello(t, l.Addr().String(), h)
+	if typ != FrameHelloAck {
+		t.Fatalf("second hello answered with frame %d", typ)
+	}
+
+	if err := first.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ReadFrame(first); !errors.Is(err, io.EOF) {
+		t.Fatalf("the replaced connection read %v, want EOF", err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); gauge.Value() != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("merge_conns = %v with one PoP connected twice, want 1", gauge.Value())
+		}
+	}
+
+	blob := []byte("one conn segment")
+	hdr := ShipHeader{SegID: 3, Hash: crcOf(blob), Meta: segstore.SegmentMeta{Bytes: int64(len(blob)), CRC: crcOf(blob), Samples: 1}}
+	payload, err := EncodeShipPayload(hdr, blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFrame(second, FrameShip, payload); err != nil {
+		t.Fatal(err)
+	}
+	typ, p, err := ReadFrame(second)
+	if err != nil || typ != FrameAck {
+		t.Fatalf("shipment answered with frame %d, err %v", typ, err)
+	}
+	var ack Ack
+	if err := unmarshalFrame(p, &ack); err != nil || ack.SegID != 3 || ack.Dup {
+		t.Fatalf("ack %+v, err %v; want a fresh ack of segment 3", ack, err)
+	}
+	done(t, second)
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatalf("Serve: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Serve did not return after the PoP finished")
 	}
 }

@@ -18,9 +18,15 @@ import (
 )
 
 // errWire is the sentinel every wire-level failure wraps: transient by
-// construction, so faults.IsTransient (and therefore faults.Retry's
-// default predicate) classifies a severed connection as retryable.
+// construction, so faults.Retry (through faults.IsTransient) retries a
+// severed connection.
 var errWire = &faults.FaultError{Surface: faults.SurfaceShip, Key: "wire", Transient: true}
+
+// credit is the in-flight window: a shipper keeps at most this many
+// unacknowledged shipments in flight — the bounded-queue backpressure,
+// so a slow merger holds at most credit unprocessed shipments per
+// connection in kernel buffers and shippers block instead of ballooning.
+const credit = 4
 
 // ShipperOptions configures one catch-up shipping run over a PoP's
 // committed dataset.
@@ -187,7 +193,6 @@ func Ship(ctx context.Context, opt ShipperOptions) (ShipStats, error) {
 		}
 	}()
 
-	window := credit
 	for len(pending)+len(inflight) > 0 {
 		if err := ctx.Err(); err != nil {
 			return s.stats, context.Cause(ctx)
@@ -195,16 +200,12 @@ func Ship(ctx context.Context, opt ShipperOptions) (ShipStats, error) {
 		s.gBacklog.Set(float64(len(pending) + len(inflight)))
 		s.gInflight.Set(float64(len(inflight)))
 
-		if len(pending) > 0 && len(inflight) < window {
+		if len(pending) > 0 && len(inflight) < credit {
 			it := pending[0]
 			pending = pending[1:]
-			granted, err := s.sendWithRetry(ctx, it, requeue)
-			if err != nil {
+			if err := s.sendWithRetry(ctx, it, requeue); err != nil {
 				s.markDegraded()
 				return s.stats, err
-			}
-			if granted > 0 && granted < window {
-				window = granted
 			}
 			inflight = append(inflight, it)
 			continue
@@ -287,36 +288,31 @@ func (s *shipper) policy(id int) faults.Policy {
 	return p.Traced(s.tb, trace.TrackRun, trace.PhaseRun, -1, uint64(id), "ship")
 }
 
-// connect dials the merger and completes the hello exchange, adopting
-// the granted credit and counting every connection after the first as
-// a reconnect. Wire failures wrap errWire (transient).
-func (s *shipper) connect() (int, error) {
+// connect dials the merger and completes the hello exchange, counting
+// every connection after the first as a reconnect. Wire failures wrap
+// errWire (transient).
+func (s *shipper) connect() error {
 	conn, err := s.opt.Dial(s.opt.Network, s.opt.Addr)
 	if err != nil {
-		return 0, fmt.Errorf("dial merger %s %s: %v: %w", s.opt.Network, s.opt.Addr, err, errWire)
+		return fmt.Errorf("dial merger %s %s: %v: %w", s.opt.Network, s.opt.Addr, err, errWire)
 	}
 	if err := WriteJSONFrame(conn, FrameHello, Hello{Origin: s.origin, PoP: s.opt.PoP, Pops: s.opt.Pops}); err != nil {
 		_ = conn.Close() // the write error is the root cause
-		return 0, fmt.Errorf("send hello: %v: %w", err, errWire)
+		return fmt.Errorf("send hello: %v: %w", err, errWire)
 	}
 	typ, payload, err := ReadFrame(conn)
 	if err != nil {
 		_ = conn.Close()
-		return 0, fmt.Errorf("read hello ack: %v: %w", err, errWire)
+		return fmt.Errorf("read hello ack: %v: %w", err, errWire)
 	}
 	switch typ {
 	case FrameHelloAck:
 	case FrameErr:
 		_ = conn.Close()
-		return 0, refusal(payload)
+		return refusal(payload)
 	default:
 		_ = conn.Close()
-		return 0, fmt.Errorf("ship: hello answered with frame type %d", typ)
-	}
-	var ack HelloAck
-	if err := unmarshalFrame(payload, &ack); err != nil {
-		_ = conn.Close()
-		return 0, err
+		return fmt.Errorf("ship: hello answered with frame type %d", typ)
 	}
 	s.conn = conn
 	if s.everConnected {
@@ -324,24 +320,20 @@ func (s *shipper) connect() (int, error) {
 		s.cReconnect.Inc()
 	}
 	s.everConnected = true
-	return ack.Credit, nil
+	return nil
 }
 
 // sendWithRetry ships one slot under faults.Retry: each attempt
 // (re)establishes the connection if needed, draws its deterministic
 // wire fault, and writes the frame. Injected drops and truncations
 // sever the connection and surface as transient errors, consuming the
-// retry budget like real network failures. Returns the merger's credit
-// grant from the most recent hello.
-func (s *shipper) sendWithRetry(ctx context.Context, it shipItem, requeue func()) (int, error) {
-	granted := 0
+// retry budget like real network failures.
+func (s *shipper) sendWithRetry(ctx context.Context, it shipItem, requeue func()) error {
 	err := faults.Retry(ctx, s.policy(it.id), func() error {
 		if s.conn == nil {
-			g, err := s.connect()
-			if err != nil {
+			if err := s.connect(); err != nil {
 				return err
 			}
-			granted = g
 			requeue()
 		}
 		attempt := s.attempts[it.id]
@@ -349,9 +341,9 @@ func (s *shipper) sendWithRetry(ctx context.Context, it shipItem, requeue func()
 		return s.sendOnce(it, attempt)
 	})
 	if err != nil {
-		return granted, fmt.Errorf("ship: slot %d: %w", it.id, err)
+		return fmt.Errorf("ship: slot %d: %w", it.id, err)
 	}
-	return granted, nil
+	return nil
 }
 
 // sendOnce performs one send attempt with its injected wire fate.
@@ -491,7 +483,7 @@ func (s *shipper) drainOne(inflight *[]shipItem) (bool, error) {
 func (s *shipper) finish(ctx context.Context, total int) error {
 	return faults.Retry(ctx, s.policy(-1), func() error {
 		if s.conn == nil {
-			if _, err := s.connect(); err != nil {
+			if err := s.connect(); err != nil {
 				return err
 			}
 		}

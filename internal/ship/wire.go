@@ -27,9 +27,8 @@
 //   - acknowledgements are committed to a durable ack log beside the
 //     PoP's manifest (segstore.AckLog), so a killed PoP resumes from
 //     the committed-vs-acked watermark with no re-generation;
-//   - the merger grants a credit window in its hello, bounding the
-//     shipper's unacked backlog — a slow merger degrades shipping
-//     latency, never memory.
+//   - a constant credit window bounds the shipper's unacked backlog —
+//     a slow merger degrades shipping latency, never memory.
 //
 // Deterministic wire faults (drops, truncations, duplicate deliveries,
 // delays) come from the faults package's ship surface; they are pure
@@ -53,7 +52,7 @@ import (
 // segment blob rides uncopied behind it.
 const (
 	FrameHello    byte = 1 // shipper → merger: origin + identity
-	FrameHelloAck byte = 2 // merger → shipper: credit grant
+	FrameHelloAck byte = 2 // merger → shipper: hello accepted
 	FrameShip     byte = 3 // shipper → merger: one segment (header + blob)
 	FrameTomb     byte = 4 // shipper → merger: one tombstoned slot
 	FrameAck      byte = 5 // merger → shipper: shipment durably committed
@@ -82,18 +81,9 @@ type Hello struct {
 	Pops int `json:"pops"`
 }
 
-// credit is the in-flight window: the merger grants it in every
-// HelloAck and a shipper keeps at most that many unacknowledged
-// shipments in flight — the bounded-queue backpressure, so a slow merger
-// holds at most credit unprocessed shipments per connection in kernel
-// buffers and shippers block instead of ballooning.
-const credit = 4
-
-// HelloAck grants the shipper its credit window: the maximum number of
-// unacknowledged shipments it may keep in flight.
-type HelloAck struct {
-	Credit int `json:"credit"`
-}
+// HelloAck accepts a hello: the origin matched and the PoP belongs to
+// the pinned fleet, so the shipper may start shipping.
+type HelloAck struct{}
 
 // ShipHeader describes one shipped segment; the blob follows it inside
 // the FrameShip payload.

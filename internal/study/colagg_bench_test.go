@@ -45,7 +45,7 @@ func colaggDataset(b *testing.B) (string, int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := segstore.ConvertJSONL(context.Background(), bytes.NewReader(buf.Bytes()), sgw, segstore.ConvertOptions{}); err != nil {
+		if _, _, err := segstore.ConvertJSONL(context.Background(), bytes.NewReader(buf.Bytes()), sgw); err != nil {
 			b.Fatal(err)
 		}
 		colaggCorpus.dir, colaggCorpus.rows = dir, n

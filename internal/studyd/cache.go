@@ -8,6 +8,11 @@ import (
 	"repro/internal/obs"
 )
 
+// cacheEntries bounds the report cache: rendered responses, each the
+// size of one report, so the bound is on memory the cache holds, not on
+// the folds that fill it (studyd_folds_inflight counts those).
+const cacheEntries = 64
+
 // swrCache is the report cache: an LRU of rendered responses keyed by
 // canonical query, with stale-while-revalidate semantics keyed on the
 // spool version. A fresh entry (built at the current version) is
@@ -51,7 +56,7 @@ type cacheEntry struct {
 }
 
 func newSWRCache(max int, reg *obs.Registry) *swrCache {
-	return &swrCache{
+	c := &swrCache{
 		max:     max,
 		entries: make(map[string]*cacheEntry),
 		cHit:    reg.Counter("studyd_report_cache_hits_total"),
@@ -61,6 +66,8 @@ func newSWRCache(max int, reg *obs.Registry) *swrCache {
 		cEvict:  reg.Counter("studyd_report_cache_evictions_total"),
 		cErrors: reg.Counter("studyd_report_cache_errors_total"),
 	}
+	reg.GaugeFunc("studyd_report_cache_entries", func() float64 { return float64(c.Len()) })
+	return c
 }
 
 // entityTag is the strong validator of a body built for key at spool
@@ -194,7 +201,8 @@ func (c *swrCache) evictLocked() {
 	}
 }
 
-// Len reports the number of cached entries (tests).
+// Len reports the number of cached entries, pending computations
+// included.
 func (c *swrCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

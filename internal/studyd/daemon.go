@@ -70,13 +70,6 @@ type Options struct {
 	FailFast bool
 	// Rec records the run's deterministic flight trace (may be nil).
 	Rec *trace.Recorder
-	// ReportWorkers is the aggregation parallelism behind a filtered
-	// /report, which folds the spool from nothing (0: GOMAXPROCS). The
-	// unfiltered report extends the resident study a chunk at a time, on
-	// one goroutine.
-	ReportWorkers int
-	// CacheEntries bounds the report cache (default 64).
-	CacheEntries int
 }
 
 // windowStat is one window's ingest health, surfaced by /windows.
@@ -154,6 +147,7 @@ type Daemon struct {
 	gFoldSegs *obs.Gauge
 	gCells    *obs.Gauge
 	gCompared *obs.Gauge
+	gFolds    *obs.Gauge
 }
 
 // New builds a daemon over opt.Dir. In live mode (opt.World set) the
@@ -162,9 +156,6 @@ type Daemon struct {
 // serves, and the ship merger feeding the spool bumps the version
 // through BumpVersion.
 func New(opt Options) (*Daemon, error) {
-	if opt.CacheEntries <= 0 {
-		opt.CacheEntries = 64
-	}
 	d := &Daemon{opt: opt, guard: faults.NewGuard(opt.Injector, opt.FailFast), tb: opt.Rec.Buf(), ctx: context.Background()}
 	d.head.Store(&commit{})
 	reg := opt.Reg
@@ -183,7 +174,8 @@ func New(opt Options) (*Daemon, error) {
 	d.gFoldSegs = reg.Gauge("studyd_fold_segments")
 	d.gCells = reg.Gauge("studyd_fold_cells")
 	d.gCompared = reg.Gauge("studyd_revalidate_points_compared")
-	d.cache = newSWRCache(opt.CacheEntries, reg)
+	d.gFolds = reg.Gauge("studyd_folds_inflight")
+	d.cache = newSWRCache(cacheEntries, reg)
 	d.resident = study.OpenSegments(opt.Dir, study.Options{Workers: 1})
 
 	opt.Injector.Instrument(reg)

@@ -151,7 +151,8 @@ func noneMatch(header, etag string) bool {
 
 // renderReport renders the report body for q over the spool, whose
 // version was read as version before the call. A filtered query folds
-// the spool from nothing and never touches the resident study; the
+// the spool from nothing, at GOMAXPROCS workers, and never touches the
+// resident study (studyd_folds_inflight counts those folds running); the
 // unfiltered one advances it — folding only what the spool has gained
 // since the last report and comparing only the windows that closed,
 // when the manifest allows (study.Segments) — and analyses and renders it
@@ -160,10 +161,9 @@ func noneMatch(header, etag string) bool {
 // not for contention.
 func (d *Daemon) renderReport(q reportQuery, version int64) ([]byte, error) {
 	if q.Filter != nil {
-		res, err := study.FromSegments(context.Background(), d.opt.Dir, study.Options{
-			Workers: d.opt.ReportWorkers,
-			Filter:  q.Filter,
-		})
+		d.gFolds.Add(1)
+		res, err := study.FromSegments(context.Background(), d.opt.Dir, study.Options{Filter: q.Filter})
+		d.gFolds.Add(-1)
 		if err != nil {
 			return nil, err
 		}

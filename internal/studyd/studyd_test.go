@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -603,6 +604,62 @@ func TestHandlerCacheStates(t *testing.T) {
 		time.Sleep(5 * time.Millisecond) // the rebuild re-aggregates the spool
 	}
 	t.Fatal("report never revalidated to a fresh hit")
+}
+
+// TestFoldAndCacheGauges: studyd_folds_inflight counts the filtered
+// folds running — between one and the number of concurrent distinct
+// queries while they run, none afterwards — and
+// studyd_report_cache_entries counts the distinct keys served.
+func TestFoldAndCacheGauges(t *testing.T) {
+	dir := t.TempDir()
+	goldenDataset(t, dir, "")
+	reg := obs.NewRegistry()
+	d, err := New(Options{Dir: dir, Reg: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	folds := reg.Gauge("studyd_folds_inflight")
+
+	const n = 4
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			rr := httptest.NewRecorder()
+			d.Handler().ServeHTTP(rr, httptest.NewRequest("GET", fmt.Sprintf("/report?from=%dh", i+1), nil))
+			if rr.Code != 200 {
+				t.Errorf("filtered report %d: %d %s", i, rr.Code, rr.Body.String())
+			}
+		}()
+	}
+	finished := make(chan struct{})
+	go func() { wg.Wait(); close(finished) }()
+	close(start)
+	peak := 0.0
+	for running := true; running; {
+		select {
+		case <-finished:
+			running = false
+		default:
+			peak = max(peak, folds.Value())
+			runtime.Gosched()
+		}
+	}
+	if peak < 1 || peak > n {
+		t.Fatalf("studyd_folds_inflight peaked at %v over %d concurrent filtered reports, want 1..%d", peak, n, n)
+	}
+	if v := folds.Value(); v != 0 {
+		t.Fatalf("studyd_folds_inflight = %v after every report returned, want 0", v)
+	}
+
+	get(t, d, "/report?from=1h") // a hit: no new key
+	get(t, d, "/report")
+	if got := reg.Snapshot()["studyd_report_cache_entries"]; got != float64(n+1) {
+		t.Fatalf("studyd_report_cache_entries = %v after %d distinct keys", got, n+1)
+	}
 }
 
 // TestEndpoints sanity-checks the query surfaces over a drained run.
