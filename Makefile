@@ -76,7 +76,8 @@ identity:
 # Evaluate's, segment decode never panics on hostile bytes, ship frame
 # decode never panics on hostile streams, comparison series extended at
 # any cuts of a stream equal the from-nothing ones, segment encode equal
-# to the map-per-row encoder it replaced).
+# to the map-per-row encoder it replaced, segment decode equal to the
+# per-column closures it replaced).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzTDigestMerge -fuzztime 10s ./internal/tdigest/
 	$(GO) test -run '^$$' -fuzz FuzzProcessMatchesStableReference -fuzztime 10s ./internal/tdigest/
@@ -87,6 +88,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzTallyMatchesEvaluate -fuzztime 10s ./internal/hdratio/
 	$(GO) test -run '^$$' -fuzz FuzzSegmentDecode -fuzztime 10s ./internal/segstore/
 	$(GO) test -run '^$$' -fuzz FuzzEncodeSegmentMatchesOracle -fuzztime 10s ./internal/segstore/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeMatchesOracle -fuzztime 10s ./internal/segstore/
 	$(GO) test -run '^$$' -fuzz FuzzShipFrameDecode -fuzztime 10s ./internal/ship/
 	$(GO) test -run '^$$' -fuzz FuzzStudydQueryParams -fuzztime 10s ./internal/studyd/
 

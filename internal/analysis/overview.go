@@ -3,6 +3,7 @@ package analysis
 import (
 	"math"
 	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/geo"
@@ -201,10 +202,18 @@ func (o *Overview) Add(s sample.Sample) {
 // Seal leaves every accumulator — and therefore every later Seal —
 // exactly where folding without it would have: fold, seal, fold, seal
 // equals fold, fold, seal bit for bit. A lane nothing was folded into
-// since the last Seal is not merged again.
+// since the last Seal is not merged again. The two lanes seal on two
+// goroutines: their parts are disjoint, and each lane merges its groups
+// in the same order as ever.
 func (o *Overview) Seal() {
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		o.routes.seal(&o.routePart)
+	}()
 	o.sessions.seal(&o.sessionPart)
-	o.routes.seal(&o.routePart)
+	wg.Wait()
 }
 
 // part is one lane's part of an accumulator.

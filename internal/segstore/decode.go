@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 )
 
 // ErrCorrupt wraps every decode failure: truncated blocks, checksum
@@ -86,9 +87,28 @@ func DecodeSegmentColumns(data []byte) (*ColumnBatch, error) {
 // newer schema) are skipped; missing or re-typed known columns are
 // errors.
 func decodeInto(data []byte, b *ColumnBatch) error {
-	rows, cols, rest, err := decodeHeader(data)
+	rows, raw, err := schemaColumns(data)
 	if err != nil {
 		return err
+	}
+	b.reset(rows)
+	for i := range schema {
+		p := &payload{col: schema[i].name, data: raw[i].data}
+		if err := schema[i].decode(p, b); err != nil {
+			return err
+		}
+	}
+	b.finalize()
+	return nil
+}
+
+// schemaColumns checks a segment block's header, columns and sizes and
+// returns its row count and the schema's columns in schema order, each
+// CRC-verified but not yet decoded.
+func schemaColumns(data []byte) (int, []rawColumn, error) {
+	rows, cols, rest, err := decodeHeader(data)
+	if err != nil {
+		return 0, nil, err
 	}
 
 	// Slice out every column first (cheap — no row-proportional work),
@@ -97,54 +117,220 @@ func decodeInto(data []byte, b *ColumnBatch) error {
 	for i := 0; i < cols; i++ {
 		rc, tail, err := sliceColumn(rest)
 		if err != nil {
-			return err
+			return 0, nil, err
 		}
 		rest = tail
 		if _, dup := byName[rc.name]; dup {
-			return corruptf("column %q appears twice", rc.name)
+			return 0, nil, corruptf("column %q appears twice", rc.name)
 		}
 		byName[rc.name] = rc
 	}
 	if len(rest) != 0 {
-		return corruptf("%d trailing bytes after last column", len(rest))
+		return 0, nil, corruptf("%d trailing bytes after last column", len(rest))
 	}
 
 	// Preflight sizes against the row count so a hostile header cannot
 	// trigger a large allocation: every varint row costs ≥1 byte, floats
 	// exactly 8, bools exactly one bit.
-	for _, c := range schema {
+	raw := make([]rawColumn, len(schema))
+	for i, c := range schema {
 		rc, ok := byName[c.name]
 		if !ok {
-			return corruptf("missing column %q", c.name)
+			return 0, nil, corruptf("missing column %q", c.name)
 		}
 		if rc.kind != c.kind {
-			return corruptf("column %q has kind %d, want %d", c.name, rc.kind, c.kind)
+			return 0, nil, corruptf("column %q has kind %d, want %d", c.name, rc.kind, c.kind)
 		}
 		switch c.kind {
 		case encZigzag, encDelta, encList:
 			if len(rc.data) < rows {
-				return corruptf("column %q: %d bytes for %d rows", c.name, len(rc.data), rows)
+				return 0, nil, corruptf("column %q: %d bytes for %d rows", c.name, len(rc.data), rows)
 			}
 		case encFloat:
 			if len(rc.data) != 8*rows {
-				return corruptf("column %q: %d bytes for %d rows", c.name, len(rc.data), rows)
+				return 0, nil, corruptf("column %q: %d bytes for %d rows", c.name, len(rc.data), rows)
 			}
 		case encBool:
 			if len(rc.data) != (rows+7)/8 {
-				return corruptf("column %q: %d bytes for %d rows", c.name, len(rc.data), rows)
+				return 0, nil, corruptf("column %q: %d bytes for %d rows", c.name, len(rc.data), rows)
 			}
 		}
+		raw[i] = rc
 	}
+	return rows, raw, nil
+}
 
-	b.reset(rows)
-	for _, c := range schema {
-		p := &payload{col: c.name, data: byName[c.name].data}
-		if err := c.dec(p, rows, b); err != nil {
+// decode decodes column c from p into its slice of b, which reset has
+// sized to the block's rows: one typed loop per kind, chosen once per
+// column.
+func (c *colSpec) decode(p *payload, b *ColumnBatch) error {
+	var err error
+	switch c.kind {
+	case encZigzag:
+		err = varints(p, c.ints(b), true, false, math.MaxUint64, "")
+	case encDelta:
+		if c.ids != nil {
+			err = varints(p, c.ids(b), true, true, math.MaxUint64, "")
+		} else {
+			err = varints(p, c.ints(b), true, true, math.MaxUint64, "")
+		}
+	case encDict:
+		err = decodeDict(p, c.dict(b))
+	case encFloat:
+		err = decodeFloats(p, c.floats(b))
+	case encBool:
+		err = decodeBools(p, c.bools(b))
+	case encList:
+		err = decodeLists(p, b)
+	}
+	if err != nil {
+		return err
+	}
+	return p.done()
+}
+
+// varints decodes len(out) varints from p into out, undoing the zigzag
+// coding when zig is set and summing each value onto the one before
+// when delta is; a raw value above limit is corrupt, with msg. It is the
+// hot loop of every read: the cursor lives in locals, a one-byte value
+// (most of them) is read inline, and a longer one goes through a byte
+// loop with binary.Uvarint's overflow rule — at most
+// binary.MaxVarintLen64 bytes, the last of them at most 1.
+func varints[T int | int64 | uint32 | uint64](p *payload, out []T, zig, delta bool, limit uint64, msg string) error {
+	data, off := p.data, p.off
+	var prev T
+	for i := range out {
+		var u uint64
+		if off < len(data) && data[off] < 0x80 {
+			u = uint64(data[off])
+			off++
+		} else {
+			var s uint
+			for j := 0; ; j++ {
+				if off >= len(data) || j == binary.MaxVarintLen64 {
+					p.off = off
+					return p.corrupt("truncated or overlong varint")
+				}
+				c := data[off]
+				off++
+				if c < 0x80 {
+					if j == binary.MaxVarintLen64-1 && c > 1 {
+						p.off = off
+						return p.corrupt("truncated or overlong varint")
+					}
+					u |= uint64(c) << s
+					break
+				}
+				u |= uint64(c&0x7f) << s
+				s += 7
+			}
+		}
+		if u > limit {
+			p.off = off
+			return p.corrupt(msg)
+		}
+		v := T(u)
+		if zig {
+			v = T(unzigzag(u))
+		}
+		if delta {
+			v += prev
+			prev = v
+		}
+		out[i] = v
+	}
+	p.off = off
+	return nil
+}
+
+// decodeDict decodes a dictionary column: the dictionary, then one
+// index into it a row.
+func decodeDict(p *payload, out *DictColumn) error {
+	d, err := p.uvarint()
+	if err != nil {
+		return err
+	}
+	if d > uint64(p.remaining()) {
+		return p.corrupt("dictionary larger than payload")
+	}
+	// Indexes are stored as uint32 in the batch; the remaining-bytes
+	// bound already keeps any real dictionary far below that, so this
+	// only rejects multi-GiB hostile payloads.
+	if d > math.MaxUint32 {
+		return p.corrupt("dictionary too large")
+	}
+	out.Dict = out.Dict[:0]
+	for i := uint64(0); i < d; i++ {
+		l, err := p.uvarint()
+		if err != nil {
 			return err
 		}
+		v, err := p.bytes(l)
+		if err != nil {
+			return err
+		}
+		out.Dict = append(out.Dict, string(v))
 	}
-	b.finalize()
+	if d == 0 {
+		if len(out.Idx) == 0 {
+			return nil
+		}
+		// Any index is out of range; read the first so that a truncated
+		// one is reported as such.
+		if _, err := p.uvarint(); err != nil {
+			return err
+		}
+		return p.corrupt("dictionary index out of range")
+	}
+	return varints(p, out.Idx, false, false, d-1, "dictionary index out of range")
+}
+
+// decodeFloats reads raw IEEE-754 bits, 8 bytes a row.
+func decodeFloats(p *payload, out []float64) error {
+	if p.remaining() != 8*len(out) {
+		return p.corrupt("float column length mismatch")
+	}
+	data := p.data[p.off:]
+	for i := range out {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+	}
+	p.off += 8 * len(out)
 	return nil
+}
+
+// decodeBools unpacks one bit a row, LSB first.
+func decodeBools(p *payload, out []bool) error {
+	if p.remaining() != (len(out)+7)/8 {
+		return p.corrupt("bool column length mismatch")
+	}
+	data := p.data[p.off:]
+	for i := range out {
+		out[i] = data[i/8]&(1<<(i%8)) != 0
+	}
+	p.off += (len(out) + 7) / 8
+	return nil
+}
+
+// decodeLists decodes the response lists: one length a row, which
+// become the batch's running end offsets, then their values.
+func decodeLists(p *payload, b *ColumnBatch) error {
+	ends := b.RespEnds
+	// Every value costs at least one payload byte, so a length above the
+	// bytes left rejects absurd lists before any allocation, and the
+	// running total cannot overflow.
+	if err := varints(p, ends, false, false, uint64(p.remaining()), "response lists larger than payload"); err != nil {
+		return err
+	}
+	var total uint64
+	for i, l := range ends {
+		total += uint64(l)
+		ends[i] = int(total)
+	}
+	if total > uint64(p.remaining()) {
+		return p.corrupt("response lists larger than payload")
+	}
+	b.RespVals = grow(b.RespVals, int(total))
+	return varints(p, b.RespVals, true, false, math.MaxUint64, "")
 }
 
 // decodeHeader validates the magic, version, and counts; it returns

@@ -49,12 +49,19 @@ const (
 // order, but readers locate columns by name, so the format stays
 // self-describing. Encoding reads row structs (the writer's input);
 // decoding lands in ColumnBatch slices — the row form is derived from
-// the batch afterwards when a caller wants it.
+// the batch afterwards when a caller wants it. Decoding is one typed
+// loop per kind (decode.go), so a column names only the batch slice it
+// lands in: exactly one accessor is set, the one its kind reads
+// (ids for the session-ID column, whose batch slice is unsigned).
 type colSpec struct {
-	name string
-	kind byte
-	enc  func(buf []byte, rows []sample.Sample) []byte
-	dec  func(p *payload, n int, b *ColumnBatch) error
+	name   string
+	kind   byte
+	enc    func(buf []byte, rows []sample.Sample) []byte
+	ints   func(*ColumnBatch) []int64
+	ids    func(*ColumnBatch) []uint64
+	dict   func(*ColumnBatch) *DictColumn
+	floats func(*ColumnBatch) []float64
+	bools  func(*ColumnBatch) []bool
 }
 
 // schema lists every column, in the field order of sample.Sample.
@@ -227,18 +234,7 @@ func idCol() colSpec {
 			}
 			return buf
 		},
-		dec: func(p *payload, n int, b *ColumnBatch) error {
-			prev := int64(0)
-			for i := 0; i < n; i++ {
-				u, err := p.uvarint()
-				if err != nil {
-					return err
-				}
-				prev += unzigzag(u)
-				b.SessionID[i] = uint64(prev)
-			}
-			return p.done()
-		},
+		ids: func(b *ColumnBatch) []uint64 { return b.SessionID },
 	}
 }
 
@@ -261,23 +257,7 @@ func intCol(name string, kind byte, get func(*sample.Sample) int64, col func(*Co
 			}
 			return buf
 		},
-		dec: func(p *payload, n int, b *ColumnBatch) error {
-			out := col(b)
-			prev := int64(0)
-			for i := 0; i < n; i++ {
-				u, err := p.uvarint()
-				if err != nil {
-					return err
-				}
-				v := unzigzag(u)
-				if kind == encDelta {
-					v += prev
-					prev = v
-				}
-				out[i] = v
-			}
-			return p.done()
-		},
+		ints: col,
 	}
 }
 
@@ -319,45 +299,7 @@ func dictCol(name string, get func(*sample.Sample) string, col func(*ColumnBatch
 			}
 			return buf
 		},
-		dec: func(p *payload, n int, b *ColumnBatch) error {
-			d, err := p.uvarint()
-			if err != nil {
-				return err
-			}
-			if d > uint64(p.remaining()) {
-				return p.corrupt("dictionary larger than payload")
-			}
-			// Indexes are stored as uint32 in the batch; the remaining-bytes
-			// bound already keeps any real dictionary far below that, so this
-			// only rejects multi-GiB hostile payloads.
-			if d > math.MaxUint32 {
-				return p.corrupt("dictionary too large")
-			}
-			out := col(b)
-			out.Dict = out.Dict[:0]
-			for i := uint64(0); i < d; i++ {
-				l, err := p.uvarint()
-				if err != nil {
-					return err
-				}
-				v, err := p.bytes(l)
-				if err != nil {
-					return err
-				}
-				out.Dict = append(out.Dict, string(v))
-			}
-			for i := 0; i < n; i++ {
-				j, err := p.uvarint()
-				if err != nil {
-					return err
-				}
-				if j >= d {
-					return p.corrupt("dictionary index out of range")
-				}
-				out.Idx[i] = uint32(j)
-			}
-			return p.done()
-		},
+		dict: col,
 	}
 }
 
@@ -373,20 +315,7 @@ func floatCol(name string, get func(*sample.Sample) float64, col func(*ColumnBat
 			}
 			return buf
 		},
-		dec: func(p *payload, n int, b *ColumnBatch) error {
-			if p.remaining() != 8*n {
-				return p.corrupt("float column length mismatch")
-			}
-			out := col(b)
-			for i := 0; i < n; i++ {
-				v, err := p.bytes(8)
-				if err != nil {
-					return err
-				}
-				out[i] = math.Float64frombits(binary.LittleEndian.Uint64(v))
-			}
-			return p.done()
-		},
+		floats: col,
 	}
 }
 
@@ -411,21 +340,7 @@ func boolCol(name string, get func(*sample.Sample) bool, col func(*ColumnBatch) 
 			}
 			return buf
 		},
-		dec: func(p *payload, n int, b *ColumnBatch) error {
-			if p.remaining() != (n+7)/8 {
-				return p.corrupt("bool column length mismatch")
-			}
-			out := col(b)
-			for i := 0; i < n; i++ {
-				if i%8 == 0 {
-					if _, err := p.bytes(1); err != nil {
-						return err
-					}
-				}
-				out[i] = p.data[p.off-1]&(1<<(i%8)) != 0
-			}
-			return p.done()
-		},
+		bools: col,
 	}
 }
 
@@ -448,34 +363,6 @@ func respCol() colSpec {
 				}
 			}
 			return buf
-		},
-		dec: func(p *payload, n int, b *ColumnBatch) error {
-			var total uint64
-			for i := 0; i < n; i++ {
-				l, err := p.uvarint()
-				if err != nil {
-					return err
-				}
-				// Every value costs at least one payload byte, so this bound
-				// rejects absurd list lengths before any allocation.
-				if l > uint64(p.remaining()) {
-					return p.corrupt("response lists larger than payload")
-				}
-				total += l
-				b.RespEnds[i] = int(total)
-			}
-			if total > uint64(p.remaining()) {
-				return p.corrupt("response lists larger than payload")
-			}
-			b.RespVals = grow(b.RespVals, int(total))
-			for j := range b.RespVals {
-				u, err := p.uvarint()
-				if err != nil {
-					return err
-				}
-				b.RespVals[j] = unzigzag(u)
-			}
-			return p.done()
 		},
 	}
 }

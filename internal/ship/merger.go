@@ -26,6 +26,13 @@ const peerTimeout = time.Minute
 // frameDeadline is peerTimeout; tests shorten it before NewMerger.
 var frameDeadline = peerTimeout
 
+// maxPendingHellos bounds the connections waiting for their hello: over
+// ten times the largest fleet a test or identity cell ships (three
+// PoPs). A connection accepted past it is closed at once, so silent
+// peers cannot pile up goroutines and descriptors for a peerTimeout
+// each.
+const maxPendingHellos = 64
+
 // MergerOptions configures the central merge tier.
 type MergerOptions struct {
 	// SpoolDir is the directory the merger spools accepted segments
@@ -65,8 +72,8 @@ type MergeStats struct {
 	HashConflicts int
 	// Bytes is the accepted segment payload volume.
 	Bytes int64
-	// Conns counts connections accepted; PopsDone counts completed done
-	// exchanges.
+	// Conns counts connections accepted and handled (not those refused
+	// past maxPendingHellos); PopsDone counts completed done exchanges.
 	Conns    int
 	PopsDone int
 }
@@ -103,6 +110,7 @@ type Merger struct {
 	cBytes     *obs.Counter
 	gConns     *obs.Gauge
 	gPopsDone  *obs.Gauge
+	cRefused   *obs.Counter
 }
 
 // NewMerger builds a merger over opt.SpoolDir. An existing spool is
@@ -127,6 +135,7 @@ func NewMerger(opt MergerOptions) (*Merger, error) {
 	m.cBytes = opt.Reg.Counter("merge_bytes_total")
 	m.gConns = opt.Reg.Gauge("merge_conns")
 	m.gPopsDone = opt.Reg.Gauge("merge_pops_done")
+	m.cRefused = opt.Reg.Counter("merge_hello_refused_total")
 	if m.origin != "" {
 		if err := m.openSpool(m.origin); err != nil {
 			return nil, err
@@ -191,7 +200,10 @@ func (m *Merger) EmitTrace() {
 
 // Serve accepts shipping connections on l until ctx is cancelled or —
 // when ExpectPoPs is set — every expected PoP has finished. Each
-// connection is handled on its own goroutine; Serve returns after all
+// connection is handled on its own goroutine, of which at most
+// maxPendingHellos wait for their hello: a connection accepted past
+// that is closed at once and counted in merge_hello_refused_total.
+// Serve returns after all
 // handlers drain, and when ctx ends it closes every open connection,
 // so no peer, however stalled, holds it. The listener is closed on
 // return.
@@ -205,6 +217,7 @@ func (m *Merger) Serve(ctx context.Context, l net.Listener) error {
 	var finishOnce sync.Once
 	finish := func() { finishOnce.Do(func() { close(finished); _ = l.Close() }) }
 
+	pending := make(chan struct{}, maxPendingHellos) // a semaphore
 	var wg sync.WaitGroup
 	for {
 		conn, err := l.Accept()
@@ -219,6 +232,13 @@ func (m *Merger) Serve(ctx context.Context, l net.Listener) error {
 				return fmt.Errorf("ship: accept: %w", err)
 			}
 		}
+		select {
+		case pending <- struct{}{}:
+		default:
+			_ = conn.Close() // refused; the peer reads EOF and reconnects later
+			m.cRefused.Inc()
+			continue
+		}
 		m.mu.Lock()
 		m.stats.Conns++
 		m.mu.Unlock()
@@ -228,18 +248,19 @@ func (m *Merger) Serve(ctx context.Context, l net.Listener) error {
 			defer wg.Done()
 			defer m.gConns.Add(-1)
 			defer context.AfterFunc(ctx, func() { _ = conn.Close() })() // handle's own close may follow; the second is harmless
-			m.handle(conn, finish)
+			m.handle(conn, finish, func() { <-pending })
 		}()
 	}
 }
 
-// handle runs one connection's frame loop. Wire errors (including the
+// handle runs one connection's frame loop; it calls helloed once the
+// peer's first frame is read, or failed to be. Wire errors (including the
 // torn frames a truncation fault leaves, a peer that sends no frame for
 // peerTimeout, and a newer hello from the same PoP, which closes this
 // connection) abandon the connection — the shipper reconnects
 // and replays; nothing is partially applied because commits happen
 // only after a frame fully decodes and verifies.
-func (m *Merger) handle(conn net.Conn, finish func()) {
+func (m *Merger) handle(conn net.Conn, finish, helloed func()) {
 	defer func() { _ = conn.Close() }() // the frame loop already surfaced any real error to the peer
 	read := func() (byte, []byte, error) {
 		_ = conn.SetReadDeadline(time.Now().Add(m.deadline)) // fails only on a closed conn, whose read fails too
@@ -247,6 +268,7 @@ func (m *Merger) handle(conn net.Conn, finish func()) {
 	}
 
 	typ, payload, err := read()
+	helloed()
 	if err != nil || typ != FrameHello {
 		return // never completed hello; nothing to undo
 	}

@@ -195,3 +195,78 @@ func TestMergerOneConnPerPoP(t *testing.T) {
 		t.Fatal("Serve did not return after the PoP finished")
 	}
 }
+
+// At most maxPendingHellos connections wait for their hello: with that
+// many silent peers connected, the next connection is closed at once
+// and counted in merge_hello_refused_total, and a PoP that connects
+// once a silent peer has left still completes its exchange.
+func TestMergerCapsPendingHellos(t *testing.T) {
+	reg := obs.NewRegistry()
+	m, err := NewMerger(MergerOptions{SpoolDir: t.TempDir(), ExpectPoPs: 1, Reg: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel() // a failing test leaves no Serve behind
+	errc := make(chan error, 1)
+	go func() { errc <- m.Serve(ctx, l) }()
+	addr := l.Addr().String()
+
+	silent := make([]net.Conn, maxPendingHellos)
+	for i := range silent {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		silent[i] = c
+		t.Cleanup(func() { _ = c.Close() }) // unwedges a Serve waiting on its handlers
+	}
+	for deadline := time.Now().Add(5 * time.Second); m.Stats().Conns < maxPendingHellos; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the merger accepted %d of %d silent peers", m.Stats().Conns, maxPendingHellos)
+		}
+	}
+
+	over, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = over.Close() })
+	if err := over.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ReadFrame(over); !errors.Is(err, io.EOF) {
+		t.Fatalf("a connection past the cap read %v, want EOF", err)
+	}
+	if got := reg.Counter("merge_hello_refused_total").Value(); got != 1 {
+		t.Fatalf("merge_hello_refused_total = %d, want 1", got)
+	}
+
+	_ = silent[0].Close()
+	gauge := reg.Gauge("merge_conns")
+	for deadline := time.Now().Add(5 * time.Second); gauge.Value() != maxPendingHellos-1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("merge_conns = %v after a silent peer left, want %d", gauge.Value(), maxPendingHellos-1)
+		}
+	}
+	conn, typ := dialHello(t, addr, Hello{Origin: "cap test", PoP: 0, Pops: 1})
+	if typ != FrameHelloAck {
+		t.Fatalf("hello after a slot freed answered with frame %d", typ)
+	}
+	done(t, conn)
+	for _, c := range silent[1:] {
+		_ = c.Close()
+	}
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatalf("Serve: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Serve did not return after the expected PoP finished and the silent peers left")
+	}
+}

@@ -193,7 +193,8 @@ func FromSegments(ctx context.Context, dir string, opt Options) (*Results, error
 
 // run is the study loop, once: src delivers its samples to an ingest on
 // one goroutine while the ingest's routes lane and its shards work on one
-// goroutine each, and the merged store is analysed. The ingest is returned when it
+// goroutine each, and the merged store is analysed while the overview
+// seals. The ingest is returned when it
 // keeps (one worker, neither a fault plan nor a trace): passed back as
 // in, it takes the next source's samples on top of what it holds, and
 // the Results passed back as prev are what the analyses of the grown
@@ -225,9 +226,15 @@ func run(ctx context.Context, src source, opt Options, in *ingest, prev *Results
 	}
 	cov := e.guard.Coverage()
 	store, stats, overview := in.finish(cov)
-	overview.Seal()
+	// The overview seals beside the analyses, which read only the store.
+	sealed := make(chan struct{})
+	go func() {
+		defer close(sealed)
+		overview.Seal()
+	}()
 	res := &Results{Cfg: src.config(store), Collector: stats, Overview: overview, Store: store, Coverage: cov}
 	res.analyse(ctx, opt.Reg, opt.Workers, prev)
+	<-sealed
 	res.Elapsed = elapsedSince(start)
 	if !in.keeps() {
 		in = nil

@@ -31,6 +31,7 @@ package studyd
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -143,6 +144,7 @@ type Daemon struct {
 	hExtend   *obs.Histogram
 	hRebuild  *obs.Histogram
 	hFresh    *obs.Histogram
+	hCommit   *obs.Histogram
 	gServed   *obs.Gauge
 	gFoldSegs *obs.Gauge
 	gCells    *obs.Gauge
@@ -170,6 +172,7 @@ func New(opt Options) (*Daemon, error) {
 	d.hExtend = reg.Histogram(obs.L("studyd_revalidate_seconds", "mode", "extend"), nil)
 	d.hRebuild = reg.Histogram(obs.L("studyd_revalidate_seconds", "mode", "rebuild"), nil)
 	d.hFresh = reg.Histogram("studyd_seal_to_fresh_seconds", nil)
+	d.hCommit = reg.Histogram("studyd_seal_commit_seconds", nil)
 	d.gServed = reg.Gauge("studyd_served_version")
 	d.gFoldSegs = reg.Gauge("studyd_fold_segments")
 	d.gCells = reg.Gauge("studyd_fold_cells")
@@ -346,17 +349,26 @@ func (d *Daemon) Seal(win int) error {
 // closeChunk lands chunk c of every group that has a writer, in
 // ascending group order, and commits the manifest once: the chunk
 // writers are the batch writer's, and the manifest sorts by segment ID,
-// so the finished spool is byte-identical to the batch writer's.
+// so the finished spool is byte-identical to the batch writer's. The
+// groups' chunks encode on other goroutines (encodeInOrder); every
+// write is this goroutine's, so the ledger and the trace are as a
+// serial commit leaves them. studyd_seal_commit_seconds times it.
 func (d *Daemon) closeChunk(c int) error {
+	t0 := time.Now()
+	defer func() { d.hCommit.ObserveDuration(time.Since(t0)) }()
 	man := d.sw.Manifest()
 	segs, tombs := len(man.Segments), len(man.Tombstones)
+	var ws []*seggen.GroupWriter
 	for _, g := range d.groups {
-		if g == nil {
-			continue
+		if g != nil {
+			ws = append(ws, g)
 		}
-		if _, err := g.Encode(c, c+1).Write(d.ctx, d.sw, d.tb); err != nil {
-			return err
-		}
+	}
+	if err := encodeInOrder(ws, c, func(u seggen.Unit) error {
+		_, err := u.Write(d.ctx, d.sw, d.tb)
+		return err
+	}); err != nil {
+		return err
 	}
 	if err := d.sw.Commit(); err != nil {
 		return err
@@ -365,6 +377,54 @@ func (d *Daemon) closeChunk(c int) error {
 	d.cTombs.Add(int64(len(man.Tombstones) - tombs))
 	d.BumpVersion()
 	return nil
+}
+
+// encodeInOrder encodes chunk c of each writer in ws on
+// min(GOMAXPROCS, len(ws)) goroutines and hands the units to write, on
+// the calling goroutine, in ws's order; it stops at write's first
+// error. A worker takes a token before it claims the next writer and
+// the caller gives one back after each write, so at most GOMAXPROCS
+// units are encoded and not yet written, and the lowest unwritten one
+// is always claimed. Each Encode touches only its own writer.
+func encodeInOrder(ws []*seggen.GroupWriter, c int, write func(seggen.Unit) error) error {
+	procs := runtime.GOMAXPROCS(0)
+	units := make([]chan seggen.Unit, len(ws))
+	for i := range units {
+		units[i] = make(chan seggen.Unit, 1)
+	}
+	tokens := make(chan struct{}, procs)
+	stop := make(chan struct{})
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(procs, len(ws)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case tokens <- struct{}{}:
+				case <-stop:
+					return
+				}
+				i := int(next.Add(1) - 1)
+				if i >= len(ws) {
+					return
+				}
+				units[i] <- ws[i].Encode(c, c+1)
+			}
+		}()
+	}
+	var err error
+	for i := range ws {
+		u := <-units[i]
+		<-tokens
+		if err = write(u); err != nil {
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	return err
 }
 
 // Drain closes the ingest stream: any trailing partial chunk is

@@ -322,6 +322,10 @@ func TestCleanRoundNeverRebuilds(t *testing.T) {
 	if want := renderGolden(t, dir); !bytes.Equal(last, want) {
 		t.Fatal("the thirtieth extension differs from study.FromSegments over the drained spool")
 	}
+	// Each of the thirty commits is timed once.
+	if metrics, _ := get(t, d, "/metrics"); !bytes.Contains(metrics, []byte("studyd_seal_commit_seconds_count 30\n")) {
+		t.Errorf("/metrics does not count thirty commits in studyd_seal_commit_seconds:\n%s", metrics)
+	}
 	man, err := segstore.LoadManifest(d.opt.Dir)
 	if err != nil {
 		t.Fatal(err)
