@@ -75,9 +75,8 @@ identity:
 # equation 1 equal to its float form and Tally's counts equal to
 # Evaluate's, segment decode never panics on hostile bytes, ship frame
 # decode never panics on hostile streams, comparison series extended at
-# any cuts of a stream equal the from-nothing ones, segment encode equal
-# to the map-per-row encoder it replaced, segment decode equal to the
-# per-column closures it replaced).
+# any cuts of a stream equal the from-nothing ones, segment encode and
+# segment decode each equal to the per-column closures they replaced).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzTDigestMerge -fuzztime 10s ./internal/tdigest/
 	$(GO) test -run '^$$' -fuzz FuzzProcessMatchesStableReference -fuzztime 10s ./internal/tdigest/

@@ -392,9 +392,80 @@ func (b *ColumnBatch) AppendRows(dst []sample.Sample) []sample.Sample {
 	return dst
 }
 
-// reset prepares b to receive an n-row decode, reusing column buffers
-// whose capacity allows. Views must never be reset — only owned
-// batches cycle through decode.
+// transpose fills b with rows, AppendRows inverted: one pass over the
+// rows, each field to its column. A dictionary holds its values in
+// first-appearance order, and a row whose value equals the row
+// before's reuses that row's index.
+func (b *ColumnBatch) transpose(rows []sample.Sample) {
+	b.reset(len(rows))
+	pop, prefix, country := newDictBuilder(&b.PoP), newDictBuilder(&b.Prefix), newDictBuilder(&b.Country)
+	continent, proto, route := newDictBuilder(&b.Continent), newDictBuilder(&b.Proto), newDictBuilder(&b.Route)
+	for i := range rows {
+		r := &rows[i]
+		b.SessionID[i] = r.SessionID
+		b.PoP.Idx[i] = pop.add(r.PoP)
+		b.Prefix.Idx[i] = prefix.add(r.Prefix)
+		b.ClientAS[i] = int64(r.ClientAS)
+		b.Country.Idx[i] = country.add(r.Country)
+		b.Continent.Idx[i] = continent.add(string(r.Continent))
+		b.ClientSubnet[i] = int64(r.ClientSubnet)
+		b.Proto.Idx[i] = proto.add(string(r.Proto))
+		b.DistanceKm[i] = r.DistanceKm
+		b.CrossContinent[i] = r.CrossContinent
+		b.Route.Idx[i] = route.add(r.RouteID)
+		b.RouteRel[i] = int64(r.RouteRel)
+		b.ASPathLen[i] = int64(r.ASPathLen)
+		b.Prepended[i] = r.Prepended
+		b.AltIndex[i] = int64(r.AltIndex)
+		b.Start[i] = int64(r.Start)
+		b.Duration[i] = int64(r.Duration)
+		b.BusyFraction[i] = r.BusyFraction
+		b.Bytes[i] = r.Bytes
+		b.Transactions[i] = int64(r.Transactions)
+		b.RespVals = append(b.RespVals, r.ResponseBytes...)
+		b.RespEnds[i] = len(b.RespVals)
+		b.MediaEndpoint[i] = r.MediaEndpoint
+		b.MinRTT[i] = int64(r.MinRTT)
+		b.HDTested[i] = int64(r.HDTested)
+		b.HDAchieved[i] = int64(r.HDAchieved)
+		b.SimpleAchieved[i] = int64(r.SimpleAchieved)
+		b.HostingProvider[i] = r.HostingProvider
+	}
+	b.finalize()
+}
+
+// dictBuilder interns one dictionary column's values as transpose meets
+// them. Most rows repeat the previous row's value, so only a change of
+// value looks the map up.
+type dictBuilder struct {
+	col  *DictColumn
+	at   map[string]uint32
+	prev string // the value of the row before, at index last
+	last uint32
+}
+
+func newDictBuilder(col *DictColumn) dictBuilder {
+	return dictBuilder{col: col, at: make(map[string]uint32)}
+}
+
+// add returns v's index, appending v to the dictionary if it is new.
+func (d *dictBuilder) add(v string) uint32 {
+	if v == d.prev && len(d.col.Dict) > 0 {
+		return d.last
+	}
+	j, ok := d.at[v]
+	if !ok {
+		j = uint32(len(d.col.Dict))
+		d.col.Dict = append(d.col.Dict, v)
+		d.at[v] = j
+	}
+	d.prev, d.last = v, j
+	return j
+}
+
+// reset prepares b to receive n rows (a decode or a transpose), reusing
+// column buffers whose capacity allows. Views must never be reset —
+// only owned batches cycle through the pools.
 func (b *ColumnBatch) reset(n int) {
 	b.n = n
 	b.SessionID = grow(b.SessionID, n)
@@ -433,8 +504,8 @@ func (b *ColumnBatch) reset(n int) {
 	b.Route.Dict = b.Route.Dict[:0]
 }
 
-// finalize derives the row-scan hints after a decode: start bounds and
-// sortedness in one pass.
+// finalize derives the row-scan hints after a decode or a transpose:
+// start bounds and sortedness in one pass.
 func (b *ColumnBatch) finalize() {
 	b.StartMin, b.StartMax, b.StartsSorted = 0, 0, true
 	b.singleGroup = false

@@ -336,17 +336,68 @@ type encodedSegment struct {
 // group a day, and encodes each.
 func worldSegments(rows []sample.Sample) []encodedSegment {
 	var segs []encodedSegment
+	for _, seg := range segmentRows(rows) {
+		blob, _ := EncodeSegment(seg)
+		segs = append(segs, encodedSegment{blob: blob, rows: len(seg)})
+	}
+	return segs
+}
+
+// segmentRows cuts rows as the dataset writer does, one segment a group
+// a day.
+func segmentRows(rows []sample.Sample) [][]sample.Sample {
+	var segs [][]sample.Sample
 	day := func(s *sample.Sample) time.Duration { return s.Start / (24 * time.Hour) }
 	for lo := 0; lo < len(rows); {
 		hi := lo + 1
 		for hi < len(rows) && rows[hi].Key() == rows[lo].Key() && day(&rows[hi]) == day(&rows[lo]) {
 			hi++
 		}
-		blob, _ := EncodeSegment(rows[lo:hi])
-		segs = append(segs, encodedSegment{blob: blob, rows: hi - lo})
+		segs = append(segs, rows[lo:hi])
 		lo = hi
 	}
 	return segs
+}
+
+// A world's segments, transposed one after another into the pooled
+// batch the encoder uses, equal their own encodings decoded: every
+// exported column, dictionaries included, and the start hints.
+func TestTransposeMatchesDecodedSegment(t *testing.T) {
+	for _, seed := range []uint64{13, 29} {
+		for _, seg := range segmentRows(testSamples(t, seed, 5, 2)) {
+			blob, _ := EncodeSegment(seg)
+			want, err := DecodeSegmentColumns(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := acquire(&encodePool)
+			got.transpose(seg)
+			if col := differingColumn(got, want); col != "" {
+				t.Fatalf("seed %d: a %d-row segment's transpose differs from its decode in %s", seed, len(seg), col)
+			}
+			got.Release()
+		}
+	}
+}
+
+// differingColumn names the first exported field of two batches that
+// differs, taking an empty slice as equal to nil; "" when none does.
+func differingColumn(a, b *ColumnBatch) string {
+	va, vb := reflect.ValueOf(a).Elem(), reflect.ValueOf(b).Elem()
+	for i := 0; i < va.NumField(); i++ {
+		f := va.Type().Field(i)
+		x, y := va.Field(i), vb.Field(i)
+		if !f.IsExported() || x.Kind() == reflect.Slice && x.Len() == 0 && y.Len() == 0 {
+			continue
+		}
+		if !reflect.DeepEqual(x.Interface(), y.Interface()) {
+			return f.Name
+		}
+	}
+	if a.Len() != b.Len() {
+		return "the row count"
+	}
+	return ""
 }
 
 var decodedRows int
@@ -370,6 +421,30 @@ func BenchmarkDecodeSegment(b *testing.B) {
 				b.Fatal(err)
 			}
 			decodedRows += batch.Len()
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*samples), "ns/sample")
+}
+
+var encodedBytes int
+
+// BenchmarkEncodeSegment encodes the segments BenchmarkDecodeSegment
+// decodes, one after another, warm: the encoder's pooled batch is
+// reused from segment to segment as a dataset write reuses it;
+// ns/sample is the figure.
+func BenchmarkEncodeSegment(b *testing.B) {
+	w := world.New(world.Config{Seed: 7, Groups: 12, Days: 2, SessionsPerGroupWindow: 40})
+	segs := segmentRows(w.GenerateAll())
+	samples := 0
+	for _, s := range segs {
+		samples += len(s)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, s := range segs {
+			blob, _ := EncodeSegment(s)
+			encodedBytes += len(blob)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*samples), "ns/sample")

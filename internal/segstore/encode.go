@@ -3,7 +3,8 @@ package segstore
 import (
 	"encoding/binary"
 	"math"
-	"sort"
+	"slices"
+	"sync"
 
 	"repro/internal/sample"
 )
@@ -44,19 +45,20 @@ const (
 	encList   byte = 6
 )
 
-// colSpec ties one Sample field to its column name and encoding. The
+// colSpec ties one batch column to its column name and encoding. The
 // schema is fixed at compile time; the on-disk order is the schema
 // order, but readers locate columns by name, so the format stays
-// self-describing. Encoding reads row structs (the writer's input);
-// decoding lands in ColumnBatch slices — the row form is derived from
-// the batch afterwards when a caller wants it. Decoding is one typed
-// loop per kind (decode.go), so a column names only the batch slice it
-// lands in: exactly one accessor is set, the one its kind reads
-// (ids for the session-ID column, whose batch slice is unsigned).
+// self-describing. Both directions run through a ColumnBatch: encoding
+// transposes the writer's rows into one first (EncodeSegment), and
+// decoding lands in one, the row form derived from it afterwards when a
+// caller wants it. Each direction is one typed loop per kind (encode
+// below, decode in decode.go), so a column names only its batch slice:
+// exactly one accessor is set, the one its kind reads (ids for the
+// session-ID column, whose batch slice is unsigned; none for the
+// response lists, which span two slices).
 type colSpec struct {
 	name   string
 	kind   byte
-	enc    func(buf []byte, rows []sample.Sample) []byte
 	ints   func(*ColumnBatch) []int64
 	ids    func(*ColumnBatch) []uint64
 	dict   func(*ColumnBatch) *DictColumn
@@ -70,90 +72,53 @@ type colSpec struct {
 // zigzag covers the small counters, dictionaries the low-cardinality
 // strings.
 var schema = []colSpec{
-	idCol(),
-	dictCol("pop",
-		func(s *sample.Sample) string { return s.PoP },
-		func(b *ColumnBatch) *DictColumn { return &b.PoP }),
-	dictCol("prefix",
-		func(s *sample.Sample) string { return s.Prefix },
-		func(b *ColumnBatch) *DictColumn { return &b.Prefix }),
-	intCol("as", encZigzag,
-		func(s *sample.Sample) int64 { return int64(s.ClientAS) },
-		func(b *ColumnBatch) []int64 { return b.ClientAS }),
-	dictCol("country",
-		func(s *sample.Sample) string { return s.Country },
-		func(b *ColumnBatch) *DictColumn { return &b.Country }),
-	dictCol("continent",
-		func(s *sample.Sample) string { return string(s.Continent) },
-		func(b *ColumnBatch) *DictColumn { return &b.Continent }),
-	intCol("sub", encZigzag,
-		func(s *sample.Sample) int64 { return int64(s.ClientSubnet) },
-		func(b *ColumnBatch) []int64 { return b.ClientSubnet }),
-	dictCol("proto",
-		func(s *sample.Sample) string { return string(s.Proto) },
-		func(b *ColumnBatch) *DictColumn { return &b.Proto }),
-	floatCol("km",
-		func(s *sample.Sample) float64 { return s.DistanceKm },
-		func(b *ColumnBatch) []float64 { return b.DistanceKm }),
-	boolCol("xcont",
-		func(s *sample.Sample) bool { return s.CrossContinent },
-		func(b *ColumnBatch) []bool { return b.CrossContinent }),
-	dictCol("route",
-		func(s *sample.Sample) string { return s.RouteID },
-		func(b *ColumnBatch) *DictColumn { return &b.Route }),
-	intCol("rel", encZigzag,
-		func(s *sample.Sample) int64 { return int64(s.RouteRel) },
-		func(b *ColumnBatch) []int64 { return b.RouteRel }),
-	intCol("aspath", encZigzag,
-		func(s *sample.Sample) int64 { return int64(s.ASPathLen) },
-		func(b *ColumnBatch) []int64 { return b.ASPathLen }),
-	boolCol("prepended",
-		func(s *sample.Sample) bool { return s.Prepended },
-		func(b *ColumnBatch) []bool { return b.Prepended }),
-	intCol("alt", encZigzag,
-		func(s *sample.Sample) int64 { return int64(s.AltIndex) },
-		func(b *ColumnBatch) []int64 { return b.AltIndex }),
-	intCol("start", encDelta,
-		func(s *sample.Sample) int64 { return int64(s.Start) },
-		func(b *ColumnBatch) []int64 { return b.Start }),
-	intCol("dur", encZigzag,
-		func(s *sample.Sample) int64 { return int64(s.Duration) },
-		func(b *ColumnBatch) []int64 { return b.Duration }),
-	floatCol("busy",
-		func(s *sample.Sample) float64 { return s.BusyFraction },
-		func(b *ColumnBatch) []float64 { return b.BusyFraction }),
-	intCol("bytes", encZigzag,
-		func(s *sample.Sample) int64 { return s.Bytes },
-		func(b *ColumnBatch) []int64 { return b.Bytes }),
-	intCol("txns", encZigzag,
-		func(s *sample.Sample) int64 { return int64(s.Transactions) },
-		func(b *ColumnBatch) []int64 { return b.Transactions }),
-	respCol(),
-	boolCol("media",
-		func(s *sample.Sample) bool { return s.MediaEndpoint },
-		func(b *ColumnBatch) []bool { return b.MediaEndpoint }),
-	intCol("minrtt", encZigzag,
-		func(s *sample.Sample) int64 { return int64(s.MinRTT) },
-		func(b *ColumnBatch) []int64 { return b.MinRTT }),
-	intCol("hdt", encZigzag,
-		func(s *sample.Sample) int64 { return int64(s.HDTested) },
-		func(b *ColumnBatch) []int64 { return b.HDTested }),
-	intCol("hda", encZigzag,
-		func(s *sample.Sample) int64 { return int64(s.HDAchieved) },
-		func(b *ColumnBatch) []int64 { return b.HDAchieved }),
-	intCol("sja", encZigzag,
-		func(s *sample.Sample) int64 { return int64(s.SimpleAchieved) },
-		func(b *ColumnBatch) []int64 { return b.SimpleAchieved }),
-	boolCol("hosting",
-		func(s *sample.Sample) bool { return s.HostingProvider },
-		func(b *ColumnBatch) []bool { return b.HostingProvider }),
+	{name: "id", kind: encDelta, ids: func(b *ColumnBatch) []uint64 { return b.SessionID }},
+	{name: "pop", kind: encDict, dict: func(b *ColumnBatch) *DictColumn { return &b.PoP }},
+	{name: "prefix", kind: encDict, dict: func(b *ColumnBatch) *DictColumn { return &b.Prefix }},
+	{name: "as", kind: encZigzag, ints: func(b *ColumnBatch) []int64 { return b.ClientAS }},
+	{name: "country", kind: encDict, dict: func(b *ColumnBatch) *DictColumn { return &b.Country }},
+	{name: "continent", kind: encDict, dict: func(b *ColumnBatch) *DictColumn { return &b.Continent }},
+	{name: "sub", kind: encZigzag, ints: func(b *ColumnBatch) []int64 { return b.ClientSubnet }},
+	{name: "proto", kind: encDict, dict: func(b *ColumnBatch) *DictColumn { return &b.Proto }},
+	{name: "km", kind: encFloat, floats: func(b *ColumnBatch) []float64 { return b.DistanceKm }},
+	{name: "xcont", kind: encBool, bools: func(b *ColumnBatch) []bool { return b.CrossContinent }},
+	{name: "route", kind: encDict, dict: func(b *ColumnBatch) *DictColumn { return &b.Route }},
+	{name: "rel", kind: encZigzag, ints: func(b *ColumnBatch) []int64 { return b.RouteRel }},
+	{name: "aspath", kind: encZigzag, ints: func(b *ColumnBatch) []int64 { return b.ASPathLen }},
+	{name: "prepended", kind: encBool, bools: func(b *ColumnBatch) []bool { return b.Prepended }},
+	{name: "alt", kind: encZigzag, ints: func(b *ColumnBatch) []int64 { return b.AltIndex }},
+	{name: "start", kind: encDelta, ints: func(b *ColumnBatch) []int64 { return b.Start }},
+	{name: "dur", kind: encZigzag, ints: func(b *ColumnBatch) []int64 { return b.Duration }},
+	{name: "busy", kind: encFloat, floats: func(b *ColumnBatch) []float64 { return b.BusyFraction }},
+	{name: "bytes", kind: encZigzag, ints: func(b *ColumnBatch) []int64 { return b.Bytes }},
+	{name: "txns", kind: encZigzag, ints: func(b *ColumnBatch) []int64 { return b.Transactions }},
+	// The response lists: one length a row, then the concatenated
+	// values. Empty and nil lists are indistinguishable on disk and both
+	// materialize back to nil, matching the field's omitempty JSON
+	// behaviour.
+	{name: "resp", kind: encList},
+	{name: "media", kind: encBool, bools: func(b *ColumnBatch) []bool { return b.MediaEndpoint }},
+	{name: "minrtt", kind: encZigzag, ints: func(b *ColumnBatch) []int64 { return b.MinRTT }},
+	{name: "hdt", kind: encZigzag, ints: func(b *ColumnBatch) []int64 { return b.HDTested }},
+	{name: "hda", kind: encZigzag, ints: func(b *ColumnBatch) []int64 { return b.HDAchieved }},
+	{name: "sja", kind: encZigzag, ints: func(b *ColumnBatch) []int64 { return b.SimpleAchieved }},
+	{name: "hosting", kind: encBool, bools: func(b *ColumnBatch) []bool { return b.HostingProvider }},
 }
+
+// encodePool recycles the batches EncodeSegment transposes rows into.
+var encodePool sync.Pool
 
 // EncodeSegment encodes rows into one segment block and returns the
 // bytes plus the manifest metadata (ID and File left for the writer to
 // assign). Encoding is a pure function of rows: same samples, same
-// bytes, regardless of worker count or call order.
+// bytes, regardless of worker count or call order. The rows are
+// transposed once into a pooled batch, each column is encoded from its
+// slice, and the metadata is read off the batch, which is released
+// before the call returns.
 func EncodeSegment(rows []sample.Sample) ([]byte, SegmentMeta) {
+	b := acquire(&encodePool)
+	defer b.Release()
+	b.transpose(rows)
 	// A world row encodes to ~64 bytes; room for 72 keeps the blob from
 	// being regrown as the columns are appended.
 	buf := make([]byte, 0, 64+72*len(rows))
@@ -161,57 +126,38 @@ func EncodeSegment(rows []sample.Sample) ([]byte, SegmentMeta) {
 	buf = binary.AppendUvarint(buf, segVersion)
 	buf = binary.AppendUvarint(buf, uint64(len(rows)))
 	buf = binary.AppendUvarint(buf, uint64(len(schema)))
-	var scratch []byte
-	for _, c := range schema {
-		scratch = c.enc(scratch[:0], rows)
+	for i := range schema {
+		c := &schema[i]
 		buf = binary.AppendUvarint(buf, uint64(len(c.name)))
 		buf = append(buf, c.name...)
 		buf = append(buf, c.kind)
-		buf = binary.AppendUvarint(buf, uint64(len(scratch)))
-		buf = append(buf, scratch...)
-		buf = binary.LittleEndian.AppendUint32(buf, fileCRC(scratch))
+		// The payload is encoded in place, then moved up past its
+		// length, which leads it but is known only once it is written.
+		at := len(buf)
+		buf = c.encode(buf, b)
+		n := len(buf) - at
+		var l [binary.MaxVarintLen64]byte
+		ln := binary.PutUvarint(l[:], uint64(n))
+		buf = append(buf, l[:ln]...)
+		copy(buf[at+ln:], buf[at:at+n])
+		copy(buf[at:], l[:ln])
+		buf = binary.LittleEndian.AppendUint32(buf, fileCRC(buf[at+ln:]))
 	}
-
-	meta := SegmentMeta{Samples: len(rows), Bytes: int64(len(buf)), CRC: fileCRC(buf)}
-	countries, pops, prefixes := map[string]bool{}, map[string]bool{}, map[string]bool{}
-	for i := range rows {
-		r := &rows[i]
-		start := int64(r.Start)
-		if i == 0 || start < meta.StartMin {
-			meta.StartMin = start
-		}
-		if i == 0 || start > meta.StartMax {
-			meta.StartMax = start
-		}
-		// A segment is one group's rows, so its strings repeat row to
-		// row: only a value that differs from the previous row's can be
-		// new to a set.
-		if i == 0 || r.Country != rows[i-1].Country {
-			countries[r.Country] = true
-		}
-		if i == 0 || r.PoP != rows[i-1].PoP {
-			pops[r.PoP] = true
-		}
-		if i == 0 || r.Prefix != rows[i-1].Prefix {
-			prefixes[r.Prefix] = true
-		}
+	return buf, SegmentMeta{
+		Samples: len(rows), Bytes: int64(len(buf)), CRC: fileCRC(buf),
+		StartMin: b.StartMin, StartMax: b.StartMax,
+		Countries: sortedSet(b.Country.Dict), PoPs: sortedSet(b.PoP.Dict), Prefixes: sortedSet(b.Prefix.Dict),
 	}
-	meta.Countries = sortedSet(countries)
-	meta.PoPs = sortedSet(pops)
-	meta.Prefixes = sortedSet(prefixes)
-	return buf, meta
 }
 
-// sortedSet renders a string set deterministically.
-func sortedSet(m map[string]bool) []string {
-	if len(m) == 0 {
+// sortedSet renders a dictionary's distinct values in sorted order, in
+// an array of its own (the dictionary's goes back to the pool).
+func sortedSet(dict []string) []string {
+	if len(dict) == 0 {
 		return nil
 	}
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
+	out := slices.Clone(dict)
+	slices.Sort(out)
 	return out
 }
 
@@ -219,150 +165,69 @@ func sortedSet(m map[string]bool) []string {
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// idCol is the session-ID column: delta-coded like "start", but landing
-// in the batch's uint64 slice.
-func idCol() colSpec {
-	return colSpec{
-		name: "id",
-		kind: encDelta,
-		enc: func(buf []byte, rows []sample.Sample) []byte {
-			prev := int64(0)
-			for i := range rows {
-				v := int64(rows[i].SessionID)
-				buf = binary.AppendUvarint(buf, zigzag(v-prev))
-				prev = v
-			}
-			return buf
-		},
-		ids: func(b *ColumnBatch) []uint64 { return b.SessionID },
-	}
-}
-
-// intCol encodes a signed integer field as zigzag varints, delta-coded
-// when kind is encDelta.
-func intCol(name string, kind byte, get func(*sample.Sample) int64, col func(*ColumnBatch) []int64) colSpec {
-	return colSpec{
-		name: name,
-		kind: kind,
-		enc: func(buf []byte, rows []sample.Sample) []byte {
-			prev := int64(0)
-			for i := range rows {
-				v := get(&rows[i])
-				if kind == encDelta {
-					buf = binary.AppendUvarint(buf, zigzag(v-prev))
-					prev = v
-				} else {
-					buf = binary.AppendUvarint(buf, zigzag(v))
-				}
-			}
-			return buf
-		},
-		ints: col,
-	}
-}
-
-// dictCol encodes a low-cardinality string field: the distinct values
-// in first-appearance order (deterministic), then one index per row.
-// Rows mostly repeat the previous row's value (a segment is one group's,
-// and most columns are constant per group), so a row whose value equals
-// the previous row's reuses its index instead of looking it up.
-func dictCol(name string, get func(*sample.Sample) string, col func(*ColumnBatch) *DictColumn) colSpec {
-	return colSpec{
-		name: name,
-		kind: encDict,
-		enc: func(buf []byte, rows []sample.Sample) []byte {
-			idx := map[string]uint64{}
-			var dict []string
-			var prev string
-			for i := range rows {
-				v := get(&rows[i])
-				if i > 0 && v == prev {
-					continue
-				}
-				prev = v
-				if _, ok := idx[v]; !ok {
-					idx[v] = uint64(len(dict))
-					dict = append(dict, v)
-				}
-			}
-			buf = binary.AppendUvarint(buf, uint64(len(dict)))
-			for _, v := range dict {
-				buf = binary.AppendUvarint(buf, uint64(len(v)))
-				buf = append(buf, v...)
-			}
-			var id uint64
-			for i := range rows {
-				if v := get(&rows[i]); i == 0 || v != prev {
-					id, prev = idx[v], v
-				}
-				buf = binary.AppendUvarint(buf, id)
-			}
-			return buf
-		},
-		dict: col,
-	}
-}
-
-// floatCol stores raw IEEE-754 bits — byte-exact round trips, no
-// precision games.
-func floatCol(name string, get func(*sample.Sample) float64, col func(*ColumnBatch) []float64) colSpec {
-	return colSpec{
-		name: name,
-		kind: encFloat,
-		enc: func(buf []byte, rows []sample.Sample) []byte {
-			for i := range rows {
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(get(&rows[i])))
-			}
-			return buf
-		},
-		floats: col,
-	}
-}
-
-// boolCol bitpacks a boolean field, LSB first.
-func boolCol(name string, get func(*sample.Sample) bool, col func(*ColumnBatch) []bool) colSpec {
-	return colSpec{
-		name: name,
-		kind: encBool,
-		enc: func(buf []byte, rows []sample.Sample) []byte {
+// encode appends column c's payload, read from its slice of b, to buf:
+// one typed loop per kind, chosen once per column.
+func (c *colSpec) encode(buf []byte, b *ColumnBatch) []byte {
+	switch c.kind {
+	case encZigzag:
+		return appendVarints(buf, c.ints(b), true, false)
+	case encDelta:
+		if c.ids != nil {
+			return appendVarints(buf, c.ids(b), true, true)
+		}
+		return appendVarints(buf, c.ints(b), true, true)
+	case encDict:
+		d := c.dict(b)
+		buf = binary.AppendUvarint(buf, uint64(len(d.Dict)))
+		for _, v := range d.Dict {
+			buf = binary.AppendUvarint(buf, uint64(len(v)))
+			buf = append(buf, v...)
+		}
+		return appendVarints(buf, d.Idx, false, false)
+	case encFloat:
+		for _, v := range c.floats(b) {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+		}
+	case encBool:
+		// One bit a row, LSB first.
+		vals := c.bools(b)
+		for lo := 0; lo < len(vals); lo += 8 {
 			var cur byte
-			for i := range rows {
-				if get(&rows[i]) {
-					cur |= 1 << (i % 8)
-				}
-				if i%8 == 7 {
-					buf = append(buf, cur)
-					cur = 0
+			for j, v := range vals[lo:min(lo+8, len(vals))] {
+				if v {
+					cur |= 1 << j
 				}
 			}
-			if len(rows)%8 != 0 {
-				buf = append(buf, cur)
-			}
-			return buf
-		},
-		bools: col,
+			buf = append(buf, cur)
+		}
+	case encList:
+		// The running end offsets, delta-coded, are the lengths.
+		buf = appendVarints(buf, b.RespEnds, false, true)
+		return appendVarints(buf, b.RespVals, true, false)
 	}
+	return buf
 }
 
-// respCol encodes the per-row ResponseBytes lists: one length per row,
-// then the concatenated values. The batch holds them flattened
-// (RespVals + per-row end offsets); empty and nil lists are
-// indistinguishable on disk and both materialize back to nil, matching
-// the field's omitempty JSON behaviour.
-func respCol() colSpec {
-	return colSpec{
-		name: "resp",
-		kind: encList,
-		enc: func(buf []byte, rows []sample.Sample) []byte {
-			for i := range rows {
-				buf = binary.AppendUvarint(buf, uint64(len(rows[i].ResponseBytes)))
-			}
-			for i := range rows {
-				for _, v := range rows[i].ResponseBytes {
-					buf = binary.AppendUvarint(buf, zigzag(v))
-				}
-			}
-			return buf
-		},
+// appendVarints appends one varint a value of vals to buf: each value
+// less the one before when delta is set, zigzag-coded when zig is. It is
+// the hot loop of every write; a one-byte value (most of them) is
+// appended inline. An unsigned delta wraps as the signed one does, so
+// the session-ID column codes as if it were int64.
+func appendVarints[T int | int64 | uint32 | uint64](buf []byte, vals []T, zig, delta bool) []byte {
+	var prev T
+	for _, v := range vals {
+		if delta {
+			v, prev = v-prev, v
+		}
+		u := uint64(v)
+		if zig {
+			u = zigzag(int64(v))
+		}
+		if u < 0x80 {
+			buf = append(buf, byte(u))
+		} else {
+			buf = binary.AppendUvarint(buf, u)
+		}
 	}
+	return buf
 }

@@ -165,13 +165,7 @@ func (r *Reader) readColumns(m SegmentMeta) (*ColumnBatch, error) {
 // release. A block that fails to decode, or holds other than rows rows,
 // is released here and returns an error wrapping ErrCorrupt.
 func decodePooled(pool *sync.Pool, data []byte, rows int) (*ColumnBatch, error) {
-	b, _ := pool.Get().(*ColumnBatch)
-	if b == nil {
-		b = new(ColumnBatch)
-	}
-	b.pool = pool
-	b.refs.Store(1)
-	outstanding.Add(1)
+	b := acquire(pool)
 	if err := decodeInto(data, b); err != nil {
 		b.Release()
 		return nil, err
@@ -181,6 +175,19 @@ func decodePooled(pool *sync.Pool, data []byte, rows int) (*ColumnBatch, error) 
 		return nil, fmt.Errorf("%w: %d rows, manifest says %d", ErrCorrupt, n, rows)
 	}
 	return b, nil
+}
+
+// acquire takes a batch from pool, owned by the caller (Release it) and
+// counted as outstanding until its last release.
+func acquire(pool *sync.Pool) *ColumnBatch {
+	b, _ := pool.Get().(*ColumnBatch)
+	if b == nil {
+		b = new(ColumnBatch)
+	}
+	b.pool = pool
+	b.refs.Store(1)
+	outstanding.Add(1)
+	return b
 }
 
 // ScanColumns scans the whole dataset: ScanSegments over every segment

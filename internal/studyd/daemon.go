@@ -150,6 +150,14 @@ type Daemon struct {
 	gCells    *obs.Gauge
 	gCompared *obs.Gauge
 	gFolds    *obs.Gauge
+
+	// foldSlot admits the one cold filtered fold that may run at a time,
+	// and foldTickets the foldQueue requests that may wait for it
+	// (http.go: admitFold).
+	foldSlot      chan struct{}
+	foldTickets   chan struct{}
+	gFoldQueue    *obs.Gauge
+	cFoldRejected *obs.Counter
 }
 
 // New builds a daemon over opt.Dir. In live mode (opt.World set) the
@@ -178,6 +186,10 @@ func New(opt Options) (*Daemon, error) {
 	d.gCells = reg.Gauge("studyd_fold_cells")
 	d.gCompared = reg.Gauge("studyd_revalidate_points_compared")
 	d.gFolds = reg.Gauge("studyd_folds_inflight")
+	d.foldSlot = make(chan struct{}, 1)
+	d.foldTickets = make(chan struct{}, foldQueue)
+	d.gFoldQueue = reg.Gauge("studyd_fold_queue_depth")
+	d.cFoldRejected = reg.Counter("studyd_fold_rejected_total")
 	d.cache = newSWRCache(cacheEntries, reg)
 	d.resident = study.OpenSegments(opt.Dir, study.Options{Workers: 1})
 

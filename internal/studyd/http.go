@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -118,6 +119,11 @@ func (d *Daemon) handleReport(w http.ResponseWriter, r *http.Request) {
 		}
 		return body, err
 	})
+	if errors.Is(err, errFoldsBusy) {
+		w.Header().Set("Retry-After", foldRetryAfter)
+		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+		return
+	}
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -149,10 +155,45 @@ func noneMatch(header, etag string) bool {
 	return false
 }
 
+// foldQueue is how many cold filtered reports may wait while one folds.
+// A request past them is refused with a 503 at once, so the daemon holds
+// the resident study, one fold and the cache, whatever the clients ask
+// (DESIGN.md §15). A request for a key already being computed joins that
+// computation through the cache and takes no place here.
+const foldQueue = 4
+
+// foldRetryAfter is a refused request's Retry-After, in seconds, so that
+// a refused client does not come straight back to the same full queue.
+const foldRetryAfter = "2"
+
+// errFoldsBusy refuses a cold filtered fold while one runs and
+// foldQueue more wait. Like every compute error it is not cached.
+var errFoldsBusy = errors.New("a filtered report is being folded and others wait; retry later")
+
+// admitFold waits for the one fold slot and returns its release, or
+// errFoldsBusy at once when foldQueue requests already wait: a waiting
+// request holds one of foldQueue tickets until it takes the slot
+// (studyd_fold_queue_depth counts the tickets held,
+// studyd_fold_rejected_total the refusals).
+func (d *Daemon) admitFold() (release func(), err error) {
+	select {
+	case d.foldTickets <- struct{}{}:
+	default:
+		d.cFoldRejected.Inc()
+		return nil, errFoldsBusy
+	}
+	d.gFoldQueue.Add(1)
+	d.foldSlot <- struct{}{}
+	<-d.foldTickets
+	d.gFoldQueue.Add(-1)
+	return func() { <-d.foldSlot }, nil
+}
+
 // renderReport renders the report body for q over the spool, whose
 // version was read as version before the call. A filtered query folds
-// the spool from nothing, at GOMAXPROCS workers, and never touches the
-// resident study (studyd_folds_inflight counts those folds running); the
+// the spool from nothing, at GOMAXPROCS workers, one such fold at a time
+// (admitFold), and never touches the resident study
+// (studyd_folds_inflight counts those folds running); the
 // unfiltered one advances it — folding only what the spool has gained
 // since the last report and comparing only the windows that closed,
 // when the manifest allows (study.Segments) — and analyses and renders it
@@ -161,6 +202,11 @@ func noneMatch(header, etag string) bool {
 // not for contention.
 func (d *Daemon) renderReport(q reportQuery, version int64) ([]byte, error) {
 	if q.Filter != nil {
+		release, err := d.admitFold()
+		if err != nil {
+			return nil, err
+		}
+		defer release()
 		d.gFolds.Add(1)
 		res, err := study.FromSegments(context.Background(), d.opt.Dir, study.Options{Filter: q.Filter})
 		d.gFolds.Add(-1)

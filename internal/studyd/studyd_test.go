@@ -662,6 +662,116 @@ func TestFoldAndCacheGauges(t *testing.T) {
 	}
 }
 
+// TestFoldAdmission: cold filtered folds run one at a time, foldQueue
+// more wait, and a request past them gets a 503 with Retry-After at
+// once, counted in studyd_fold_rejected_total and never cached. First
+// with the fold slot held, so that the queue fills for certain; then
+// as eight distinct filtered reports at once, each of which gets a 200
+// or a 503 while studyd_folds_inflight never exceeds one. The daemon
+// serves every report afterwards.
+func TestFoldAdmission(t *testing.T) {
+	dir := t.TempDir()
+	goldenDataset(t, dir, "")
+	reg := obs.NewRegistry()
+	d, err := New(Options{Dir: dir, Reg: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	folds, queue := reg.Gauge("studyd_folds_inflight"), reg.Gauge("studyd_fold_queue_depth")
+	rejected := reg.Counter("studyd_fold_rejected_total")
+	report := func(i int) *httptest.ResponseRecorder {
+		rr := httptest.NewRecorder()
+		d.Handler().ServeHTTP(rr, httptest.NewRequest("GET", fmt.Sprintf("/report?from=%dh", i+1), nil))
+		if rr.Code != 200 && rr.Code != 503 {
+			t.Errorf("filtered report %d: %d %s", i, rr.Code, rr.Body.String())
+		}
+		if rr.Code == 503 && rr.Header().Get("Retry-After") == "" {
+			t.Errorf("filtered report %d: a 503 without Retry-After", i)
+		}
+		return rr
+	}
+
+	d.foldSlot <- struct{}{} // a fold is running
+	var wg sync.WaitGroup
+	for i := range foldQueue {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if rr := report(i); rr.Code != 200 {
+				t.Errorf("queued report %d: %d, want 200 once the fold ends", i, rr.Code)
+			}
+		}()
+	}
+	for queue.Value() != foldQueue {
+		runtime.Gosched()
+	}
+	past := make(chan int, 1)
+	go func() { past <- report(foldQueue).Code }()
+	select {
+	case code := <-past:
+		if code != 503 {
+			t.Fatalf("a report past a full queue: %d, want 503", code)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a report past a full queue still waits after 10 s, want a 503 at once")
+	}
+	if v := rejected.Value(); v != 1 {
+		t.Fatalf("studyd_fold_rejected_total = %d after one refusal", v)
+	}
+	<-d.foldSlot
+	wg.Wait()
+	if rr := report(foldQueue); rr.Code != 200 || rr.Header().Get("X-Cache") != "miss" {
+		t.Fatalf("the refused report again: %d %s, want a 200 computed afresh", rr.Code, rr.Header().Get("X-Cache"))
+	}
+
+	const n = 8
+	codes := make([]int, n)
+	start := make(chan struct{})
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			codes[i] = report(foldQueue + 1 + i).Code
+		}()
+	}
+	finished := make(chan struct{})
+	go func() { wg.Wait(); close(finished) }()
+	close(start)
+	peak := 0.0
+	for running := true; running; {
+		select {
+		case <-finished:
+			running = false
+		default:
+			peak = max(peak, folds.Value())
+			runtime.Gosched()
+		}
+	}
+	ok, refused := 0, 0
+	for _, c := range codes {
+		switch c {
+		case 200:
+			ok++
+		case 503:
+			refused++
+		}
+	}
+	if ok == 0 || peak > 1 {
+		t.Fatalf("%d distinct filtered reports at once: %d got 200, folds in flight peaked at %v; want at least one 200 and at most one fold", n, ok, peak)
+	}
+	if v := rejected.Value(); v != int64(1+refused) {
+		t.Fatalf("studyd_fold_rejected_total = %d, want %d", v, 1+refused)
+	}
+	if v := queue.Value(); v != 0 {
+		t.Fatalf("studyd_fold_queue_depth = %v with nothing waiting", v)
+	}
+	get(t, d, "/report")
+	for i := range n {
+		get(t, d, fmt.Sprintf("/report?from=%dh", foldQueue+2+i))
+	}
+}
+
 // TestEndpoints sanity-checks the query surfaces over a drained run.
 func TestEndpoints(t *testing.T) {
 	dir := t.TempDir()
