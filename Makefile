@@ -77,19 +77,21 @@ identity:
 # decode never panics on hostile streams, comparison series extended at
 # any cuts of a stream equal the from-nothing ones, segment encode and
 # segment decode each equal to the per-column closures they replaced).
+# A new interesting input is minimized for at most 2 s: at the default
+# 60 s one minimization would outlast the whole burst.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzTDigestMerge -fuzztime 10s ./internal/tdigest/
-	$(GO) test -run '^$$' -fuzz FuzzProcessMatchesStableReference -fuzztime 10s ./internal/tdigest/
-	$(GO) test -run '^$$' -fuzz FuzzSortByMean -fuzztime 10s ./internal/tdigest/
-	$(GO) test -run '^$$' -fuzz FuzzSeriesExtend -fuzztime 10s ./internal/analysis/
-	$(GO) test -run '^$$' -fuzz FuzzHDRatioClassify -fuzztime 10s ./internal/hdratio/
-	$(GO) test -run '^$$' -fuzz FuzzIdealRoundsMatchesLog2 -fuzztime 10s ./internal/hdratio/
-	$(GO) test -run '^$$' -fuzz FuzzTallyMatchesEvaluate -fuzztime 10s ./internal/hdratio/
-	$(GO) test -run '^$$' -fuzz FuzzSegmentDecode -fuzztime 10s ./internal/segstore/
-	$(GO) test -run '^$$' -fuzz FuzzEncodeSegmentMatchesOracle -fuzztime 10s ./internal/segstore/
-	$(GO) test -run '^$$' -fuzz FuzzDecodeMatchesOracle -fuzztime 10s ./internal/segstore/
-	$(GO) test -run '^$$' -fuzz FuzzShipFrameDecode -fuzztime 10s ./internal/ship/
-	$(GO) test -run '^$$' -fuzz FuzzStudydQueryParams -fuzztime 10s ./internal/studyd/
+	$(GO) test -run '^$$' -fuzz FuzzTDigestMerge -fuzztime 10s -fuzzminimizetime 2s ./internal/tdigest/
+	$(GO) test -run '^$$' -fuzz FuzzProcessMatchesStableReference -fuzztime 10s -fuzzminimizetime 2s ./internal/tdigest/
+	$(GO) test -run '^$$' -fuzz FuzzSortByMean -fuzztime 10s -fuzzminimizetime 2s ./internal/tdigest/
+	$(GO) test -run '^$$' -fuzz FuzzSeriesExtend -fuzztime 10s -fuzzminimizetime 2s ./internal/analysis/
+	$(GO) test -run '^$$' -fuzz FuzzHDRatioClassify -fuzztime 10s -fuzzminimizetime 2s ./internal/hdratio/
+	$(GO) test -run '^$$' -fuzz FuzzIdealRoundsMatchesLog2 -fuzztime 10s -fuzzminimizetime 2s ./internal/hdratio/
+	$(GO) test -run '^$$' -fuzz FuzzTallyMatchesEvaluate -fuzztime 10s -fuzzminimizetime 2s ./internal/hdratio/
+	$(GO) test -run '^$$' -fuzz FuzzSegmentDecode -fuzztime 10s -fuzzminimizetime 2s ./internal/segstore/
+	$(GO) test -run '^$$' -fuzz FuzzEncodeSegmentMatchesOracle -fuzztime 10s -fuzzminimizetime 2s ./internal/segstore/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeMatchesOracle -fuzztime 10s -fuzzminimizetime 2s ./internal/segstore/
+	$(GO) test -run '^$$' -fuzz FuzzShipFrameDecode -fuzztime 10s -fuzzminimizetime 2s ./internal/ship/
+	$(GO) test -run '^$$' -fuzz FuzzStudydQueryParams -fuzztime 10s -fuzzminimizetime 2s ./internal/studyd/
 
 # Documents the obs fast-path cost on collector ingest (EXPERIMENTS.md
 # records the measured overhead; the bar is <5%).

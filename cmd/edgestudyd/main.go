@@ -83,7 +83,7 @@ func main() {
 		days       = flag.Int("days", 10, "dataset length in days (live mode)")
 		spw        = flag.Float64("spw", 8, "mean sampled sessions per group per window (live mode)")
 		out        = flag.String("o", "", "at-rest segment spool directory (required; resumed if it already holds a dataset)")
-		workers    = flag.Int("workers", pipeline.DefaultWorkers(), "concurrent per-window generate workers (1 = sequential; never changes the spool bytes)")
+		workers    = flag.Int("workers", pipeline.DefaultWorkers(), "world generator goroutines, each simulating its share of the groups up to a day ahead of ingest (never changes the spool bytes)")
 		httpAddr   = flag.String("http", "127.0.0.1:0", "HTTP service address (:0 picks a free port; see -addr-file)")
 		addrFile   = flag.String("addr-file", "", "write the bound HTTP address to this file once listening")
 		faultPlan  = flag.String("fault-plan", "", "deterministic ingest fault plan, the one edgesim takes (shapes the dataset; part of its origin)")

@@ -122,6 +122,7 @@ func cause(ctx context.Context) error {
 type Stream[T any] struct {
 	ch        chan T
 	closeOnce sync.Once
+	wait      *obs.SpanTimer // Range's waits on an empty stream; nil times none
 }
 
 // NewStream returns a stream buffering up to buf items (minimum 1).
@@ -144,6 +145,11 @@ func (s *Stream[T]) Instrument(reg *obs.Registry, stage string) {
 		return float64(cap(ch))
 	})
 }
+
+// TimeWaits makes Range time every receive that finds the stream empty
+// as a span on t: the consumer's idle time, which says the producers
+// are behind. Call it before the stream is used. A nil t times nothing.
+func (s *Stream[T]) TimeWaits(t *obs.SpanTimer) { s.wait = t }
 
 // Send delivers v, blocking under backpressure; it returns the
 // poisoning error if the pipeline is cancelled first.
@@ -180,8 +186,13 @@ func (s *Stream[T]) Drain(f func(T)) {
 // consumption immediately.
 func (s *Stream[T]) Range(ctx context.Context, f func(T) error) error {
 	for {
+		var sp obs.Span
+		if len(s.ch) == 0 {
+			sp = s.wait.Start()
+		}
 		select {
 		case v, ok := <-s.ch:
+			sp.End()
 			if !ok {
 				return nil
 			}
@@ -189,6 +200,7 @@ func (s *Stream[T]) Range(ctx context.Context, f func(T) error) error {
 				return err
 			}
 		case <-ctx.Done():
+			sp.End()
 			return cause(ctx)
 		}
 	}
@@ -213,10 +225,12 @@ func Reorder[T any](ctx context.Context, in *Stream[T], seq func(T) int, next in
 // received but never successfully emitted: when the pipeline is
 // poisoned (emit error or cancellation), drop is called for every
 // pending buffered item and for everything still arriving on the
-// stream until it closes. Stages whose items carry resources — pooled
-// column batches, file handles — use this so an error path releases
-// exactly what a success path would have. drop must not block; a nil
-// drop is Reorder.
+// stream until it closes; when the stream closes before a gap in the
+// sequence fills (a producer stopped early), for every item held past
+// the gap. Stages whose items carry resources — pooled column batches,
+// file handles, a count of items in flight — use this so an error path
+// releases exactly what a success path would have. drop must not
+// block; a nil drop is Reorder.
 func ReorderDrain[T any](ctx context.Context, in *Stream[T], seq func(T) int, next int, emit func(T) error, drop func(T)) error {
 	pending := make(map[int]T)
 	err := in.Range(ctx, func(v T) error {
@@ -233,10 +247,13 @@ func ReorderDrain[T any](ctx context.Context, in *Stream[T], seq func(T) int, ne
 			next++
 		}
 	})
-	if err != nil && drop != nil {
-		for _, v := range pending {
-			drop(v)
-		}
+	if drop == nil {
+		return err
+	}
+	for _, v := range pending {
+		drop(v)
+	}
+	if err != nil {
 		// Items already buffered in the channel (or mid-Send) would
 		// otherwise be stranded: drain until the producer side closes.
 		// This cannot block forever — every producer's Send observes the

@@ -107,7 +107,9 @@ func TestGroupParentCancellation(t *testing.T) {
 }
 
 // Reorder must emit only the contiguous prefix when the stream closes
-// with holes (an interrupted producer pool).
+// with holes (an interrupted producer pool), and ReorderDrain hands
+// every item held past the hole to drop, so what they carry is
+// released.
 func TestReorderTruncatesAtHole(t *testing.T) {
 	g := NewGroup(context.Background())
 	s := NewStream[int](8)
@@ -118,17 +120,53 @@ func TestReorderTruncatesAtHole(t *testing.T) {
 	}
 	s.Close()
 	var got []int
+	dropped := map[int]bool{}
 	g.Go(func(ctx context.Context) error {
-		return Reorder(ctx, s, func(v int) int { return v }, 0, func(v int) error {
+		return ReorderDrain(ctx, s, func(v int) int { return v }, 0, func(v int) error {
 			got = append(got, v)
 			return nil
-		})
+		}, func(v int) { dropped[v] = true })
 	})
 	if err := g.Wait(); err != nil {
 		t.Fatalf("Wait: %v", err)
 	}
 	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
 		t.Fatalf("got %v, want the contiguous prefix [0 1 2]", got)
+	}
+	if len(dropped) != 2 || !dropped[4] || !dropped[5] {
+		t.Fatalf("dropped %v, want the items past the hole, 4 and 5", dropped)
+	}
+}
+
+// TimeWaits times a receive that finds the stream empty, and only
+// that: items already queued are taken without a span.
+func TestStreamTimeWaits(t *testing.T) {
+	wait := obs.NewRegistry().Span("wait", "")
+	s := NewStream[int](4)
+	s.TimeWaits(wait)
+	for i := range 3 {
+		if err := s.Send(context.Background(), i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := 0
+	err := s.Range(context.Background(), func(int) error {
+		if n++; n == 3 {
+			if c := wait.Count(); c != 0 {
+				t.Errorf("%d waits timed for queued items, want 0", c)
+			}
+			go func() {
+				time.Sleep(5 * time.Millisecond)
+				s.Close()
+			}()
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, d := wait.Count(), wait.Total(); c != 1 || d < 5*time.Millisecond || wait.Active() != 0 {
+		t.Fatalf("%d waits of %v (%d open), want the one wait for the close, at least 5ms", c, d, wait.Active())
 	}
 }
 

@@ -466,9 +466,10 @@ func (d *Daemon) Drain() error {
 	return nil
 }
 
-// RunLive drives the daemon from its world's live feed: windows
-// generate in logical order (parallel across groups within a window),
-// every batch ingests, every window seals, and the stream drains.
+// RunLive drives the daemon from its world's live feed: workers
+// generator goroutines simulate the groups up to a day ahead of
+// ingest, every batch ingests and every window seals in logical order,
+// and the stream drains.
 // Cancelling ctx stops the feed, and any write retry waiting out a
 // backoff, with ctx's cause; everything already committed is
 // durable, and a rerun with the same flags resumes (committed chunks

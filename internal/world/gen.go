@@ -195,9 +195,10 @@ type groupFeed struct {
 	seq     uint64
 	next    int // the next window the group generates
 	emitted int // cumulative samples, for the gen span's closing value
-	// buf is the live feed's window buffer, lent to deliver and
-	// refilled by the group's next window.
-	buf []sample.Sample
+	// slots is the live feed's ring of window buffers: window w fills
+	// slot w mod WindowsPerDay, lent to deliver until the window a day
+	// later refills it.
+	slots [][]sample.Sample
 }
 
 // newGroupFeed sets up group gi's generation state at its first window.

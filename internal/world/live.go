@@ -17,21 +17,21 @@ import (
 type WindowBatch struct {
 	Group int
 	Win   int
-	// Samples is valid until deliver returns: the group's next window
-	// is generated into the same buffer, so a consumer that keeps a
-	// sample copies it.
+	// Samples is valid until deliver returns. It is one slot of the
+	// group's ring of WindowsPerDay window buffers, which the group's
+	// window a day later refills, so a consumer that keeps a sample
+	// copies it.
 	Samples []sample.Sample
 	// Lost counts sessions this window would have produced but for a
 	// PoP outage (World.PoPDown).
 	Lost int
 }
 
-// LiveFeed generates the world window-major: all groups advance
-// through window w before any group touches window w+1 — the run's
-// logical clock. It is the ingest source of the always-on study
-// daemon (internal/studyd); sealing decisions key on the window
-// index, never on wall time, so live runs stay deterministic and
-// replayable.
+// LiveFeed generates the world window-major: it delivers every group's
+// window w before any group's window w+1 — the run's logical clock. It
+// is the ingest source of the always-on study daemon (internal/studyd);
+// sealing decisions key on the window index, never on wall time, so
+// live runs stay deterministic and replayable.
 type LiveFeed struct {
 	w     *World
 	feeds []*groupFeed
@@ -42,6 +42,7 @@ func NewLiveFeed(w *World) *LiveFeed {
 	f := &LiveFeed{w: w, feeds: make([]*groupFeed, len(w.Groups))}
 	for gi := range w.Groups {
 		f.feeds[gi] = w.newGroupFeed(gi)
+		f.feeds[gi].slots = make([][]sample.Sample, WindowsPerDay)
 	}
 	return f
 }
@@ -49,120 +50,110 @@ func NewLiveFeed(w *World) *LiveFeed {
 // generate advances one group by exactly one window, recording it on
 // tb. Windows must be requested in order per group — the RNG lineage
 // is a stream, not an index — so a skipped or repeated window is a
-// programming error. The window is generated into the group's one
-// buffer, which is replaced only when the window's estimate
-// (capacityFor, as GenerateSelected sizes a group's) exceeds its
-// capacity, so no window regrows it. Its error is ctx's cause, when
+// programming error. Window win is generated into slot win mod
+// WindowsPerDay of the group's ring, which is made on the first day at
+// the window's estimate (capacityFor, as GenerateSelected sizes a
+// group's); every later day's window in that slot has the same
+// estimate, so no slot is made twice. Its error is ctx's cause, when
 // ctx ends while the window waits on the group's drawer.
 func (f *LiveFeed) generate(ctx context.Context, tb *trace.Buf, gi, win int) (WindowBatch, error) {
 	fd := f.feeds[gi]
 	if win != fd.next {
 		panic(fmt.Sprintf("world: live feed asked for group %d window %d, expected %d (windows are a stream)", gi, win, fd.next))
 	}
-	if want := capacityFor(f.w.windowMean(f.w.Groups[gi], win)); want > cap(fd.buf) {
-		fd.buf = make([]sample.Sample, 0, want)
+	slot := &fd.slots[win%WindowsPerDay]
+	if want := capacityFor(f.w.windowMean(f.w.Groups[gi], win)); want > cap(*slot) {
+		*slot = make([]sample.Sample, 0, want)
 	}
-	buf := fd.buf[:0]
+	buf := (*slot)[:0]
 	lost, err := fd.window(ctx, tb, func(s sample.Sample) { buf = append(buf, s) })
-	fd.buf = buf
+	*slot = buf
 	return WindowBatch{Group: gi, Win: win, Samples: buf, Lost: lost}, err
 }
 
-// Run streams the whole world window-major: for each window, group
-// batches are generated on up to workers goroutines (each group's
-// state is touched by exactly one worker per window, and the
-// per-window barrier orders the touches across windows), delivered in
-// ascending group order, then seal is invoked with the window index —
-// the logical-clock tick the daemon's sealing keys on. Each group
-// generates and records its window through the batch generator's
-// method (groupFeed.window), on a trace buffer its worker owns, so the
-// trace and the world metrics are the batch run's. deliver and seal
-// run on one goroutine; their errors poison the run. A batch's Samples
-// are the group's window buffer, lent until deliver returns: the
-// barrier delivers a group's window before the group generates its
-// next one into the same buffer. Every group's workload drawer runs
-// for the length of Run and is stopped and waited for on every return;
-// what the drawers drew ahead stays in the feed.
+// Run streams the whole world window-major. min(workers, groups)
+// generator goroutines each own a fixed set of groups and simulate
+// them window by window, each recording on a trace buffer of its own,
+// through the batch generator's method (groupFeed.window), so the
+// trace and the world metrics are the batch run's. The calling
+// goroutine restores (window, group) order, delivers every batch and
+// calls seal with the window index after the window's last group — the
+// logical-clock tick the daemon's sealing keys on — so the consumer
+// sees the same sequence at any worker count. deliver and seal run on
+// the calling goroutine; their errors, and ctx's end, stop the
+// generators and return.
+//
+// The generators run ahead of the consumer by up to one day: a group's
+// window w fills slot w mod WindowsPerDay of its ring only once window
+// w − WindowsPerDay has been delivered from it, so a batch's Samples
+// are lent until deliver returns, at most groups × WindowsPerDay
+// batches wait (world_feed_batches_ahead), and no buffer is made after
+// the first day. Every group's workload drawer runs for the length of
+// Run and is stopped and waited for on every return; what the drawers
+// drew ahead stays in the feed.
 func (f *LiveFeed) Run(ctx context.Context, workers int, deliver func(WindowBatch) error, seal func(win int) error) error {
-	windows := f.w.Cfg.Windows()
-	workers = min(workers, len(f.w.Groups))
-	rings := make([]*specRing, len(f.feeds))
+	windows, groups, o := f.w.Cfg.Windows(), len(f.feeds), &f.w.obs
+	rings := make([]*specRing, groups)
+	room := make([]chan struct{}, groups) // room[gi] holds a token for each free slot of group gi's ring
 	for gi, fd := range f.feeds {
 		rings[gi] = fd.sc.ring
+		room[gi] = make(chan struct{}, len(fd.slots))
+		for range len(fd.slots) {
+			room[gi] <- struct{}{}
+		}
 	}
-	stop := startDrawers(ctx, &f.w.obs, rings...)
+	stop := startDrawers(ctx, o, rings...)
 	defer stop()
 
-	// One worker generates and delivers on the calling goroutine: a
-	// pool would be set up and torn down for every window (96 a day)
-	// to run the same program.
-	if workers <= 1 {
+	// A deliver or seal error cancels the generators before the drain
+	// below waits for them: they stop at their next window instead of
+	// filling what is left of their rings.
+	runCtx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	g := pipeline.NewGroup(runCtx)
+	out := pipeline.NewStream[WindowBatch](groups * WindowsPerDay) // never full: the rings bound what waits
+	out.TimeWaits(o.feedWait)
+	n := max(1, min(workers, groups))
+	g.GoPool(n, func(ctx context.Context, i int) error {
 		tb := f.w.Rec.Buf()
-		for win := 0; win < windows; win++ {
-			if err := ctx.Err(); err != nil {
-				return context.Cause(ctx)
-			}
-			for gi := range f.w.Groups {
+		for win := range windows {
+			for gi := i; gi < groups; gi += n {
+				select {
+				case <-room[gi]:
+				case <-ctx.Done():
+					return context.Cause(ctx)
+				}
 				b, err := f.generate(ctx, tb, gi, win)
 				if err != nil {
 					return err
 				}
-				if err := deliver(b); err != nil {
+				o.feedAhead.Add(1)
+				if err := out.Send(ctx, b); err != nil {
+					o.feedAhead.Add(-1)
 					return err
 				}
-			}
-			if err := seal(win); err != nil {
-				return err
 			}
 		}
 		return nil
-	}
+	}, out.Close)
 
-	// A trace buffer per pool worker, kept across windows: the
-	// per-window Wait orders one window's writes to a buffer before the
-	// next window's.
-	bufs := make([]*trace.Buf, workers)
-	for i := range bufs {
-		bufs[i] = f.w.Rec.Buf()
+	err := pipeline.ReorderDrain(g.Context(), out, func(b WindowBatch) int { return b.Win*groups + b.Group }, 0, func(b WindowBatch) error {
+		o.feedAhead.Add(-1)
+		err := context.Cause(ctx)
+		if err == nil {
+			err = deliver(b)
+		}
+		room[b.Group] <- struct{}{} // never blocks: the ring has room for every slot
+		if err == nil && b.Group == groups-1 {
+			err = seal(b.Win)
+		}
+		if err != nil {
+			cancel(err)
+		}
+		return err
+	}, func(WindowBatch) { o.feedAhead.Add(-1) })
+	if werr := g.Wait(); err == nil {
+		err = werr
 	}
-	for win := 0; win < windows; win++ {
-		if err := ctx.Err(); err != nil {
-			return context.Cause(ctx)
-		}
-		idx := make(chan int, len(f.w.Groups))
-		for gi := range f.w.Groups {
-			idx <- gi
-		}
-		close(idx)
-		g := pipeline.NewGroup(ctx)
-		out := pipeline.NewStream[WindowBatch](workers)
-		g.GoPool(workers, func(ctx context.Context, i int) error {
-			for gi := range idx {
-				if err := ctx.Err(); err != nil {
-					return context.Cause(ctx)
-				}
-				b, err := f.generate(ctx, bufs[i], gi, win)
-				if err != nil {
-					return err
-				}
-				if err := out.Send(ctx, b); err != nil {
-					return err
-				}
-			}
-			return nil
-		}, out.Close)
-		g.Go(func(ctx context.Context) error {
-			return pipeline.Reorder(ctx, out, func(b WindowBatch) int { return b.Group }, 0, deliver)
-		})
-		// The per-window Wait is the live clock's barrier: every group's
-		// window w is generated, delivered, and sealed before any state
-		// advances to w+1, so worker count cannot reorder the stream.
-		if err := g.Wait(); err != nil {
-			return err
-		}
-		if err := seal(win); err != nil {
-			return err
-		}
-	}
-	return nil
+	return err
 }

@@ -17,6 +17,8 @@ type worldObs struct {
 	draw       *obs.SpanTimer
 	drawWait   *obs.SpanTimer
 	specsDrawn *obs.Counter
+	feedAhead  *obs.Gauge
+	feedWait   *obs.SpanTimer
 }
 
 // Instrument registers generation metrics on reg: sessions, windows and
@@ -27,8 +29,13 @@ type worldObs struct {
 // (world_draw_wait_seconds) and the specs drawn
 // (world_specs_drawn_total): drawn minus the sessions simulated, kept
 // or lost to an outage, is what was drawn ahead and never simulated, at
-// most one ring (ringChunks × chunkSpecs) per group. A nil registry
-// leaves the world uninstrumented.
+// most one ring (ringChunks × chunkSpecs) per group. A live feed adds
+// the batches its generators have made and deliver has not yet taken
+// (world_feed_batches_ahead, at most groups × WindowsPerDay, 0 once Run
+// returns) and the time deliver waits on an empty feed
+// (world_feed_wait_seconds): a feed that runs a day ahead says the
+// consumer is the bottleneck, one that keeps it waiting says the
+// generators are. A nil registry leaves the world uninstrumented.
 func (w *World) Instrument(reg *obs.Registry) {
 	w.obs = worldObs{
 		sessions:   reg.Counter("world_sessions_total"),
@@ -40,6 +47,8 @@ func (w *World) Instrument(reg *obs.Registry) {
 		draw:       reg.Span(obs.L("world_stage_seconds", "stage", "draw"), "world"),
 		drawWait:   reg.Span("world_draw_wait_seconds", "world"),
 		specsDrawn: reg.Counter("world_specs_drawn_total"),
+		feedAhead:  reg.Gauge("world_feed_batches_ahead"),
+		feedWait:   reg.Span("world_feed_wait_seconds", "world"),
 	}
 	// The pinner's route-assignment counters ride along (§2.2.3's
 	// preferred/alternate measurement split).

@@ -152,13 +152,13 @@ func TestGenerateSelectedCoverage(t *testing.T) {
 // A group's buffer is sized once, before its first session, and the
 // sessions must fit it: a batch whose capacity is not sessionCapacity
 // was regrown by append. The slack is bounded too, so the estimate
-// cannot pass by over-allocating. A live feed keeps one window buffer a
-// group and replaces it only when a window's estimate (capacityFor of
-// its mean) rises above the buffer's capacity: every other window must
-// arrive in the same buffer at the same capacity, so none was regrown
-// by append, and the feed makes as many buffers as the estimates rise —
-// all on the first day, since every day's activity curve is the same —
-// not one a window.
+// cannot pass by over-allocating. A live feed keeps a ring of
+// WindowsPerDay window buffers a group: each first-day window arrives
+// in a new buffer sized for its estimate (capacityFor of its mean), and
+// every later window w in window w − WindowsPerDay's buffer at the same
+// capacity — every day's activity curve is the same, so no later
+// window needs a larger one and none was regrown by append. A group
+// makes exactly min(windows, WindowsPerDay) buffers, not one a window.
 func TestGroupBufferSizedOnce(t *testing.T) {
 	for _, cfg := range []Config{
 		{Seed: 3, Groups: 40, Days: 2, SessionsPerGroupWindow: 12},
@@ -185,36 +185,33 @@ func TestGroupBufferSizedOnce(t *testing.T) {
 			first *sample.Sample // the buffer's first element: its identity
 			cap   int
 		}
-		last := make([]window, len(w.Groups))
-		rises, made := 0, 0
+		seen := make([][]window, len(w.Groups)) // each group's windows' buffers, in order
+		made := make([]map[*sample.Sample]bool, len(w.Groups))
+		for gi := range made {
+			made[gi] = map[*sample.Sample]bool{}
+		}
 		if err := NewLiveFeed(w).Run(context.Background(), 2, func(b WindowBatch) error {
 			got := window{&b.Samples[:1][0], cap(b.Samples)}
-			prev := &last[b.Group]
-			switch want := capacityFor(w.windowMean(w.Groups[b.Group], b.Win)); {
-			case want > prev.cap:
-				rises++
-				if b.Win >= WindowsPerDay {
-					t.Errorf("seed %d live group %d: the estimate rose at window %d, after the first day", cfg.Seed, b.Group, b.Win)
-				}
-				if got.first == prev.first || got.cap != want {
-					t.Errorf("seed %d live group %d window %d: %d samples in a buffer of %d, want a new one sized for %d",
+			made[b.Group][got.first] = true
+			if b.Win < WindowsPerDay {
+				if want := capacityFor(w.windowMean(w.Groups[b.Group], b.Win)); got.cap != want {
+					t.Errorf("seed %d live group %d window %d: %d samples in a buffer of %d, want one sized for %d",
 						cfg.Seed, b.Group, b.Win, len(b.Samples), got.cap, want)
 				}
-			case got != *prev:
-				t.Errorf("seed %d live group %d window %d: %d samples in a buffer of %d, want the group's buffer of %d again",
-					cfg.Seed, b.Group, b.Win, len(b.Samples), got.cap, prev.cap)
+			} else if prev := seen[b.Group][b.Win-WindowsPerDay]; got != prev {
+				t.Errorf("seed %d live group %d window %d: %d samples in a buffer of %d, want window %d's buffer of %d again",
+					cfg.Seed, b.Group, b.Win, len(b.Samples), got.cap, b.Win-WindowsPerDay, prev.cap)
 			}
-			if got.first != prev.first {
-				made++
-			}
-			*prev = got
+			seen[b.Group] = append(seen[b.Group], got)
 			return nil
 		}, func(int) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
-		if made != rises || made > len(w.Groups)*WindowsPerDay {
-			t.Errorf("seed %d: the live feed made %d window buffers for %d rises of the estimate over %d groups x %d windows",
-				cfg.Seed, made, rises, len(w.Groups), cfg.Windows())
+		for gi, m := range made {
+			if want := min(cfg.Windows(), WindowsPerDay); len(m) != want || len(seen[gi]) != cfg.Windows() {
+				t.Errorf("seed %d: live group %d made %d window buffers over %d windows, want %d over %d",
+					cfg.Seed, gi, len(m), len(seen[gi]), want, cfg.Windows())
+			}
 		}
 	}
 }

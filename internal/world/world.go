@@ -15,8 +15,8 @@
 // trace events and the world's metrics. Three drivers run it. The
 // group worker pool (GenerateSelected) runs whole groups for the
 // dataset writer; GenerateBatches adds ordered delivery for the study;
-// LiveFeed runs all groups one window at a time for the always-on
-// daemon. Their samples, traces and counters agree by construction.
+// LiveFeed runs the groups window by window, up to a day ahead of the
+// always-on daemon, and delivers them one window at a time. Their samples, traces and counters agree by construction.
 package world
 
 import (
