@@ -21,7 +21,9 @@
 //
 // The defaults (120 groups × 5 days) run in a minute or two on a laptop.
 // -workers (default GOMAXPROCS) runs the sharded concurrent pipeline —
-// generation or dataset decoding fans out to a worker pool feeding
+// generation or dataset decoding fans out to a worker pool whose
+// results are handed on in order, never more than 2 × -workers + 1
+// groups or segments ahead of the one being folded, to
 // hash-partitioned aggregation shards, and the analyses run in parallel
 // once the shards merge; the report is byte-identical to -workers 1 on
 // the same seed or dataset. -cdf additionally dumps the raw CDF series

@@ -20,11 +20,13 @@
 // appends segments and commits the manifest in deterministic group
 // order, so the dataset bytes do not depend on the worker count and
 // even -workers 1 simulates one group while it encodes the one before.
-// -progress reports sessions per second and per-stage wall time to
-// stderr while the run grinds; -metrics-addr additionally serves
-// /metrics (Prometheus text), /debug/vars, and /debug/pprof — including
-// pipeline_queue_depth{stage="encode"} and {stage="write"} for the
-// generate→encode and encode→write queues.
+// No group is simulated more than 4 × -workers + 1 groups past the
+// lowest one not yet committed. -progress reports sessions per second
+// and per-stage wall time to stderr while the run grinds; -metrics-addr
+// additionally serves /metrics (Prometheus text), /debug/vars, and
+// /debug/pprof — including pipeline_queue_depth{stage="encode"} for the
+// generate→encode queue and {stage="write"} for the groups encoded and
+// waiting on the commit.
 // cmd/edgereport and cmd/edgestat read the directory; cmd/segcat
 // exports it as JSON lines for external tooling.
 //

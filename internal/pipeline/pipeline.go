@@ -14,14 +14,17 @@
 //     consumer lags (backpressure) and abort when the pipeline is
 //     poisoned; queue depth is observable on /metrics via
 //     pipeline_queue_depth{stage="..."}.
-//   - Reorder: a sequence-restoring stage. Workers process items in
-//     whatever order the scheduler dictates, Reorder re-emits them in
-//     ascending sequence order, so a sharded run's downstream fold sees
-//     exactly the order the sequential run would — the property the
-//     byte-identical report guarantee rests on.
+//   - Ordered: the one ordered hand-off. Workers claim indices in
+//     ascending order and finish them in whatever order the scheduler
+//     dictates; one goroutine emits the results in index order, so a
+//     sharded run's downstream fold sees exactly the order the
+//     sequential run would — the property the byte-identical report
+//     guarantee rests on.
 //
-// Stages hold only indices and batch pointers; backpressure bounds the
-// number of batches in flight to roughly workers + buffer.
+// Ordered bounds what a pipeline holds: no index is claimed more than
+// Window(workers) past the lowest one not yet emitted, so every stage
+// between a claim and its emit together holds at most that many items,
+// however slow the lowest one is.
 package pipeline
 
 import (
@@ -122,7 +125,6 @@ func cause(ctx context.Context) error {
 type Stream[T any] struct {
 	ch        chan T
 	closeOnce sync.Once
-	wait      *obs.SpanTimer // Range's waits on an empty stream; nil times none
 }
 
 // NewStream returns a stream buffering up to buf items (minimum 1).
@@ -145,11 +147,6 @@ func (s *Stream[T]) Instrument(reg *obs.Registry, stage string) {
 		return float64(cap(ch))
 	})
 }
-
-// TimeWaits makes Range time every receive that finds the stream empty
-// as a span on t: the consumer's idle time, which says the producers
-// are behind. Call it before the stream is used. A nil t times nothing.
-func (s *Stream[T]) TimeWaits(t *obs.SpanTimer) { s.wait = t }
 
 // Send delivers v, blocking under backpressure; it returns the
 // poisoning error if the pipeline is cancelled first.
@@ -186,13 +183,8 @@ func (s *Stream[T]) Drain(f func(T)) {
 // consumption immediately.
 func (s *Stream[T]) Range(ctx context.Context, f func(T) error) error {
 	for {
-		var sp obs.Span
-		if len(s.ch) == 0 {
-			sp = s.wait.Start()
-		}
 		select {
 		case v, ok := <-s.ch:
-			sp.End()
 			if !ok {
 				return nil
 			}
@@ -200,66 +192,186 @@ func (s *Stream[T]) Range(ctx context.Context, f func(T) error) error {
 				return err
 			}
 		case <-ctx.Done():
-			sp.End()
 			return cause(ctx)
 		}
 	}
 }
 
-// Reorder consumes items from in and re-emits them in ascending
-// sequence order starting at next: items may arrive in any order (a
-// worker pool finishes shards as it pleases), but emit sees exactly the
-// sequential order. seq must be a bijection onto next, next+1, ...;
-// missing sequence numbers before a cancellation simply truncate the
-// emitted prefix, which is what lets an interrupted pipeline flush a
-// valid, ordered prefix of its output.
-//
-// The pending buffer is bounded by the producer pool's in-flight window
-// (workers + stream buffer), because a worker cannot complete a far-
-// ahead sequence number until Send unblocks.
-func Reorder[T any](ctx context.Context, in *Stream[T], seq func(T) int, next int, emit func(T) error) error {
-	return ReorderDrain(ctx, in, seq, next, emit, nil)
+// Window is how many indices an Ordered lets be claimed and not yet
+// emitted, for workers goroutines that hold claimed indices: one being
+// emitted, and two for each worker — the one it holds and one finished
+// ahead of the stage after it. That is the run-ahead of a pool feeding
+// its next stage through a queue of one item a worker, and at one
+// worker it is one item emitting while the next waits and the one
+// after is worked on.
+func Window(workers int) int { return 2*max(workers, 1) + 1 }
+
+// Ordered is the ordered hand-off between workers and one emitting
+// goroutine, for the results of indices 0..n-1. Workers Claim indices
+// in ascending order and File each result in a slot its claim
+// reserved; Emit hands the results on in index order. A claim blocks
+// while Window(workers) indices are claimed and not yet emitted, so no
+// stage between a claim and its emit runs more than the window ahead of
+// the lowest index still in flight, and File never blocks. Run is the
+// one-stage form; a longer pipeline claims in its first stage, files in
+// its last and emits from its tail.
+type Ordered[T any] struct {
+	workers, n int
+	drop       func(T)
+	room       chan int      // the indices that may be claimed, ascending; closed when emission ends
+	slots      []chan T      // index i is filed in slots[i%len(slots)]
+	closed     chan struct{} // closed by Close: nothing more is filed
+
+	mu      sync.Mutex // orders File against the end of emission
+	stopped bool       // emission has ended: File drops
 }
 
-// ReorderDrain is Reorder with a disposal hook for items that were
-// received but never successfully emitted: when the pipeline is
-// poisoned (emit error or cancellation), drop is called for every
-// pending buffered item and for everything still arriving on the
-// stream until it closes; when the stream closes before a gap in the
-// sequence fills (a producer stopped early), for every item held past
-// the gap. Stages whose items carry resources — pooled column batches,
-// file handles, a count of items in flight — use this so an error path
-// releases exactly what a success path would have. drop must not
-// block; a nil drop is Reorder.
-func ReorderDrain[T any](ctx context.Context, in *Stream[T], seq func(T) int, next int, emit func(T) error, drop func(T)) error {
-	pending := make(map[int]T)
-	err := in.Range(ctx, func(v T) error {
-		pending[seq(v)] = v
+// NewOrdered returns the hand-off for n indices held, between claim and
+// file, by workers goroutines (at least one): Run's pool, or every pool
+// of a longer pipeline from its first stage to its last. drop, if
+// non-nil, receives every filed result that is never emitted — the
+// disposal hook for results that carry resources (pooled batches); it
+// must not block.
+func NewOrdered[T any](workers, n int, drop func(T)) *Ordered[T] {
+	if drop == nil {
+		drop = func(T) {}
+	}
+	workers = max(workers, 1)
+	o := &Ordered[T]{workers: workers, n: n, drop: drop,
+		slots: make([]chan T, min(Window(workers), max(n, 1))), closed: make(chan struct{})}
+	o.room = make(chan int, len(o.slots))
+	for i := range o.slots {
+		o.slots[i] = make(chan T, 1)
+		if i < n {
+			o.room <- i
+		}
+	}
+	return o
+}
+
+// Instrument registers the results filed and not yet emitted on reg as
+// pipeline_queue_depth{stage="name"}, sampled at exposition time, and
+// the window as pipeline_queue_capacity. Nil-registry safe.
+func (o *Ordered[T]) Instrument(reg *obs.Registry, stage string) {
+	slots := o.slots
+	reg.GaugeFunc(obs.L("pipeline_queue_depth", "stage", stage), func() float64 {
+		n := 0
+		for _, s := range slots {
+			n += len(s)
+		}
+		return float64(n)
+	})
+	reg.Gauge(obs.L("pipeline_queue_capacity", "stage", stage)).Set(float64(len(slots)))
+}
+
+// Claim returns the next index, blocking while the window is full or
+// every index is claimed. It returns false once emission has ended or
+// ctx is done.
+func (o *Ordered[T]) Claim(ctx context.Context) (int, bool) {
+	select {
+	case i, ok := <-o.room:
+		return i, ok
+	case <-ctx.Done():
+		return 0, false
+	}
+}
+
+// File hands over the result for claimed index i. It never blocks: the
+// slot was emptied when index i − window was emitted. A result filed
+// once emission has ended goes to drop.
+func (o *Ordered[T]) File(i int, v T) {
+	o.mu.Lock()
+	if !o.stopped {
+		o.slots[i%len(o.slots)] <- v // never blocks: the slot is empty
+		o.mu.Unlock()
+		return
+	}
+	o.mu.Unlock()
+	o.drop(v)
+}
+
+// Close says nothing more will be filed; the producing stage calls it
+// once its last worker has returned (GoPool's after hook). Emit then
+// stops at the first index never filed: a producer that stopped early
+// truncates the output to its contiguous prefix. Call it once.
+func (o *Ordered[T]) Close() { close(o.closed) }
+
+// Emit passes the results to emit in index order, on the calling
+// goroutine, until all n are emitted (nil), a producer stopped early
+// (nil, after the contiguous prefix), emit fails (its error), or ctx
+// is done (its cause; no result is emitted once ctx is done). Then
+// emission ends: claims fail, and every result filed and not emitted,
+// now or later, goes to drop. A result emit fails on is emit's.
+func (o *Ordered[T]) Emit(ctx context.Context, emit func(T) error) error {
+	err := o.emit(ctx, emit)
+	o.mu.Lock()
+	o.stopped = true
+	o.mu.Unlock()
+	close(o.room)
+	for range o.room { // indices no longer to be claimed
+	}
+	for _, s := range o.slots {
+		for len(s) > 0 { // no File sends once stopped is set
+			o.drop(<-s)
+		}
+	}
+	return err
+}
+
+func (o *Ordered[T]) emit(ctx context.Context, emit func(T) error) error {
+	for i := range o.n {
+		slot := o.slots[i%len(o.slots)]
+		var v T
+		select {
+		case v = <-slot:
+		case <-o.closed:
+			select {
+			case v = <-slot:
+			default:
+				return context.Cause(ctx) // nil unless ctx is done
+			}
+		case <-ctx.Done():
+			return cause(ctx)
+		}
+		if ctx.Err() != nil {
+			o.drop(v)
+			return cause(ctx)
+		}
+		if err := emit(v); err != nil {
+			return err
+		}
+		if next := i + len(o.slots); next < o.n {
+			o.room <- next // never blocks: i held the place
+		}
+	}
+	return nil
+}
+
+// Run is the one-stage form: min(workers, n) goroutines claim indices
+// and compute work(ctx, worker, i) — worker numbers the goroutine, for
+// state it owns, such as a trace buffer — and the calling goroutine
+// emits the results in index order. The first error of work or emit,
+// or ctx's end, cancels the workers and is returned; work releases what
+// it holds when it fails, and drop gets every other result not emitted.
+func (o *Ordered[T]) Run(ctx context.Context, work func(ctx context.Context, worker, i int) (T, error), emit func(T) error) error {
+	g := NewGroup(ctx)
+	g.GoPool(min(o.workers, o.n), func(ctx context.Context, worker int) error {
 		for {
-			w, ok := pending[next]
+			i, ok := o.Claim(ctx)
 			if !ok {
 				return nil
 			}
-			delete(pending, next)
-			if err := emit(w); err != nil {
+			v, err := work(ctx, worker, i)
+			if err != nil {
 				return err
 			}
-			next++
+			o.File(i, v)
 		}
-	})
-	if drop == nil {
-		return err
-	}
-	for _, v := range pending {
-		drop(v)
-	}
-	if err != nil {
-		// Items already buffered in the channel (or mid-Send) would
-		// otherwise be stranded: drain until the producer side closes.
-		// This cannot block forever — every producer's Send observes the
-		// same poisoned context, fails, and the stage's after-hook
-		// closes the stream.
-		in.Drain(drop)
+	}, o.Close)
+	err := o.Emit(g.Context(), emit)
+	g.cancel(err) // stops the workers, which an emit error leaves running
+	if werr := g.Wait(); err == nil {
+		err = werr
 	}
 	return err
 }

@@ -3,58 +3,15 @@ package pipeline
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
 )
-
-// A worker-pool fan-out through a Stream and a Reorder stage must
-// deliver every item in sequence order regardless of scheduling.
-func TestReorderRestoresSequence(t *testing.T) {
-	const n = 500
-	g := NewGroup(context.Background())
-	out := NewStream[int](4)
-
-	idx := make(chan int, n)
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-
-	g.GoPool(8, func(ctx context.Context, _ int) error {
-		for i := range idx {
-			if i%7 == 0 {
-				time.Sleep(time.Microsecond) // jitter the completion order
-			}
-			if err := out.Send(ctx, i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}, out.Close)
-
-	var got []int
-	g.Go(func(ctx context.Context) error {
-		return Reorder(ctx, out, func(v int) int { return v }, 0, func(v int) error {
-			got = append(got, v)
-			return nil
-		})
-	})
-	if err := g.Wait(); err != nil {
-		t.Fatalf("Wait: %v", err)
-	}
-	if len(got) != n {
-		t.Fatalf("emitted %d items, want %d", len(got), n)
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("got[%d] = %d, want %d", i, v, i)
-		}
-	}
-}
 
 // The first stage error must poison the whole group: blocked senders
 // unblock with the cause, and Wait reports the original error.
@@ -103,70 +60,6 @@ func TestGroupParentCancellation(t *testing.T) {
 	cancel()
 	if err := g.Wait(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Wait = %v, want context.Canceled", err)
-	}
-}
-
-// Reorder must emit only the contiguous prefix when the stream closes
-// with holes (an interrupted producer pool), and ReorderDrain hands
-// every item held past the hole to drop, so what they carry is
-// released.
-func TestReorderTruncatesAtHole(t *testing.T) {
-	g := NewGroup(context.Background())
-	s := NewStream[int](8)
-	for _, v := range []int{1, 0, 2, 4, 5} { // 3 is missing
-		if err := s.Send(context.Background(), v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.Close()
-	var got []int
-	dropped := map[int]bool{}
-	g.Go(func(ctx context.Context) error {
-		return ReorderDrain(ctx, s, func(v int) int { return v }, 0, func(v int) error {
-			got = append(got, v)
-			return nil
-		}, func(v int) { dropped[v] = true })
-	})
-	if err := g.Wait(); err != nil {
-		t.Fatalf("Wait: %v", err)
-	}
-	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
-		t.Fatalf("got %v, want the contiguous prefix [0 1 2]", got)
-	}
-	if len(dropped) != 2 || !dropped[4] || !dropped[5] {
-		t.Fatalf("dropped %v, want the items past the hole, 4 and 5", dropped)
-	}
-}
-
-// TimeWaits times a receive that finds the stream empty, and only
-// that: items already queued are taken without a span.
-func TestStreamTimeWaits(t *testing.T) {
-	wait := obs.NewRegistry().Span("wait", "")
-	s := NewStream[int](4)
-	s.TimeWaits(wait)
-	for i := range 3 {
-		if err := s.Send(context.Background(), i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	n := 0
-	err := s.Range(context.Background(), func(int) error {
-		if n++; n == 3 {
-			if c := wait.Count(); c != 0 {
-				t.Errorf("%d waits timed for queued items, want 0", c)
-			}
-			go func() {
-				time.Sleep(5 * time.Millisecond)
-				s.Close()
-			}()
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c, d := wait.Count(), wait.Total(); c != 1 || d < 5*time.Millisecond || wait.Active() != 0 {
-		t.Fatalf("%d waits of %v (%d open), want the one wait for the close, at least 5ms", c, d, wait.Active())
 	}
 }
 
@@ -225,5 +118,205 @@ func TestStreamCloseIdempotent(t *testing.T) {
 		return errors.New("closed stream delivered an item")
 	}); err != nil {
 		t.Fatalf("Range after double Close: %v", err)
+	}
+}
+
+// Run emits every result in index order whatever order the workers
+// finish in, at one worker and at several.
+func TestOrderedEmitsAscending(t *testing.T) {
+	const n = 500
+	for _, workers := range []int{1, 2, 7} {
+		var got []int
+		err := NewOrdered[int](workers, n, nil).Run(context.Background(), func(_ context.Context, _, i int) (int, error) {
+			if i%7 == 0 {
+				time.Sleep(time.Microsecond) // jitter the completion order
+			}
+			return i, nil
+		}, func(v int) error {
+			got = append(got, v)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if len(got) != n {
+			t.Fatalf("workers=%d: emitted %d items, want %d", workers, len(got), n)
+		}
+		for i, v := range got {
+			if v != i {
+				t.Fatalf("workers=%d: got[%d] = %d, want %d", workers, i, v, i)
+			}
+		}
+	}
+}
+
+// A producer that stops early — index 3 claimed and never filed —
+// truncates the output to the contiguous prefix once the producing
+// stage closes, and every result filed past the hole is dropped.
+func TestOrderedTruncatesAtHole(t *testing.T) {
+	dropped := map[int]int{}
+	o := NewOrdered[int](3, 6, func(v int) { dropped[v]++ })
+	for range 6 {
+		i, ok := o.Claim(context.Background())
+		if !ok {
+			t.Fatal("claim refused inside the window")
+		}
+		if i != 3 {
+			o.File(i, i)
+		}
+	}
+	o.Close()
+	var got []int
+	if err := o.Emit(context.Background(), func(v int) error {
+		got = append(got, v)
+		return nil
+	}); err != nil {
+		t.Fatalf("Emit: %v", err)
+	}
+	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
+		t.Fatalf("got %v, want the contiguous prefix [0 1 2]", got)
+	}
+	if len(dropped) != 2 || dropped[4] != 1 || dropped[5] != 1 {
+		t.Fatalf("dropped %v, want the items past the hole, 4 and 5, once each", dropped)
+	}
+	if _, ok := o.Claim(context.Background()); ok {
+		t.Fatal("a claim succeeded after emission ended")
+	}
+}
+
+// On an emit error, a work error and a cancel, every result work
+// produced is emitted or dropped, exactly once, before Run returns,
+// and Run returns that first error.
+func TestOrderedDropsEveryUnemittedResultOnce(t *testing.T) {
+	const n, failAt = 60, 10
+	boom := errors.New("boom")
+	for _, workers := range []int{1, 3} {
+		for _, tc := range []struct {
+			name string
+			work func(cancel context.CancelFunc, i int) error
+			emit func(cancel context.CancelFunc, v int) error
+			want error
+		}{
+			{"emit", func(context.CancelFunc, int) error { return nil }, func(_ context.CancelFunc, v int) error {
+				if v == failAt {
+					return boom
+				}
+				return nil
+			}, boom},
+			{"work", func(_ context.CancelFunc, i int) error {
+				if i == failAt {
+					return boom
+				}
+				return nil
+			}, func(context.CancelFunc, int) error { return nil }, boom},
+			{"cancel", func(context.CancelFunc, int) error { return nil }, func(cancel context.CancelFunc, v int) error {
+				if v == failAt {
+					cancel()
+				}
+				return nil
+			}, context.Canceled},
+		} {
+			ctx, cancel := context.WithCancel(context.Background())
+			var mu sync.Mutex
+			made, seen := map[int]bool{}, map[int]int{}
+			account := func(v int) {
+				mu.Lock()
+				defer mu.Unlock()
+				seen[v]++
+			}
+			err := NewOrdered[int](workers, n, account).Run(ctx, func(_ context.Context, _, i int) (int, error) {
+				time.Sleep(time.Duration(i%3) * 100 * time.Microsecond)
+				if err := tc.work(cancel, i); err != nil {
+					return 0, err
+				}
+				mu.Lock()
+				made[i] = true
+				mu.Unlock()
+				return i, nil
+			}, func(v int) error {
+				err := tc.emit(cancel, v)
+				if err == nil {
+					account(v)
+				}
+				return err
+			})
+			cancel()
+			if !errors.Is(err, tc.want) {
+				t.Errorf("workers=%d %s: err = %v, want %v", workers, tc.name, err, tc.want)
+			}
+			mu.Lock()
+			for i := range made {
+				want := 1
+				if tc.name == "emit" && i == failAt {
+					want = 0 // emit owns the result it fails on
+				}
+				if seen[i] != want {
+					t.Errorf("workers=%d %s: result %d emitted or dropped %d times, want %d", workers, tc.name, i, seen[i], want)
+				}
+			}
+			for v := range seen {
+				if !made[v] {
+					t.Errorf("workers=%d %s: result %d accounted but never made", workers, tc.name, v)
+				}
+			}
+			if len(made) >= n {
+				t.Errorf("workers=%d %s: all %d results made despite the stop at %d", workers, tc.name, len(made), failAt)
+			}
+			mu.Unlock()
+		}
+	}
+}
+
+// While item 0 is slow, the other workers run ahead only to the
+// window: never more than Window(workers) items are claimed and not
+// yet emitted, and the filed ones wait in pipeline_queue_depth. A
+// reorder fed by a stream would have let them take all 200.
+func TestOrderedBoundsSlowFirstItem(t *testing.T) {
+	const n, workers = 200, 2
+	window := Window(workers)
+	reg := obs.NewRegistry()
+	o := NewOrdered[int](workers, n, nil)
+	o.Instrument(reg, "test")
+	var claimed, emitted, most atomic.Int64
+	release := make(chan struct{})
+	go func() {
+		for deadline := time.Now().Add(10 * time.Second); claimed.Load() < int64(window) && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		time.Sleep(20 * time.Millisecond) // room for a worker that would overrun the window
+		close(release)
+	}()
+	var depth string
+	err := o.Run(context.Background(), func(_ context.Context, _, i int) (int, error) {
+		held := claimed.Add(1) - emitted.Load()
+		for m := most.Load(); held > m && !most.CompareAndSwap(m, held); m = most.Load() {
+		}
+		if i == 0 {
+			<-release
+			var b strings.Builder
+			reg.WritePrometheus(&b)
+			depth = b.String()
+		}
+		return i, nil
+	}, func(int) error {
+		emitted.Add(1)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if emitted.Load() != n {
+		t.Fatalf("emitted %d items, want %d", emitted.Load(), n)
+	}
+	if m := most.Load(); m != int64(window) {
+		t.Errorf("up to %d items claimed and not emitted, want the window, %d", m, window)
+	}
+	for _, want := range []string{
+		fmt.Sprintf(`pipeline_queue_depth{stage="test"} %d`, window-1),
+		fmt.Sprintf(`pipeline_queue_capacity{stage="test"} %d`, window),
+	} {
+		if !strings.Contains(depth, want) {
+			t.Errorf("while item 0 was slow, want %s in:\n%s", want, depth)
+		}
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"hash/fnv"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/collector"
@@ -136,20 +135,25 @@ type Result struct {
 // and the finished directory is byte-identical to an uninterrupted
 // run's at any worker count.
 //
-// Run is three stages at every worker count, each a stage behind the
-// one before. Generate: opt.Workers goroutines simulate whole groups,
-// book each group's outage and make its GroupWriter, drawing its batch
-// fate. Encode: opt.Workers goroutines run each group's samples through
-// its writer in place — the windows from the fate's cut on are lost,
-// the hosting filter keeps the rest — and encode one segment per chunk
-// (queue pipeline_queue_depth{stage="encode"}). Commit: one ordered
-// tail books the fate, lands the group in one Write and commits the
-// manifest once per group, in group order (queue
-// pipeline_queue_depth{stage="write"}). So at one worker the world
-// simulates group k+1 while group k is encoded and group k-1
-// committed, and an interrupt loses at most the groups not yet
-// committed. A permanently failed group tombstones its segment IDs
-// in the manifest — the loss is recorded in the dataset itself.
+// Run is three stages at every worker count, joined by one
+// pipeline.Ordered. Generate: opt.Workers goroutines claim groups in
+// order, simulate each whole, book its outage and make its
+// GroupWriter, drawing its batch fate. Encode: opt.Workers goroutines
+// run each group's samples through its writer in place — the windows
+// from the fate's cut on are lost, the hosting filter keeps the rest —
+// encode one segment per chunk (queue
+// pipeline_queue_depth{stage="encode"}) and file the group. Commit: one
+// ordered tail emits the groups in group order, books each fate, lands
+// the group in one Write and commits the manifest once per group (the
+// groups filed and waiting are pipeline_queue_depth{stage="write"}).
+// No group is claimed more than pipeline.Window(2 × opt.Workers) groups
+// past the lowest one not yet committed — the generators and the
+// encoders both hold groups — so a slow group holds back a bounded
+// number of finished ones. So at one worker the world simulates group
+// k+1 while group k is encoded and group k-1 committed, and an
+// interrupt loses at most the groups not yet committed. A permanently
+// failed group tombstones its segment IDs in the manifest — the loss
+// is recorded in the dataset itself.
 func Run(ctx context.Context, opt Options) (Result, error) {
 	w, reg, inj, rec := opt.World, opt.Reg, opt.Injector, opt.Rec
 	cpg := ChunksPerGroup(w.Cfg)
@@ -190,9 +194,8 @@ func Run(ctx context.Context, opt Options) (Result, error) {
 
 	guard := faults.NewGuard(inj, opt.FailFast)
 	var (
-		mu      sync.Mutex // guards total (encode workers merge into it)
-		total   collector.Stats
-		written int // owned by the ordered tail
+		total   collector.Stats // owned by the ordered tail
+		written int             // owned by the ordered tail
 	)
 	encSpan := reg.Span(obs.L("edgesim_stage_seconds", "stage", "encode"), "edgesim")
 	writeSpan := reg.Span(obs.L("edgesim_stage_seconds", "stage", "write"), "edgesim")
@@ -204,35 +207,40 @@ func Run(ctx context.Context, opt Options) (Result, error) {
 	// rawBatch is one simulated group on its way to the encode pool,
 	// with its writer, whose batch fate is drawn on the generator.
 	type rawBatch struct {
-		order   int
+		order   int // the group's index in todo, claimed from out
 		samples []sample.Sample
 		gw      *GroupWriter
-	}
-	// segBatch is the group encoded, on its way to the ordered tail,
-	// which owns the trace ring the writer's events land in.
-	type segBatch struct {
-		order int
-		unit  Unit
 	}
 
 	workers := max(opt.Workers, 1)
 	g := pipeline.NewGroup(ctx)
 	raw := pipeline.NewStream[rawBatch](workers)
 	raw.Instrument(reg, "encode")
-	enc := pipeline.NewStream[segBatch](workers)
-	enc.Instrument(reg, "write")
+	// The generators and the encoders both hold claimed groups.
+	out := pipeline.NewOrdered[Unit](2*workers, len(todo), nil)
+	out.Instrument(reg, "write")
 	tb := rec.Buf() // owned by the ordered tail goroutine below
-	g.Go(func(ctx context.Context) error {
-		defer raw.Close()
-		return w.GenerateSelected(ctx, workers, todo, func(order int, b world.Batch) error {
+	g.GoPool(min(workers, len(todo)), func(ctx context.Context, _ int) error {
+		gen := w.Rec.Buf() // this generator's
+		for {
+			i, ok := out.Claim(ctx)
+			if !ok {
+				return nil
+			}
+			b, err := w.GenerateBatch(ctx, gen, todo[i])
+			if err != nil {
+				return err
+			}
 			guard.Outage(b.Lost) // PoP outage suppressed windows at the source
 			gw, err := NewGroupWriter(w.Cfg, b.Group, guard, reg)
 			if err != nil {
 				return err
 			}
-			return raw.Send(ctx, rawBatch{order: order, samples: b.Samples, gw: gw})
-		})
-	})
+			if err := raw.Send(ctx, rawBatch{order: i, samples: b.Samples, gw: gw}); err != nil {
+				return err
+			}
+		}
+	}, raw.Close)
 	g.GoPool(workers, func(ctx context.Context, _ int) error {
 		return raw.Range(ctx, func(rb rawBatch) error {
 			sp := encSpan.Start()
@@ -245,32 +253,28 @@ func Run(ctx context.Context, opt Options) (Result, error) {
 			u := rb.gw.Encode(0, cpg)
 			rb.gw.kept = nil
 			encHist.ObserveDuration(sp.End())
-			mu.Lock()
-			total = total.Merge(rb.gw.Stats())
-			mu.Unlock()
-			return enc.Send(ctx, segBatch{order: rb.order, unit: u})
+			out.File(rb.order, u)
+			return nil
 		})
-	}, enc.Close)
+	}, out.Close)
 	g.Go(func(ctx context.Context) error {
-		return pipeline.Reorder(ctx, enc, func(b segBatch) int { return b.order }, 0, func(b segBatch) error {
-			b.unit.w.Book(tb)
+		return out.Emit(ctx, func(u Unit) error {
+			u.w.Book(tb)
 			sp := writeSpan.Start()
-			n, err := b.unit.Write(ctx, sw, tb)
+			n, err := u.Write(ctx, sw, tb)
 			if err == nil {
 				err = sw.Commit()
 			}
 			writeHist.ObserveDuration(sp.End())
+			total = total.Merge(u.w.Stats())
 			written += n
 			return err
 		})
 	})
 	err = g.Wait()
-	mu.Lock()
-	st := total
-	mu.Unlock()
 	cov := guard.Coverage()
 	cov.EmitTrace(tb) // tail goroutine has returned; the caller owns the ring now
-	return Result{Stats: st, Written: written, Resumed: resumed, Coverage: cov}, err
+	return Result{Stats: total, Written: written, Resumed: resumed, Coverage: cov}, err
 }
 
 // OwnedGroups partitions the world's group indices across a fleet of

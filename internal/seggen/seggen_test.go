@@ -10,11 +10,14 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/cartographer"
 	"repro/internal/faults"
 	"repro/internal/obs"
+	"repro/internal/pipeline"
 	"repro/internal/segstore"
 	"repro/internal/study"
 	"repro/internal/world"
@@ -242,5 +245,65 @@ func TestTruncateLedgerMatchesStudy(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res.Coverage, st.Coverage) {
 		t.Errorf("ledgers differ:\n Run   %+v\n study %+v", res.Coverage, st.Coverage)
+	}
+}
+
+// TestRunBoundedBySlowGroup: no group begins more than the window —
+// pipeline.Window of the generators and encoders together — past the
+// lowest one not yet committed. While group 0's first window is held (the world is chosen
+// so no other group is served from its PoP at window 0), the other
+// generators simulate the window's other groups and stop, where a
+// reorder at the commit tail would let them simulate every group.
+// Released, the run commits every group.
+func TestRunBoundedBySlowGroup(t *testing.T) {
+	cfg := world.Config{Seed: 6, Groups: 24, Days: 1, SessionsPerGroupWindow: 2}
+	const workers = 3
+	w := world.New(cfg)
+	pop0 := w.Groups[0].PoP
+	for gi, g := range w.Groups[1:] {
+		if g.PoP == pop0 || len(g.PoPSchedule) > 1 && cartographer.PoPAt(g.PoPSchedule, 0).Name == pop0 {
+			t.Fatalf("group %d shares group 0's PoP %s at window 0: pick another world", gi+1, pop0)
+		}
+	}
+	release := make(chan struct{})
+	var begun atomic.Int64 // groups past their first window's hook
+	w.PoPDown = func(pop string, win int) bool {
+		if win == 0 {
+			if pop == pop0 {
+				<-release
+			}
+			begun.Add(1)
+		}
+		return false
+	}
+	dir := t.TempDir()
+	done := make(chan error, 1)
+	go func() {
+		_, err := Run(context.Background(), Options{World: w, Dir: dir, Origin: "test origin", Workers: workers})
+		done <- err
+	}()
+	want := int64(pipeline.Window(2*workers) - 1) // every group in the window but the held one
+	for deadline := time.Now().Add(10 * time.Second); begun.Load() < want && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond) // room for a generator that would overrun the window
+	if n := begun.Load(); n != want {
+		t.Errorf("with group 0 held, %d other groups began, want %d", n, want)
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	r, err := segstore.Open(dir)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer func() { _ = r.Close() }() // read-only dataset; nothing to flush
+	groups := map[int]bool{}
+	for _, s := range r.Manifest().Segments {
+		groups[s.ID/ChunksPerGroup(cfg)] = true
+	}
+	if len(groups) != cfg.Groups {
+		t.Errorf("%d groups committed, want %d", len(groups), cfg.Groups)
 	}
 }

@@ -288,11 +288,11 @@ func awaitOutstanding(want int64) error {
 	}
 }
 
-// A decode worker whose Send fails still owns the batch in its hand and
-// must release it. Emit holds segment 0 until segment 1 fills the
-// one-slot queue and segment 2 is decoded; the scan is cancelled then,
-// so the worker's Send has only the cancellation to select — every
-// run takes the failed-Send path.
+// A batch decoded ahead of emit and never emitted is released. At one
+// worker the scan's window is three segments: emit holds segment 0
+// while segments 1 and 2 are decoded and wait, and no fourth is
+// decoded. The scan is cancelled then, so emit never sees segments 1
+// and 2, and both are released before ScanColumns returns.
 func TestScanColumnsFailedSendReleases(t *testing.T) {
 	dir := writeDataset(t, 6)
 	r, err := Open(dir)
@@ -308,14 +308,18 @@ func TestScanColumnsFailedSendReleases(t *testing.T) {
 	err = r.ScanColumns(ctx, 1, nil, func(b *ColumnBatch) error {
 		defer b.Release()
 		if emitted++; emitted > 1 {
-			return nil
+			return errors.New("a segment emitted after the cancel")
 		}
-		// Segment 0 here, segment 1 queued, segment 2 in the worker's hand.
+		// Segment 0 here, segments 1 and 2 decoded and waiting.
 		if err := awaitOutstanding(before + 3); err != nil {
 			return err
 		}
+		time.Sleep(20 * time.Millisecond) // room for a worker that would overrun the window
+		if out, _ := LeakStats(); out != before+3 {
+			return fmt.Errorf("%d batches outstanding while emit holds segment 0, want the window, 3", out-before)
+		}
 		cancel()
-		return awaitOutstanding(before + 2)
+		return nil
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("scan error = %v, want context.Canceled", err)

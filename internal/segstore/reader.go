@@ -200,59 +200,29 @@ func (r *Reader) ScanColumns(ctx context.Context, workers int, f *Filter, emit f
 // order given: a reader that has already seen the others passes only the
 // rest. It prunes against f, decodes the surviving segments into column
 // batches on up to workers goroutines (at least one), filters them at the
-// column level, and emits each batch in segs order from one goroutine —
-// the primary read path; no row structs are built. Decoding
-// runs ahead of emit, so even one worker reads segment k+1 while emit
-// folds segment k; the decode→emit queue is
+// column level, and emits each batch in segs order on the calling
+// goroutine through a pipeline.Ordered — the primary read path; no row
+// structs are built. Decoding runs ahead of emit, so even one worker
+// reads segment k+1 while emit folds segment k, but never more than
+// pipeline.Window(workers) segments past the lowest one not yet
+// emitted; the decoded batches waiting on emit are
 // pipeline_queue_depth{stage="segstore_decode"} on the Instrument
 // registry. emit takes ownership of the batch and must Release it
 // (directly or by handing it on); emit's error — like a decode error —
-// poisons the whole scan.
+// poisons the whole scan, and every batch decoded and not emitted is
+// released before ScanSegments returns.
 func (r *Reader) ScanSegments(ctx context.Context, workers int, segs []SegmentMeta, f *Filter, emit func(*ColumnBatch) error) error {
 	plan := r.prune(segs, f)
-	type decoded struct {
-		seq int
-		b   *ColumnBatch
-	}
-	workers = max(1, min(workers, len(plan)))
-	idx := make(chan int, len(plan))
-	for i := range plan {
-		idx <- i
-	}
-	close(idx)
-
-	g := pipeline.NewGroup(ctx)
-	out := pipeline.NewStream[decoded](workers)
-	out.Instrument(r.reg, "segstore_decode")
-	g.GoPool(workers, func(ctx context.Context, _ int) error {
-		for i := range idx {
-			if err := ctx.Err(); err != nil {
-				return context.Cause(ctx)
-			}
-			b, err := r.readColumns(plan[i])
-			if err != nil {
-				return err
-			}
-			f.ApplyColumns(b)
-			if err := out.Send(ctx, decoded{seq: i, b: b}); err != nil {
-				// The scan is poisoned and the reorder stage will never see
-				// this batch: a failed Send leaves it ours, so release it here
-				// or its pool slot leaks.
-				b.Release()
-				return err
-			}
+	o := pipeline.NewOrdered[*ColumnBatch](workers, len(plan), (*ColumnBatch).Release)
+	o.Instrument(r.reg, "segstore_decode")
+	return o.Run(ctx, func(_ context.Context, _, i int) (*ColumnBatch, error) {
+		b, err := r.readColumns(plan[i])
+		if err != nil {
+			return nil, err
 		}
-		return nil
-	}, out.Close)
-	g.Go(func(ctx context.Context) error {
-		// On a poisoned scan the drain hook releases every batch that was
-		// decoded but never emitted (buffered in the stream or in the
-		// reorder window), so even a failed scan leaks no pool capacity.
-		return pipeline.ReorderDrain(ctx, out, func(d decoded) int { return d.seq }, 0,
-			func(d decoded) error { return emit(d.b) },
-			func(d decoded) { d.b.Release() })
-	})
-	return g.Wait()
+		f.ApplyColumns(b)
+		return b, nil
+	}, emit)
 }
 
 // Scan is the row view of ScanColumns: same pruning, decode

@@ -40,6 +40,7 @@ import (
 	"repro/internal/collector"
 	"repro/internal/faults"
 	"repro/internal/obs"
+	"repro/internal/pipeline"
 	"repro/internal/sample"
 	"repro/internal/seggen"
 	"repro/internal/segstore"
@@ -362,9 +363,13 @@ func (d *Daemon) Seal(win int) error {
 // ascending group order, and commits the manifest once: the chunk
 // writers are the batch writer's, and the manifest sorts by segment ID,
 // so the finished spool is byte-identical to the batch writer's. The
-// groups' chunks encode on other goroutines (encodeInOrder); every
-// write is this goroutine's, so the ledger and the trace are as a
-// serial commit leaves them. studyd_seal_commit_seconds times it.
+// groups' chunks encode on GOMAXPROCS other goroutines, handed back in
+// group order through a pipeline.Ordered, so at most
+// pipeline.Window(GOMAXPROCS) units are encoded and not yet written;
+// every write is this goroutine's, so the ledger and the trace are as
+// a serial commit leaves them, and the first write error stops the
+// rest. Each Encode touches only its own writer.
+// studyd_seal_commit_seconds times it.
 func (d *Daemon) closeChunk(c int) error {
 	t0 := time.Now()
 	defer func() { d.hCommit.ObserveDuration(time.Since(t0)) }()
@@ -376,7 +381,10 @@ func (d *Daemon) closeChunk(c int) error {
 			ws = append(ws, g)
 		}
 	}
-	if err := encodeInOrder(ws, c, func(u seggen.Unit) error {
+	encode := pipeline.NewOrdered[seggen.Unit](runtime.GOMAXPROCS(0), len(ws), nil)
+	if err := encode.Run(context.Background(), func(_ context.Context, _, i int) (seggen.Unit, error) {
+		return ws[i].Encode(c, c+1), nil
+	}, func(u seggen.Unit) error {
 		_, err := u.Write(d.ctx, d.sw, d.tb)
 		return err
 	}); err != nil {
@@ -389,54 +397,6 @@ func (d *Daemon) closeChunk(c int) error {
 	d.cTombs.Add(int64(len(man.Tombstones) - tombs))
 	d.BumpVersion()
 	return nil
-}
-
-// encodeInOrder encodes chunk c of each writer in ws on
-// min(GOMAXPROCS, len(ws)) goroutines and hands the units to write, on
-// the calling goroutine, in ws's order; it stops at write's first
-// error. A worker takes a token before it claims the next writer and
-// the caller gives one back after each write, so at most GOMAXPROCS
-// units are encoded and not yet written, and the lowest unwritten one
-// is always claimed. Each Encode touches only its own writer.
-func encodeInOrder(ws []*seggen.GroupWriter, c int, write func(seggen.Unit) error) error {
-	procs := runtime.GOMAXPROCS(0)
-	units := make([]chan seggen.Unit, len(ws))
-	for i := range units {
-		units[i] = make(chan seggen.Unit, 1)
-	}
-	tokens := make(chan struct{}, procs)
-	stop := make(chan struct{})
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range min(procs, len(ws)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case tokens <- struct{}{}:
-				case <-stop:
-					return
-				}
-				i := int(next.Add(1) - 1)
-				if i >= len(ws) {
-					return
-				}
-				units[i] <- ws[i].Encode(c, c+1)
-			}
-		}()
-	}
-	var err error
-	for i := range ws {
-		u := <-units[i]
-		<-tokens
-		if err = write(u); err != nil {
-			break
-		}
-	}
-	close(stop)
-	wg.Wait()
-	return err
 }
 
 // Drain closes the ingest stream: any trailing partial chunk is

@@ -143,7 +143,7 @@ func TestCancelMidGroupStopsAtNextWindow(t *testing.T) {
 		stopAt := errors.New("stop mid-group")
 		w, calls := cancelAtWindow(cfg, 20, func() { cancel(stopAt) })
 		var handled atomic.Int64
-		err := w.GenerateSelected(ctx, workers, []int{0, 1, 2}, func(int, Batch) error {
+		err := w.GenerateBatches(ctx, workers, func(Batch) error {
 			handled.Add(1)
 			return nil
 		})
@@ -159,7 +159,7 @@ func TestCancelMidGroupStopsAtNextWindow(t *testing.T) {
 			t.Errorf("workers=%d: %d windows begun, want at most %d of %d", workers, n, limit, cfg.Groups*cfg.Days*WindowsPerDay)
 		}
 		if n := liveDrawers(); n != 0 {
-			t.Errorf("workers=%d: %d drawers left after GenerateSelected returned", workers, n)
+			t.Errorf("workers=%d: %d drawers left after GenerateBatches returned", workers, n)
 		}
 	}
 }

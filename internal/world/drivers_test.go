@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"reflect"
-	"sync"
 	"testing"
 
 	"repro/internal/obs"
@@ -25,8 +24,8 @@ type driverRun struct {
 
 // Every driver generates and records a group's windows through
 // groupFeed.window. So under one world with a PoP outage (a window mark,
-// a fault and a loss fire), GenerateBatches, GenerateSelected and
-// LiveFeed.Run give, at any worker count, the same per-group sample
+// a fault and a loss fire), GenerateBatches, GenerateBatch on one
+// trace buffer a group, and LiveFeed.Run give, at any worker count, the same per-group sample
 // streams, byte-identical trace files and the same world counters.
 func TestDriversAgree(t *testing.T) {
 	cfg := Config{Seed: 31, Groups: 7, Days: 1, SessionsPerGroupWindow: 5}
@@ -40,10 +39,7 @@ func TestDriversAgree(t *testing.T) {
 		w.Instrument(reg)
 		w.Rec = trace.New(cfg.Seed)
 		r := driverRun{streams: make([][]sample.Sample, cfg.Groups)}
-		var mu sync.Mutex // GenerateSelected's handle runs on its workers
 		err := run(w, func(group int, ss []sample.Sample, lost int) {
-			mu.Lock()
-			defer mu.Unlock()
 			r.streams[group] = append(r.streams[group], ss...) // copies a live window out of its lent buffer
 			r.lost += lost
 		})
@@ -60,10 +56,6 @@ func TestDriversAgree(t *testing.T) {
 		return r, err
 	}
 
-	all := make([]int, cfg.Groups)
-	for i := range all {
-		all[i] = i
-	}
 	type driver struct {
 		name string
 		run  func(w *World, keep func(int, []sample.Sample, int)) error
@@ -77,14 +69,16 @@ func TestDriversAgree(t *testing.T) {
 			})
 		}})
 	}
-	for _, workers := range []int{1, 3} {
-		drivers = append(drivers, driver{fmt.Sprintf("GenerateSelected/workers=%d", workers), func(w *World, keep func(int, []sample.Sample, int)) error {
-			return w.GenerateSelected(context.Background(), workers, all, func(_ int, b Batch) error {
-				keep(b.Group, b.Samples, b.Lost)
-				return nil
-			})
-		}})
-	}
+	drivers = append(drivers, driver{"GenerateBatch", func(w *World, keep func(int, []sample.Sample, int)) error {
+		for gi := range w.Groups {
+			b, err := w.GenerateBatch(context.Background(), w.Rec.Buf(), gi)
+			if err != nil {
+				return err
+			}
+			keep(b.Group, b.Samples, b.Lost)
+		}
+		return nil
+	}})
 	for _, workers := range []int{1, 3} {
 		drivers = append(drivers, driver{fmt.Sprintf("LiveFeed.Run/workers=%d", workers), func(w *World, keep func(int, []sample.Sample, int)) error {
 			return NewLiveFeed(w).Run(context.Background(), workers, func(b WindowBatch) error {

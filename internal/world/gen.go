@@ -35,104 +35,69 @@ type Batch struct {
 }
 
 // GenerateBatches streams per-group batches to deliver in ascending
-// group order (deliver runs on one goroutine; its error poisons the
-// pipeline): GenerateSelected over every group, plus a reorder stage.
-// Each group's RNG lineage is independent (rng.ChildAt per group), so
-// the batch contents are identical at any worker count — ordered
-// delivery then makes the whole stream identical. Delivery is the
-// "emit" stage of the world's metrics. No batch is delivered once ctx
-// is done: the reorder stage may already hold every later group,
-// simulated before the cancel, and would otherwise deliver them all and
-// return nil.
+// group order (deliver runs on the calling goroutine; its error
+// poisons the pipeline): up to workers goroutines (at least one)
+// simulate groups through GenerateBatch, each on a trace buffer of its
+// own, and a pipeline.Ordered hands the batches on in group order. Each
+// group's RNG lineage is independent (rng.ChildAt per group), so the
+// batch contents are identical at any worker count — ordered delivery
+// then makes the whole stream identical. No group is begun more than
+// pipeline.Window(workers) groups past the lowest one not yet
+// delivered, so a slow group holds back at most that many finished
+// ones. Delivery is the "emit" stage of the world's metrics. No batch
+// is delivered once ctx is done.
 func (w *World) GenerateBatches(ctx context.Context, workers int, deliver func(Batch) error) error {
-	all := make([]int, len(w.Groups))
-	for i := range all {
-		all[i] = i
+	tbs := make([]*trace.Buf, max(workers, 1))
+	for i := range tbs {
+		tbs[i] = w.Rec.Buf()
 	}
-	workers = max(workers, 1)
-	g := pipeline.NewGroup(ctx)
-	out := pipeline.NewStream[Batch](workers)
-	g.Go(func(gctx context.Context) error {
-		defer out.Close()
-		return w.GenerateSelected(gctx, workers, all, func(_ int, b Batch) error { return out.Send(gctx, b) })
+	return pipeline.NewOrdered[Batch](workers, len(w.Groups), nil).Run(ctx, func(ctx context.Context, worker, gi int) (Batch, error) {
+		return w.GenerateBatch(ctx, tbs[worker], gi)
+	}, func(b Batch) error {
+		sp := w.obs.emit.Start()
+		defer sp.End()
+		return deliver(b)
 	})
-	g.Go(func(gctx context.Context) error {
-		return pipeline.Reorder(gctx, out, func(b Batch) int { return b.Group }, 0, func(b Batch) error {
-			if ctx.Err() != nil {
-				return context.Cause(ctx)
-			}
-			sp := w.obs.emit.Start()
-			defer sp.End()
-			return deliver(b)
-		})
-	})
-	return g.Wait()
 }
 
-// GenerateSelected simulates the given groups — every group, or the
-// subset a checkpointed run's manifest does not yet account for — on a
-// pool of up to workers goroutines (at least one; none for an empty
-// selection). It is the world's one group worker pool: handle runs
-// concurrently on the workers, once per group, in no particular order.
-// handle receives order, the group's position in groups, so callers can
-// restore the requested order densely (pipeline.Reorder needs a gapless
-// sequence) even when the selection has gaps. Each worker owns one
-// trace buffer; the events a group emits are identical whichever
-// worker simulates it. Each group's buffer is sized once for the group
-// (sessionCapacity) rather than grown by doubling as the sessions
-// arrive. Cancelling ctx stops generation at the next window of each
-// group being simulated and returns the cause.
-func (w *World) GenerateSelected(ctx context.Context, workers int, groups []int, handle func(order int, b Batch) error) error {
-	type job struct{ order, group int }
-	idx := make(chan job, len(groups))
-	for o, i := range groups {
-		idx <- job{order: o, group: i}
-	}
-	close(idx)
-	g := pipeline.NewGroup(ctx)
-	g.GoPool(min(max(workers, 1), len(groups)), func(ctx context.Context, _ int) error {
-		tb := w.Rec.Buf()
-		for j := range idx {
-			if err := ctx.Err(); err != nil {
-				return context.Cause(ctx)
-			}
-			buf := make([]sample.Sample, 0, w.sessionCapacity(w.Groups[j.group]))
-			lost, err := w.generateGroup(ctx, j.group, tb, func(s sample.Sample) { buf = append(buf, s) })
-			if err != nil {
-				return err
-			}
-			if err := handle(j.order, Batch{Group: j.group, Samples: buf, Lost: lost}); err != nil {
-				return err
-			}
+// GenerateBatch simulates group gi on the calling goroutine, recording
+// on tb, which the caller owns; the events a group emits are identical
+// whichever goroutine simulates it. The group's buffer is sized once
+// for the group (sessionCapacity) rather than grown by doubling as the
+// sessions arrive. The group's workload draws run ahead on a drawer
+// goroutine of their own (draw.go), stopped and waited for before
+// GenerateBatch returns. Cancelling ctx stops the group at its next
+// window (or while it waits on the drawer) and returns the cause.
+func (w *World) GenerateBatch(ctx context.Context, tb *trace.Buf, gi int) (Batch, error) {
+	fd := w.newGroupFeed(gi)
+	stop := startDrawers(ctx, &w.obs, fd.sc.ring)
+	defer stop()
+	b := Batch{Group: gi, Samples: make([]sample.Sample, 0, w.sessionCapacity(w.Groups[gi]))}
+	for fd.next < w.Cfg.Windows() {
+		samples, lost, err := fd.window(ctx, tb, b.Samples)
+		if err != nil {
+			return Batch{}, err
 		}
-		return nil
-	}, nil)
-	return g.Wait()
+		b.Samples, b.Lost = samples, b.Lost+lost
+	}
+	return b, nil
 }
 
 // sessionCapacity is a capacity for one group's samples that its
 // session count exceeds only by chance: the sum of its windows' Poisson
-// means (groupFeed.window) plus four standard deviations of that sum.
-// Only a buffer's capacity depends on it, never a draw.
+// means (groupFeed.window) plus four standard deviations of that sum,
+// plus five. Only a buffer's capacity depends on it, never a draw.
 func (w *World) sessionCapacity(g *Group) int {
 	mean := 0.0
 	for win := 0; win < w.Cfg.Windows(); win++ {
 		mean += w.windowMean(g, win)
 	}
-	return capacityFor(mean)
+	return int(mean+4*math.Sqrt(mean)) + 5
 }
 
 // windowMean is the Poisson mean of one group × window's session count.
 func (w *World) windowMean(g *Group, win int) float64 {
 	return w.Cfg.SessionsPerGroupWindow * g.Weight * activity((win/4)%24, g.ActivityPeakUTC)
-}
-
-// capacityFor is a buffer capacity that a Poisson count (or a sum of
-// them) of the given mean exceeds only by chance: four standard
-// deviations above the mean, plus four more for the heavier upper tail
-// of a single window's small mean (at most ~1e-5 of windows exceed it).
-func capacityFor(mean float64) int {
-	return int(mean+4*math.Sqrt(mean)) + 5
 }
 
 // GenerateAll buffers the whole dataset; intended for tests and small
@@ -152,35 +117,17 @@ func (w *World) GenerateAll() []sample.Sample {
 // (World.PoPDown), 0 when no outage machinery is installed.
 func (w *World) GenerateGroup(groupIdx int, emit func(sample.Sample)) int {
 	// Nothing cancels a background context, so there is no error.
-	lost, _ := w.generateGroup(context.Background(), groupIdx, nil, emit)
-	return lost
-}
-
-// generateGroup runs one group's feed through every window on the
-// calling goroutine, recording on tb. The group's workload draws run
-// ahead on a drawer goroutine of their own (draw.go), stopped and
-// waited for before generateGroup returns. Cancelling ctx stops the
-// group at its next window (or while it waits on the drawer) and
-// returns the cause.
-func (w *World) generateGroup(ctx context.Context, groupIdx int, tb *trace.Buf, emit func(sample.Sample)) (int, error) {
-	fd := w.newGroupFeed(groupIdx)
-	stop := startDrawers(ctx, &w.obs, fd.sc.ring)
-	defer stop()
-	lost := 0
-	for fd.next < w.Cfg.Windows() {
-		wl, err := fd.window(ctx, tb, emit)
-		if err != nil {
-			return lost, err
-		}
-		lost += wl
+	b, _ := w.GenerateBatch(context.Background(), nil, groupIdx)
+	for _, s := range b.Samples {
+		emit(s)
 	}
-	return lost, nil
+	return b.Lost
 }
 
 // groupFeed is one group's generation state and the world's one
 // per-group generator: its RNG lineage, the read end of its draw-ahead
 // ring, its session scratch and its session sequence, advanced one
-// window at a time by window. The batch generator (generateGroup) runs
+// window at a time by window. The batch generator (GenerateBatch) runs
 // a feed through every window in one loop; the live feed keeps one per
 // group alive between windows, so the lineage advances exactly as in
 // one uninterrupted sweep. Every driver generates and records through
@@ -217,17 +164,21 @@ type sessionScratch struct {
 	txns []hdratio.Transaction
 }
 
-// window generates the group's next window, emitting its kept samples
-// in draw order, and records it on tb, which the calling goroutine
-// owns: the group's PhaseGen span (begun at its first window, ended at
-// its last or when ctx stops it), a mark per window, and a fault and a
-// loss for a window an outage suppressed, all at logical coordinates
-// (group, window), so the events are identical at any worker count;
-// and the world's generate stage time and its session, window and
-// group counters. It returns the sessions lost to a PoP outage. Its
-// error is ctx's cause: no window begins once ctx is done, and one that
-// waits on the drawer when ctx ends stops there.
-func (fd *groupFeed) window(ctx context.Context, tb *trace.Buf, emit func(sample.Sample)) (int, error) {
+// window generates the group's next window, appending its kept
+// samples to buf in draw order, and records it on tb, which the calling
+// goroutine owns: the group's PhaseGen span (begun at its first window,
+// ended at its last or when ctx stops it), a mark per window, and a
+// fault and a loss for a window an outage suppressed, all at logical
+// coordinates (group, window), so the events are identical at any
+// worker count; and the world's generate stage time and its session,
+// window and group counters. It returns buf and the sessions lost to a PoP
+// outage. An empty buf too small for the window's session count, drawn
+// before its first session, is made again at exactly that count — how a
+// live ring slot is sized to its window; a buf that already holds
+// samples grows as append grows it. Its error is ctx's cause: no window
+// begins once ctx is done, and one that waits on the drawer when ctx
+// ends stops there.
+func (fd *groupFeed) window(ctx context.Context, tb *trace.Buf, buf []sample.Sample) ([]sample.Sample, int, error) {
 	w, g, track, win := fd.w, fd.w.Groups[fd.group], fd.track, fd.next
 	fd.next++
 	if win == 0 {
@@ -238,7 +189,7 @@ func (fd *groupFeed) window(ctx context.Context, tb *trace.Buf, emit func(sample
 	}
 	if ctx.Err() != nil {
 		end()
-		return 0, context.Cause(ctx)
+		return buf, 0, context.Cause(ctx)
 	}
 	sp := w.obs.genStage.Start()
 	defer sp.End()
@@ -264,11 +215,14 @@ func (fd *groupFeed) window(ctx context.Context, tb *trace.Buf, emit func(sample
 	// the no-outage dataset — but their measurements are never
 	// collected, and the window's samples are accounted as lost.
 	down := w.PoPDown != nil && w.PoPDown(pop, win)
+	if len(buf) == 0 && !down && n > cap(buf) {
+		buf = make([]sample.Sample, 0, n)
+	}
 	for i := 0; i < n; i++ {
 		d, err := fd.sc.ring.next(ctx, &w.obs)
 		if err != nil {
 			end()
-			return 0, err
+			return buf, 0, err
 		}
 		fd.seq++
 		s := w.generateSession(g, win, hour, fd.r, d, &fd.sc, remapped)
@@ -276,7 +230,7 @@ func (fd *groupFeed) window(ctx context.Context, tb *trace.Buf, emit func(sample
 		s.SessionID = uint64(fd.group)<<40 | fd.seq
 		s.Start = winStart + time.Duration(fd.r.Int64N(int64(WindowDuration)))
 		if !down {
-			emit(s)
+			buf = append(buf, s)
 		}
 	}
 
@@ -299,7 +253,7 @@ func (fd *groupFeed) window(ctx context.Context, tb *trace.Buf, emit func(sample
 		end()
 		w.obs.groups.Inc()
 	}
-	return lost, nil
+	return buf, lost, nil
 }
 
 // generateSession runs one sampled session, drawn ahead as d, through

@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"reflect"
-	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/cartographer"
+	"repro/internal/pipeline"
 	"repro/internal/sample"
 )
 
@@ -105,60 +108,16 @@ func TestGenerateBatchesDeliverErrorPoisons(t *testing.T) {
 	}
 }
 
-// GenerateSelected must hand every selected group — and no other — to
-// exactly one handler invocation, with its position in the selection
-// and the same contents as the ordered path, gaps in the selection
-// notwithstanding.
-func TestGenerateSelectedCoverage(t *testing.T) {
-	w := New(testCfg())
-	want := map[int]int{} // group -> sample count
-	if err := w.GenerateBatches(context.Background(), 1, func(b Batch) error {
-		want[b.Group] = len(b.Samples)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	selection := []int{1, 2, 5, 9} // gapped: a resumed run's work list
-	for _, workers := range []int{1, 4} {
-		var mu sync.Mutex
-		got := map[int]int{}   // group -> sample count
-		order := map[int]int{} // order -> group
-		if err := New(testCfg()).GenerateSelected(context.Background(), workers, selection, func(o int, b Batch) error {
-			mu.Lock()
-			defer mu.Unlock()
-			if _, dup := got[b.Group]; dup {
-				t.Errorf("workers=%d: group %d handled twice", workers, b.Group)
-			}
-			got[b.Group] = len(b.Samples)
-			order[o] = b.Group
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(selection) {
-			t.Fatalf("workers=%d: handled %d groups, want %d", workers, len(got), len(selection))
-		}
-		for o, g := range selection {
-			if order[o] != g {
-				t.Errorf("workers=%d: order %d carried group %d, want %d", workers, o, order[o], g)
-			}
-			if got[g] != want[g] {
-				t.Errorf("workers=%d: group %d: %d samples, want %d", workers, g, got[g], want[g])
-			}
-		}
-	}
-}
-
 // A group's buffer is sized once, before its first session, and the
 // sessions must fit it: a batch whose capacity is not sessionCapacity
 // was regrown by append. The slack is bounded too, so the estimate
 // cannot pass by over-allocating. A live feed keeps a ring of
-// WindowsPerDay window buffers a group: each first-day window arrives
-// in a new buffer sized for its estimate (capacityFor of its mean), and
-// every later window w in window w − WindowsPerDay's buffer at the same
-// capacity — every day's activity curve is the same, so no later
-// window needs a larger one and none was regrown by append. A group
-// makes exactly min(windows, WindowsPerDay) buffers, not one a window.
+// WindowsPerDay window buffers a group, and a window's buffer is sized
+// to its draw: window w arrives in window w − WindowsPerDay's buffer
+// when its samples fit there, and otherwise in a new one made at
+// exactly its sample count — so a first-day window's buffer holds it
+// exactly, no slot is made again unless a later day's window outgrows
+// it, and each slot ends at the largest window it held.
 func TestGroupBufferSizedOnce(t *testing.T) {
 	for _, cfg := range []Config{
 		{Seed: 3, Groups: 40, Days: 2, SessionsPerGroupWindow: 12},
@@ -181,37 +140,115 @@ func TestGroupBufferSizedOnce(t *testing.T) {
 			t.Errorf("seed %d: buffers hold %.2fx the samples generated", cfg.Seed, slack)
 		}
 
-		type window struct {
+		type buffer struct {
 			first *sample.Sample // the buffer's first element: its identity
 			cap   int
 		}
-		seen := make([][]window, len(w.Groups)) // each group's windows' buffers, in order
-		made := make([]map[*sample.Sample]bool, len(w.Groups))
-		for gi := range made {
-			made[gi] = map[*sample.Sample]bool{}
+		type slot struct {
+			buf     buffer
+			largest int // the most samples a window of the slot held
 		}
+		slots := make([][WindowsPerDay]slot, len(w.Groups))
+		remade, windows := 0, 0
 		if err := NewLiveFeed(w).Run(context.Background(), 2, func(b WindowBatch) error {
-			got := window{&b.Samples[:1][0], cap(b.Samples)}
-			made[b.Group][got.first] = true
-			if b.Win < WindowsPerDay {
-				if want := capacityFor(w.windowMean(w.Groups[b.Group], b.Win)); got.cap != want {
-					t.Errorf("seed %d live group %d window %d: %d samples in a buffer of %d, want one sized for %d",
-						cfg.Seed, b.Group, b.Win, len(b.Samples), got.cap, want)
+			sl := &slots[b.Group][b.Win%WindowsPerDay]
+			windows++
+			sl.largest = max(sl.largest, len(b.Samples))
+			if len(b.Samples) > sl.buf.cap {
+				if cap(b.Samples) != len(b.Samples) {
+					t.Errorf("seed %d live group %d window %d: %d samples in a new buffer of %d, want one made at the draw",
+						cfg.Seed, b.Group, b.Win, len(b.Samples), cap(b.Samples))
 				}
-			} else if prev := seen[b.Group][b.Win-WindowsPerDay]; got != prev {
-				t.Errorf("seed %d live group %d window %d: %d samples in a buffer of %d, want window %d's buffer of %d again",
-					cfg.Seed, b.Group, b.Win, len(b.Samples), got.cap, b.Win-WindowsPerDay, prev.cap)
+				if sl.buf.cap > 0 {
+					remade++
+				}
+				sl.buf = buffer{&b.Samples[:1][0], cap(b.Samples)}
+				return nil
 			}
-			seen[b.Group] = append(seen[b.Group], got)
+			if sl.buf.cap == 0 {
+				return nil // an empty window and a slot never made
+			}
+			if got := (buffer{&b.Samples[:1][0], cap(b.Samples)}); got != sl.buf {
+				t.Errorf("seed %d live group %d window %d: %d samples in a buffer of %d, want window %d's buffer of %d again",
+					cfg.Seed, b.Group, b.Win, len(b.Samples), got.cap, b.Win-WindowsPerDay, sl.buf.cap)
+			}
 			return nil
 		}, func(int) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
-		for gi, m := range made {
-			if want := min(cfg.Windows(), WindowsPerDay); len(m) != want || len(seen[gi]) != cfg.Windows() {
-				t.Errorf("seed %d: live group %d made %d window buffers over %d windows, want %d over %d",
-					cfg.Seed, gi, len(m), len(seen[gi]), want, cfg.Windows())
+		if want := len(w.Groups) * cfg.Windows(); windows != want {
+			t.Errorf("seed %d: %d live windows delivered, want %d", cfg.Seed, windows, want)
+		}
+		for gi := range slots {
+			for si, sl := range slots[gi] {
+				if sl.buf.cap != sl.largest {
+					t.Errorf("seed %d live group %d slot %d: a buffer of %d, want the largest window it held, %d", cfg.Seed, gi, si, sl.buf.cap, sl.largest)
+				}
 			}
 		}
+		if remade == 0 {
+			t.Errorf("seed %d: no later day's window outgrew its slot over %d days; the test shows nothing", cfg.Seed, cfg.Days)
+		}
+	}
+}
+
+// heldGroupZero returns cfg's world with group 0's first window held
+// until release is closed, counting every window begun through the
+// windowsBegun hook: the world is chosen so that no other group is
+// served from group 0's PoP at window 0, which picks group 0 out.
+func heldGroupZero(t *testing.T, cfg Config, release <-chan struct{}) (*World, []atomic.Int64) {
+	t.Helper()
+	w, begun := windowsBegun(cfg, func(int) {})
+	pop0 := w.Groups[0].PoP
+	for gi, g := range w.Groups[1:] {
+		if g.PoP == pop0 || len(g.PoPSchedule) > 1 && cartographer.PoPAt(g.PoPSchedule, 0).Name == pop0 {
+			t.Fatalf("group %d shares group 0's PoP %s at window 0: pick another world", gi+1, pop0)
+		}
+	}
+	count := w.PoPDown
+	w.PoPDown = func(pop string, win int) bool {
+		if win == 0 && pop == pop0 {
+			<-release
+		}
+		return count(pop, win)
+	}
+	return w, begun
+}
+
+// No group begins more than pipeline.Window(workers) groups past the
+// lowest one not yet delivered: while group 0's first window is held,
+// the other workers simulate the window's other groups and stop, where
+// a reorder behind a stream would let them simulate every group.
+// Released, every group is delivered, in order.
+func TestGenerateBatchesBoundedBySlowGroup(t *testing.T) {
+	cfg := Config{Seed: 6, Groups: 24, Days: 1, SessionsPerGroupWindow: 2}
+	const workers = 3
+	release := make(chan struct{})
+	w, begun := heldGroupZero(t, cfg, release)
+	var delivered atomic.Int64
+	done := make(chan error, 1)
+	go func() {
+		done <- w.GenerateBatches(context.Background(), workers, func(b Batch) error {
+			if int64(b.Group) != delivered.Load() {
+				t.Errorf("group %d delivered after %d groups", b.Group, delivered.Load())
+			}
+			delivered.Add(1)
+			return nil
+		})
+	}()
+	want := int64(pipeline.Window(workers) - 1) // every group in the window but the held one
+	for deadline := time.Now().Add(10 * time.Second); begun[0].Load() < want && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond) // room for a worker that would overrun the window
+	if got := begun[0].Load(); got != want || delivered.Load() != 0 {
+		t.Errorf("with group 0 held, %d other groups began and %d were delivered, want %d and 0", got, delivered.Load(), want)
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if n := delivered.Load(); n != int64(cfg.Groups) {
+		t.Errorf("%d groups delivered, want %d", n, cfg.Groups)
 	}
 }

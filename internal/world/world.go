@@ -12,11 +12,13 @@
 //
 // One per-group generator, groupFeed, simulates a group window by
 // window from the group's own RNG lineage and records each window: its
-// trace events and the world's metrics. Three drivers run it. The
-// group worker pool (GenerateSelected) runs whole groups for the
-// dataset writer; GenerateBatches adds ordered delivery for the study;
-// LiveFeed runs the groups window by window, up to a day ahead of the
-// always-on daemon, and delivers them one window at a time. Their samples, traces and counters agree by construction.
+// trace events and the world's metrics. Three drivers run it.
+// GenerateBatch runs one whole group, on the calling goroutine, for
+// the dataset writer's generators; GenerateBatches runs it on a worker
+// pool and delivers the groups in order, for the study; LiveFeed runs
+// the groups window by window, up to a day ahead of the always-on
+// daemon, and delivers them one window at a time. Their samples, traces
+// and counters agree by construction.
 package world
 
 import (
