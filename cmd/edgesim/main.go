@@ -14,19 +14,20 @@
 //	        [-pop I -pops N] [-merger ADDR [-ack-batch N] [-ship-fault-plan SPEC]]
 //
 // A 10-day, 300-group dataset is a few million sessions; scale
-// -groups/-days/-spw to taste. The write is three stages at every
-// -workers count (default GOMAXPROCS): -workers goroutines simulate
-// groups, as many filter and encode them, and a single ordered tail
-// appends segments and commits the manifest in deterministic group
-// order, so the dataset bytes do not depend on the worker count and
-// even -workers 1 simulates one group while it encodes the one before.
-// No group is simulated more than 4 × -workers + 1 groups past the
-// lowest one not yet committed. -progress reports sessions per second
-// and per-stage wall time to stderr while the run grinds; -metrics-addr
-// additionally serves /metrics (Prometheus text), /debug/vars, and
-// /debug/pprof — including pipeline_queue_depth{stage="encode"} for the
-// generate→encode queue and {stage="write"} for the groups encoded and
-// waiting on the commit.
+// -groups/-days/-spw to taste. At every -workers count (default
+// GOMAXPROCS) -workers goroutines simulate groups and one writer takes
+// them in deterministic group order: it filters and encodes each
+// group, appends its segments and commits the manifest, so the dataset
+// bytes do not depend on the worker count and even -workers 1
+// simulates ahead while the writer writes. No group is simulated more
+// than 2 × -workers + 1 groups past the lowest one not yet committed.
+// -progress reports sessions per second and per-stage wall time to
+// stderr while the run grinds; -metrics-addr additionally serves
+// /metrics (Prometheus text), /debug/vars, and /debug/pprof —
+// including pipeline_queue_depth{stage="generate"} for the groups
+// simulated and waiting on the writer, and
+// world_stage_seconds{stage="emit"} for the writer's time, filter,
+// encode and write together.
 // cmd/edgereport and cmd/edgestat read the directory; cmd/segcat
 // exports it as JSON lines for external tooling.
 //
@@ -91,7 +92,7 @@ func main() {
 		days        = flag.Int("days", 10, "dataset length in days")
 		spw         = flag.Float64("spw", 8, "mean sampled sessions per group per window")
 		out         = flag.String("o", "", "dataset directory to write or resume (required)")
-		workers     = flag.Int("workers", pipeline.DefaultWorkers(), "goroutines that simulate groups, and as many that encode them; at any count simulate, encode and commit overlap")
+		workers     = flag.Int("workers", pipeline.DefaultWorkers(), "goroutines that simulate groups; at any count one writer filters, encodes and commits them in group order beside the simulation")
 		progress    = flag.Bool("progress", false, "report generation progress to stderr every 2s")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address")
 		faultPlan   = flag.String("fault-plan", "", "deterministic fault-injection plan (key=value;... — see internal/faults; '' or 'none' disables)")

@@ -14,6 +14,7 @@ import (
 	"repro/internal/collector"
 	"repro/internal/faults"
 	"repro/internal/obs"
+	"repro/internal/pipeline"
 	"repro/internal/sample"
 	"repro/internal/seggen"
 	"repro/internal/segstore"
@@ -214,13 +215,13 @@ func TestSegInterruptResumeByteIdentical(t *testing.T) {
 	}
 }
 
-// A permanent write fault under FailFast poisons the ordered tail while
-// the generators are blocked in Send. The plan gives group 0 a streak
+// A permanent write fault under FailFast stops the writer while the
+// generators are blocked in a claim. The plan gives group 0 a streak
 // of sixteen transient write faults (about 0.8 s of backoff on the
-// tail, several times what the generators need to fill the queues even
-// under -race) and group 1 a permanent one: while the tail sleeps, the
-// generators fill every queue behind it; then it commits group 0 and
-// fails on group 1. The run must return the write fault, and the
+// writer, several times what the generators need to fill the window
+// even under -race) and group 1 a permanent one: while the writer
+// sleeps, the generators simulate every group of the window behind it;
+// then it commits group 0 and fails on group 1. The run must return the write fault, and the
 // dataset must read back as exactly group 0, whole — nothing of the
 // groups in flight — with every pooled batch of the read released.
 func TestSegFailFastWriteFaultStopsBlockedGenerator(t *testing.T) {
@@ -260,11 +261,10 @@ func TestSegFailFastWriteFaultStopsBlockedGenerator(t *testing.T) {
 		if !errors.As(err, &fe) || fe.Surface != faults.SurfaceWrite || fe.Transient {
 			t.Fatalf("workers=%d: Run returned %v, want the permanent write fault", workers, err)
 		}
-		// Group 0 at the tail plus, at each of the write queue, the
-		// encoders, the encode queue and the generators, one group per
-		// worker: anything less and no generator ever blocked in Send.
-		if n := reg.Counter("world_groups_total").Value(); n < int64(1+4*workers) {
-			t.Fatalf("workers=%d: %d groups simulated while the tail stalled, want >= %d", workers, n, 1+4*workers)
+		// Group 0 at the writer plus the rest of the window: anything
+		// less and no generator ever blocked in a claim.
+		if n, want := reg.Counter("world_groups_total").Value(), int64(pipeline.Window(workers)); n < want {
+			t.Fatalf("workers=%d: %d groups simulated while the writer stalled, want >= %d", workers, n, want)
 		}
 
 		man := manifest(t, dir)

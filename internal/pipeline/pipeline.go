@@ -14,17 +14,17 @@
 //     consumer lags (backpressure) and abort when the pipeline is
 //     poisoned; queue depth is observable on /metrics via
 //     pipeline_queue_depth{stage="..."}.
-//   - Ordered: the one ordered hand-off. Workers claim indices in
-//     ascending order and finish them in whatever order the scheduler
-//     dictates; one goroutine emits the results in index order, so a
-//     sharded run's downstream fold sees exactly the order the
-//     sequential run would — the property the byte-identical report
-//     guarantee rests on.
+//   - Ordered: the one ordered hand-off, run by its Run. A pool of
+//     workers claims indices in ascending order and finishes them in
+//     whatever order the scheduler dictates; the calling goroutine
+//     emits the results in index order, so a sharded run's downstream
+//     fold sees exactly the order the sequential run would — the
+//     property the byte-identical report guarantee rests on.
 //
-// Ordered bounds what a pipeline holds: no index is claimed more than
-// Window(workers) past the lowest one not yet emitted, so every stage
-// between a claim and its emit together holds at most that many items,
-// however slow the lowest one is.
+// Ordered bounds what a run holds: no index is claimed more than
+// Window(workers) past the lowest one not yet emitted, so the workers
+// and the results waiting on the emitter together hold at most that
+// many items, however slow the lowest one is.
 package pipeline
 
 import (
@@ -78,26 +78,11 @@ func (g *Group) Go(f func(ctx context.Context) error) {
 	}()
 }
 
-// GoPool launches n copies of worker (a fan-out stage). after, if
-// non-nil, runs once every worker has returned — the slot where the
-// pool closes its output Stream so downstream ranges terminate.
-func (g *Group) GoPool(n int, worker func(ctx context.Context, i int) error, after func()) {
-	var pool sync.WaitGroup
-	pool.Add(n)
-	for i := 0; i < n; i++ {
-		i := i
-		g.Go(func(ctx context.Context) error {
-			defer pool.Done()
-			return worker(ctx, i)
-		})
-	}
-	if after != nil {
-		g.wg.Add(1)
-		go func() {
-			defer g.wg.Done()
-			pool.Wait()
-			after()
-		}()
+// GoPool launches n copies of worker (a fan-out stage); i numbers the
+// copy.
+func (g *Group) GoPool(n int, worker func(ctx context.Context, i int) error) {
+	for i := range n {
+		g.Go(func(ctx context.Context) error { return worker(ctx, i) })
 	}
 }
 
@@ -160,9 +145,9 @@ func (s *Stream[T]) Send(ctx context.Context, v T) error {
 }
 
 // Close marks the producer side done; Range on the consumer side then
-// drains and returns. Only the producing stage may call Close (for
-// pools, via GoPool's after hook). Idempotent: error-path teardown may
-// Close a stream its happy path already closed without panicking.
+// drains and returns. Only the producing stage may call Close.
+// Idempotent: error-path teardown may Close a stream its happy path
+// already closed without panicking.
 func (s *Stream[T]) Close() {
 	s.closeOnce.Do(func() { close(s.ch) })
 }
@@ -200,45 +185,35 @@ func (s *Stream[T]) Range(ctx context.Context, f func(T) error) error {
 // Window is how many indices an Ordered lets be claimed and not yet
 // emitted, for workers goroutines that hold claimed indices: one being
 // emitted, and two for each worker — the one it holds and one finished
-// ahead of the stage after it. That is the run-ahead of a pool feeding
-// its next stage through a queue of one item a worker, and at one
-// worker it is one item emitting while the next waits and the one
-// after is worked on.
+// ahead of the emitter. So at one worker one item is emitted while the
+// next waits and the one after is worked on.
 func Window(workers int) int { return 2*max(workers, 1) + 1 }
 
 // Ordered is the ordered hand-off between workers and one emitting
-// goroutine, for the results of indices 0..n-1. Workers Claim indices
-// in ascending order and File each result in a slot its claim
-// reserved; Emit hands the results on in index order. A claim blocks
-// while Window(workers) indices are claimed and not yet emitted, so no
-// stage between a claim and its emit runs more than the window ahead of
-// the lowest index still in flight, and File never blocks. Run is the
-// one-stage form; a longer pipeline claims in its first stage, files in
-// its last and emits from its tail.
+// goroutine, for the results of indices 0..n-1. Workers claim indices
+// in ascending order and file each result in a slot its claim
+// reserved; the emitter hands the results on in index order. A claim
+// blocks while Window(workers) indices are claimed and not yet
+// emitted, so no worker runs more than the window ahead of the lowest
+// index still in flight, and filing never blocks.
 type Ordered[T any] struct {
 	workers, n int
 	drop       func(T)
-	room       chan int      // the indices that may be claimed, ascending; closed when emission ends
-	slots      []chan T      // index i is filed in slots[i%len(slots)]
-	closed     chan struct{} // closed by Close: nothing more is filed
-
-	mu      sync.Mutex // orders File against the end of emission
-	stopped bool       // emission has ended: File drops
+	room       chan int // the indices that may be claimed, ascending
+	slots      []chan T // index i is filed in slots[i%len(slots)]
 }
 
-// NewOrdered returns the hand-off for n indices held, between claim and
-// file, by workers goroutines (at least one): Run's pool, or every pool
-// of a longer pipeline from its first stage to its last. drop, if
-// non-nil, receives every filed result that is never emitted — the
-// disposal hook for results that carry resources (pooled batches); it
-// must not block.
+// NewOrdered returns the hand-off for n indices worked on by workers
+// goroutines (at least one). drop, if non-nil, receives every result
+// worked and never emitted — the disposal hook for results that carry
+// resources (pooled batches); it must not block.
 func NewOrdered[T any](workers, n int, drop func(T)) *Ordered[T] {
 	if drop == nil {
 		drop = func(T) {}
 	}
 	workers = max(workers, 1)
 	o := &Ordered[T]{workers: workers, n: n, drop: drop,
-		slots: make([]chan T, min(Window(workers), max(n, 1))), closed: make(chan struct{})}
+		slots: make([]chan T, min(Window(workers), max(n, 1)))}
 	o.room = make(chan int, len(o.slots))
 	for i := range o.slots {
 		o.slots[i] = make(chan T, 1)
@@ -264,72 +239,26 @@ func (o *Ordered[T]) Instrument(reg *obs.Registry, stage string) {
 	reg.Gauge(obs.L("pipeline_queue_capacity", "stage", stage)).Set(float64(len(slots)))
 }
 
-// Claim returns the next index, blocking while the window is full or
-// every index is claimed. It returns false once emission has ended or
-// ctx is done.
-func (o *Ordered[T]) Claim(ctx context.Context) (int, bool) {
+// claim returns the next index, blocking while the window is full or
+// every index is claimed. It returns false once ctx is done, even if
+// an index was free.
+func (o *Ordered[T]) claim(ctx context.Context) (int, bool) {
 	select {
-	case i, ok := <-o.room:
-		return i, ok
+	case i := <-o.room:
+		return i, ctx.Err() == nil
 	case <-ctx.Done():
 		return 0, false
 	}
 }
 
-// File hands over the result for claimed index i. It never blocks: the
-// slot was emptied when index i − window was emitted. A result filed
-// once emission has ended goes to drop.
-func (o *Ordered[T]) File(i int, v T) {
-	o.mu.Lock()
-	if !o.stopped {
-		o.slots[i%len(o.slots)] <- v // never blocks: the slot is empty
-		o.mu.Unlock()
-		return
-	}
-	o.mu.Unlock()
-	o.drop(v)
-}
-
-// Close says nothing more will be filed; the producing stage calls it
-// once its last worker has returned (GoPool's after hook). Emit then
-// stops at the first index never filed: a producer that stopped early
-// truncates the output to its contiguous prefix. Call it once.
-func (o *Ordered[T]) Close() { close(o.closed) }
-
-// Emit passes the results to emit in index order, on the calling
-// goroutine, until all n are emitted (nil), a producer stopped early
-// (nil, after the contiguous prefix), emit fails (its error), or ctx
-// is done (its cause; no result is emitted once ctx is done). Then
-// emission ends: claims fail, and every result filed and not emitted,
-// now or later, goes to drop. A result emit fails on is emit's.
-func (o *Ordered[T]) Emit(ctx context.Context, emit func(T) error) error {
-	err := o.emit(ctx, emit)
-	o.mu.Lock()
-	o.stopped = true
-	o.mu.Unlock()
-	close(o.room)
-	for range o.room { // indices no longer to be claimed
-	}
-	for _, s := range o.slots {
-		for len(s) > 0 { // no File sends once stopped is set
-			o.drop(<-s)
-		}
-	}
-	return err
-}
-
+// emit passes the results to emit in index order until all n are
+// emitted (nil), emit fails (its error) or ctx is done (its cause; no
+// result is emitted once ctx is done).
 func (o *Ordered[T]) emit(ctx context.Context, emit func(T) error) error {
 	for i := range o.n {
-		slot := o.slots[i%len(o.slots)]
 		var v T
 		select {
-		case v = <-slot:
-		case <-o.closed:
-			select {
-			case v = <-slot:
-			default:
-				return context.Cause(ctx) // nil unless ctx is done
-			}
+		case v = <-o.slots[i%len(o.slots)]:
 		case <-ctx.Done():
 			return cause(ctx)
 		}
@@ -347,17 +276,19 @@ func (o *Ordered[T]) emit(ctx context.Context, emit func(T) error) error {
 	return nil
 }
 
-// Run is the one-stage form: min(workers, n) goroutines claim indices
-// and compute work(ctx, worker, i) — worker numbers the goroutine, for
-// state it owns, such as a trace buffer — and the calling goroutine
-// emits the results in index order. The first error of work or emit,
-// or ctx's end, cancels the workers and is returned; work releases what
-// it holds when it fails, and drop gets every other result not emitted.
+// Run has min(workers, n) goroutines claim indices and compute
+// work(ctx, worker, i) — worker numbers the goroutine, for state it
+// owns, such as a trace buffer — while the calling goroutine emits the
+// results in index order. The first error of work or emit, or ctx's
+// end, cancels the workers and is returned; no index is claimed once
+// it is. work releases what it holds when it fails; a result emit
+// fails on is emit's; drop gets every other result not emitted, before
+// Run returns.
 func (o *Ordered[T]) Run(ctx context.Context, work func(ctx context.Context, worker, i int) (T, error), emit func(T) error) error {
 	g := NewGroup(ctx)
 	g.GoPool(min(o.workers, o.n), func(ctx context.Context, worker int) error {
 		for {
-			i, ok := o.Claim(ctx)
+			i, ok := o.claim(ctx)
 			if !ok {
 				return nil
 			}
@@ -365,13 +296,18 @@ func (o *Ordered[T]) Run(ctx context.Context, work func(ctx context.Context, wor
 			if err != nil {
 				return err
 			}
-			o.File(i, v)
+			o.slots[i%len(o.slots)] <- v // never blocks: the slot was emptied when i − window was emitted
 		}
-	}, o.Close)
-	err := o.Emit(g.Context(), emit)
-	g.cancel(err) // stops the workers, which an emit error leaves running
+	})
+	err := o.emit(g.Context(), emit)
+	g.cancel(err) // stops the workers, which an emit error or the last emit leaves waiting
 	if werr := g.Wait(); err == nil {
 		err = werr
+	}
+	for _, s := range o.slots { // the workers have returned: nothing more is filed
+		for len(s) > 0 {
+			o.drop(<-s)
+		}
 	}
 	return err
 }

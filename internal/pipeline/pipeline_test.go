@@ -150,37 +150,48 @@ func TestOrderedEmitsAscending(t *testing.T) {
 	}
 }
 
-// A producer that stops early — index 3 claimed and never filed —
-// truncates the output to the contiguous prefix once the producing
-// stage closes, and every result filed past the hole is dropped.
-func TestOrderedTruncatesAtHole(t *testing.T) {
-	dropped := map[int]int{}
-	o := NewOrdered[int](3, 6, func(v int) { dropped[v]++ })
-	for range 6 {
-		i, ok := o.Claim(context.Background())
-		if !ok {
-			t.Fatal("claim refused inside the window")
+// Run makes no work call once its context is done: not one under a
+// context done before it starts, however free the window, and, at one
+// worker, none after a cancel that lands while the window still has
+// room — emit cancels while work(1) runs, and stays busy while the
+// worker, done with item 1, looks for its next index.
+func TestOrderedRunClaimsNothingOnceDone(t *testing.T) {
+	const n = 20
+	for _, workers := range []int{1, 3} {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		var calls atomic.Int64
+		err := NewOrdered[int](workers, n, nil).Run(ctx, func(_ context.Context, _, i int) (int, error) {
+			calls.Add(1)
+			return i, nil
+		}, func(int) error { return nil })
+		if !errors.Is(err, context.Canceled) || calls.Load() != 0 {
+			t.Fatalf("workers=%d: Run = %v after %d work calls under a context done before it, want context.Canceled after 0", workers, err, calls.Load())
 		}
-		if i != 3 {
-			o.File(i, i)
+	}
+	for range 20 { // a claim that raced the done context would win about half the time
+		ctx, cancel := context.WithCancel(context.Background())
+		started := make(chan struct{})
+		var calls int
+		err := NewOrdered[int](1, n, nil).Run(ctx, func(ctx context.Context, _, i int) (int, error) {
+			calls++
+			if i == 1 {
+				close(started)
+				<-ctx.Done()
+			}
+			return i, nil
+		}, func(v int) error {
+			if v == 0 {
+				<-started
+				cancel()
+				time.Sleep(2 * time.Millisecond)
+			}
+			return nil
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) || calls != 2 {
+			t.Fatalf("cancelled in emit(0) during work(1): Run = %v after %d work calls, want context.Canceled after 2", err, calls)
 		}
-	}
-	o.Close()
-	var got []int
-	if err := o.Emit(context.Background(), func(v int) error {
-		got = append(got, v)
-		return nil
-	}); err != nil {
-		t.Fatalf("Emit: %v", err)
-	}
-	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
-		t.Fatalf("got %v, want the contiguous prefix [0 1 2]", got)
-	}
-	if len(dropped) != 2 || dropped[4] != 1 || dropped[5] != 1 {
-		t.Fatalf("dropped %v, want the items past the hole, 4 and 5, once each", dropped)
-	}
-	if _, ok := o.Claim(context.Background()); ok {
-		t.Fatal("a claim succeeded after emission ended")
 	}
 }
 

@@ -2,7 +2,9 @@
 // synthetic world through the collection filter and writes the result
 // as a columnar segment store (internal/segstore), resuming from the
 // dataset manifest after an interrupt and injecting deterministic
-// faults at the batch and write surfaces.
+// faults at the batch and write surfaces. It writes through the world's
+// one batch generator, world.GenerateBatchesOf: the world simulates the
+// groups on a pool, and Run writes each as it arrives, in group order.
 //
 // The package exists so the pipeline has exactly one implementation
 // and one driver, cmd/edgesim, with two uses: the whole world in one
@@ -26,8 +28,6 @@ import (
 	"repro/internal/collector"
 	"repro/internal/faults"
 	"repro/internal/obs"
-	"repro/internal/pipeline"
-	"repro/internal/sample"
 	"repro/internal/segstore"
 	"repro/internal/trace"
 	"repro/internal/world"
@@ -94,12 +94,12 @@ type Options struct {
 	Origin string
 	// Reg receives pipeline metrics (may be nil).
 	Reg *obs.Registry
-	// Workers is how many goroutines simulate groups and how many
-	// filter and encode them (values below 1 mean 1). Every count runs
-	// the same three stages; see Run. Each group being simulated also
-	// has one goroutine of its own that draws its workload ahead of the
-	// simulation, so a one-worker run keeps four goroutines busy: the
-	// drawer, the simulation, the encoder and the commit tail.
+	// Workers is how many goroutines simulate groups (values below 1
+	// mean 1); the calling goroutine filters, encodes and writes them,
+	// overlapping the simulation at every count. See Run. Each group
+	// being simulated also has one goroutine of its own that draws its
+	// workload ahead of the simulation, so a one-worker run keeps three
+	// goroutines busy: the drawer, the simulation and the writer.
 	Workers int
 	// Injector injects deterministic batch/write faults (may be nil).
 	Injector *faults.Injector
@@ -135,25 +135,22 @@ type Result struct {
 // and the finished directory is byte-identical to an uninterrupted
 // run's at any worker count.
 //
-// Run is three stages at every worker count, joined by one
-// pipeline.Ordered. Generate: opt.Workers goroutines claim groups in
-// order, simulate each whole, book its outage and make its
-// GroupWriter, drawing its batch fate. Encode: opt.Workers goroutines
-// run each group's samples through its writer in place — the windows
-// from the fate's cut on are lost, the hosting filter keeps the rest —
-// encode one segment per chunk (queue
-// pipeline_queue_depth{stage="encode"}) and file the group. Commit: one
-// ordered tail emits the groups in group order, books each fate, lands
-// the group in one Write and commits the manifest once per group (the
-// groups filed and waiting are pipeline_queue_depth{stage="write"}).
-// No group is claimed more than pipeline.Window(2 × opt.Workers) groups
-// past the lowest one not yet committed — the generators and the
-// encoders both hold groups — so a slow group holds back a bounded
-// number of finished ones. So at one worker the world simulates group
-// k+1 while group k is encoded and group k-1 committed, and an
-// interrupt loses at most the groups not yet committed. A permanently
-// failed group tombstones its segment IDs in the manifest — the loss
-// is recorded in the dataset itself.
+// Run is one world.GenerateBatchesOf over the groups left to write:
+// opt.Workers goroutines simulate them, and the calling goroutine takes
+// each group in group order and writes it. It books the group's outage
+// and makes its GroupWriter, drawing its batch fate; runs the samples
+// through the writer in place — the windows from the fate's cut on are
+// lost, the hosting filter keeps the rest — and encodes one segment per
+// chunk; then books the fate, lands the group in one Write and commits
+// the manifest once per group. No group is begun more than
+// pipeline.Window(opt.Workers) groups past the lowest one not yet
+// written (the groups simulated and waiting are
+// pipeline_queue_depth{stage="generate"} on the world's registry), so
+// a slow group holds back a bounded number of finished ones: at one
+// worker the world simulates group k+2 while group k is written and
+// group k+1 waits. An interrupt loses at most the groups not yet
+// committed. A permanently failed group tombstones its segment IDs in
+// the manifest — the loss is recorded in the dataset itself.
 func Run(ctx context.Context, opt Options) (Result, error) {
 	w, reg, inj, rec := opt.World, opt.Reg, opt.Injector, opt.Rec
 	cpg := ChunksPerGroup(w.Cfg)
@@ -194,8 +191,8 @@ func Run(ctx context.Context, opt Options) (Result, error) {
 
 	guard := faults.NewGuard(inj, opt.FailFast)
 	var (
-		total   collector.Stats // owned by the ordered tail
-		written int             // owned by the ordered tail
+		total   collector.Stats
+		written int
 	)
 	encSpan := reg.Span(obs.L("edgesim_stage_seconds", "stage", "encode"), "edgesim")
 	writeSpan := reg.Span(obs.L("edgesim_stage_seconds", "stage", "write"), "edgesim")
@@ -204,76 +201,37 @@ func Run(ctx context.Context, opt Options) (Result, error) {
 	encHist := reg.Histogram(obs.L("edgesim_group_stage_seconds", "stage", "encode"), nil)
 	writeHist := reg.Histogram(obs.L("edgesim_group_stage_seconds", "stage", "write"), nil)
 
-	// rawBatch is one simulated group on its way to the encode pool,
-	// with its writer, whose batch fate is drawn on the generator.
-	type rawBatch struct {
-		order   int // the group's index in todo, claimed from out
-		samples []sample.Sample
-		gw      *GroupWriter
-	}
-
-	workers := max(opt.Workers, 1)
-	g := pipeline.NewGroup(ctx)
-	raw := pipeline.NewStream[rawBatch](workers)
-	raw.Instrument(reg, "encode")
-	// The generators and the encoders both hold claimed groups.
-	out := pipeline.NewOrdered[Unit](2*workers, len(todo), nil)
-	out.Instrument(reg, "write")
-	tb := rec.Buf() // owned by the ordered tail goroutine below
-	g.GoPool(min(workers, len(todo)), func(ctx context.Context, _ int) error {
-		gen := w.Rec.Buf() // this generator's
-		for {
-			i, ok := out.Claim(ctx)
-			if !ok {
-				return nil
-			}
-			b, err := w.GenerateBatch(ctx, gen, todo[i])
-			if err != nil {
-				return err
-			}
-			guard.Outage(b.Lost) // PoP outage suppressed windows at the source
-			gw, err := NewGroupWriter(w.Cfg, b.Group, guard, reg)
-			if err != nil {
-				return err
-			}
-			if err := raw.Send(ctx, rawBatch{order: i, samples: b.Samples, gw: gw}); err != nil {
-				return err
-			}
-		}
-	}, raw.Close)
-	g.GoPool(workers, func(ctx context.Context, _ int) error {
-		return raw.Range(ctx, func(rb rawBatch) error {
-			sp := encSpan.Start()
-			// Filter in place: the stage owns the raw batch, so the writer's
-			// buffer is the batch's own array, and each kept sample is
-			// written at or behind the sample being read. Nothing needs the
-			// array once the chunks are encoded.
-			rb.gw.kept = rb.samples[:0]
-			rb.gw.Add(rb.samples)
-			u := rb.gw.Encode(0, cpg)
-			rb.gw.kept = nil
-			encHist.ObserveDuration(sp.End())
-			out.File(rb.order, u)
-			return nil
-		})
-	}, out.Close)
-	g.Go(func(ctx context.Context) error {
-		return out.Emit(ctx, func(u Unit) error {
-			u.w.Book(tb)
-			sp := writeSpan.Start()
-			n, err := u.Write(ctx, sw, tb)
-			if err == nil {
-				err = sw.Commit()
-			}
-			writeHist.ObserveDuration(sp.End())
-			total = total.Merge(u.w.Stats())
-			written += n
+	tb := rec.Buf() // deliver's, which runs on this goroutine
+	err = w.GenerateBatchesOf(ctx, todo, opt.Workers, func(b world.Batch) error {
+		guard.Outage(b.Lost) // PoP outage suppressed windows at the source
+		gw, err := NewGroupWriter(w.Cfg, b.Group, guard, reg)
+		if err != nil {
 			return err
-		})
+		}
+		sp := encSpan.Start()
+		// Filter in place: deliver owns the batch, so the writer's buffer
+		// is the batch's own array, and each kept sample is written at or
+		// behind the sample being read. Nothing needs the array once the
+		// chunks are encoded.
+		gw.kept = b.Samples[:0]
+		gw.Add(b.Samples)
+		u := gw.Encode(0, cpg)
+		gw.kept = nil
+		encHist.ObserveDuration(sp.End())
+
+		gw.Book(tb)
+		sp = writeSpan.Start()
+		n, err := u.Write(ctx, sw, tb)
+		if err == nil {
+			err = sw.Commit()
+		}
+		writeHist.ObserveDuration(sp.End())
+		total = total.Merge(gw.Stats())
+		written += n
+		return err
 	})
-	err = g.Wait()
 	cov := guard.Coverage()
-	cov.EmitTrace(tb) // tail goroutine has returned; the caller owns the ring now
+	cov.EmitTrace(tb)
 	return Result{Stats: total, Written: written, Resumed: resumed, Coverage: cov}, err
 }
 

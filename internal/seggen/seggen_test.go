@@ -120,14 +120,16 @@ func TestRunEmptyShare(t *testing.T) {
 	}
 }
 
-// TestStageMetricsAtOneWorker: a one-worker run is three stages, and
-// /metrics shows both queues between them — generate→encode and
-// encode→write — and a completed span of each timed stage per group,
-// each one observation of that stage's per-group histogram: the
-// histogram's count is the group count and its sum the span total.
+// TestStageMetricsAtOneWorker: a one-worker run shows on /metrics the
+// world's ordered hand-off — the groups simulated and waiting on the
+// writer, and the window — and a completed span of each timed stage of
+// the writer per group, each one observation of that stage's per-group
+// histogram: the histogram's count is the group count and its sum the
+// span total.
 func TestStageMetricsAtOneWorker(t *testing.T) {
 	w := world.New(world.Config{Seed: 7, Groups: 5, Days: 1, SessionsPerGroupWindow: 2})
 	reg := obs.NewRegistry()
+	w.Instrument(reg)
 	if _, err := Run(context.Background(), Options{
 		World: w, Dir: t.TempDir(), Origin: "test origin", Reg: reg, Workers: 1,
 	}); err != nil {
@@ -146,11 +148,16 @@ func TestStageMetricsAtOneWorker(t *testing.T) {
 		}
 		return 0, false
 	}
+	if n, ok := value(`pipeline_queue_depth{stage="generate"}`); !ok || n != 0 {
+		t.Errorf(`pipeline_queue_depth{stage="generate"} = %v (present %v), want 0 once Run returns`, n, ok)
+	}
+	if n, _ := value(`pipeline_queue_capacity{stage="generate"}`); n != float64(pipeline.Window(1)) {
+		t.Errorf(`pipeline_queue_capacity{stage="generate"} = %v, want the one-worker window, %d`, n, pipeline.Window(1))
+	}
 	for _, stage := range []string{"encode", "write"} {
 		for _, gauge := range []string{"pipeline_queue_depth", "pipeline_queue_capacity"} {
-			series := fmt.Sprintf("%s{stage=%q}", gauge, stage)
-			if _, ok := value(series); !ok {
-				t.Errorf("/metrics lacks %s", series)
+			if series := fmt.Sprintf("%s{stage=%q}", gauge, stage); strings.Contains(expo.String(), series) {
+				t.Errorf("/metrics shows %s, a queue the writer does not have", series)
 			}
 		}
 		series := fmt.Sprintf(`edgesim_stage_seconds_count{stage=%q,parent="edgesim"}`, stage)
@@ -248,9 +255,55 @@ func TestTruncateLedgerMatchesStudy(t *testing.T) {
 	}
 }
 
+// TestRunFailFastDropCommitsEveryGroupBefore: under fail-fast a dropped
+// group stops the run when the writer reaches it, in group order, so
+// the dataset holds exactly the groups before it, whole, at any worker
+// count — not a prefix that depends on how far the writer had got when
+// a generator drew the fate.
+func TestRunFailFastDropCommitsEveryGroupBefore(t *testing.T) {
+	cfg := world.Config{Seed: 3, Groups: 8, Days: 2, SessionsPerGroupWindow: 12}
+	plan, err := faults.ParsePlan("seed=4;corrupt=0.15")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const dropped = 5 // the plan's first dropped group in this world
+	clean := t.TempDir()
+	if _, err := Run(context.Background(), Options{World: world.New(cfg), Dir: clean, Origin: "test origin"}); err != nil {
+		t.Fatal(err)
+	}
+	segments := func(dir string) []segstore.SegmentMeta {
+		r, err := segstore.Open(dir)
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		defer func() { _ = r.Close() }() // read-only dataset; nothing to flush
+		return r.Manifest().Segments
+	}
+	var want []segstore.SegmentMeta
+	for _, s := range segments(clean) {
+		if s.ID < dropped*ChunksPerGroup(cfg) {
+			want = append(want, s)
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		for range 3 {
+			dir := t.TempDir()
+			_, err := Run(context.Background(), Options{World: world.New(cfg), Dir: dir, Origin: "test origin",
+				Workers: workers, Injector: faults.NewInjector(plan, cfg.Seed), FailFast: true})
+			var fe *faults.FaultError
+			if !errors.As(err, &fe) || fe.Surface != faults.SurfaceBatch || !strings.HasSuffix(fe.Key, fmt.Sprintf("%04d", dropped)) {
+				t.Fatalf("workers=%d: Run returned %v, want group %d's batch fault", workers, err, dropped)
+			}
+			if got := segments(dir); !reflect.DeepEqual(got, want) {
+				t.Fatalf("workers=%d: %d segments committed, want groups 0 to %d whole, the clean run's %d", workers, len(got), dropped-1, len(want))
+			}
+		}
+	}
+}
+
 // TestRunBoundedBySlowGroup: no group begins more than the window —
-// pipeline.Window of the generators and encoders together — past the
-// lowest one not yet committed. While group 0's first window is held (the world is chosen
+// pipeline.Window of the generators — past the lowest one not yet
+// committed. While group 0's first window is held (the world is chosen
 // so no other group is served from its PoP at window 0), the other
 // generators simulate the window's other groups and stop, where a
 // reorder at the commit tail would let them simulate every group.
@@ -282,7 +335,7 @@ func TestRunBoundedBySlowGroup(t *testing.T) {
 		_, err := Run(context.Background(), Options{World: w, Dir: dir, Origin: "test origin", Workers: workers})
 		done <- err
 	}()
-	want := int64(pipeline.Window(2*workers) - 1) // every group in the window but the held one
+	want := int64(pipeline.Window(workers) - 1) // every group in the window but the held one
 	for deadline := time.Now().Add(10 * time.Second); begun.Load() < want && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
 	}

@@ -21,9 +21,8 @@ import (
 // directory resumes: segments (and tombstones) already committed are
 // reported by Committed and skipped by the caller.
 //
-// Writer is single-goroutine by design — it is the ordered tail of a
-// pipeline (seggen.Run reorders encoded segments before handing them
-// over).
+// Writer is single-goroutine by design — it is the ordered end of a
+// pipeline (seggen.Run writes the groups in order on one goroutine).
 type Writer struct {
 	dir string
 	man *Manifest

@@ -3,7 +3,10 @@ package studyd
 import (
 	"context"
 	"runtime"
+	"runtime/debug"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/sample"
@@ -129,9 +132,10 @@ func TestDrainReleasesIngestState(t *testing.T) {
 // the buffer day one closed, so nothing up to the chunk's close
 // allocates at all, and the close keeps the same buffer. Both
 // days are generated first and copied out of the feed's recycled
-// buffers, so what is counted is the daemon's alone. The world is one
-// whose groups keep no more samples on day two than their day-one
-// buffers hold, which the test checks.
+// buffers, and the count waits for every other allocator in the
+// process to stop (quiesceAllocs), so what is counted is the daemon's
+// alone. The world is one whose groups keep no more samples on day two
+// than their day-one buffers hold, which the test checks.
 func TestDayTwoAllocatesNoSampleBuffer(t *testing.T) {
 	cfg := world.Config{Seed: 5, Groups: 6, Days: 2, SessionsPerGroupWindow: 4}
 	windows := make([][]world.WindowBatch, cfg.Windows())
@@ -174,6 +178,7 @@ func TestDayTwoAllocatesNoSampleBuffer(t *testing.T) {
 		dayOne[gi] = identity(g.Buffer())
 	}
 
+	quiesceAllocs(t)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for win := day; win < 2*day-1; win++ {
@@ -201,4 +206,60 @@ func TestDayTwoAllocatesNoSampleBuffer(t *testing.T) {
 			t.Errorf("group %d: day two's close kept another buffer (capacity %d), not the day's (capacity %d)", gi, got.cap, dayOne[gi].cap)
 		}
 	}
+}
+
+// quiesceAllocs returns once the process-wide allocation count is the
+// calling goroutine's alone, for as long as the test runs. Three things
+// besides the caller allocate: a goroutine of this repository that
+// another test left running, which it waits for; a collection, which
+// it runs once and then turns off until the test ends; and the
+// runtime's own work after a collection — the unique package's map
+// cleanup (net/netip holds one such map) allocates after every cycle,
+// on a goroutine the caller cannot see, and on a busy host it can run
+// milliseconds late — which it waits out: the count must hold still
+// for 10 ms while the caller sleeps. Each wait is bounded at ten
+// seconds, and a failed wait names what kept running.
+func quiesceAllocs(t *testing.T) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		other := otherGoroutine()
+		if other == "" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("a goroutine another test left running outlived a 10 s wait:\n%s", other)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	gc := debug.SetGCPercent(-1)
+	t.Cleanup(func() { debug.SetGCPercent(gc) })
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	for last, since := m.Mallocs, time.Now(); time.Since(since) < 10*time.Millisecond; {
+		if time.Now().After(deadline) {
+			t.Fatalf("the process kept allocating for 10 s after a collection, with no other goroutine of this repository running")
+		}
+		time.Sleep(time.Millisecond)
+		runtime.ReadMemStats(&m)
+		if m.Mallocs != last {
+			last, since = m.Mallocs, time.Now()
+		}
+	}
+}
+
+// otherGoroutine returns the stack of a goroutine other than the
+// caller's that runs this repository's code, or "" if there is none.
+func otherGoroutine() string {
+	buf := make([]byte, 1<<20)
+	for runtime.Stack(buf, true) == len(buf) {
+		buf = make([]byte, 2*len(buf))
+	}
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n")[1:] { // the first is the caller's
+		if strings.Contains(g, "repro/") {
+			return g
+		}
+	}
+	return ""
 }

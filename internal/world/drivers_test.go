@@ -24,9 +24,10 @@ type driverRun struct {
 
 // Every driver generates and records a group's windows through
 // groupFeed.window. So under one world with a PoP outage (a window mark,
-// a fault and a loss fire), GenerateBatches, GenerateBatch on one
-// trace buffer a group, and LiveFeed.Run give, at any worker count, the same per-group sample
-// streams, byte-identical trace files and the same world counters.
+// a fault and a loss fire), GenerateBatches, GenerateBatchesOf over
+// the groups in reverse, delivered in that order, and LiveFeed.Run
+// give, at any worker count, the same per-group sample streams,
+// byte-identical trace files and the same world counters.
 func TestDriversAgree(t *testing.T) {
 	cfg := Config{Seed: 31, Groups: 7, Days: 1, SessionsPerGroupWindow: 5}
 	downPoP := New(cfg).Groups[0].PoP
@@ -69,15 +70,20 @@ func TestDriversAgree(t *testing.T) {
 			})
 		}})
 	}
-	drivers = append(drivers, driver{"GenerateBatch", func(w *World, keep func(int, []sample.Sample, int)) error {
-		for gi := range w.Groups {
-			b, err := w.GenerateBatch(context.Background(), w.Rec.Buf(), gi)
-			if err != nil {
-				return err
-			}
-			keep(b.Group, b.Samples, b.Lost)
+	drivers = append(drivers, driver{"GenerateBatchesOf/reversed/workers=3", func(w *World, keep func(int, []sample.Sample, int)) error {
+		reversed := make([]int, len(w.Groups))
+		for i := range reversed {
+			reversed[i] = len(w.Groups) - 1 - i
 		}
-		return nil
+		next := len(reversed) - 1
+		return w.GenerateBatchesOf(context.Background(), reversed, 3, func(b Batch) error {
+			if b.Group != next {
+				return fmt.Errorf("delivered group %d, want %d: the order given", b.Group, next)
+			}
+			next--
+			keep(b.Group, b.Samples, b.Lost)
+			return nil
+		})
 	}})
 	for _, workers := range []int{1, 3} {
 		drivers = append(drivers, driver{fmt.Sprintf("LiveFeed.Run/workers=%d", workers), func(w *World, keep func(int, []sample.Sample, int)) error {

@@ -34,25 +34,37 @@ type Batch struct {
 	Lost int
 }
 
-// GenerateBatches streams per-group batches to deliver in ascending
-// group order (deliver runs on the calling goroutine; its error
-// poisons the pipeline): up to workers goroutines (at least one)
-// simulate groups through GenerateBatch, each on a trace buffer of its
-// own, and a pipeline.Ordered hands the batches on in group order. Each
-// group's RNG lineage is independent (rng.ChildAt per group), so the
-// batch contents are identical at any worker count — ordered delivery
-// then makes the whole stream identical. No group is begun more than
-// pipeline.Window(workers) groups past the lowest one not yet
-// delivered, so a slow group holds back at most that many finished
-// ones. Delivery is the "emit" stage of the world's metrics. No batch
-// is delivered once ctx is done.
+// GenerateBatches is GenerateBatchesOf every group of the world.
 func (w *World) GenerateBatches(ctx context.Context, workers int, deliver func(Batch) error) error {
+	all := make([]int, len(w.Groups))
+	for gi := range all {
+		all[gi] = gi
+	}
+	return w.GenerateBatchesOf(ctx, all, workers, deliver)
+}
+
+// GenerateBatchesOf streams the batches of the given world groups to
+// deliver in the order given (deliver runs on the calling goroutine;
+// its error poisons the pipeline): up to workers goroutines (at least
+// one) simulate the groups through generateBatch, each on a trace
+// buffer of its own, and a pipeline.Ordered hands the batches on in
+// order. Each group's RNG lineage is independent (rng.ChildAt per
+// group), so the batch contents are identical at any worker count —
+// ordered delivery then makes the whole stream identical. No group is
+// begun more than pipeline.Window(workers) groups past the lowest one
+// not yet delivered, so a slow group holds back at most that many
+// finished ones; the batches finished and waiting on deliver are
+// pipeline_queue_depth{stage="generate"}. Delivery is the "emit" stage
+// of the world's metrics. No batch is delivered once ctx is done.
+func (w *World) GenerateBatchesOf(ctx context.Context, groups []int, workers int, deliver func(Batch) error) error {
 	tbs := make([]*trace.Buf, max(workers, 1))
 	for i := range tbs {
 		tbs[i] = w.Rec.Buf()
 	}
-	return pipeline.NewOrdered[Batch](workers, len(w.Groups), nil).Run(ctx, func(ctx context.Context, worker, gi int) (Batch, error) {
-		return w.GenerateBatch(ctx, tbs[worker], gi)
+	o := pipeline.NewOrdered[Batch](workers, len(groups), nil)
+	o.Instrument(w.obs.reg, "generate")
+	return o.Run(ctx, func(ctx context.Context, worker, i int) (Batch, error) {
+		return w.generateBatch(ctx, tbs[worker], groups[i])
 	}, func(b Batch) error {
 		sp := w.obs.emit.Start()
 		defer sp.End()
@@ -60,15 +72,15 @@ func (w *World) GenerateBatches(ctx context.Context, workers int, deliver func(B
 	})
 }
 
-// GenerateBatch simulates group gi on the calling goroutine, recording
+// generateBatch simulates group gi on the calling goroutine, recording
 // on tb, which the caller owns; the events a group emits are identical
 // whichever goroutine simulates it. The group's buffer is sized once
 // for the group (sessionCapacity) rather than grown by doubling as the
 // sessions arrive. The group's workload draws run ahead on a drawer
 // goroutine of their own (draw.go), stopped and waited for before
-// GenerateBatch returns. Cancelling ctx stops the group at its next
+// generateBatch returns. Cancelling ctx stops the group at its next
 // window (or while it waits on the drawer) and returns the cause.
-func (w *World) GenerateBatch(ctx context.Context, tb *trace.Buf, gi int) (Batch, error) {
+func (w *World) generateBatch(ctx context.Context, tb *trace.Buf, gi int) (Batch, error) {
 	fd := w.newGroupFeed(gi)
 	stop := startDrawers(ctx, &w.obs, fd.sc.ring)
 	defer stop()
@@ -117,7 +129,7 @@ func (w *World) GenerateAll() []sample.Sample {
 // (World.PoPDown), 0 when no outage machinery is installed.
 func (w *World) GenerateGroup(groupIdx int, emit func(sample.Sample)) int {
 	// Nothing cancels a background context, so there is no error.
-	b, _ := w.GenerateBatch(context.Background(), nil, groupIdx)
+	b, _ := w.generateBatch(context.Background(), nil, groupIdx)
 	for _, s := range b.Samples {
 		emit(s)
 	}
@@ -127,7 +139,7 @@ func (w *World) GenerateGroup(groupIdx int, emit func(sample.Sample)) int {
 // groupFeed is one group's generation state and the world's one
 // per-group generator: its RNG lineage, the read end of its draw-ahead
 // ring, its session scratch and its session sequence, advanced one
-// window at a time by window. The batch generator (GenerateBatch) runs
+// window at a time by window. The batch generator (generateBatch) runs
 // a feed through every window in one loop; the live feed keeps one per
 // group alive between windows, so the lineage advances exactly as in
 // one uninterrupted sweep. Every driver generates and records through

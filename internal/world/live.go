@@ -126,7 +126,7 @@ func (f *LiveFeed) Run(ctx context.Context, workers int, deliver func(WindowBatc
 			}
 		}
 		return nil
-	}, nil)
+	})
 
 	gctx := g.Context()
 	err := func() error {

@@ -8,6 +8,7 @@ import (
 // hot path. The zero value (nil handles) is a no-op, so an
 // uninstrumented world pays one nil check per event.
 type worldObs struct {
+	reg        *obs.Registry // where a batch run registers its ordered hand-off
 	sessions   *obs.Counter
 	windows    *obs.Counter
 	groups     *obs.Counter
@@ -24,8 +25,12 @@ type worldObs struct {
 // Instrument registers generation metrics on reg: sessions, windows and
 // groups completed, plus per-stage wall time for the parallel group
 // simulation ("generate"), the ordered fan-out ("emit") and the
-// workload draw-ahead ("draw": the time drawers spend drawing). The
-// draw-ahead adds the time simulations wait on an empty ring
+// workload draw-ahead ("draw": the time drawers spend drawing). A
+// batch run (GenerateBatchesOf) registers its ordered hand-off there
+// when it starts: the batches simulated and waiting on deliver as
+// pipeline_queue_depth{stage="generate"}, its window as
+// pipeline_queue_capacity{stage="generate"}. The draw-ahead adds the
+// time simulations wait on an empty ring
 // (world_draw_wait_seconds) and the specs drawn
 // (world_specs_drawn_total): drawn minus the sessions simulated, kept
 // or lost to an outage, is what was drawn ahead and never simulated, at
@@ -38,6 +43,7 @@ type worldObs struct {
 // generators are. A nil registry leaves the world uninstrumented.
 func (w *World) Instrument(reg *obs.Registry) {
 	w.obs = worldObs{
+		reg:        reg,
 		sessions:   reg.Counter("world_sessions_total"),
 		windows:    reg.Counter("world_windows_total"),
 		groups:     reg.Counter("world_groups_total"),
