@@ -48,8 +48,8 @@ race:
 
 # The suite again without the race detector, about a seventh of race's
 # time: it is tier-1 itself, and the only run of the allocation counts
-# that build without -race alone (the `!race` files of internal/tdigest
-# and internal/analysis).
+# that build without -race alone (the `!race` files of internal/tdigest,
+# internal/analysis and internal/segstore).
 test:
 	$(GO) test ./...
 

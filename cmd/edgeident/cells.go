@@ -1,6 +1,9 @@
 package main
 
-import "slices"
+import (
+	"slices"
+	"strings"
+)
 
 // The fault plans the cells run under.
 const (
@@ -26,6 +29,10 @@ var (
 // of the second day). US and BR, the filter hand-typed matrices used,
 // select none of them: an empty report equals any other.
 const filterCountries = "PE,IN,GB"
+
+// studydCountries are the two filters the daemon is asked for at once:
+// JP is 3312 of the daemon world's 14269 samples, GB and KE 3340.
+var studydCountries = []string{"JP", "GB,KE"}
 
 // cells is the table. A cell names the cells it must equal in like, so
 // every comparison below is one row of output; cells without like are
@@ -141,5 +148,19 @@ func cells() []cell {
 				args: slices.Concat(studydWorld, []string{"-workers", w}, plan)})
 		}
 	}
-	return t
+
+	// Two distinct filtered reports asked of the drained daemon at once:
+	// one folds while the other waits its turn, both answer 200, and each
+	// equals the batch report under the same filter.
+	filtered := cell{name: "studyd-filtered-w2", prog: daemon,
+		like: []string{"studyd-golden:out", "studyd-golden-report:stdout"},
+		args: slices.Concat(studydWorld, []string{"-workers", "2"})}
+	for _, countries := range studydCountries {
+		ref := "studyd-golden-report-" + strings.ReplaceAll(countries, ",", "-")
+		t = append(t, cell{name: ref, prog: "edgereport", in: "studyd-golden",
+			args: []string{"-in", "IN/out", "-workers", "4", "-country", countries}})
+		filtered.queries = append(filtered.queries, "country="+countries)
+		filtered.like = append(filtered.like, ref+":stdout=report?country="+countries)
+	}
+	return append(t, filtered)
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -48,6 +49,9 @@ func TestRunnerFailsACell(t *testing.T) {
 		{"an extra file", cell{prog: "edgesim", args: []string{"v", "out", "a", "b", "c"}, like: []string{"ref"}}, "extra out/c"},
 		{"a sidecar beside out", cell{prog: "edgesim", args: []string{"v", "out", "a", "b", "../trace.timing"}}, `directory holds ["out" "trace.timing"], want ["out"]`},
 		{"a kind compared alone", cell{prog: "edgesim", args: []string{"w", "out", "a", "b"}, like: []string{"ref:stdout"}}, ""},
+		{"an artifact compared under another name", cell{prog: "edgesim", args: []string{"v", "out", "c"}, like: []string{"ref:out/a=out/c"}}, ""},
+		{"a differing artifact under another name", cell{prog: "edgesim", args: []string{"w", "out", "c"}, like: []string{"ref:out/a=out/c"}}, "out/a differs"},
+		{"a missing artifact under another name", cell{prog: "edgesim", args: []string{"v", "out", "c"}, like: []string{"ref:out/a=out/d"}}, "missing out/a"},
 		{"one wall-clock line", cell{prog: "edgereport", args: []string{"1"}}, ""},
 		{"a missing wall-clock line", cell{prog: "edgereport", args: []string{"0"}}, "stdout held 0 wall-clock lines, want 1"},
 		{"a doubled wall-clock line", cell{prog: "edgereport", args: []string{"2"}}, "stdout held 2 wall-clock lines, want 1"},
@@ -170,12 +174,19 @@ func TestCellsWellFormed(t *testing.T) {
 		}
 		for _, l := range c.like {
 			ref, kind, _ := strings.Cut(l, ":")
+			kind, name, renamed := strings.Cut(kind, "=")
 			if !seen[ref] {
 				t.Errorf("%s: like %q is not an earlier cell", c.name, ref)
 			}
 			if kind != "" && kind != "stdout" && kind != "stderr" && kind != "out" && kind != "trace" {
 				t.Errorf("%s: like %q names no artifact kind", c.name, l)
 			}
+			if q, ok := strings.CutPrefix(name, "report?"); renamed && (!ok || !slices.Contains(c.queries, q)) {
+				t.Errorf("%s: like %q names no artifact the cell yields", c.name, l)
+			}
+		}
+		if len(c.queries) > 0 && c.prog != daemon {
+			t.Errorf("%s: only a daemon drill sends queries", c.name)
 		}
 		seen[c.name] = true
 	}

@@ -17,6 +17,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/study"
@@ -50,8 +51,12 @@ type cell struct {
 	args []string
 	in   string
 	// like lists the earlier cells this one must equal: "c" compares
-	// every artifact, "c:kind" only stdout, stderr, out or trace.
+	// every artifact, "c:kind" only stdout, stderr, out or trace, and
+	// "c:kind=name" c's artifact kind with this cell's artifact name.
 	like []string
+	// queries are /report query strings a daemon drill, once drained,
+	// sends all at once; each body is the artifact "report?" + query.
+	queries []string
 }
 
 // files is what the cell's directory must hold once it has run.
@@ -106,7 +111,7 @@ func (s side) produce(ctx context.Context, c cell, res *result) error {
 	case fleet:
 		err = s.fleet(ctx, c, dir, tmp)
 	case daemon, wire:
-		stdout, err = s.daemon(ctx, c, dir, tmp)
+		stdout, err = s.daemon(ctx, c, dir, tmp, res.art)
 	default:
 		stdout, stderr, err = s.exec(ctx, c, dir)
 	}
@@ -322,9 +327,9 @@ func (s side) fleet(ctx context.Context, c cell, dir, tmp string) error {
 }
 
 // daemon runs edgestudyd into out until it reports drained, reads
-// /report, interrupts it and requires a clean exit. In wire mode two
-// PoPs feed it first.
-func (s side) daemon(ctx context.Context, c cell, dir, tmp string) ([]byte, error) {
+// /report, then the cell's queries at once into art, interrupts it and
+// requires a clean exit. In wire mode two PoPs feed it first.
+func (s side) daemon(ctx context.Context, c cell, dir, tmp string, art map[string][sha256.Size]byte) ([]byte, error) {
 	addrFile := filepath.Join(tmp, "addr")
 	sock := filepath.Join(tmp, "wire.sock")
 	args := []string{"-o", "out", "-http", "127.0.0.1:0", "-addr-file", addrFile}
@@ -376,6 +381,9 @@ func (s side) daemon(ctx context.Context, c cell, dir, tmp string) ([]byte, erro
 	if err != nil {
 		return nil, err
 	}
+	if err := getAtOnce(ctx, base, c.queries, art); err != nil {
+		return nil, err
+	}
 	if err := d.cmd.Process.Signal(os.Interrupt); err != nil {
 		return nil, err
 	}
@@ -383,6 +391,34 @@ func (s side) daemon(ctx context.Context, c cell, dir, tmp string) ([]byte, erro
 		return nil, fmt.Errorf("after SIGINT: %w", err)
 	}
 	return report, nil
+}
+
+// getAtOnce sends a /report GET for every query at once and files each
+// body, less its wall-clock line, in art as "report?" + query. Every
+// one must answer 200: a daemon admits one cold filtered fold at a time
+// and queues a few more behind it.
+func getAtOnce(ctx context.Context, base string, queries []string, art map[string][sha256.Size]byte) error {
+	bodies, errs := make([][]byte, len(queries)), make([]error, len(queries))
+	var wg sync.WaitGroup
+	for i, q := range queries {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			bodies[i], errs[i] = get(ctx, base+"/report?"+q)
+		}()
+	}
+	wg.Wait()
+	for i, q := range queries {
+		if errs[i] != nil {
+			return errs[i]
+		}
+		body, n := study.StripElapsed(bodies[i])
+		if n != 0 {
+			return fmt.Errorf("/report?%s held %d wall-clock lines, want 0", q, n)
+		}
+		art["report?"+q] = sha256.Sum256(body)
+	}
+	return nil
 }
 
 // get reads url's body, failing on anything but 200.

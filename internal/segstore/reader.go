@@ -24,11 +24,6 @@ type Reader struct {
 	// the directory entry, not our snapshot); Close releases it.
 	f *os.File
 
-	// pool recycles decoded column batches across Scan/ScanColumns emits
-	// so a long scan reuses a handful of buffer sets instead of
-	// allocating per segment. Batches return here via Release.
-	pool sync.Pool
-
 	// The Instrument registry and pre-resolved handles on it; nil (no-op)
 	// until Instrument.
 	reg         *obs.Registry
@@ -134,6 +129,12 @@ func (r *Reader) prune(segs []SegmentMeta, f *Filter) []SegmentMeta {
 	return kept
 }
 
+// scanPool recycles decoded column batches across segments, scans and
+// readers, so that a long scan reuses a handful of buffer sets instead
+// of allocating per segment, and a new Reader over the same data starts
+// from the buffers the last one grew. Batches return here via Release.
+var scanPool sync.Pool
+
 // readColumns loads and decodes one segment into a pooled batch,
 // verifying the manifest's whole-file checksum before the per-column
 // ones. The returned batch is owned by the caller (Release it).
@@ -147,7 +148,7 @@ func (r *Reader) readColumns(m SegmentMeta) (*ColumnBatch, error) {
 	if int64(len(data)) != m.Bytes || fileCRC(data) != m.CRC {
 		return nil, fmt.Errorf("segstore: segment %d (%s): %w: file does not match manifest checksum", m.ID, m.File, ErrCorrupt)
 	}
-	b, err := decodePooled(&r.pool, data, m.Samples)
+	b, err := decodePooled(&scanPool, data, m.Samples)
 	if err != nil {
 		return nil, fmt.Errorf("segstore: segment %d (%s): %w", m.ID, m.File, err)
 	}
