@@ -21,12 +21,13 @@
 //
 // The defaults (120 groups × 5 days) run in a minute or two on a laptop.
 // -workers (default GOMAXPROCS) runs the sharded concurrent pipeline —
-// generation or dataset decoding fans out to a worker pool whose
-// results are handed on in order, never more than 2 × -workers + 1
-// groups or segments ahead of the one being folded, to
+// generation or dataset decoding fans out to a worker pool feeding
 // hash-partitioned aggregation shards, and the analyses run in parallel
 // once the shards merge; the report is byte-identical to -workers 1 on
-// the same seed or dataset. -cdf additionally dumps the raw CDF series
+// the same seed or dataset. Generation hands on each group's days in
+// day order, groups as they finish, and never more than 2 × -workers + 1
+// days wait on the fold; a replay hands on its segments in order, never
+// more than 2 × -workers + 1 ahead of the one being folded. -cdf additionally dumps the raw CDF series
 // behind Figures 8 and 9 for plotting. -progress reports pipeline
 // throughput and per-stage timings to stderr while the study runs;
 // -metrics-addr serves /metrics, /debug/vars and /debug/pprof — the

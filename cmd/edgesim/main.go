@@ -15,16 +15,17 @@
 //
 // A 10-day, 300-group dataset is a few million sessions; scale
 // -groups/-days/-spw to taste. At every -workers count (default
-// GOMAXPROCS) -workers goroutines simulate groups and one writer takes
-// them in deterministic group order: it filters and encodes each
-// group, appends its segments and commits the manifest, so the dataset
-// bytes do not depend on the worker count and even -workers 1
-// simulates ahead while the writer writes. No group is simulated more
-// than 2 × -workers + 1 groups past the lowest one not yet committed.
+// GOMAXPROCS) -workers goroutines simulate groups day by day and one
+// writer takes the days as they come: it filters and encodes each day
+// and, at a group's last day, appends the group's segments and commits
+// the manifest. The manifest orders segments by ID, so the dataset
+// bytes do not depend on the worker count or on the order groups
+// finish in, and even -workers 1 simulates ahead while the writer
+// writes. At most 2 × -workers + 1 simulated days wait on the writer.
 // -progress reports sessions per second and per-stage wall time to
 // stderr while the run grinds; -metrics-addr additionally serves
 // /metrics (Prometheus text), /debug/vars, and /debug/pprof —
-// including pipeline_queue_depth{stage="generate"} for the groups
+// including pipeline_queue_depth{stage="generate"} for the days
 // simulated and waiting on the writer, and
 // world_stage_seconds{stage="emit"} for the writer's time, filter,
 // encode and write together.
@@ -92,7 +93,7 @@ func main() {
 		days        = flag.Int("days", 10, "dataset length in days")
 		spw         = flag.Float64("spw", 8, "mean sampled sessions per group per window")
 		out         = flag.String("o", "", "dataset directory to write or resume (required)")
-		workers     = flag.Int("workers", pipeline.DefaultWorkers(), "goroutines that simulate groups; at any count one writer filters, encodes and commits them in group order beside the simulation")
+		workers     = flag.Int("workers", pipeline.DefaultWorkers(), "goroutines that simulate groups; at any count one writer filters, encodes and commits them as they finish, beside the simulation")
 		progress    = flag.Bool("progress", false, "report generation progress to stderr every 2s")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address")
 		faultPlan   = flag.String("fault-plan", "", "deterministic fault-injection plan (key=value;... — see internal/faults; '' or 'none' disables)")

@@ -14,7 +14,6 @@ import (
 	"repro/internal/collector"
 	"repro/internal/faults"
 	"repro/internal/obs"
-	"repro/internal/pipeline"
 	"repro/internal/sample"
 	"repro/internal/seggen"
 	"repro/internal/segstore"
@@ -215,15 +214,14 @@ func TestSegInterruptResumeByteIdentical(t *testing.T) {
 	}
 }
 
-// A permanent write fault under FailFast stops the writer while the
-// generators are blocked in a claim. The plan gives group 0 a streak
-// of sixteen transient write faults (about 0.8 s of backoff on the
-// writer, several times what the generators need to fill the window
-// even under -race) and group 1 a permanent one: while the writer
-// sleeps, the generators simulate every group of the window behind it;
-// then it commits group 0 and fails on group 1. The run must return the write fault, and the
-// dataset must read back as exactly group 0, whole — nothing of the
-// groups in flight — with every pooled batch of the read released.
+// A permanent write fault under FailFast stops the work list at its
+// group. The plan gives group 0 a streak of sixteen transient write
+// faults (about 0.8 s of backoff on the writer) and group 1 a permanent
+// one, drawn up front: the run simulates group 0 alone, commits it
+// through the streak, and fails on group 1 at every worker count,
+// however fast a later group would finish. The run must return the
+// write fault, and the dataset must read back as exactly group 0,
+// whole, with every pooled batch of the read released.
 func TestSegFailFastWriteFaultStopsBlockedGenerator(t *testing.T) {
 	cfg := world.Config{Seed: 5, Groups: 24, Days: 2, SessionsPerGroupWindow: 2}
 	const spec = "seed=49;sink-transient=0.3;sink-permanent=0.3;sink-streak=16;retries=20;retry-base=50ms"
@@ -261,10 +259,9 @@ func TestSegFailFastWriteFaultStopsBlockedGenerator(t *testing.T) {
 		if !errors.As(err, &fe) || fe.Surface != faults.SurfaceWrite || fe.Transient {
 			t.Fatalf("workers=%d: Run returned %v, want the permanent write fault", workers, err)
 		}
-		// Group 0 at the writer plus the rest of the window: anything
-		// less and no generator ever blocked in a claim.
-		if n, want := reg.Counter("world_groups_total").Value(), int64(pipeline.Window(workers)); n < want {
-			t.Fatalf("workers=%d: %d groups simulated while the writer stalled, want >= %d", workers, n, want)
+		// Group 0 alone: the work list ends before group 1.
+		if n := reg.Counter("world_groups_total").Value(); n != 1 {
+			t.Fatalf("workers=%d: %d groups simulated, want group 0 alone", workers, n)
 		}
 
 		man := manifest(t, dir)

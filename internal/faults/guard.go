@@ -30,7 +30,8 @@ import (
 // Guard is safe for concurrent use; the ledger is locked. Trace buffers
 // are single-owner, so every method that emits takes the calling
 // goroutine's buffer: a batch fate is decided on any goroutine (Batch)
-// and booked with its events on the caller's ordered one (BookBatch).
+// and booked with its events on the one that owns the buffer
+// (BookBatch).
 type Guard struct {
 	inj      *Injector
 	failFast bool
@@ -113,8 +114,8 @@ func (s site) loss(seq uint64, cause string, n int) {
 }
 
 // BatchFate is one world group's batch-surface verdict. It is a plain
-// value so a worker goroutine can decide it and the ordered goroutine
-// that owns the trace buffer can book it.
+// value so one goroutine can decide it and the goroutine that owns the
+// trace buffer can book it.
 type BatchFate struct {
 	Group int
 	Kind  BatchFaultKind
@@ -186,7 +187,7 @@ func (g *Guard) BookBatch(tb *trace.Buf, f BatchFate) {
 
 // writeFate is one group's write-surface state. A batch producer makes
 // one Write per group; a streaming producer makes one per chunk, and
-// the fate drawn at the first persists: a transient streak is burned by
+// the fate drawn for the first persists: a transient streak is burned by
 // the first commit, a fatal fate tombstones every later one.
 type writeFate struct {
 	rem    int    // transient failures still to burn
@@ -194,10 +195,38 @@ type writeFate struct {
 	entry  int    // ledger entry of the tombstoned group (-1 before the first)
 }
 
+// DrawWrite draws group's write fate unless it is drawn already: under
+// fail-fast a permanent fault is an error. The first Write draws it
+// too; a producer that draws every group's fate up front, in group
+// order, learns of such a fault before it simulates the group. The
+// fault's event waits for the first Write, which knows the samples it
+// books.
+func (g *Guard) DrawWrite(group int) error {
+	if g == nil {
+		return nil
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.writes[group] != nil {
+		return nil
+	}
+	wf := &writeFate{entry: -1}
+	g.writes[group] = wf
+	switch d := g.inj.writeFault(group); {
+	case d.Permanent && g.failFast:
+		return fmt.Errorf("fail-fast: write-permanent: %w", &FaultError{Surface: SurfaceWrite, Key: worldGroupKey(group)})
+	case d.Permanent:
+		wf.reason = "permanent write failure"
+	default:
+		wf.rem = d.Transient
+	}
+	return nil
+}
+
 // Write commits n samples of group under the write surface. The
-// group's fate is drawn once: clean runs commit; a transient streak
-// runs commit under the plan's retry policy (commit's own errors are
-// permanent and surface as they are); a permanent fault — or an
+// group's fate is drawn once (DrawWrite): clean runs commit; a transient
+// streak runs commit under the plan's retry policy (commit's own errors
+// are permanent and surface as they are); a permanent fault — or an
 // exhausted retry budget — books the n samples as dropped and calls
 // tombstone(reason) (nil: the producer has nothing to record) instead,
 // as does every later Write of the group. It reports whether commit
@@ -213,24 +242,20 @@ func (g *Guard) Write(ctx context.Context, tb *trace.Buf, group, n int, commit f
 		return true, nil
 	}
 
-	g.mu.Lock()
-	wf, drawn := g.writes[group]
-	if !drawn {
-		wf = &writeFate{entry: -1}
-		g.writes[group] = wf
+	if err := g.DrawWrite(group); err != nil {
+		return false, err
 	}
+	g.mu.Lock()
+	wf := g.writes[group]
 	g.mu.Unlock()
-	if !drawn {
-		switch d := g.inj.writeFault(group); {
-		case d.Permanent && g.failFast:
-			return false, fmt.Errorf("fail-fast: write-permanent: %w", &FaultError{Surface: SurfaceWrite, Key: worldGroupKey(group)})
-		case d.Permanent:
-			wf.reason = "permanent write failure"
-			at.emit(trace.KFault, 0, n, "write-permanent")
-		case d.Transient > 0:
-			wf.rem = d.Transient
-			at.emit(trace.KFault, 0, wf.rem, "write-transient")
-		}
+	// The drawn fault's event is the first Write's: a later one finds
+	// the group tombstoned or its streak burned.
+	switch {
+	case wf.entry >= 0:
+	case wf.reason != "":
+		at.emit(trace.KFault, 0, n, "write-permanent")
+	case wf.rem > 0:
+		at.emit(trace.KFault, 0, wf.rem, "write-transient")
 	}
 
 	switch {

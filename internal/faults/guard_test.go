@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -136,6 +137,14 @@ func TestGuardLadder(t *testing.T) {
 		}
 		return h.write(streamingN)
 	}
+	// A batch producer draws the write fate up front; its event stays
+	// with the first Write, which knows the samples it books.
+	drawThenWrite := func(h *harness) error {
+		if err := h.g.DrawWrite(tGroup); err != nil {
+			return err
+		}
+		return h.write(tWriteN)
+	}
 	sink := func(h *harness) error { return h.sink() }
 	sinkThenRefuse := func(h *harness) error {
 		if err := h.sink(); err != nil {
@@ -220,6 +229,26 @@ func TestGuardLadder(t *testing.T) {
 				events: []trace.Event{writeEv(0, trace.KFault, 1, "write-transient")},
 			}},
 		{name: "write/permanent", plan: planPermanent, op: write,
+			want: outcome{
+				cov:   Coverage{GroupsDropped: 1, SamplesLostDropped: tWriteN, Quarantined: quarantined(gKey, permWrite, tWriteN)},
+				calls: []string{"tombstone(" + permWrite + ")"},
+				events: []trace.Event{
+					writeEv(0, trace.KFault, tWriteN, "write-permanent"),
+					writeEv(0, trace.KLoss, tWriteN, lossDrop),
+					writeEv(1, trace.KQuarantine, tWriteN, permWrite),
+				}},
+			ff: &outcome{err: &FaultError{Surface: SurfaceWrite, Key: gKey}}},
+		{name: "write/transient-recovered, drawn up front", plan: planRecover, op: drawThenWrite,
+			want: outcome{
+				cov:    Coverage{RetriesSpent: 1, TransientRecovered: 1},
+				calls:  []string{"commit", "committed"},
+				sleeps: 1,
+				events: []trace.Event{
+					writeEv(0, trace.KFault, 1, "write-transient"),
+					writeEv(0, trace.KRetry, 1, ""),
+					writeEv(2, trace.KCommit, tWriteN, ""),
+				}}},
+		{name: "write/permanent, drawn up front", plan: planPermanent, op: drawThenWrite,
 			want: outcome{
 				cov:   Coverage{GroupsDropped: 1, SamplesLostDropped: tWriteN, Quarantined: quarantined(gKey, permWrite, tWriteN)},
 				calls: []string{"tombstone(" + permWrite + ")"},
@@ -348,6 +377,31 @@ func TestGuardLadder(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestDrawWriteCountsOneInjection: a write fate drawn up front is drawn
+// once, however often it is asked for and whichever call asks first, so
+// the injection counter counts one fault for the group.
+func TestDrawWriteCountsOneInjection(t *testing.T) {
+	plan, err := ParsePlan(planPermanent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := NewInjector(plan, 1)
+	reg := obs.NewRegistry()
+	inj.Instrument(reg)
+	g := NewGuard(inj, false)
+	for range 2 {
+		if err := g.DrawWrite(tGroup); err != nil {
+			t.Fatal(err)
+		}
+		if ok, err := g.Write(context.Background(), nil, tGroup, tWriteN, func() error { return nil }, nil); ok || err != nil {
+			t.Fatalf("Write = (%t, %v), want a tombstoned group", ok, err)
+		}
+	}
+	if n := reg.Counter(obs.L("faults_injected_total", "surface", SurfaceWrite)).Value(); n != 1 {
+		t.Errorf("faults_injected_total{surface=write} = %d, want 1", n)
 	}
 }
 

@@ -4,7 +4,8 @@
 // dataset manifest after an interrupt and injecting deterministic
 // faults at the batch and write surfaces. It writes through the world's
 // one batch generator, world.GenerateBatchesOf: the world simulates the
-// groups on a pool, and Run writes each as it arrives, in group order.
+// groups day by day on a pool, and Run encodes each day as it arrives
+// and writes each group at its last day, in the order groups finish.
 //
 // The package exists so the pipeline has exactly one implementation
 // and one driver, cmd/edgesim, with two uses: the whole world in one
@@ -18,6 +19,7 @@
 package seggen
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"hash/fnv"
@@ -95,11 +97,12 @@ type Options struct {
 	// Reg receives pipeline metrics (may be nil).
 	Reg *obs.Registry
 	// Workers is how many goroutines simulate groups (values below 1
-	// mean 1); the calling goroutine filters, encodes and writes them,
-	// overlapping the simulation at every count. See Run. Each group
-	// being simulated also has one goroutine of its own that draws its
-	// workload ahead of the simulation, so a one-worker run keeps three
-	// goroutines busy: the drawer, the simulation and the writer.
+	// mean 1); one more goroutine filters, encodes and writes their
+	// days as they finish, overlapping the simulation at every count.
+	// See Run. Each group being simulated also has one goroutine of its
+	// own that draws its workload ahead of the simulation, so a
+	// one-worker run keeps three goroutines busy: the drawer, the
+	// simulation and the writer.
 	Workers int
 	// Injector injects deterministic batch/write faults (may be nil).
 	Injector *faults.Injector
@@ -136,21 +139,25 @@ type Result struct {
 // run's at any worker count.
 //
 // Run is one world.GenerateBatchesOf over the groups left to write:
-// opt.Workers goroutines simulate them, and the calling goroutine takes
-// each group in group order and writes it. It books the group's outage
-// and makes its GroupWriter, drawing its batch fate; runs the samples
+// opt.Workers goroutines simulate them day by day, and one writer
+// goroutine takes each day as it arrives, each group's in day order.
+// Every group's GroupWriter is made up front, in group order, drawing
+// its batch fate and, unless the group is dropped, its write fate; under
+// fail-fast the work list ends at the first group either fate makes
+// unrecoverable, so exactly the groups before it are committed, at
+// every worker count. A day's outage loss is booked, its samples run
 // through the writer in place — the windows from the fate's cut on are
-// lost, the hosting filter keeps the rest — and encodes one segment per
-// chunk; then books the fate, lands the group in one Write and commits
-// the manifest once per group. No group is begun more than
-// pipeline.Window(opt.Workers) groups past the lowest one not yet
-// written (the groups simulated and waiting are
-// pipeline_queue_depth{stage="generate"} on the world's registry), so
-// a slow group holds back a bounded number of finished ones: at one
-// worker the world simulates group k+2 while group k is written and
-// group k+1 waits. An interrupt loses at most the groups not yet
-// committed. A permanently failed group tombstones its segment IDs in
-// the manifest — the loss is recorded in the dataset itself.
+// lost, the hosting filter keeps the rest — and its chunk is encoded;
+// at the group's last day Run books the fate, lands the group in one
+// Write and commits the manifest once. The manifest orders segments by
+// ID, so the order groups finish in changes no byte. At most
+// pipeline.Window(opt.Workers) simulated days wait on the writer (they
+// are pipeline_queue_depth{stage="generate"} on the world's registry),
+// and each generator holds one more, so a slow write holds back a
+// bounded number of days while the other generators go on simulating.
+// An interrupt loses at most the groups not yet committed. A
+// permanently failed group tombstones its segment IDs in the manifest
+// — the loss is recorded in the dataset itself.
 func Run(ctx context.Context, opt Options) (Result, error) {
 	w, reg, inj, rec := opt.World, opt.Reg, opt.Injector, opt.Rec
 	cpg := ChunksPerGroup(w.Cfg)
@@ -190,35 +197,52 @@ func Run(ctx context.Context, opt Options) (Result, error) {
 	resumed := len(owned) - len(todo)
 
 	guard := faults.NewGuard(inj, opt.FailFast)
+	units := make(map[int]*Unit, len(todo)) // each group's days encoded so far
+	var unrecoverable error
+	for i, gi := range todo {
+		gw, err := NewGroupWriter(w.Cfg, gi, guard, reg)
+		if err == nil && !gw.fate.Dropped() {
+			err = guard.DrawWrite(gi)
+		}
+		if err != nil {
+			todo, unrecoverable = todo[:i], err
+			break
+		}
+		units[gi] = &Unit{w: gw}
+	}
+
 	var (
 		total   collector.Stats
 		written int
 	)
 	encSpan := reg.Span(obs.L("edgesim_stage_seconds", "stage", "encode"), "edgesim")
 	writeSpan := reg.Span(obs.L("edgesim_stage_seconds", "stage", "write"), "edgesim")
-	// One observation per group of the same span readings the counters
-	// above accumulate: the per-group spread behind their totals.
+	// One observation per encoded day and per written group of the same
+	// span readings the counters above accumulate: the spread behind
+	// their totals.
 	encHist := reg.Histogram(obs.L("edgesim_group_stage_seconds", "stage", "encode"), nil)
 	writeHist := reg.Histogram(obs.L("edgesim_group_stage_seconds", "stage", "write"), nil)
 
-	tb := rec.Buf() // deliver's, which runs on this goroutine
-	err = w.GenerateBatchesOf(ctx, todo, opt.Workers, func(b world.Batch) error {
+	tb := rec.Buf() // deliver's, which runs on one goroutine at a time
+	err = cmp.Or(w.GenerateBatchesOf(ctx, todo, opt.Workers, func(b world.Batch) error {
 		guard.Outage(b.Lost) // PoP outage suppressed windows at the source
-		gw, err := NewGroupWriter(w.Cfg, b.Group, guard, reg)
-		if err != nil {
-			return err
-		}
+		u := units[b.Group]
+		gw := u.w
 		sp := encSpan.Start()
 		// Filter in place: deliver owns the batch, so the writer's buffer
-		// is the batch's own array, and each kept sample is written at or
+		// is the day's own array, and each kept sample is written at or
 		// behind the sample being read. Nothing needs the array once the
-		// chunks are encoded.
+		// day's chunk is encoded.
 		gw.kept = b.Samples[:0]
 		gw.Add(b.Samples)
-		u := gw.Encode(0, cpg)
+		u.extend(gw.Encode(b.Day, b.Day+1))
 		gw.kept = nil
 		encHist.ObserveDuration(sp.End())
+		if b.Day < w.Cfg.Days-1 {
+			return nil
+		}
 
+		delete(units, b.Group)
 		gw.Book(tb)
 		sp = writeSpan.Start()
 		n, err := u.Write(ctx, sw, tb)
@@ -229,7 +253,7 @@ func Run(ctx context.Context, opt Options) (Result, error) {
 		total = total.Merge(gw.Stats())
 		written += n
 		return err
-	})
+	}), unrecoverable)
 	cov := guard.Coverage()
 	cov.EmitTrace(tb)
 	return Result{Stats: total, Written: written, Resumed: resumed, Coverage: cov}, err

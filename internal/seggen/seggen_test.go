@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cartographer"
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
@@ -301,51 +300,59 @@ func TestRunFailFastDropCommitsEveryGroupBefore(t *testing.T) {
 	}
 }
 
-// TestRunBoundedBySlowGroup: no group begins more than the window —
-// pipeline.Window of the generators — past the lowest one not yet
-// committed. While group 0's first window is held (the world is chosen
-// so no other group is served from its PoP at window 0), the other
-// generators simulate the window's other groups and stop, where a
-// reorder at the commit tail would let them simulate every group.
-// Released, the run commits every group.
+// TestRunBoundedBySlowGroup: no day begins more than the window —
+// pipeline.Window of the generators — and one day a generator past the
+// last one the writer took. Every group's write is slowed by a
+// transient fault and its retry backoff (one group a day, so each day
+// delivered is written), so the writer, not the simulation, sets the
+// pace: the days begun and not yet delivered never exceed the one being
+// written, the window's and one a generator, and reach that, so the
+// other generators keep simulating while a group is written. The run
+// then commits every group.
 func TestRunBoundedBySlowGroup(t *testing.T) {
 	cfg := world.Config{Seed: 6, Groups: 24, Days: 1, SessionsPerGroupWindow: 2}
 	const workers = 3
-	w := world.New(cfg)
-	pop0 := w.Groups[0].PoP
-	for gi, g := range w.Groups[1:] {
-		if g.PoP == pop0 || len(g.PoPSchedule) > 1 && cartographer.PoPAt(g.PoPSchedule, 0).Name == pop0 {
-			t.Fatalf("group %d shares group 0's PoP %s at window 0: pick another world", gi+1, pop0)
-		}
+	plan, err := faults.ParsePlan("seed=1;sink-transient=1;sink-streak=1;retry-base=50ms")
+	if err != nil {
+		t.Fatal(err)
 	}
-	release := make(chan struct{})
-	var begun atomic.Int64 // groups past their first window's hook
-	w.PoPDown = func(pop string, win int) bool {
-		if win == 0 {
-			if pop == pop0 {
-				<-release
-			}
+	w := world.New(cfg)
+	reg := obs.NewRegistry()
+	w.Instrument(reg)
+	var begun atomic.Int64 // days past their first window's hook
+	w.PoPDown = func(_ string, win int) bool {
+		if win%world.WindowsPerDay == 0 {
 			begun.Add(1)
 		}
 		return false
 	}
+	delivered := reg.Span(obs.L("world_stage_seconds", "stage", "emit"), "world")
 	dir := t.TempDir()
 	done := make(chan error, 1)
 	go func() {
-		_, err := Run(context.Background(), Options{World: w, Dir: dir, Origin: "test origin", Workers: workers})
+		_, err := Run(context.Background(), Options{World: w, Dir: dir, Origin: "test origin", Workers: workers,
+			Injector: faults.NewInjector(plan, cfg.Seed)})
 		done <- err
 	}()
-	want := int64(pipeline.Window(workers) - 1) // every group in the window but the held one
-	for deadline := time.Now().Add(10 * time.Second); begun.Load() < want && time.Now().Before(deadline); {
-		time.Sleep(time.Millisecond)
+	bound := int64(1 + pipeline.Window(workers) + workers)
+	var most int64
+	for running := true; running; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			running = false
+		case <-time.After(time.Millisecond):
+		}
+		// Begun is read first: a day delivered in between only lowers
+		// the difference.
+		n := begun.Load()
+		most = max(most, n-delivered.Count())
 	}
-	time.Sleep(20 * time.Millisecond) // room for a generator that would overrun the window
-	if n := begun.Load(); n != want {
-		t.Errorf("with group 0 held, %d other groups began, want %d", n, want)
-	}
-	close(release)
-	if err := <-done; err != nil {
-		t.Fatal(err)
+	if most != bound {
+		t.Errorf("at most %d days were begun and not yet delivered, want %d: the one being written, the window's %d and one a generator",
+			most, bound, pipeline.Window(workers))
 	}
 	r, err := segstore.Open(dir)
 	if err != nil {

@@ -14,7 +14,7 @@ import (
 
 // GroupWriter is one world group's chunk writer: the one path from the
 // group's generated samples to its segments and tombstones. Run hands
-// it the group's whole batch and lands every chunk in one Write; the
+// it the group's days and lands every chunk in one Write; the
 // live daemon (internal/studyd) hands it the group's windows as they
 // generate and lands one chunk of every group at each commit. Either
 // way the spool holds the same bytes and the ledger the same entries.
@@ -115,6 +115,13 @@ func (w *GroupWriter) Encode(from, to int) Unit {
 	}
 	w.kept = w.kept[:copy(w.kept, w.kept[lo:])]
 	return u
+}
+
+// extend appends v, the chunks that follow u's, to u.
+func (u *Unit) extend(v Unit) {
+	u.to = v.to
+	u.segs = append(u.segs, v.segs...)
+	u.samples += v.samples
 }
 
 // Write lands the unit in sw and reports the samples it committed. A

@@ -2,7 +2,7 @@ package segstore
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -25,7 +25,9 @@ type Filter struct {
 
 // ParseFilter assembles a filter from flag values: from/to as start
 // offsets, countries and pops as comma-separated lists (case
-// preserved). Returns nil when every field is empty.
+// preserved), each sorted and with its repeats dropped, so lists that
+// name the same values give the same filter. Returns nil when every
+// field is empty.
 func ParseFilter(from, to time.Duration, countries, pops string) (*Filter, error) {
 	f := &Filter{From: from, To: to, Countries: splitList(countries), PoPs: splitList(pops)}
 	if f.To > 0 && f.To <= f.From {
@@ -34,8 +36,9 @@ func ParseFilter(from, to time.Duration, countries, pops string) (*Filter, error
 	if f.Empty() {
 		return nil, nil
 	}
-	sort.Strings(f.Countries)
-	sort.Strings(f.PoPs)
+	slices.Sort(f.Countries)
+	slices.Sort(f.PoPs)
+	f.Countries, f.PoPs = slices.Compact(f.Countries), slices.Compact(f.PoPs)
 	return f, nil
 }
 

@@ -18,12 +18,15 @@ import (
 )
 
 // sink is where a source delivers the study's samples: batches arrive
-// in canonical order on one goroutine, in either pipeline currency. The
-// ingest is the one sink; tests interpose on it.
+// on one goroutine, each user group's samples in their canonical order,
+// in either pipeline currency. The ingest is the one sink; tests
+// interpose on it.
 type sink interface {
-	// rows takes one batch of decoded rows (generation, the row oracle).
-	// The sink may keep the slice until the run ends.
-	rows(ctx context.Context, samples []sample.Sample) error
+	// rows takes one batch of decoded rows (generation, the row oracle),
+	// whose run-track feed mark is keyed at seg, a world day's segment
+	// ID, or below 0 at its stream position. The sink may keep the slice
+	// until the run ends.
+	rows(ctx context.Context, seg int, samples []sample.Sample) error
 	// columns takes one column batch (segment scans), borrowed for the
 	// call: the caller releases it, a sink that hands parts of it on
 	// retains them (Slice).
@@ -50,16 +53,16 @@ func (it item) row(i int) (id uint64, key sample.GroupKey, hosting bool) {
 // ingest is where a source delivers the study's samples: a chain of
 // the Overview's two lanes (analysis.Overview.Lanes) and N collector
 // shards, each filtering its share of the stream into a shard-local
-// aggregation store (one shard at one worker). Batches arrive in
-// canonical order from one goroutine, in either pipeline currency. That
-// goroutine folds the sessions lane and hands each batch on to the
-// overview_lane goroutine, which folds the routes lane and then routes
-// the batch to the shards, each on a goroutine of its own. Samples are
-// routed by group-key hash, so each (group, window, route) digest — like
-// each of the Overview's per-group accumulators — sees exactly the
-// subsequence, in exactly the order, it would if one collector took the
-// whole stream, which is why the final merge is exact rather than
-// approximate.
+// aggregation store (one shard at one worker). Batches arrive from one
+// goroutine, each user group's samples in their canonical order, in
+// either pipeline currency. That goroutine folds the sessions lane and
+// hands each batch on to the overview_lane goroutine, which folds the
+// routes lane and then routes the batch to the shards, each on a
+// goroutine of its own. Samples are routed by group-key hash, so each
+// (group, window, route) digest — like each of the Overview's per-group
+// accumulators — sees exactly the subsequence, in exactly the order, it
+// would if one collector took the whole stream, which is why the final
+// merge is exact rather than approximate.
 //
 // The lanes form a chain, not a fan-out, because a shard compacts its
 // views in place and a view is a region of the delivered batch: only
@@ -67,8 +70,8 @@ func (it item) row(i int) (id uint64, key sample.GroupKey, hosting bool) {
 // it.
 //
 // Under a fault plan the routes lane also decides the sink surface
-// (sinkFates): it is the one goroutine that sees every sample in
-// canonical order after both Overview lanes and before any store, so a
+// (sinkFates): it is the one goroutine that sees every sample, each
+// group's in order, after both Overview lanes and before any store, so a
 // shard only ever folds what it is handed, and a quarantined user group
 // is withdrawn once, from the merged store.
 //
@@ -86,7 +89,7 @@ type ingest struct {
 	foldSpan         *obs.SpanTimer
 	laneSpan         *obs.SpanTimer
 	inj              *faults.Injector
-	buf              *trace.Buf // owned by the ordered deliver goroutine
+	buf              *trace.Buf // owned by the deliver goroutine
 	feedHist         *obs.Histogram
 	feedN            uint64
 	cuts             []shardCut // columns scratch (lane goroutine)
@@ -221,31 +224,37 @@ func (sh *ingestShard) consume(it item) error {
 	return sh.col.Err()
 }
 
-// mark opens one delivered batch of n samples on the run track. It runs
-// on the ordered deliver goroutine, so feedN is a deterministic stream
-// position — the same in either currency, which keeps traced columnar
-// runs byte-identical to the row oracle's trace; the event ID doubles as
-// the histogram exemplar, linking the exposition's tail bucket back to a
-// trace line.
-func (in *ingest) mark(n int) {
+// mark opens one delivered batch of n samples on the run track, keyed
+// at seg, a world day's segment ID, when seg ≥ 0, and otherwise at its
+// stream position. It runs on the deliver goroutine, so either key is
+// deterministic: a world day's is the same in whatever order the groups
+// finish, and a position is the same in either currency, which keeps
+// traced columnar replays byte-identical to the row oracle's trace. The
+// event ID doubles as the histogram exemplar, linking the exposition's
+// tail bucket back to a trace line.
+func (in *ingest) mark(seg, n int) {
 	if in.buf == nil {
 		return
 	}
+	seq := uint64(seg)
+	if seg < 0 {
+		seq = in.feedN
+		in.feedN++
+	}
 	id := in.buf.Emit(trace.Event{
-		Track: trace.TrackRun, Phase: trace.PhaseIngest, Win: -1, Seq: in.feedN,
+		Track: trace.TrackRun, Phase: trace.PhaseIngest, Win: -1, Seq: seq,
 		Kind: trace.KMark, Stage: "feed", Value: int64(n),
 	})
 	in.feedHist.ObserveExemplar(float64(n), id)
-	in.feedN++
 }
 
-// rows folds one ordered batch into the sessions lane and hands it on
-// to the routes lane, as is: the lane goroutine only reads it.
-func (in *ingest) rows(ctx context.Context, samples []sample.Sample) error {
+// rows folds one batch into the sessions lane and hands it on to the
+// routes lane, as is: the lane goroutine only reads it.
+func (in *ingest) rows(ctx context.Context, seg int, samples []sample.Sample) error {
 	if len(samples) == 0 {
 		return nil
 	}
-	in.mark(len(samples))
+	in.mark(seg, len(samples))
 	sp := in.foldSpan.Start()
 	foldRows(in.sessions.Add, samples)
 	sp.End()
@@ -259,7 +268,7 @@ func (in *ingest) columns(ctx context.Context, b *segstore.ColumnBatch) error {
 	if n == 0 {
 		return nil
 	}
-	in.mark(n)
+	in.mark(-1, n)
 	sp := in.foldSpan.Start()
 	in.sessions.AddColumns(b)
 	sp.End()
@@ -309,7 +318,7 @@ func (in *ingest) route(ctx context.Context, it item) error {
 }
 
 // sinkFates runs one item through the sink fault surface, row by row in
-// canonical order, and returns what is kept. Fault decisions key on
+// delivery order, and returns what is kept. Fault decisions key on
 // SessionID and group key, so the outcome is identical at any worker
 // count and in either currency. A hosting row passes: the shard
 // collector filters and counts it. A quarantined group's row is refused.

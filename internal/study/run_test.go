@@ -36,9 +36,9 @@ func (s *cancelSink) tick() {
 	}
 }
 
-func (s *cancelSink) rows(ctx context.Context, samples []sample.Sample) error {
+func (s *cancelSink) rows(ctx context.Context, seg int, samples []sample.Sample) error {
 	s.tick()
-	return s.sink.rows(ctx, samples)
+	return s.sink.rows(ctx, seg, samples)
 }
 
 func (s *cancelSink) columns(ctx context.Context, b *segstore.ColumnBatch) error {

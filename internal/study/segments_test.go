@@ -40,7 +40,7 @@ func (s *rowsSource) deliver(ctx context.Context, e *env, sk sink) error {
 				kept = append(kept, s.rows[i])
 			}
 		}
-		if err := sk.rows(ctx, kept); err != nil {
+		if err := sk.rows(ctx, -1, kept); err != nil {
 			return err
 		}
 	}

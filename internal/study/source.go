@@ -1,6 +1,7 @@
 package study
 
 import (
+	"cmp"
 	"context"
 
 	"repro/internal/agg"
@@ -26,9 +27,9 @@ type env struct {
 type source interface {
 	// seed keys the run's fault decisions.
 	seed() uint64
-	// deliver hands sk every sample in the source's canonical order, as
-	// rows or as column batches, from a single goroutine, producing them
-	// on up to e.Workers goroutines of its own.
+	// deliver hands sk every sample, each user group's in the source's
+	// canonical order, as rows or as column batches, from a single
+	// goroutine, producing them on up to e.Workers goroutines of its own.
 	deliver(ctx context.Context, e *env, sk sink) error
 	// config is the world.Config the report states, given the store the
 	// delivered samples aggregated into.
@@ -38,10 +39,13 @@ type source interface {
 // worldSource generates the dataset. It is the only source with a
 // generator, so the only one the outage and batch fault surfaces apply
 // to. tap, when set, also sees every sample that survives those
-// surfaces and the hosting filter, in delivery order.
+// surfaces and the hosting filter, in delivery order. reorder, when
+// set, permutes the work list the generator claims groups from: nothing
+// the study holds may depend on the order groups arrive in.
 type worldSource struct {
-	w   *world.World
-	tap func(sample.Sample)
+	w       *world.World
+	tap     func(sample.Sample)
+	reorder func([]int)
 }
 
 func (s *worldSource) seed() uint64                   { return s.w.Cfg.Seed }
@@ -53,29 +57,42 @@ func (s *worldSource) deliver(ctx context.Context, e *env, sk sink) error {
 	if e.inj != nil {
 		s.w.PoPDown = e.inj.Outage
 	}
-	// GenerateBatches calls back on one ordered goroutine (the one that
-	// owns e.buf): outage losses are booked, and a batch delivers its
-	// windows below its fate's cut — none of a dropped one's. Samples
-	// arrive in window order, so those are a prefix.
-	return s.w.GenerateBatches(ctx, e.Workers, func(b world.Batch) error {
-		e.guard.Outage(b.Lost)
-		fate, err := e.guard.Batch(b.Group, s.w.Cfg.Windows())
-		if err != nil {
-			return err
+	// Every group's batch fate is drawn up front, in group order: under
+	// fail-fast the work list stops at the first dropped group. Days
+	// arrive on one goroutine (the one that owns e.buf), each group's in
+	// day order: outage losses are booked, a day delivers its windows
+	// below its fate's cut — none of a dropped group's — and the fate is
+	// booked with the group's last day, once what it cut is known.
+	fates := make([]faults.BatchFate, len(s.w.Groups))
+	var todo []int
+	var unrecoverable error
+	for gi := range fates {
+		if fates[gi], unrecoverable = e.guard.Batch(gi, s.w.Cfg.Windows()); unrecoverable != nil {
+			break
 		}
+		todo = append(todo, gi)
+	}
+	if s.reorder != nil {
+		s.reorder(todo)
+	}
+	return cmp.Or(s.w.GenerateBatchesOf(ctx, todo, e.Workers, func(b world.Batch) error {
+		e.guard.Outage(b.Lost)
+		fate := &fates[b.Group]
 		kept := b.Samples
 		for i := range kept {
 			if int(kept[i].Start/world.WindowDuration) >= fate.Cut {
-				kept, fate.Lost = kept[:i], len(kept)-i
+				kept, fate.Lost = kept[:i], fate.Lost+len(kept)-i
 				break
 			}
 		}
-		e.guard.BookBatch(e.buf, fate)
+		if b.Day == s.w.Cfg.Days-1 {
+			e.guard.BookBatch(e.buf, *fate)
+		}
 		if s.tap != nil {
 			foldRows(s.tap, kept)
 		}
-		return sk.rows(ctx, kept)
-	})
+		return sk.rows(ctx, b.Group*s.w.Cfg.Days+b.Day, kept)
+	}), unrecoverable)
 }
 
 // segmentSource replays segments of an open dataset: segs is pruned
@@ -99,7 +116,7 @@ func (s *segmentSource) deliver(ctx context.Context, e *env, sk sink) error {
 		defer b.Release()
 		if e.RowOracle {
 			//edgelint:allow rowfree: opt.RowOracle explicitly requests the row currency for verification
-			return sk.rows(ctx, b.AppendRows(make([]sample.Sample, 0, b.Len())))
+			return sk.rows(ctx, -1, b.AppendRows(make([]sample.Sample, 0, b.Len())))
 		}
 		return sk.columns(ctx, b)
 	})

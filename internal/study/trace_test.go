@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -13,6 +15,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/trace"
+	"repro/internal/world"
 )
 
 // traceSpec is chaos across every fault surface — the hardest setting
@@ -189,5 +192,50 @@ func TestWallClockFactsLiveOnMetrics(t *testing.T) {
 			names = append(names, f.Name())
 		}
 		t.Fatalf("WriteFile left %v, want only run.trace", names)
+	}
+}
+
+// A world study's report and trace do not depend on the order its
+// groups arrive in: a work list shuffled or reversed gives the bytes of
+// the one in group order, clean and under edgeident's chaos plan,
+// traced. Each user group's samples still arrive in order, and a feed
+// mark is keyed by its world day's segment ID, not by its arrival.
+func TestReportIndependentOfGroupOrder(t *testing.T) {
+	cfg := world.Config{Seed: 42, Groups: 8, Days: 2, SessionsPerGroupWindow: 12}
+	const chaos = "seed=7;sink-transient=0.01;sink-permanent=0.001;truncate=0.1;corrupt=0.03;fail-group=2;outage=fra:10-30;retries=4;retry-base=50us"
+	for _, plan := range []*faults.Plan{nil, mustPlan(t, chaos)} {
+		runStudy := func(workers int, reorder func([]int)) (report, tr []byte) {
+			t.Helper()
+			rec := trace.New(cfg.Seed)
+			res, _, err := run(context.Background(), &worldSource{w: world.New(cfg), reorder: reorder},
+				Options{Workers: workers, Plan: plan, Trace: rec}, nil, nil)
+			if err != nil {
+				t.Fatalf("workers=%d: %v", workers, err)
+			}
+			var b bytes.Buffer
+			if err := rec.Flush(&b); err != nil {
+				t.Fatalf("Flush: %v", err)
+			}
+			return renderNormalized(t, res), b.Bytes()
+		}
+		wantReport, wantTrace := runStudy(1, nil)
+		for _, c := range []struct {
+			name    string
+			workers int
+			reorder func([]int)
+		}{
+			{"reversed", 1, slices.Reverse[[]int]},
+			{"shuffled", 3, func(groups []int) {
+				rand.New(rand.NewPCG(uint64(cfg.Groups), 1)).Shuffle(len(groups), func(i, j int) { groups[i], groups[j] = groups[j], groups[i] })
+			}},
+		} {
+			report, tr := runStudy(c.workers, c.reorder)
+			if !bytes.Equal(report, wantReport) {
+				t.Errorf("plan %v, %s at workers=%d: report differs from group order's: %s", plan != nil, c.name, c.workers, firstDiff(report, wantReport))
+			}
+			if !bytes.Equal(tr, wantTrace) {
+				t.Errorf("plan %v, %s at workers=%d: trace differs from group order's: %s", plan != nil, c.name, c.workers, firstDiff(tr, wantTrace))
+			}
+		}
 	}
 }

@@ -662,6 +662,32 @@ func TestFoldAndCacheGauges(t *testing.T) {
 	}
 }
 
+// TestRepeatedFilterValuesShareOneEntry: a whitelist that names a
+// value twice, or in another order, is the query that names each value
+// once, so it is served from that query's cache entry, not folded and
+// cached again.
+func TestRepeatedFilterValuesShareOneEntry(t *testing.T) {
+	dir := t.TempDir()
+	goldenDataset(t, dir, "")
+	reg := obs.NewRegistry()
+	d, err := New(Options{Dir: dir, Reg: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, state := get(t, d, "/report?country=US,GB&pop=fra")
+	if state != "miss" {
+		t.Fatalf("first filtered fetch X-Cache=%s, want miss", state)
+	}
+	for _, q := range []string{"country=GB,US&pop=fra", "country=US,GB,US&pop=fra,fra", "country=GB,GB,US&pop=fra"} {
+		if got, state := get(t, d, "/report?"+q); state != "hit" || !bytes.Equal(got, want) {
+			t.Errorf("/report?%s: X-Cache=%s (want hit), body equal=%t", q, state, bytes.Equal(got, want))
+		}
+	}
+	if got := reg.Snapshot()["studyd_report_cache_entries"]; got != float64(1) {
+		t.Errorf("studyd_report_cache_entries = %v, want 1", got)
+	}
+}
+
 // TestFoldAdmission: cold filtered folds run one at a time, foldQueue
 // more wait, and a request past them gets a 503 with Retry-After at
 // once, counted in studyd_fold_rejected_total and never cached. First

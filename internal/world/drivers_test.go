@@ -25,11 +25,11 @@ type driverRun struct {
 // Every driver generates and records a group's windows through
 // groupFeed.window. So under one world with a PoP outage (a window mark,
 // a fault and a loss fire), GenerateBatches, GenerateBatchesOf over
-// the groups in reverse, delivered in that order, and LiveFeed.Run
-// give, at any worker count, the same per-group sample streams,
-// byte-identical trace files and the same world counters.
+// the groups in reverse, each group's days delivered in day order, and
+// LiveFeed.Run give, at any worker count, the same per-group sample
+// streams, byte-identical trace files and the same world counters.
 func TestDriversAgree(t *testing.T) {
-	cfg := Config{Seed: 31, Groups: 7, Days: 1, SessionsPerGroupWindow: 5}
+	cfg := Config{Seed: 31, Groups: 7, Days: 2, SessionsPerGroupWindow: 5}
 	downPoP := New(cfg).Groups[0].PoP
 	down := func(pop string, win int) bool { return pop == downPoP && win >= 20 && win < 40 }
 
@@ -61,13 +61,23 @@ func TestDriversAgree(t *testing.T) {
 		name string
 		run  func(w *World, keep func(int, []sample.Sample, int)) error
 	}
+	// inDayOrder keeps each day of a batch run, failing one that does not
+	// arrive next in its group's day order.
+	inDayOrder := func(w *World, keep func(int, []sample.Sample, int)) func(Batch) error {
+		next := make([]int, len(w.Groups))
+		return func(b Batch) error {
+			if b.Day != next[b.Group] {
+				return fmt.Errorf("group %d's day %d arrived after %d of its days", b.Group, b.Day, next[b.Group])
+			}
+			next[b.Group]++
+			keep(b.Group, b.Samples, b.Lost)
+			return nil
+		}
+	}
 	var drivers []driver
 	for _, workers := range []int{1, 4} {
 		drivers = append(drivers, driver{fmt.Sprintf("GenerateBatches/workers=%d", workers), func(w *World, keep func(int, []sample.Sample, int)) error {
-			return w.GenerateBatches(context.Background(), workers, func(b Batch) error {
-				keep(b.Group, b.Samples, b.Lost)
-				return nil
-			})
+			return w.GenerateBatches(context.Background(), workers, inDayOrder(w, keep))
 		}})
 	}
 	drivers = append(drivers, driver{"GenerateBatchesOf/reversed/workers=3", func(w *World, keep func(int, []sample.Sample, int)) error {
@@ -75,15 +85,7 @@ func TestDriversAgree(t *testing.T) {
 		for i := range reversed {
 			reversed[i] = len(w.Groups) - 1 - i
 		}
-		next := len(reversed) - 1
-		return w.GenerateBatchesOf(context.Background(), reversed, 3, func(b Batch) error {
-			if b.Group != next {
-				return fmt.Errorf("delivered group %d, want %d: the order given", b.Group, next)
-			}
-			next--
-			keep(b.Group, b.Samples, b.Lost)
-			return nil
-		})
+		return w.GenerateBatchesOf(context.Background(), reversed, 3, inDayOrder(w, keep))
 	}})
 	for _, workers := range []int{1, 3} {
 		drivers = append(drivers, driver{fmt.Sprintf("LiveFeed.Run/workers=%d", workers), func(w *World, keep func(int, []sample.Sample, int)) error {

@@ -3,6 +3,7 @@ package world
 import (
 	"context"
 	"math"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cartographer"
@@ -21,14 +22,14 @@ import (
 // and the HDratio evidence saturates long before that.
 const maxSimulatedTxns = 48
 
-// Batch is one group's full sample stream — the unit of work in the
-// concurrent generation pipeline. Samples are in the group's canonical
-// order (windows ascending, sessions in draw order), so delivering
-// batches in Group order reproduces the exact sequential stream.
+// Batch is one day of one group's sample stream — the unit of work in
+// the concurrent generation pipeline. Samples are in the group's
+// canonical order (windows ascending, sessions in draw order), so a
+// group's days in day order are its exact sequential stream.
 type Batch struct {
-	Group   int
-	Samples []sample.Sample
-	// Lost counts sessions this group's windows would have produced but
+	Group, Day int
+	Samples    []sample.Sample
+	// Lost counts sessions this day's windows would have produced but
 	// for a PoP outage (World.PoPDown) — the degradation ledger's
 	// per-batch contribution.
 	Lost int
@@ -43,68 +44,92 @@ func (w *World) GenerateBatches(ctx context.Context, workers int, deliver func(B
 	return w.GenerateBatchesOf(ctx, all, workers, deliver)
 }
 
-// GenerateBatchesOf streams the batches of the given world groups to
-// deliver in the order given (deliver runs on the calling goroutine;
-// its error poisons the pipeline): up to workers goroutines (at least
-// one) simulate the groups through generateBatch, each on a trace
-// buffer of its own, and a pipeline.Ordered hands the batches on in
-// order. Each group's RNG lineage is independent (rng.ChildAt per
-// group), so the batch contents are identical at any worker count —
-// ordered delivery then makes the whole stream identical. No group is
-// begun more than pipeline.Window(workers) groups past the lowest one
-// not yet delivered, so a slow group holds back at most that many
-// finished ones; the batches finished and waiting on deliver are
-// pipeline_queue_depth{stage="generate"}. Delivery is the "emit" stage
-// of the world's metrics. No batch is delivered once ctx is done.
+// GenerateBatchesOf streams the days of the given world groups to
+// deliver, which runs on one goroutine and owns each batch it is handed
+// (its error poisons the pipeline): up to workers goroutines (at least
+// one) claim the groups in the order given and simulate each day by
+// day, each on a trace buffer of its own, and every day waits for
+// deliver in one stream of pipeline.Window(workers) days. A group's
+// days arrive in day order, and groups arrive in the order they finish
+// — at one worker, the order given. Each group's RNG lineage is
+// independent (rng.ChildAt per group), so every day's contents are
+// identical at any worker count and in any order. A slow deliver holds
+// back at most that window of days and one finished on each worker;
+// the days waiting are pipeline_queue_depth{stage="generate"}, and
+// delivery is the "emit" stage of the world's metrics. No batch is
+// delivered once ctx is done.
 func (w *World) GenerateBatchesOf(ctx context.Context, groups []int, workers int, deliver func(Batch) error) error {
-	tbs := make([]*trace.Buf, max(workers, 1))
-	for i := range tbs {
-		tbs[i] = w.Rec.Buf()
-	}
-	o := pipeline.NewOrdered[Batch](workers, len(groups), nil)
-	o.Instrument(w.obs.reg, "generate")
-	return o.Run(ctx, func(ctx context.Context, worker, i int) (Batch, error) {
-		return w.generateBatch(ctx, tbs[worker], groups[i])
-	}, func(b Batch) error {
-		sp := w.obs.emit.Start()
-		defer sp.End()
-		return deliver(b)
+	days := pipeline.NewStream[Batch](pipeline.Window(workers))
+	days.Instrument(w.obs.reg, "generate")
+	n := max(1, min(workers, len(groups)))
+	var next, running atomic.Int64 // the next index of groups to claim; the workers not done
+	running.Store(int64(n))
+	g := pipeline.NewGroup(ctx)
+	g.GoPool(n, func(ctx context.Context, _ int) error {
+		tb := w.Rec.Buf()
+		for i := next.Add(1) - 1; i < int64(len(groups)); i = next.Add(1) - 1 {
+			if err := w.generateDays(ctx, tb, groups[i], days); err != nil {
+				return err // and ends the run, so the stream need not close
+			}
+		}
+		if running.Add(-1) == 0 {
+			days.Close() // the days sent are all delivered before Range returns
+		}
+		return nil
 	})
+	g.Go(func(ctx context.Context) error {
+		return days.Range(ctx, func(b Batch) error {
+			if err := context.Cause(ctx); err != nil {
+				return err
+			}
+			sp := w.obs.emit.Start()
+			defer sp.End()
+			return deliver(b)
+		})
+	})
+	return g.Wait()
 }
 
-// generateBatch simulates group gi on the calling goroutine, recording
-// on tb, which the caller owns; the events a group emits are identical
-// whichever goroutine simulates it. The group's buffer is sized once
-// for the group (sessionCapacity) rather than grown by doubling as the
-// sessions arrive. The group's workload draws run ahead on a drawer
-// goroutine of their own (draw.go), stopped and waited for before
-// generateBatch returns. Cancelling ctx stops the group at its next
-// window (or while it waits on the drawer) and returns the cause.
-func (w *World) generateBatch(ctx context.Context, tb *trace.Buf, gi int) (Batch, error) {
+// generateDays simulates group gi on the calling goroutine, recording
+// on tb, which the caller owns, and sends each day to days as it
+// completes; the events a group emits are identical whichever goroutine
+// simulates it. A day's buffer is sized once, for the day's windows
+// (dayCapacity), rather than grown by doubling as the sessions arrive.
+// The group's workload draws run ahead on a drawer goroutine of their
+// own (draw.go), stopped and waited for before generateDays returns.
+// Cancelling ctx stops the group at its next window (or while it waits
+// on the drawer or on the stream) and returns the cause.
+func (w *World) generateDays(ctx context.Context, tb *trace.Buf, gi int, days *pipeline.Stream[Batch]) error {
 	fd := w.newGroupFeed(gi)
 	stop := startDrawers(ctx, &w.obs, fd.sc.ring)
 	defer stop()
-	b := Batch{Group: gi, Samples: make([]sample.Sample, 0, w.sessionCapacity(w.Groups[gi]))}
-	for fd.next < w.Cfg.Windows() {
-		samples, lost, err := fd.window(ctx, tb, b.Samples)
-		if err != nil {
-			return Batch{}, err
+	for day := range w.Cfg.Days {
+		b := Batch{Group: gi, Day: day, Samples: make([]sample.Sample, 0, w.dayCapacity(w.Groups[gi], day))}
+		for range WindowsPerDay {
+			samples, lost, err := fd.window(ctx, tb, b.Samples)
+			if err != nil {
+				return err
+			}
+			b.Samples, b.Lost = samples, b.Lost+lost
 		}
-		b.Samples, b.Lost = samples, b.Lost+lost
+		if err := days.Send(ctx, b); err != nil {
+			return err
+		}
 	}
-	return b, nil
+	return nil
 }
 
-// sessionCapacity is a capacity for one group's samples that its
-// session count exceeds only by chance: the sum of its windows' Poisson
-// means (groupFeed.window) plus four standard deviations of that sum,
-// plus five. Only a buffer's capacity depends on it, never a draw.
-func (w *World) sessionCapacity(g *Group) int {
+// dayCapacity is a capacity for one group's samples of one day that
+// its session count exceeds only by chance: the sum of the day's
+// windows' Poisson means (groupFeed.window) plus three and a half
+// standard deviations of that sum, plus one. Only a buffer's capacity
+// depends on it, never a draw.
+func (w *World) dayCapacity(g *Group, day int) int {
 	mean := 0.0
-	for win := 0; win < w.Cfg.Windows(); win++ {
+	for win := day * WindowsPerDay; win < (day+1)*WindowsPerDay; win++ {
 		mean += w.windowMean(g, win)
 	}
-	return int(mean+4*math.Sqrt(mean)) + 5
+	return int(mean+3.5*math.Sqrt(mean)) + 1
 }
 
 // windowMean is the Poisson mean of one group × window's session count.
@@ -112,12 +137,13 @@ func (w *World) windowMean(g *Group, win int) float64 {
 	return w.Cfg.SessionsPerGroupWindow * g.Weight * activity((win/4)%24, g.ActivityPeakUTC)
 }
 
-// GenerateAll buffers the whole dataset; intended for tests and small
+// GenerateAll buffers the whole dataset in its canonical (group, day)
+// order — the one-worker delivery order; intended for tests and small
 // configurations.
 func (w *World) GenerateAll() []sample.Sample {
 	var out []sample.Sample
 	// Only a cancel or a failing deliver can error, and this has neither.
-	_ = w.GenerateBatches(context.Background(), pipeline.DefaultWorkers(), func(b Batch) error {
+	_ = w.GenerateBatches(context.Background(), 1, func(b Batch) error {
 		out = append(out, b.Samples...)
 		return nil
 	})
@@ -128,18 +154,22 @@ func (w *World) GenerateAll() []sample.Sample {
 // and returns the number of sessions suppressed by PoP outages
 // (World.PoPDown), 0 when no outage machinery is installed.
 func (w *World) GenerateGroup(groupIdx int, emit func(sample.Sample)) int {
-	// Nothing cancels a background context, so there is no error.
-	b, _ := w.generateBatch(context.Background(), nil, groupIdx)
-	for _, s := range b.Samples {
-		emit(s)
-	}
-	return b.Lost
+	lost := 0
+	// Only a cancel or a failing deliver can error, and this has neither.
+	_ = w.GenerateBatchesOf(context.Background(), []int{groupIdx}, 1, func(b Batch) error {
+		for _, s := range b.Samples {
+			emit(s)
+		}
+		lost += b.Lost
+		return nil
+	})
+	return lost
 }
 
 // groupFeed is one group's generation state and the world's one
 // per-group generator: its RNG lineage, the read end of its draw-ahead
 // ring, its session scratch and its session sequence, advanced one
-// window at a time by window. The batch generator (generateBatch) runs
+// window at a time by window. The batch generator (generateDays) runs
 // a feed through every window in one loop; the live feed keeps one per
 // group alive between windows, so the lineage advances exactly as in
 // one uninterrupted sweep. Every driver generates and records through

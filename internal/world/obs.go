@@ -8,7 +8,7 @@ import (
 // hot path. The zero value (nil handles) is a no-op, so an
 // uninstrumented world pays one nil check per event.
 type worldObs struct {
-	reg        *obs.Registry // where a batch run registers its ordered hand-off
+	reg        *obs.Registry // where a batch run registers its stream of days
 	sessions   *obs.Counter
 	windows    *obs.Counter
 	groups     *obs.Counter
@@ -24,11 +24,11 @@ type worldObs struct {
 
 // Instrument registers generation metrics on reg: sessions, windows and
 // groups completed, plus per-stage wall time for the parallel group
-// simulation ("generate"), the ordered fan-out ("emit") and the
-// workload draw-ahead ("draw": the time drawers spend drawing). A
-// batch run (GenerateBatchesOf) registers its ordered hand-off there
-// when it starts: the batches simulated and waiting on deliver as
-// pipeline_queue_depth{stage="generate"}, its window as
+// simulation ("generate"), the hand-off to deliver ("emit", one span a
+// day) and the workload draw-ahead ("draw": the time drawers spend
+// drawing). A batch run (GenerateBatchesOf) registers its stream of
+// days there when it starts: the days simulated and waiting on deliver
+// as pipeline_queue_depth{stage="generate"}, its window as
 // pipeline_queue_capacity{stage="generate"}. The draw-ahead adds the
 // time simulations wait on an empty ring
 // (world_draw_wait_seconds) and the specs drawn

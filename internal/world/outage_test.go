@@ -2,6 +2,7 @@ package world
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/obs"
@@ -12,25 +13,36 @@ import (
 // sessions at the serving PoP, account every one of them as lost, and
 // keep the surviving dataset deterministic at any worker count.
 func TestPoPDownSuppressesAndAccounts(t *testing.T) {
-	cfg := Config{Seed: 21, Groups: 30, Days: 1, SessionsPerGroupWindow: 4}
+	cfg := Config{Seed: 21, Groups: 30, Days: 2, SessionsPerGroupWindow: 4}
 	base := New(cfg)
 	baseline := base.GenerateAll()
 
 	downPoP := baseline[0].PoP // guaranteed to serve traffic
 	down := func(pop string, win int) bool { return pop == downPoP && win >= 10 && win < 20 }
 
+	// gen returns the samples in (group, day) order, whatever order the
+	// groups finished in, and the sessions lost.
 	gen := func(workers int) ([]sample.Sample, int) {
 		w := New(cfg)
 		w.PoPDown = down
-		var out []sample.Sample
+		days := make([][][]sample.Sample, cfg.Groups)
 		lost := 0
 		err := w.GenerateBatches(context.Background(), workers, func(b Batch) error {
-			out = append(out, b.Samples...)
+			if b.Day != len(days[b.Group]) {
+				return fmt.Errorf("group %d's day %d arrived after %d of its days", b.Group, b.Day, len(days[b.Group]))
+			}
+			days[b.Group] = append(days[b.Group], b.Samples)
 			lost += b.Lost
 			return nil
 		})
 		if err != nil {
 			t.Fatalf("GenerateBatches(workers=%d): %v", workers, err)
+		}
+		var out []sample.Sample
+		for _, group := range days {
+			for _, day := range group {
+				out = append(out, day...)
+			}
 		}
 		return out, lost
 	}

@@ -3,12 +3,11 @@ package world
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/cartographer"
 	"repro/internal/pipeline"
 	"repro/internal/sample"
 )
@@ -17,55 +16,84 @@ func testCfg() Config {
 	return Config{Seed: 9, Groups: 10, Days: 1, SessionsPerGroupWindow: 4}
 }
 
-// The sample stream must be identical — same samples, same order — at
-// every worker count. This is the generation half of the pipeline's
-// byte-identical-report guarantee.
-func TestGenerateBatchesDeterministicAcrossWorkers(t *testing.T) {
-	collect := func(workers int) []sample.Sample {
-		w := New(testCfg())
-		var out []sample.Sample
-		if err := w.GenerateBatches(context.Background(), workers, func(b Batch) error {
-			out = append(out, b.Samples...)
-			return nil
-		}); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+// groupStreams runs GenerateBatchesOf over groups at workers and returns
+// each group's samples, its days joined in day order, and the (group,
+// day) order they arrived in. It fails t unless each group's days
+// arrive in day order, every one of them once.
+func groupStreams(t *testing.T, w *World, groups []int, workers int) ([][]sample.Sample, [][2]int) {
+	t.Helper()
+	streams := make([][]sample.Sample, len(w.Groups))
+	next := make([]int, len(w.Groups))
+	var order [][2]int
+	if err := w.GenerateBatchesOf(context.Background(), groups, workers, func(b Batch) error {
+		if b.Day != next[b.Group] {
+			return fmt.Errorf("group %d's day %d arrived after %d of its days", b.Group, b.Day, next[b.Group])
 		}
-		return out
+		next[b.Group]++
+		streams[b.Group] = append(streams[b.Group], b.Samples...)
+		order = append(order, [2]int{b.Group, b.Day})
+		return nil
+	}); err != nil {
+		t.Fatalf("workers=%d: %v", workers, err)
 	}
-	want := collect(1)
-	if len(want) == 0 {
+	for _, gi := range groups {
+		if next[gi] != w.Cfg.Days {
+			t.Fatalf("workers=%d: %d of group %d's %d days delivered", workers, next[gi], gi, w.Cfg.Days)
+		}
+	}
+	return streams, order
+}
+
+// Each group's sample stream must be identical — same samples, same
+// order — at every worker count, whatever order the groups finish in:
+// the generation half of the pipeline's byte-identical-report
+// guarantee. At one worker the days arrive in the canonical (group,
+// day) order, which is GenerateAll's.
+func TestGenerateBatchesDeterministicAcrossWorkers(t *testing.T) {
+	cfg := testCfg()
+	cfg.Days = 2
+	all := make([]int, cfg.Groups)
+	for gi := range all {
+		all[gi] = gi
+	}
+	want, _ := groupStreams(t, New(cfg), all, 1)
+	var joined []sample.Sample
+	for _, ss := range want {
+		joined = append(joined, ss...)
+	}
+	if len(joined) == 0 {
 		t.Fatal("sequential generation produced no samples")
 	}
+	if !reflect.DeepEqual(New(cfg).GenerateAll(), joined) {
+		t.Fatal("GenerateAll differs from the one-worker stream in group order")
+	}
 	for _, workers := range []int{2, 4, 32} {
-		got := collect(workers)
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d produced %d samples, sequential %d", workers, len(got), len(want))
-		}
-		for i := range got {
-			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Fatalf("workers=%d sample %d differs: %+v vs %+v", workers, i, got[i], want[i])
+		got, _ := groupStreams(t, New(cfg), all, workers)
+		for gi := range got {
+			if !reflect.DeepEqual(got[gi], want[gi]) {
+				t.Fatalf("workers=%d: group %d's %d samples differ from the sequential %d", workers, gi, len(got[gi]), len(want[gi]))
 			}
 		}
 	}
 }
 
-// Batches must arrive in ascending group order even when workers finish
-// out of order.
+// At one worker the days arrive group by group in the order given, each
+// group's in day order; at several, each group's days still arrive in
+// day order, groups in the order they finish.
 func TestGenerateBatchesOrdered(t *testing.T) {
-	w := New(testCfg())
-	next := 0
-	if err := w.GenerateBatches(context.Background(), 4, func(b Batch) error {
-		if b.Group != next {
-			t.Fatalf("batch for group %d delivered, want %d", b.Group, next)
+	cfg := testCfg()
+	cfg.Days = 2
+	reversed := make([]int, cfg.Groups)
+	for i := range reversed {
+		reversed[i] = cfg.Groups - 1 - i
+	}
+	_, order := groupStreams(t, New(cfg), reversed, 1)
+	for i, at := range order {
+		if want := [2]int{reversed[i/cfg.Days], i % cfg.Days}; at != want {
+			t.Fatalf("one worker: delivery %d was group %d day %d, want group %d day %d", i, at[0], at[1], want[0], want[1])
 		}
-		next++
-		return nil
-	}); err != nil {
-		t.Fatal(err)
 	}
-	if next != w.Cfg.Groups {
-		t.Fatalf("delivered %d batches, want %d", next, w.Cfg.Groups)
-	}
+	groupStreams(t, New(cfg), reversed, 4)
 }
 
 // A cancelled context must stop generation promptly with the cause, at
@@ -108,10 +136,10 @@ func TestGenerateBatchesDeliverErrorPoisons(t *testing.T) {
 	}
 }
 
-// A group's buffer is sized once, before its first session, and the
-// sessions must fit it: a batch whose capacity is not sessionCapacity
-// was regrown by append. The slack is bounded too, so the estimate
-// cannot pass by over-allocating. A live feed keeps a ring of
+// A day's buffer is sized once, for the day's windows, before its first
+// session, and the sessions must fit it: a batch whose capacity is not
+// dayCapacity was regrown by append. The slack is bounded too, so the
+// estimate cannot pass by over-allocating. A live feed keeps a ring of
 // WindowsPerDay window buffers a group, and a window's buffer is sized
 // to its draw: window w arrives in window w − WindowsPerDay's buffer
 // when its samples fit there, and otherwise in a new one made at
@@ -127,8 +155,8 @@ func TestGroupBufferSizedOnce(t *testing.T) {
 		w := New(cfg)
 		used, held := 0, 0
 		if err := w.GenerateBatches(context.Background(), 2, func(b Batch) error {
-			if want := w.sessionCapacity(w.Groups[b.Group]); cap(b.Samples) != want {
-				t.Errorf("seed %d group %d: %d samples in a buffer of %d, sized for %d", cfg.Seed, b.Group, len(b.Samples), cap(b.Samples), want)
+			if want := w.dayCapacity(w.Groups[b.Group], b.Day); cap(b.Samples) != want {
+				t.Errorf("seed %d group %d day %d: %d samples in a buffer of %d, sized for %d", cfg.Seed, b.Group, b.Day, len(b.Samples), cap(b.Samples), want)
 			}
 			used += len(b.Samples)
 			held += cap(b.Samples)
@@ -192,63 +220,57 @@ func TestGroupBufferSizedOnce(t *testing.T) {
 	}
 }
 
-// heldGroupZero returns cfg's world with group 0's first window held
-// until release is closed, counting every window begun through the
-// windowsBegun hook: the world is chosen so that no other group is
-// served from group 0's PoP at window 0, which picks group 0 out.
-func heldGroupZero(t *testing.T, cfg Config, release <-chan struct{}) (*World, []atomic.Int64) {
-	t.Helper()
-	w, begun := windowsBegun(cfg, func(int) {})
-	pop0 := w.Groups[0].PoP
-	for gi, g := range w.Groups[1:] {
-		if g.PoP == pop0 || len(g.PoPSchedule) > 1 && cartographer.PoPAt(g.PoPSchedule, 0).Name == pop0 {
-			t.Fatalf("group %d shares group 0's PoP %s at window 0: pick another world", gi+1, pop0)
-		}
-	}
-	count := w.PoPDown
-	w.PoPDown = func(pop string, win int) bool {
-		if win == 0 && pop == pop0 {
-			<-release
-		}
-		return count(pop, win)
-	}
-	return w, begun
-}
-
-// No group begins more than pipeline.Window(workers) groups past the
-// lowest one not yet delivered: while group 0's first window is held,
-// the other workers simulate the window's other groups and stop, where
-// a reorder behind a stream would let them simulate every group.
-// Released, every group is delivered, in order.
+// No day begins more than the stream's window, and one day a worker,
+// past the last one deliver took: while deliver holds the first day, the
+// workers simulate on — day after day, and on to groups of their own
+// once theirs are done — until, besides the held day,
+// pipeline.Window(workers) days wait in the stream and each worker has
+// finished one more, and stop there. Released, every day is delivered,
+// each group's in day order.
 func TestGenerateBatchesBoundedBySlowGroup(t *testing.T) {
-	cfg := Config{Seed: 6, Groups: 24, Days: 1, SessionsPerGroupWindow: 2}
+	cfg := Config{Seed: 6, Groups: 24, Days: 2, SessionsPerGroupWindow: 2}
 	const workers = 3
+	w, begun := windowsBegun(cfg, func(int) {})
+	daysBegun := func() int64 {
+		n := int64(0)
+		for day := range cfg.Days {
+			n += begun[day*WindowsPerDay].Load()
+		}
+		return n
+	}
 	release := make(chan struct{})
-	w, begun := heldGroupZero(t, cfg, release)
-	var delivered atomic.Int64
+	next := make([]int, cfg.Groups)
+	delivered := 0
 	done := make(chan error, 1)
 	go func() {
 		done <- w.GenerateBatches(context.Background(), workers, func(b Batch) error {
-			if int64(b.Group) != delivered.Load() {
-				t.Errorf("group %d delivered after %d groups", b.Group, delivered.Load())
+			if delivered++; delivered == 1 {
+				<-release
 			}
-			delivered.Add(1)
+			if b.Day != next[b.Group] {
+				return fmt.Errorf("group %d's day %d arrived after %d of its days", b.Group, b.Day, next[b.Group])
+			}
+			next[b.Group]++
 			return nil
 		})
 	}()
-	want := int64(pipeline.Window(workers) - 1) // every group in the window but the held one
-	for deadline := time.Now().Add(10 * time.Second); begun[0].Load() < want && time.Now().Before(deadline); {
+	want := int64(1 + pipeline.Window(workers) + workers)
+	for deadline := time.Now().Add(10 * time.Second); daysBegun() < want && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
 	}
 	time.Sleep(20 * time.Millisecond) // room for a worker that would overrun the window
-	if got := begun[0].Load(); got != want || delivered.Load() != 0 {
-		t.Errorf("with group 0 held, %d other groups began and %d were delivered, want %d and 0", got, delivered.Load(), want)
+	if got := daysBegun(); got != want {
+		t.Errorf("with the first day held in deliver, %d days began, want %d: it, the window's %d and one a worker",
+			got, want, pipeline.Window(workers))
+	}
+	if groups := begun[0].Load(); groups <= workers {
+		t.Errorf("with the first day held in deliver, %d groups began: the workers did not go on to groups of their own", groups)
 	}
 	close(release)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if n := delivered.Load(); n != int64(cfg.Groups) {
-		t.Errorf("%d groups delivered, want %d", n, cfg.Groups)
+	if want := cfg.Groups * cfg.Days; delivered != want {
+		t.Errorf("%d days delivered, want %d", delivered, want)
 	}
 }

@@ -13,12 +13,12 @@
 // One per-group generator, groupFeed, simulates a group window by
 // window from the group's own RNG lineage and records each window: its
 // trace events and the world's metrics. Two drivers run it.
-// GenerateBatchesOf runs whole groups on a worker pool and delivers
-// them in order, for the study (GenerateBatches, every group) and the
-// dataset writer (its work list); LiveFeed runs the groups window by
-// window, up to a day ahead of the always-on daemon, and delivers them
-// one window at a time. Their samples, traces and counters agree by
-// construction.
+// GenerateBatchesOf runs groups on a worker pool, each day by day, and
+// delivers the days, each group's in day order and groups as they
+// finish, for the study (GenerateBatches, every group) and the dataset
+// writer (its work list); LiveFeed runs the groups window by window, up
+// to a day ahead of the always-on daemon, and delivers them one window
+// at a time. Their samples, traces and counters agree by construction.
 package world
 
 import (
